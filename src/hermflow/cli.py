@@ -1034,6 +1034,17 @@ def _resolve(command: str, ns: argparse.Namespace) -> dict:
     return cfg
 
 
+# failure rows, first match wins: (exception types, exit code, error tag,
+# exception attributes echoed in the summary line). ValueError and OSError
+# are malformed user input: bad JSON, missing files, unparsable numbers.
+_FAILURES = (
+    (ValidationError, 2, "validation", ()),
+    (NonConvergenceError, 3, "non-convergence", ("achieved",)),
+    ((ValueError, OSError), 2, "validation", ()),
+)
+_FAILURE_TYPES = (ValidationError, NonConvergenceError, ValueError, OSError)
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
@@ -1053,53 +1064,19 @@ def run(argv=None) -> int:
         }
         print(json.dumps(_jsonable(line), sort_keys=True))
         return 0
-    except ValidationError as exc:
-        print(
-            json.dumps(
-                {
-                    "schema": SCHEMA,
-                    "command": ns.command,
-                    "ok": False,
-                    "error": "validation",
-                    "message": str(exc),
-                },
-                sort_keys=True,
-            )
-        )
+    except _FAILURE_TYPES as exc:
+        _, code, tag, extra = next(row for row in _FAILURES if isinstance(exc, row[0]))
+        line = {
+            "schema": SCHEMA,
+            "command": ns.command,
+            "ok": False,
+            "error": tag,
+            "message": str(exc),
+            **{key: getattr(exc, key) for key in extra},
+        }
+        print(json.dumps(line, sort_keys=True))
         print(f"hermflow {ns.command}: {exc}", file=sys.stderr)
-        return 2
-    except NonConvergenceError as exc:
-        print(
-            json.dumps(
-                {
-                    "schema": SCHEMA,
-                    "command": ns.command,
-                    "ok": False,
-                    "error": "non-convergence",
-                    "message": str(exc),
-                    "achieved": exc.achieved,
-                },
-                sort_keys=True,
-            )
-        )
-        print(f"hermflow {ns.command}: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as exc:
-        # malformed user input (bad JSON, missing files, unparsable numbers)
-        print(
-            json.dumps(
-                {
-                    "schema": SCHEMA,
-                    "command": ns.command,
-                    "ok": False,
-                    "error": "validation",
-                    "message": str(exc),
-                },
-                sort_keys=True,
-            )
-        )
-        print(f"hermflow {ns.command}: {exc}", file=sys.stderr)
-        return 2
+        return code
 
 
 def main() -> None:

@@ -23,42 +23,16 @@ from .grid import (
     fourier_factors,
     freq_sq,
     pair_fields,
+    parallel_map,
     synth_duals,
     synth_weighted,
     to_grid,
 )
 from .multiindex import enumerate_level
-from .operators import OperatorParams
 from .polynomial import Polynomial, VectorPolyField
-from .solenoidal import (
-    CompositeBasis,
-    DualFrame,
-    SolenoidalBasis,
-    divfree_kernel,
-    fixture_basis,
-)
+from .solenoidal import DualFrame, level_basis
 
 MODELS = ("stokes", "nse", "burnett")
-
-
-def _blocks(basis) -> List[SolenoidalBasis]:
-    if isinstance(basis, CompositeBasis):
-        return basis.blocks
-    if isinstance(basis, SolenoidalBasis):
-        return [basis]
-    raise ValidationError("expected a SolenoidalBasis or CompositeBasis")
-
-
-def _labels(basis) -> List[Tuple[int, int]]:
-    return [(b.level, i) for b in _blocks(basis) for i in range(b.count)]
-
-
-def _fields(basis) -> List[VectorPolyField]:
-    return [v for b in _blocks(basis) for v in b.fields]
-
-
-def _params(basis) -> OperatorParams:
-    return _blocks(basis)[0].params
 
 
 def _decay_rate(model: str, m: int, k: int) -> float:
@@ -95,7 +69,7 @@ class Expansion:
 
     @property
     def labels(self) -> List[Tuple[int, int]]:
-        return _labels(self.basis)
+        return self.basis.labels
 
     def vector(self) -> np.ndarray:
         return np.array([float(self.coeffs.get(l, 0.0)) for l in self.labels])
@@ -104,7 +78,7 @@ class Expansion:
         """Exact polynomial factor sum_i c_i v*_i (floats promoted to their
         exact binary rationals)."""
         total = VectorPolyField([Polynomial.zero(3)] * 3)
-        for label, v in zip(self.labels, _fields(self.basis)):
+        for label, v in zip(self.labels, self.basis.fields):
             c = self.coeffs.get(label, 0)
             if c:
                 total = total + v.scale(c if isinstance(c, Fraction) else Fraction(float(c)))
@@ -129,17 +103,14 @@ def expand(
 
     Polynomial input (the polynomial factor of u = p F) goes through the
     exact rational dual pairings; the reported residual is the grid norm of
-    the uncaptured remainder times the kernel, so any cross-level leakage
-    of the per-level duals (possible for m >= 2 composites) shows up there
-    instead of passing silently. Grid input is paired against synthesized
-    dual fields with an empirical Gram matrix from the same quadrature, so
-    pure basis fields are recovered to roundoff.
+    the uncaptured remainder times the kernel, so input outside the span
+    shows up there instead of passing silently. Grid input goes through
+    `_grid_extractor`.
     """
-    params = _params(basis)
     if isinstance(u, VectorPolyField):
         coeffs: Dict[Tuple[int, int], object] = {}
         recon = VectorPolyField([Polynomial.zero(3)] * 3)
-        for b in _blocks(basis):
+        for b in basis.blocks:
             frame = DualFrame(b)
             cs = frame.coefficients_poly(u)
             for i, c in enumerate(cs):
@@ -151,22 +122,42 @@ def expand(
             residual = 0.0
         else:
             sp = spec or GridSpec(10.0, 64)
-            residual = synth_weighted(diff, sp, params.m).norm()
+            residual = synth_weighted(diff, sp, basis.params.m).norm()
         return Expansion(model, basis, coeffs, residual=residual)
     if isinstance(u, GridVectorField):
-        sp = u.spec
-        duals: List[GridVectorField] = []
-        for b in _blocks(basis):
-            duals.extend(synth_duals(DualFrame(b), sp))
-        realz = [synth_weighted(v, sp, params.m) for v in _fields(basis)]
-        M = np.array([[pair_fields(vi, wj) for wj in duals] for vi in realz])
-        raw = np.array([pair_fields(u, wj) for wj in duals])
-        c = np.linalg.solve(M.T, raw)
-        recon_data = np.tensordot(c, np.stack([v.data for v in realz]), axes=(0, 0))
-        residual = float(math.sqrt(sp.h**3 * np.sum((u.data - recon_data) ** 2)))
-        coeffs = dict(zip(_labels(basis), (float(x) for x in c)))
+        c, residual = _grid_extractor(basis, u.spec)(u)
+        coeffs = dict(zip(basis.labels, (float(x) for x in c)))
         return Expansion(model, basis, coeffs, residual=residual)
     raise ValidationError("expand needs a VectorPolyField or GridVectorField")
+
+
+def _grid_extractor(
+    basis, spec: GridSpec
+) -> Callable[[GridVectorField], Tuple[np.ndarray, float]]:
+    """Coefficients and residual of grid fields over `basis`.
+
+    Fields are paired against the synthesized dual fields, and the
+    pairings are solved with the empirical Gram M = <realizations, duals>
+    from the same quadrature, so pure basis fields are recovered to
+    roundoff. The residual is the grid norm of the part of the field the
+    basis did not capture. Build once per (basis, spec), call per field.
+    """
+    duals = [w for b in basis.blocks for w in synth_duals(DualFrame(b), spec)]
+    realz = np.empty((basis.count, 3) + (spec.n,) * 3)
+    rows = []
+    for i, v in enumerate(basis.fields):
+        vi = synth_weighted(v, spec, basis.params.m)
+        realz[i] = vi.data
+        rows.append([pair_fields(vi, wj) for wj in duals])
+    M = np.array(rows)
+
+    def extract(u: GridVectorField) -> Tuple[np.ndarray, float]:
+        raw = np.array([pair_fields(u, wj) for wj in duals])
+        c = np.linalg.solve(M.T, raw)
+        recon = np.tensordot(c, realz, axes=(0, 0))
+        return c, float(math.sqrt(spec.h**3 * np.sum((u.data - recon) ** 2)))
+
+    return extract
 
 
 # -- diagonal flows ---------------------------------------------------------------
@@ -187,7 +178,7 @@ def burnett_flow(e0: Expansion, tau: float) -> Expansion:
     """Exact diagonal decay c_k(tau) = c_k(0) e^{-(3+k) tau / 4}."""
     if e0.model != "burnett":
         raise ValidationError("burnett_flow needs a burnett-model expansion")
-    if _params(e0.basis).m != 2:
+    if e0.basis.params.m != 2:
         raise ValidationError("burnett_flow needs an m=2 basis")
     out = {
         (k, i): float(c) * math.exp(_decay_rate("burnett", 2, k) * tau)
@@ -288,8 +279,8 @@ def nse_galerkin(
     labels = e0.labels
     if not (tensor.labels_a == labels and tensor.labels_g == labels and tensor.labels_b == labels):
         raise ValidationError("tensor index labels do not match the basis")
-    params = _params(e0.basis)
-    lam = np.array([_decay_rate("nse", params.m, k) for k, _ in labels])
+    m = e0.basis.params.m
+    lam = np.array([_decay_rate("nse", m, k) for k, _ in labels])
     d = tensor.values
     c0 = e0.vector()
 
@@ -383,7 +374,7 @@ def detect_resonance(
     Cw = np.abs(traj.coeff_matrix()[sel])
     labels = traj.labels
     scale = float(np.max(Cw)) if Cw.size else 0.0
-    m = _params(traj.states[0].basis).m
+    m = traj.states[0].basis.params.m
 
     slopes: Dict[Tuple[int, int], float] = {}
     for j, lab in enumerate(labels):
@@ -634,13 +625,6 @@ def classify_zero(
 # -- semigroup verifier ---------------------------------------------------------------
 
 
-def _single_level_basis(m: int, k: int) -> SolenoidalBasis:
-    try:
-        return fixture_basis(m, k)
-    except ValidationError:
-        return divfree_kernel(k, OperatorParams(m=m, N=3))
-
-
 def semigroup_verify(
     data: VectorPolyField,
     m: int,
@@ -672,14 +656,16 @@ def semigroup_verify(
         raise ValidationError("t_end must lie in (-1, 0)")
     sp = spec or GridSpec(24.0, 128)
     model = "stokes" if m == 1 else "burnett"
-    k = level if level is not None else max(
-        int(p.degree()) for p in data.components if not p.is_zero()
-    )
-    basis = _single_level_basis(m, k)
-    frame = DualFrame(basis)
-    duals = synth_duals(frame, sp)
-    realz = [synth_weighted(v, sp, m) for v in basis.fields]
-    Mmat = np.array([[pair_fields(vi, wj) for wj in duals] for vi in realz])
+    if level is None:
+        degrees = [int(p.degree()) for p in data.components if not p.is_zero()]
+        if not degrees:
+            raise ValidationError(
+                "semigroup data is identically zero, so its level cannot be "
+                "inferred"
+            )
+        level = max(degrees)
+    basis = level_basis(m, level)
+    extract = _grid_extractor(basis, sp)
 
     rho = (2.0 * m - 1.0) / (2.0 * m)
     alpha = 2.0 * m / (2.0 * m - 1.0)
@@ -720,22 +706,11 @@ def semigroup_verify(
             for g, Rg in facs:
                 acc += (1j) ** g * Rg.evaluate_grid([sc_ax, sc_ax, sc_ax])
             comps.append(to_grid(sp, amp * acc * decay).real)
-        U = GridVectorField(sp, np.stack(comps), weight="kernel-F")
-        raw = np.array([pair_fields(U, wj) for wj in duals])
-        c = np.linalg.solve(Mmat.T, raw)
-        recon = np.tensordot(c, np.stack([v.data for v in realz]), axes=(0, 0))
-        resid = float(math.sqrt(sp.h**3 * np.sum((U.data - recon) ** 2)))
-        coeffs = dict(zip(_labels(basis), (float(x) for x in c)))
+        c, resid = extract(GridVectorField(sp, np.stack(comps), weight="kernel-F"))
+        coeffs = dict(zip(basis.labels, (float(x) for x in c)))
         return Expansion(model, basis, coeffs, tau=float(tau), residual=resid)
 
-    nw = max(1, workers or 1)
-    if nw > 1 and len(taus) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=nw) as pool:
-            states = list(pool.map(state, [float(t) for t in taus]))
-    else:
-        states = [state(float(t)) for t in taus]
+    states = parallel_map(state, [float(t) for t in taus], workers)
     return CoefficientTrajectory(taus, states, model, diagnostic=diagnostic)
 
 

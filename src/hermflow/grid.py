@@ -20,17 +20,15 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ValidationError
 from .kernel import KernelTable, gaussian_kernel
 from .polynomial import Polynomial, VectorPolyField
-from .solenoidal import CompositeBasis, DualFrame, SolenoidalBasis, weighted_dual
+from .solenoidal import DualFrame
 
 # -- grid spec and transforms --------------------------------------------------
 
@@ -279,23 +277,43 @@ def synth_weighted(v: VectorPolyField, spec: GridSpec, m: int) -> GridVectorFiel
     return GridVectorField(spec, np.stack(comps), poly=v, weight="kernel-F")
 
 
-def synth_duals(frame: DualFrame, spec: GridSpec) -> List[GridVectorField]:
-    """Grid samples of the derivative-dual fields W_j of a level frame,
-    from FT[W_c] = (-i)^k A_c exp(-|xi|^2m)."""
+def dual_spectrum(
+    frame: DualFrame, j: int, spec: GridSpec
+) -> List[Optional[np.ndarray]]:
+    """FT[W_c] = (-i)^k A_c exp(-|xi|^2m) of the j-th derivative-dual field
+    of a level frame on the frequency lattice, one complex array per
+    component; None where A_c vanishes."""
     eta = spec.freqs()
     decay = _exp_eta2m(spec.L, spec.n, frame.params.m)
     scalar = (-1j) ** frame.level
+    return [
+        None if A.is_zero() else scalar * A.evaluate_grid([eta, eta, eta]) * decay
+        for A in frame.dual_transform_polys()[j]
+    ]
+
+
+def synth_duals(frame: DualFrame, spec: GridSpec) -> List[GridVectorField]:
+    """Grid samples of the derivative-dual fields W_j of a level frame."""
+    zero = np.zeros((spec.n,) * 3)
     fields = []
-    for comps_A in frame.dual_transform_polys():
-        comps = []
-        for A in comps_A:
-            if A.is_zero():
-                comps.append(np.zeros((spec.n,) * 3))
-            else:
-                g = scalar * A.evaluate_grid([eta, eta, eta]) * decay
-                comps.append(to_grid(spec, g).real)
+    for j in range(frame.basis.count):
+        comps = [
+            zero if g is None else to_grid(spec, g).real
+            for g in dual_spectrum(frame, j, spec)
+        ]
         fields.append(GridVectorField(spec, np.stack(comps), weight="kernel-F"))
     return fields
+
+
+def parallel_map(fn: Callable, items: Sequence, workers: int | None) -> list:
+    """[fn(x) for x in items] on up to `workers` threads, in input order."""
+    nw = max(1, workers or 1)
+    if nw > 1 and len(items) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=nw) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 # -- Leray projection and convection ---------------------------------------------
@@ -454,43 +472,6 @@ class InteractionTensor:
         }
 
 
-def _as_blocks(basis) -> List[SolenoidalBasis]:
-    if isinstance(basis, CompositeBasis):
-        return basis.blocks
-    if isinstance(basis, SolenoidalBasis):
-        return [basis]
-    raise ValidationError("expected a SolenoidalBasis or CompositeBasis")
-
-
-def _labels(basis) -> List[Tuple[int, int]]:
-    return [(b.level, i) for b in _as_blocks(basis) for i in range(b.count)]
-
-
-def _fields(basis) -> List[VectorPolyField]:
-    return [v for b in _as_blocks(basis) for v in b.fields]
-
-
-def _block_gram_inv(basis) -> np.ndarray:
-    """Float block-diagonal inverse of the kernel-weighted Gram.
-
-    Per-level blocks come from the exact rational inverse; cross-level
-    blocks vanish for m=1 (kernel-derivative identity), which is the only
-    m the quadratic dynamics uses.
-    """
-    blocks = _as_blocks(basis)
-    n = sum(b.count for b in blocks)
-    out = np.zeros((n, n))
-    start = 0
-    for b in blocks:
-        inv = weighted_dual(b)
-        c = b.count
-        out[start : start + c, start : start + c] = [
-            [float(x) for x in row] for row in inv
-        ]
-        start += c
-    return out
-
-
 def _degree(p: Polynomial) -> int:
     d = p.degree()
     return int(d) if d != -math.inf else 0
@@ -518,54 +499,59 @@ def interaction_tensor(
     """Quadratic coupling d_{alpha gamma beta} of the coefficient dynamics.
 
     For each (alpha, gamma) the convection (v*_alpha . grad) v*_gamma is
-    built symbolically; its grid pairing against every projected dual
-    v*_beta F (projector moved onto the duals by the discrete Parseval
-    identity) is scaled by the exact level Gram inverse, with an overall
-    minus sign from the convection side of the dynamics. `refine` repeats
-    the computation with both box and point count doubled (fixed spacing);
-    the per-entry error estimate is twice the disagreement, which makes
-    box sensitivity directly visible: entries whose pairing integrals
-    converge slowly, or not at all, carry error bars of their own size
-    rather than a false precision.
+    built symbolically and paired on the grid against every projected
+    derivative-dual field W_j of `dualsB` (the `DualFrame` route; the
+    projector moves onto the duals by the discrete Parseval identity). The
+    pairings are mapped to coefficients by the block-diagonal assembly of
+    the frames' exact Gram inverses, with an overall minus sign from the
+    convection side of the dynamics. The tensor covers m=1, the
+    Navier-Stokes dynamics, or a single dual block; other operator orders
+    over several levels raise. `refine` repeats the computation with both
+    box and point count doubled (fixed spacing); the per-entry error
+    estimate is twice the disagreement, which makes box sensitivity
+    directly visible: entries whose pairing integrals converge slowly, or
+    not at all, carry error bars of their own size rather than a false
+    precision.
     """
-    fa, fg, fb = _fields(basisA), _fields(basisG), _fields(dualsB)
-    blocks = _as_blocks(dualsB)
-    params = blocks[0].params
-    for other in _as_blocks(basisA) + _as_blocks(basisG) + blocks:
+    params = dualsB.params
+    for other in basisA.blocks + basisG.blocks + dualsB.blocks:
         if other.params != params:
             raise ValidationError("bases disagree on operator parameters")
-    m = params.m
+    if params.m != 1 and len(dualsB.blocks) > 1:
+        raise ValidationError(
+            f"the interaction tensor over several levels covers m=1 only, "
+            f"got m={params.m} with {len(dualsB.blocks)} dual blocks"
+        )
+    fa, fg = basisA.fields, basisG.fields
+    frames = [DualFrame(b) for b in dualsB.blocks]
+    duals = [(f, j) for f in frames for j in range(f.basis.count)]
+    ginv = np.zeros((len(duals), len(duals)))
+    start = 0
+    for f in frames:
+        stop = start + f.basis.count
+        ginv[start:stop, start:stop] = np.array(f.gram_inv, dtype=float)
+        start = stop
     qs = [[convection_poly(va, vg) for vg in fg] for va in fa]
     dmax = 0
     for row in qs:
         for q in row:
             for p in q.components:
                 dmax = max(dmax, _degree(p))
-    ginv = _block_gram_inv(dualsB)
 
     def compute(sp: GridSpec) -> np.ndarray:
-        # moment tables of the projected duals, one per (dual, component)
-        tables = np.zeros((len(fb), 3, dmax + 1, dmax + 1, dmax + 1))
+        zero = np.zeros((sp.n,) * 3, dtype=complex)
 
-        def fill(j: int) -> None:
-            gs = weighted_transform(fb[j], sp, m)
+        def moment_tables(dual) -> np.ndarray:
+            # moment tables of one projected dual, one per component
+            gs = [zero if g is None else g for g in dual_spectrum(*dual, sp)]
             pw = [to_grid(sp, g).real for g in project_spectral(gs, sp)]
-            for c in range(3):
-                tables[j, c] = _moment_table(pw[c], sp, dmax)
+            return np.stack([_moment_table(c, sp, dmax) for c in pw])
 
-        nw = max(1, workers or 1)
-        if nw > 1 and len(fb) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=nw) as pool:
-                list(pool.map(fill, range(len(fb))))
-        else:
-            for j in range(len(fb)):
-                fill(j)
-        raw = np.zeros((len(fa), len(fg), len(fb)))
+        tables = np.stack(parallel_map(moment_tables, duals, workers))
+        raw = np.zeros((len(fa), len(fg), len(duals)))
         for a in range(len(fa)):
             for g in range(len(fg)):
-                acc = np.zeros(len(fb))
+                acc = np.zeros(len(duals))
                 for c, p in enumerate(qs[a][g].components):
                     for gamma, coef in p.terms.items():
                         acc += float(coef) * tables[:, c, gamma[0], gamma[1], gamma[2]]
@@ -584,12 +570,12 @@ def interaction_tensor(
         errors = np.zeros_like(coarse)
         refined = {}
     return InteractionTensor(
-        m=m,
+        m=params.m,
         N=params.N,
         spec=spec,
-        labels_a=_labels(basisA),
-        labels_g=_labels(basisG),
-        labels_b=_labels(dualsB),
+        labels_a=basisA.labels,
+        labels_g=basisG.labels,
+        labels_b=dualsB.labels,
         values=values,
         errors=errors,
         refined=refined,

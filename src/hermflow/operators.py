@@ -199,20 +199,3 @@ def level_membership(p: Polynomial, k: int, params: OperatorParams) -> Dict[Mult
             f"polynomial has components outside level {k}: levels {sorted({order(b) for b in off})}"
         )
     return coeffs
-
-
-def derivative_shift_check(beta: Sequence[int], gamma: Sequence[int], params: OperatorParams) -> bool:
-    """True iff D^gamma psi*_beta lies in span{psi*_alpha : |alpha|=|beta|-|gamma|}.
-
-    Checked constructively: expand the derivative in the psi* basis and
-    inspect the levels that appear (zero counts as membership).
-    """
-    b, g = validate(beta), validate(gamma)
-    if order(g) > order(b):
-        raise ValidationError("|gamma| must be <= |beta|")
-    dp = eigenfunction(b, params).psi_star.derive(g)
-    if dp.is_zero():
-        return True
-    target = order(b) - order(g)
-    coeffs = eigen_coefficients(dp, params)
-    return all(order(a) == target for a in coeffs)

@@ -12,21 +12,31 @@ are kept separate because their dimensions disagree:
   fields, rotations included).
 
 Both dimensions are reported side by side by the CLI; the code does not
-guess which reading of the smaller catalog is canonical.
+guess which reading of the smaller catalog is canonical. `level_basis`
+applies the one fallback rule (catalog where it has the level, computed
+kernel otherwise), and `composite_basis` stacks its levels. A single level
+and a composite share one interface: `blocks`, `labels`, `fields`,
+`params`, `count`.
 
-Coefficient extraction uses two pairings:
+Coefficient extraction has one route, `DualFrame` (derivative duals): each
+dual field is realized through kernel derivatives,
+W_j = sum_beta a_cbeta (-1)^|beta| D^beta F where a are the
+psi*-expansion coefficients of the j-th basis field. Its Gram
+G~_ij = sum_c sum_beta a^i a^j beta! is positive definite for any
+independent basis and any m, so extraction works uniformly within a
+level. The polynomial pairings, the grid expansions and the interaction
+tensor all use it.
 
-* `weighted_dual` (kernel-weighted Gram): G_ij = <v*_i, v*_j F>, computed
-  exactly from kernel moments for every m. For m >= 2 this Gram vanishes
-  identically on odd levels (moments of degree not divisible by 2m are
-  zero), in which case it is singular and raises.
-* `DualFrame` (derivative duals): realizes each dual field through kernel
-  derivatives, W_j = sum_beta a_cbeta (-1)^|beta| D^beta F where a are the
-  psi*-expansion coefficients of the j-th basis field. Its Gram
-  G~_ij = sum_c sum_beta a^i a^j beta! is positive definite for any
-  independent basis and any m, so extraction works uniformly. For m=1 the
-  two routes give identical coefficient functionals (the kernel derivative
-  identity (-1)^|b| D^b F = 2^-|b| psi*_b F makes the Grams proportional).
+`weighted_dual` (kernel-weighted Gram G_ij = <v*_i, v*_j F>, exact from
+kernel moments) stays as the reference the frame is tested against. For
+m=1 the two give identical coefficient functionals: the kernel derivative
+identity (-1)^|b| D^b F = 2^-|b| psi*_b F makes the Grams proportional.
+For m >= 2 the weighted Gram vanishes identically on odd levels (moments
+of degree not divisible by 2m are zero) and `weighted_dual` raises.
+
+Duals of one level annihilate the fields of every other level, for every
+m (psi*_alpha and (-1)^|beta| D^beta F are biorthogonal), so the per-level
+Gram inverses assemble into the block-diagonal inverse of a composite.
 """
 from __future__ import annotations
 
@@ -42,7 +52,6 @@ from .multiindex import (
     grlex_key,
     mi_factorial,
     order,
-    unit,
 )
 from .operators import OperatorParams, eigen_coefficients, eigenfunction, level_membership
 from .polynomial import Polynomial, VectorPolyField, vector_from_rows
@@ -137,6 +146,14 @@ class SolenoidalBasis:
     @property
     def count(self) -> int:
         return len(self.fields)
+
+    @property
+    def blocks(self) -> List["SolenoidalBasis"]:
+        return [self]
+
+    @property
+    def labels(self) -> List[Tuple[int, int]]:
+        return [(self.level, i) for i in range(self.count)]
 
     def to_json_dict(self) -> dict:
         return {
@@ -361,9 +378,8 @@ class DualFrame:
 class CompositeBasis:
     """Stacked per-level bases for truncation level K.
 
-    Fixture levels are preferred when the catalog has them; higher levels
-    fall back to the computed divergence kernel. Fields are ordered by
-    level, then by position within the level, and labeled (level, index).
+    Fields are ordered by level, then by position within the level, and
+    labeled (level, index).
     """
 
     params: OperatorParams
@@ -401,15 +417,20 @@ class CompositeBasis:
         }
 
 
+def level_basis(m: int, k: int, N: int = 3) -> SolenoidalBasis:
+    """Level k: the catalog fixture where there is one, the computed
+    divergence kernel otherwise."""
+    try:
+        return fixture_basis(m, k, N=N)
+    except ValidationError:
+        return divfree_kernel(k, OperatorParams(m=m, N=N))
+
+
 def composite_basis(m: int, K: int, N: int = 3) -> CompositeBasis:
-    """Levels 0..K, fixtures where cataloged, computed kernel otherwise."""
+    """Levels 0..K, each from `level_basis`."""
     if K < 0:
         raise ValidationError("truncation level must be >= 0")
-    params = OperatorParams(m=m, N=N)
-    blocks = []
-    for k in range(K + 1):
-        try:
-            blocks.append(fixture_basis(m, k, N=N))
-        except ValidationError:
-            blocks.append(divfree_kernel(k, params))
-    return CompositeBasis(params=params, blocks=blocks)
+    return CompositeBasis(
+        params=OperatorParams(m=m, N=N),
+        blocks=[level_basis(m, k, N) for k in range(K + 1)],
+    )

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from hermflow import cli
+from hermflow.errors import NonConvergenceError, ValidationError
 
 
 def _run(capsys, argv):
@@ -128,6 +129,40 @@ def test_kernel_unreachable_tol_exits_3(tmp_path, capsys):
     assert code == 3
     assert line["error"] == "non-convergence"
     assert line["achieved"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "exc, code, line",
+    [
+        (
+            ValidationError("bad level"),
+            2,
+            '{"command": "basis", "error": "validation", "message": "bad level", '
+            '"ok": false, "schema": "hermflow/1"}',
+        ),
+        (
+            NonConvergenceError("quadrature stalled", achieved=0.25),
+            3,
+            '{"achieved": 0.25, "command": "basis", "error": "non-convergence", '
+            '"message": "quadrature stalled", "ok": false, "schema": "hermflow/1"}',
+        ),
+        (
+            OSError("no such file"),
+            2,
+            '{"command": "basis", "error": "validation", "message": "no such file", '
+            '"ok": false, "schema": "hermflow/1"}',
+        ),
+    ],
+)
+def test_failure_table_pins_summary_and_stderr(tmp_path, capsys, monkeypatch, exc, code, line):
+    def fail(cfg, outdir):
+        raise exc
+
+    monkeypatch.setitem(cli.HANDLERS, "basis", fail)
+    assert cli.run(["basis", "--outdir", str(tmp_path)]) == code
+    out, err = capsys.readouterr()
+    assert out == line + "\n"
+    assert err == f"hermflow basis: {exc}\n"
 
 
 def test_wkbj_reports_closed_form_constants(tmp_path, capsys):

@@ -27,7 +27,7 @@ from hermflow.errors import EmptyCloudError, ValidationError
 from hermflow.grid import GridSpec, InteractionTensor, interaction_tensor, synth_weighted
 from hermflow.operators import OperatorParams, eigenfunction
 from hermflow.polynomial import Polynomial, VectorPolyField
-from hermflow.solenoidal import composite_basis, fixture
+from hermflow.solenoidal import CompositeBasis, composite_basis, fixture, level_basis
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +103,27 @@ def test_expand_grid_path_recovers_coefficients(cb2):
         assert abs(float(e.coeffs[lab]) - float(coeffs[lab])) <= 1e-12
     with pytest.raises(ValidationError):
         expand("not a field", cb2)
+
+
+@pytest.mark.parametrize("m, k", [(1, 2), (1, 3), (2, 1)])
+def test_single_level_and_one_block_composite_agree(m, k):
+    # level 3 at m=1 comes from the computed kernel, the others from the
+    # catalog; both shapes of basis expose the same interface
+    single = level_basis(m, k)
+    comp = CompositeBasis(params=single.params, blocks=[level_basis(m, k)])
+    assert single.blocks == [single]
+    assert single.labels == comp.labels == [(k, i) for i in range(single.count)]
+    assert single.fields == comp.fields
+    assert single.params == comp.params and single.count == comp.count
+    coeffs = {lab: Fraction(i + 1, 3) for i, lab in enumerate(single.labels)}
+    u = _combo(single, coeffs)
+    ep_s, ep_c = expand(u, single), expand(u, comp)
+    assert ep_s.coeffs == ep_c.coeffs == coeffs
+    spec = GridSpec(10.0, 32)
+    grid = synth_weighted(u, spec, m)
+    eg_s, eg_c = expand(grid, single), expand(grid, comp)
+    assert eg_s.coeffs == eg_c.coeffs
+    assert eg_s.residual == eg_c.residual
 
 
 def test_diagonal_flows_decay_at_exact_rates(cb2):
@@ -334,6 +355,9 @@ def test_semigroup_verify_small_box():
     )
     with pytest.raises(ValidationError):
         semigroup_verify(bad, 1)
+    zero = VectorPolyField([Polynomial.zero(3)] * 3)
+    with pytest.raises(ValidationError, match="identically zero"):
+        semigroup_verify(zero, 1, spec=GridSpec(16.0, 64))
 
 
 def test_unique_continuation_diagnostic(cb3):

@@ -14,6 +14,7 @@ from hermflow.grid import (
     dump_grid,
     load_grid,
     pair_fields,
+    parallel_map,
     project,
     sample,
     spectral_divergence,
@@ -195,3 +196,10 @@ def test_dump_load_roundtrip(tmp_path, basis_l2):
     assert back.spec == u.spec
     assert back.weight == "kernel-F"
     assert np.array_equal(back.data, u.data)
+
+
+def test_parallel_map_keeps_input_order():
+    items = list(range(7))
+    for workers in (None, 1, 3):
+        assert parallel_map(lambda x: x * x, items, workers) == [x * x for x in items]
+    assert parallel_map(lambda x: x, [], 3) == []

@@ -6,8 +6,16 @@ import numpy as np
 import pytest
 
 from hermflow.errors import ValidationError
-from hermflow.grid import GridSpec, interaction_tensor
-from hermflow.solenoidal import composite_basis, fixture_basis
+from hermflow.grid import (
+    GridSpec,
+    convection_poly,
+    interaction_tensor,
+    pair_fields,
+    project,
+    sample,
+    synth_weighted,
+)
+from hermflow.solenoidal import composite_basis, fixture_basis, weighted_dual
 
 EPS = np.zeros((3, 3, 3))
 for (i, j, k), s in {
@@ -79,6 +87,44 @@ def test_mismatched_operator_parameters_raise():
     b2 = fixture_basis(2, 1)
     with pytest.raises(ValidationError):
         interaction_tensor(cb1, cb1, b2, GridSpec(6.0, 24), refine=False)
+
+
+def test_k2_tensor_matches_weighted_gram_reference():
+    # m=1: the derivative duals of the DualFrame route and the block inverse
+    # of the kernel-weighted Gram are the same coefficient functionals;
+    # the reference pairs sampled convections against projected v*_j F on
+    # the grid directly
+    cb = composite_basis(1, 2)
+    spec = GridSpec(8.0, 32)
+    T = interaction_tensor(cb, cb, cb, spec, refine=False)
+    n = cb.count
+    ginv = np.zeros((n, n))
+    for b, sl in cb.block_slices():
+        ginv[sl, sl] = np.array(weighted_dual(b), dtype=float)
+    duals = [project(synth_weighted(v, spec, 1)) for v in cb.fields]
+    raw = np.array(
+        [
+            [
+                [pair_fields(sample(convection_poly(va, vg), "none", spec), w) for w in duals]
+                for vg in cb.fields
+            ]
+            for va in cb.fields
+        ]
+    )
+    want = -np.einsum("agj,bj->agb", raw, ginv)
+    scale = float(np.max(np.abs(want)))
+    assert scale > 1.0
+    assert np.max(np.abs(T.values - want)) <= 1e-14 * scale
+
+
+def test_multi_level_tensor_needs_m1():
+    cb = composite_basis(2, 1)
+    with pytest.raises(ValidationError, match="m=1 only"):
+        interaction_tensor(cb, cb, cb, GridSpec(6.0, 24), refine=False)
+    # a single m=2 block is fine: the constant field convects to nothing
+    c0 = composite_basis(2, 0)
+    T = interaction_tensor(c0, c0, c0, GridSpec(6.0, 24), refine=False)
+    assert T.labels_b == [(0, 0)] and np.all(T.values == 0.0)
 
 
 def test_json_artifact_roundtrip(tmp_path, tensor_k1):
