@@ -20,13 +20,18 @@ from .grid import (
     GridSpec,
     GridVectorField,
     InteractionTensor,
+    coeff_array,
+    dilate_coeffs,
+    dual_phases,
     fourier_factors,
     freq_sq,
-    pair_fields,
+    lattice_moments,
+    lattice_parts,
+    moment_pairings,
     parallel_map,
-    synth_duals,
+    spectrum_pairings,
     synth_weighted,
-    to_grid,
+    to_spectral,
 )
 from .multiindex import enumerate_level
 from .polynomial import Polynomial, VectorPolyField
@@ -51,7 +56,8 @@ def _decay_rate(model: str, m: int, k: int) -> float:
 class Expansion:
     """Coefficients of a field over a solenoidal basis at one time tau.
 
-    `residual` is the grid norm of the part of the input the basis did not
+    `residual` is the grid norm (equivalently, by Parseval, the lattice
+    norm of the spectrum) of the part of the input the basis did not
     capture (None for states produced by exact flows)."""
 
     model: str
@@ -104,8 +110,8 @@ def expand(
     Polynomial input (the polynomial factor of u = p F) goes through the
     exact rational dual pairings; the reported residual is the grid norm of
     the uncaptured remainder times the kernel, so input outside the span
-    shows up there instead of passing silently. Grid input goes through
-    `_grid_extractor`.
+    shows up there instead of passing silently. Grid input goes
+    through `_Extractor.grid`.
     """
     if isinstance(u, VectorPolyField):
         coeffs: Dict[Tuple[int, int], object] = {}
@@ -125,39 +131,84 @@ def expand(
             residual = synth_weighted(diff, sp, basis.params.m).norm()
         return Expansion(model, basis, coeffs, residual=residual)
     if isinstance(u, GridVectorField):
-        c, residual = _grid_extractor(basis, u.spec)(u)
+        c, residual = _Extractor(basis, u.spec).grid(u)
         coeffs = dict(zip(basis.labels, (float(x) for x in c)))
         return Expansion(model, basis, coeffs, residual=residual)
     raise ValidationError("expand needs a VectorPolyField or GridVectorField")
 
 
-def _grid_extractor(
-    basis, spec: GridSpec
-) -> Callable[[GridVectorField], Tuple[np.ndarray, float]]:
-    """Coefficients and residual of grid fields over `basis`.
+class _Extractor:
+    """Coefficients and residual of fields over `basis`, in frequency space.
 
-    Fields are paired against the synthesized dual fields, and the
-    pairings are solved with the empirical Gram M = <realizations, duals>
-    from the same quadrature, so pure basis fields are recovered to
-    roundoff. The residual is the grid norm of the part of the field the
-    basis did not capture. Build once per (basis, spec), call per field.
+    Fields are paired against the derivative-dual spectra, and the pairings
+    are solved with the empirical Gram M = <realizations, duals> of the same
+    lattice sums, so pure basis fields are recovered to roundoff. Pairings
+    of closed-form spectra are lattice-moment contractions of coefficient
+    arrays (`grid.moment_pairings`); the residual is the Parseval norm of
+    the difference spectrum, evaluated pointwise on the lattice, i.e. the
+    grid norm of the part of the field the basis did not capture.
+    Closed-form input runs no FFT, sampled input one forward FFT per
+    component, and no grid field is stored. Build once per (basis, spec),
+    call per field.
     """
-    duals = [w for b in basis.blocks for w in synth_duals(DualFrame(b), spec)]
-    realz = np.empty((basis.count, 3) + (spec.n,) * 3)
-    rows = []
-    for i, v in enumerate(basis.fields):
-        vi = synth_weighted(v, spec, basis.params.m)
-        realz[i] = vi.data
-        rows.append([pair_fields(vi, wj) for wj in duals])
-    M = np.array(rows)
 
-    def extract(u: GridVectorField) -> Tuple[np.ndarray, float]:
-        raw = np.array([pair_fields(u, wj) for wj in duals])
-        c = np.linalg.solve(M.T, raw)
-        recon = np.tensordot(c, realz, axes=(0, 0))
-        return c, float(math.sqrt(spec.h**3 * np.sum((u.data - recon) ** 2)))
+    def __init__(self, basis, spec: GridSpec):
+        m = basis.params.m
+        self.spec = spec
+        self.r2m = freq_sq(spec) if m == 1 else freq_sq(spec) ** m
+        self.decay = np.exp(-self.r2m)
+        self.duals = coeff_array(
+            [d for b in basis.blocks for d in dual_phases(DualFrame(b))]
+        )
+        self.realz = coeff_array(
+            [[fourier_factors(p, m) for p in v.components] for v in basis.fields]
+        )
+        dmax = self.realz.shape[-1] + self.duals.shape[-1] - 2
+        gram_table = lattice_moments(self.decay * self.decay, spec, dmax)
+        self.M = moment_pairings(self.realz, self.duals, gram_table, spec)
 
-    return extract
+    def closed_form(self, X: np.ndarray, b: float) -> Tuple[np.ndarray, float]:
+        """Field with spectrum exp(-b|eta|^2m) sum_d i^|d| X_c[d] eta^d."""
+        w = np.multiply(self.r2m, -b)
+        np.exp(w, out=w)
+        Dx, Dw = X.shape[-1] - 1, self.duals.shape[-1] - 1
+        table = lattice_moments(w * self.decay, self.spec, Dx + Dw)
+        raw = moment_pairings(X[None], self.duals, table, self.spec)[0]
+        c = np.linalg.solve(self.M.T, raw)
+        Y = np.tensordot(c, self.realz, axes=(0, 0))
+        # real and imaginary parts of the difference spectrum, pointwise
+        total = 0.0
+        for comp in range(3):
+            parts = zip(lattice_parts(X[comp], self.spec), lattice_parts(Y[comp], self.spec))
+            for x, y in parts:
+                if x is not None:
+                    x *= w
+                if y is not None:
+                    y *= self.decay
+                    if x is not None:
+                        x -= y
+                diff = y if x is None else x  # the sign drops out of the norm
+                if diff is not None:
+                    # numpy's own summation, not BLAS: its order does not
+                    # depend on the thread count, so the bytes do not either
+                    total += float(np.sum(np.square(diff, out=diff)))
+        return c, math.sqrt(total / (2.0 * self.spec.L) ** 3)
+
+    def grid(self, u: GridVectorField) -> Tuple[np.ndarray, float]:
+        """Field sampled on the grid (one forward transform per component)."""
+        sp = self.spec
+        U = [to_spectral(sp, u.data[c]) for c in range(3)]
+        raw = spectrum_pairings(U, self.decay, self.duals, sp)
+        c = np.linalg.solve(self.M.T, raw)
+        Y = np.tensordot(c, self.realz, axes=(0, 0))
+        total = 0.0
+        for comp in range(3):
+            diff = U[comp]
+            for part, phase in zip(lattice_parts(Y[comp], sp), (1.0, 1.0j)):
+                if part is not None:
+                    diff -= phase * self.decay * part
+            total += float(np.sum(diff.real**2) + np.sum(diff.imag**2))
+        return c, math.sqrt(total / (2.0 * sp.L) ** 3)
 
 
 # -- diagonal flows ---------------------------------------------------------------
@@ -638,13 +689,16 @@ def semigroup_verify(
 
     Divergence-free data make the pressure gradient vanish, so the exact
     evolution from t = -1 is the componentwise semigroup of d_t + (-Lap)^m:
-    a Fourier multiplier. Each output time synthesizes the blow-up-rescaled
-    field directly from the closed-form transform of (data)F (amplitude
-    (-t)^{-(2m-1)/2m}, coordinates x/(-t)^{1/2m}, tau = -ln(-t)), re-expands
-    it on the grid against the single level of the data, and returns the
-    coefficient trajectory. No time-stepping is involved; periodization is
-    the only error source, and times where the rescaled field's periodic
-    images would overlap the pairing region truncate the trajectory.
+    a Fourier multiplier. Each output time writes the spectrum of the
+    blow-up-rescaled field in closed form from the transform of (data)F
+    (amplitude (-t)^{-(2m-1)/2m}, coordinates x/(-t)^{1/2m},
+    tau = -ln(-t)), re-expands it against the single level of the data on
+    the periodic grid's frequency lattice (Parseval pairings, no FFT), and
+    returns the coefficient trajectory with the per-time expansion
+    residual. No time-stepping is involved; periodization is the only error
+    source, and times where the rescaled field's periodic images would
+    overlap the pairing region truncate the trajectory. A box too small
+    for any output time raises `ValidationError`.
     """
     if m not in (1, 2):
         raise ValidationError("semigroup verifier covers m in {1, 2}")
@@ -664,9 +718,6 @@ def semigroup_verify(
                 "inferred"
             )
         level = max(degrees)
-    basis = level_basis(m, level)
-    extract = _grid_extractor(basis, sp)
-
     rho = (2.0 * m - 1.0) / (2.0 * m)
     alpha = 2.0 * m / (2.0 * m - 1.0)
     if m == 1:
@@ -675,38 +726,40 @@ def semigroup_verify(
         from .kernel import wkbj_constants
 
         d0 = wkbj_constants(m, 3).d0
-    factors = [fourier_factors(p, m) for p in data.components]
-    eta = sp.freqs()
-    r2m = freq_sq(sp) ** m
     tau_end = -math.log(-t_end)
     taus = np.linspace(0.0, tau_end, n_tau)
 
     # image-overlap estimate: rescaled tail ~ exp(-d0 |y|^alpha (s/(2-s))^(1/(2m-1)))
+    # at the separation 2L - 8 of a periodic image from the pairing region
+    sep = max(0.0, 2.0 * sp.L - 8.0)
+
     def overlap(tau: float) -> float:
         s = math.exp(-tau)
         A = (2.0 - s) / s
-        return math.exp(-d0 * (2.0 * sp.L - 8.0) ** alpha * A ** (-1.0 / (2.0 * m - 1.0)))
+        return math.exp(-d0 * sep**alpha * A ** (-1.0 / (2.0 * m - 1.0)))
 
     kept = [t for t in taus if overlap(float(t)) <= 2e-4]
+    if not kept:
+        raise ValidationError(
+            f"box half-width L={sp.L:g} is too small: periodic images overlap "
+            f"the pairing region at every output time"
+        )
     diagnostic: dict = {"truncated": len(kept) < len(taus)}
     if diagnostic["truncated"]:
         diagnostic["reason"] = "rescaled field reaches the box boundary"
-        diagnostic["tau_reached"] = kept[-1] if kept else None
+        diagnostic["tau_reached"] = kept[-1]
     taus = np.array(kept)
 
+    basis = level_basis(m, level)
+    extract = _Extractor(basis, sp)
+    (data_coeffs,) = coeff_array([[fourier_factors(p, m) for p in data.components]])
+
     def state(tau: float) -> Expansion:
+        # spectrum amp exp(-|eta|^2m (2-s)/s) sum_g i^g R_g(eta s^(-1/2m))
         s = math.exp(-tau)
-        sinv = s ** (-1.0 / (2.0 * m))
         amp = s ** (rho - 3.0 / (2.0 * m))
-        decay = np.exp(-r2m * (2.0 - s) / s)
-        comps = []
-        sc_ax = eta * sinv
-        for facs in factors:
-            acc = np.zeros((sp.n,) * 3, dtype=complex)
-            for g, Rg in facs:
-                acc += (1j) ** g * Rg.evaluate_grid([sc_ax, sc_ax, sc_ax])
-            comps.append(to_grid(sp, amp * acc * decay).real)
-        c, resid = extract(GridVectorField(sp, np.stack(comps), weight="kernel-F"))
+        X = amp * dilate_coeffs(data_coeffs, s ** (-1.0 / (2.0 * m)))
+        c, resid = extract.closed_form(X, (2.0 - s) / s)
         coeffs = dict(zip(basis.labels, (float(x) for x in c)))
         return Expansion(model, basis, coeffs, tau=float(tau), residual=resid)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -305,6 +306,144 @@ def synth_duals(frame: DualFrame, spec: GridSpec) -> List[GridVectorField]:
     return fields
 
 
+# -- frequency-space pairings of closed-form spectra --------------------------------
+#
+# Every closed-form spectrum above has the shape
+#     S(eta) = w(eta) sum_d i^|d| P[d] eta^d,    w = exp(-b |eta|^2m),
+# with a real "Hermitian coefficient" array P[d1, d2, d3]: the phase i^|d|
+# is what makes the field real in physical space. By the discrete Parseval
+# identity the grid pairing h^3 sum_x f g of two lattice spectra is
+# (2L)^-3 Re sum_eta F conj(G), so the pairing of two such fields is a
+# finite contraction of their coefficients against the lattice moments
+# sum_eta eta^n w1(eta) w2(eta), and a field is evaluated on the lattice by
+# separable per-axis power sums. Neither step runs an FFT.
+
+
+def _axis_moments(arr: np.ndarray, x: np.ndarray, dmax: int) -> np.ndarray:
+    """T[d1, d2, d3] = sum_(i,j,k) arr[i,j,k] x_i^d1 x_j^d2 x_k^d3 for powers
+    <= dmax, by separable per-axis contractions."""
+    P = np.stack([x**d for d in range(dmax + 1)], axis=1)  # (n, D)
+    t = np.tensordot(arr, P, axes=([2], [0]))  # (n, n, D3)
+    t = np.tensordot(t, P, axes=([1], [0]))  # (n, D3, D2)
+    t = np.tensordot(t, P, axes=([0], [0]))  # (D3, D2, D1)
+    return t.transpose(2, 1, 0)
+
+
+def lattice_moments(w: np.ndarray, spec: GridSpec, dmax: int) -> np.ndarray:
+    """T[n] = sum over the frequency lattice of eta^n w(eta), |n_i| <= dmax."""
+    return _axis_moments(w, spec.freqs(), dmax)
+
+
+def _degree_cube(dmax: int) -> np.ndarray:
+    r = np.arange(dmax + 1)
+    return r[:, None, None] + r[None, :, None] + r[None, None, :]
+
+
+def _i_power(deg: np.ndarray, part: str) -> np.ndarray:
+    """Real or imaginary part of i^deg."""
+    table = (1.0, 0.0, -1.0, 0.0) if part == "re" else (0.0, 1.0, 0.0, -1.0)
+    return np.array(table)[deg % 4]
+
+
+def _hermitian_coeffs(phased: Sequence[Tuple[int, Polynomial]], dmax: int) -> np.ndarray:
+    """Real P with sum_g i^g R_g(eta) = sum_d i^|d| P[d] eta^d, |d_i| <= dmax.
+
+    Each monomial's phase i^g must be i^|d| up to sign, which holds for the
+    transform of every real field; summed exactly, then rounded once."""
+    exact: Dict[Tuple[int, ...], Fraction] = {}
+    for g, R in phased:
+        for d, c in R.terms.items():
+            q, odd = divmod(g - sum(d), 2)
+            if odd:
+                raise ValidationError("spectrum is not the transform of a real field")
+            exact[d] = exact.get(d, Fraction(0)) + (-c if q % 2 else c)
+    P = np.zeros((dmax + 1,) * 3)
+    for d, c in exact.items():
+        P[d] = float(c)
+    return P
+
+
+def dual_phases(frame: DualFrame) -> List[List[List[Tuple[int, Polynomial]]]]:
+    """Per dual field, per component, the (g, R_g) of its spectrum
+    (-i)^k A_c exp(-|eta|^2m) (see `dual_spectrum`)."""
+    return [
+        [[(-frame.level, A)] for A in comps] for comps in frame.dual_transform_polys()
+    ]
+
+
+def coeff_array(fields: Sequence[Sequence[Sequence[Tuple[int, Polynomial]]]]) -> np.ndarray:
+    """Hermitian coefficients (F, 3, D+1, D+1, D+1) of fields given per
+    component as (g, R_g) lists (`fourier_factors` of each component of
+    v for FT[v F], or `dual_phases`), D the largest power of any variable
+    among them."""
+    D = max(
+        (max(d) for f in fields for comp in f for _, R in comp for d in R.terms),
+        default=0,
+    )
+    return np.array([[_hermitian_coeffs(comp, D) for comp in f] for f in fields])
+
+
+def dilate_coeffs(P: np.ndarray, sigma: float) -> np.ndarray:
+    """Hermitian coefficients of S(sigma eta), given those of S(eta)."""
+    return sigma ** _degree_cube(P.shape[-1] - 1) * P
+
+
+def moment_pairings(
+    X: np.ndarray, Y: np.ndarray, table: np.ndarray, spec: GridSpec
+) -> np.ndarray:
+    """(2L)^-3 Re sum_eta S_x conj(S_y) for every x in X and y in Y.
+
+    X (F, 3, D1+1, ...) and Y (G, 3, D2+1, ...) are Hermitian coefficient
+    arrays, `table` the lattice moments of the product of their two weights
+    up to degree D1 + D2. With n = d + e, Re(i^|d| conj(i^|e|)) =
+    Re(i^|n|) (-1)^|e|, so both phases fold into the table and Y.
+    """
+    D1, D2 = X.shape[-1] - 1, Y.shape[-1] - 1
+    Tr = table * _i_power(_degree_cube(table.shape[-1] - 1), "re")
+    i1 = np.indices((D1 + 1,) * 3).reshape(3, -1)
+    i2 = np.indices((D2 + 1,) * 3).reshape(3, -1)
+    H = Tr[tuple(a[:, None] + b[None, :] for a, b in zip(i1, i2))]
+    Ys = Y * (-1.0) ** _degree_cube(D2)
+    out = np.einsum(
+        "fck,kl,gcl->fg",
+        X.reshape(X.shape[0], 3, -1),
+        H,
+        Ys.reshape(Y.shape[0], 3, -1),
+    )
+    return out / (2.0 * spec.L) ** 3
+
+
+def spectrum_pairings(
+    U: Sequence[np.ndarray], w: np.ndarray, Y: np.ndarray, spec: GridSpec
+) -> np.ndarray:
+    """(2L)^-3 Re sum_eta U_c conj(w S_y) for every y in Y: the pairings of
+    a sampled lattice spectrum (one array per component) with closed-form
+    spectra of weight w."""
+    D = Y.shape[-1] - 1
+    deg = _degree_cube(D)
+    phase = _i_power(deg, "re") - 1j * _i_power(deg, "im")  # conj(i^|e|)
+    mom = np.stack([(phase * lattice_moments(Uc * w, spec, D)).real for Uc in U])
+    return np.einsum("gcabd,cabd->g", Y, mom) / (2.0 * spec.L) ** 3
+
+
+def lattice_parts(P: np.ndarray, spec: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of sum_d i^|d| P[d] eta^d on the frequency
+    lattice (two fresh real arrays; None for a part that vanishes)."""
+    deg = _degree_cube(P.shape[-1] - 1)
+    eta = spec.freqs()
+    V = np.stack([eta**d for d in range(P.shape[-1])], axis=1)  # (n, D)
+    out = []
+    for part in ("re", "im"):
+        A = P * _i_power(deg, part)
+        if not A.any():
+            out.append(None)
+            continue
+        t = np.tensordot(A, V, axes=([0], [1]))  # (D2, D3, n)
+        t = np.tensordot(t, V, axes=([0], [1]))  # (D3, n, n)
+        out.append(np.tensordot(t, V, axes=([0], [1])))  # (n, n, n)
+    return out[0], out[1]
+
+
 def parallel_map(fn: Callable, items: Sequence, workers: int | None) -> list:
     """[fn(x) for x in items] on up to `workers` threads, in input order."""
     nw = max(1, workers or 1)
@@ -478,14 +617,8 @@ def _degree(p: Polynomial) -> int:
 
 
 def _moment_table(comp: np.ndarray, spec: GridSpec, dmax: int) -> np.ndarray:
-    """T[d1, d2, d3] = h^3 sum_j y^(d1,d2,d3) comp(y_j) for powers <= dmax,
-    by separable per-axis contractions."""
-    ax = spec.axes()
-    P = np.stack([ax**d for d in range(dmax + 1)], axis=1)  # (n, D)
-    t = np.tensordot(comp, P, axes=([2], [0]))  # (n, n, D3)
-    t = np.tensordot(t, P, axes=([1], [0]))  # (n, D3, D2)
-    t = np.tensordot(t, P, axes=([0], [0]))  # (D3, D2, D1)
-    return spec.h**3 * t.transpose(2, 1, 0)
+    """T[d1, d2, d3] = h^3 sum_j y^(d1,d2,d3) comp(y_j) for powers <= dmax."""
+    return spec.h**3 * _axis_moments(comp, spec.axes(), dmax)
 
 
 def interaction_tensor(

@@ -42,6 +42,30 @@ def test_artifacts_byte_identical_across_reruns_and_workers(tmp_path, capsys):
     assert (d1 / "eig_check.json").read_bytes() == (d2 / "eig_check.json").read_bytes()
 
 
+def test_verify_byte_identical_across_workers(tmp_path, capsys):
+    argv = ["verify", "--m", "1", "--level", "1", "--n", "32", "--L", "16"]
+    outs = []
+    for w in ("1", "2"):
+        code = cli.run(argv + ["--workers", w, "--outdir", str(tmp_path / w)])
+        assert code == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    names = json.loads(outs[0].strip().splitlines()[-1])["artifacts"]
+    assert names == ["verify_m1_l1.csv", "verify_m1.json"]
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+    (res,) = json.loads((tmp_path / "1" / "verify_m1.json").read_text())["results"]
+    assert isinstance(res["max_residual"], float) and 0.0 < res["max_residual"] < 1.0
+
+
+@pytest.mark.parametrize("m, L", [(1, "0.5"), (2, "3")])
+def test_verify_box_too_small_exits_2(tmp_path, capsys, m, L):
+    argv = ["verify", "--m", str(m), "--L", L, "--n", "16", "--outdir", str(tmp_path)]
+    code, line = _run(capsys, argv)
+    assert code == 2 and line["error"] == "validation"
+    assert "too small" in line["message"]
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"max_level": 5}))

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hermflow import grid
 from hermflow.dynamics import (
     CoefficientTrajectory,
     Expansion,
@@ -24,10 +25,29 @@ from hermflow.dynamics import (
     unique_continuation_diagnostic,
 )
 from hermflow.errors import EmptyCloudError, ValidationError
-from hermflow.grid import GridSpec, InteractionTensor, interaction_tensor, synth_weighted
+from hermflow.dynamics import _Extractor
+from hermflow.grid import (
+    GridSpec,
+    InteractionTensor,
+    coeff_array,
+    dilate_coeffs,
+    fourier_factors,
+    freq_sq,
+    interaction_tensor,
+    pair_fields,
+    synth_duals,
+    synth_weighted,
+    to_grid,
+)
 from hermflow.operators import OperatorParams, eigenfunction
 from hermflow.polynomial import Polynomial, VectorPolyField
-from hermflow.solenoidal import CompositeBasis, composite_basis, fixture, level_basis
+from hermflow.solenoidal import (
+    CompositeBasis,
+    DualFrame,
+    composite_basis,
+    fixture,
+    level_basis,
+)
 
 
 @pytest.fixture(scope="module")
@@ -358,6 +378,77 @@ def test_semigroup_verify_small_box():
     zero = VectorPolyField([Polynomial.zero(3)] * 3)
     with pytest.raises(ValidationError, match="identically zero"):
         semigroup_verify(zero, 1, spec=GridSpec(16.0, 64))
+
+
+@pytest.mark.parametrize("m, L", [(1, 0.5), (2, 3.0)])
+def test_semigroup_verify_refuses_box_too_small_for_any_time(m, L):
+    # 2L - 8 < 0: no output time keeps the periodic images apart (m=2 used
+    # to raise a complex power, m=1 to keep early times with a bogus fit)
+    with pytest.raises(ValidationError, match="too small"):
+        semigroup_verify(fixture(m, 1)[0], m, spec=GridSpec(L, 16))
+
+
+def _quadrature_reference(basis, u, spec):
+    """Coefficients and residual of grid samples u by grid quadrature
+    against synthesized duals and realizations."""
+    m = basis.params.m
+    duals = [w for b in basis.blocks for w in synth_duals(DualFrame(b), spec)]
+    realz = [synth_weighted(v, spec, m) for v in basis.fields]
+    M = np.array([[pair_fields(r, w) for w in duals] for r in realz])
+    c = np.linalg.solve(M.T, np.array([pair_fields(u, w) for w in duals]))
+    recon = sum(ci * r.data for ci, r in zip(c, realz))
+    return c, math.sqrt(spec.h**3 * np.sum((u.data - recon) ** 2))
+
+
+@pytest.mark.parametrize("m, k, other", [(1, 2, 1), (2, 1, 0)])
+def test_frequency_extractor_matches_grid_quadrature(m, k, other):
+    # a span combination plus a field of another level: the cross-level
+    # pairings vanish and that field's norm is the residual
+    spec = GridSpec(16.0, 48)
+    basis = level_basis(m, k)
+    data = _combo(basis, {lab: Fraction(i + 2, 5) for i, lab in enumerate(basis.labels)})
+    data = data + fixture(m, other)[0]
+    extract = _Extractor(basis, spec)
+
+    u = synth_weighted(data, spec, m)
+    c, resid = extract.grid(u)
+    c_ref, resid_ref = _quadrature_reference(basis, u, spec)
+    assert np.max(np.abs(c - c_ref)) <= 1e-13
+    assert abs(resid - resid_ref) <= 1e-10 * resid_ref and resid_ref > 1e-3
+
+    # the verifier's rescaled spectrum exp(-b|eta|^2m) P(sigma eta), from
+    # its coefficient arrays versus a grid synthesis of the same spectrum
+    b, sigma = 3.0, 0.5 ** (-1.0 / (2 * m))
+    (P,) = coeff_array([[fourier_factors(p, m) for p in data.components]])
+    c, resid = extract.closed_form(dilate_coeffs(P, sigma), b)
+    eta = spec.freqs() * sigma
+    comps = []
+    for p in data.components:
+        acc = sum((1j) ** g * R.evaluate_grid([eta, eta, eta]) for g, R in fourier_factors(p, m))
+        comps.append(to_grid(spec, acc * np.exp(-b * freq_sq(spec) ** m)).real)
+    u = grid.GridVectorField(spec, np.stack(comps))
+    c_ref, resid_ref = _quadrature_reference(basis, u, spec)
+    assert np.max(np.abs(c - c_ref)) <= 1e-13
+    assert abs(resid - resid_ref) <= 1e-10 * resid_ref and resid_ref > 1e-3
+
+
+def test_semigroup_verify_runs_no_fft(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verifier ran an FFT")
+
+    monkeypatch.setattr(np.fft, "fftn", refuse)
+    monkeypatch.setattr(np.fft, "ifftn", refuse)
+    traj = semigroup_verify(fixture(2, 1)[0], 2, spec=GridSpec(16.0, 48), n_tau=5)
+    assert len(traj.states) == len(traj.taus) >= 2
+
+
+def test_semigroup_verify_caches_nothing_per_time():
+    spec = GridSpec(14.0, 32)
+    sizes = []
+    for n_tau in (5, 9):
+        semigroup_verify(fixture(1, 1)[0], 1, spec=spec, n_tau=n_tau)
+        sizes.append(len(grid._CACHE))
+    assert sizes[0] == sizes[1]
 
 
 def test_unique_continuation_diagnostic(cb3):
