@@ -1,9 +1,12 @@
 """Batch command-line entry point.
 
-Every subcommand resolves its parameters in three layers: built-in
-defaults, then a flat JSON config file (--config), then explicit flags.
-The resolved configuration is echoed in the summary line and inside every
-JSON artifact, so a run is reproducible from its config alone; execution
+Every subcommand declares its parameters once, in `_COMMANDS`: the flags,
+the config-file checks and the echo all come from that table. A run
+resolves them in layers: built-in defaults, then a flat JSON config file
+(--config), then explicit flags, and checks every value against its
+declared type and choices. The resolved, typed configuration is echoed in
+the summary line and inside every JSON artifact, so a run is reproducible
+from its config alone; execution
 plumbing (worker count, output directory) is excluded from the echo so it
 cannot change artifact bytes. Floats are serialized with repr (shortest
 round-trip form), keys are sorted, and nothing time- or path-dependent is
@@ -62,84 +65,151 @@ from .solenoidal import composite_basis, divfree_kernel, fixture, validate_basis
 
 SCHEMA = "hermflow/1"
 
-# keys that steer execution but not results; kept out of the config echo
-_PLUMBING = {"config", "outdir", "workers"}
-
-DEFAULTS: Dict[str, dict] = {
-    "basis": {"m": 1, "N": 3, "max_level": 10},
-    "eig-check": {"m": [1, 2, 3], "N": 3, "max_level": 5},
-    "biortho": {"m": [1, 2], "N": 3, "max_level": 4},
-    "solenoidal": {"m": [1, 2], "N": 3, "kind": "fixture", "level": 3, "K": 3},
-    "kernel": {"m": 2, "N": 3, "r_max": 36.0, "dr": 0.02, "tol": 1e-12},
-    "wkbj": {"m": 2, "N": 3, "fit": False, "r_max": 36.0, "dr": 0.02},
-    "d-tensor": {
-        "m": 1,
-        "N": 3,
-        "K": 1,
-        "L": 8.0,
-        "n": 64,
-        "refine": True,
-        "check_projector": True,
-        "flag_tol": 1e-3,
-    },
-    "evolve": {
-        "model": "stokes",
-        "data": "fixture:1:0",
-        "tau": 3.0,
-        "steps": 41,
-        "K": None,
-        "rtol": 1e-9,
-        "L": 8.0,
-        "n": 64,
-        "tensor": None,
-        "zero_tensor": False,
-        "check_linear": False,
-    },
-    "nodal": {
-        "model": "stokes",
-        "data": "demo:nodal",
-        "taus": "0,1,2,3,4",
-        "R": 2.0,
-        "cell": 0.05,
-        "component": None,
-        "K": 3,
-        "steps": 41,
-    },
-    "classify": {
-        "terms": None,
-        "terms_file": None,
-        "suite": None,
-        "max_order": 6,
-        "delta": 0.125,
-        "threshold": 1e-7,
-    },
-    "verify": {
-        "m": 1,
-        "level": [1],
-        "field_index": 0,
-        "t_end": None,
-        "L": 24.0,
-        "n": 128,
-        "n_tau": 31,
-    },
-}
-for _cmd in DEFAULTS:
-    DEFAULTS[_cmd].update({"outdir": ".", "workers": None, "seed": 0})
-
 
 @dataclass(frozen=True)
-class RunConfig:
-    """The resolved parameters a run is reproducible from."""
+class Param:
+    """One command parameter, declared once for its flag, its config-file
+    key, the value its handler reads and its echo.
 
-    command: str
-    params: Dict[str, object]
+    `type` is the type of the resolved value: int, float, bool or str. A
+    default of None makes the parameter optional (JSON null is accepted); a
+    list default makes it a list parameter (a repeatable flag; a scalar or a
+    list in a config file). A bool flag switches away from the default:
+    `--name` when it is False, `--no-name` when it is True. `echo=False`
+    marks execution plumbing, which stays out of the echo so it cannot
+    change artifact bytes; `flag=False` makes a config-file key only.
+    """
 
-    def to_json_dict(self) -> dict:
-        out: Dict[str, object] = {"command": self.command}
-        for key in sorted(self.params):
-            if key not in _PLUMBING:
-                out[key] = _jsonable(self.params[key])
-        return out
+    name: str
+    type: type
+    default: object
+    help: Optional[str] = None
+    choices: Tuple[object, ...] = ()
+    echo: bool = True
+    flag: bool = True
+
+
+_CONFIG = Param("config", str, None, "flat JSON config file; flags override it")
+_COMMON = (
+    Param("outdir", str, ".", "artifact directory (HERMFLOW_OUTDIR overrides the default)", echo=False),
+    Param("workers", int, None, "worker cap (default: available cores)", echo=False),
+    Param("seed", int, 0, "seed for any randomized data"),
+)
+
+# command -> (help text, parameters after the common ones), in flag order
+_COMMANDS: Dict[str, Tuple[str, Tuple[Param, ...]]] = {
+    "basis": (
+        "enumerate eigenfunction levels with exact eigen data",
+        (Param("m", int, 1), Param("N", int, 3), Param("max_level", int, 10)),
+    ),
+    "eig-check": (
+        "verify the eigen-relation exactly up to a level",
+        (Param("m", int, [1, 2, 3]), Param("N", int, 3), Param("max_level", int, 5)),
+    ),
+    "biortho": (
+        "verify the dual pairing is beta! times identity",
+        (Param("m", int, [1, 2]), Param("N", int, 3), Param("max_level", int, 4)),
+    ),
+    "solenoidal": (
+        "catalog and check divergence-free vector bases",
+        (
+            Param("m", int, [1, 2]),
+            Param("N", int, 3),
+            Param("kind", str, "fixture", choices=("fixture", "kernel", "composite")),
+            Param("level", int, 3, "level for --kind kernel"),
+            Param("K", int, 3, "truncation for --kind composite"),
+        ),
+    ),
+    "kernel": (
+        "tabulate the radial kernel profile to CSV",
+        (
+            Param("m", int, 2),
+            Param("N", int, 3),
+            Param("r_max", float, 36.0),
+            Param("dr", float, 0.02),
+            Param("tol", float, 1e-12),
+        ),
+    ),
+    "wkbj": (
+        "closed-form decay constants, optionally fit to the kernel",
+        (
+            Param("m", int, 2),
+            Param("N", int, 3),
+            Param("fit", bool, False, "tabulate the kernel and fit its envelope"),
+            Param("r_max", float, 36.0),
+            Param("dr", float, 0.02),
+        ),
+    ),
+    "d-tensor": (
+        "projected convection couplings of the composite basis",
+        (
+            Param("m", int, 1),
+            # the grid is three-dimensional, so N is fixed; it stays in the echo
+            Param("N", int, 3, choices=(3,), flag=False),
+            Param("K", int, 1),
+            Param("L", float, 8.0),
+            Param("n", int, 64),
+            Param("refine", bool, True),
+            Param("check_projector", bool, True),
+            Param("flag_tol", float, 1e-3),
+        ),
+    ),
+    "evolve": (
+        "coefficient dynamics: exact diagonal flows or Galerkin",
+        (
+            Param("model", str, "stokes", choices=("stokes", "nse", "burnett")),
+            Param("data", str, "fixture:1:0", "fixture:k:i | l1:0=c,... | demo:nodal | demo:small | file:PATH"),
+            Param("tau", float, 3.0),
+            Param("steps", int, 41),
+            Param("K", int, None),
+            Param("rtol", float, 1e-9),
+            Param("L", float, 8.0),
+            Param("n", int, 64),
+            Param("tensor", str, None, "interaction-tensor JSON to reuse"),
+            Param("zero_tensor", bool, False, "integrate with all couplings zeroed"),
+            Param("check_linear", bool, False, "also compare the zero-coupling run to the exact flow"),
+        ),
+    ),
+    "nodal": (
+        "evolve data, extract zero sets, track distance to the ambient plane",
+        (
+            Param("model", str, "stokes", choices=("stokes", "burnett")),
+            Param("data", str, "demo:nodal"),
+            Param("taus", str, "0,1,2,3,4", "comma-separated evaluation times"),
+            Param("R", float, 2.0),
+            Param("cell", float, 0.05),
+            Param("component", int, None),
+            Param("K", int, 3),
+            Param("steps", int, 41),
+        ),
+    ),
+    "classify": (
+        "vanishing orders (M, K, gamma) of a space-time zero",
+        (
+            Param("terms", str, None, 'JSON list like [{"x":[2,0,0],"t":0,"c":1},...]'),
+            Param("terms_file", str, None),
+            Param("suite", str, None, "synthetic: sweep x^M - (-t)^K for M,K <= 4"),
+            Param("max_order", int, 6),
+            Param("delta", float, 0.125),
+            Param("threshold", float, 1e-7),
+        ),
+    ),
+    "verify": (
+        "independent semigroup cross-check of the diagonal rates",
+        (
+            Param("m", int, 1),
+            Param("level", int, [1]),
+            Param("field_index", int, 0),
+            Param("t_end", float, None),
+            Param("L", float, 24.0),
+            Param("n", int, 128),
+            Param("n_tau", int, 31),
+        ),
+    ),
+}
+_PARAMS: Dict[str, Dict[str, Param]] = {
+    cmd: {p.name: p for p in _COMMON + params} for cmd, (_, params) in _COMMANDS.items()
+}
 
 
 def _jsonable(x):
@@ -160,7 +230,9 @@ def _jsonable(x):
     return x
 
 
-def _dump_artifact(outdir: str, name: str, payload: dict) -> str:
+def _dump_artifact(outdir: str, name: str, kind: str, echo: dict, body: dict) -> str:
+    """Write a JSON artifact stamped with the schema, its kind and the echo."""
+    payload = {"schema": SCHEMA, "kind": kind, "config": echo, **body}
     text = json.dumps(_jsonable(payload), sort_keys=True, indent=1) + "\n"
     with open(os.path.join(outdir, name), "w") as fh:
         fh.write(text)
@@ -173,22 +245,8 @@ def _dump_text(outdir: str, name: str, text: str) -> str:
     return name
 
 
-def _as_int_list(v) -> List[int]:
-    if isinstance(v, int):
-        return [v]
-    return [int(x) for x in v]
-
-
-def _as_float_list(v) -> List[float]:
-    if isinstance(v, str):
-        return [float(x) for x in v.split(",") if x.strip() != ""]
-    if isinstance(v, (int, float)):
-        return [float(v)]
-    return [float(x) for x in v]
-
-
 def _workers(cfg: dict) -> int:
-    return int(cfg["workers"] or os.cpu_count() or 1)
+    return cfg["workers"] or os.cpu_count() or 1
 
 
 def _cloud_csv(cloud: np.ndarray) -> str:
@@ -256,15 +314,20 @@ def _parse_data_inner(desc: str, m: int, K_flag: Optional[int], seed: int):
         k, i = int(parts[1]), int(parts[2])
         return {(k, i): 1.0}, k
     if desc.startswith("file:"):
-        with open(desc[5:]) as fh:
+        path = desc[5:]
+        with open(path) as fh:
             doc = json.load(fh)
-        raw = doc.get("coeffs", doc)
+        raw = doc.get("coeffs", doc) if isinstance(doc, dict) else doc
+        if not isinstance(raw, dict):
+            raise ValidationError(f"data file {path} holds no coefficient object")
         coeffs = {}
         for key, val in raw.items():
+            if type(val) not in (int, float):
+                raise ValidationError(f"data file {path}: coefficient {key!r} is not a number")
             lev, idx = key.lstrip("l").split(":")
             coeffs[(int(lev), int(idx))] = float(val)
         if not coeffs:
-            raise ValidationError("data file holds no coefficients")
+            raise ValidationError(f"data file {path} holds no coefficients")
         return coeffs, max(k for k, _ in coeffs)
     if "=" in desc:
         coeffs = {}
@@ -292,38 +355,50 @@ def _zero_tensor(cb, m: int, spec: GridSpec) -> InteractionTensor:
     )
 
 
+_TENSOR_AXES = ("alpha", "gamma", "beta")
+
+
+def _is_label(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v)
+
+
 def _load_tensor(path: str) -> InteractionTensor:
     with open(path) as fh:
         doc = json.load(fh)
-    if "entries" not in doc:
+    if not (
+        isinstance(doc, dict)
+        and isinstance(doc.get("entries"), list)
+        and isinstance(doc.get("grid"), dict)
+        and type(doc["grid"].get("L")) in (int, float)
+        and type(doc["grid"].get("n")) is int
+        and type(doc.get("m")) is int
+        and type(doc.get("N")) is int
+    ):
         raise ValidationError(f"{path} is not an interaction-tensor artifact")
+    for e in doc["entries"]:
+        if not (
+            isinstance(e, dict)
+            and all(_is_label(e.get(key)) for key in _TENSOR_AXES)
+            and all(type(e.get(key)) in (int, float) for key in ("value", "error"))
+        ):
+            raise ValidationError(f"{path}: malformed tensor entry {e!r}")
 
-    def ordered(key):
-        seen: Dict[tuple, int] = {}
-        for e in doc["entries"]:
-            lab = tuple(e[key])
-            if lab not in seen:
-                seen[lab] = len(seen)
-        return [lab for lab, _ in sorted(seen.items(), key=lambda kv: kv[1])]
-
-    la, lg, lb = ordered("alpha"), ordered("gamma"), ordered("beta")
-    ia = {lab: i for i, lab in enumerate(la)}
-    ig = {lab: i for i, lab in enumerate(lg)}
-    ib = {lab: i for i, lab in enumerate(lb)}
+    # each axis lists its labels in first-seen order
+    la, lg, lb = labels = [
+        list(dict.fromkeys(tuple(e[key]) for e in doc["entries"])) for key in _TENSOR_AXES
+    ]
+    index = [{lab: i for i, lab in enumerate(labs)} for labs in labels]
     values = np.zeros((len(la), len(lg), len(lb)))
     errors = np.zeros_like(values)
     for e in doc["entries"]:
-        idx = (ia[tuple(e["alpha"])], ig[tuple(e["gamma"])], ib[tuple(e["beta"])])
-        values[idx] = float(e["value"])
-        errors[idx] = float(e["error"])
-    spec = GridSpec(
-        L=float(doc["grid"]["L"]),
-        n=int(doc["grid"]["n"]),
-        dealias=bool(doc["grid"].get("dealias", True)),
-    )
+        idx = tuple(ix[tuple(e[key])] for ix, key in zip(index, _TENSOR_AXES))
+        values[idx] = e["value"]
+        errors[idx] = e["error"]
+    grid = doc["grid"]
+    spec = GridSpec(L=float(grid["L"]), n=grid["n"], dealias=bool(grid.get("dealias", True)))
     return InteractionTensor(
-        m=int(doc["m"]),
-        N=int(doc["N"]),
+        m=doc["m"],
+        N=doc["N"],
         spec=spec,
         labels_a=la,
         labels_g=lg,
@@ -338,11 +413,11 @@ def _load_tensor(path: str) -> InteractionTensor:
 
 
 def _cmd_basis(cfg: dict, outdir: str) -> dict:
-    params = OperatorParams(m=int(cfg["m"]), N=int(cfg["N"]))
+    params = OperatorParams(m=cfg["m"], N=cfg["N"])
     levels = []
     formula_ok = True
     total = 0
-    for k in range(int(cfg["max_level"]) + 1):
+    for k in range(cfg["max_level"] + 1):
         pairs = level_enumerate(k, params)
         expected = math.comb(k + params.N - 1, params.N - 1)
         formula_ok = formula_ok and len(pairs) == expected
@@ -356,12 +431,10 @@ def _cmd_basis(cfg: dict, outdir: str) -> dict:
             }
         )
     name = _dump_artifact(
-        outdir,
-        "basis.json",
-        {"schema": SCHEMA, "kind": "eigenfunction-basis", "config": _echo(cfg, "basis"), "levels": levels},
+        outdir, "basis.json", "eigenfunction-basis", _echo(cfg, "basis"), {"levels": levels}
     )
     return {
-        "levels": int(cfg["max_level"]) + 1,
+        "levels": cfg["max_level"] + 1,
         "total": total,
         "count_formula_ok": formula_ok,
         "artifacts": [name],
@@ -369,12 +442,12 @@ def _cmd_basis(cfg: dict, outdir: str) -> dict:
 
 
 def _cmd_eig_check(cfg: dict, outdir: str) -> dict:
-    ms = _as_int_list(cfg["m"])
+    ms = cfg["m"]
     results = []
     checked = 0
     for m in ms:
-        params = OperatorParams(m=m, N=int(cfg["N"]))
-        for k in range(int(cfg["max_level"]) + 1):
+        params = OperatorParams(m=m, N=cfg["N"])
+        for k in range(cfg["max_level"] + 1):
             for ep in level_enumerate(k, params):
                 lhs = apply_B_star(ep.psi_star, params)
                 if lhs != ep.psi_star.scale(ep.lam):
@@ -382,26 +455,20 @@ def _cmd_eig_check(cfg: dict, outdir: str) -> dict:
                         f"eigen-relation failed at m={m}, beta={ep.beta}"
                     )
                 checked += 1
-        results.append({"m": m, "max_level": int(cfg["max_level"]), "pass": True})
+        results.append({"m": m, "max_level": cfg["max_level"], "pass": True})
     name = _dump_artifact(
-        outdir,
-        "eig_check.json",
-        {"schema": SCHEMA, "kind": "eigen-check", "config": _echo(cfg, "eig-check"), "results": results},
+        outdir, "eig_check.json", "eigen-check", _echo(cfg, "eig-check"), {"results": results}
     )
     return {"checked": checked, "all_pass": True, "m": ms, "artifacts": [name]}
 
 
 def _cmd_biortho(cfg: dict, outdir: str) -> dict:
-    ms = _as_int_list(cfg["m"])
+    ms = cfg["m"]
     results = []
     checked = 0
     for m in ms:
-        params = OperatorParams(m=m, N=int(cfg["N"]))
-        eps = [
-            ep
-            for k in range(int(cfg["max_level"]) + 1)
-            for ep in level_enumerate(k, params)
-        ]
+        params = OperatorParams(m=m, N=cfg["N"])
+        eps = [ep for k in range(cfg["max_level"] + 1) for ep in level_enumerate(k, params)]
         for ea in eps:
             fact = math.prod(math.factorial(b) for b in ea.beta)
             for eb in eps:
@@ -413,9 +480,7 @@ def _cmd_biortho(cfg: dict, outdir: str) -> dict:
                 checked += 1
         results.append({"m": m, "pairs": len(eps) ** 2, "pass": True})
     name = _dump_artifact(
-        outdir,
-        "biortho.json",
-        {"schema": SCHEMA, "kind": "biorthogonality", "config": _echo(cfg, "biortho"), "results": results},
+        outdir, "biortho.json", "biorthogonality", _echo(cfg, "biortho"), {"results": results}
     )
     return {"checked": checked, "all_pass": True, "m": ms, "artifacts": [name]}
 
@@ -425,8 +490,8 @@ def _cmd_solenoidal(cfg: dict, outdir: str) -> dict:
     blocks = []
     counts: Dict[str, int] = {}
     if kind == "fixture":
-        for m in _as_int_list(cfg["m"]):
-            params = OperatorParams(m=m, N=int(cfg["N"]))
+        for m in cfg["m"]:
+            params = OperatorParams(m=m, N=cfg["N"])
             k = 0
             while True:
                 try:
@@ -450,9 +515,9 @@ def _cmd_solenoidal(cfg: dict, outdir: str) -> dict:
                 )
                 k += 1
     elif kind == "kernel":
-        for m in _as_int_list(cfg["m"]):
-            params = OperatorParams(m=m, N=int(cfg["N"]))
-            basis = divfree_kernel(int(cfg["level"]), params)
+        for m in cfg["m"]:
+            params = OperatorParams(m=m, N=cfg["N"])
+            basis = divfree_kernel(cfg["level"], params)
             for v in basis.fields:
                 if not v.divergence().is_zero():
                     raise ValidationError(f"kernel field at m={m} not solenoidal")
@@ -460,31 +525,27 @@ def _cmd_solenoidal(cfg: dict, outdir: str) -> dict:
             blocks.append(
                 {
                     "m": m,
-                    "level": int(cfg["level"]),
+                    "level": cfg["level"],
                     "count": basis.count,
                     "fields": [[c.to_json_dict() for c in v.components] for v in basis.fields],
                 }
             )
-    elif kind == "composite":
-        for m in _as_int_list(cfg["m"]):
-            cb = composite_basis(m, int(cfg["K"]))
+    else:
+        for m in cfg["m"]:
+            cb = composite_basis(m, cfg["K"])
             for blk in cb.blocks:
                 counts[f"m{m}:k{blk.level}"] = blk.count
-            blocks.append({"m": m, "K": int(cfg["K"]), "counts": [b.count for b in cb.blocks]})
-    else:
-        raise ValidationError(f"unknown kind {kind!r}")
+            blocks.append({"m": m, "K": cfg["K"], "counts": [b.count for b in cb.blocks]})
     name = _dump_artifact(
-        outdir,
-        "solenoidal.json",
-        {"schema": SCHEMA, "kind": f"solenoidal-{kind}", "config": _echo(cfg, "solenoidal"), "blocks": blocks},
+        outdir, "solenoidal.json", f"solenoidal-{kind}", _echo(cfg, "solenoidal"), {"blocks": blocks}
     )
     return {"kind": kind, "counts": counts, "all_pass": True, "artifacts": [name]}
 
 
 def _cmd_kernel(cfg: dict, outdir: str) -> dict:
-    m = int(cfg["m"])
-    radii = np.arange(0.0, float(cfg["r_max"]) + 1e-9, float(cfg["dr"]))
-    table = kernel_values(m, int(cfg["N"]), radii=radii, tol=float(cfg["tol"]))
+    m = cfg["m"]
+    radii = np.arange(0.0, cfg["r_max"] + 1e-9, cfg["dr"])
+    table = kernel_values(m, cfg["N"], radii=radii, tol=cfg["tol"])
     name = _dump_text(outdir, f"kernel_m{m}.csv", table.to_csv())
     return {
         "m": m,
@@ -497,13 +558,8 @@ def _cmd_kernel(cfg: dict, outdir: str) -> dict:
 
 
 def _cmd_wkbj(cfg: dict, outdir: str) -> dict:
-    consts = wkbj_constants(int(cfg["m"]), int(cfg["N"]))
-    payload = {
-        "schema": SCHEMA,
-        "kind": "wkbj-constants",
-        "config": _echo(cfg, "wkbj"),
-        **consts.to_json_dict(),
-    }
+    consts = wkbj_constants(cfg["m"], cfg["N"])
+    payload = consts.to_json_dict()
     summary = {
         "m": consts.m,
         "alpha": float(consts.alpha),
@@ -513,7 +569,7 @@ def _cmd_wkbj(cfg: dict, outdir: str) -> dict:
         "root_residual": consts.root_residual,
     }
     if cfg["fit"]:
-        radii = np.arange(0.0, float(cfg["r_max"]) + 1e-9, float(cfg["dr"]))
+        radii = np.arange(0.0, cfg["r_max"] + 1e-9, cfg["dr"])
         table = kernel_values(consts.m, consts.N, radii=radii)
         fit = envelope_fit(table, consts)
         payload["fit"] = fit
@@ -525,7 +581,7 @@ def _cmd_wkbj(cfg: dict, outdir: str) -> dict:
                 "kernel_mass_error": table.mass_error,
             }
         )
-    name = _dump_artifact(outdir, "wkbj.json", payload)
+    name = _dump_artifact(outdir, "wkbj.json", "wkbj-constants", _echo(cfg, "wkbj"), payload)
     summary["artifacts"] = [name]
     return summary
 
@@ -555,20 +611,12 @@ def _projector_diagnostics(spec: GridSpec, m: int, seed: int) -> dict:
 
 
 def _cmd_d_tensor(cfg: dict, outdir: str) -> dict:
-    m, K = int(cfg["m"]), int(cfg["K"])
-    spec = GridSpec(L=float(cfg["L"]), n=int(cfg["n"]))
+    m, K = cfg["m"], cfg["K"]
+    spec = GridSpec(L=cfg["L"], n=cfg["n"])
     cb = composite_basis(m, K)
-    tensor = interaction_tensor(
-        cb, cb, cb, spec, refine=bool(cfg["refine"]), workers=_workers(cfg)
-    )
-    flagged = tensor.flagged(float(cfg["flag_tol"]))
-    payload = {
-        "schema": SCHEMA,
-        "kind": "interaction-tensor",
-        "config": _echo(cfg, "d-tensor"),
-        **tensor.to_json_dict(),
-        "flagged": [list(t) for t in flagged],
-    }
+    tensor = interaction_tensor(cb, cb, cb, spec, refine=cfg["refine"], workers=_workers(cfg))
+    flagged = tensor.flagged(cfg["flag_tol"])
+    payload = {**tensor.to_json_dict(), "flagged": [list(t) for t in flagged]}
     summary = {
         "labels": len(tensor.labels_b),
         "max_abs": float(np.max(np.abs(tensor.values))),
@@ -581,8 +629,8 @@ def _cmd_d_tensor(cfg: dict, outdir: str) -> dict:
             max(np.max(np.abs(tensor.values[a, a, :])) for a in rot)
         )
     if cfg["check_projector"]:
-        summary["projector"] = _projector_diagnostics(spec, m, int(cfg["seed"]))
-    name = _dump_artifact(outdir, "tensor.json", payload)
+        summary["projector"] = _projector_diagnostics(spec, m, cfg["seed"])
+    name = _dump_artifact(outdir, "tensor.json", "interaction-tensor", _echo(cfg, "d-tensor"), payload)
     summary["artifacts"] = [name]
     return summary
 
@@ -590,8 +638,8 @@ def _cmd_d_tensor(cfg: dict, outdir: str) -> dict:
 def _cmd_evolve(cfg: dict, outdir: str) -> dict:
     model = cfg["model"]
     m = 2 if model == "burnett" else 1
-    coeffs, k_needed = _parse_data(cfg["data"], m, cfg["K"], int(cfg["seed"]))
-    K = k_needed if cfg["K"] is None else int(cfg["K"])
+    coeffs, k_needed = _parse_data(cfg["data"], m, cfg["K"], cfg["seed"])
+    K = k_needed if cfg["K"] is None else cfg["K"]
     if K < k_needed:
         raise ValidationError(f"data reaches level {k_needed} but K={K}")
     cb = composite_basis(m, K)
@@ -599,46 +647,32 @@ def _cmd_evolve(cfg: dict, outdir: str) -> dict:
     for lab in coeffs:
         if lab not in labels:
             raise ValidationError(f"coefficient label {lab} outside the level-{K} basis")
-    taus = np.linspace(0.0, float(cfg["tau"]), int(cfg["steps"]))
+    taus = np.linspace(0.0, cfg["tau"], cfg["steps"])
     e0 = Expansion(model, cb, coeffs)
-    summary: Dict[str, object] = {"model": model, "labels": cb.count, "tau_end": float(cfg["tau"])}
-    if model == "stokes":
-        traj = stokes_trajectory(e0, taus)
-        summary["rates"] = _jsonable(
-            {f"l{k}:{i}": v for (k, i), v in rate_check(traj, m)["rates"].items()}
-        )
-    elif model == "burnett":
-        traj = burnett_trajectory(e0, taus)
-        summary["rates"] = _jsonable(
-            {f"l{k}:{i}": v for (k, i), v in rate_check(traj, m)["rates"].items()}
-        )
-    elif model == "nse":
-        spec = GridSpec(L=float(cfg["L"]), n=int(cfg["n"]))
+    summary: Dict[str, object] = {"model": model, "labels": cb.count, "tau_end": cfg["tau"]}
+    if model == "nse":
+        spec = GridSpec(L=cfg["L"], n=cfg["n"])
         if cfg["zero_tensor"]:
             tensor = _zero_tensor(cb, m, spec)
         elif cfg["tensor"]:
             tensor = _load_tensor(cfg["tensor"])
         else:
             tensor = interaction_tensor(cb, cb, cb, spec, workers=_workers(cfg))
-        traj = nse_galerkin(
-            e0, tensor, float(cfg["tau"]), rtol=float(cfg["rtol"]), n_out=int(cfg["steps"])
-        )
+        traj = nse_galerkin(e0, tensor, cfg["tau"], rtol=cfg["rtol"], n_out=cfg["steps"])
         summary["duhamel_residual"] = traj.duhamel_residual
         summary["truncated"] = bool(traj.diagnostic.get("truncated", False))
         if cfg["check_linear"] or cfg["zero_tensor"]:
-            lin = nse_galerkin(
-                e0,
-                _zero_tensor(cb, m, spec),
-                float(cfg["tau"]),
-                rtol=float(cfg["rtol"]),
-                n_out=int(cfg["steps"]),
-            )
+            zero = _zero_tensor(cb, m, spec)
+            lin = nse_galerkin(e0, zero, cfg["tau"], rtol=cfg["rtol"], n_out=cfg["steps"])
             ref = stokes_trajectory(Expansion("stokes", cb, coeffs), taus)
             summary["stokes_dev"] = float(
                 np.max(np.abs(lin.coeff_matrix() - ref.coeff_matrix()))
             )
     else:
-        raise ValidationError(f"unknown model {model!r}")
+        traj = (burnett_trajectory if model == "burnett" else stokes_trajectory)(e0, taus)
+        summary["rates"] = _jsonable(
+            {f"l{k}:{i}": v for (k, i), v in rate_check(traj, m)["rates"].items()}
+        )
     # the diagonal flows are exact, so the fit may use the whole trajectory;
     # the Galerkin run keeps the default window that skips the transient
     window = None if model == "nse" else (float(taus[0]), float(taus[-1]))
@@ -648,14 +682,7 @@ def _cmd_evolve(cfg: dict, outdir: str) -> dict:
     arts = [
         _dump_text(outdir, "trajectory.csv", traj.to_csv()),
         _dump_artifact(
-            outdir,
-            "resonance.json",
-            {
-                "schema": SCHEMA,
-                "kind": "resonance-report",
-                "config": _echo(cfg, "evolve"),
-                **rep.to_json_dict(),
-            },
+            outdir, "resonance.json", "resonance-report", _echo(cfg, "evolve"), rep.to_json_dict()
         ),
     ]
     summary["artifacts"] = arts
@@ -664,22 +691,20 @@ def _cmd_evolve(cfg: dict, outdir: str) -> dict:
 
 def _cmd_nodal(cfg: dict, outdir: str) -> dict:
     model = cfg["model"]
-    if model not in ("stokes", "burnett"):
-        raise ValidationError("nodal pipeline drives the diagonal models only")
     m = 2 if model == "burnett" else 1
     flow = burnett_flow if model == "burnett" else stokes_flow
-    coeffs, k_needed = _parse_data(cfg["data"], m, cfg["K"], int(cfg["seed"]))
-    K = max(k_needed, 0 if cfg["K"] is None else int(cfg["K"]))
+    coeffs, k_needed = _parse_data(cfg["data"], m, cfg["K"], cfg["seed"])
+    K = max(k_needed, cfg["K"])
     cb = composite_basis(m, K)
     labels = set(cb.labels)
     for lab in coeffs:
         if lab not in labels:
             raise ValidationError(f"coefficient label {lab} outside the level-{K} basis")
     e0 = Expansion(model, cb, coeffs)
-    tau_list = _as_float_list(cfg["taus"])
+    tau_list = [float(t) for t in cfg["taus"].split(",") if t.strip()]
     if not tau_list:
         raise ValidationError("no evaluation times given")
-    R, cell = float(cfg["R"]), float(cfg["cell"])
+    R, cell = cfg["R"], cfg["cell"]
 
     kmin = min(k for k, _ in coeffs)
     ref_e = Expansion(model, cb, {lab: c for lab, c in coeffs.items() if lab[0] == kmin})
@@ -691,7 +716,9 @@ def _cmd_nodal(cfg: dict, outdir: str) -> dict:
         if comp is None:
             raise ValidationError("reference zero set is empty in every component")
     else:
-        comp = int(cfg["component"])
+        comp = cfg["component"]
+        if not 0 <= comp < 3:
+            raise ValidationError(f"component {comp} is not 0, 1 or 2")
     arts = [_dump_text(outdir, f"nodal_ref_c{comp}.csv", _cloud_csv(ref_clouds[comp]))]
 
     distances = []
@@ -705,7 +732,7 @@ def _cmd_nodal(cfg: dict, outdir: str) -> dict:
         distances.append(nodal_compare(clouds[comp], ref_clouds[comp]))
 
     traj_fn = burnett_trajectory if model == "burnett" else stokes_trajectory
-    span = np.linspace(0.0, max(tau_list), int(cfg["steps"]))
+    span = np.linspace(0.0, max(tau_list), cfg["steps"])
     traj = traj_fn(e0, span)
     rep = detect_resonance(traj, window=(float(span[0]), float(span[-1])))
     verdict = unique_continuation_diagnostic(rep, distances, tol=cell)
@@ -713,10 +740,9 @@ def _cmd_nodal(cfg: dict, outdir: str) -> dict:
         _dump_artifact(
             outdir,
             "distances.json",
+            "nodal-distances",
+            _echo(cfg, "nodal"),
             {
-                "schema": SCHEMA,
-                "kind": "nodal-distances",
-                "config": _echo(cfg, "nodal"),
                 "component": comp,
                 "taus": tau_list,
                 "distances": distances,
@@ -741,13 +767,14 @@ def _cmd_nodal(cfg: dict, outdir: str) -> dict:
 def _terms_sampler(terms: List[dict]):
     parsed = []
     for t in terms:
-        ex = tuple(int(v) for v in t["x"])
-        if len(ex) != 3 or any(v < 0 for v in ex):
-            raise ValidationError(f"bad spatial exponents {t['x']!r}")
-        et = int(t.get("t", 0))
-        if et < 0:
-            raise ValidationError("temporal exponent must be >= 0")
-        parsed.append((ex, et, Fraction(str(t["c"]))))
+        if not (isinstance(t, dict) and "x" in t and "c" in t):
+            raise ValidationError(f"term {t!r} is not an object with keys 'x' and 'c'")
+        ex, et = t["x"], t.get("t", 0)
+        if not (isinstance(ex, list) and len(ex) == 3 and all(type(v) is int and v >= 0 for v in ex)):
+            raise ValidationError(f"bad spatial exponents {ex!r}")
+        if type(et) is not int or et < 0:
+            raise ValidationError("temporal exponent must be an integer >= 0")
+        parsed.append((tuple(ex), et, Fraction(str(t["c"]))))
     if not parsed:
         raise ValidationError("empty term list")
 
@@ -766,6 +793,12 @@ def _terms_sampler(terms: List[dict]):
     return sampler
 
 
+def _classify(cfg: dict, terms: list):
+    return classify_zero(
+        _terms_sampler(terms), max_order=cfg["max_order"], delta=cfg["delta"], threshold=cfg["threshold"]
+    )
+
+
 def _cmd_classify(cfg: dict, outdir: str) -> dict:
     if cfg["suite"]:
         if cfg["suite"] != "synthetic":
@@ -778,12 +811,7 @@ def _cmd_classify(cfg: dict, outdir: str) -> dict:
                     {"x": [M, 0, 0], "t": 0, "c": 1},
                     {"x": [0, 0, 0], "t": Kt, "c": -((-1) ** Kt)},
                 ]
-                zt = classify_zero(
-                    _terms_sampler(terms),
-                    max_order=int(cfg["max_order"]),
-                    delta=float(cfg["delta"]),
-                    threshold=float(cfg["threshold"]),
-                )
+                zt = _classify(cfg, terms)
                 exact = (
                     zt.status == "classified"
                     and zt.M == M
@@ -793,9 +821,7 @@ def _cmd_classify(cfg: dict, outdir: str) -> dict:
                 all_exact = all_exact and exact
                 cases.append({"M": M, "K": Kt, "result": zt.to_json_dict(), "exact": exact})
         name = _dump_artifact(
-            outdir,
-            "classify_suite.json",
-            {"schema": SCHEMA, "kind": "zero-type-suite", "config": _echo(cfg, "classify"), "cases": cases},
+            outdir, "classify_suite.json", "zero-type-suite", _echo(cfg, "classify"), {"cases": cases}
         )
         if not all_exact:
             raise ValidationError("synthetic zero-type suite disagreed with closed forms")
@@ -805,21 +831,14 @@ def _cmd_classify(cfg: dict, outdir: str) -> dict:
         with open(cfg["terms_file"]) as fh:
             terms = json.load(fh)
     elif cfg["terms"]:
-        terms = json.loads(cfg["terms"]) if isinstance(cfg["terms"], str) else cfg["terms"]
+        terms = json.loads(cfg["terms"])
     else:
         raise ValidationError("provide --terms, --terms-file, or --suite synthetic")
     if not isinstance(terms, list):
         raise ValidationError("terms must be a JSON list of monomials")
-    zt = classify_zero(
-        _terms_sampler(terms),
-        max_order=int(cfg["max_order"]),
-        delta=float(cfg["delta"]),
-        threshold=float(cfg["threshold"]),
-    )
+    zt = _classify(cfg, terms)
     name = _dump_artifact(
-        outdir,
-        "zerotype.json",
-        {"schema": SCHEMA, "kind": "zero-type", "config": _echo(cfg, "classify"), **zt.to_json_dict()},
+        outdir, "zerotype.json", "zero-type", _echo(cfg, "classify"), zt.to_json_dict()
     )
     out = {"status": zt.status, "artifacts": [name]}
     out["M"] = zt.M
@@ -829,25 +848,24 @@ def _cmd_classify(cfg: dict, outdir: str) -> dict:
 
 
 def _cmd_verify(cfg: dict, outdir: str) -> dict:
-    m = int(cfg["m"])
-    spec = GridSpec(L=float(cfg["L"]), n=int(cfg["n"]))
-    levels = _as_int_list(cfg["level"])
+    m = cfg["m"]
+    spec = GridSpec(L=cfg["L"], n=cfg["n"])
+    levels = cfg["level"]
     results = []
     arts = []
     worst = 0.0
     truncated_any = False
     for k in levels:
         fields = fixture(m, k)
-        idx = int(cfg["field_index"])
+        idx = cfg["field_index"]
         if not 0 <= idx < len(fields):
             raise ValidationError(f"field index {idx} outside fixture level {k}")
-        t_end = cfg["t_end"]
         traj = semigroup_verify(
             fields[idx],
             m,
-            t_end=None if t_end is None else float(t_end),
+            t_end=cfg["t_end"],
             spec=spec,
-            n_tau=int(cfg["n_tau"]),
+            n_tau=cfg["n_tau"],
             workers=_workers(cfg),
         )
         rc = rate_check(traj, m)
@@ -867,9 +885,7 @@ def _cmd_verify(cfg: dict, outdir: str) -> dict:
         )
     arts.append(
         _dump_artifact(
-            outdir,
-            f"verify_m{m}.json",
-            {"schema": SCHEMA, "kind": "semigroup-verify", "config": _echo(cfg, "verify"), "results": results},
+            outdir, f"verify_m{m}.json", "semigroup-verify", _echo(cfg, "verify"), {"results": results}
         )
     )
     return {
@@ -897,7 +913,9 @@ HANDLERS = {
 
 
 def _echo(cfg: dict, command: str) -> dict:
-    return RunConfig(command, dict(cfg)).to_json_dict()
+    """The resolved, typed parameters of a run, minus execution plumbing."""
+    params = _PARAMS[command]
+    return {"command": command, **{k: v for k, v in cfg.items() if params[k].echo}}
 
 
 # -- argument parsing ---------------------------------------------------------------
@@ -911,128 +929,77 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
-def _bool_flag(sub, name: str, help_on: str):
-    sub.add_argument(name, action="store_true", default=argparse.SUPPRESS, help=help_on)
+def _add_flag(sp: argparse.ArgumentParser, p: Param) -> None:
+    # flags default to SUPPRESS so that an absent flag leaves the config
+    # file's value in place
+    kw = {"dest": p.name, "default": argparse.SUPPRESS, "help": p.help}
+    name = p.name.replace("_", "-")
+    if p.type is bool:
+        kw["action"] = "store_false" if p.default else "store_true"
+        name = "no-" + name if p.default else name
+    else:
+        if p.type in (int, float):
+            kw["type"] = p.type
+        if p.choices:
+            kw["choices"] = p.choices
+        if isinstance(p.default, list):
+            kw["action"] = "append"
+    sp.add_argument("--" + name, **kw)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hermflow", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    def add(name: str, help_text: str):
-        sp = subs.add_parser(name, help=help_text)
-        sp.add_argument("--config", default=argparse.SUPPRESS, help="flat JSON config file; flags override it")
-        sp.add_argument("--outdir", default=argparse.SUPPRESS, help="artifact directory (HERMFLOW_OUTDIR overrides the default)")
-        sp.add_argument("--workers", type=int, default=argparse.SUPPRESS, help="worker cap (default: available cores)")
-        sp.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="seed for any randomized data")
-        return sp
-
-    sp = add("basis", "enumerate eigenfunction levels with exact eigen data")
-    sp.add_argument("--m", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--N", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--max-level", dest="max_level", type=int, default=argparse.SUPPRESS)
-
-    sp = add("eig-check", "verify the eigen-relation exactly up to a level")
-    sp.add_argument("--m", type=int, action="append", default=argparse.SUPPRESS)
-    sp.add_argument("--N", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--max-level", dest="max_level", type=int, default=argparse.SUPPRESS)
-
-    sp = add("biortho", "verify the dual pairing is beta! times identity")
-    sp.add_argument("--m", type=int, action="append", default=argparse.SUPPRESS)
-    sp.add_argument("--N", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--max-level", dest="max_level", type=int, default=argparse.SUPPRESS)
-
-    sp = add("solenoidal", "catalog and check divergence-free vector bases")
-    sp.add_argument("--m", type=int, action="append", default=argparse.SUPPRESS)
-    sp.add_argument("--N", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--kind", choices=["fixture", "kernel", "composite"], default=argparse.SUPPRESS)
-    sp.add_argument("--level", type=int, default=argparse.SUPPRESS, help="level for --kind kernel")
-    sp.add_argument("--K", type=int, default=argparse.SUPPRESS, help="truncation for --kind composite")
-
-    sp = add("kernel", "tabulate the radial kernel profile to CSV")
-    sp.add_argument("--m", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--N", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--r-max", dest="r_max", type=float, default=argparse.SUPPRESS)
-    sp.add_argument("--dr", type=float, default=argparse.SUPPRESS)
-    sp.add_argument("--tol", type=float, default=argparse.SUPPRESS)
-
-    sp = add("wkbj", "closed-form decay constants, optionally fit to the kernel")
-    sp.add_argument("--m", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--N", type=int, default=argparse.SUPPRESS)
-    _bool_flag(sp, "--fit", "tabulate the kernel and fit its envelope")
-    sp.add_argument("--r-max", dest="r_max", type=float, default=argparse.SUPPRESS)
-    sp.add_argument("--dr", type=float, default=argparse.SUPPRESS)
-
-    sp = add("d-tensor", "projected convection couplings of the composite basis")
-    sp.add_argument("--m", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--K", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--L", type=float, default=argparse.SUPPRESS)
-    sp.add_argument("--n", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--no-refine", dest="refine", action="store_false", default=argparse.SUPPRESS)
-    sp.add_argument("--no-check-projector", dest="check_projector", action="store_false", default=argparse.SUPPRESS)
-    sp.add_argument("--flag-tol", dest="flag_tol", type=float, default=argparse.SUPPRESS)
-
-    sp = add("evolve", "coefficient dynamics: exact diagonal flows or Galerkin")
-    sp.add_argument("--model", choices=["stokes", "nse", "burnett"], default=argparse.SUPPRESS)
-    sp.add_argument("--data", default=argparse.SUPPRESS, help="fixture:k:i | l1:0=c,... | demo:nodal | demo:small | file:PATH")
-    sp.add_argument("--tau", type=float, default=argparse.SUPPRESS)
-    sp.add_argument("--steps", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--K", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--rtol", type=float, default=argparse.SUPPRESS)
-    sp.add_argument("--L", type=float, default=argparse.SUPPRESS)
-    sp.add_argument("--n", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--tensor", default=argparse.SUPPRESS, help="interaction-tensor JSON to reuse")
-    _bool_flag(sp, "--zero-tensor", "integrate with all couplings zeroed")
-    _bool_flag(sp, "--check-linear", "also compare the zero-coupling run to the exact flow")
-
-    sp = add("nodal", "evolve data, extract zero sets, track distance to the ambient plane")
-    sp.add_argument("--model", choices=["stokes", "burnett"], default=argparse.SUPPRESS)
-    sp.add_argument("--data", default=argparse.SUPPRESS)
-    sp.add_argument("--taus", default=argparse.SUPPRESS, help="comma-separated evaluation times")
-    sp.add_argument("--R", type=float, default=argparse.SUPPRESS)
-    sp.add_argument("--cell", type=float, default=argparse.SUPPRESS)
-    sp.add_argument("--component", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--K", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--steps", type=int, default=argparse.SUPPRESS)
-
-    sp = add("classify", "vanishing orders (M, K, gamma) of a space-time zero")
-    sp.add_argument("--terms", default=argparse.SUPPRESS, help='JSON list like [{"x":[2,0,0],"t":0,"c":1},...]')
-    sp.add_argument("--terms-file", dest="terms_file", default=argparse.SUPPRESS)
-    sp.add_argument("--suite", default=argparse.SUPPRESS, help="synthetic: sweep x^M - (-t)^K for M,K <= 4")
-    sp.add_argument("--max-order", dest="max_order", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--delta", type=float, default=argparse.SUPPRESS)
-    sp.add_argument("--threshold", type=float, default=argparse.SUPPRESS)
-
-    sp = add("verify", "independent semigroup cross-check of the diagonal rates")
-    sp.add_argument("--m", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--level", type=int, action="append", default=argparse.SUPPRESS)
-    sp.add_argument("--field-index", dest="field_index", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--t-end", dest="t_end", type=float, default=argparse.SUPPRESS)
-    sp.add_argument("--L", type=float, default=argparse.SUPPRESS)
-    sp.add_argument("--n", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--n-tau", dest="n_tau", type=int, default=argparse.SUPPRESS)
-
+    for command, (help_text, params) in _COMMANDS.items():
+        sp = subs.add_parser(command, help=help_text)
+        for p in (_CONFIG, *_COMMON, *params):
+            if p.flag:
+                _add_flag(sp, p)
     return parser
 
 
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
+
+
+def _coerce_one(p: Param, v):
+    if p.type is float and type(v) is int and abs(v) <= sys.float_info.max:
+        v = float(v)
+    if type(v) is not p.type or (p.type is float and not math.isfinite(v)):
+        raise ValidationError(f"{p.name} must be {_TYPE_NAMES[p.type]}, got {v!r}")
+    if p.choices and v not in p.choices:
+        raise ValidationError(f"{p.name} must be one of {list(p.choices)}, got {v!r}")
+    return v
+
+
+def _coerce(p: Param, value):
+    """Check a default, config-file or flag value against its declaration.
+    The result is what the handler computes with and what the echo shows."""
+    if value is None and p.default is None:
+        return None
+    if isinstance(p.default, list):
+        return [_coerce_one(p, v) for v in (value if isinstance(value, list) else [value])]
+    return _coerce_one(p, value)
+
+
 def _resolve(command: str, ns: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS[command])
+    """Defaults, then the config file, then $HERMFLOW_OUTDIR, then flags."""
+    params = _PARAMS[command]
     given = {k: v for k, v in vars(ns).items() if k != "command"}
     path = given.pop("config", None)
+    raw = {}
     if path:
         with open(path) as fh:
-            file_cfg = json.load(fh)
-        if not isinstance(file_cfg, dict):
+            raw = json.load(fh)
+        if not isinstance(raw, dict):
             raise ValidationError("config file must hold a flat JSON object")
-        unknown = sorted(set(file_cfg) - set(cfg))
+        unknown = sorted(set(raw) - set(params))
         if unknown:
             raise ValidationError(f"unknown config keys: {unknown}")
-        cfg.update(file_cfg)
     env = os.environ.get("HERMFLOW_OUTDIR")
     if env:
-        cfg["outdir"] = env
-    cfg.update(given)
-    return cfg
+        raw["outdir"] = env
+    raw.update(given)
+    return {name: _coerce(p, raw.get(name, p.default)) for name, p in params.items()}
 
 
 # failure rows, first match wins: (exception types, exit code, error tag,
@@ -1053,7 +1020,7 @@ def run(argv=None) -> int:
         parser.error("a subcommand is required")
     try:
         cfg = _resolve(ns.command, ns)
-        outdir = str(cfg["outdir"])
+        outdir = cfg["outdir"]
         os.makedirs(outdir, exist_ok=True)
         summary = HANDLERS[ns.command](cfg, outdir)
         line = {

@@ -18,7 +18,6 @@ moment contractions of the projected duals against per-axis power tables.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -713,38 +712,3 @@ def interaction_tensor(
         errors=errors,
         refined=refined,
     )
-
-
-# -- binary grid dumps -------------------------------------------------------------
-
-
-def dump_grid(u: GridVectorField, basepath: str) -> None:
-    """Component-major little-endian float64 dump plus a JSON sidecar."""
-    with open(basepath + ".bin", "wb") as fh:
-        fh.write(np.ascontiguousarray(u.data, dtype="<f8").tobytes())
-    sidecar = {
-        "schema": "hermflow/1",
-        "kind": "grid-field",
-        "grid": u.spec.to_json_dict(),
-        "components": 3,
-        "dtype": "<f8",
-        "order": "C",
-        "layout": "component-major",
-        "weight": u.weight,
-    }
-    with open(basepath + ".json", "w") as fh:
-        json.dump(sidecar, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_grid(basepath: str) -> GridVectorField:
-    with open(basepath + ".json") as fh:
-        side = json.load(fh)
-    spec = GridSpec(
-        L=float(side["grid"]["L"]),
-        n=int(side["grid"]["n"]),
-        dealias=bool(side["grid"]["dealias"]),
-    )
-    raw = np.fromfile(basepath + ".bin", dtype="<f8")
-    data = raw.reshape(3, spec.n, spec.n, spec.n).astype(float)
-    return GridVectorField(spec, data, weight=side.get("weight", "none"))

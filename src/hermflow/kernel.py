@@ -38,7 +38,6 @@ from typing import List, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import least_squares
 
 from .errors import NonConvergenceError, ValidationError
 
@@ -249,6 +248,8 @@ def envelope_fit(table: KernelTable, constants: WkbjConstants) -> dict:
     delta0_hat. A final linear refit with alpha pinned at its closed form
     reports d0_constrained.
     """
+    from scipy.optimize import least_squares
+
     if table.m != constants.m or table.N != constants.N:
         raise ValidationError("kernel table and constants disagree on (m, N)")
     if table.m < 2:

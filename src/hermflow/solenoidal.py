@@ -51,9 +51,8 @@ from .multiindex import (
     enumerate_level,
     grlex_key,
     mi_factorial,
-    order,
 )
-from .operators import OperatorParams, eigen_coefficients, eigenfunction, level_membership
+from .operators import OperatorParams, eigenfunction, level_membership
 from .polynomial import Polynomial, VectorPolyField, vector_from_rows
 from .rational_linalg import dependent_columns, inverse, nullspace, rank
 
@@ -254,22 +253,6 @@ def divfree_kernel(k: int, params: OperatorParams) -> SolenoidalBasis:
     return SolenoidalBasis(
         level=k, params=params, fields=fields, source="computed-kernel", gram=gram
     )
-
-
-def shift_check(v: VectorPolyField, k: int, params: OperatorParams) -> bool:
-    """True iff div(v) lies in the exact span of the level-(k-1) eigenspace.
-
-    Vacuously true for divergence-free fields. Components must themselves
-    live at level k (validated).
-    """
-    _field_acoeffs(v, k, params)
-    dv = v.divergence()
-    if dv.is_zero():
-        return True
-    if k == 0:
-        return False
-    coeffs = eigen_coefficients(dv, params)
-    return all(order(b) == k - 1 for b in coeffs)
 
 
 def weighted_dual(basis: SolenoidalBasis) -> List[List[Fraction]]:

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hermflow import cli
 from hermflow.errors import NonConvergenceError, ValidationError
@@ -384,3 +386,276 @@ def test_outdir_is_created(tmp_path, capsys):
     code, _ = _run(capsys, ["wkbj", "--m", "2", "--outdir", str(nested)])
     assert code == 0
     assert nested.is_dir() and (nested / "wkbj.json").is_file()
+
+
+# every subcommand's flags as (option string, dest, action, type, choices);
+# the common four come first on every subcommand
+_COMMON_FLAGS = [
+    ("--config", "config", "store", None, None),
+    ("--outdir", "outdir", "store", None, None),
+    ("--workers", "workers", "store", "int", None),
+    ("--seed", "seed", "store", "int", None),
+]
+_FLAGS = {
+    "basis": [
+        ("--m", "m", "store", "int", None),
+        ("--N", "N", "store", "int", None),
+        ("--max-level", "max_level", "store", "int", None),
+    ],
+    "eig-check": [
+        ("--m", "m", "append", "int", None),
+        ("--N", "N", "store", "int", None),
+        ("--max-level", "max_level", "store", "int", None),
+    ],
+    "biortho": [
+        ("--m", "m", "append", "int", None),
+        ("--N", "N", "store", "int", None),
+        ("--max-level", "max_level", "store", "int", None),
+    ],
+    "solenoidal": [
+        ("--m", "m", "append", "int", None),
+        ("--N", "N", "store", "int", None),
+        ("--kind", "kind", "store", None, ["fixture", "kernel", "composite"]),
+        ("--level", "level", "store", "int", None),
+        ("--K", "K", "store", "int", None),
+    ],
+    "kernel": [
+        ("--m", "m", "store", "int", None),
+        ("--N", "N", "store", "int", None),
+        ("--r-max", "r_max", "store", "float", None),
+        ("--dr", "dr", "store", "float", None),
+        ("--tol", "tol", "store", "float", None),
+    ],
+    "wkbj": [
+        ("--m", "m", "store", "int", None),
+        ("--N", "N", "store", "int", None),
+        ("--fit", "fit", "store_true", None, None),
+        ("--r-max", "r_max", "store", "float", None),
+        ("--dr", "dr", "store", "float", None),
+    ],
+    "d-tensor": [
+        ("--m", "m", "store", "int", None),
+        ("--K", "K", "store", "int", None),
+        ("--L", "L", "store", "float", None),
+        ("--n", "n", "store", "int", None),
+        ("--no-refine", "refine", "store_false", None, None),
+        ("--no-check-projector", "check_projector", "store_false", None, None),
+        ("--flag-tol", "flag_tol", "store", "float", None),
+    ],
+    "evolve": [
+        ("--model", "model", "store", None, ["stokes", "nse", "burnett"]),
+        ("--data", "data", "store", None, None),
+        ("--tau", "tau", "store", "float", None),
+        ("--steps", "steps", "store", "int", None),
+        ("--K", "K", "store", "int", None),
+        ("--rtol", "rtol", "store", "float", None),
+        ("--L", "L", "store", "float", None),
+        ("--n", "n", "store", "int", None),
+        ("--tensor", "tensor", "store", None, None),
+        ("--zero-tensor", "zero_tensor", "store_true", None, None),
+        ("--check-linear", "check_linear", "store_true", None, None),
+    ],
+    "nodal": [
+        ("--model", "model", "store", None, ["stokes", "burnett"]),
+        ("--data", "data", "store", None, None),
+        ("--taus", "taus", "store", None, None),
+        ("--R", "R", "store", "float", None),
+        ("--cell", "cell", "store", "float", None),
+        ("--component", "component", "store", "int", None),
+        ("--K", "K", "store", "int", None),
+        ("--steps", "steps", "store", "int", None),
+    ],
+    "classify": [
+        ("--terms", "terms", "store", None, None),
+        ("--terms-file", "terms_file", "store", None, None),
+        ("--suite", "suite", "store", None, None),
+        ("--max-order", "max_order", "store", "int", None),
+        ("--delta", "delta", "store", "float", None),
+        ("--threshold", "threshold", "store", "float", None),
+    ],
+    "verify": [
+        ("--m", "m", "store", "int", None),
+        ("--level", "level", "append", "int", None),
+        ("--field-index", "field_index", "store", "int", None),
+        ("--t-end", "t_end", "store", "float", None),
+        ("--L", "L", "store", "float", None),
+        ("--n", "n", "store", "int", None),
+        ("--n-tau", "n_tau", "store", "int", None),
+    ],
+}
+_ACTIONS = {
+    argparse._StoreAction: "store",
+    argparse._AppendAction: "append",
+    argparse._StoreTrueAction: "store_true",
+    argparse._StoreFalseAction: "store_false",
+}
+
+
+def test_generated_flags_match_the_pinned_lists():
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(_FLAGS)
+    for command, sp in sub.choices.items():
+        rows = []
+        for a in sp._actions:
+            if isinstance(a, argparse._HelpAction):
+                continue
+            (flag,) = a.option_strings
+            assert a.default is argparse.SUPPRESS  # an absent flag keeps the file value
+            kind = getattr(a.type, "__name__", None)
+            rows.append((flag, a.dest, _ACTIONS[type(a)], kind, a.choices and list(a.choices)))
+        assert rows == _COMMON_FLAGS + _FLAGS[command], command
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("d-tensor", {"n": [64]}),
+        ("d-tensor", {"K": 1.5}),
+        ("d-tensor", {"refine": "no"}),
+        ("d-tensor", {"N": 2}),
+        ("basis", {"m": None}),
+        ("basis", {"m": 1.9}),
+        ("basis", {"max_level": "3"}),
+        ("basis", {"N": True}),
+        ("evolve", {"data": 5}),
+        ("evolve", {"model": "heat"}),
+        ("evolve", {"tau": float("inf")}),
+        ("evolve", {"tau": 10**400}),
+        ("nodal", {"taus": [0, 1]}),
+        ("nodal", {"K": None}),
+        ("verify", {"level": [1, 2.0]}),
+        ("classify", {"terms": [{"x": [2, 0, 0], "c": 1}]}),
+        ("nodal", {"component": 3, "cell": 0.2}),
+    ],
+)
+def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, line = _run(capsys, [command, "--config", str(path), "--outdir", str(tmp_path)])
+    assert code == 2 and line["error"] == "validation"
+    assert list(cfg)[0] in line["message"]
+    assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "argv, cfg, echoed",
+    [
+        (["evolve"], {"L": 8}, '"L": 8.0'),
+        (["verify", "--n", "32"], {"level": 2, "L": 16}, '"level": [2]'),
+    ],
+)
+def test_echo_shows_the_typed_values(tmp_path, capsys, argv, cfg, echoed):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.run(argv + ["--config", str(path), "--outdir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert echoed in out
+    name = json.loads(out)["artifacts"][-1]
+    assert echoed in json.dumps(json.loads((tmp_path / name).read_text())["config"])
+
+
+@pytest.mark.parametrize("command", ["evolve", "nodal"])
+@pytest.mark.parametrize("doc", [[1], {"coeffs": [1]}, {"coeffs": {"l1:0": None}}])
+def test_malformed_data_file_exits_2(tmp_path, capsys, command, doc):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, "--data", f"file:{path}", "--outdir", str(tmp_path)]
+    code, line = _run(capsys, argv)
+    assert code == 2 and line["error"] == "validation"
+    assert str(path) in line["message"]
+
+
+_ENTRY = {"alpha": [1, 0], "gamma": [1, 1], "beta": [1, 2], "value": 0.5, "error": 0.0}
+_TENSOR = {"grid": {"L": 6.0, "n": 24}, "m": 1, "N": 3, "entries": [_ENTRY]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"entries": []},
+        {**_TENSOR, "entries": [{k: v for k, v in _ENTRY.items() if k != "gamma"}]},
+        {**_TENSOR, "entries": [{**_ENTRY, "value": None}]},
+        {**_TENSOR, "entries": [{**_ENTRY, "alpha": 1}]},
+        {**_TENSOR, "grid": [6.0, 24]},
+        {**_TENSOR, "m": "1"},
+    ],
+)
+def test_malformed_tensor_file_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "tensor.json"
+    path.write_text(json.dumps(doc))
+    argv = ["evolve", "--model", "nse", "--data", "l1:0=0.2", "--K", "1",
+            "--tensor", str(path), "--outdir", str(tmp_path)]
+    code, line = _run(capsys, argv)
+    assert code == 2 and line["error"] == "validation"
+    assert str(path) in line["message"]
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [{"c": 1}],
+        [1],
+        [{"x": [2, 0], "c": 1}],
+        [{"x": [2.0, 0, 0], "c": 1}],
+        [{"x": [2, 0, 0], "t": None, "c": 1}],
+    ],
+)
+def test_malformed_terms_exit_2(tmp_path, capsys, terms):
+    argv = ["classify", "--terms", json.dumps(terms), "--outdir", str(tmp_path)]
+    code, line = _run(capsys, argv)
+    assert code == 2 and line["error"] == "validation"
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _well_typed(p):
+    """Values of the declared type, so that many drawn configs resolve."""
+    one = {
+        int: st.integers(),
+        float: st.integers() | st.floats(allow_nan=False, allow_infinity=False),
+        bool: st.booleans(),
+        str: st.text(max_size=4),
+    }[p.type]
+    if p.choices:
+        one = st.sampled_from(p.choices)
+    if isinstance(p.default, list):
+        one = one | st.lists(one, max_size=3)
+    return one | st.none() if p.default is None else one
+
+
+def _declared(p, v) -> bool:
+    if v is None:
+        return p.default is None
+    if isinstance(p.default, list):
+        return isinstance(v, list) and all(type(x) is p.type for x in v)
+    return type(v) is p.type and (not p.choices or v in p.choices)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_resolved_config_has_declared_types_and_round_trips(tmp_path, monkeypatch, data):
+    monkeypatch.delenv("HERMFLOW_OUTDIR", raising=False)
+    command = data.draw(st.sampled_from(sorted(cli._PARAMS)))
+    params = cli._PARAMS[command]
+    optional = {name: _well_typed(p) for name, p in params.items()}
+    raw = data.draw(st.fixed_dictionaries({}, optional=optional))
+    raw.update(data.draw(st.dictionaries(st.sampled_from(sorted(params)), _JSON, max_size=2)))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    ns = argparse.Namespace(command=command, config=str(path))
+    try:
+        cfg = cli._resolve(command, ns)
+    except ValidationError:
+        return
+    assert set(cfg) == set(params)
+    for name, p in params.items():
+        assert _declared(p, cfg[name]), (name, cfg[name])
+    echo = cli._echo(cfg, command)
+    path.write_text(json.dumps({k: v for k, v in echo.items() if k != "command"}))
+    again = cli._echo(cli._resolve(command, ns), command)
+    assert json.dumps(again, sort_keys=True) == json.dumps(echo, sort_keys=True)

@@ -11,8 +11,6 @@ from hermflow.grid import (
     GridVectorField,
     convection,
     convection_poly,
-    dump_grid,
-    load_grid,
     pair_fields,
     parallel_map,
     project,
@@ -186,16 +184,6 @@ def test_synth_duals_pair_to_gram_rows():
 def test_grid_field_shape_validation():
     with pytest.raises(ValidationError):
         GridVectorField(SPEC, np.zeros((3, 4, 4, 4)))
-
-
-def test_dump_load_roundtrip(tmp_path, basis_l2):
-    u = synth_weighted(basis_l2.fields[0], GridSpec(8.0, 16), 1)
-    base = str(tmp_path / "field")
-    dump_grid(u, base)
-    back = load_grid(base)
-    assert back.spec == u.spec
-    assert back.weight == "kernel-F"
-    assert np.array_equal(back.data, u.data)
 
 
 def test_parallel_map_keeps_input_order():

@@ -18,7 +18,6 @@ from hermflow.solenoidal import (
     fixture,
     fixture_basis,
     realization_gram,
-    shift_check,
     validate_basis_field,
     weighted_dual,
 )
@@ -89,17 +88,6 @@ def test_realization_gram_symmetric_positive_diagonal():
         assert G[i][i] > 0
         for j in range(n):
             assert G[i][j] == G[j][i]
-
-
-def test_shift_check_accepts_ladder_compatible_fields():
-    params = OperatorParams(m=1, N=3)
-    for v in fixture(1, 2):
-        assert shift_check(v, 2, params)
-    # not divergence-free, but div drops exactly one level
-    v = VectorPolyField(
-        [Polynomial.monomial((1, 0, 0)), Polynomial.zero(3), Polynomial.zero(3)]
-    )
-    assert shift_check(v, 1, params)
 
 
 def _random_combo(fields, coeffs):
