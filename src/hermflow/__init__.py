@@ -68,18 +68,16 @@ from .dynamics import (
     Expansion,
     ResonanceReport,
     ZeroType,
-    burnett_flow,
-    burnett_trajectory,
     classify_zero,
     detect_resonance,
+    diagonal_flow,
+    diagonal_trajectory,
     expand,
     nodal_compare,
     nodal_extract,
     nse_galerkin,
     rate_check,
     semigroup_verify,
-    stokes_flow,
-    stokes_trajectory,
     unique_continuation_diagnostic,
 )
 
@@ -108,13 +106,13 @@ __all__ = [
     "apply_B",
     "apply_B_star",
     "apply_B_weighted",
-    "burnett_flow",
-    "burnett_trajectory",
     "classify_zero",
     "composite_basis",
     "convection",
     "convection_poly",
     "detect_resonance",
+    "diagonal_flow",
+    "diagonal_trajectory",
     "divfree_kernel",
     "eigen_coefficients",
     "eigenfunction",
@@ -142,8 +140,6 @@ __all__ = [
     "sample",
     "semigroup_verify",
     "spectral_divergence",
-    "stokes_flow",
-    "stokes_trajectory",
     "synth_duals",
     "synth_weighted",
     "to_grid",

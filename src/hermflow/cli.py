@@ -34,18 +34,16 @@ import numpy as np
 
 from .dynamics import (
     Expansion,
-    burnett_flow,
-    burnett_trajectory,
     classify_zero,
     detect_resonance,
+    diagonal_flow,
+    diagonal_trajectory,
     expand,
     nodal_compare,
     nodal_extract,
     nse_galerkin,
     rate_check,
     semigroup_verify,
-    stokes_flow,
-    stokes_trajectory,
     unique_continuation_diagnostic,
 )
 from .errors import NonConvergenceError, ValidationError
@@ -64,6 +62,10 @@ from .polynomial import Polynomial, VectorPolyField
 from .solenoidal import composite_basis, divfree_kernel, fixture, validate_basis_field
 
 SCHEMA = "hermflow/1"
+
+# model name -> operator order m; the order alone sets the linear rates, and
+# "nse" adds the quadratic couplings (evolve only: nodal runs the exact flow)
+_MODEL_ORDER = {"stokes": 1, "nse": 1, "burnett": 2}
 
 
 @dataclass(frozen=True)
@@ -157,7 +159,7 @@ _COMMANDS: Dict[str, Tuple[str, Tuple[Param, ...]]] = {
     "evolve": (
         "coefficient dynamics: exact diagonal flows or Galerkin",
         (
-            Param("model", str, "stokes", choices=("stokes", "nse", "burnett")),
+            Param("model", str, "stokes", choices=tuple(_MODEL_ORDER)),
             Param("data", str, "fixture:1:0", "fixture:k:i | l1:0=c,... | demo:nodal | demo:small | file:PATH"),
             Param("tau", float, 3.0),
             Param("steps", int, 41),
@@ -173,7 +175,7 @@ _COMMANDS: Dict[str, Tuple[str, Tuple[Param, ...]]] = {
     "nodal": (
         "evolve data, extract zero sets, track distance to the ambient plane",
         (
-            Param("model", str, "stokes", choices=("stokes", "burnett")),
+            Param("model", str, "stokes", choices=tuple(k for k in _MODEL_ORDER if k != "nse")),
             Param("data", str, "demo:nodal"),
             Param("taus", str, "0,1,2,3,4", "comma-separated evaluation times"),
             Param("R", float, 2.0),
@@ -542,10 +544,16 @@ def _cmd_solenoidal(cfg: dict, outdir: str) -> dict:
     return {"kind": kind, "counts": counts, "all_pass": True, "artifacts": [name]}
 
 
+def _radii(cfg: dict) -> np.ndarray:
+    """The uniform radial grid 0, dr, 2 dr, ... up to r_max."""
+    if not cfg["dr"] > 0.0:
+        raise ValidationError(f"radial step dr must be positive, got {cfg['dr']!r}")
+    return np.arange(0.0, cfg["r_max"] + 1e-9, cfg["dr"])
+
+
 def _cmd_kernel(cfg: dict, outdir: str) -> dict:
     m = cfg["m"]
-    radii = np.arange(0.0, cfg["r_max"] + 1e-9, cfg["dr"])
-    table = kernel_values(m, cfg["N"], radii=radii, tol=cfg["tol"])
+    table = kernel_values(m, cfg["N"], radii=_radii(cfg), tol=cfg["tol"])
     name = _dump_text(outdir, f"kernel_m{m}.csv", table.to_csv())
     return {
         "m": m,
@@ -569,8 +577,7 @@ def _cmd_wkbj(cfg: dict, outdir: str) -> dict:
         "root_residual": consts.root_residual,
     }
     if cfg["fit"]:
-        radii = np.arange(0.0, cfg["r_max"] + 1e-9, cfg["dr"])
-        table = kernel_values(consts.m, consts.N, radii=radii)
+        table = kernel_values(consts.m, consts.N, radii=_radii(cfg))
         fit = envelope_fit(table, consts)
         payload["fit"] = fit
         payload["kernel_mass_error"] = table.mass_error
@@ -637,7 +644,7 @@ def _cmd_d_tensor(cfg: dict, outdir: str) -> dict:
 
 def _cmd_evolve(cfg: dict, outdir: str) -> dict:
     model = cfg["model"]
-    m = 2 if model == "burnett" else 1
+    m = _MODEL_ORDER[model]
     coeffs, k_needed = _parse_data(cfg["data"], m, cfg["K"], cfg["seed"])
     K = k_needed if cfg["K"] is None else cfg["K"]
     if K < k_needed:
@@ -648,7 +655,7 @@ def _cmd_evolve(cfg: dict, outdir: str) -> dict:
         if lab not in labels:
             raise ValidationError(f"coefficient label {lab} outside the level-{K} basis")
     taus = np.linspace(0.0, cfg["tau"], cfg["steps"])
-    e0 = Expansion(model, cb, coeffs)
+    e0 = Expansion(cb, coeffs)
     summary: Dict[str, object] = {"model": model, "labels": cb.count, "tau_end": cfg["tau"]}
     if model == "nse":
         spec = GridSpec(L=cfg["L"], n=cfg["n"])
@@ -664,14 +671,14 @@ def _cmd_evolve(cfg: dict, outdir: str) -> dict:
         if cfg["check_linear"] or cfg["zero_tensor"]:
             zero = _zero_tensor(cb, m, spec)
             lin = nse_galerkin(e0, zero, cfg["tau"], rtol=cfg["rtol"], n_out=cfg["steps"])
-            ref = stokes_trajectory(Expansion("stokes", cb, coeffs), taus)
+            ref = diagonal_trajectory(e0, taus)
             summary["stokes_dev"] = float(
                 np.max(np.abs(lin.coeff_matrix() - ref.coeff_matrix()))
             )
     else:
-        traj = (burnett_trajectory if model == "burnett" else stokes_trajectory)(e0, taus)
+        traj = diagonal_trajectory(e0, taus)
         summary["rates"] = _jsonable(
-            {f"l{k}:{i}": v for (k, i), v in rate_check(traj, m)["rates"].items()}
+            {f"l{k}:{i}": v for (k, i), v in rate_check(traj)["rates"].items()}
         )
     # the diagonal flows are exact, so the fit may use the whole trajectory;
     # the Galerkin run keeps the default window that skips the transient
@@ -690,9 +697,7 @@ def _cmd_evolve(cfg: dict, outdir: str) -> dict:
 
 
 def _cmd_nodal(cfg: dict, outdir: str) -> dict:
-    model = cfg["model"]
-    m = 2 if model == "burnett" else 1
-    flow = burnett_flow if model == "burnett" else stokes_flow
+    m = _MODEL_ORDER[cfg["model"]]
     coeffs, k_needed = _parse_data(cfg["data"], m, cfg["K"], cfg["seed"])
     K = max(k_needed, cfg["K"])
     cb = composite_basis(m, K)
@@ -700,14 +705,14 @@ def _cmd_nodal(cfg: dict, outdir: str) -> dict:
     for lab in coeffs:
         if lab not in labels:
             raise ValidationError(f"coefficient label {lab} outside the level-{K} basis")
-    e0 = Expansion(model, cb, coeffs)
+    e0 = Expansion(cb, coeffs)
     tau_list = [float(t) for t in cfg["taus"].split(",") if t.strip()]
     if not tau_list:
         raise ValidationError("no evaluation times given")
     R, cell = cfg["R"], cfg["cell"]
 
     kmin = min(k for k, _ in coeffs)
-    ref_e = Expansion(model, cb, {lab: c for lab, c in coeffs.items() if lab[0] == kmin})
+    ref_e = Expansion(cb, {lab: c for lab, c in coeffs.items() if lab[0] == kmin})
     ref_clouds = nodal_extract(ref_e, R=R, cell=cell)
     if cfg["component"] is None:
         comp = next(
@@ -723,7 +728,7 @@ def _cmd_nodal(cfg: dict, outdir: str) -> dict:
 
     distances = []
     for j, tau in enumerate(tau_list):
-        state = flow(e0, tau)
+        state = diagonal_flow(e0, tau)
         clouds = nodal_extract(state, R=R, cell=cell)
         for c in range(3):
             arts.append(
@@ -731,9 +736,8 @@ def _cmd_nodal(cfg: dict, outdir: str) -> dict:
             )
         distances.append(nodal_compare(clouds[comp], ref_clouds[comp]))
 
-    traj_fn = burnett_trajectory if model == "burnett" else stokes_trajectory
     span = np.linspace(0.0, max(tau_list), cfg["steps"])
-    traj = traj_fn(e0, span)
+    traj = diagonal_trajectory(e0, span)
     rep = detect_resonance(traj, window=(float(span[0]), float(span[-1])))
     verdict = unique_continuation_diagnostic(rep, distances, tol=cell)
     arts.append(
@@ -868,7 +872,7 @@ def _cmd_verify(cfg: dict, outdir: str) -> dict:
             n_tau=cfg["n_tau"],
             workers=_workers(cfg),
         )
-        rc = rate_check(traj, m)
+        rc = rate_check(traj)
         worst = max(worst, rc["max_rel_err"])
         truncated_any = truncated_any or bool(traj.diagnostic.get("truncated", False))
         arts.append(_dump_text(outdir, f"verify_m{m}_l{k}.csv", traj.to_csv()))

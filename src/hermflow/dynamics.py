@@ -35,18 +35,16 @@ from .grid import (
 )
 from .multiindex import enumerate_level
 from .polynomial import Polynomial, VectorPolyField
+from .rational_linalg import fd_weights
 from .solenoidal import DualFrame, level_basis
 
-MODELS = ("stokes", "nse", "burnett")
 
-
-def _decay_rate(model: str, m: int, k: int) -> float:
-    """Diagonal decay rate of a level-k coefficient: lambda_k - 1/2 with
-    lambda_k = -k/(2m); -(1+k)/2 for the second-order models, -(3+k)/4 for
-    the fourth-order one."""
-    if model == "burnett":
-        return -(3.0 + k) / 4.0
-    return -(1.0 + k) / 2.0
+def _decay_rate(m: int, k: int) -> float:
+    """Diagonal decay rate of a level-k coefficient of an order-m basis:
+    the eigenvalue -k/(2m) of B* minus the amplitude exponent (2m-1)/(2m)
+    of the self-similar rescaling, i.e. -(k+1)/2 for m=1 and -(k+3)/4 for
+    m=2. The operator order alone fixes it."""
+    return -(k + 2 * m - 1) / (2 * m)
 
 
 # -- expansions -------------------------------------------------------------------
@@ -60,15 +58,12 @@ class Expansion:
     norm of the spectrum) of the part of the input the basis did not
     capture (None for states produced by exact flows)."""
 
-    model: str
     basis: object
     coeffs: Dict[Tuple[int, int], object]
     tau: float = 0.0
     residual: Optional[float] = None
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ValidationError(f"unknown model {self.model!r}")
         for key, c in self.coeffs.items():
             if not math.isfinite(float(c)):
                 raise ValidationError(f"non-finite coefficient at {key}")
@@ -92,19 +87,13 @@ class Expansion:
 
     def to_json_dict(self) -> dict:
         return {
-            "model": self.model,
             "tau": self.tau,
             "residual": self.residual,
             "coeffs": {f"l{k}:{i}": float(c) for (k, i), c in sorted(self.coeffs.items())},
         }
 
 
-def expand(
-    u,
-    basis,
-    model: str = "stokes",
-    spec: GridSpec | None = None,
-) -> Expansion:
+def expand(u, basis, spec: GridSpec | None = None) -> Expansion:
     """Extract basis coefficients of u by dual pairing.
 
     Polynomial input (the polynomial factor of u = p F) goes through the
@@ -129,11 +118,11 @@ def expand(
         else:
             sp = spec or GridSpec(10.0, 64)
             residual = synth_weighted(diff, sp, basis.params.m).norm()
-        return Expansion(model, basis, coeffs, residual=residual)
+        return Expansion(basis, coeffs, residual=residual)
     if isinstance(u, GridVectorField):
         c, residual = _Extractor(basis, u.spec).grid(u)
         coeffs = dict(zip(basis.labels, (float(x) for x in c)))
-        return Expansion(model, basis, coeffs, residual=residual)
+        return Expansion(basis, coeffs, residual=residual)
     raise ValidationError("expand needs a VectorPolyField or GridVectorField")
 
 
@@ -211,31 +200,19 @@ class _Extractor:
         return c, math.sqrt(total / (2.0 * sp.L) ** 3)
 
 
-# -- diagonal flows ---------------------------------------------------------------
+# -- diagonal flow ----------------------------------------------------------------
 
 
-def stokes_flow(e0: Expansion, tau: float) -> Expansion:
-    """Exact diagonal decay c_k(tau) = c_k(0) e^{-(1+k) tau / 2}."""
-    if e0.model != "stokes":
-        raise ValidationError("stokes_flow needs a stokes-model expansion")
+def diagonal_flow(e0: Expansion, tau: float) -> Expansion:
+    """Exact linear flow c_k(tau) = c_k(0) e^{r_k tau}, with the level rate
+    r_k = -(k+2m-1)/(2m) of the basis order m: e^{-(1+k) tau/2} for the
+    Stokes operator (m=1), e^{-(3+k) tau/4} for the bi-Laplacian (m=2)."""
+    m = e0.basis.params.m
     out = {
-        (k, i): float(c) * math.exp(_decay_rate("stokes", 1, k) * tau)
+        (k, i): float(c) * math.exp(_decay_rate(m, k) * tau)
         for (k, i), c in e0.coeffs.items()
     }
-    return Expansion("stokes", e0.basis, out, tau=e0.tau + tau)
-
-
-def burnett_flow(e0: Expansion, tau: float) -> Expansion:
-    """Exact diagonal decay c_k(tau) = c_k(0) e^{-(3+k) tau / 4}."""
-    if e0.model != "burnett":
-        raise ValidationError("burnett_flow needs a burnett-model expansion")
-    if e0.basis.params.m != 2:
-        raise ValidationError("burnett_flow needs an m=2 basis")
-    out = {
-        (k, i): float(c) * math.exp(_decay_rate("burnett", 2, k) * tau)
-        for (k, i), c in e0.coeffs.items()
-    }
-    return Expansion("burnett", e0.basis, out, tau=e0.tau + tau)
+    return Expansion(e0.basis, out, tau=e0.tau + tau)
 
 
 # -- trajectories -----------------------------------------------------------------
@@ -245,7 +222,6 @@ def burnett_flow(e0: Expansion, tau: float) -> Expansion:
 class CoefficientTrajectory:
     taus: np.ndarray
     states: List[Expansion]
-    model: str
     duhamel_residual: Optional[float] = None
     diagnostic: dict = dc_field(default_factory=dict)
 
@@ -272,8 +248,9 @@ class CoefficientTrajectory:
         return "\n".join(lines) + "\n"
 
 
-def rate_check(traj: CoefficientTrajectory, m: int, floor: float = 1e-6) -> dict:
-    """Log-linear decay rates of the trajectory against the exact level rates.
+def rate_check(traj: CoefficientTrajectory, floor: float = 1e-6) -> dict:
+    """Log-linear decay rates of the trajectory against the exact level rates
+    of its basis order.
 
     Coefficients whose swing never exceeds `floor` times the largest one are
     background (leakage, roundoff) and are skipped rather than fit to noise.
@@ -285,6 +262,7 @@ def rate_check(traj: CoefficientTrajectory, m: int, floor: float = 1e-6) -> dict
     top = float(np.max(np.abs(C)))
     if top == 0.0:
         raise ValidationError("trajectory is identically zero")
+    m = traj.states[0].basis.params.m
     rates = {}
     worst = 0.0
     for j, label in enumerate(traj.labels):
@@ -292,7 +270,7 @@ def rate_check(traj: CoefficientTrajectory, m: int, floor: float = 1e-6) -> dict
         if float(np.max(c)) <= floor * top or np.any(c == 0.0):
             continue
         fitted = float(np.polyfit(traj.taus, np.log(c), 1)[0])
-        expected = _decay_rate(traj.model, m, label[0])
+        expected = _decay_rate(m, label[0])
         rel = abs(fitted - expected) / abs(expected) if expected else abs(fitted)
         rates[label] = {"fitted": fitted, "expected": expected, "rel_err": rel}
         worst = max(worst, rel)
@@ -301,14 +279,9 @@ def rate_check(traj: CoefficientTrajectory, m: int, floor: float = 1e-6) -> dict
     return {"rates": rates, "max_rel_err": worst}
 
 
-def stokes_trajectory(e0: Expansion, taus: Sequence[float]) -> CoefficientTrajectory:
+def diagonal_trajectory(e0: Expansion, taus: Sequence[float]) -> CoefficientTrajectory:
     ts = np.asarray(taus, dtype=float)
-    return CoefficientTrajectory(ts, [stokes_flow(e0, float(t)) for t in ts], "stokes")
-
-
-def burnett_trajectory(e0: Expansion, taus: Sequence[float]) -> CoefficientTrajectory:
-    ts = np.asarray(taus, dtype=float)
-    return CoefficientTrajectory(ts, [burnett_flow(e0, float(t)) for t in ts], "burnett")
+    return CoefficientTrajectory(ts, [diagonal_flow(e0, float(t)) for t in ts])
 
 
 def nse_galerkin(
@@ -331,7 +304,7 @@ def nse_galerkin(
     if not (tensor.labels_a == labels and tensor.labels_g == labels and tensor.labels_b == labels):
         raise ValidationError("tensor index labels do not match the basis")
     m = e0.basis.params.m
-    lam = np.array([_decay_rate("nse", m, k) for k, _ in labels])
+    lam = np.array([_decay_rate(m, k) for k, _ in labels])
     d = tensor.values
     c0 = e0.vector()
 
@@ -348,7 +321,7 @@ def nse_galerkin(
     taus = taus[taus <= t_max + 1e-12]
     C = sol.sol(taus).T
     states = [
-        Expansion("nse", e0.basis, dict(zip(labels, map(float, row))), tau=e0.tau + float(t))
+        Expansion(e0.basis, dict(zip(labels, map(float, row))), tau=e0.tau + float(t))
         for t, row in zip(taus, C)
     ]
     diagnostic = {"truncated": bool(truncated)}
@@ -365,9 +338,7 @@ def nse_galerkin(
         I = cumulative_simpson(W, x=s, axis=0, initial=0.0)
         duh = np.exp(np.outer(taus, lam)) * (c0[None, :] + I[::4])
         residual = float(np.max(np.abs(C - duh)))
-    return CoefficientTrajectory(
-        taus, states, "nse", duhamel_residual=residual, diagnostic=diagnostic
-    )
+    return CoefficientTrajectory(taus, states, duhamel_residual=residual, diagnostic=diagnostic)
 
 
 # -- resonance detection ------------------------------------------------------------
@@ -434,7 +405,7 @@ def detect_resonance(
             slopes[lab] = float(np.polyfit(tw, np.log(col), 1)[0])
 
     def report(status, dominant=(), level=None, rate=None, gap=None):
-        expected = None if level is None else _decay_rate(traj.model, m, level)
+        expected = None if level is None else _decay_rate(m, level)
         dev = (
             None
             if (rate is None or expected is None)
@@ -457,7 +428,7 @@ def detect_resonance(
 
     # origin-value gate: a level-0 coefficient that fails to decay strictly
     # faster than its diagonal rate keeps u(0, tau) alive at blow-up scale
-    rate0 = _decay_rate(traj.model, m, 0)
+    rate0 = _decay_rate(m, 0)
     for lab, sl in slopes.items():
         if lab[0] == 0 and sl > rate0 - margin:
             return report("non-degenerate", dominant=[lab], level=0, rate=sl)
@@ -474,7 +445,7 @@ def detect_resonance(
     rate = float(np.mean([slopes[lab] for lab in dominant]))
     if len(levels) == 1:
         k = levels.pop()
-        expected = _decay_rate(traj.model, m, k)
+        expected = _decay_rate(m, k)
         if abs(rate - expected) <= rate_tol * abs(expected):
             return report("resonant", dominant, k, rate, gap)
         return report("non-resonant", dominant, k, rate, gap)
@@ -492,7 +463,12 @@ def nodal_extract(e: Expansion, R: float = 2.0, cell: float = 0.05) -> List[np.n
     point is kept whenever its edge has at least one endpoint node inside
     the ball, so zero sheets that graze the boundary stay resolved; such
     points may overshoot the sphere by up to one cell. An identically
-    zero component yields an empty cloud."""
+    zero component yields an empty cloud. The ball and the cell must be
+    nondegenerate: R > 0 and 0 < cell < R."""
+    if not (R > 0.0 and 0.0 < cell < R):
+        raise ValidationError(
+            f"nodal sampling needs R > 0 and 0 < cell < R, got R={R!r}, cell={cell!r}"
+        )
     v = e.field_poly()
     if all(p.is_zero() for p in v.components):
         raise ValidationError("expansion has no nonzero coefficients")
@@ -564,18 +540,6 @@ class ZeroType:
         }
 
 
-def _rational_weights(offsets: Sequence[int], order: int) -> List[Fraction]:
-    """Finite-difference weights for the order-th derivative on integer
-    offsets, exact on polynomials of degree < len(offsets)."""
-    from .rational_linalg import solve
-
-    n = len(offsets)
-    A = [[Fraction(o) ** i for o in offsets] for i in range(n)]
-    b = [Fraction(0)] * n
-    b[order] = Fraction(math.factorial(order))
-    return solve(A, b)
-
-
 def classify_zero(
     sampler: Callable,
     max_order: int = 6,
@@ -619,11 +583,11 @@ def classify_zero(
         raise ValidationError("sampled field does not vanish at the base point")
 
     ncomp = len(val(0, 0, 0, 0))
-    axis_nodes = list(range(-r, r + 1))
+    axis_nodes = tuple(range(-r, r + 1))
 
     def spatial_diff(sigma: Tuple[int, int, int]) -> List[Fraction]:
         per_axis = [
-            list(zip(axis_nodes, _rational_weights(axis_nodes, s))) if s else [(0, Fraction(1))]
+            list(zip(axis_nodes, fd_weights(axis_nodes, s))) if s else [(0, Fraction(1))]
             for s in sigma
         ]
         acc = [Fraction(0)] * ncomp
@@ -652,10 +616,10 @@ def classify_zero(
     if M is None:
         return ZeroType(None, None, None, "", "order-exceeds-bound")
 
-    t_nodes = list(range(-2 * r, 1))  # t = j*delta, one-sided into t <= 0
+    t_nodes = tuple(range(-2 * r, 1))  # t = j*delta, one-sided into t <= 0
     K = None
     for q in range(1, max_order + 1):
-        w = _rational_weights(t_nodes, q)
+        w = fd_weights(t_nodes, q)
         acc = [Fraction(0)] * ncomp
         for node, wj in zip(t_nodes, w):
             if not wj:
@@ -709,7 +673,6 @@ def semigroup_verify(
     if not (-1.0 < t_end < 0.0):
         raise ValidationError("t_end must lie in (-1, 0)")
     sp = spec or GridSpec(24.0, 128)
-    model = "stokes" if m == 1 else "burnett"
     if level is None:
         degrees = [int(p.degree()) for p in data.components if not p.is_zero()]
         if not degrees:
@@ -761,10 +724,10 @@ def semigroup_verify(
         X = amp * dilate_coeffs(data_coeffs, s ** (-1.0 / (2.0 * m)))
         c, resid = extract.closed_form(X, (2.0 - s) / s)
         coeffs = dict(zip(basis.labels, (float(x) for x in c)))
-        return Expansion(model, basis, coeffs, tau=float(tau), residual=resid)
+        return Expansion(basis, coeffs, tau=float(tau), residual=resid)
 
     states = parallel_map(state, [float(t) for t in taus], workers)
-    return CoefficientTrajectory(taus, states, model, diagnostic=diagnostic)
+    return CoefficientTrajectory(taus, states, diagnostic=diagnostic)
 
 
 # -- unique continuation diagnostic ----------------------------------------------------

@@ -26,7 +26,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .kernel import KernelTable, gaussian_kernel
 from .polynomial import Polynomial, VectorPolyField
 from .solenoidal import DualFrame
 
@@ -147,13 +146,12 @@ def to_grid(spec: GridSpec, g: np.ndarray) -> np.ndarray:
 @dataclass
 class GridVectorField:
     """Samples of a 3-vector field; `poly` keeps the exact source when the
-    field was sampled from a polynomial without weight, which lets the
-    convection operator differentiate symbolically instead of spectrally."""
+    field is the plain polynomial (see `sample`), which lets the convection
+    operator differentiate symbolically instead of spectrally."""
 
     spec: GridSpec
     data: np.ndarray  # shape (3, n, n, n)
     poly: Optional[VectorPolyField] = None
-    weight: str = "none"
 
     def __post_init__(self):
         n = self.spec.n
@@ -164,52 +162,12 @@ class GridVectorField:
         return float(math.sqrt(self.spec.h**3 * np.sum(self.data**2)))
 
 
-def sample(
-    v: VectorPolyField,
-    weight: str,
-    spec: GridSpec,
-    table: KernelTable | None = None,
-    m: int = 1,
-) -> GridVectorField:
-    """Pointwise evaluation on the grid, optionally times the radial kernel.
-
-    weight "kernel-F" uses the m=1 Gaussian closed form, or a cubic spline
-    of a tabulated kernel when `table` is given (required for m >= 2; the
-    table must cover the grid diagonal).
-    """
-    if weight not in ("none", "kernel-F"):
-        raise ValidationError(f"unknown weight {weight!r}")
+def sample(v: VectorPolyField, spec: GridSpec) -> GridVectorField:
+    """Pointwise evaluation of a polynomial field on the grid; the field
+    keeps its exact source for `convection`."""
     ax = spec.axes()
     comps = [p.evaluate_grid([ax, ax, ax]) for p in v.components]
-    if weight == "kernel-F":
-        r = np.sqrt(_radius_sq(spec))
-        if table is not None:
-            rmax = math.sqrt(3.0) * float(np.max(np.abs(ax)))
-            if table.radii[-1] < rmax:
-                raise ValidationError(
-                    f"kernel table ends at r={table.radii[-1]:g} but the grid "
-                    f"diagonal reaches {rmax:g}"
-                )
-            from scipy.interpolate import CubicSpline
-
-            F = CubicSpline(table.radii, table.values)(r)
-        elif m == 1:
-            F = gaussian_kernel(r)
-        else:
-            raise ValidationError("weight kernel-F with m >= 2 needs a KernelTable")
-        comps = [c * F for c in comps]
-        return GridVectorField(spec, np.stack(comps), poly=v, weight="kernel-F")
-    return GridVectorField(spec, np.stack(comps), poly=v, weight="none")
-
-
-def _radius_sq(spec: GridSpec) -> np.ndarray:
-    def build():
-        ax = _axes(spec.L, spec.n)
-        return (
-            ax[:, None, None] ** 2 + ax[None, :, None] ** 2 + ax[None, None, :] ** 2
-        )
-
-    return _cached(("radius_sq", spec.L, spec.n), build)
+    return GridVectorField(spec, np.stack(comps), poly=v)
 
 
 # -- closed-form transforms of poly x kernel fields ------------------------------
@@ -274,7 +232,7 @@ def synth_weighted(v: VectorPolyField, spec: GridSpec, m: int) -> GridVectorFiel
     """Grid samples of v F via its closed-form transform (all m; exact up to
     periodization and the lattice Riemann sum)."""
     comps = [to_grid(spec, g).real for g in weighted_transform(v, spec, m)]
-    return GridVectorField(spec, np.stack(comps), poly=v, weight="kernel-F")
+    return GridVectorField(spec, np.stack(comps))
 
 
 def dual_spectrum(
@@ -301,7 +259,7 @@ def synth_duals(frame: DualFrame, spec: GridSpec) -> List[GridVectorField]:
             zero if g is None else to_grid(spec, g).real
             for g in dual_spectrum(frame, j, spec)
         ]
-        fields.append(GridVectorField(spec, np.stack(comps), weight="kernel-F"))
+        fields.append(GridVectorField(spec, np.stack(comps)))
     return fields
 
 
@@ -490,7 +448,7 @@ def project(u: GridVectorField) -> GridVectorField:
     spec = u.spec
     gs = [to_spectral(spec, u.data[c]) for c in range(3)]
     out = [to_grid(spec, g).real for g in project_spectral(gs, spec)]
-    return GridVectorField(spec, np.stack(out), weight=u.weight)
+    return GridVectorField(spec, np.stack(out))
 
 
 def spectral_divergence(u: GridVectorField) -> np.ndarray:
@@ -530,14 +488,14 @@ def _dealias_mask(spec: GridSpec) -> np.ndarray:
 def convection(u: GridVectorField) -> GridVectorField:
     """(u . grad) u.
 
-    Polynomial-sourced unweighted fields differentiate symbolically and
-    resample (the periodized sample of a polynomial has no usable spectral
+    Polynomial samples (fields carrying `poly`) differentiate symbolically
+    and resample (the periodized sample of a polynomial has no usable spectral
     derivative); everything else is pseudo-spectral with the 2/3 rule when
     spec.dealias is set.
     """
     spec = u.spec
-    if u.poly is not None and u.weight == "none":
-        return sample(convection_poly(u.poly), "none", spec)
+    if u.poly is not None:
+        return sample(convection_poly(u.poly), spec)
     mask = _dealias_mask(spec) if spec.dealias else 1.0
     e1, e2, e3 = _eta_axes(spec)
     gs = [to_spectral(spec, u.data[c]) * mask for c in range(3)]
@@ -548,7 +506,7 @@ def convection(u: GridVectorField) -> GridVectorField:
         for j, ej in enumerate((e1, e2, e3)):
             acc += uf[j] * to_grid(spec, 1j * ej * gs[i]).real
         out.append(acc)
-    return GridVectorField(spec, np.stack(out), weight=u.weight)
+    return GridVectorField(spec, np.stack(out))
 
 
 def pair_fields(a: GridVectorField, b: GridVectorField) -> float:

@@ -34,12 +34,13 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import NonConvergenceError, ValidationError
+from .rational_linalg import fd_weights
 
 
 @dataclass(frozen=True)
@@ -330,24 +331,6 @@ def envelope_fit(table: KernelTable, constants: WkbjConstants) -> dict:
 # -- radial ODE residual --------------------------------------------------------
 
 
-def _fd_weights(offsets: Sequence[int], order: int) -> np.ndarray:
-    """Exact finite-difference weights for d^order/dr^order on integer offsets.
-
-    Solves the Vandermonde moment system over rationals: the stencil is
-    exact on polynomials up to degree len(offsets)-1.
-    """
-    from .rational_linalg import solve
-
-    n = len(offsets)
-    if order >= n:
-        raise ValueError("stencil too short for derivative order")
-    A = [[Fraction(o) ** i for o in offsets] for i in range(n)]
-    b = [Fraction(0)] * n
-    b[order] = Fraction(math.factorial(order))
-    w = solve(A, b)
-    return np.array([float(x) for x in w])
-
-
 def ode_residual(table: KernelTable, window: tuple = (0.5, 4.0)) -> float:
     """Max | -(-Delta)^m F + (1/2m) r F' + (N/2m) F | on the window.
 
@@ -364,10 +347,10 @@ def ode_residual(table: KernelTable, window: tuple = (0.5, 4.0)) -> float:
         raise ValidationError("uniform radial grid required")
     h = float(h[0])
     half = 4
-    offsets = list(range(-half, half + 1))
+    offsets = tuple(range(-half, half + 1))
 
     def deriv(order: int) -> np.ndarray:
-        w = _fd_weights(offsets, order) / h**order
+        w = np.array([float(x) for x in fd_weights(offsets, order)]) / h**order
         out = np.full_like(f, np.nan)
         core = sum(w[i] * f[i : len(f) - 2 * half + i] for i in range(2 * half + 1))
         out[half:-half] = core

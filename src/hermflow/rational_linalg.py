@@ -6,7 +6,9 @@ clarity wins over asymptotics.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
@@ -95,8 +97,22 @@ def inverse(A: Sequence[Sequence]) -> Matrix:
     return [row[n:] for row in R[:n]]
 
 
-def mat_vec(A: Sequence[Sequence], v: Sequence) -> List[Fraction]:
-    return [sum((Fraction(a) * Fraction(x) for a, x in zip(row, v)), Fraction(0)) for row in A]
+@lru_cache(maxsize=128)
+def fd_weights(offsets: Tuple[int, ...], order: int) -> Tuple[Fraction, ...]:
+    """Exact finite-difference weights for the order-th derivative on
+    integer offsets, exact on polynomials of degree < len(offsets).
+
+    Solves the Vandermonde moment system once per (offsets, order): the
+    callers reuse a dozen or so stencils hundreds of times. The result is
+    an immutable tuple, so every caller may share it.
+    """
+    n = len(offsets)
+    if order >= n:
+        raise ValueError("stencil too short for derivative order")
+    A = [[Fraction(o) ** i for o in offsets] for i in range(n)]
+    b = [Fraction(0)] * n
+    b[order] = Fraction(math.factorial(order))
+    return tuple(solve(A, b))
 
 
 def dependent_columns(A: Sequence[Sequence]) -> List[int]:

@@ -526,6 +526,10 @@ def test_generated_flags_match_the_pinned_lists():
         ("verify", {"level": [1, 2.0]}),
         ("classify", {"terms": [{"x": [2, 0, 0], "c": 1}]}),
         ("nodal", {"component": 3, "cell": 0.2}),
+        ("kernel", {"dr": 0.0}),
+        ("wkbj", {"dr": 0.0, "fit": True}),
+        ("nodal", {"cell": 0.0}),
+        ("nodal", {"R": 0.0}),
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg):

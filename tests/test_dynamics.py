@@ -6,22 +6,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hermflow import grid
+from hermflow import grid, rational_linalg
 from hermflow.dynamics import (
     CoefficientTrajectory,
     Expansion,
-    burnett_flow,
-    burnett_trajectory,
     classify_zero,
     detect_resonance,
+    diagonal_flow,
+    diagonal_trajectory,
     expand,
     nodal_compare,
     nodal_extract,
     nse_galerkin,
     rate_check,
     semigroup_verify,
-    stokes_flow,
-    stokes_trajectory,
     unique_continuation_diagnostic,
 )
 from hermflow.errors import EmptyCloudError, ValidationError
@@ -71,15 +69,13 @@ def _combo(basis, coeffs):
 
 def test_expansion_validation_and_vector(cb2):
     with pytest.raises(ValidationError):
-        Expansion("euler", cb2, {})
-    with pytest.raises(ValidationError):
-        Expansion("stokes", cb2, {(1, 0): float("nan")})
-    e = Expansion("stokes", cb2, {(1, 0): 2.0})
+        Expansion(cb2, {(1, 0): float("nan")})
+    e = Expansion(cb2, {(1, 0): 2.0})
     assert e.labels == cb2.labels
     vec = e.vector()
     assert vec[cb2.labels.index((1, 0))] == 2.0 and np.sum(vec != 0.0) == 1
     d = e.to_json_dict()
-    assert d["coeffs"] == {"l1:0": 2.0}
+    assert d == {"tau": 0.0, "residual": None, "coeffs": {"l1:0": 2.0}}
 
 
 def test_expand_polynomial_path_is_exact(cb2):
@@ -147,50 +143,77 @@ def test_single_level_and_one_block_composite_agree(m, k):
 
 
 def test_diagonal_flows_decay_at_exact_rates(cb2):
-    e0 = Expansion("stokes", cb2, {(0, 0): 1.0, (2, 3): -0.5})
-    e1 = stokes_flow(e0, 2.0)
+    e0 = Expansion(cb2, {(0, 0): 1.0, (2, 3): -0.5})
+    e1 = diagonal_flow(e0, 2.0)
     assert e1.tau == 2.0
     assert e1.coeffs[(0, 0)] == pytest.approx(math.exp(-1.0), rel=1e-15)
     assert e1.coeffs[(2, 3)] == pytest.approx(-0.5 * math.exp(-3.0), rel=1e-15)
-    with pytest.raises(ValidationError):
-        stokes_flow(Expansion("nse", cb2, {}), 1.0)
+    assert diagonal_flow(Expansion(cb2, {}), 1.0).coeffs == {}
 
     b2 = composite_basis(2, 2)
-    eb = Expansion("burnett", b2, {(0, 0): 1.0, (1, 2): 2.0})
-    eb1 = burnett_flow(eb, 1.0)
+    eb = Expansion(b2, {(0, 0): 1.0, (1, 2): 2.0})
+    eb1 = diagonal_flow(eb, 1.0)
     assert eb1.coeffs[(0, 0)] == pytest.approx(math.exp(-0.75), rel=1e-15)
     assert eb1.coeffs[(1, 2)] == pytest.approx(2.0 * math.exp(-1.0), rel=1e-15)
-    with pytest.raises(ValidationError):
-        burnett_flow(Expansion("burnett", cb2, {}), 1.0)
+
+
+def test_m2_diagonal_flow_decays_level_0_at_three_quarters():
+    # the basis order sets the rate: the same unit level-0 coefficient decays
+    # like exp(-0.75 tau) over an m=2 basis and exp(-0.5 tau) over an m=1 one
+    for m, rate in ((2, 0.75), (1, 0.5)):
+        e0 = Expansion(composite_basis(m, 1), {(0, 0): 1.0})
+        for tau in (0.5, 1.0, 3.0):
+            got = diagonal_flow(e0, tau).coeffs[(0, 0)]
+            assert got == pytest.approx(math.exp(-rate * tau), rel=1e-15)
 
 
 def test_rate_check_fits_exact_trajectories(cb2):
     taus = np.linspace(0.0, 3.0, 41)
-    e0 = Expansion("stokes", cb2, {(1, 0): 1.0, (2, 3): 0.5, (0, 0): 1e-12})
-    rc = rate_check(stokes_trajectory(e0, taus), 1)
+    e0 = Expansion(cb2, {(1, 0): 1.0, (2, 3): 0.5, (0, 0): 1e-12})
+    rc = rate_check(diagonal_trajectory(e0, taus))
     assert set(rc["rates"]) == {(1, 0), (2, 3)}  # the 1e-12 one sits below floor
     assert rc["rates"][(1, 0)]["expected"] == -1.0
     assert rc["rates"][(2, 3)]["expected"] == -1.5
     assert rc["max_rel_err"] <= 1e-12
 
     b2 = composite_basis(2, 1)
-    eb = Expansion("burnett", b2, {(0, 0): 1.0, (1, 1): -2.0})
-    rb = rate_check(burnett_trajectory(eb, taus), 2)
+    eb = Expansion(b2, {(0, 0): 1.0, (1, 1): -2.0})
+    rb = rate_check(diagonal_trajectory(eb, taus))
     assert rb["rates"][(0, 0)]["expected"] == -0.75
     assert rb["rates"][(1, 1)]["expected"] == -1.0
     assert rb["max_rel_err"] <= 1e-12
 
     with pytest.raises(ValidationError):
-        rate_check(stokes_trajectory(Expansion("stokes", cb2, {}), taus), 1)
+        rate_check(diagonal_trajectory(Expansion(cb2, {}), taus))
     with pytest.raises(ValidationError):
-        rate_check(stokes_trajectory(e0, [0.0, 1.0]), 1)
+        rate_check(diagonal_trajectory(e0, [0.0, 1.0]))
+
+
+def test_rate_check_reads_the_order_from_the_basis():
+    # m=2 expectations are -(k+3)/4, with no order passed in
+    taus = np.linspace(0.0, 3.0, 31)
+    b2 = composite_basis(2, 2)
+    e0 = Expansion(b2, {(0, 0): 1.0, (1, 0): 0.5, (2, 1): -0.25})
+    rc = rate_check(diagonal_trajectory(e0, taus))
+    assert {lab: r["expected"] for lab, r in rc["rates"].items()} == {
+        (0, 0): -0.75, (1, 0): -1.0, (2, 1): -1.25
+    }
+    assert rc["max_rel_err"] <= 1e-12
+    # coefficients decaying at the m=1 rates over the m=2 basis are rejected
+    wrong = CoefficientTrajectory(
+        taus,
+        [Expansion(b2, {(0, 0): math.exp(-0.5 * t)}, tau=float(t)) for t in taus],
+    )
+    bad = rate_check(wrong)
+    assert bad["rates"][(0, 0)]["expected"] == -0.75
+    assert bad["max_rel_err"] == pytest.approx(1.0 / 3.0, rel=1e-9)
 
 
 def _zero_tensor(basis, spec):
     n = basis.count
     z = np.zeros((n, n, n))
     return InteractionTensor(
-        m=1,
+        m=basis.params.m,
         N=3,
         spec=spec,
         labels_a=basis.labels,
@@ -204,23 +227,32 @@ def _zero_tensor(basis, spec):
 def test_nse_with_zero_tensor_reproduces_diagonal_flow(cb2):
     spec = GridSpec(8.0, 64)
     e0 = Expansion(
-        "nse",
         cb2,
         {l: 0.1 * ((i % 5) - 2) for i, l in enumerate(cb2.labels) if (i % 5) != 2},
     )
     traj = nse_galerkin(e0, _zero_tensor(cb2, spec), 3.0, n_out=41)
     assert not traj.diagnostic["truncated"]
     assert traj.duhamel_residual <= 1e-8
-    exact = stokes_trajectory(Expansion("stokes", cb2, dict(e0.coeffs)), traj.taus)
+    exact = diagonal_trajectory(Expansion(cb2, dict(e0.coeffs)), traj.taus)
     dev = np.max(np.abs(traj.coeff_matrix() - exact.coeff_matrix()))
     assert dev <= 1e-9
+
+
+def test_nse_with_zero_tensor_uses_the_basis_order_rates():
+    # over an m=2 basis the linear part decays at -(k+3)/4, like the exact flow
+    b2 = composite_basis(2, 1)
+    e0 = Expansion(b2, {(0, 0): 0.2, (1, 0): -0.1, (1, 2): 0.05})
+    traj = nse_galerkin(e0, _zero_tensor(b2, GridSpec(8.0, 32)), 3.0, n_out=31)
+    exact = diagonal_trajectory(e0, traj.taus)
+    assert np.max(np.abs(traj.coeff_matrix() - exact.coeff_matrix())) <= 1e-9
+    assert rate_check(traj)["rates"][(0, 0)]["expected"] == -0.75
 
 
 def test_nse_quadratic_coupling_passes_duhamel_check():
     cb1 = composite_basis(1, 1)
     T = interaction_tensor(cb1, cb1, cb1, GridSpec(8.0, 64), refine=False)
     e0 = Expansion(
-        "nse", cb1, {(0, 0): 0.05, (1, 0): 0.2, (1, 1): -0.1, (1, 2): 0.15}
+        cb1, {(0, 0): 0.05, (1, 0): 0.2, (1, 1): -0.1, (1, 2): 0.15}
     )
     traj = nse_galerkin(e0, T, 3.0, n_out=41)
     assert traj.duhamel_residual <= 1e-8
@@ -231,24 +263,23 @@ def test_nse_quadratic_coupling_passes_duhamel_check():
 
 
 def test_envelope_check(cb2):
-    e0 = Expansion("stokes", cb2, {(1, 0): 1.0, (2, 1): 0.25})
-    traj = stokes_trajectory(e0, np.linspace(0.0, 3.0, 31))
+    e0 = Expansion(cb2, {(1, 0): 1.0, (2, 1): 0.25})
+    traj = diagonal_trajectory(e0, np.linspace(0.0, 3.0, 31))
     env = traj.envelope_check()
     assert env["ok"] and env["constant"] == 1.0
     bad = CoefficientTrajectory(
         np.array([0.0, 1.0]),
         [
-            Expansion("nse", cb2, {(1, 0): 1.0}),
-            Expansion("nse", cb2, {(1, 0): 2.0}),
+            Expansion(cb2, {(1, 0): 1.0}),
+            Expansion(cb2, {(1, 0): 2.0}),
         ],
-        "nse",
     )
     assert not bad.envelope_check()["ok"]
 
 
 def test_trajectory_csv_layout(cb2):
-    e0 = Expansion("stokes", cb2, {(1, 0): 1.0})
-    traj = stokes_trajectory(e0, np.linspace(0.0, 1.0, 3))
+    e0 = Expansion(cb2, {(1, 0): 1.0})
+    traj = diagonal_trajectory(e0, np.linspace(0.0, 1.0, 3))
     lines = traj.to_csv().strip().split("\n")
     assert lines[0] == "tau," + ",".join(f"l{k}:{i}" for k, i in cb2.labels)
     assert len(lines) == 4
@@ -258,8 +289,8 @@ def test_trajectory_csv_layout(cb2):
 
 def test_detect_resonance_statuses(cb3):
     taus = np.linspace(0.0, 4.0, 41)
-    e0 = Expansion("stokes", cb3, {(1, 0): 1.0, (3, 10): 0.5})
-    rep = detect_resonance(stokes_trajectory(e0, taus), window=(0.0, 4.0))
+    e0 = Expansion(cb3, {(1, 0): 1.0, (3, 10): 0.5})
+    rep = detect_resonance(diagonal_trajectory(e0, taus), window=(0.0, 4.0))
     assert rep.status == "resonant"
     assert rep.shared_level == 1 and rep.dominant == [(1, 0)]
     assert rep.rate == pytest.approx(-1.0, abs=1e-12)
@@ -267,23 +298,23 @@ def test_detect_resonance_statuses(cb3):
     assert rep.subdominant_gap == pytest.approx(1.0, abs=1e-12)
 
     # default window drops the first quarter of the samples
-    rep_dflt = detect_resonance(stokes_trajectory(e0, taus))
+    rep_dflt = detect_resonance(diagonal_trajectory(e0, taus))
     assert rep_dflt.window == (1.0, 4.0) and rep_dflt.status == "resonant"
 
-    e1 = Expansion("stokes", cb3, {(0, 0): 0.3, (1, 0): 1.0})
-    rep1 = detect_resonance(stokes_trajectory(e1, taus), window=(0.0, 4.0))
+    e1 = Expansion(cb3, {(0, 0): 0.3, (1, 0): 1.0})
+    rep1 = detect_resonance(diagonal_trajectory(e1, taus), window=(0.0, 4.0))
     assert rep1.status == "non-degenerate"
     assert rep1.shared_level == 0 and rep1.dominant == [(0, 0)]
 
-    short = stokes_trajectory(e0, np.linspace(0.0, 1.0, 11))
+    short = diagonal_trajectory(e0, np.linspace(0.0, 1.0, 11))
     assert detect_resonance(short, window=(0.0, 1.0)).status == "inconclusive"
 
     with pytest.raises(ValidationError):
-        detect_resonance(stokes_trajectory(e0, taus), window=(3.9, 4.0))
+        detect_resonance(diagonal_trajectory(e0, taus), window=(3.9, 4.0))
 
 
 def test_nodal_extract_plane_zero_set():
-    ep = Expansion("stokes", composite_basis(1, 1), {(1, 0): 1.0})
+    ep = Expansion(composite_basis(1, 1), {(1, 0): 1.0})
     clouds = nodal_extract(ep, R=2.0, cell=0.05)
     assert len(clouds) == 3
     assert len(clouds[0]) == 0  # identically zero component
@@ -301,7 +332,11 @@ def test_nodal_extract_plane_zero_set():
     assert nodal_compare(c1, plane) == 0.0
 
     with pytest.raises(ValidationError):
-        nodal_extract(Expansion("stokes", composite_basis(1, 1), {}))
+        nodal_extract(Expansion(composite_basis(1, 1), {}))
+    # a degenerate ball or cell is refused, not sampled as one point
+    for R, cell in ((0.0, 0.05), (2.0, 0.0), (2.0, -0.1), (0.5, 0.5), (-1.0, 0.05)):
+        with pytest.raises(ValidationError, match="0 < cell < R"):
+            nodal_extract(ep, R=R, cell=cell)
 
 
 def test_nodal_compare_symmetry_and_filters():
@@ -331,6 +366,29 @@ def test_classify_zero_monomial_cases():
     assert (mixed.M, mixed.K) == (3, 2)
     assert mixed.gamma == Fraction(2, 3)
     assert "(2/3)" in mixed.rescale
+
+
+def test_classify_zero_solves_each_stencil_once(monkeypatch):
+    # one exact Vandermonde solve per distinct (offsets, order), shared by
+    # every call (classify --suite synthetic makes sixteen of them)
+    calls = []
+    real = rational_linalg.rref
+
+    def counting(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(rational_linalg, "rref", counting)
+    rational_linalg.fd_weights.cache_clear()
+    def sampler(x, t):
+        return [x[0] * x[1] - (-t) ** 3]
+
+    first = classify_zero(sampler)
+    n_first = len(calls)
+    assert n_first == rational_linalg.fd_weights.cache_info().currsize > 0
+    assert classify_zero(sampler) == first
+    assert len(calls) == n_first
+    assert (first.M, first.K) == (2, 3)
 
 
 def test_classify_zero_temporal_degenerate_heat_swirl():
@@ -363,7 +421,7 @@ def test_semigroup_verify_small_box():
     traj = semigroup_verify(fixture(1, 1)[0], 1, spec=GridSpec(16.0, 64), n_tau=9)
     # the small box truncates late times where periodic images overlap
     assert traj.diagnostic["truncated"]
-    rc = rate_check(traj, 1)
+    rc = rate_check(traj)
     assert rc["max_rel_err"] <= 1e-4
     assert rc["rates"][(1, 0)]["expected"] == -1.0
     with pytest.raises(ValidationError):
@@ -453,13 +511,13 @@ def test_semigroup_verify_caches_nothing_per_time():
 
 def test_unique_continuation_diagnostic(cb3):
     taus = np.linspace(0.0, 4.0, 41)
-    e0 = Expansion("stokes", cb3, {(1, 0): 1.0, (3, 10): 0.5})
-    rep = detect_resonance(stokes_trajectory(e0, taus), window=(0.0, 4.0))
+    e0 = Expansion(cb3, {(1, 0): 1.0, (3, 10): 0.5})
+    rep = detect_resonance(diagonal_trajectory(e0, taus), window=(0.0, 4.0))
     good = unique_continuation_diagnostic(rep, [0.4, 0.2, 0.1, 0.03])
     assert good["verdict"] == "PASS"
     bad = unique_continuation_diagnostic(rep, [0.4, 0.5, 0.6])
     assert bad["verdict"] == "INCONSISTENT"
-    short = stokes_trajectory(e0, np.linspace(0.0, 1.0, 11))
+    short = diagonal_trajectory(e0, np.linspace(0.0, 1.0, 11))
     rep2 = detect_resonance(short, window=(0.0, 1.0))
     assert unique_continuation_diagnostic(rep2, [0.4, 0.2])["verdict"] == "vacuous"
     assert unique_continuation_diagnostic(rep, [])["verdict"] == "vacuous"

@@ -60,27 +60,30 @@ def test_spectral_roundtrip_is_identity():
     assert np.max(np.abs(back - f)) <= 1e-13
 
 
+def _radius(spec):
+    ax = spec.axes()
+    return np.sqrt((ax**2)[:, None, None] + (ax**2)[None, :, None] + (ax**2)[None, None, :])
+
+
 def test_sample_agrees_with_spectral_synthesis_m1(basis_l2):
+    # physical-space product v F with the Gaussian kernel versus synthesis
     v = basis_l2.fields[3]
-    a = sample(v, "kernel-F", SPEC)
+    a = sample(v, SPEC).data * gaussian_kernel(_radius(SPEC))
     b = synth_weighted(v, SPEC, 1)
-    assert np.max(np.abs(a.data - b.data)) <= 1e-11
+    assert np.max(np.abs(a - b.data)) <= 1e-11
 
 
 def test_sample_with_table_m2():
+    from scipy.interpolate import CubicSpline
+
     tab = kernel_values(2, radii=np.arange(0.0, 36.0 + 1e-9, 0.02))
     w = fixture_basis(2, 2).fields[0]
-    a = sample(w, "kernel-F", SPEC, table=tab, m=2)
+    r = _radius(SPEC)
+    assert tab.radii[-1] >= r.max()  # the table covers the grid diagonal
+    a = sample(w, SPEC).data * CubicSpline(tab.radii, tab.values)(r)
     b = synth_weighted(w, SPEC, 2)
     # gap is periodization of the stretched-exponential tail, not roundoff
-    assert np.max(np.abs(a.data - b.data)) <= 2e-3
-    short = kernel_values(2, radii=np.arange(0.0, 8.0 + 1e-9, 0.05))
-    with pytest.raises(ValidationError):
-        sample(w, "kernel-F", SPEC, table=short, m=2)
-    with pytest.raises(ValidationError):
-        sample(w, "kernel-F", SPEC, m=2)
-    with pytest.raises(ValidationError):
-        sample(w, "turbulent", SPEC)
+    assert np.max(np.abs(a - b.data)) <= 2e-3
 
 
 def test_projector_idempotent_and_divergence_free(basis_l2):
@@ -116,7 +119,7 @@ def test_projector_self_adjoint_on_lattice():
 
 def test_pair_fields_matches_exact_moments(basis_l2):
     v = basis_l2.fields[3]
-    got = pair_fields(synth_weighted(v, SPEC, 1), sample(v, "none", SPEC))
+    got = pair_fields(synth_weighted(v, SPEC, 1), sample(v, SPEC))
     want = float(sum(moment_of_poly(vc * vc, 1) for vc in v.components))
     assert want == 8.0
     assert abs(got - want) / abs(want) <= 1e-8
@@ -140,8 +143,8 @@ def test_convection_poly_rotation_closed_form():
     assert c.components[1].terms == {(0, 1, 0): Fraction(-1)}
     assert c.components[2].terms == {(0, 0, 1): Fraction(-1)}
     # symbolic path: polynomial-sourced unweighted samples differentiate exactly
-    got = convection(sample(R, "none", SPEC))
-    want = sample(c, "none", SPEC)
+    got = convection(sample(R, SPEC))
+    want = sample(c, SPEC)
     assert np.array_equal(got.data, want.data)
 
 
@@ -149,7 +152,7 @@ def test_convection_pseudo_spectral_matches_closed_form(basis_l2):
     # (vF . grad)(vF) = F^2 [ (v.grad)v - (v.y) v / 2 ] for the Gaussian kernel
     v = basis_l2.fields[3]
     u = synth_weighted(v, SPEC, 1)
-    u = GridVectorField(SPEC, u.data, poly=None, weight="kernel-F")
+    assert u.poly is None  # synthesized, so the pseudo-spectral path runs
     got = convection(u)
     conv = convection_poly(v)
     ydot = Polynomial.zero(3)
@@ -163,11 +166,7 @@ def test_convection_pseudo_spectral_matches_closed_form(basis_l2):
             for i in range(3)
         ]
     )
-    ax = SPEC.axes()
-    rsq = (
-        (ax**2)[:, None, None] + (ax**2)[None, :, None] + (ax**2)[None, None, :]
-    )
-    want = sample(q, "none", SPEC).data * gaussian_kernel(np.sqrt(rsq)) ** 2
+    want = sample(q, SPEC).data * gaussian_kernel(_radius(SPEC)) ** 2
     assert np.max(np.abs(got.data - want)) <= 1e-11
 
 
@@ -177,7 +176,7 @@ def test_synth_duals_pair_to_gram_rows():
     duals = synth_duals(frame, SPEC)
     for j, W in enumerate(duals):
         for i in range(basis.count):
-            got = pair_fields(sample(basis.fields[i], "none", SPEC), W)
+            got = pair_fields(sample(basis.fields[i], SPEC), W)
             assert abs(got - float(basis.gram[j][i])) <= 1e-8
 
 

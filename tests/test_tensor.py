@@ -105,7 +105,7 @@ def test_k2_tensor_matches_weighted_gram_reference():
     raw = np.array(
         [
             [
-                [pair_fields(sample(convection_poly(va, vg), "none", spec), w) for w in duals]
+                [pair_fields(sample(convection_poly(va, vg), spec), w) for w in duals]
                 for vg in cb.fields
             ]
             for va in cb.fields
