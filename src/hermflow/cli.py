@@ -551,9 +551,17 @@ def _radii(cfg: dict) -> np.ndarray:
     return np.arange(0.0, cfg["r_max"] + 1e-9, cfg["dr"])
 
 
+_KERNEL_MASS_TOL = 1e-6  # README criterion 5: a table must carry the unit mass
+
+
 def _cmd_kernel(cfg: dict, outdir: str) -> dict:
     m = cfg["m"]
     table = kernel_values(m, cfg["N"], radii=_radii(cfg), tol=cfg["tol"])
+    if not table.mass_error <= _KERNEL_MASS_TOL:
+        raise ValidationError(
+            f"kernel table up to r_max={cfg['r_max']!r} misses mass: mass error "
+            f"{table.mass_error!r} exceeds {_KERNEL_MASS_TOL!r}; raise r_max"
+        )
     name = _dump_text(outdir, f"kernel_m{m}.csv", table.to_csv())
     return {
         "m": m,
@@ -621,7 +629,7 @@ def _cmd_d_tensor(cfg: dict, outdir: str) -> dict:
     m, K = cfg["m"], cfg["K"]
     spec = GridSpec(L=cfg["L"], n=cfg["n"])
     cb = composite_basis(m, K)
-    tensor = interaction_tensor(cb, cb, cb, spec, refine=cfg["refine"], workers=_workers(cfg))
+    tensor = interaction_tensor(cb, cb, cb, spec, refine=cfg["refine"])
     flagged = tensor.flagged(cfg["flag_tol"])
     payload = {**tensor.to_json_dict(), "flagged": [list(t) for t in flagged]}
     summary = {
@@ -664,7 +672,7 @@ def _cmd_evolve(cfg: dict, outdir: str) -> dict:
         elif cfg["tensor"]:
             tensor = _load_tensor(cfg["tensor"])
         else:
-            tensor = interaction_tensor(cb, cb, cb, spec, workers=_workers(cfg))
+            tensor = interaction_tensor(cb, cb, cb, spec)
         traj = nse_galerkin(e0, tensor, cfg["tau"], rtol=cfg["rtol"], n_out=cfg["steps"])
         summary["duhamel_residual"] = traj.duhamel_residual
         summary["truncated"] = bool(traj.diagnostic.get("truncated", False))

@@ -11,10 +11,13 @@ physical space live on the same footing.
 
 The interaction tensor follows the adjoint arrangement: the projector
 symbol is real and symmetric per mode, so the discrete Parseval identity
-gives <P q, w> = <q, P w> exactly in grid arithmetic. Projecting the
-(synthesized) dual fields once each, instead of every sampled convection
-product, removes all per-pair transforms; the pairings then reduce to
-moment contractions of the projected duals against per-axis power tables.
+gives <P q, w> = <q, P w> exactly in grid arithmetic, and the projector
+acts on the duals instead of on every convection product. A pairing of a
+polynomial q with a projected dual then needs only the dual's grid
+moments h^3 sum_y y^d (P W)_c(y), and those follow from its lattice
+spectrum through per-axis tables sum_j y_j^d exp(i eta_k y_j): no FFT runs
+for the tensor. Only the duals with a nonzero divergence carry a
+longitudinal (pressure) part, one scalar lattice array each.
 """
 from __future__ import annotations
 
@@ -276,14 +279,25 @@ def synth_duals(frame: DualFrame, spec: GridSpec) -> List[GridVectorField]:
 # separable per-axis power sums. Neither step runs an FFT.
 
 
+def _contract_axes(arr: np.ndarray, t1: np.ndarray, t2: np.ndarray, t3: np.ndarray) -> np.ndarray:
+    """out[a, b, c] = sum_(i,j,k) arr[i,j,k] t1[i,a] t2[j,b] t3[k,c], one axis
+    at a time. A real `arr` meets a complex t3 as two real products, so the
+    large first step never makes a complex copy of it."""
+    if np.iscomplexobj(t3) and not np.iscomplexobj(arr):
+        t = np.tensordot(arr, t3.real, axes=([2], [0]))
+        t = t + 1j * np.tensordot(arr, t3.imag, axes=([2], [0]))  # (n, n, D3)
+    else:
+        t = np.tensordot(arr, t3, axes=([2], [0]))
+    t = np.tensordot(t, t2, axes=([1], [0]))  # (n, D3, D2)
+    t = np.tensordot(t, t1, axes=([0], [0]))  # (D3, D2, D1)
+    return t.transpose(2, 1, 0)
+
+
 def _axis_moments(arr: np.ndarray, x: np.ndarray, dmax: int) -> np.ndarray:
     """T[d1, d2, d3] = sum_(i,j,k) arr[i,j,k] x_i^d1 x_j^d2 x_k^d3 for powers
     <= dmax, by separable per-axis contractions."""
     P = np.stack([x**d for d in range(dmax + 1)], axis=1)  # (n, D)
-    t = np.tensordot(arr, P, axes=([2], [0]))  # (n, n, D3)
-    t = np.tensordot(t, P, axes=([1], [0]))  # (n, D3, D2)
-    t = np.tensordot(t, P, axes=([0], [0]))  # (D3, D2, D1)
-    return t.transpose(2, 1, 0)
+    return _contract_axes(arr, P, P, P)
 
 
 def lattice_moments(w: np.ndarray, spec: GridSpec, dmax: int) -> np.ndarray:
@@ -573,9 +587,36 @@ def _degree(p: Polynomial) -> int:
     return int(d) if d != -math.inf else 0
 
 
-def _moment_table(comp: np.ndarray, spec: GridSpec, dmax: int) -> np.ndarray:
-    """T[d1, d2, d3] = h^3 sum_j y^(d1,d2,d3) comp(y_j) for powers <= dmax."""
-    return spec.h**3 * _axis_moments(comp, spec.axes(), dmax)
+def _y_moments(spec: GridSpec, dmax: int) -> np.ndarray:
+    """E[k, d] = sum_j y_j^d exp(i eta_k y_j), shape (n, dmax + 1): the
+    per-axis table that takes a lattice spectrum F of a field f to its
+    moments, h^3 sum_y y^d f(y) = n^-3 Re sum_eta F prod_axes E.
+
+    The phases are reduced exactly: eta_k y_j = pi k (2j + 1 - n) / n, and
+    the index k (2j + 1 - n) is taken mod 2n in integers before `exp`."""
+    n = spec.n
+    k = _kint(n).astype(np.int64)
+    r = np.outer(k, 2 * np.arange(n) + 1 - n) % (2 * n)
+    phase = np.exp(1j * math.pi * np.arange(2 * n) / n)
+    Y = np.stack([spec.axes() ** d for d in range(dmax + 1)], axis=1)
+    return phase[r] @ Y
+
+
+def _divergence_poly(A: Sequence[Polynomial]) -> Polynomial:
+    """sigma = sum_c xi_c A_c, exact: eta . FT[W] = (-i)^k sigma w."""
+    out = Polynomial.zero(3)
+    for c, p in enumerate(A):
+        out = out + Polynomial.variable(3, c) * p
+    return out
+
+
+def _coeff_cube(p: Polynomial) -> np.ndarray:
+    """C with p(eta) = sum_d C[d] eta^d, each coefficient rounded once."""
+    D = max((max(d) for d in p.terms), default=0)
+    C = np.zeros((D + 1,) * 3)
+    for d, c in p.terms.items():
+        C[d] = float(c)
+    return C
 
 
 def interaction_tensor(
@@ -584,16 +625,29 @@ def interaction_tensor(
     dualsB,
     spec: GridSpec,
     refine: bool = True,
-    workers: int | None = None,
 ) -> InteractionTensor:
     """Quadratic coupling d_{alpha gamma beta} of the coefficient dynamics.
 
-    For each (alpha, gamma) the convection (v*_alpha . grad) v*_gamma is
-    built symbolically and paired on the grid against every projected
-    derivative-dual field W_j of `dualsB` (the `DualFrame` route; the
+    For each (alpha, gamma) the convection q = (v*_alpha . grad) v*_gamma
+    is built symbolically and paired against every projected
+    derivative-dual field P W_j of `dualsB` (the `DualFrame` route; the
     projector moves onto the duals by the discrete Parseval identity). The
-    pairings are mapped to coefficients by the block-diagonal assembly of
-    the frames' exact Gram inverses, with an overall minus sign from the
+    pairings are the grid quadratures h^3 sum_y q(y) . (P W_j)(y), i.e.
+    contractions of q's coefficients with the moments
+    h^3 sum_y y^d (P W_j)_c(y), and those moments come straight from the
+    lattice spectrum through the per-axis tables of `_y_moments`: no FFT
+    runs and no grid field is stored per dual. They split in two parts:
+
+    - the unprojected dual, W_c = (-i)^k A_c w: for m=1 the weight
+      w = exp(-|eta|^2) is separable, so its moments factor by axis into
+      1-D tables of eta^d exp(-eta^2); otherwise (a single dual block) the
+      same tables contract the lattice spectrum;
+    - the longitudinal part eta_c S_j with S_j = (-i)^k sigma_j w / |eta|^2,
+      sigma_j = sum_c xi_c A_c, for the duals whose sigma_j is not exactly
+      zero. This is where the pressure acts; divergence-free duals skip it.
+
+    The pairings are mapped to coefficients by the block-diagonal assembly
+    of the frames' exact Gram inverses, with an overall minus sign from the
     convection side of the dynamics. The tensor covers m=1, the
     Navier-Stokes dynamics, or a single dual block; other operator orders
     over several levels raise. `refine` repeats the computation with both
@@ -614,13 +668,19 @@ def interaction_tensor(
         )
     fa, fg = basisA.fields, basisG.fields
     frames = [DualFrame(b) for b in dualsB.blocks]
-    duals = [(f, j) for f in frames for j in range(f.basis.count)]
-    ginv = np.zeros((len(duals), len(duals)))
+    ginv = np.zeros((dualsB.count, dualsB.count))
     start = 0
     for f in frames:
         stop = start + f.basis.count
         ginv[start:stop, start:stop] = np.array(f.gram_inv, dtype=float)
         start = stop
+    # exact per-frame data: Hermitian coefficients of every W_c, and the
+    # divergence symbol sigma_j of every dual whose sigma_j is not zero
+    coeffs = [coeff_array(dual_phases(f)) for f in frames]
+    sigmas = [
+        [(j, _coeff_cube(s)) for j, s in enumerate(map(_divergence_poly, A)) if not s.is_zero()]
+        for A in (f.dual_transform_polys() for f in frames)
+    ]
     qs = [[convection_poly(va, vg) for vg in fg] for va in fa]
     dmax = 0
     for row in qs:
@@ -629,19 +689,38 @@ def interaction_tensor(
                 dmax = max(dmax, _degree(p))
 
     def compute(sp: GridSpec) -> np.ndarray:
-        zero = np.zeros((sp.n,) * 3, dtype=complex)
-
-        def moment_tables(dual) -> np.ndarray:
-            # moment tables of one projected dual, one per component
-            gs = [zero if g is None else g for g in dual_spectrum(*dual, sp)]
-            pw = [to_grid(sp, g).real for g in project_spectral(gs, sp)]
-            return np.stack([_moment_table(c, sp, dmax) for c in pw])
-
-        tables = np.stack(parallel_map(moment_tables, duals, workers))
-        raw = np.zeros((len(fa), len(fg), len(duals)))
+        eta = sp.freqs()
+        E = _y_moments(sp, dmax)
+        etaE = _eta_diff(sp.L, sp.n)[:, None] * E
+        w_inv = _exp_eta2m(sp.L, sp.n, params.m) * _inv_eta_sq(sp)  # w / |eta|^2
+        tables = []
+        for f, P, sig in zip(frames, coeffs, sigmas):
+            # sum_eta FT[W_c] prod_axes E per dual j and component c
+            if params.m == 1:
+                d = np.arange(P.shape[-1])[:, None]
+                M = (1j) ** d * ((eta**d * np.exp(-(eta**2))) @ E)
+                t = np.einsum("jcabd,ax,by,dz->jcxyz", P, M, M, M)
+            else:
+                zero = np.zeros((dmax + 1,) * 3, dtype=complex)
+                t = np.array(
+                    [
+                        [zero if g is None else _contract_axes(g, E, E, E) for g in gs]
+                        for gs in (dual_spectrum(f, j, sp) for j in range(f.basis.count))
+                    ]
+                )
+            # minus the longitudinal part eta_c S_j of the divergent duals
+            for j, C in sig:
+                V = np.stack([eta**d for d in range(C.shape[-1])])
+                S = _contract_axes(C, V, V, V) * w_inv  # sigma_j w / |eta|^2
+                for c in range(3):
+                    axes = [etaE if a == c else E for a in range(3)]
+                    t[j, c] -= (-1j) ** f.level * _contract_axes(S, *axes)
+            tables.append(t.real / sp.n**3)
+        tables = np.concatenate(tables)
+        raw = np.zeros((len(fa), len(fg), dualsB.count))
         for a in range(len(fa)):
             for g in range(len(fg)):
-                acc = np.zeros(len(duals))
+                acc = np.zeros(dualsB.count)
                 for c, p in enumerate(qs[a][g].components):
                     for gamma, coef in p.terms.items():
                         acc += float(coef) * tables[:, c, gamma[0], gamma[1], gamma[2]]

@@ -60,6 +60,27 @@ def test_verify_byte_identical_across_workers(tmp_path, capsys):
     assert isinstance(res["max_residual"], float) and 0.0 < res["max_residual"] < 1.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["d-tensor", "--K", "2"],
+        ["evolve", "--model", "nse", "--K", "2", "--data", "demo:small", "--tau", "3", "--check-linear"],
+    ],
+    ids=["d-tensor-K2", "evolve-criterion-11"],
+)
+def test_tensor_commands_byte_identical_across_workers(tmp_path, capsys, argv):
+    outs = []
+    for w in ("1", "2"):
+        code = cli.run(argv + ["--workers", w, "--outdir", str(tmp_path / w)])
+        assert code == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    names = json.loads(outs[0].strip().splitlines()[-1])["artifacts"]
+    assert names
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
 @pytest.mark.parametrize("m, L", [(1, "0.5"), (2, "3")])
 def test_verify_box_too_small_exits_2(tmp_path, capsys, m, L):
     argv = ["verify", "--m", str(m), "--L", L, "--n", "16", "--outdir", str(tmp_path)]
@@ -530,6 +551,8 @@ def test_generated_flags_match_the_pinned_lists():
         ("wkbj", {"dr": 0.0, "fit": True}),
         ("nodal", {"cell": 0.0}),
         ("nodal", {"R": 0.0}),
+        ("kernel", {"r_max": 0.05}),
+        ("kernel", {"r_max": 3.0, "m": 1}),
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg):

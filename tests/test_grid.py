@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hermflow import grid
 from hermflow.errors import ValidationError
 from hermflow.grid import (
     GridSpec,
@@ -168,6 +169,21 @@ def test_convection_pseudo_spectral_matches_closed_form(basis_l2):
     )
     want = sample(q, SPEC).data * gaussian_kernel(_radius(SPEC)) ** 2
     assert np.max(np.abs(got.data - want)) <= 1e-11
+
+
+@pytest.mark.parametrize("spec", [GridSpec(8.0, 32), GridSpec(16.0, 128)])
+def test_axis_tables_take_a_spectrum_to_its_grid_moments(spec):
+    # the tensor's per-axis tables give h^3 sum_y y^d f(y) straight from
+    # the lattice spectrum of f, without the inverse FFT
+    dmax = 4
+    rng = np.random.default_rng(1)
+    f = rng.standard_normal((spec.n,) * 3)
+    F = to_spectral(spec, f)
+    E = grid._y_moments(spec, dmax)
+    got = grid._contract_axes(F, E, E, E).real / spec.n**3
+    want = spec.h**3 * grid._axis_moments(to_grid(spec, F).real, spec.axes(), dmax)
+    scale = spec.h**3 * grid._axis_moments(np.abs(f), np.abs(spec.axes()), dmax)
+    assert np.max(np.abs(got - want) / scale) <= 1e-15
 
 
 def test_synth_duals_pair_to_gram_rows():

@@ -13,9 +13,10 @@ from hermflow.grid import (
     pair_fields,
     project,
     sample,
+    synth_duals,
     synth_weighted,
 )
-from hermflow.solenoidal import composite_basis, fixture_basis, weighted_dual
+from hermflow.solenoidal import DualFrame, composite_basis, fixture_basis, level_basis, weighted_dual
 
 EPS = np.zeros((3, 3, 3))
 for (i, j, k), s in {
@@ -74,12 +75,16 @@ def test_refinement_doubles_box_and_flags_nothing_at_k1():
     assert T.max_error() <= 2e-3
 
 
-def test_worker_count_does_not_change_values():
-    cb = composite_basis(1, 1)
-    spec = GridSpec(6.0, 24)
-    a = interaction_tensor(cb, cb, cb, spec, refine=False, workers=1)
-    b = interaction_tensor(cb, cb, cb, spec, refine=False, workers=3)
-    assert np.array_equal(a.values, b.values)
+@pytest.mark.parametrize("K, spec, refine", [(1, GridSpec(6.0, 24), True), (2, GridSpec(8.0, 32), False)])
+def test_interaction_tensor_runs_no_fft(monkeypatch, K, spec, refine):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the interaction tensor ran an FFT")
+
+    monkeypatch.setattr(np.fft, "fftn", refuse)
+    monkeypatch.setattr(np.fft, "ifftn", refuse)
+    cb = composite_basis(1, K)
+    T = interaction_tensor(cb, cb, cb, spec, refine=refine)
+    assert T.values.shape == (cb.count,) * 3 and np.all(np.isfinite(T.values))
 
 
 def test_mismatched_operator_parameters_raise():
@@ -115,6 +120,37 @@ def test_k2_tensor_matches_weighted_gram_reference():
     scale = float(np.max(np.abs(want)))
     assert scale > 1.0
     assert np.max(np.abs(T.values - want)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize(
+    "k, bound",
+    [
+        (1, 1e-14),
+        # level 3 is the first whose pressure part reaches the couplings;
+        # its y-moments reach 2e13 against couplings of about 3, so both
+        # grid routes carry about 1e-14 relative roundoff here
+        (3, 5e-14),
+    ],
+)
+def test_m2_single_block_tensor_matches_grid_quadrature(k, bound):
+    # the one m != 1 case the tensor takes: a single dual block, whose
+    # weight exp(-|eta|^4) is not separable; the reference projects the
+    # synthesized duals on the grid and pairs them with sampled convections
+    b = level_basis(2, k)
+    spec = GridSpec(8.0, 32)
+    T = interaction_tensor(b, b, b, spec, refine=False)
+    frame = DualFrame(b)
+    duals = [project(w) for w in synth_duals(frame, spec)]
+    raw = np.array(
+        [
+            [[pair_fields(sample(convection_poly(va, vg), spec), w) for w in duals] for vg in b.fields]
+            for va in b.fields
+        ]
+    )
+    want = -np.einsum("agj,bj->agb", raw, np.array(frame.gram_inv, dtype=float))
+    scale = float(np.max(np.abs(want)))
+    assert scale > 0.1
+    assert np.max(np.abs(T.values - want)) <= bound * scale
 
 
 def test_multi_level_tensor_needs_m1():
