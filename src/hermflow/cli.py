@@ -50,6 +50,7 @@ from .errors import NonConvergenceError, ValidationError
 from .grid import (
     GridSpec,
     InteractionTensor,
+    check_fits,
     interaction_tensor,
     project,
     spectral_divergence,
@@ -628,6 +629,9 @@ def _projector_diagnostics(spec: GridSpec, m: int, seed: int) -> dict:
 def _cmd_d_tensor(cfg: dict, outdir: str) -> dict:
     m, K = cfg["m"], cfg["K"]
     spec = GridSpec(L=cfg["L"], n=cfg["n"])
+    if cfg["check_projector"]:
+        # the FFT round trips of `_projector_diagnostics`: 33 lattice arrays
+        check_fits(spec.n, 33, "the projector diagnostic")
     cb = composite_basis(m, K)
     tensor = interaction_tensor(cb, cb, cb, spec, refine=cfg["refine"])
     flagged = tensor.flagged(cfg["flag_tol"])

@@ -20,6 +20,7 @@ from .grid import (
     GridSpec,
     GridVectorField,
     InteractionTensor,
+    check_fits,
     coeff_array,
     dilate_coeffs,
     dual_phases,
@@ -673,6 +674,9 @@ def semigroup_verify(
     if not (-1.0 < t_end < 0.0):
         raise ValidationError("t_end must lie in (-1, 0)")
     sp = spec or GridSpec(24.0, 128)
+    # |eta|^2m and the Gram weight, and five lattice arrays per output time
+    # in flight
+    check_fits(sp.n, 3 + 5 * min(max(1, workers or 1), n_tau), "the semigroup verifier")
     if level is None:
         degrees = [int(p.degree()) for p in data.components if not p.is_zero()]
         if not degrees:

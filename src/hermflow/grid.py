@@ -16,12 +16,16 @@ acts on the duals instead of on every convection product. A pairing of a
 polynomial q with a projected dual then needs only the dual's grid
 moments h^3 sum_y y^d (P W)_c(y), and those follow from its lattice
 spectrum through per-axis tables sum_j y_j^d exp(i eta_k y_j): no FFT runs
-for the tensor. Only the duals with a nonzero divergence carry a
-longitudinal (pressure) part, one scalar lattice array each.
+for the tensor. Every dual spectrum is a polynomial times the weight
+w = exp(-|eta|^2m), and its longitudinal (pressure) part a polynomial times
+w/|eta|^2, so one lattice table per weight and grid serves every dual of
+every operator order, and each dual is a small contraction of its exact
+coefficients against those tables.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -70,11 +74,36 @@ _CACHE: Dict[tuple, np.ndarray] = {}
 
 
 def _cached(key, build):
+    """The read-only array under key = (name, L, n, ...), built once. 3-D
+    lattice arrays stay cached for one grid at a time: building one for
+    another grid drops them, so a refined grid does not stay resident after
+    its last use."""
     out = _CACHE.get(key)
     if out is None:
         out = _frozen(build())
+        if out.ndim == 3:
+            for k, a in list(_CACHE.items()):
+                if a.ndim == 3 and k[1:3] != key[1:3]:
+                    del _CACHE[k]
         _CACHE[key] = out
     return out
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory on this host."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_fits(n: int, arrays: float, what: str) -> None:
+    """Refuse up front a computation whose working set, `arrays` float64
+    lattice arrays of n^3, exceeds physical memory."""
+    need = arrays * 8.0 * n**3
+    have = _physical_memory()
+    if need > have:
+        raise ValidationError(
+            f"{what} on an n={n} grid needs about {need / 2**30:.3g} GiB, more "
+            f"than the {have / 2**30:.3g} GiB of physical memory"
+        )
 
 
 def _axes(L: float, n: int) -> np.ndarray:
@@ -238,29 +267,19 @@ def synth_weighted(v: VectorPolyField, spec: GridSpec, m: int) -> GridVectorFiel
     return GridVectorField(spec, np.stack(comps))
 
 
-def dual_spectrum(
-    frame: DualFrame, j: int, spec: GridSpec
-) -> List[Optional[np.ndarray]]:
-    """FT[W_c] = (-i)^k A_c exp(-|xi|^2m) of the j-th derivative-dual field
-    of a level frame on the frequency lattice, one complex array per
-    component; None where A_c vanishes."""
+def synth_duals(frame: DualFrame, spec: GridSpec) -> List[GridVectorField]:
+    """Grid samples of the derivative-dual fields W_j of a level frame, from
+    their spectra FT[W_c] = (-i)^k A_c exp(-|xi|^2m) on the frequency
+    lattice."""
     eta = spec.freqs()
     decay = _exp_eta2m(spec.L, spec.n, frame.params.m)
     scalar = (-1j) ** frame.level
-    return [
-        None if A.is_zero() else scalar * A.evaluate_grid([eta, eta, eta]) * decay
-        for A in frame.dual_transform_polys()[j]
-    ]
-
-
-def synth_duals(frame: DualFrame, spec: GridSpec) -> List[GridVectorField]:
-    """Grid samples of the derivative-dual fields W_j of a level frame."""
     zero = np.zeros((spec.n,) * 3)
     fields = []
-    for j in range(frame.basis.count):
+    for A in frame.dual_transform_polys():
         comps = [
-            zero if g is None else to_grid(spec, g).real
-            for g in dual_spectrum(frame, j, spec)
+            zero if p.is_zero() else to_grid(spec, scalar * p.evaluate_grid([eta] * 3) * decay).real
+            for p in A
         ]
         fields.append(GridVectorField(spec, np.stack(comps)))
     return fields
@@ -293,11 +312,20 @@ def _contract_axes(arr: np.ndarray, t1: np.ndarray, t2: np.ndarray, t3: np.ndarr
     return t.transpose(2, 1, 0)
 
 
-def _axis_moments(arr: np.ndarray, x: np.ndarray, dmax: int) -> np.ndarray:
+def _axis_moments(
+    arr: np.ndarray, x: np.ndarray, dmax: int, tables: Sequence[np.ndarray] | None = None
+) -> np.ndarray:
     """T[d1, d2, d3] = sum_(i,j,k) arr[i,j,k] x_i^d1 x_j^d2 x_k^d3 for powers
-    <= dmax, by separable per-axis contractions."""
+    <= dmax, by separable per-axis contractions. With one (n, X) table per
+    axis, each power carries that axis's table along:
+    T[d1, x1, d2, x2, d3, x3] = sum arr prod_a x^d_a tables[a][., x_a]."""
     P = np.stack([x**d for d in range(dmax + 1)], axis=1)  # (n, D)
-    return _contract_axes(arr, P, P, P)
+    if tables is None:
+        return _contract_axes(arr, P, P, P)
+    n, D = P.shape
+    X = tables[0].shape[1]
+    axes = [(P[:, :, None] * E[:, None, :]).reshape(n, D * X) for E in tables]
+    return _contract_axes(arr, *axes).reshape(D, X, D, X, D, X)
 
 
 def lattice_moments(w: np.ndarray, spec: GridSpec, dmax: int) -> np.ndarray:
@@ -336,7 +364,7 @@ def _hermitian_coeffs(phased: Sequence[Tuple[int, Polynomial]], dmax: int) -> np
 
 def dual_phases(frame: DualFrame) -> List[List[List[Tuple[int, Polynomial]]]]:
     """Per dual field, per component, the (g, R_g) of its spectrum
-    (-i)^k A_c exp(-|eta|^2m) (see `dual_spectrum`)."""
+    (-i)^k A_c exp(-|eta|^2m) (see `synth_duals`)."""
     return [
         [[(-frame.level, A)] for A in comps] for comps in frame.dual_transform_polys()
     ]
@@ -496,7 +524,7 @@ def _dealias_mask(spec: GridSpec) -> np.ndarray:
             keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
         ).astype(float)
 
-    return _cached(("dealias", spec.n), build)
+    return _cached(("dealias", spec.L, spec.n), build)
 
 
 def convection(u: GridVectorField) -> GridVectorField:
@@ -610,9 +638,9 @@ def _divergence_poly(A: Sequence[Polynomial]) -> Polynomial:
     return out
 
 
-def _coeff_cube(p: Polynomial) -> np.ndarray:
-    """C with p(eta) = sum_d C[d] eta^d, each coefficient rounded once."""
-    D = max((max(d) for d in p.terms), default=0)
+def _coeff_cube(p: Polynomial, D: int) -> np.ndarray:
+    """C with p(eta) = sum_d C[d] eta^d, |d_i| <= D, each coefficient
+    rounded once."""
     C = np.zeros((D + 1,) * 3)
     for d, c in p.terms.items():
         C[d] = float(c)
@@ -635,23 +663,29 @@ def interaction_tensor(
     pairings are the grid quadratures h^3 sum_y q(y) . (P W_j)(y), i.e.
     contractions of q's coefficients with the moments
     h^3 sum_y y^d (P W_j)_c(y), and those moments come straight from the
-    lattice spectrum through the per-axis tables of `_y_moments`: no FFT
-    runs and no grid field is stored per dual. They split in two parts:
+    lattice spectrum through the per-axis tables E of `_y_moments`: no FFT
+    runs and no grid field is stored. They split in two parts, each a
+    polynomial in eta times a weight, and each weight is contracted once
+    per grid against the per-axis tables eta^d E:
 
-    - the unprojected dual, W_c = (-i)^k A_c w: for m=1 the weight
-      w = exp(-|eta|^2) is separable, so its moments factor by axis into
-      1-D tables of eta^d exp(-eta^2); otherwise (a single dual block) the
-      same tables contract the lattice spectrum;
-    - the longitudinal part eta_c S_j with S_j = (-i)^k sigma_j w / |eta|^2,
-      sigma_j = sum_c xi_c A_c, for the duals whose sigma_j is not exactly
-      zero. This is where the pressure acts; divergence-free duals skip it.
+    - the unprojected dual, W_c = (-i)^k A_c w with w = exp(-|eta|^2m);
+    - the longitudinal part eta_c (-i)^k sigma_j w / |eta|^2, with
+      sigma_j = sum_c xi_c A_c, from one table of w / |eta|^2 per
+      component c. This is where the pressure acts; sigma_j is zero,
+      exactly, for the divergence-free duals.
+
+    Each dual is then a contraction of the real coefficients of A_c and
+    sigma_j against those tables, times (-i)^k; nothing depends on m but
+    the weight, and no lattice array is built per dual.
 
     The pairings are mapped to coefficients by the block-diagonal assembly
     of the frames' exact Gram inverses, with an overall minus sign from the
     convection side of the dynamics. The tensor covers m=1, the
     Navier-Stokes dynamics, or a single dual block; other operator orders
-    over several levels raise. `refine` repeats the computation with both
-    box and point count doubled (fixed spacing); the per-entry error
+    over several levels raise, and so does a grid whose lattice arrays
+    would not fit in physical memory, before any is built. `refine`
+    repeats the computation with both box and point count doubled (fixed
+    spacing); the per-entry error
     estimate is twice the disagreement, which makes box sensitivity
     directly visible: entries whose pairing integrals converge slowly, or
     not at all, carry error bars of their own size rather than a false
@@ -666,6 +700,8 @@ def interaction_tensor(
             f"the interaction tensor over several levels covers m=1 only, "
             f"got m={params.m} with {len(dualsB.blocks)} dual blocks"
         )
+    # |eta|^2, w, 1/|eta|^2, w/|eta|^2 and transients at the finest grid
+    check_fits(2 * spec.n if refine else spec.n, 6, "the interaction tensor")
     fa, fg = basisA.fields, basisG.fields
     frames = [DualFrame(b) for b in dualsB.blocks]
     ginv = np.zeros((dualsB.count, dualsB.count))
@@ -674,13 +710,16 @@ def interaction_tensor(
         stop = start + f.basis.count
         ginv[start:stop, start:stop] = np.array(f.gram_inv, dtype=float)
         start = stop
-    # exact per-frame data: Hermitian coefficients of every W_c, and the
-    # divergence symbol sigma_j of every dual whose sigma_j is not zero
-    coeffs = [coeff_array(dual_phases(f)) for f in frames]
-    sigmas = [
-        [(j, _coeff_cube(s)) for j, s in enumerate(map(_divergence_poly, A)) if not s.is_zero()]
-        for A in (f.dual_transform_polys() for f in frames)
-    ]
+    # exact per-dual data: the phase (-i)^k of FT[W_j] = (-i)^k A_j w, and
+    # the real coefficient cubes of every A_jc and of the divergence symbol
+    # sigma_j = sum_c xi_c A_jc
+    duals = [(f.level, A) for f in frames for A in f.dual_transform_polys()]
+    sigmas = [_divergence_poly(A) for _, A in duals]
+    polys = sigmas + [p for _, A in duals for p in A]
+    D = max((max(d) for p in polys for d in p.terms), default=0)
+    phase = np.array([(-1j) ** k for k, _ in duals])[:, None, None, None, None]
+    A = np.array([[_coeff_cube(p, D) for p in comps] for _, comps in duals])
+    sig = np.array([_coeff_cube(s, D) for s in sigmas])
     qs = [[convection_poly(va, vg) for vg in fg] for va in fa]
     dmax = 0
     for row in qs:
@@ -691,32 +730,17 @@ def interaction_tensor(
     def compute(sp: GridSpec) -> np.ndarray:
         eta = sp.freqs()
         E = _y_moments(sp, dmax)
+        w = _exp_eta2m(sp.L, sp.n, params.m)
+        # sum_eta FT[W_jc] prod_axes E, from one table of w per grid
+        t = np.einsum("jcabd,axbydz->jcxyz", A, _axis_moments(w, eta, D, (E, E, E)))
+        # minus the longitudinal part eta_c sigma_j w / |eta|^2 (the
+        # pressure), from one table of w / |eta|^2 per component c
         etaE = _eta_diff(sp.L, sp.n)[:, None] * E
-        w_inv = _exp_eta2m(sp.L, sp.n, params.m) * _inv_eta_sq(sp)  # w / |eta|^2
-        tables = []
-        for f, P, sig in zip(frames, coeffs, sigmas):
-            # sum_eta FT[W_c] prod_axes E per dual j and component c
-            if params.m == 1:
-                d = np.arange(P.shape[-1])[:, None]
-                M = (1j) ** d * ((eta**d * np.exp(-(eta**2))) @ E)
-                t = np.einsum("jcabd,ax,by,dz->jcxyz", P, M, M, M)
-            else:
-                zero = np.zeros((dmax + 1,) * 3, dtype=complex)
-                t = np.array(
-                    [
-                        [zero if g is None else _contract_axes(g, E, E, E) for g in gs]
-                        for gs in (dual_spectrum(f, j, sp) for j in range(f.basis.count))
-                    ]
-                )
-            # minus the longitudinal part eta_c S_j of the divergent duals
-            for j, C in sig:
-                V = np.stack([eta**d for d in range(C.shape[-1])])
-                S = _contract_axes(C, V, V, V) * w_inv  # sigma_j w / |eta|^2
-                for c in range(3):
-                    axes = [etaE if a == c else E for a in range(3)]
-                    t[j, c] -= (-1j) ** f.level * _contract_axes(S, *axes)
-            tables.append(t.real / sp.n**3)
-        tables = np.concatenate(tables)
+        w_inv = w * _inv_eta_sq(sp)
+        for c in range(3):
+            U = _axis_moments(w_inv, eta, D, [etaE if a == c else E for a in range(3)])
+            t[:, c] -= np.einsum("jabd,axbydz->jxyz", sig, U)
+        tables = (phase * t).real / sp.n**3
         raw = np.zeros((len(fa), len(fg), dualsB.count))
         for a in range(len(fa)):
             for g in range(len(fg)):

@@ -249,22 +249,6 @@ class Polynomial:
 # -- spec-facing functional API ---------------------------------------------
 
 
-def poly_arith(a: Polynomial, b, op: str) -> Polynomial:
-    """Dispatch arithmetic: op in {add, sub, mul, scale}.
-
-    For op='scale', `b` is a rational scalar.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "scale":
-        return a.scale(b)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def derive(p: Polynomial, gamma: Sequence[int]) -> Polynomial:
     return p.derive(gamma)
 
@@ -300,25 +284,6 @@ def divergence(components: Sequence[Polynomial]) -> Polynomial:
     for i, p in enumerate(components):
         out = out + p.derive(unit(dim, i))
     return out
-
-
-def diff_ops(p, which: str, j: int | None = None):
-    """Differential operator dispatch per the public contract.
-
-    which in {gradient, laplacian, neg_laplacian_power, divergence}; the
-    last expects a sequence of components instead of a single polynomial.
-    """
-    if which == "gradient":
-        return gradient(p)
-    if which == "laplacian":
-        return laplacian(p)
-    if which == "neg_laplacian_power":
-        if j is None:
-            raise ValueError("neg_laplacian_power needs j")
-        return neg_laplacian_power(p, j)
-    if which == "divergence":
-        return divergence(p)
-    raise ValueError(f"unknown operator {which!r}")
 
 
 def evaluate(p: Polynomial, y: Sequence):

@@ -89,6 +89,23 @@ def test_verify_box_too_small_exits_2(tmp_path, capsys, m, L):
     assert "too small" in line["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["d-tensor"], ["d-tensor", "--no-check-projector"], ["verify"]],
+    ids=["d-tensor", "d-tensor-no-projector", "verify"],
+)
+def test_grid_larger_than_memory_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # a host with 1 MiB of memory: the default grids are refused before any
+    # lattice array exists, and nothing is written
+    from hermflow import grid
+
+    monkeypatch.setattr(grid, "_physical_memory", lambda: 2**20)
+    code, line = _run(capsys, argv + ["--outdir", str(tmp_path)])
+    assert code == 2 and line["error"] == "validation"
+    assert "n=" in line["message"] and "GiB" in line["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"max_level": 5}))

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hermflow import grid
 from hermflow.errors import ValidationError
 from hermflow.grid import (
     GridSpec,
@@ -75,16 +77,44 @@ def test_refinement_doubles_box_and_flags_nothing_at_k1():
     assert T.max_error() <= 2e-3
 
 
-@pytest.mark.parametrize("K, spec, refine", [(1, GridSpec(6.0, 24), True), (2, GridSpec(8.0, 32), False)])
+@pytest.mark.parametrize(
+    "K, spec, refine",
+    [
+        (1, GridSpec(6.0, 24), True),
+        (2, GridSpec(8.0, 32), False),
+        # no K: the single m=2 block of level 3, which reaches the pressure part
+        pytest.param(None, GridSpec(8.0, 32), False, id="m2-level3"),
+    ],
+)
 def test_interaction_tensor_runs_no_fft(monkeypatch, K, spec, refine):
     def refuse(*args, **kwargs):
         raise AssertionError("the interaction tensor ran an FFT")
 
     monkeypatch.setattr(np.fft, "fftn", refuse)
     monkeypatch.setattr(np.fft, "ifftn", refuse)
-    cb = composite_basis(1, K)
-    T = interaction_tensor(cb, cb, cb, spec, refine=refine)
-    assert T.values.shape == (cb.count,) * 3 and np.all(np.isfinite(T.values))
+    b = level_basis(2, 3) if K is None else composite_basis(1, K)
+    T = interaction_tensor(b, b, b, spec, refine=refine)
+    assert T.values.shape == (b.count,) * 3 and np.all(np.isfinite(T.values))
+
+
+@pytest.mark.parametrize(
+    "make, m, k",
+    [(composite_basis, 1, 2), (level_basis, 2, 1), (level_basis, 2, 3)],
+    ids=["composite-m1-K2", "level-m2-k1", "level-m2-k3"],
+)
+def test_interaction_tensor_peak_memory(make, m, k):
+    # one lattice table per weight and grid: the working set is a few n^3
+    # arrays, not one per dual or dual component
+    b = make(m, k)
+    spec = GridSpec(16.0, 128)
+    grid._CACHE.clear()
+    tracemalloc.start()
+    try:
+        interaction_tensor(b, b, b, spec, refine=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * spec.n**3
 
 
 def test_mismatched_operator_parameters_raise():
