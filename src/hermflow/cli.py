@@ -615,11 +615,9 @@ def _random_poly_field(rng: np.random.Generator, deg: int = 3) -> VectorPolyFiel
 
 def _projector_diagnostics(spec: GridSpec, m: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
-    u = synth_weighted(_random_poly_field(rng), spec, m)
-    pu = project(u)
-    ppu = project(pu)
+    pu = project(synth_weighted(_random_poly_field(rng), spec, m))
     scale = float(np.linalg.norm(pu.data))
-    idem = float(np.linalg.norm(ppu.data - pu.data)) / scale
+    idem = float(np.linalg.norm(project(pu).data - pu.data)) / scale
     div = spectral_divergence(pu)
     divnorm = float(np.sqrt(spec.h**3 * np.sum(div * div)))
     rel_div = divnorm / (float(np.sqrt(spec.h**3)) * scale)
@@ -630,8 +628,8 @@ def _cmd_d_tensor(cfg: dict, outdir: str) -> dict:
     m, K = cfg["m"], cfg["K"]
     spec = GridSpec(L=cfg["L"], n=cfg["n"])
     if cfg["check_projector"]:
-        # the FFT round trips of `_projector_diagnostics`: 33 lattice arrays
-        check_fits(spec.n, 33, "the projector diagnostic")
+        # the FFT round trips of `_projector_diagnostics`: 23 lattice arrays
+        check_fits(spec.n, 23, "the projector diagnostic")
     cb = composite_basis(m, K)
     tensor = interaction_tensor(cb, cb, cb, spec, refine=cfg["refine"])
     flagged = tensor.flagged(cfg["flag_tol"])
@@ -654,6 +652,12 @@ def _cmd_d_tensor(cfg: dict, outdir: str) -> dict:
     return summary
 
 
+def _time_span(end: float, steps: int) -> np.ndarray:
+    if steps < 3:
+        raise ValidationError(f"steps must be at least 3, got {steps}")
+    return np.linspace(0.0, end, steps)
+
+
 def _cmd_evolve(cfg: dict, outdir: str) -> dict:
     model = cfg["model"]
     m = _MODEL_ORDER[model]
@@ -666,7 +670,7 @@ def _cmd_evolve(cfg: dict, outdir: str) -> dict:
     for lab in coeffs:
         if lab not in labels:
             raise ValidationError(f"coefficient label {lab} outside the level-{K} basis")
-    taus = np.linspace(0.0, cfg["tau"], cfg["steps"])
+    taus = _time_span(cfg["tau"], cfg["steps"])
     e0 = Expansion(cb, coeffs)
     summary: Dict[str, object] = {"model": model, "labels": cb.count, "tau_end": cfg["tau"]}
     if model == "nse":
@@ -681,8 +685,10 @@ def _cmd_evolve(cfg: dict, outdir: str) -> dict:
         summary["duhamel_residual"] = traj.duhamel_residual
         summary["truncated"] = bool(traj.diagnostic.get("truncated", False))
         if cfg["check_linear"] or cfg["zero_tensor"]:
-            zero = _zero_tensor(cb, m, spec)
-            lin = nse_galerkin(e0, zero, cfg["tau"], rtol=cfg["rtol"], n_out=cfg["steps"])
+            # a zero-tensor run already is the zero-coupling run
+            lin = traj if cfg["zero_tensor"] else nse_galerkin(
+                e0, _zero_tensor(cb, m, spec), cfg["tau"], rtol=cfg["rtol"], n_out=cfg["steps"]
+            )
             ref = diagonal_trajectory(e0, taus)
             summary["stokes_dev"] = float(
                 np.max(np.abs(lin.coeff_matrix() - ref.coeff_matrix()))
@@ -721,6 +727,7 @@ def _cmd_nodal(cfg: dict, outdir: str) -> dict:
     tau_list = [float(t) for t in cfg["taus"].split(",") if t.strip()]
     if not tau_list:
         raise ValidationError("no evaluation times given")
+    span = _time_span(max(tau_list), cfg["steps"])
     R, cell = cfg["R"], cfg["cell"]
 
     kmin = min(k for k, _ in coeffs)
@@ -748,7 +755,6 @@ def _cmd_nodal(cfg: dict, outdir: str) -> dict:
             )
         distances.append(nodal_compare(clouds[comp], ref_clouds[comp]))
 
-    span = np.linspace(0.0, max(tau_list), cfg["steps"])
     traj = diagonal_trajectory(e0, span)
     rep = detect_resonance(traj, window=(float(span[0]), float(span[-1])))
     verdict = unique_continuation_diagnostic(rep, distances, tol=cell)

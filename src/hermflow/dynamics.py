@@ -647,7 +647,6 @@ def semigroup_verify(
     t_end: float | None = None,
     spec: GridSpec | None = None,
     n_tau: int = 31,
-    level: int | None = None,
     workers: int | None = None,
 ) -> CoefficientTrajectory:
     """Independent cross-check of the diagonal coefficient flows.
@@ -657,10 +656,10 @@ def semigroup_verify(
     a Fourier multiplier. Each output time writes the spectrum of the
     blow-up-rescaled field in closed form from the transform of (data)F
     (amplitude (-t)^{-(2m-1)/2m}, coordinates x/(-t)^{1/2m},
-    tau = -ln(-t)), re-expands it against the single level of the data on
-    the periodic grid's frequency lattice (Parseval pairings, no FFT), and
-    returns the coefficient trajectory with the per-time expansion
-    residual. No time-stepping is involved; periodization is the only error
+    tau = -ln(-t)), re-expands it against the single level of the data (its
+    polynomial degree) on the periodic grid's frequency lattice (Parseval
+    pairings, no FFT), and returns the coefficient trajectory with the
+    per-time expansion residual. No time-stepping is involved; periodization is the only error
     source, and times where the rescaled field's periodic images would
     overlap the pairing region truncate the trajectory. A box too small
     for any output time raises `ValidationError`.
@@ -677,14 +676,13 @@ def semigroup_verify(
     # |eta|^2m and the Gram weight, and five lattice arrays per output time
     # in flight
     check_fits(sp.n, 3 + 5 * min(max(1, workers or 1), n_tau), "the semigroup verifier")
-    if level is None:
-        degrees = [int(p.degree()) for p in data.components if not p.is_zero()]
-        if not degrees:
-            raise ValidationError(
-                "semigroup data is identically zero, so its level cannot be "
-                "inferred"
-            )
-        level = max(degrees)
+    degrees = [int(p.degree()) for p in data.components if not p.is_zero()]
+    if not degrees:
+        raise ValidationError(
+            "semigroup data is identically zero, so its level cannot be "
+            "inferred"
+        )
+    level = max(degrees)
     rho = (2.0 * m - 1.0) / (2.0 * m)
     alpha = 2.0 * m / (2.0 * m - 1.0)
     if m == 1:

@@ -263,8 +263,10 @@ def weighted_transform(
 def synth_weighted(v: VectorPolyField, spec: GridSpec, m: int) -> GridVectorField:
     """Grid samples of v F via its closed-form transform (all m; exact up to
     periodization and the lattice Riemann sum)."""
-    comps = [to_grid(spec, g).real for g in weighted_transform(v, spec, m)]
-    return GridVectorField(spec, np.stack(comps))
+    out = np.empty((3,) + (spec.n,) * 3)
+    for c, g in enumerate(weighted_transform(v, spec, m)):
+        out[c] = to_grid(spec, g).real
+    return GridVectorField(spec, out)
 
 
 def synth_duals(frame: DualFrame, spec: GridSpec) -> List[GridVectorField]:
@@ -478,19 +480,23 @@ def _inv_eta_sq(spec: GridSpec) -> np.ndarray:
     return _cached(("inv_eta_sq", spec.L, spec.n), build)
 
 
-def project_spectral(gs: Sequence[np.ndarray], spec: GridSpec) -> List[np.ndarray]:
-    """Apply the solenoidal symbol I - eta eta^T/|eta|^2 per mode."""
+def project_spectral(gs: Sequence[np.ndarray], spec: GridSpec) -> Sequence[np.ndarray]:
+    """Apply the solenoidal symbol I - eta eta^T/|eta|^2 per mode, in place."""
     e1, e2, e3 = _eta_axes(spec)
     common = (e1 * gs[0] + e2 * gs[1] + e3 * gs[2]) * _inv_eta_sq(spec)
-    return [gs[0] - e1 * common, gs[1] - e2 * common, gs[2] - e3 * common]
+    for e, g in zip((e1, e2, e3), gs):
+        g -= e * common
+    return gs
 
 
 def project(u: GridVectorField) -> GridVectorField:
     """Divergence-free part of u; the zero mode is left unchanged."""
     spec = u.spec
-    gs = [to_spectral(spec, u.data[c]) for c in range(3)]
-    out = [to_grid(spec, g).real for g in project_spectral(gs, spec)]
-    return GridVectorField(spec, np.stack(out))
+    gs = project_spectral([to_spectral(spec, u.data[c]) for c in range(3)], spec)
+    out = np.empty_like(u.data)
+    for c, g in enumerate(gs):
+        out[c] = to_grid(spec, g).real
+    return GridVectorField(spec, out)
 
 
 def spectral_divergence(u: GridVectorField) -> np.ndarray:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -104,6 +105,43 @@ def test_grid_larger_than_memory_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert code == 2 and line["error"] == "validation"
     assert "n=" in line["message"] and "GiB" in line["message"]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_evolve_zero_tensor_integrates_once(tmp_path, capsys, monkeypatch):
+    # the zero-tensor run is its own zero-coupling reference
+    import scipy.integrate
+
+    calls = []
+    solve_ivp = scipy.integrate.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counted)
+    argv = ["evolve", "--model", "nse", "--K", "1", "--data", "l1:0=0.1", "--zero-tensor"]
+    code, line = _run(capsys, argv + ["--outdir", str(tmp_path)])
+    assert code == 0 and line["stokes_dev"] <= 1e-9
+    assert len(calls) == 1
+
+
+def test_projector_diagnostic_working_set():
+    # 23 lattice arrays of n^3, plus the random polynomial field and the
+    # 1-D tables; the first call fills the exact transform-polynomial cache,
+    # and the grid cache is cleared so that its lattice arrays count
+    from hermflow import grid
+
+    spec = grid.GridSpec(8.0, 64)
+    for m in (1, 2):
+        cli._projector_diagnostics(spec, m, 0)
+        grid._CACHE.clear()
+        tracemalloc.start()
+        try:
+            cli._projector_diagnostics(spec, m, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 23 * 8 * spec.n**3 + 2**16, m
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -570,6 +608,8 @@ def test_generated_flags_match_the_pinned_lists():
         ("nodal", {"R": 0.0}),
         ("kernel", {"r_max": 0.05}),
         ("kernel", {"r_max": 3.0, "m": 1}),
+        ("nodal", {"steps": 0}),
+        ("evolve", {"steps": 0, "model": "nse", "K": 1, "data": "l1:0=1"}),
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -123,3 +124,37 @@ def test_kernel_values_unreachable_tol_reports_achieved():
     with pytest.raises(NonConvergenceError) as info:
         kernel_values(2, radii=np.arange(0.0, 4.0 + 1e-9, 0.5), tol=1e-30)
     assert info.value.achieved > 0.0
+
+
+def _zero_aligned_reference(r: float, m: int) -> float:
+    """F(r) from per-radius panels: the zeros k pi / r of sin(sr), a 1/2
+    fill and smax, with the order-24 Gauss-Legendre rule on each panel."""
+    smax = 46.0 ** (1.0 / (2 * m))
+    edges = np.unique(
+        np.concatenate([np.arange(0.0, smax, math.pi / r), np.arange(0.0, smax, 0.5), [smax]])
+    )
+    x, w = np.polynomial.legendre.leggauss(24)
+    half = np.diff(edges)[:, None] / 2.0
+    s = (edges[:-1, None] + edges[1:, None]) / 2.0 + half * x
+    total = np.sum(np.exp(-(s ** (2 * m))) * s * np.sin(s * r) * half * w)
+    return float(total) / (2 * math.pi**2 * r)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_shared_panels_match_zero_aligned_panels(m):
+    t = kernel_values(m)
+    ref = [_zero_aligned_reference(r, m) for r in t.radii[1:]]
+    assert np.max(np.abs(t.values[1:] - ref)) <= 1e-15 * t.values[0]
+    assert t.quad_error <= 1e-16
+
+
+def test_long_table_stays_in_blocks():
+    radii = np.arange(0.0, 100.0 + 1e-9, 0.01)
+    tracemalloc.start()
+    try:
+        t = kernel_values(2, radii=radii)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20  # the full radii x nodes matrix is 160 MB
+    assert t.quad_error <= 1e-12
