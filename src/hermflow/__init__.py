@@ -27,7 +27,6 @@ from .operators import (
 from .moments import kernel_moment, moment_of_poly, weighted_pairing
 from .solenoidal import (
     CompositeBasis,
-    DualFrame,
     SolenoidalBasis,
     composite_basis,
     divfree_kernel,
@@ -86,7 +85,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CoefficientTrajectory",
     "CompositeBasis",
-    "DualFrame",
     "EigenPair",
     "EmptyCloudError",
     "Expansion",

@@ -28,7 +28,8 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -60,7 +61,14 @@ from .kernel import envelope_fit, kernel_values, wkbj_constants
 from .multiindex import enumerate_level
 from .operators import OperatorParams, apply_B_star, level_enumerate, pairing
 from .polynomial import Polynomial, VectorPolyField
-from .solenoidal import composite_basis, divfree_kernel, fixture, validate_basis_field
+from .solenoidal import (
+    CompositeBasis,
+    catalog_levels,
+    composite_basis,
+    divfree_kernel,
+    fixture,
+    fixture_basis,
+)
 
 SCHEMA = "hermflow/1"
 
@@ -262,10 +270,9 @@ def _cloud_csv(cloud: np.ndarray) -> str:
 # -- initial-data descriptors ----------------------------------------------------
 
 
-def _nodal_demo_coeffs() -> Dict[Tuple[int, int], Fraction]:
+def _nodal_demo_coeffs(cb: CompositeBasis) -> Dict[Tuple[int, int], Fraction]:
     """Level-1 rotation plus half of a divergence-free level-3 field whose
-    second component bends the ambient zero plane."""
-    cb = composite_basis(1, 3)
+    second component bends the ambient zero plane, over the m=1 levels 0..3."""
     w = VectorPolyField(
         [
             Polynomial(3, {(0, 1, 0): Fraction(2), (2, 1, 0): Fraction(-1)}),
@@ -278,34 +285,44 @@ def _nodal_demo_coeffs() -> Dict[Tuple[int, int], Fraction]:
     return {k: v for k, v in e.coeffs.items() if v != 0}
 
 
-def _parse_data(desc: str, m: int, K_flag: Optional[int], seed: int):
+_Bases = Callable[[int], CompositeBasis]
+
+
+def _bases(m: int) -> _Bases:
+    """K -> composite_basis(m, K), each built once within a run, so the
+    demo data and the command share their basis."""
+    return lru_cache(maxsize=None)(lambda K: composite_basis(m, K))
+
+
+def _parse_data(desc: str, m: int, K_flag: Optional[int], seed: int, bases: _Bases):
     """Decode an initial-data descriptor into (coeffs, minimal level K).
 
     Forms: "fixture:k:i" / "kernel:k:i" (unit coefficient on composite label
     (k, i)), "l1:0=1,l3:10=0.5" (explicit labels), "demo:nodal",
     "demo:small" (seeded generic data over all labels up to K), or
-    "file:path" pointing at a JSON object with a "coeffs" mapping.
+    "file:path" pointing at a JSON object with a "coeffs" mapping. The demo
+    data take their basis from `bases`.
     """
     try:
-        return _parse_data_inner(desc, m, K_flag, seed)
+        return _parse_data_inner(desc, m, K_flag, seed, bases)
     except (ValueError, KeyError) as exc:
         if isinstance(exc, ValidationError):
             raise
         raise ValidationError(f"bad data descriptor {desc!r}: {exc}") from exc
 
 
-def _parse_data_inner(desc: str, m: int, K_flag: Optional[int], seed: int):
+def _parse_data_inner(desc: str, m: int, K_flag: Optional[int], seed: int, bases: _Bases):
     desc = desc.strip()
     if desc.startswith("demo:"):
         name = desc[5:]
         if name == "nodal":
             if m != 1:
                 raise ValidationError("demo:nodal is level-1 + level-3 data for m=1")
-            coeffs = _nodal_demo_coeffs()
+            coeffs = _nodal_demo_coeffs(bases(3))
             return coeffs, max(k for k, _ in coeffs)
         if name == "small":
             K = 2 if K_flag is None else K_flag
-            cb = composite_basis(m, K)
+            cb = bases(K)
             rng = np.random.default_rng(seed)
             vals = 0.02 * rng.standard_normal(cb.count)
             return {lab: float(v) for lab, v in zip(cb.labels, vals)}, K
@@ -398,7 +415,8 @@ def _load_tensor(path: str) -> InteractionTensor:
         values[idx] = e["value"]
         errors[idx] = e["error"]
     grid = doc["grid"]
-    spec = GridSpec(L=float(grid["L"]), n=grid["n"], dealias=bool(grid.get("dealias", True)))
+    # other grid keys, such as the "dealias" flag of older files, are ignored
+    spec = GridSpec(L=float(grid["L"]), n=grid["n"])
     return InteractionTensor(
         m=doc["m"],
         N=doc["N"],
@@ -492,53 +510,32 @@ def _cmd_solenoidal(cfg: dict, outdir: str) -> dict:
     kind = cfg["kind"]
     blocks = []
     counts: Dict[str, int] = {}
-    if kind == "fixture":
-        for m in cfg["m"]:
-            params = OperatorParams(m=m, N=cfg["N"])
-            k = 0
-            while True:
-                try:
-                    fields = fixture(m, k)
-                except ValidationError:
-                    break
-                for v in fields:
-                    if not v.divergence().is_zero():
-                        raise ValidationError(f"fixture m={m} k={k} not solenoidal")
-                    validate_basis_field(v, k, params)
-                if m == 1 and k in (1, 2) and len(fields) != k * (k + 2):
-                    raise ValidationError(f"fixture count at m=1, k={k} is off")
-                counts[f"m{m}:k{k}"] = len(fields)
-                blocks.append(
-                    {
-                        "m": m,
-                        "level": k,
-                        "count": len(fields),
-                        "fields": [[c.to_json_dict() for c in v.components] for v in fields],
-                    }
-                )
-                k += 1
-    elif kind == "kernel":
-        for m in cfg["m"]:
-            params = OperatorParams(m=m, N=cfg["N"])
-            basis = divfree_kernel(cfg["level"], params)
-            for v in basis.fields:
-                if not v.divergence().is_zero():
-                    raise ValidationError(f"kernel field at m={m} not solenoidal")
-            counts[f"m{m}:k{cfg['level']}"] = basis.count
-            blocks.append(
-                {
-                    "m": m,
-                    "level": cfg["level"],
-                    "count": basis.count,
-                    "fields": [[c.to_json_dict() for c in v.components] for v in basis.fields],
-                }
-            )
-    else:
+    if kind == "composite":
         for m in cfg["m"]:
             cb = composite_basis(m, cfg["K"])
             for blk in cb.blocks:
                 counts[f"m{m}:k{blk.level}"] = blk.count
             blocks.append({"m": m, "K": cfg["K"], "counts": [b.count for b in cb.blocks]})
+    else:
+        # constructing a basis validates its fields; every catalogued level
+        # is listed, so a failing one raises instead of ending the listing
+        if kind == "fixture":
+            bases = [fixture_basis(m, k, N=cfg["N"]) for m in cfg["m"] for k in catalog_levels(m)]
+        else:
+            bases = [divfree_kernel(cfg["level"], OperatorParams(m=m, N=cfg["N"])) for m in cfg["m"]]
+        for b in bases:
+            m, k = b.params.m, b.level
+            if kind == "fixture" and m == 1 and k in (1, 2) and b.count != k * (k + 2):
+                raise ValidationError(f"fixture count at m=1, k={k} is off")
+            counts[f"m{m}:k{k}"] = b.count
+            blocks.append(
+                {
+                    "m": m,
+                    "level": k,
+                    "count": b.count,
+                    "fields": [[c.to_json_dict() for c in v.components] for v in b.fields],
+                }
+            )
     name = _dump_artifact(
         outdir, "solenoidal.json", f"solenoidal-{kind}", _echo(cfg, "solenoidal"), {"blocks": blocks}
     )
@@ -661,11 +658,12 @@ def _time_span(end: float, steps: int) -> np.ndarray:
 def _cmd_evolve(cfg: dict, outdir: str) -> dict:
     model = cfg["model"]
     m = _MODEL_ORDER[model]
-    coeffs, k_needed = _parse_data(cfg["data"], m, cfg["K"], cfg["seed"])
+    bases = _bases(m)
+    coeffs, k_needed = _parse_data(cfg["data"], m, cfg["K"], cfg["seed"], bases)
     K = k_needed if cfg["K"] is None else cfg["K"]
     if K < k_needed:
         raise ValidationError(f"data reaches level {k_needed} but K={K}")
-    cb = composite_basis(m, K)
+    cb = bases(K)
     labels = set(cb.labels)
     for lab in coeffs:
         if lab not in labels:
@@ -716,9 +714,10 @@ def _cmd_evolve(cfg: dict, outdir: str) -> dict:
 
 def _cmd_nodal(cfg: dict, outdir: str) -> dict:
     m = _MODEL_ORDER[cfg["model"]]
-    coeffs, k_needed = _parse_data(cfg["data"], m, cfg["K"], cfg["seed"])
+    bases = _bases(m)
+    coeffs, k_needed = _parse_data(cfg["data"], m, cfg["K"], cfg["seed"], bases)
     K = max(k_needed, cfg["K"])
-    cb = composite_basis(m, K)
+    cb = bases(K)
     labels = set(cb.labels)
     for lab in coeffs:
         if lab not in labels:

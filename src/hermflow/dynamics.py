@@ -15,15 +15,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import EmptyCloudError, ValidationError
+from .errors import EmptyCloudError, NonConvergenceError, ValidationError
 from .grid import (
     GridSpec,
     GridVectorField,
     InteractionTensor,
     check_fits,
     coeff_array,
+    coeff_cube,
     dilate_coeffs,
-    dual_phases,
     fourier_factors,
     freq_sq,
     lattice_moments,
@@ -37,7 +37,7 @@ from .grid import (
 from .multiindex import enumerate_level
 from .polynomial import Polynomial, VectorPolyField
 from .rational_linalg import fd_weights
-from .solenoidal import DualFrame, level_basis
+from .solenoidal import level_basis
 
 
 def _decay_rate(m: int, k: int) -> float:
@@ -107,9 +107,7 @@ def expand(u, basis, spec: GridSpec | None = None) -> Expansion:
         coeffs: Dict[Tuple[int, int], object] = {}
         recon = VectorPolyField([Polynomial.zero(3)] * 3)
         for b in basis.blocks:
-            frame = DualFrame(b)
-            cs = frame.coefficients_poly(u)
-            for i, c in enumerate(cs):
+            for i, c in enumerate(b.coefficients_poly(u)):
                 coeffs[(b.level, i)] = c
                 if c:
                     recon = recon + b.fields[i].scale(c)
@@ -147,9 +145,11 @@ class _Extractor:
         self.spec = spec
         self.r2m = freq_sq(spec) if m == 1 else freq_sq(spec) ** m
         self.decay = np.exp(-self.r2m)
-        self.duals = coeff_array(
-            [d for b in basis.blocks for d in dual_phases(DualFrame(b))]
-        )
+        # FT[W_jc] = (-i)^k A_jc w with A_jc homogeneous of degree k, so the
+        # Hermitian coefficients of a level-k dual are (-1)^k A_jc
+        duals = [(b.level, A) for b in basis.blocks for A in b.dual_transform_polys()]
+        D = max((max(d) for _, A in duals for p in A for d in p.terms), default=0)
+        self.duals = np.array([[coeff_cube(p.scale((-1) ** k), D) for p in A] for k, A in duals])
         self.realz = coeff_array(
             [[fourier_factors(p, m) for p in v.components] for v in basis.fields]
         )
@@ -297,10 +297,15 @@ def nse_galerkin(
     with an adaptive embedded 4/5 pair, then re-derive the trajectory from
     its integral (variation-of-constants) form by quadrature; the maximum
     disagreement is reported as `duhamel_residual`, an independent check
-    that the integrator solved the system it was given.
+    that the integrator solved the system it was given. `rtol` must be
+    positive (it also sets the absolute tolerance, rtol * 1e-4); an
+    integrator that cannot complete a first step raises
+    `NonConvergenceError`.
     """
     from scipy.integrate import cumulative_simpson, solve_ivp
 
+    if not rtol > 0.0:
+        raise ValidationError(f"rtol must be positive, got {rtol!r}")
     labels = e0.labels
     if not (tensor.labels_a == labels and tensor.labels_g == labels and tensor.labels_b == labels):
         raise ValidationError("tensor index labels do not match the basis")
@@ -316,6 +321,11 @@ def nse_galerkin(
         rhs, (0.0, tau_end), c0, method="RK45", rtol=rtol, atol=rtol * 1e-4,
         dense_output=True,
     )
+    if not sol.success and len(sol.t) < 2:
+        raise NonConvergenceError(
+            f"the Galerkin integrator stopped at tau=0 before completing a "
+            f"step: {sol.message}"
+        )
     truncated = (not sol.success) or sol.t[-1] < tau_end - 1e-12
     t_max = float(sol.t[-1])
     taus = np.linspace(0.0, tau_end, n_out)
@@ -456,6 +466,12 @@ def detect_resonance(
 # -- nodal sets -------------------------------------------------------------------
 
 
+# float64 arrays of n^3 at the peak of `nodal_extract`, rounded up
+# (tracemalloc: 4.3 to 4.5 for n = 81..201, while `evaluate_grid` builds the
+# next component next to the previous one)
+_NODAL_ARRAYS = 5
+
+
 def nodal_extract(e: Expansion, R: float = 2.0, cell: float = 0.05) -> List[np.ndarray]:
     """Zero-set point cloud of each component of the polynomial factor on
     the ball |y| <= R (the m=1 kernel factor is positive, so its zero set
@@ -465,7 +481,8 @@ def nodal_extract(e: Expansion, R: float = 2.0, cell: float = 0.05) -> List[np.n
     the ball, so zero sheets that graze the boundary stay resolved; such
     points may overshoot the sphere by up to one cell. An identically
     zero component yields an empty cloud. The ball and the cell must be
-    nondegenerate: R > 0 and 0 < cell < R."""
+    nondegenerate: R > 0 and 0 < cell < R, and a sampling grid that would
+    not fit in physical memory is refused before any array is built."""
     if not (R > 0.0 and 0.0 < cell < R):
         raise ValidationError(
             f"nodal sampling needs R > 0 and 0 < cell < R, got R={R!r}, cell={cell!r}"
@@ -474,17 +491,17 @@ def nodal_extract(e: Expansion, R: float = 2.0, cell: float = 0.05) -> List[np.n
     if all(p.is_zero() for p in v.components):
         raise ValidationError("expansion has no nonzero coefficients")
     n = int(round(2.0 * R / cell)) + 1
+    check_fits(n, _NODAL_ARRAYS, "nodal sampling")
     ax = np.linspace(-R, R, n)
-    nsq = (ax**2)[:, None, None] + (ax**2)[None, :, None] + (ax**2)[None, None, :]
-    inside = nsq <= R * R + 1e-12
+    ax2 = ax**2
+    inside = ax2[:, None, None] + ax2[None, :, None] + ax2[None, None, :] <= R * R + 1e-12
     clouds = []
     for p in v.components:
         if p.is_zero():
             clouds.append(np.zeros((0, 3)))
             continue
         f = p.evaluate_grid([ax, ax, ax])
-        node_keep = (f == 0.0) & inside
-        pts = [np.stack([g[node_keep] for g in np.meshgrid(ax, ax, ax, indexing="ij")], axis=1)]
+        pts = [ax[np.argwhere((f == 0.0) & inside)]]
         for axis in range(3):
             lo = [slice(None)] * 3
             hi = [slice(None)] * 3
@@ -556,11 +573,14 @@ def classify_zero(
     in exact rational arithmetic over the sampled values, so differences
     of polynomial samplers that should vanish do so exactly; `threshold`
     (relative to the largest sampled magnitude) only matters for
-    transcendental samplers. The spacing `delta` defaults to an exact
-    binary fraction for the same reason.
+    transcendental samplers. The spacing `delta` must be positive, so that
+    the temporal stencil stays in t <= 0; it defaults to an exact binary
+    fraction for the same reason.
     """
     if max_order < 1:
         raise ValidationError("max_order must be >= 1")
+    if not delta > 0.0:
+        raise ValidationError(f"stencil spacing delta must be positive, got {delta!r}")
     r = max_order
     cache: Dict[Tuple[float, float, float, float], np.ndarray] = {}
 

@@ -1,5 +1,6 @@
-"""Periodic-grid Fourier machinery: sampling, Leray projection, convection,
-and the quadratic interaction tensor of the coefficient dynamics.
+"""Periodic-grid Fourier machinery: sampling, Leray projection,
+pseudo-spectral convection (2/3 rule), and the quadratic interaction tensor
+of the coefficient dynamics.
 
 Grid convention: cell-centered nodes x_j = -L + (j + 1/2) h with h = 2L/n on
 [-L, L)^3, discrete frequencies eta_k = pi k / L for integer k in the usual
@@ -20,7 +21,9 @@ for the tensor. Every dual spectrum is a polynomial times the weight
 w = exp(-|eta|^2m), and its longitudinal (pressure) part a polynomial times
 w/|eta|^2, so one lattice table per weight and grid serves every dual of
 every operator order, and each dual is a small contraction of its exact
-coefficients against those tables.
+coefficients against those tables. Those coefficients and the Gram
+inverses are read from the blocks of the basis (`SolenoidalBasis`), which
+derives them once, when it is built.
 """
 from __future__ import annotations
 
@@ -28,13 +31,13 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ValidationError
 from .polynomial import Polynomial, VectorPolyField
-from .solenoidal import DualFrame
+from .solenoidal import SolenoidalBasis
 
 # -- grid spec and transforms --------------------------------------------------
 
@@ -43,7 +46,6 @@ from .solenoidal import DualFrame
 class GridSpec:
     L: float
     n: int
-    dealias: bool = True
 
     def __post_init__(self):
         if not (self.L > 0 and math.isfinite(self.L)):
@@ -62,7 +64,7 @@ class GridSpec:
         return _eta(self.L, self.n)
 
     def to_json_dict(self) -> dict:
-        return {"L": self.L, "n": self.n, "dealias": self.dealias}
+        return {"L": self.L, "n": self.n}
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -177,13 +179,10 @@ def to_grid(spec: GridSpec, g: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GridVectorField:
-    """Samples of a 3-vector field; `poly` keeps the exact source when the
-    field is the plain polynomial (see `sample`), which lets the convection
-    operator differentiate symbolically instead of spectrally."""
+    """Samples of a 3-vector field."""
 
     spec: GridSpec
     data: np.ndarray  # shape (3, n, n, n)
-    poly: Optional[VectorPolyField] = None
 
     def __post_init__(self):
         n = self.spec.n
@@ -195,11 +194,10 @@ class GridVectorField:
 
 
 def sample(v: VectorPolyField, spec: GridSpec) -> GridVectorField:
-    """Pointwise evaluation of a polynomial field on the grid; the field
-    keeps its exact source for `convection`."""
+    """Pointwise evaluation of a polynomial field on the grid."""
     ax = spec.axes()
     comps = [p.evaluate_grid([ax, ax, ax]) for p in v.components]
-    return GridVectorField(spec, np.stack(comps), poly=v)
+    return GridVectorField(spec, np.stack(comps))
 
 
 # -- closed-form transforms of poly x kernel fields ------------------------------
@@ -269,16 +267,16 @@ def synth_weighted(v: VectorPolyField, spec: GridSpec, m: int) -> GridVectorFiel
     return GridVectorField(spec, out)
 
 
-def synth_duals(frame: DualFrame, spec: GridSpec) -> List[GridVectorField]:
-    """Grid samples of the derivative-dual fields W_j of a level frame, from
-    their spectra FT[W_c] = (-i)^k A_c exp(-|xi|^2m) on the frequency
+def synth_duals(basis: SolenoidalBasis, spec: GridSpec) -> List[GridVectorField]:
+    """Grid samples of the derivative-dual fields W_j of one basis level,
+    from their spectra FT[W_c] = (-i)^k A_c exp(-|xi|^2m) on the frequency
     lattice."""
     eta = spec.freqs()
-    decay = _exp_eta2m(spec.L, spec.n, frame.params.m)
-    scalar = (-1j) ** frame.level
+    decay = _exp_eta2m(spec.L, spec.n, basis.params.m)
+    scalar = (-1j) ** basis.level
     zero = np.zeros((spec.n,) * 3)
     fields = []
-    for A in frame.dual_transform_polys():
+    for A in basis.dual_transform_polys():
         comps = [
             zero if p.is_zero() else to_grid(spec, scalar * p.evaluate_grid([eta] * 3) * decay).real
             for p in A
@@ -364,19 +362,10 @@ def _hermitian_coeffs(phased: Sequence[Tuple[int, Polynomial]], dmax: int) -> np
     return P
 
 
-def dual_phases(frame: DualFrame) -> List[List[List[Tuple[int, Polynomial]]]]:
-    """Per dual field, per component, the (g, R_g) of its spectrum
-    (-i)^k A_c exp(-|eta|^2m) (see `synth_duals`)."""
-    return [
-        [[(-frame.level, A)] for A in comps] for comps in frame.dual_transform_polys()
-    ]
-
-
 def coeff_array(fields: Sequence[Sequence[Sequence[Tuple[int, Polynomial]]]]) -> np.ndarray:
     """Hermitian coefficients (F, 3, D+1, D+1, D+1) of fields given per
     component as (g, R_g) lists (`fourier_factors` of each component of
-    v for FT[v F], or `dual_phases`), D the largest power of any variable
-    among them."""
+    v for FT[v F]), D the largest power of any variable among them."""
     D = max(
         (max(d) for f in fields for comp in f for _, R in comp for d in R.terms),
         default=0,
@@ -534,17 +523,11 @@ def _dealias_mask(spec: GridSpec) -> np.ndarray:
 
 
 def convection(u: GridVectorField) -> GridVectorField:
-    """(u . grad) u.
-
-    Polynomial samples (fields carrying `poly`) differentiate symbolically
-    and resample (the periodized sample of a polynomial has no usable spectral
-    derivative); everything else is pseudo-spectral with the 2/3 rule when
-    spec.dealias is set.
-    """
+    """(u . grad) u, pseudo-spectral with the 2/3 rule. For polynomial
+    fields, whose periodized samples have no usable spectral derivative,
+    sample `convection_poly` instead."""
     spec = u.spec
-    if u.poly is not None:
-        return sample(convection_poly(u.poly), spec)
-    mask = _dealias_mask(spec) if spec.dealias else 1.0
+    mask = _dealias_mask(spec)
     e1, e2, e3 = _eta_axes(spec)
     gs = [to_spectral(spec, u.data[c]) * mask for c in range(3)]
     uf = [to_grid(spec, g).real for g in gs]
@@ -644,7 +627,7 @@ def _divergence_poly(A: Sequence[Polynomial]) -> Polynomial:
     return out
 
 
-def _coeff_cube(p: Polynomial, D: int) -> np.ndarray:
+def coeff_cube(p: Polynomial, D: int) -> np.ndarray:
     """C with p(eta) = sum_d C[d] eta^d, |d_i| <= D, each coefficient
     rounded once."""
     C = np.zeros((D + 1,) * 3)
@@ -664,8 +647,8 @@ def interaction_tensor(
 
     For each (alpha, gamma) the convection q = (v*_alpha . grad) v*_gamma
     is built symbolically and paired against every projected
-    derivative-dual field P W_j of `dualsB` (the `DualFrame` route; the
-    projector moves onto the duals by the discrete Parseval identity). The
+    derivative-dual field P W_j of the blocks of `dualsB` (the projector
+    moves onto the duals by the discrete Parseval identity). The
     pairings are the grid quadratures h^3 sum_y q(y) . (P W_j)(y), i.e.
     contractions of q's coefficients with the moments
     h^3 sum_y y^d (P W_j)_c(y), and those moments come straight from the
@@ -685,7 +668,7 @@ def interaction_tensor(
     the weight, and no lattice array is built per dual.
 
     The pairings are mapped to coefficients by the block-diagonal assembly
-    of the frames' exact Gram inverses, with an overall minus sign from the
+    of the blocks' exact Gram inverses, with an overall minus sign from the
     convection side of the dynamics. The tensor covers m=1, the
     Navier-Stokes dynamics, or a single dual block; other operator orders
     over several levels raise, and so does a grid whose lattice arrays
@@ -695,7 +678,8 @@ def interaction_tensor(
     estimate is twice the disagreement, which makes box sensitivity
     directly visible: entries whose pairing integrals converge slowly, or
     not at all, carry error bars of their own size rather than a false
-    precision.
+    precision. A box so small or so large that a value or an error is not
+    finite raises, naming L and n.
     """
     params = dualsB.params
     for other in basisA.blocks + basisG.blocks + dualsB.blocks:
@@ -709,23 +693,22 @@ def interaction_tensor(
     # |eta|^2, w, 1/|eta|^2, w/|eta|^2 and transients at the finest grid
     check_fits(2 * spec.n if refine else spec.n, 6, "the interaction tensor")
     fa, fg = basisA.fields, basisG.fields
-    frames = [DualFrame(b) for b in dualsB.blocks]
     ginv = np.zeros((dualsB.count, dualsB.count))
     start = 0
-    for f in frames:
-        stop = start + f.basis.count
-        ginv[start:stop, start:stop] = np.array(f.gram_inv, dtype=float)
+    for b in dualsB.blocks:
+        stop = start + b.count
+        ginv[start:stop, start:stop] = np.array(b.gram_inv, dtype=float)
         start = stop
     # exact per-dual data: the phase (-i)^k of FT[W_j] = (-i)^k A_j w, and
     # the real coefficient cubes of every A_jc and of the divergence symbol
     # sigma_j = sum_c xi_c A_jc
-    duals = [(f.level, A) for f in frames for A in f.dual_transform_polys()]
+    duals = [(b.level, A) for b in dualsB.blocks for A in b.dual_transform_polys()]
     sigmas = [_divergence_poly(A) for _, A in duals]
     polys = sigmas + [p for _, A in duals for p in A]
     D = max((max(d) for p in polys for d in p.terms), default=0)
     phase = np.array([(-1j) ** k for k, _ in duals])[:, None, None, None, None]
-    A = np.array([[_coeff_cube(p, D) for p in comps] for _, comps in duals])
-    sig = np.array([_coeff_cube(s, D) for s in sigmas])
+    A = np.array([[coeff_cube(p, D) for p in comps] for _, comps in duals])
+    sig = np.array([coeff_cube(s, D) for s in sigmas])
     qs = [[convection_poly(va, vg) for vg in fg] for va in fa]
     dmax = 0
     for row in qs:
@@ -759,7 +742,7 @@ def interaction_tensor(
 
     coarse = compute(spec)
     if refine:
-        sp_fine = GridSpec(L=spec.L * 2.0, n=spec.n * 2, dealias=spec.dealias)
+        sp_fine = GridSpec(L=spec.L * 2.0, n=spec.n * 2)
         fine = compute(sp_fine)
         values = fine
         errors = 2.0 * np.abs(fine - coarse)
@@ -768,6 +751,11 @@ def interaction_tensor(
         values = coarse
         errors = np.zeros_like(coarse)
         refined = {}
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(errors))):
+        raise ValidationError(
+            f"the interaction tensor is not finite on the L={spec.L!r}, "
+            f"n={spec.n} grid: the box is out of floating-point range"
+        )
     return InteractionTensor(
         m=params.m,
         N=params.N,

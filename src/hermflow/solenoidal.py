@@ -1,11 +1,11 @@
-"""Divergence-free vector eigenspaces, catalog bases, and weighted duals.
+"""Divergence-free vector eigenspaces, catalog bases, and their duals.
 
 A level-k solenoidal basis field has every component in the level-k
 eigenspace of B* and exactly zero divergence. Two constructors exist and
 are kept separate because their dimensions disagree:
 
-* `fixture(m, k)` returns the explicit catalog fields (3 at k=1, 8 at k=2
-  for m=1, and the m=2 family), small hand-built sets;
+* `fixture_basis(m, k)` holds the explicit catalog fields (3 at k=1, 8 at
+  k=2 for m=1, and the m=2 family), small hand-built sets;
 * `divfree_kernel(k, params)` enumerates the full space of level-k
   componentwise-eigen fields and computes the exact rational nullspace of
   the divergence map, e.g. dimension 8 at k=1 (all trace-free linear
@@ -13,22 +13,23 @@ are kept separate because their dimensions disagree:
 
 Both dimensions are reported side by side by the CLI; the code does not
 guess which reading of the smaller catalog is canonical. `level_basis`
-applies the one fallback rule (catalog where it has the level, computed
-kernel otherwise), and `composite_basis` stacks its levels. A single level
-and a composite share one interface: `blocks`, `labels`, `fields`,
-`params`, `count`.
+applies the one rule (catalog where it has the level, computed kernel
+otherwise), and `composite_basis` stacks its levels. A single level and a
+composite share one interface: `blocks`, `labels`, `fields`, `params`,
+`count`.
 
-Coefficient extraction has one route, `DualFrame` (derivative duals): each
-dual field is realized through kernel derivatives,
+A `SolenoidalBasis` is the one exact record of a level: constructing it
+validates its fields and derives their derivative duals once,
 W_j = sum_beta a_cbeta (-1)^|beta| D^beta F where a are the
-psi*-expansion coefficients of the j-th basis field. Its Gram
+psi*-expansion coefficients of the j-th basis field. Their Gram
 G~_ij = sum_c sum_beta a^i a^j beta! is positive definite for any
 independent basis and any m, so extraction works uniformly within a
-level. The polynomial pairings, the grid expansions and the interaction
-tensor all use it.
+level. The polynomial pairings, the grid expansions, the semigroup
+verifier and the interaction tensor all read the duals from the basis
+blocks.
 
 `weighted_dual` (kernel-weighted Gram G_ij = <v*_i, v*_j F>, exact from
-kernel moments) stays as the reference the frame is tested against. For
+kernel moments) stays as the reference the duals are tested against. For
 m=1 the two give identical coefficient functionals: the kernel derivative
 identity (-1)^|b| D^b F = 2^-|b| psi*_b F makes the Grams proportional.
 For m >= 2 the weighted Gram vanishes identically on odd levels (moments
@@ -130,17 +131,74 @@ def fixture(m: int, k: int) -> List[VectorPolyField]:
 # -- basis container ----------------------------------------------------------
 
 
+def validate_basis_field(
+    v: VectorPolyField, k: int, params: OperatorParams
+) -> List[Dict[MultiIndex, Fraction]]:
+    """psi*-expansion coefficients of each component of a level-k basis
+    field; raises unless v is divergence-free with every component in
+    level k."""
+    if not v.divergence().is_zero():
+        raise ValidationError("field is not divergence-free")
+    return [level_membership(p, k, params) if not p.is_zero() else {} for p in v.components]
+
+
+def _gram(acoeffs: Sequence[List[Dict[MultiIndex, Fraction]]]) -> List[List[Fraction]]:
+    """G~_ij = sum_c sum_b a^i a^j b! from per-field psi* coefficients."""
+    n = len(acoeffs)
+    G = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            s = Fraction(0)
+            for ai, aj in zip(acoeffs[i], acoeffs[j]):
+                for b, x in ai.items():
+                    y = aj.get(b)
+                    if y is not None:
+                        s += x * y * mi_factorial(b)
+            G[i][j] = G[j][i] = s
+    return G
+
+
+def realization_gram(
+    fields: Sequence[VectorPolyField], k: int, params: OperatorParams
+) -> List[List[Fraction]]:
+    """Gram of the derivative-dual pairing: G~_ij = sum_c sum_b a^i a^j b!."""
+    return _gram([validate_basis_field(v, k, params) for v in fields])
+
+
 @dataclass
 class SolenoidalBasis:
+    """One level of divergence-free fields and their derivative duals.
+
+    Construction validates every field (`validate_basis_field`) and keeps
+    the psi* coefficients `acoeffs` it yields; the exact Gram of the
+    derivative-dual pairing and its inverse follow from them, once, and
+    dependent fields raise. The dual W_j of field j is
+    sum_c sum_beta a_jcbeta (-1)^|beta| D^beta F e_c: `coefficients_poly`
+    extracts span coefficients of a polynomial field exactly, and
+    `dual_transform_polys` gives the spectra from which the grid module
+    pairs and synthesizes the duals.
+    """
+
     level: int
     params: OperatorParams
     fields: List[VectorPolyField]
     source: str  # "fixture" | "computed-kernel"
-    gram: List[List[Fraction]] = field(default_factory=list)
+    acoeffs: List[List[Dict[MultiIndex, Fraction]]] = field(init=False, repr=False, compare=False)
+    gram: List[List[Fraction]] = field(init=False, repr=False, compare=False)
+    gram_inv: List[List[Fraction]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.source not in ("fixture", "computed-kernel"):
             raise ValidationError(f"unknown source {self.source!r}")
+        self.acoeffs = [validate_basis_field(v, self.level, self.params) for v in self.fields]
+        self.gram = _gram(self.acoeffs)
+        try:
+            self.gram_inv = inverse(self.gram)
+        except ValueError:
+            raise ValidationError(
+                f"dependent basis fields at level {self.level}: "
+                f"{dependent_columns(self.gram)}"
+            ) from None
 
     @property
     def count(self) -> int:
@@ -153,6 +211,42 @@ class SolenoidalBasis:
     @property
     def labels(self) -> List[Tuple[int, int]]:
         return [(self.level, i) for i in range(self.count)]
+
+    def raw_pairings_poly(self, q: VectorPolyField) -> List[Fraction]:
+        """<q, W_j> for each dual; exact.
+
+        Integration by parts moves each D^beta onto q, the sign factors
+        cancel, and only kernel moments of D^beta q_c remain.
+        """
+        out = []
+        for acomp in self.acoeffs:
+            s = Fraction(0)
+            for qc, ac in zip(q.components, acomp):
+                if qc.is_zero():
+                    continue
+                for b, a in ac.items():
+                    s += a * moment_of_poly(qc.derive(b), self.params.m)
+            out.append(s)
+        return out
+
+    def coefficients_poly(self, q: VectorPolyField) -> List[Fraction]:
+        raw = self.raw_pairings_poly(q)
+        return [
+            sum((gi * r for gi, r in zip(row, raw)), Fraction(0))
+            for row in self.gram_inv
+        ]
+
+    def dual_transform_polys(self) -> List[List[Polynomial]]:
+        """Per dual field j, per component c: the real polynomial A with
+        FT[W_c](xi) = (-i)^k A(xi) exp(-|xi|^(2m))."""
+        N = self.params.N
+        return [[Polynomial(N, dict(ac)) for ac in acomp] for acomp in self.acoeffs]
+
+    def dual_closed_form_m1(self) -> List[VectorPolyField]:
+        """m=1 only: W_j = 2^(-k) v*_j F, as polynomial factors of F."""
+        if self.params.m != 1:
+            raise ValidationError("closed-form duals are specific to m=1")
+        return [v.scale(Fraction(1, 2**self.level)) for v in self.fields]
 
     def to_json_dict(self) -> dict:
         return {
@@ -168,46 +262,15 @@ class SolenoidalBasis:
         }
 
 
-def _field_acoeffs(
-    v: VectorPolyField, k: int, params: OperatorParams
-) -> List[Dict[MultiIndex, Fraction]]:
-    """psi*-expansion coefficients per component, all constrained to level k."""
-    return [level_membership(p, k, params) if not p.is_zero() else {} for p in v.components]
-
-
-def validate_basis_field(v: VectorPolyField, k: int, params: OperatorParams) -> None:
-    if not v.divergence().is_zero():
-        raise ValidationError("field is not divergence-free")
-    _field_acoeffs(v, k, params)
-
-
-def realization_gram(
-    fields: Sequence[VectorPolyField], k: int, params: OperatorParams
-) -> List[List[Fraction]]:
-    """Gram of the derivative-dual pairing: G~_ij = sum_c sum_b a^i a^j b!."""
-    acoeffs = [_field_acoeffs(v, k, params) for v in fields]
-    n = len(fields)
-    G = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            s = Fraction(0)
-            for c in range(params.N):
-                ai, aj = acoeffs[i][c], acoeffs[j][c]
-                for b, x in ai.items():
-                    y = aj.get(b)
-                    if y is not None:
-                        s += x * y * mi_factorial(b)
-            G[i][j] = G[j][i] = s
-    return G
+def catalog_levels(m: int) -> List[int]:
+    """The levels the catalog holds for operator order m."""
+    return sorted(k for mm, k in _CATALOG if mm == m)
 
 
 def fixture_basis(m: int, k: int, N: int = 3) -> SolenoidalBasis:
-    params = OperatorParams(m=m, N=N)
-    fields = fixture(m, k)
-    for v in fields:
-        validate_basis_field(v, k, params)
-    gram = realization_gram(fields, k, params)
-    return SolenoidalBasis(level=k, params=params, fields=fields, source="fixture", gram=gram)
+    return SolenoidalBasis(
+        level=k, params=OperatorParams(m=m, N=N), fields=fixture(m, k), source="fixture"
+    )
 
 
 def divfree_kernel(k: int, params: OperatorParams) -> SolenoidalBasis:
@@ -247,12 +310,7 @@ def divfree_kernel(k: int, params: OperatorParams) -> SolenoidalBasis:
                     p = p + eigenfunction(b, params).psi_star.scale(a)
             comps.append(p)
         fields.append(VectorPolyField(comps))
-    for v in fields:
-        validate_basis_field(v, k, params)
-    gram = realization_gram(fields, k, params)
-    return SolenoidalBasis(
-        level=k, params=params, fields=fields, source="computed-kernel", gram=gram
-    )
+    return SolenoidalBasis(level=k, params=params, fields=fields, source="computed-kernel")
 
 
 def weighted_dual(basis: SolenoidalBasis) -> List[List[Fraction]]:
@@ -260,8 +318,8 @@ def weighted_dual(basis: SolenoidalBasis) -> List[List[Fraction]]:
 
     Exact for every m via kernel moments. Raises when G is singular and
     names the offending fields; for m >= 2 this happens on every odd level
-    (all contributing moments vanish), where the derivative-dual frame is
-    the usable alternative.
+    (all contributing moments vanish), where the basis's own derivative
+    duals are the usable alternative.
     """
     m = basis.params.m
     n = basis.count
@@ -281,80 +339,6 @@ def weighted_dual(basis: SolenoidalBasis) -> List[List[Fraction]]:
             f"dependent fields: {dep}"
         )
     return inverse(G)
-
-
-class DualFrame:
-    """Derivative-dual extraction frame for one basis level.
-
-    Holds the psi* coefficients of every basis field, the exact positive
-    definite Gram, and its inverse. `coefficients_poly` extracts span
-    coefficients of a polynomial field exactly; grid-sampled duals for
-    function-space extraction are synthesized in the grid module from the
-    stored transform polynomials.
-    """
-
-    def __init__(self, basis: SolenoidalBasis):
-        self.basis = basis
-        self.params = basis.params
-        self.level = basis.level
-        self.acoeffs = [
-            _field_acoeffs(v, basis.level, basis.params) for v in basis.fields
-        ]
-        self.gram = basis.gram or realization_gram(
-            basis.fields, basis.level, basis.params
-        )
-        if rank(self.gram) < basis.count:
-            dep = dependent_columns(self.gram)
-            raise ValidationError(
-                f"dependent basis fields at level {basis.level}: {dep}"
-            )
-        self.gram_inv = inverse(self.gram)
-
-    def raw_pairings_poly(self, q: VectorPolyField) -> List[Fraction]:
-        """<q, W_j> for each dual; exact.
-
-        Integration by parts moves each D^beta onto q, the sign factors
-        cancel, and only kernel moments of D^beta q_c remain.
-        """
-        out = []
-        for acomp in self.acoeffs:
-            s = Fraction(0)
-            for c in range(self.params.N):
-                qc = q.components[c]
-                if qc.is_zero():
-                    continue
-                for b, a in acomp[c].items():
-                    s += a * moment_of_poly(qc.derive(b), self.params.m)
-            out.append(s)
-        return out
-
-    def coefficients_poly(self, q: VectorPolyField) -> List[Fraction]:
-        raw = self.raw_pairings_poly(q)
-        return [
-            sum((gi * r for gi, r in zip(row, raw)), Fraction(0))
-            for row in self.gram_inv
-        ]
-
-    def dual_transform_polys(self) -> List[List[Polynomial]]:
-        """Per dual field j, per component c: the real polynomial A with
-        FT[W_c](xi) = (-i)^k A(xi) exp(-|xi|^(2m))."""
-        out = []
-        for acomp in self.acoeffs:
-            comps = []
-            for c in range(self.params.N):
-                p = Polynomial.zero(self.params.N)
-                for b, a in acomp[c].items():
-                    p = p + Polynomial.monomial(b, a)
-                comps.append(p)
-            out.append(comps)
-        return out
-
-    def dual_closed_form_m1(self) -> List[VectorPolyField]:
-        """m=1 only: W_j = 2^(-k) v*_j F, as polynomial factors of F."""
-        if self.params.m != 1:
-            raise ValidationError("closed-form duals are specific to m=1")
-        scale = Fraction(1, 2**self.level)
-        return [v.scale(scale) for v in self.basis.fields]
 
 
 @dataclass
@@ -403,10 +387,9 @@ class CompositeBasis:
 def level_basis(m: int, k: int, N: int = 3) -> SolenoidalBasis:
     """Level k: the catalog fixture where there is one, the computed
     divergence kernel otherwise."""
-    try:
+    if k in catalog_levels(m):
         return fixture_basis(m, k, N=N)
-    except ValidationError:
-        return divfree_kernel(k, OperatorParams(m=m, N=N))
+    return divfree_kernel(k, OperatorParams(m=m, N=N))
 
 
 def composite_basis(m: int, K: int, N: int = 3) -> CompositeBasis:

@@ -92,8 +92,8 @@ def test_verify_box_too_small_exits_2(tmp_path, capsys, m, L):
 
 @pytest.mark.parametrize(
     "argv",
-    [["d-tensor"], ["d-tensor", "--no-check-projector"], ["verify"]],
-    ids=["d-tensor", "d-tensor-no-projector", "verify"],
+    [["d-tensor"], ["d-tensor", "--no-check-projector"], ["verify"], ["nodal", "--cell", "0.001"]],
+    ids=["d-tensor", "d-tensor-no-projector", "verify", "nodal"],
 )
 def test_grid_larger_than_memory_exits_2(tmp_path, capsys, monkeypatch, argv):
     # a host with 1 MiB of memory: the default grids are refused before any
@@ -123,6 +123,43 @@ def test_evolve_zero_tensor_integrates_once(tmp_path, capsys, monkeypatch):
     code, line = _run(capsys, argv + ["--outdir", str(tmp_path)])
     assert code == 0 and line["stokes_dev"] <= 1e-9
     assert len(calls) == 1
+
+
+def test_evolve_integrator_failing_first_step_exits_3(tmp_path, capsys):
+    # the quadratic term of 1e200 data overflows, so no step completes
+    argv = ["evolve", "--model", "nse", "--K", "1", "--data", "l1:0=1e200"]
+    code, line = _run(capsys, argv + ["--outdir", str(tmp_path)])
+    assert code == 3 and line["error"] == "non-convergence"
+    assert "before completing a step" in line["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (["d-tensor", "--K", "2"], 31),
+        (["evolve", "--model", "nse", "--K", "2", "--data", "demo:small", "--tau", "3", "--check-linear"], 31),
+        (["nodal"], 67),
+        (["verify", "--m", "2", "--level", "1"], 9),
+    ],
+    ids=["d-tensor-K2", "evolve-criterion-11", "nodal", "verify-m2-l1"],
+)
+def test_each_basis_level_is_validated_once(tmp_path, capsys, monkeypatch, argv, calls):
+    # one level_membership call per nonzero field component of the basis the
+    # command works on: the basis is built once and its duals read from it
+    from hermflow import solenoidal
+
+    counted = []
+    level_membership = solenoidal.level_membership
+
+    def count(*args, **kwargs):
+        counted.append(1)
+        return level_membership(*args, **kwargs)
+
+    monkeypatch.setattr(solenoidal, "level_membership", count)
+    code, _ = _run(capsys, argv + ["--outdir", str(tmp_path)])
+    assert code == 0
+    assert len(counted) == calls
 
 
 def test_projector_diagnostic_working_set():
@@ -290,6 +327,23 @@ def test_solenoidal_fixture_counts(tmp_path, capsys):
     code, line = _run(capsys, ["solenoidal", "--outdir", str(tmp_path)])
     assert code == 0
     assert line["ok"]
+
+
+def test_solenoidal_lists_every_catalogued_level(tmp_path, capsys, monkeypatch):
+    from hermflow import solenoidal
+
+    code, line = _run(capsys, ["solenoidal", "--outdir", str(tmp_path / "ok")])
+    assert code == 0
+    assert sorted(line["counts"]) == sorted(
+        f"m{m}:k{k}" for m in (1, 2) for k in solenoidal.catalog_levels(m)
+    )
+    assert len(line["counts"]) == 8
+    # a catalogued level whose field fails validation is refused, not
+    # dropped from the listing
+    bad = solenoidal.fixture(2, 1)[0]
+    monkeypatch.setitem(solenoidal._CATALOG, (2, 3), [bad])
+    code, line = _run(capsys, ["solenoidal", "--outdir", str(tmp_path / "bad")])
+    assert code == 2 and "outside level 3" in line["message"]
 
 
 def test_evolve_stokes_rates(tmp_path, capsys):
@@ -610,6 +664,10 @@ def test_generated_flags_match_the_pinned_lists():
         ("kernel", {"r_max": 3.0, "m": 1}),
         ("nodal", {"steps": 0}),
         ("evolve", {"steps": 0, "model": "nse", "K": 1, "data": "l1:0=1"}),
+        ("d-tensor", {"L": 1e-300}),
+        ("classify", {"delta": 0.0, "terms": '[{"x":[1,0,0],"c":1}]'}),
+        ("classify", {"delta": -0.125, "terms": '[{"x":[1,0,0],"c":1}]'}),
+        ("evolve", {"rtol": 0.0, "model": "nse", "K": 1, "data": "l1:0=1"}),
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg):

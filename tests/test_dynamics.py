@@ -41,7 +41,6 @@ from hermflow.operators import OperatorParams, eigenfunction
 from hermflow.polynomial import Polynomial, VectorPolyField
 from hermflow.solenoidal import (
     CompositeBasis,
-    DualFrame,
     composite_basis,
     fixture,
     level_basis,
@@ -450,7 +449,7 @@ def _quadrature_reference(basis, u, spec):
     """Coefficients and residual of grid samples u by grid quadrature
     against synthesized duals and realizations."""
     m = basis.params.m
-    duals = [w for b in basis.blocks for w in synth_duals(DualFrame(b), spec)]
+    duals = [w for b in basis.blocks for w in synth_duals(b, spec)]
     realz = [synth_weighted(v, spec, m) for v in basis.fields]
     M = np.array([[pair_fields(r, w) for w in duals] for r in realz])
     c = np.linalg.solve(M.T, np.array([pair_fields(u, w) for w in duals]))

@@ -11,7 +11,6 @@ from hermflow.operators import OperatorParams, apply_B_star
 from hermflow.polynomial import Polynomial, VectorPolyField
 from hermflow.solenoidal import (
     CompositeBasis,
-    DualFrame,
     SolenoidalBasis,
     composite_basis,
     divfree_kernel,
@@ -106,17 +105,15 @@ coeff_lists = st.lists(
 @given(coeff_lists)
 def test_dual_frame_recovers_coefficients_exactly_m1(coeffs):
     basis = fixture_basis(1, 2)
-    frame = DualFrame(basis)
     q = _random_combo(basis.fields, coeffs)
-    assert frame.coefficients_poly(q) == list(coeffs)
+    assert basis.coefficients_poly(q) == list(coeffs)
 
 
 def test_dual_frame_recovers_coefficients_exactly_m2():
     basis = fixture_basis(2, 2)
-    frame = DualFrame(basis)
     coeffs = [Fraction(3, 7), Fraction(-2)]
     q = _random_combo(basis.fields, coeffs)
-    assert frame.coefficients_poly(q) == coeffs
+    assert basis.coefficients_poly(q) == coeffs
 
 
 def test_weighted_dual_inverts_weighted_gram_m1():
@@ -143,7 +140,6 @@ def test_weighted_dual_inverts_weighted_gram_m1():
 
 def test_weighted_dual_extraction_agrees_with_derivative_frame_m1():
     basis = fixture_basis(1, 2)
-    frame = DualFrame(basis)
     Ginv = weighted_dual(basis)
     coeffs = [Fraction(k - 3, 2) for k in range(basis.count)]
     q = _random_combo(basis.fields, coeffs)
@@ -161,7 +157,7 @@ def test_weighted_dual_extraction_agrees_with_derivative_frame_m1():
         sum((g * r for g, r in zip(row, raw)), Fraction(0)) for row in Ginv
     ]
     assert via_weighted == coeffs
-    assert frame.coefficients_poly(q) == coeffs
+    assert basis.coefficients_poly(q) == coeffs
 
 
 def test_weighted_dual_singular_on_odd_levels_for_m2():
@@ -179,19 +175,17 @@ def test_weighted_dual_available_on_even_levels_for_m2():
 
 def test_dual_closed_form_m1_scaling_and_m2_rejection():
     basis = fixture_basis(1, 2)
-    frame = DualFrame(basis)
-    duals = frame.dual_closed_form_m1()
+    duals = basis.dual_closed_form_m1()
     assert duals == [v.scale(Fraction(1, 4)) for v in basis.fields]
     with pytest.raises(ValidationError):
-        DualFrame(fixture_basis(2, 2)).dual_closed_form_m1()
+        fixture_basis(2, 2).dual_closed_form_m1()
 
 
 def test_dual_transform_polys_carry_expansion_coefficients():
     basis = fixture_basis(1, 1)
-    frame = DualFrame(basis)
-    polys = frame.dual_transform_polys()
+    polys = basis.dual_transform_polys()
     assert len(polys) == basis.count
-    for acomp, comps in zip(frame.acoeffs, polys):
+    for acomp, comps in zip(basis.acoeffs, polys):
         for c in range(3):
             assert comps[c].terms == {b: a for b, a in acomp[c].items() if a != 0}
 
@@ -236,6 +230,16 @@ def test_basis_container_validation_and_json():
     assert len(d["fields"]) == 3 and len(d["gram"]) == 3
     with pytest.raises(ValidationError):
         SolenoidalBasis(level=0, params=basis.params, fields=[], source="madeup")
+
+
+def test_basis_of_dependent_fields_raises():
+    # construction runs the independence check; a repeated field is named
+    v = fixture(1, 1)[0]
+    params = OperatorParams(m=1, N=3)
+    with pytest.raises(ValidationError, match=r"dependent basis fields at level 1: \[1\]"):
+        SolenoidalBasis(level=1, params=params, fields=[v, v], source="fixture")
+    with pytest.raises(ValidationError, match="outside level 2"):
+        SolenoidalBasis(level=2, params=params, fields=[v], source="fixture")
 
 
 def test_validate_basis_field_rejects_nonsolenoidal():

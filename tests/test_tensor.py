@@ -18,7 +18,7 @@ from hermflow.grid import (
     synth_duals,
     synth_weighted,
 )
-from hermflow.solenoidal import DualFrame, composite_basis, fixture_basis, level_basis, weighted_dual
+from hermflow.solenoidal import composite_basis, fixture_basis, level_basis, weighted_dual
 
 EPS = np.zeros((3, 3, 3))
 for (i, j, k), s in {
@@ -125,7 +125,7 @@ def test_mismatched_operator_parameters_raise():
 
 
 def test_k2_tensor_matches_weighted_gram_reference():
-    # m=1: the derivative duals of the DualFrame route and the block inverse
+    # m=1: the derivative duals of the basis blocks and the block inverse
     # of the kernel-weighted Gram are the same coefficient functionals;
     # the reference pairs sampled convections against projected v*_j F on
     # the grid directly
@@ -169,15 +169,14 @@ def test_m2_single_block_tensor_matches_grid_quadrature(k, bound):
     b = level_basis(2, k)
     spec = GridSpec(8.0, 32)
     T = interaction_tensor(b, b, b, spec, refine=False)
-    frame = DualFrame(b)
-    duals = [project(w) for w in synth_duals(frame, spec)]
+    duals = [project(w) for w in synth_duals(b, spec)]
     raw = np.array(
         [
             [[pair_fields(sample(convection_poly(va, vg), spec), w) for w in duals] for vg in b.fields]
             for va in b.fields
         ]
     )
-    want = -np.einsum("agj,bj->agb", raw, np.array(frame.gram_inv, dtype=float))
+    want = -np.einsum("agj,bj->agb", raw, np.array(b.gram_inv, dtype=float))
     scale = float(np.max(np.abs(want)))
     assert scale > 0.1
     assert np.max(np.abs(T.values - want)) <= bound * scale
