@@ -382,6 +382,12 @@ def _is_label(v) -> bool:
     return isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v)
 
 
+def _triple(labels, idx) -> str:
+    return ", ".join(
+        f"{key} {list(labs[i])}" for key, labs, i in zip(_TENSOR_AXES, labels, idx)
+    )
+
+
 def _load_tensor(path: str) -> InteractionTensor:
     with open(path) as fh:
         doc = json.load(fh)
@@ -410,10 +416,17 @@ def _load_tensor(path: str) -> InteractionTensor:
     index = [{lab: i for i, lab in enumerate(labs)} for labs in labels]
     values = np.zeros((len(la), len(lg), len(lb)))
     errors = np.zeros_like(values)
+    seen = set()
     for e in doc["entries"]:
         idx = tuple(ix[tuple(e[key])] for ix, key in zip(index, _TENSOR_AXES))
+        if idx in seen:
+            raise ValidationError(f"{path}: repeated entry for {_triple(labels, idx)}")
+        seen.add(idx)
         values[idx] = e["value"]
         errors[idx] = e["error"]
+    if len(seen) < values.size:
+        missing = next(idx for idx in np.ndindex(values.shape) if idx not in seen)
+        raise ValidationError(f"{path}: no entry for {_triple(labels, missing)}")
     grid = doc["grid"]
     # other grid keys, such as the "dealias" flag of older files, are ignored
     spec = GridSpec(L=float(grid["L"]), n=grid["n"])
@@ -649,9 +662,11 @@ def _cmd_d_tensor(cfg: dict, outdir: str) -> dict:
     return summary
 
 
-def _time_span(end: float, steps: int) -> np.ndarray:
+def _time_span(end: float, steps: int, name: str = "tau") -> np.ndarray:
     if steps < 3:
         raise ValidationError(f"steps must be at least 3, got {steps}")
+    if not end > 0.0:
+        raise ValidationError(f"{name} must be positive, got {end!r}")
     return np.linspace(0.0, end, steps)
 
 
@@ -726,7 +741,11 @@ def _cmd_nodal(cfg: dict, outdir: str) -> dict:
     tau_list = [float(t) for t in cfg["taus"].split(",") if t.strip()]
     if not tau_list:
         raise ValidationError("no evaluation times given")
-    span = _time_span(max(tau_list), cfg["steps"])
+    bad = next((t for t in tau_list if not 0.0 <= t < math.inf), None)
+    if bad is not None:
+        # tau = 0 is t = -1, where the data are prescribed; nothing precedes it
+        raise ValidationError(f"taus must be finite and non-negative, got {bad!r}")
+    span = _time_span(max(tau_list), cfg["steps"], "the largest of taus")
     R, cell = cfg["R"], cfg["cell"]
 
     kmin = min(k for k, _ in coeffs)

@@ -21,15 +21,14 @@ from .grid import (
     GridVectorField,
     InteractionTensor,
     check_fits,
-    coeff_array,
-    coeff_cube,
     dilate_coeffs,
-    fourier_factors,
+    dual_cubes,
     freq_sq,
     lattice_moments,
     lattice_parts,
     moment_pairings,
     parallel_map,
+    spectrum_cubes,
     spectrum_pairings,
     synth_weighted,
     to_spectral,
@@ -145,14 +144,8 @@ class _Extractor:
         self.spec = spec
         self.r2m = freq_sq(spec) if m == 1 else freq_sq(spec) ** m
         self.decay = np.exp(-self.r2m)
-        # FT[W_jc] = (-i)^k A_jc w with A_jc homogeneous of degree k, so the
-        # Hermitian coefficients of a level-k dual are (-1)^k A_jc
-        duals = [(b.level, A) for b in basis.blocks for A in b.dual_transform_polys()]
-        D = max((max(d) for _, A in duals for p in A for d in p.terms), default=0)
-        self.duals = np.array([[coeff_cube(p.scale((-1) ** k), D) for p in A] for k, A in duals])
-        self.realz = coeff_array(
-            [[fourier_factors(p, m) for p in v.components] for v in basis.fields]
-        )
+        self.duals = dual_cubes(basis.blocks)
+        self.realz = spectrum_cubes(basis.fields, m)
         dmax = self.realz.shape[-1] + self.duals.shape[-1] - 2
         gram_table = lattice_moments(self.decay * self.decay, spec, dmax)
         self.M = moment_pairings(self.realz, self.duals, gram_table, spec)
@@ -467,9 +460,9 @@ def detect_resonance(
 
 
 # float64 arrays of n^3 at the peak of `nodal_extract`, rounded up
-# (tracemalloc: 4.3 to 4.5 for n = 81..201, while `evaluate_grid` builds the
-# next component next to the previous one)
-_NODAL_ARRAYS = 5
+# (tracemalloc: 2.4 to 2.6 for n = 81..201: one component's values, the
+# product of their edge neighbours and the boolean masks)
+_NODAL_ARRAYS = 3
 
 
 def nodal_extract(e: Expansion, R: float = 2.0, cell: float = 0.05) -> List[np.ndarray]:
@@ -737,10 +730,10 @@ def semigroup_verify(
 
     basis = level_basis(m, level)
     extract = _Extractor(basis, sp)
-    (data_coeffs,) = coeff_array([[fourier_factors(p, m) for p in data.components]])
+    (data_coeffs,) = spectrum_cubes([data], m)
 
     def state(tau: float) -> Expansion:
-        # spectrum amp exp(-|eta|^2m (2-s)/s) sum_g i^g R_g(eta s^(-1/2m))
+        # spectrum amp exp(-|eta|^2m (2-s)/s) sum_d i^|d| H[d] (eta s^(-1/2m))^d
         s = math.exp(-tau)
         amp = s ** (rho - 3.0 / (2.0 * m))
         X = amp * dilate_coeffs(data_coeffs, s ** (-1.0 / (2.0 * m)))

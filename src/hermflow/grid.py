@@ -36,7 +36,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .polynomial import Polynomial, VectorPolyField
+from .polynomial import Polynomial, VectorPolyField, evaluate_cube
 from .solenoidal import SolenoidalBasis
 
 # -- grid spec and transforms --------------------------------------------------
@@ -229,17 +229,61 @@ def _q_poly(m: int, beta: Tuple[int, int, int]) -> Polynomial:
     return out
 
 
-def fourier_factors(p: Polynomial, m: int) -> List[Tuple[int, Polynomial]]:
-    """Group FT[p F] = exp(-|xi|^2m) * sum_g i^g R_g(xi) by the power of i.
+def hermitian_transform(p: Polynomial, m: int) -> Polynomial:
+    """The real H with FT[p F](xi) = exp(-|xi|^2m) sum_d i^|d| H[d] xi^d.
 
-    Monomial rule: FT[y^gamma F] = i^|gamma| Q_gamma exp(-|xi|^2m).
+    Monomial rule: FT[y^gamma F] = i^|gamma| Q_gamma exp(-|xi|^2m). Every
+    term xi^d of Q_gamma has the parity of |gamma|, so the phase folds in
+    exactly: i^|gamma| = i^|d| (-1)^((|gamma| - |d|)/2).
     """
-    groups: Dict[int, Polynomial] = {}
+    out: Dict[Tuple[int, ...], Fraction] = {}
     for gamma, c in p.terms.items():
-        g = sum(gamma) % 4
-        q = _q_poly(m, gamma).scale(c)
-        groups[g] = groups[g] + q if g in groups else q
-    return [(g, q) for g, q in sorted(groups.items()) if not q.is_zero()]
+        for d, q in _q_poly(m, gamma).terms.items():
+            s = c * q if (sum(gamma) - sum(d)) % 4 == 0 else -c * q
+            out[d] = out.get(d, Fraction(0)) + s
+    return Polynomial(p.dim, out)
+
+
+def spectrum_cubes(fields: Sequence[VectorPolyField], m: int) -> np.ndarray:
+    """Hermitian coefficient cubes (F, 3, D+1, D+1, D+1) of FT[v F] for
+    each field v, D the largest power of any variable among them."""
+    return _cubes([[hermitian_transform(p, m) for p in v.components] for v in fields])
+
+
+def dual_cubes(blocks: Sequence[SolenoidalBasis]) -> np.ndarray:
+    """Hermitian coefficient cubes (J, 3, D+1, D+1, D+1) of the derivative
+    duals of `blocks`: FT[W_c] = (-i)^k A_c w with A_c homogeneous of degree
+    k, so the Hermitian polynomial of a level-k dual is (-1)^k A_c."""
+    return _cubes(
+        [[p.scale((-1) ** b.level) for p in A] for b in blocks for A in b.dual_transform_polys()]
+    )
+
+
+def _cubes(polys: Sequence[Sequence[Polynomial]]) -> np.ndarray:
+    """Coefficient cubes of `polys` (per field, per component), all with
+    the largest power D of any variable among them."""
+    D = max((max(d) for comps in polys for p in comps for d in p.terms), default=0)
+    return np.array([[p.coeff_cube(D) for p in comps] for comps in polys])
+
+
+def _lattice_spectrum(H: np.ndarray, spec: GridSpec, m: int) -> np.ndarray:
+    """exp(-|eta|^2m) sum_d i^|d| H[d] eta^d on the frequency lattice."""
+    out = np.zeros((spec.n,) * 3, dtype=complex)
+    re, im = lattice_parts(H, spec)
+    if re is not None:
+        out.real = re
+    if im is not None:
+        out.imag = im
+    out *= _exp_eta2m(spec.L, spec.n, m)
+    return out
+
+
+def _synth(spec: GridSpec, spectra: Sequence[np.ndarray]) -> GridVectorField:
+    """The grid field with the given component spectra."""
+    out = np.empty((3,) + (spec.n,) * 3)
+    for c, g in enumerate(spectra):
+        out[c] = to_grid(spec, g).real
+    return GridVectorField(spec, out)
 
 
 def weighted_transform(
@@ -247,51 +291,33 @@ def weighted_transform(
 ) -> List[np.ndarray]:
     """FT[v_c F] evaluated on the frequency lattice, one complex array per
     component."""
-    eta = spec.freqs()
-    decay = _exp_eta2m(spec.L, spec.n, m)
-    out = []
-    for p in v.components:
-        acc = np.zeros((spec.n,) * 3, dtype=complex)
-        for g, R in fourier_factors(p, m):
-            acc += (1j) ** g * R.evaluate_grid([eta, eta, eta])
-        out.append(acc * decay)
-    return out
+    return [_lattice_spectrum(H, spec, m) for H in spectrum_cubes([v], m)[0]]
 
 
 def synth_weighted(v: VectorPolyField, spec: GridSpec, m: int) -> GridVectorField:
     """Grid samples of v F via its closed-form transform (all m; exact up to
     periodization and the lattice Riemann sum)."""
-    out = np.empty((3,) + (spec.n,) * 3)
-    for c, g in enumerate(weighted_transform(v, spec, m)):
-        out[c] = to_grid(spec, g).real
-    return GridVectorField(spec, out)
+    return _synth(spec, weighted_transform(v, spec, m))
 
 
 def synth_duals(basis: SolenoidalBasis, spec: GridSpec) -> List[GridVectorField]:
     """Grid samples of the derivative-dual fields W_j of one basis level,
-    from their spectra FT[W_c] = (-i)^k A_c exp(-|xi|^2m) on the frequency
-    lattice."""
-    eta = spec.freqs()
-    decay = _exp_eta2m(spec.L, spec.n, basis.params.m)
-    scalar = (-1j) ** basis.level
-    zero = np.zeros((spec.n,) * 3)
-    fields = []
-    for A in basis.dual_transform_polys():
-        comps = [
-            zero if p.is_zero() else to_grid(spec, scalar * p.evaluate_grid([eta] * 3) * decay).real
-            for p in A
-        ]
-        fields.append(GridVectorField(spec, np.stack(comps)))
-    return fields
+    from their closed-form spectra on the frequency lattice."""
+    m = basis.params.m
+    return [
+        _synth(spec, [_lattice_spectrum(H, spec, m) for H in cubes])
+        for cubes in dual_cubes([basis])
+    ]
 
 
 # -- frequency-space pairings of closed-form spectra --------------------------------
 #
 # Every closed-form spectrum above has the shape
 #     S(eta) = w(eta) sum_d i^|d| P[d] eta^d,    w = exp(-b |eta|^2m),
-# with a real "Hermitian coefficient" array P[d1, d2, d3]: the phase i^|d|
-# is what makes the field real in physical space. By the discrete Parseval
-# identity the grid pairing h^3 sum_x f g of two lattice spectra is
+# with a real "Hermitian coefficient" array P[d1, d2, d3] (the rounded
+# `hermitian_transform`): the phase i^|d| is what makes the field real in
+# physical space. By the discrete Parseval identity the grid pairing
+# h^3 sum_x f g of two lattice spectra is
 # (2L)^-3 Re sum_eta F conj(G), so the pairing of two such fields is a
 # finite contraction of their coefficients against the lattice moments
 # sum_eta eta^n w1(eta) w2(eta), and a field is evaluated on the lattice by
@@ -344,35 +370,6 @@ def _i_power(deg: np.ndarray, part: str) -> np.ndarray:
     return np.array(table)[deg % 4]
 
 
-def _hermitian_coeffs(phased: Sequence[Tuple[int, Polynomial]], dmax: int) -> np.ndarray:
-    """Real P with sum_g i^g R_g(eta) = sum_d i^|d| P[d] eta^d, |d_i| <= dmax.
-
-    Each monomial's phase i^g must be i^|d| up to sign, which holds for the
-    transform of every real field; summed exactly, then rounded once."""
-    exact: Dict[Tuple[int, ...], Fraction] = {}
-    for g, R in phased:
-        for d, c in R.terms.items():
-            q, odd = divmod(g - sum(d), 2)
-            if odd:
-                raise ValidationError("spectrum is not the transform of a real field")
-            exact[d] = exact.get(d, Fraction(0)) + (-c if q % 2 else c)
-    P = np.zeros((dmax + 1,) * 3)
-    for d, c in exact.items():
-        P[d] = float(c)
-    return P
-
-
-def coeff_array(fields: Sequence[Sequence[Sequence[Tuple[int, Polynomial]]]]) -> np.ndarray:
-    """Hermitian coefficients (F, 3, D+1, D+1, D+1) of fields given per
-    component as (g, R_g) lists (`fourier_factors` of each component of
-    v for FT[v F]), D the largest power of any variable among them."""
-    D = max(
-        (max(d) for f in fields for comp in f for _, R in comp for d in R.terms),
-        default=0,
-    )
-    return np.array([[_hermitian_coeffs(comp, D) for comp in f] for f in fields])
-
-
 def dilate_coeffs(P: np.ndarray, sigma: float) -> np.ndarray:
     """Hermitian coefficients of S(sigma eta), given those of S(eta)."""
     return sigma ** _degree_cube(P.shape[-1] - 1) * P
@@ -421,16 +418,10 @@ def lattice_parts(P: np.ndarray, spec: GridSpec) -> Tuple[np.ndarray, np.ndarray
     lattice (two fresh real arrays; None for a part that vanishes)."""
     deg = _degree_cube(P.shape[-1] - 1)
     eta = spec.freqs()
-    V = np.stack([eta**d for d in range(P.shape[-1])], axis=1)  # (n, D)
     out = []
     for part in ("re", "im"):
         A = P * _i_power(deg, part)
-        if not A.any():
-            out.append(None)
-            continue
-        t = np.tensordot(A, V, axes=([0], [1]))  # (D2, D3, n)
-        t = np.tensordot(t, V, axes=([0], [1]))  # (D3, n, n)
-        out.append(np.tensordot(t, V, axes=([0], [1])))  # (n, n, n)
+        out.append(evaluate_cube(A, [eta] * 3) if A.any() else None)
     return out[0], out[1]
 
 
@@ -627,15 +618,6 @@ def _divergence_poly(A: Sequence[Polynomial]) -> Polynomial:
     return out
 
 
-def coeff_cube(p: Polynomial, D: int) -> np.ndarray:
-    """C with p(eta) = sum_d C[d] eta^d, |d_i| <= D, each coefficient
-    rounded once."""
-    C = np.zeros((D + 1,) * 3)
-    for d, c in p.terms.items():
-        C[d] = float(c)
-    return C
-
-
 def interaction_tensor(
     basisA,
     basisG,
@@ -701,14 +683,11 @@ def interaction_tensor(
         start = stop
     # exact per-dual data: the phase (-i)^k of FT[W_j] = (-i)^k A_j w, and
     # the real coefficient cubes of every A_jc and of the divergence symbol
-    # sigma_j = sum_c xi_c A_jc
+    # sigma_j = sum_c xi_c A_jc, powers up to D
     duals = [(b.level, A) for b in dualsB.blocks for A in b.dual_transform_polys()]
-    sigmas = [_divergence_poly(A) for _, A in duals]
-    polys = sigmas + [p for _, A in duals for p in A]
-    D = max((max(d) for p in polys for d in p.terms), default=0)
     phase = np.array([(-1j) ** k for k, _ in duals])[:, None, None, None, None]
-    A = np.array([[coeff_cube(p, D) for p in comps] for _, comps in duals])
-    sig = np.array([coeff_cube(s, D) for s in sigmas])
+    cubes = _cubes([A + [_divergence_poly(A)] for _, A in duals])
+    A, sig, D = cubes[:, :3], cubes[:, 3], cubes.shape[-1] - 1
     qs = [[convection_poly(va, vg) for vg in fg] for va in fa]
     dmax = 0
     for row in qs:

@@ -192,35 +192,20 @@ class Polynomial:
     def evaluate_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
         """Evaluate on a tensor-product grid given per-axis 1-D sample arrays.
 
-        Returns an ndarray of shape (len(axes[0]), ..., len(axes[-1])).
-        Power tables keep the cost at one fused multiply per term and axis.
+        Returns an ndarray of shape (len(axes[0]), ..., len(axes[-1])),
+        through `evaluate_cube` of the coefficient cube.
         """
-        if len(axes) != self.dim:
-            raise ValueError("axes arity mismatch")
-        shape = tuple(len(a) for a in axes)
-        out = np.zeros(shape)
-        if not self.terms:
-            return out
-        max_pow = [0] * self.dim
-        for b in self.terms:
-            for i, bi in enumerate(b):
-                max_pow[i] = max(max_pow[i], bi)
-        pows = []
-        for i, ax in enumerate(axes):
-            ax = np.asarray(ax, dtype=float)
-            tbl = np.ones((max_pow[i] + 1, len(ax)))
-            for p in range(1, max_pow[i] + 1):
-                tbl[p] = tbl[p - 1] * ax
-            pows.append(tbl)
-        for b, c in self.terms.items():
-            term = np.full(shape, float(c))
-            for i, bi in enumerate(b):
-                if bi:
-                    sl = [None] * self.dim
-                    sl[i] = slice(None)
-                    term = term * pows[i][bi][tuple(sl)]
-            out += term
-        return out
+        return evaluate_cube(self.coeff_cube(), axes)
+
+    def coeff_cube(self, D: int | None = None) -> np.ndarray:
+        """C with p(y) = sum_d C[d] y^d, |d_i| <= D (by default the largest
+        exponent of any variable), each coefficient rounded once."""
+        if D is None:
+            D = max((max(b) for b in self.terms), default=0)
+        C = np.zeros((D + 1,) * self.dim)
+        for d, c in self.terms.items():
+            C[d] = float(c)
+        return C
 
     # -- serialization ------------------------------------------------------
 
@@ -288,6 +273,24 @@ def divergence(components: Sequence[Polynomial]) -> Polynomial:
 
 def evaluate(p: Polynomial, y: Sequence):
     return p.evaluate(y)
+
+
+def evaluate_cube(C: np.ndarray, axes: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_d C[d] prod_i axes[i]^d_i on the tensor-product grid of `axes`.
+
+    The cube's leading axis is contracted with that axis's power table, one
+    axis at a time; each step appends its grid axis at the end, so the
+    result has shape (len(axes[0]), ..., len(axes[-1])) and the only full
+    grid array is the last step's output.
+    """
+    if C.ndim != len(axes):
+        raise ValueError("axes arity mismatch")
+    t = C
+    for powers, ax in zip(C.shape, axes):
+        ax = np.asarray(ax, dtype=float)
+        V = np.stack([ax**d for d in range(powers)], axis=1)  # (len(ax), powers)
+        t = np.tensordot(t, V, axes=([0], [1]))
+    return t
 
 
 class VectorPolyField:

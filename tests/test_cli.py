@@ -732,6 +732,102 @@ def test_malformed_tensor_file_exits_2(tmp_path, capsys, doc):
     assert str(path) in line["message"]
 
 
+def _tensor_doc() -> dict:
+    """A complete K=1 tensor document: the rotation couplings eps/2."""
+    from hermflow.grid import GridSpec
+    from hermflow.solenoidal import composite_basis
+
+    doc = cli._zero_tensor(composite_basis(1, 1), 1, GridSpec(6.0, 24)).to_json_dict()
+    for e in doc["entries"]:
+        (ka, a), (kg, g), (kb, b) = e["alpha"], e["gamma"], e["beta"]
+        if ka == kg == kb == 1:
+            e["value"] = 0.25 * (a - g) * (g - b) * (b - a)
+    return doc
+
+
+def _evolve_on(tmp_path, capsys, doc):
+    path = tmp_path / "tensor.json"
+    path.write_text(json.dumps(doc))
+    argv = ["evolve", "--model", "nse", "--data", "l1:0=0.2", "--K", "1", "--tau", "1",
+            "--tensor", str(path), "--outdir", str(tmp_path / "out")]
+    code, line = _run(capsys, argv)
+    return code, line, str(path)
+
+
+def test_tensor_file_must_hold_every_triple_once(tmp_path, capsys):
+    doc = _tensor_doc()
+    code, _, _ = _evolve_on(tmp_path, capsys, doc)
+    assert code == 0
+    # without its six nonzero couplings the file would integrate as zeros
+    kept = [e for e in doc["entries"] if e["value"] == 0.0]
+    assert len(kept) == len(doc["entries"]) - 6
+    code, line, path = _evolve_on(tmp_path, capsys, {**doc, "entries": kept})
+    assert code == 2 and line["error"] == "validation"
+    assert line["message"] == f"{path}: no entry for alpha [1, 0], gamma [1, 1], beta [1, 2]"
+    # a repeated triple would let the later value win silently
+    first = doc["entries"][1]
+    again = {**first, "value": 7.0}
+    code, line, path = _evolve_on(tmp_path, capsys, {**doc, "entries": doc["entries"] + [again]})
+    assert code == 2 and line["error"] == "validation"
+    assert line["message"] == (
+        f"{path}: repeated entry for alpha {first['alpha']}, gamma {first['gamma']}, "
+        f"beta {first['beta']}"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["evolve", "--tau", "0"], "tau"),
+        (["evolve", "--tau", "-1"], "tau"),
+        (["evolve", "--model", "nse", "--K", "1", "--data", "l1:0=1", "--tau", "0",
+          "--zero-tensor"], "tau"),
+        (["evolve", "--model", "nse", "--K", "1", "--data", "l1:0=1", "--tau", "-1",
+          "--zero-tensor"], "tau"),
+        (["nodal", "--taus", "0"], "the largest of taus"),
+        (["nodal", "--taus=-1"], "taus"),
+        (["nodal", "--taus=0,1,-1"], "taus"),
+    ],
+)
+def test_non_positive_times_exit_2_before_any_artifact(tmp_path, capfd, argv, what):
+    # tau = 0 is t = -1, where the data are prescribed: no run ends there
+    code = cli.run(argv + ["--outdir", str(tmp_path)])
+    out, err = capfd.readouterr()
+    line = json.loads(out)
+    assert code == 2 and line["error"] == "validation"
+    assert line["message"].startswith(f"{what} must be ")
+    assert err == f"hermflow {argv[0]}: {line['message']}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["nodal", "--cell", "0.1"], ["verify", "--m", "1", "--level", "1", "--n", "32", "--L", "16"]],
+    ids=["nodal", "verify"],
+)
+def test_blas_threads_do_not_change_bytes(tmp_path, argv):
+    # grid evaluation contracts coefficient cubes through BLAS; its thread
+    # count must not reach the bytes of the summary or of any artifact
+    import subprocess
+    import sys
+
+    import hermflow
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(hermflow.__file__)))
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+        outdir = tmp_path / threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "hermflow.cli", *argv, "--outdir", str(outdir)],
+            env=env, capture_output=True, check=True,
+        )
+        files = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+        outs.append((proc.stdout, files))
+    assert outs[0][1] and outs[0] == outs[1]
+
+
 @pytest.mark.parametrize(
     "terms",
     [

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hermflow import grid, rational_linalg
+from hermflow import dynamics, grid, rational_linalg
 from hermflow.dynamics import (
     CoefficientTrajectory,
     Expansion,
@@ -27,12 +28,12 @@ from hermflow.dynamics import _Extractor
 from hermflow.grid import (
     GridSpec,
     InteractionTensor,
-    coeff_array,
     dilate_coeffs,
-    fourier_factors,
     freq_sq,
+    hermitian_transform,
     interaction_tensor,
     pair_fields,
+    spectrum_cubes,
     synth_duals,
     synth_weighted,
     to_grid,
@@ -338,6 +339,24 @@ def test_nodal_extract_plane_zero_set():
             nodal_extract(ep, R=R, cell=cell)
 
 
+@pytest.mark.parametrize("n", [81, 161])
+def test_nodal_extract_working_set(cb3, n):
+    # the refusal in `nodal_extract` sizes the sampling grid at _NODAL_ARRAYS
+    # float64 arrays of n^3; the measured peak must stay within it
+    e = diagonal_flow(Expansion(cb3, {(1, 0): 1.0, (3, 10): 0.5}), 1.0)
+    R = 2.0
+    cell = 2.0 * R / (n - 1)
+    nodal_extract(e, R=R, cell=cell)  # exact field polynomial and tables
+    tracemalloc.start()
+    try:
+        clouds = nodal_extract(e, R=R, cell=cell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(c) for c in clouds) > 0
+    assert peak <= dynamics._NODAL_ARRAYS * 8 * n**3
+
+
 def test_nodal_compare_symmetry_and_filters():
     ax = np.linspace(-2.0, 2.0, 41)
     X, Y = np.meshgrid(ax, ax, indexing="ij")
@@ -476,12 +495,16 @@ def test_frequency_extractor_matches_grid_quadrature(m, k, other):
     # the verifier's rescaled spectrum exp(-b|eta|^2m) P(sigma eta), from
     # its coefficient arrays versus a grid synthesis of the same spectrum
     b, sigma = 3.0, 0.5 ** (-1.0 / (2 * m))
-    (P,) = coeff_array([[fourier_factors(p, m) for p in data.components]])
+    (P,) = spectrum_cubes([data], m)
     c, resid = extract.closed_form(dilate_coeffs(P, sigma), b)
     eta = spec.freqs() * sigma
     comps = []
     for p in data.components:
-        acc = sum((1j) ** g * R.evaluate_grid([eta, eta, eta]) for g, R in fourier_factors(p, m))
+        H = hermitian_transform(p, m).terms
+        acc = sum(
+            (1j) ** g * Polynomial(3, {d: h for d, h in H.items() if sum(d) % 4 == g}).evaluate_grid([eta] * 3)
+            for g in range(4)
+        )
         comps.append(to_grid(spec, acc * np.exp(-b * freq_sq(spec) ** m)).real)
     u = grid.GridVectorField(spec, np.stack(comps))
     c_ref, resid_ref = _quadrature_reference(basis, u, spec)

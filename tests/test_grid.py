@@ -24,6 +24,7 @@ from hermflow.grid import (
 )
 from hermflow.kernel import gaussian_kernel, kernel_values
 from hermflow.moments import moment_of_poly
+from hermflow.multiindex import enumerate_up_to
 from hermflow.polynomial import Polynomial, VectorPolyField
 from hermflow.solenoidal import fixture_basis
 
@@ -179,6 +180,36 @@ def test_axis_tables_take_a_spectrum_to_its_grid_moments(spec):
     want = spec.h**3 * grid._axis_moments(to_grid(spec, F).real, spec.axes(), dmax)
     scale = spec.h**3 * grid._axis_moments(np.abs(f), np.abs(spec.axes()), dmax)
     assert np.max(np.abs(got - want) / scale) <= 1e-15
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_transform_polynomials_have_the_parity_of_their_monomial(m):
+    # every term xi^d of Q_gamma has |d| = |gamma| mod 2: the phase of
+    # FT[y^gamma F] = i^|gamma| Q_gamma w folds into i^|d| up to a sign
+    for gamma in enumerate_up_to(6, 3):
+        q = grid._q_poly(m, gamma)
+        assert not q.is_zero()
+        assert all((sum(gamma) - sum(d)) % 2 == 0 for d in q.terms), gamma
+
+
+def test_lattice_parts_match_a_direct_complex_sum():
+    # a cube without symmetry, so a transposed contraction fails
+    spec = GridSpec(3.0, 16)
+    P = np.random.default_rng(2).standard_normal((4, 4, 4))
+    e = spec.freqs()
+    want = np.zeros((spec.n,) * 3, dtype=complex)
+    scale = np.zeros((spec.n,) * 3)
+    for d in np.ndindex(P.shape):
+        mono = e[:, None, None] ** d[0] * e[None, :, None] ** d[1] * e[None, None, :] ** d[2]
+        want += 1j ** sum(d) * P[d] * mono
+        scale += np.abs(P[d] * mono)
+    re, im = grid.lattice_parts(P, spec)
+    assert np.max(np.abs(re - want.real) / scale) <= 1e-15
+    assert np.max(np.abs(im - want.imag) / scale) <= 1e-15
+    # a cube of even degrees only has no imaginary part
+    even = P * (grid._degree_cube(3) % 2 == 0)
+    re, im = grid.lattice_parts(even, spec)
+    assert im is None and np.max(np.abs(re - want.real) / scale) <= 1e-15
 
 
 def test_synth_duals_pair_to_gram_rows():

@@ -85,6 +85,24 @@ def test_evaluate_grid_matches_pointwise():
     assert got == pytest.approx(want, rel=1e-14)
 
 
+@given(
+    p=polys,
+    axes=st.tuples(*[st.lists(st.fractions(-2, 2, max_denominator=4), min_size=1, max_size=6)] * 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_evaluate_grid_matches_exact_evaluation(p, axes):
+    # axes of unequal lengths and a coefficient cube without symmetry: a
+    # transposed or misordered contraction lands values on the wrong nodes
+    grid = p.evaluate_grid([np.array([float(x) for x in ax]) for ax in axes])
+    assert grid.shape == tuple(len(ax) for ax in axes)
+    scale = Polynomial(3, {b: abs(c) for b, c in p.terms.items()})
+    for idx in np.ndindex(grid.shape):
+        y = [ax[i] for ax, i in zip(axes, idx)]
+        want = p.evaluate(y)
+        bound = 1e-14 * float(scale.evaluate([abs(v) for v in y]))
+        assert abs(grid[idx] - float(want)) <= bound
+
+
 @given(p=polys)
 @settings(max_examples=40, deadline=None)
 def test_json_roundtrip(p):
