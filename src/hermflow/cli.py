@@ -919,6 +919,8 @@ def _cmd_verify(cfg: dict, outdir: str) -> dict:
                 "n_tau": len(traj.taus),
                 "max_rel_err": rc["max_rel_err"],
                 "max_residual": max(st.residual for st in traj.states),
+                "residuals": [st.residual for st in traj.states],
+                "overlap": traj.overlap,
                 "rates": {f"l{a}:{b}": v for (a, b), v in rc["rates"].items()},
                 "diagnostic": traj.diagnostic,
             }

@@ -8,7 +8,9 @@ error, periodization is the only approximation).
 """
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -24,6 +26,7 @@ from .grid import (
     dilate_coeffs,
     dual_cubes,
     freq_sq,
+    hermitian_parts,
     lattice_moments,
     lattice_parts,
     moment_pairings,
@@ -34,7 +37,7 @@ from .grid import (
     to_spectral,
 )
 from .multiindex import enumerate_level
-from .polynomial import Polynomial, VectorPolyField
+from .polynomial import CubeRows, Polynomial, VectorPolyField, row_blocks
 from .rational_linalg import fd_weights
 from .solenoidal import level_basis
 
@@ -45,6 +48,16 @@ def _decay_rate(m: int, k: int) -> float:
     of the self-similar rescaling, i.e. -(k+1)/2 for m=1 and -(k+3)/4 for
     m=2. The operator order alone fixes it."""
     return -(k + 2 * m - 1) / (2 * m)
+
+
+# exp(-x) is exactly 0.0 in float64 for every x above 745.1332191019412
+_EXP_ZERO = 746.0
+
+
+def _runs(mask: np.ndarray) -> List[slice]:
+    """The maximal runs of True in a 1-D boolean mask, as slices."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], mask.astype(np.int8), [0]))))
+    return [slice(int(lo), int(hi)) for lo, hi in zip(edges[::2], edges[1::2])]
 
 
 # -- expansions -------------------------------------------------------------------
@@ -93,6 +106,13 @@ class Expansion:
         }
 
 
+# float64 arrays of n^3 at the peak of `expand` on a grid field, rounded up
+# (tracemalloc: 14.0 to 15.0 for n = 32, 64): |eta|^2, |eta|^2m, the decay
+# and the complex grid phase, the three complex component spectra and the
+# transients of a forward transform and of the residual
+_EXPAND_ARRAYS = 16
+
+
 def expand(u, basis, spec: GridSpec | None = None) -> Expansion:
     """Extract basis coefficients of u by dual pairing.
 
@@ -100,7 +120,8 @@ def expand(u, basis, spec: GridSpec | None = None) -> Expansion:
     exact rational dual pairings; the reported residual is the grid norm of
     the uncaptured remainder times the kernel, so input outside the span
     shows up there instead of passing silently. Grid input goes
-    through `_Extractor.grid`.
+    through `_Extractor.grid`, after a grid whose working set would not
+    fit in physical memory is refused.
     """
     if isinstance(u, VectorPolyField):
         coeffs: Dict[Tuple[int, int], object] = {}
@@ -118,6 +139,7 @@ def expand(u, basis, spec: GridSpec | None = None) -> Expansion:
             residual = synth_weighted(diff, sp, basis.params.m).norm()
         return Expansion(basis, coeffs, residual=residual)
     if isinstance(u, GridVectorField):
+        check_fits(u.spec.n, _EXPAND_ARRAYS, "expand on a grid field")
         c, residual = _Extractor(basis, u.spec).grid(u)
         coeffs = dict(zip(basis.labels, (float(x) for x in c)))
         return Expansion(basis, coeffs, residual=residual)
@@ -140,10 +162,12 @@ class _Extractor:
     """
 
     def __init__(self, basis, spec: GridSpec):
-        m = basis.params.m
+        m = self.m = basis.params.m
         self.spec = spec
         self.r2m = freq_sq(spec) if m == 1 else freq_sq(spec) ** m
-        self.decay = np.exp(-self.r2m)
+        self.decay = np.empty_like(self.r2m)
+        self.live_decay = self._weight(1.0, self.decay)
+        self._local = threading.local()
         self.duals = dual_cubes(basis.blocks)
         self.realz = spectrum_cubes(basis.fields, m)
         dmax = self.realz.shape[-1] + self.duals.shape[-1] - 2
@@ -152,30 +176,77 @@ class _Extractor:
 
     def closed_form(self, X: np.ndarray, b: float) -> Tuple[np.ndarray, float]:
         """Field with spectrum exp(-b|eta|^2m) sum_d i^|d| X_c[d] eta^d."""
-        w = np.multiply(self.r2m, -b)
-        np.exp(w, out=w)
+        w, wd = self._scratch()
+        live = self._weight(b, w)
+        np.multiply(w, self.decay, out=wd)
         Dx, Dw = X.shape[-1] - 1, self.duals.shape[-1] - 1
-        table = lattice_moments(w * self.decay, self.spec, Dx + Dw)
+        table = lattice_moments(wd, self.spec, Dx + Dw)
         raw = moment_pairings(X[None], self.duals, table, self.spec)[0]
         c = np.linalg.solve(self.M.T, raw)
         Y = np.tensordot(c, self.realz, axes=(0, 0))
-        # real and imaginary parts of the difference spectrum, pointwise
-        total = 0.0
+        return c, self._residual(X, Y, w, live)
+
+    def _scratch(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Two lattice arrays of the calling thread, made on its first
+        output time and reused by the next ones: a fresh pair per output
+        time costs a page fault per 4 KiB, and the threads contend for it."""
+        arrays = getattr(self._local, "arrays", None)
+        if arrays is None:
+            arrays = self._local.arrays = (np.empty_like(self.r2m), np.empty_like(self.r2m))
+        return arrays
+
+    def _weight(self, b: float, out: np.ndarray) -> np.ndarray:
+        """Fill `out` with exp(-b|eta|^2m) and return the live indices of a
+        lattice axis, where it can be nonzero. |eta|^2m >= eta_i^2m on every
+        axis i, so the weight underflows to exactly 0.0 wherever one
+        coordinate alone has b eta_i^2m > _EXP_ZERO; the exponential runs
+        only on the boxes of live indices, with the same bits as on the
+        whole lattice, and `out` is 0.0 elsewhere."""
+        live = b * self.spec.freqs() ** (2 * self.m) <= _EXP_ZERO
+        runs = _runs(live)
+        out.fill(0.0)
+        for box in itertools.product(runs, runs, runs):
+            np.multiply(self.r2m[box], -b, out=out[box])
+            np.exp(out[box], out=out[box])
+        return live
+
+    def _residual(self, X: np.ndarray, Y: np.ndarray, w: np.ndarray, live: np.ndarray) -> float:
+        """Grid norm of the field with spectrum
+        w sum_d i^|d| X_c[d] eta^d - decay sum_d i^|d| Y_c[d] eta^d,
+        evaluated pointwise on the lattice in one sweep of row blocks: each
+        block of every nonzero real or imaginary part is evaluated, weighted,
+        subtracted and squared while it is in cache. `live` holds the live
+        indices of w (`_weight`); a block whose rows are all dead for a
+        weight skips that spectrum, whose weighted values there are 0.0."""
+        eta = [self.spec.freqs()] * 3
+        weights = ((w, live), (self.decay, self.live_decay))
+        parts = []  # the weighted spectra of each part of the difference
         for comp in range(3):
-            parts = zip(lattice_parts(X[comp], self.spec), lattice_parts(Y[comp], self.spec))
-            for x, y in parts:
-                if x is not None:
-                    x *= w
-                if y is not None:
-                    y *= self.decay
-                    if x is not None:
-                        x -= y
-                diff = y if x is None else x  # the sign drops out of the norm
+            for pair in zip(hermitian_parts(X[comp]), hermitian_parts(Y[comp])):
+                spectra = [
+                    (CubeRows(A, eta), weight, keep)
+                    for A, (weight, keep) in zip(pair, weights)
+                    if A is not None
+                ]
+                if spectra:
+                    parts.append(spectra)
+        total = 0.0
+        for rows in row_blocks(self.r2m.shape):
+            for spectra in parts:
+                diff = None
+                for rows_of, weight, keep in spectra:
+                    if keep[rows].any():
+                        v = rows_of(rows)
+                        v *= weight[rows]
+                        if diff is None:
+                            diff = v
+                        else:
+                            diff -= v  # the sign drops out of the norm
                 if diff is not None:
                     # numpy's own summation, not BLAS: its order does not
                     # depend on the thread count, so the bytes do not either
                     total += float(np.sum(np.square(diff, out=diff)))
-        return c, math.sqrt(total / (2.0 * self.spec.L) ** 3)
+        return math.sqrt(total / (2.0 * self.spec.L) ** 3)
 
     def grid(self, u: GridVectorField) -> Tuple[np.ndarray, float]:
         """Field sampled on the grid (one forward transform per component)."""
@@ -214,10 +285,15 @@ def diagonal_flow(e0: Expansion, tau: float) -> Expansion:
 
 @dataclass
 class CoefficientTrajectory:
+    """Coefficient states at the output times `taus`. `overlap` holds the
+    semigroup verifier's image-overlap estimate at each output time (empty
+    for other trajectories)."""
+
     taus: np.ndarray
     states: List[Expansion]
     duhamel_residual: Optional[float] = None
     diagnostic: dict = dc_field(default_factory=dict)
+    overlap: List[float] = dc_field(default_factory=list)
 
     @property
     def labels(self) -> List[Tuple[int, int]]:
@@ -654,6 +730,20 @@ def classify_zero(
 # -- semigroup verifier ---------------------------------------------------------------
 
 
+def _verifier_arrays(n: int, m: int, level: int, workers: int) -> float:
+    """Float64 arrays of n^3 at the peak of `semigroup_verify`, an upper
+    bound: |eta|^2 (cached), |eta|^2m and the decay; then, per output time
+    in flight, the thread's weight and weight-times-decay arrays, two row
+    blocks of the residual sweep, the plane tables of its (at most twelve)
+    spectra and the first contraction of the moment table. A level-k
+    spectrum cube holds powers up to (2m-1)k of each variable, a dual's up
+    to k."""
+    D = (2 * m - 1) * level
+    rows = row_blocks((n, n, n))[0]
+    block = (rows.stop - rows.start) / n
+    return 3 + workers * (2 + 2 * block + (12 * (D + 1) + D + level + 1) / n)
+
+
 def semigroup_verify(
     data: VectorPolyField,
     m: int,
@@ -686,9 +776,6 @@ def semigroup_verify(
     if not (-1.0 < t_end < 0.0):
         raise ValidationError("t_end must lie in (-1, 0)")
     sp = spec or GridSpec(24.0, 128)
-    # |eta|^2m and the Gram weight, and five lattice arrays per output time
-    # in flight
-    check_fits(sp.n, 3 + 5 * min(max(1, workers or 1), n_tau), "the semigroup verifier")
     degrees = [int(p.degree()) for p in data.components if not p.is_zero()]
     if not degrees:
         raise ValidationError(
@@ -696,6 +783,11 @@ def semigroup_verify(
             "inferred"
         )
     level = max(degrees)
+    check_fits(
+        sp.n,
+        _verifier_arrays(sp.n, m, level, min(max(1, workers or 1), n_tau)),
+        "the semigroup verifier",
+    )
     rho = (2.0 * m - 1.0) / (2.0 * m)
     alpha = 2.0 * m / (2.0 * m - 1.0)
     if m == 1:
@@ -742,7 +834,9 @@ def semigroup_verify(
         return Expansion(basis, coeffs, tau=float(tau), residual=resid)
 
     states = parallel_map(state, [float(t) for t in taus], workers)
-    return CoefficientTrajectory(taus, states, diagnostic=diagnostic)
+    return CoefficientTrajectory(
+        taus, states, diagnostic=diagnostic, overlap=[overlap(float(t)) for t in taus]
+    )
 
 
 # -- unique continuation diagnostic ----------------------------------------------------

@@ -42,8 +42,18 @@ from .solenoidal import SolenoidalBasis
 # -- grid spec and transforms --------------------------------------------------
 
 
+# the largest box half-width L and Nyquist frequency pi n / (2L) of a grid:
+# lattice sums raise both to powers up to about 16 (moment tables, |eta|^2m,
+# h^3, the verifier's image separation), and float64 overflows past 2^1024
+_SCALE_MAX = 2.0**64
+
+
 @dataclass(frozen=True)
 class GridSpec:
+    """A periodic grid: n nodes per axis on [-L, L)^3. A box whose L or
+    Nyquist frequency exceeds `_SCALE_MAX` is out of floating-point range
+    and refused here, before any lattice array exists."""
+
     L: float
     n: int
 
@@ -52,6 +62,12 @@ class GridSpec:
             raise ValidationError("box half-width L must be positive and finite")
         if self.n < 16 or self.n % 2:
             raise ValidationError("n must be an even integer >= 16")
+        if not (self.L <= _SCALE_MAX and math.pi * self.n / (2.0 * self.L) <= _SCALE_MAX):
+            raise ValidationError(
+                f"box half-width L={self.L!r} on an n={self.n} grid is out of "
+                f"floating-point range: L and the Nyquist frequency "
+                f"pi n / (2L) must both be at most 2^64"
+            )
 
     @property
     def h(self) -> float:
@@ -413,16 +429,23 @@ def spectrum_pairings(
     return np.einsum("gcabd,cabd->g", Y, mom) / (2.0 * spec.L) ** 3
 
 
-def lattice_parts(P: np.ndarray, spec: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of sum_d i^|d| P[d] eta^d on the frequency
-    lattice (two fresh real arrays; None for a part that vanishes)."""
+def hermitian_parts(P: np.ndarray) -> Tuple[np.ndarray | None, np.ndarray | None]:
+    """Coefficient cubes of the real and imaginary parts of
+    sum_d i^|d| P[d] eta^d (None for a part that vanishes)."""
     deg = _degree_cube(P.shape[-1] - 1)
-    eta = spec.freqs()
     out = []
     for part in ("re", "im"):
         A = P * _i_power(deg, part)
-        out.append(evaluate_cube(A, [eta] * 3) if A.any() else None)
+        out.append(A if A.any() else None)
     return out[0], out[1]
+
+
+def lattice_parts(P: np.ndarray, spec: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of sum_d i^|d| P[d] eta^d on the frequency
+    lattice (two fresh real arrays; None for a part that vanishes)."""
+    eta = [spec.freqs()] * 3
+    re, im = (None if A is None else evaluate_cube(A, eta) for A in hermitian_parts(P))
+    return re, im
 
 
 def parallel_map(fn: Callable, items: Sequence, workers: int | None) -> list:
@@ -672,7 +695,9 @@ def interaction_tensor(
             f"the interaction tensor over several levels covers m=1 only, "
             f"got m={params.m} with {len(dualsB.blocks)} dual blocks"
         )
-    # |eta|^2, w, 1/|eta|^2, w/|eta|^2 and transients at the finest grid
+    # the refined grid is refused, like the given one, before any lattice
+    # work; |eta|^2, w, 1/|eta|^2, w/|eta|^2 and transients at the finest grid
+    sp_fine = GridSpec(L=spec.L * 2.0, n=spec.n * 2) if refine else None
     check_fits(2 * spec.n if refine else spec.n, 6, "the interaction tensor")
     fa, fg = basisA.fields, basisG.fields
     ginv = np.zeros((dualsB.count, dualsB.count))
@@ -721,7 +746,6 @@ def interaction_tensor(
 
     coarse = compute(spec)
     if refine:
-        sp_fine = GridSpec(L=spec.L * 2.0, n=spec.n * 2)
         fine = compute(sp_fine)
         values = fine
         errors = 2.0 * np.abs(fine - coarse)

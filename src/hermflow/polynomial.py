@@ -12,8 +12,9 @@ arbitrary precision survives):
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -275,22 +276,56 @@ def evaluate(p: Polynomial, y: Sequence):
     return p.evaluate(y)
 
 
-def evaluate_cube(C: np.ndarray, axes: Sequence[np.ndarray]) -> np.ndarray:
-    """sum_d C[d] prod_i axes[i]^d_i on the tensor-product grid of `axes`.
+# float64 values per row block (512 KiB): a block and the few temporaries
+# of its consumer stay in a core's L2 cache
+_BLOCK_VALUES = 2**16
 
-    The cube's leading axis is contracted with that axis's power table, one
-    axis at a time; each step appends its grid axis at the end, so the
-    result has shape (len(axes[0]), ..., len(axes[-1])) and the only full
-    grid array is the last step's output.
+
+def row_blocks(shape: Sequence[int]) -> List[slice]:
+    """Consecutive slices of the first axis of an array of `shape` that
+    cover it in blocks of about `_BLOCK_VALUES` values (at least one row)."""
+    step = max(1, _BLOCK_VALUES // math.prod(shape[1:]))
+    return [slice(i, min(i + step, shape[0])) for i in range(0, shape[0], step)]
+
+
+class CubeRows:
+    """`evaluate_cube(C, axes)` by rows of the first grid axis.
+
+    Every cube axis but the last is contracted with its power table x^d
+    once, at construction, one axis at a time, which leaves a table of
+    shape (D+1, len(axes[0]), ..., len(axes[-2])). `self(rows)` contracts
+    those rows of it with the last axis's power table, so a value is the
+    same sum, in the same order, whichever rows it is evaluated with.
     """
-    if C.ndim != len(axes):
-        raise ValueError("axes arity mismatch")
-    t = C
-    for powers, ax in zip(C.shape, axes):
-        ax = np.asarray(ax, dtype=float)
-        V = np.stack([ax**d for d in range(powers)], axis=1)  # (len(ax), powers)
-        t = np.tensordot(t, V, axes=([0], [1]))
-    return t
+
+    def __init__(self, C: np.ndarray, axes: Sequence[np.ndarray]):
+        if C.ndim != len(axes):
+            raise ValueError("axes arity mismatch")
+        tables = [
+            np.stack([np.asarray(ax, dtype=float) ** d for d in range(p)], axis=1)
+            for p, ax in zip(C.shape, axes)
+        ]  # (len(ax), powers) per axis
+        t = C
+        for table in tables[:-1]:
+            t = np.tensordot(t, table, axes=([0], [1]))
+        self.planes, self.last = t, tables[-1]
+        self.shape = tuple(len(ax) for ax in axes)
+
+    def __call__(self, rows: slice) -> np.ndarray:
+        if self.planes.ndim == 1:  # a cube in one variable
+            return np.tensordot(self.planes, self.last[rows], axes=([0], [1]))
+        return np.tensordot(self.planes[:, rows], self.last, axes=([0], [1]))
+
+
+def evaluate_cube(C: np.ndarray, axes: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_d C[d] prod_i axes[i]^d_i on the tensor-product grid of `axes`,
+    of shape (len(axes[0]), ..., len(axes[-1])), filled a row block at a
+    time by `CubeRows`, so the only full grid array is the result."""
+    rows_of = CubeRows(C, axes)
+    out = np.empty(rows_of.shape)
+    for rows in row_blocks(out.shape):
+        out[rows] = rows_of(rows)
+    return out
 
 
 class VectorPolyField:

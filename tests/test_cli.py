@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -59,6 +60,48 @@ def test_verify_byte_identical_across_workers(tmp_path, capsys):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
     (res,) = json.loads((tmp_path / "1" / "verify_m1.json").read_text())["results"]
     assert isinstance(res["max_residual"], float) and 0.0 < res["max_residual"] < 1.0
+
+
+def test_verify_keeps_per_time_diagnostics(tmp_path, capsys):
+    # each level's expansion residual and image-overlap estimate at every
+    # kept output time, with the same bytes for one worker and two
+    argv = ["verify", "--m", "2", "--level", "1", "--n", "32", "--L", "16", "--n-tau", "7"]
+    docs = []
+    for w in ("1", "2"):
+        code = cli.run(argv + ["--workers", w, "--outdir", str(tmp_path / w)])
+        assert code == 0
+        capsys.readouterr()
+        docs.append((tmp_path / w / "verify_m2.json").read_bytes())
+    assert docs[0] == docs[1]
+    (res,) = json.loads(docs[0])["results"]
+    assert len(res["residuals"]) == len(res["overlap"]) == res["n_tau"] >= 2
+    assert res["max_residual"] == max(res["residuals"])
+    assert all(0.0 <= x <= 2e-4 for x in res["overlap"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--L", "1e300", "--n", "16"],
+        ["d-tensor", "--L", "1e300", "--n", "16"],
+        ["d-tensor", "--L", "1e-300"],
+    ],
+    ids=["verify-huge", "d-tensor-huge", "d-tensor-tiny"],
+)
+def test_out_of_range_box_exits_2(tmp_path, capfd, argv):
+    # refused before any lattice work: no numpy overflow warning is raised,
+    # and stderr (captured at the file descriptor) holds one message line
+    # naming L and n
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.run(argv + ["--outdir", str(tmp_path)])
+    assert [str(w.message) for w in caught] == []
+    out, err = capfd.readouterr()
+    line = json.loads(out.strip().splitlines()[-1])
+    assert code == 2 and line["error"] == "validation"
+    assert "L=" in line["message"] and "n=" in line["message"]
+    assert err.splitlines() == [f"hermflow {argv[0]}: {line['message']}"]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -531,6 +531,106 @@ def test_semigroup_verify_caches_nothing_per_time():
     assert sizes[0] == sizes[1]
 
 
+def _full_lattice_closed_form(extract, X, b):
+    """`_Extractor.closed_form` on full lattice arrays: the weight on every
+    lattice point, and the residual from whole-lattice evaluations of each
+    real and imaginary part, weighted, subtracted and squared one array
+    at a time. Returns (c, residual, w)."""
+    spec = extract.spec
+    w = np.multiply(extract.r2m, -b)
+    np.exp(w, out=w)
+    Dx, Dw = X.shape[-1] - 1, extract.duals.shape[-1] - 1
+    table = grid.lattice_moments(w * extract.decay, spec, Dx + Dw)
+    raw = grid.moment_pairings(X[None], extract.duals, table, spec)[0]
+    c = np.linalg.solve(extract.M.T, raw)
+    Y = np.tensordot(c, extract.realz, axes=(0, 0))
+    total = 0.0
+    for comp in range(3):
+        parts = zip(grid.lattice_parts(X[comp], spec), grid.lattice_parts(Y[comp], spec))
+        for x, y in parts:
+            if x is not None:
+                x *= w
+            if y is not None:
+                y *= extract.decay
+                if x is not None:
+                    x -= y
+            diff = y if x is None else x
+            if diff is not None:
+                total += float(np.sum(np.square(diff, out=diff)))
+    return c, math.sqrt(total / (2.0 * spec.L) ** 3), w
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_blocked_residual_matches_full_lattice_route(m):
+    # a level whose spectrum cubes reach power 3 per variable (the level-3
+    # kernel block for m=1, beyond the fixture catalogue; level 1 for m=2),
+    # data in its span plus a field of another level, at the verifier's
+    # rescalings: s = 1 is tau = 0, where only roundoff is left over
+    spec = GridSpec(16.0, 48)
+    basis = level_basis(m, 3 if m == 1 else 1)
+    data = _combo(basis, {lab: Fraction(i + 2, 5) for i, lab in enumerate(basis.labels)})
+    (P,) = spectrum_cubes([data], m)
+    assert P.shape[-1] - 1 >= 3
+    (other,) = spectrum_cubes([fixture(m, 0)[0]], m)
+    extract = _Extractor(basis, spec)
+    for s in (1.0, 0.5, 0.2, 0.05):
+        b, sigma = (2.0 - s) / s, s ** (-1.0 / (2 * m))
+        for X in (P, P + np.pad(other, [(0, 0)] + [(0, P.shape[-1] - other.shape[-1])] * 3)):
+            X = dilate_coeffs(X, sigma)
+            c_ref, resid_ref, w_ref = _full_lattice_closed_form(extract, X, b)
+            c, resid = extract.closed_form(X, b)
+            assert c.tobytes() == c_ref.tobytes()
+            # the weight is exact where computed and exactly 0.0 elsewhere
+            assert extract._scratch()[0].tobytes() == w_ref.tobytes()
+            assert abs(resid - resid_ref) <= 1e-13 * resid_ref + 1e-20
+
+
+@pytest.mark.parametrize("m, n, workers", [(1, 64, 1), (2, 48, 2)])
+def test_semigroup_verify_working_set(m, n, workers):
+    # the refusal in `semigroup_verify` sizes the verifier at
+    # _verifier_arrays float64 arrays of n^3; the measured peak, with the
+    # lattice cache cleared so that its arrays count, must stay within it
+    data, spec = fixture(m, 1)[0], GridSpec(16.0, n)
+    semigroup_verify(data, m, spec=spec, n_tau=5, workers=workers)
+    grid._CACHE.clear()
+    tracemalloc.start()
+    try:
+        traj = semigroup_verify(data, m, spec=spec, n_tau=5, workers=workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.states) >= 2
+    assert peak <= dynamics._verifier_arrays(n, m, 1, workers) * 8 * n**3
+
+
+def test_expand_grid_field_working_set_and_refusal(monkeypatch):
+    spec = GridSpec(16.0, 32)
+    basis = level_basis(1, 1)
+    u = synth_weighted(fixture(1, 1)[0], spec, 1)
+    expand(u, basis)
+    grid._CACHE.clear()
+    tracemalloc.start()
+    try:
+        expand(u, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= dynamics._EXPAND_ARRAYS * 8 * spec.n**3
+
+    # a host with 1 MiB of memory: refused before any lattice array exists
+    monkeypatch.setattr(grid, "_physical_memory", lambda: 2**20)
+    grid._CACHE.clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="n=32"):
+            expand(u, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid._CACHE == {}
+    assert peak < 8 * spec.n**3
+
+
 def test_unique_continuation_diagnostic(cb3):
     taus = np.linspace(0.0, 4.0, 41)
     e0 = Expansion(cb3, {(1, 0): 1.0, (3, 10): 0.5})

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -231,3 +233,12 @@ def test_parallel_map_keeps_input_order():
     for workers in (None, 1, 3):
         assert parallel_map(lambda x: x * x, items, workers) == [x * x for x in items]
     assert parallel_map(lambda x: x, [], 3) == []
+
+
+def test_grid_spec_refuses_boxes_out_of_floating_point_range():
+    # L and the Nyquist frequency pi n / (2L) must both stay at most 2^64
+    assert GridSpec(2.0**64, 16).L == 2.0**64
+    assert GridSpec(math.pi * 16 / 2.0**65, 16).n == 16
+    for L, n in ((2.0**64 * 1.01, 16), (1e300, 16), (1e-300, 64), (math.pi * 16 / 2.0**65 * 0.99, 16)):
+        with pytest.raises(ValidationError, match=re.escape(f"L={L!r} on an n={n} grid")):
+            GridSpec(L, n)
