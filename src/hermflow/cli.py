@@ -360,17 +360,9 @@ def _parse_data_inner(desc: str, m: int, K_flag: Optional[int], seed: int, bases
 
 
 def _zero_tensor(cb, m: int, spec: GridSpec) -> InteractionTensor:
-    labs = list(cb.labels)
-    c = len(labs)
+    zero = np.zeros((cb.count,) * 3)
     return InteractionTensor(
-        m=m,
-        N=3,
-        spec=spec,
-        labels_a=labs,
-        labels_g=labs,
-        labels_b=labs,
-        values=np.zeros((c, c, c)),
-        errors=np.zeros((c, c, c)),
+        m=m, N=3, spec=spec, labels=list(cb.labels), values=zero, errors=zero.copy(),
         refined={"mode": "zero"},
     )
 
@@ -383,9 +375,7 @@ def _is_label(v) -> bool:
 
 
 def _triple(labels, idx) -> str:
-    return ", ".join(
-        f"{key} {list(labs[i])}" for key, labs, i in zip(_TENSOR_AXES, labels, idx)
-    )
+    return ", ".join(f"{key} {list(labels[i])}" for key, i in zip(_TENSOR_AXES, idx))
 
 
 def _load_tensor(path: str) -> InteractionTensor:
@@ -409,16 +399,18 @@ def _load_tensor(path: str) -> InteractionTensor:
         ):
             raise ValidationError(f"{path}: malformed tensor entry {e!r}")
 
-    # each axis lists its labels in first-seen order
-    la, lg, lb = labels = [
-        list(dict.fromkeys(tuple(e[key]) for e in doc["entries"])) for key in _TENSOR_AXES
-    ]
-    index = [{lab: i for i, lab in enumerate(labs)} for labs in labels]
-    values = np.zeros((len(la), len(lg), len(lb)))
+    # the alpha labels in first-seen order index all three axes
+    labels = list(dict.fromkeys(tuple(e["alpha"]) for e in doc["entries"]))
+    index = {lab: i for i, lab in enumerate(labels)}
+    for e in doc["entries"]:
+        for key in _TENSOR_AXES[1:]:
+            if tuple(e[key]) not in index:
+                raise ValidationError(f"{path}: {key} label {e[key]} is not an alpha label")
+    values = np.zeros((len(labels),) * 3)
     errors = np.zeros_like(values)
     seen = set()
     for e in doc["entries"]:
-        idx = tuple(ix[tuple(e[key])] for ix, key in zip(index, _TENSOR_AXES))
+        idx = tuple(index[tuple(e[key])] for key in _TENSOR_AXES)
         if idx in seen:
             raise ValidationError(f"{path}: repeated entry for {_triple(labels, idx)}")
         seen.add(idx)
@@ -431,14 +423,7 @@ def _load_tensor(path: str) -> InteractionTensor:
     # other grid keys, such as the "dealias" flag of older files, are ignored
     spec = GridSpec(L=float(grid["L"]), n=grid["n"])
     return InteractionTensor(
-        m=doc["m"],
-        N=doc["N"],
-        spec=spec,
-        labels_a=la,
-        labels_g=lg,
-        labels_b=lb,
-        values=values,
-        errors=errors,
+        m=doc["m"], N=doc["N"], spec=spec, labels=labels, values=values, errors=errors,
         refined=doc.get("refined", {}),
     )
 
@@ -446,12 +431,19 @@ def _load_tensor(path: str) -> InteractionTensor:
 # -- subcommand handlers ----------------------------------------------------------
 
 
+def _levels(cfg: dict) -> range:
+    """Levels 0..max_level; a negative max_level would check nothing."""
+    if cfg["max_level"] < 0:
+        raise ValidationError(f"max_level must be >= 0, got {cfg['max_level']}")
+    return range(cfg["max_level"] + 1)
+
+
 def _cmd_basis(cfg: dict, outdir: str) -> dict:
     params = OperatorParams(m=cfg["m"], N=cfg["N"])
     levels = []
     formula_ok = True
     total = 0
-    for k in range(cfg["max_level"] + 1):
+    for k in _levels(cfg):
         pairs = level_enumerate(k, params)
         expected = math.comb(k + params.N - 1, params.N - 1)
         formula_ok = formula_ok and len(pairs) == expected
@@ -481,7 +473,7 @@ def _cmd_eig_check(cfg: dict, outdir: str) -> dict:
     checked = 0
     for m in ms:
         params = OperatorParams(m=m, N=cfg["N"])
-        for k in range(cfg["max_level"] + 1):
+        for k in _levels(cfg):
             for ep in level_enumerate(k, params):
                 lhs = apply_B_star(ep.psi_star, params)
                 if lhs != ep.psi_star.scale(ep.lam):
@@ -502,7 +494,7 @@ def _cmd_biortho(cfg: dict, outdir: str) -> dict:
     checked = 0
     for m in ms:
         params = OperatorParams(m=m, N=cfg["N"])
-        eps = [ep for k in range(cfg["max_level"] + 1) for ep in level_enumerate(k, params)]
+        eps = [ep for k in _levels(cfg) for ep in level_enumerate(k, params)]
         for ea in eps:
             fact = math.prod(math.factorial(b) for b in ea.beta)
             for eb in eps:
@@ -533,6 +525,9 @@ def _cmd_solenoidal(cfg: dict, outdir: str) -> dict:
         # constructing a basis validates its fields; every catalogued level
         # is listed, so a failing one raises instead of ending the listing
         if kind == "fixture":
+            for m in cfg["m"]:
+                if not catalog_levels(m):
+                    raise ValidationError(f"the fixture catalogue holds no levels for m={m}")
             bases = [fixture_basis(m, k, N=cfg["N"]) for m in cfg["m"] for k in catalog_levels(m)]
         else:
             bases = [divfree_kernel(cfg["level"], OperatorParams(m=m, N=cfg["N"])) for m in cfg["m"]]
@@ -641,16 +636,16 @@ def _cmd_d_tensor(cfg: dict, outdir: str) -> dict:
         # the FFT round trips of `_projector_diagnostics`: 23 lattice arrays
         check_fits(spec.n, 23, "the projector diagnostic")
     cb = composite_basis(m, K)
-    tensor = interaction_tensor(cb, cb, cb, spec, refine=cfg["refine"])
+    tensor = interaction_tensor(cb, spec, refine=cfg["refine"])
     flagged = tensor.flagged(cfg["flag_tol"])
     payload = {**tensor.to_json_dict(), "flagged": [list(t) for t in flagged]}
     summary = {
-        "labels": len(tensor.labels_b),
+        "labels": len(tensor.labels),
         "max_abs": float(np.max(np.abs(tensor.values))),
         "max_error": tensor.max_error(),
         "flagged": len(flagged),
     }
-    rot = [i for i, (k, _) in enumerate(tensor.labels_a) if k == 1]
+    rot = [i for i, (k, _) in enumerate(tensor.labels) if k == 1]
     if m == 1 and rot:
         summary["rotation_self_max"] = float(
             max(np.max(np.abs(tensor.values[a, a, :])) for a in rot)
@@ -693,7 +688,7 @@ def _cmd_evolve(cfg: dict, outdir: str) -> dict:
         elif cfg["tensor"]:
             tensor = _load_tensor(cfg["tensor"])
         else:
-            tensor = interaction_tensor(cb, cb, cb, spec)
+            tensor = interaction_tensor(cb, spec)
         traj = nse_galerkin(e0, tensor, cfg["tau"], rtol=cfg["rtol"], n_out=cfg["steps"])
         summary["duhamel_residual"] = traj.duhamel_residual
         summary["truncated"] = bool(traj.diagnostic.get("truncated", False))

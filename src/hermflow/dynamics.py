@@ -8,7 +8,6 @@ error, periodization is the only approximation).
 """
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from dataclasses import dataclass, field as dc_field
@@ -23,21 +22,21 @@ from .grid import (
     GridVectorField,
     InteractionTensor,
     check_fits,
+    closed_form_rows,
     dilate_coeffs,
     dual_cubes,
-    freq_sq,
-    hermitian_parts,
     lattice_moments,
-    lattice_parts,
+    lattice_weight,
     moment_pairings,
     parallel_map,
+    residual_norm,
+    sampled_rows,
     spectrum_cubes,
     spectrum_pairings,
-    synth_weighted,
     to_spectral,
 )
 from .multiindex import enumerate_level
-from .polynomial import CubeRows, Polynomial, VectorPolyField, row_blocks
+from .polynomial import Polynomial, VectorPolyField, row_blocks
 from .rational_linalg import fd_weights
 from .solenoidal import level_basis
 
@@ -48,16 +47,6 @@ def _decay_rate(m: int, k: int) -> float:
     of the self-similar rescaling, i.e. -(k+1)/2 for m=1 and -(k+3)/4 for
     m=2. The operator order alone fixes it."""
     return -(k + 2 * m - 1) / (2 * m)
-
-
-# exp(-x) is exactly 0.0 in float64 for every x above 745.1332191019412
-_EXP_ZERO = 746.0
-
-
-def _runs(mask: np.ndarray) -> List[slice]:
-    """The maximal runs of True in a 1-D boolean mask, as slices."""
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], mask.astype(np.int8), [0]))))
-    return [slice(int(lo), int(hi)) for lo, hi in zip(edges[::2], edges[1::2])]
 
 
 # -- expansions -------------------------------------------------------------------
@@ -107,10 +96,17 @@ class Expansion:
 
 
 # float64 arrays of n^3 at the peak of `expand` on a grid field, rounded up
-# (tracemalloc: 14.0 to 15.0 for n = 32, 64): |eta|^2, |eta|^2m, the decay
-# and the complex grid phase, the three complex component spectra and the
-# transients of a forward transform and of the residual
+# (tracemalloc: 14.0 for n = 32, 64), in the forward transforms: while the
+# third runs, its complex transients (the scaled phase, the FFT and their
+# product) next to two complex component spectra, the cached complex grid
+# phase, |eta|^2 and the decay
 _EXPAND_ARRAYS = 16
+
+
+# the same on a polynomial field with a remainder (tracemalloc: 4.3 at n = 32,
+# where a row block is the whole lattice, to 2.2 at n = 96): |eta|^2, the
+# weight, and two row blocks of the residual sweep with its plane tables
+_EXPAND_POLY_ARRAYS = 5
 
 
 def expand(u, basis, spec: GridSpec | None = None) -> Expansion:
@@ -118,10 +114,11 @@ def expand(u, basis, spec: GridSpec | None = None) -> Expansion:
 
     Polynomial input (the polynomial factor of u = p F) goes through the
     exact rational dual pairings; the reported residual is the grid norm of
-    the uncaptured remainder times the kernel, so input outside the span
-    shows up there instead of passing silently. Grid input goes
-    through `_Extractor.grid`, after a grid whose working set would not
-    fit in physical memory is refused.
+    the uncaptured remainder times the kernel, the Parseval norm of its
+    closed-form spectrum (no FFT), so input outside the span shows up there
+    instead of passing silently. Grid input goes through `_Extractor.grid`.
+    Either is refused, before any lattice array is built, when its working
+    set would not fit in physical memory.
     """
     if isinstance(u, VectorPolyField):
         coeffs: Dict[Tuple[int, int], object] = {}
@@ -136,7 +133,11 @@ def expand(u, basis, spec: GridSpec | None = None) -> Expansion:
             residual = 0.0
         else:
             sp = spec or GridSpec(10.0, 64)
-            residual = synth_weighted(diff, sp, basis.params.m).norm()
+            m = basis.params.m
+            check_fits(sp.n, _EXPAND_POLY_ARRAYS, "expand on a polynomial field")
+            w, live = lattice_weight(sp, m)
+            (P,) = spectrum_cubes([diff], m)
+            residual = residual_norm(sp, closed_form_rows(P, w, live, sp))
         return Expansion(basis, coeffs, residual=residual)
     if isinstance(u, GridVectorField):
         check_fits(u.spec.n, _EXPAND_ARRAYS, "expand on a grid field")
@@ -154,8 +155,8 @@ class _Extractor:
     lattice sums, so pure basis fields are recovered to roundoff. Pairings
     of closed-form spectra are lattice-moment contractions of coefficient
     arrays (`grid.moment_pairings`); the residual is the Parseval norm of
-    the difference spectrum, evaluated pointwise on the lattice, i.e. the
-    grid norm of the part of the field the basis did not capture.
+    the difference spectrum (`grid.residual_norm`), i.e. the grid norm of
+    the part of the field the basis did not capture.
     Closed-form input runs no FFT, sampled input one forward FFT per
     component, and no grid field is stored. Build once per (basis, spec),
     call per field.
@@ -164,9 +165,7 @@ class _Extractor:
     def __init__(self, basis, spec: GridSpec):
         m = self.m = basis.params.m
         self.spec = spec
-        self.r2m = freq_sq(spec) if m == 1 else freq_sq(spec) ** m
-        self.decay = np.empty_like(self.r2m)
-        self.live_decay = self._weight(1.0, self.decay)
+        self.decay, self.live_decay = lattice_weight(spec, m)
         self._local = threading.local()
         self.duals = dual_cubes(basis.blocks)
         self.realz = spectrum_cubes(basis.fields, m)
@@ -177,14 +176,26 @@ class _Extractor:
     def closed_form(self, X: np.ndarray, b: float) -> Tuple[np.ndarray, float]:
         """Field with spectrum exp(-b|eta|^2m) sum_d i^|d| X_c[d] eta^d."""
         w, wd = self._scratch()
-        live = self._weight(b, w)
+        _, live = lattice_weight(self.spec, self.m, b, w)
         np.multiply(w, self.decay, out=wd)
         Dx, Dw = X.shape[-1] - 1, self.duals.shape[-1] - 1
         table = lattice_moments(wd, self.spec, Dx + Dw)
         raw = moment_pairings(X[None], self.duals, table, self.spec)[0]
+        return self._solve(raw, closed_form_rows(X, w, live, self.spec))
+
+    def grid(self, u: GridVectorField) -> Tuple[np.ndarray, float]:
+        """Field sampled on the grid (one forward transform per component)."""
+        U = [to_spectral(self.spec, u.data[c]) for c in range(3)]
+        raw = spectrum_pairings(U, self.decay, self.duals, self.spec)
+        return self._solve(raw, sampled_rows(U))
+
+    def _solve(self, raw: np.ndarray, data) -> Tuple[np.ndarray, float]:
+        """Coefficients c from the pairings `raw` of a field with the duals,
+        and the residual of its spectrum `data` (row parts) from sum c_i v*_i F."""
         c = np.linalg.solve(self.M.T, raw)
         Y = np.tensordot(c, self.realz, axes=(0, 0))
-        return c, self._residual(X, Y, w, live)
+        model = closed_form_rows(Y, self.decay, self.live_decay, self.spec)
+        return c, residual_norm(self.spec, data, model)
 
     def _scratch(self) -> Tuple[np.ndarray, np.ndarray]:
         """Two lattice arrays of the calling thread, made on its first
@@ -192,77 +203,8 @@ class _Extractor:
         time costs a page fault per 4 KiB, and the threads contend for it."""
         arrays = getattr(self._local, "arrays", None)
         if arrays is None:
-            arrays = self._local.arrays = (np.empty_like(self.r2m), np.empty_like(self.r2m))
+            arrays = self._local.arrays = (np.empty_like(self.decay), np.empty_like(self.decay))
         return arrays
-
-    def _weight(self, b: float, out: np.ndarray) -> np.ndarray:
-        """Fill `out` with exp(-b|eta|^2m) and return the live indices of a
-        lattice axis, where it can be nonzero. |eta|^2m >= eta_i^2m on every
-        axis i, so the weight underflows to exactly 0.0 wherever one
-        coordinate alone has b eta_i^2m > _EXP_ZERO; the exponential runs
-        only on the boxes of live indices, with the same bits as on the
-        whole lattice, and `out` is 0.0 elsewhere."""
-        live = b * self.spec.freqs() ** (2 * self.m) <= _EXP_ZERO
-        runs = _runs(live)
-        out.fill(0.0)
-        for box in itertools.product(runs, runs, runs):
-            np.multiply(self.r2m[box], -b, out=out[box])
-            np.exp(out[box], out=out[box])
-        return live
-
-    def _residual(self, X: np.ndarray, Y: np.ndarray, w: np.ndarray, live: np.ndarray) -> float:
-        """Grid norm of the field with spectrum
-        w sum_d i^|d| X_c[d] eta^d - decay sum_d i^|d| Y_c[d] eta^d,
-        evaluated pointwise on the lattice in one sweep of row blocks: each
-        block of every nonzero real or imaginary part is evaluated, weighted,
-        subtracted and squared while it is in cache. `live` holds the live
-        indices of w (`_weight`); a block whose rows are all dead for a
-        weight skips that spectrum, whose weighted values there are 0.0."""
-        eta = [self.spec.freqs()] * 3
-        weights = ((w, live), (self.decay, self.live_decay))
-        parts = []  # the weighted spectra of each part of the difference
-        for comp in range(3):
-            for pair in zip(hermitian_parts(X[comp]), hermitian_parts(Y[comp])):
-                spectra = [
-                    (CubeRows(A, eta), weight, keep)
-                    for A, (weight, keep) in zip(pair, weights)
-                    if A is not None
-                ]
-                if spectra:
-                    parts.append(spectra)
-        total = 0.0
-        for rows in row_blocks(self.r2m.shape):
-            for spectra in parts:
-                diff = None
-                for rows_of, weight, keep in spectra:
-                    if keep[rows].any():
-                        v = rows_of(rows)
-                        v *= weight[rows]
-                        if diff is None:
-                            diff = v
-                        else:
-                            diff -= v  # the sign drops out of the norm
-                if diff is not None:
-                    # numpy's own summation, not BLAS: its order does not
-                    # depend on the thread count, so the bytes do not either
-                    total += float(np.sum(np.square(diff, out=diff)))
-        return math.sqrt(total / (2.0 * self.spec.L) ** 3)
-
-    def grid(self, u: GridVectorField) -> Tuple[np.ndarray, float]:
-        """Field sampled on the grid (one forward transform per component)."""
-        sp = self.spec
-        U = [to_spectral(sp, u.data[c]) for c in range(3)]
-        raw = spectrum_pairings(U, self.decay, self.duals, sp)
-        c = np.linalg.solve(self.M.T, raw)
-        Y = np.tensordot(c, self.realz, axes=(0, 0))
-        total = 0.0
-        for comp in range(3):
-            diff = U[comp]
-            for part, phase in zip(lattice_parts(Y[comp], sp), (1.0, 1.0j)):
-                if part is not None:
-                    diff -= phase * self.decay * part
-            total += float(np.sum(diff.real**2) + np.sum(diff.imag**2))
-        return c, math.sqrt(total / (2.0 * sp.L) ** 3)
 
 
 # -- diagonal flow ----------------------------------------------------------------
@@ -281,6 +223,10 @@ def diagonal_flow(e0: Expansion, tau: float) -> Expansion:
 
 
 # -- trajectories -----------------------------------------------------------------
+
+
+# absolute slack of `CoefficientTrajectory.envelope_check`
+_ENVELOPE_TOL = 1e-9
 
 
 @dataclass
@@ -302,13 +248,14 @@ class CoefficientTrajectory:
     def coeff_matrix(self) -> np.ndarray:
         return np.array([s.vector() for s in self.states])
 
-    def envelope_check(self, tol: float = 1e-9) -> dict:
+    def envelope_check(self) -> dict:
         """A-posteriori check that every coefficient stays under the slowest
-        admissible envelope C e^{-tau/2} with C set by the initial data."""
+        admissible envelope C e^{-tau/2} with C set by the initial data, up
+        to `_ENVELOPE_TOL`."""
         C = self.coeff_matrix()
         c0 = float(np.max(np.abs(C[0]))) if C.size else 0.0
-        env = (c0 + tol) * np.exp(-(self.taus - self.taus[0]) / 2.0)
-        ok = bool(np.all(np.abs(C) <= env[:, None] + tol))
+        env = (c0 + _ENVELOPE_TOL) * np.exp(-(self.taus - self.taus[0]) / 2.0)
+        ok = bool(np.all(np.abs(C) <= env[:, None] + _ENVELOPE_TOL))
         return {"constant": c0, "ok": ok}
 
     def to_csv(self) -> str:
@@ -318,12 +265,17 @@ class CoefficientTrajectory:
         return "\n".join(lines) + "\n"
 
 
-def rate_check(traj: CoefficientTrajectory, floor: float = 1e-6) -> dict:
+# `rate_check` fits no coefficient that stays below this share of the largest
+_RATE_FLOOR = 1e-6
+
+
+def rate_check(traj: CoefficientTrajectory) -> dict:
     """Log-linear decay rates of the trajectory against the exact level rates
     of its basis order.
 
-    Coefficients whose swing never exceeds `floor` times the largest one are
-    background (leakage, roundoff) and are skipped rather than fit to noise.
+    Coefficients whose swing never exceeds `_RATE_FLOOR` times the largest
+    one are background (leakage, roundoff) and are skipped rather than fit
+    to noise.
     Returns per-label {fitted, expected, rel_err} plus the worst rel_err.
     """
     C = traj.coeff_matrix()
@@ -337,7 +289,7 @@ def rate_check(traj: CoefficientTrajectory, floor: float = 1e-6) -> dict:
     worst = 0.0
     for j, label in enumerate(traj.labels):
         c = np.abs(C[:, j])
-        if float(np.max(c)) <= floor * top or np.any(c == 0.0):
+        if float(np.max(c)) <= _RATE_FLOOR * top or np.any(c == 0.0):
             continue
         fitted = float(np.polyfit(traj.taus, np.log(c), 1)[0])
         expected = _decay_rate(m, label[0])
@@ -360,7 +312,6 @@ def nse_galerkin(
     tau_end: float,
     rtol: float = 1e-9,
     n_out: int = 121,
-    duhamel: bool = True,
 ) -> CoefficientTrajectory:
     """Integrate dc_b/dtau = (lambda_b - 1/2) c_b + sum_{a,g} d_{agb} c_a c_g
     with an adaptive embedded 4/5 pair, then re-derive the trajectory from
@@ -376,7 +327,7 @@ def nse_galerkin(
     if not rtol > 0.0:
         raise ValidationError(f"rtol must be positive, got {rtol!r}")
     labels = e0.labels
-    if not (tensor.labels_a == labels and tensor.labels_g == labels and tensor.labels_b == labels):
+    if tensor.labels != labels:
         raise ValidationError("tensor index labels do not match the basis")
     m = e0.basis.params.m
     lam = np.array([_decay_rate(m, k) for k, _ in labels])
@@ -409,7 +360,7 @@ def nse_galerkin(
         diagnostic["reason"] = str(sol.message)
         diagnostic["tau_reached"] = t_max
     residual = None
-    if duhamel and not truncated and len(taus) > 2:
+    if not truncated and len(taus) > 2:
         s = np.linspace(taus[0], taus[-1], 4 * (len(taus) - 1) + 1)
         Cs = sol.sol(s).T
         Q = np.einsum("agb,ta,tg->tb", d, Cs, Cs)
@@ -450,17 +401,20 @@ class ResonanceReport:
         }
 
 
+# `detect_resonance`: the slope margin of the dominant set, and the relative
+# distance of a resonant rate from its level's diagonal rate
+_DOMINANT_MARGIN = 0.05
+_RATE_TOL = 0.05
+
+
 def detect_resonance(
-    traj: CoefficientTrajectory,
-    window: Tuple[float, float] | None = None,
-    margin: float = 0.05,
-    rate_tol: float = 0.05,
+    traj: CoefficientTrajectory, window: Tuple[float, float] | None = None
 ) -> ResonanceReport:
     """Fit per-coefficient log-slopes on the window and classify.
 
-    Dominant set: slopes within `margin` of the maximum. Resonant when the
-    dominant set shares one level and its rate sits within `rate_tol`
-    (relative) of that level's diagonal rate. A persistent level-0
+    Dominant set: slopes within `_DOMINANT_MARGIN` of the maximum. Resonant
+    when the dominant set shares one level and its rate sits within
+    `_RATE_TOL` (relative) of that level's diagonal rate. A persistent level-0
     coefficient (slope not beyond its own diagonal rate) means the field
     value at the origin does not vanish at the blow-up scale: reported
     non-degenerate before anything else. Less than one decade of dominant
@@ -510,7 +464,7 @@ def detect_resonance(
     # faster than its diagonal rate keeps u(0, tau) alive at blow-up scale
     rate0 = _decay_rate(m, 0)
     for lab, sl in slopes.items():
-        if lab[0] == 0 and sl > rate0 - margin:
+        if lab[0] == 0 and sl > rate0 - _DOMINANT_MARGIN:
             return report("non-degenerate", dominant=[lab], level=0, rate=sl)
 
     s_max = max(slopes.values())
@@ -518,7 +472,7 @@ def detect_resonance(
     if (-s_max) * span < math.log(10.0):
         return report("inconclusive")
 
-    dominant = [lab for lab, sl in slopes.items() if sl >= s_max - margin]
+    dominant = [lab for lab, sl in slopes.items() if sl >= s_max - _DOMINANT_MARGIN]
     excluded = [sl for lab, sl in slopes.items() if lab not in dominant]
     gap = (s_max - max(excluded)) if excluded else None
     levels = {lab[0] for lab in dominant}
@@ -526,7 +480,7 @@ def detect_resonance(
     if len(levels) == 1:
         k = levels.pop()
         expected = _decay_rate(m, k)
-        if abs(rate - expected) <= rate_tol * abs(expected):
+        if abs(rate - expected) <= _RATE_TOL * abs(expected):
             return report("resonant", dominant, k, rate, gap)
         return report("non-resonant", dominant, k, rate, gap)
     return report("non-resonant", dominant, None, rate, gap)
@@ -732,10 +686,11 @@ def classify_zero(
 
 def _verifier_arrays(n: int, m: int, level: int, workers: int) -> float:
     """Float64 arrays of n^3 at the peak of `semigroup_verify`, an upper
-    bound: |eta|^2 (cached), |eta|^2m and the decay; then, per output time
-    in flight, the thread's weight and weight-times-decay arrays, two row
-    blocks of the residual sweep, the plane tables of its (at most twelve)
-    spectra and the first contraction of the moment table. A level-k
+    bound: |eta|^2 (cached), the decay and one array of headroom; then, per
+    output time in flight, the thread's weight and weight-times-decay
+    arrays, two row blocks of the residual sweep, the plane tables of its
+    (at most twelve) spectra and the first contraction of the moment
+    table. A level-k
     spectrum cube holds powers up to (2m-1)k of each variable, a dual's up
     to k."""
     D = (2 * m - 1) * level

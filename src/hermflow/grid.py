@@ -27,6 +27,7 @@ derives them once, when it is built.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -36,7 +37,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .polynomial import Polynomial, VectorPolyField, evaluate_cube
+from .polynomial import CubeRows, Polynomial, VectorPolyField, evaluate_cube, row_blocks
 from .solenoidal import SolenoidalBasis
 
 # -- grid spec and transforms --------------------------------------------------
@@ -169,15 +170,45 @@ def _eta_sq(L: float, n: int) -> np.ndarray:
     return _cached(("eta_sq", L, n), build)
 
 
-def _exp_eta2m(L: float, n: int, m: int) -> np.ndarray:
-    return _cached(
-        ("exp_eta2m", L, n, m), lambda: np.exp(-(_eta_sq(L, n) ** m))
-    )
-
-
 def freq_sq(spec: GridSpec) -> np.ndarray:
     """|eta|^2 on the full frequency lattice (read-only)."""
     return _eta_sq(spec.L, spec.n)
+
+
+# exp(-x) is exactly 0.0 in float64 for every x above 745.1332191019412
+_EXP_ZERO = 746.0
+
+
+def _runs(mask: np.ndarray) -> List[slice]:
+    """The maximal runs of True in a 1-D boolean mask, as slices."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], mask.astype(np.int8), [0]))))
+    return [slice(int(lo), int(hi)) for lo, hi in zip(edges[::2], edges[1::2])]
+
+
+def lattice_weight(
+    spec: GridSpec, m: int, b: float = 1.0, out: np.ndarray | None = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """exp(-b|eta|^2m) on the frequency lattice, in `out` (default: a fresh
+    array), and the live indices of a lattice axis, where it can be
+    nonzero. |eta|^2m >= eta_i^2m on every axis i, so the weight is exactly
+    0.0 wherever one coordinate alone has b eta_i^2m > _EXP_ZERO; the
+    exponential runs only on the boxes of live indices, with the same bits
+    as on the whole lattice, and makes no other lattice array."""
+    if out is None:
+        out = np.empty((spec.n,) * 3)
+    eta_sq = freq_sq(spec)
+    live = b * spec.freqs() ** (2 * m) <= _EXP_ZERO
+    runs = _runs(live)
+    out.fill(0.0)
+    for box in itertools.product(runs, runs, runs):
+        w = out[box]
+        if m == 1:
+            np.multiply(eta_sq[box], -b, out=w)
+        else:
+            np.power(eta_sq[box], m, out=w)
+            w *= -b
+        np.exp(w, out=w)
+    return out, live
 
 
 def to_spectral(spec: GridSpec, f: np.ndarray) -> np.ndarray:
@@ -282,15 +313,13 @@ def _cubes(polys: Sequence[Sequence[Polynomial]]) -> np.ndarray:
     return np.array([[p.coeff_cube(D) for p in comps] for comps in polys])
 
 
-def _lattice_spectrum(H: np.ndarray, spec: GridSpec, m: int) -> np.ndarray:
-    """exp(-|eta|^2m) sum_d i^|d| H[d] eta^d on the frequency lattice."""
+def _lattice_spectrum(H: np.ndarray, spec: GridSpec, w: np.ndarray) -> np.ndarray:
+    """w sum_d i^|d| H[d] eta^d on the frequency lattice, for a weight w."""
     out = np.zeros((spec.n,) * 3, dtype=complex)
-    re, im = lattice_parts(H, spec)
-    if re is not None:
-        out.real = re
-    if im is not None:
-        out.imag = im
-    out *= _exp_eta2m(spec.L, spec.n, m)
+    for part, A in zip((out.real, out.imag), hermitian_parts(H)):
+        if A is not None:
+            part[...] = evaluate_cube(A, [spec.freqs()] * 3)
+    out *= w
     return out
 
 
@@ -302,12 +331,11 @@ def _synth(spec: GridSpec, spectra: Sequence[np.ndarray]) -> GridVectorField:
     return GridVectorField(spec, out)
 
 
-def weighted_transform(
-    v: VectorPolyField, spec: GridSpec, m: int
-) -> List[np.ndarray]:
+def weighted_transform(v: VectorPolyField, spec: GridSpec, m: int) -> List[np.ndarray]:
     """FT[v_c F] evaluated on the frequency lattice, one complex array per
     component."""
-    return [_lattice_spectrum(H, spec, m) for H in spectrum_cubes([v], m)[0]]
+    w, _ = lattice_weight(spec, m)
+    return [_lattice_spectrum(H, spec, w) for H in spectrum_cubes([v], m)[0]]
 
 
 def synth_weighted(v: VectorPolyField, spec: GridSpec, m: int) -> GridVectorField:
@@ -319,9 +347,9 @@ def synth_weighted(v: VectorPolyField, spec: GridSpec, m: int) -> GridVectorFiel
 def synth_duals(basis: SolenoidalBasis, spec: GridSpec) -> List[GridVectorField]:
     """Grid samples of the derivative-dual fields W_j of one basis level,
     from their closed-form spectra on the frequency lattice."""
-    m = basis.params.m
+    w, _ = lattice_weight(spec, basis.params.m)
     return [
-        _synth(spec, [_lattice_spectrum(H, spec, m) for H in cubes])
+        _synth(spec, [_lattice_spectrum(H, spec, w) for H in cubes])
         for cubes in dual_cubes([basis])
     ]
 
@@ -440,12 +468,50 @@ def hermitian_parts(P: np.ndarray) -> Tuple[np.ndarray | None, np.ndarray | None
     return out[0], out[1]
 
 
-def lattice_parts(P: np.ndarray, spec: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of sum_d i^|d| P[d] eta^d on the frequency
-    lattice (two fresh real arrays; None for a part that vanishes)."""
+# -- the expansion residual ------------------------------------------------------
+#
+# A spectrum is given by six parts, the real and imaginary parts of its
+# components, each None or a triple (rows_of, w, live): rows_of(rows) gives
+# fresh values on a block of lattice rows, the weight w (if any) multiplies
+# them, and a block whose rows are all dead in `live` (if any) is 0.0.
+
+
+def closed_form_rows(P: np.ndarray, w: np.ndarray, live: np.ndarray, spec: GridSpec) -> list:
+    """The parts of w sum_d i^|d| P_c[d] eta^d over the components c of P,
+    with w and live from `lattice_weight`."""
     eta = [spec.freqs()] * 3
-    re, im = (None if A is None else evaluate_cube(A, eta) for A in hermitian_parts(P))
-    return re, im
+    return [None if A is None else (CubeRows(A, eta), w, live) for Pc in P for A in hermitian_parts(Pc)]
+
+
+def sampled_rows(U: Sequence[np.ndarray]) -> list:
+    """The parts of sampled spectra, one complex lattice array per component."""
+    return [(lambda rows, a=a: a[rows].copy(), None, None) for Uc in U for a in (Uc.real, Uc.imag)]
+
+
+def residual_norm(spec: GridSpec, data: list, model: list | None = None) -> float:
+    """Grid norm of the field with spectrum `data` minus `model`: by
+    Parseval, (2L)^-3 sum_eta |data - model|^2, in one sweep of row blocks.
+    Each block of every part is evaluated, weighted, subtracted and squared
+    while it is in cache; no lattice array is made."""
+    pairs = [[p for p in pair if p is not None] for pair in zip(data, model or [None] * len(data))]
+    total = 0.0
+    for rows in row_blocks((spec.n,) * 3):
+        for parts in pairs:
+            diff = None
+            for rows_of, w, live in parts:
+                if live is None or live[rows].any():
+                    v = rows_of(rows)
+                    if w is not None:
+                        v *= w[rows]
+                    if diff is None:
+                        diff = v
+                    else:
+                        diff -= v  # the sign drops out of the norm
+            if diff is not None:
+                # numpy's own summation, not BLAS: its order does not
+                # depend on the thread count, so the bytes do not either
+                total += float(np.sum(np.square(diff, out=diff)))
+    return math.sqrt(total / (2.0 * spec.L) ** 3)
 
 
 def parallel_map(fn: Callable, items: Sequence, workers: int | None) -> list:
@@ -566,13 +632,14 @@ def pair_fields(a: GridVectorField, b: GridVectorField) -> float:
 
 @dataclass
 class InteractionTensor:
+    """Couplings d_{alpha gamma beta} of one basis: all three axes are
+    indexed by its `labels`."""
+
     m: int
     N: int
     spec: GridSpec
-    labels_a: List[Tuple[int, int]]
-    labels_g: List[Tuple[int, int]]
-    labels_b: List[Tuple[int, int]]
-    values: np.ndarray  # (nA, nG, nB)
+    labels: List[Tuple[int, int]]
+    values: np.ndarray  # (n, n, n)
     errors: np.ndarray
     refined: dict = field(default_factory=dict)
 
@@ -591,19 +658,17 @@ class InteractionTensor:
         return [tuple(map(int, t)) for t in bad]
 
     def to_json_dict(self) -> dict:
-        triples = []
-        for a, la in enumerate(self.labels_a):
-            for g, lg in enumerate(self.labels_g):
-                for b, lb in enumerate(self.labels_b):
-                    triples.append(
-                        {
-                            "alpha": list(la),
-                            "gamma": list(lg),
-                            "beta": list(lb),
-                            "value": float(self.values[a, g, b]),
-                            "error": float(self.errors[a, g, b]),
-                        }
-                    )
+        labs = self.labels
+        triples = [
+            {
+                "alpha": list(labs[a]),
+                "gamma": list(labs[g]),
+                "beta": list(labs[b]),
+                "value": float(self.values[a, g, b]),
+                "error": float(self.errors[a, g, b]),
+            }
+            for a, g, b in np.ndindex(self.values.shape)
+        ]
         return {
             "m": self.m,
             "N": self.N,
@@ -641,18 +706,13 @@ def _divergence_poly(A: Sequence[Polynomial]) -> Polynomial:
     return out
 
 
-def interaction_tensor(
-    basisA,
-    basisG,
-    dualsB,
-    spec: GridSpec,
-    refine: bool = True,
-) -> InteractionTensor:
-    """Quadratic coupling d_{alpha gamma beta} of the coefficient dynamics.
+def interaction_tensor(basis, spec: GridSpec, refine: bool = True) -> InteractionTensor:
+    """Quadratic coupling d_{alpha gamma beta} of the coefficient dynamics
+    over `basis`.
 
     For each (alpha, gamma) the convection q = (v*_alpha . grad) v*_gamma
     is built symbolically and paired against every projected
-    derivative-dual field P W_j of the blocks of `dualsB` (the projector
+    derivative-dual field P W_j of the blocks of `basis` (the projector
     moves onto the duals by the discrete Parseval identity). The
     pairings are the grid quadratures h^3 sum_y q(y) . (P W_j)(y), i.e.
     contractions of q's coefficients with the moments
@@ -686,44 +746,37 @@ def interaction_tensor(
     precision. A box so small or so large that a value or an error is not
     finite raises, naming L and n.
     """
-    params = dualsB.params
-    for other in basisA.blocks + basisG.blocks + dualsB.blocks:
-        if other.params != params:
-            raise ValidationError("bases disagree on operator parameters")
-    if params.m != 1 and len(dualsB.blocks) > 1:
+    params = basis.params
+    if params.m != 1 and len(basis.blocks) > 1:
         raise ValidationError(
             f"the interaction tensor over several levels covers m=1 only, "
-            f"got m={params.m} with {len(dualsB.blocks)} dual blocks"
+            f"got m={params.m} with {len(basis.blocks)} dual blocks"
         )
     # the refined grid is refused, like the given one, before any lattice
     # work; |eta|^2, w, 1/|eta|^2, w/|eta|^2 and transients at the finest grid
     sp_fine = GridSpec(L=spec.L * 2.0, n=spec.n * 2) if refine else None
     check_fits(2 * spec.n if refine else spec.n, 6, "the interaction tensor")
-    fa, fg = basisA.fields, basisG.fields
-    ginv = np.zeros((dualsB.count, dualsB.count))
+    fields, count = basis.fields, basis.count
+    ginv = np.zeros((count, count))
     start = 0
-    for b in dualsB.blocks:
+    for b in basis.blocks:
         stop = start + b.count
         ginv[start:stop, start:stop] = np.array(b.gram_inv, dtype=float)
         start = stop
     # exact per-dual data: the phase (-i)^k of FT[W_j] = (-i)^k A_j w, and
     # the real coefficient cubes of every A_jc and of the divergence symbol
     # sigma_j = sum_c xi_c A_jc, powers up to D
-    duals = [(b.level, A) for b in dualsB.blocks for A in b.dual_transform_polys()]
+    duals = [(b.level, A) for b in basis.blocks for A in b.dual_transform_polys()]
     phase = np.array([(-1j) ** k for k, _ in duals])[:, None, None, None, None]
     cubes = _cubes([A + [_divergence_poly(A)] for _, A in duals])
     A, sig, D = cubes[:, :3], cubes[:, 3], cubes.shape[-1] - 1
-    qs = [[convection_poly(va, vg) for vg in fg] for va in fa]
-    dmax = 0
-    for row in qs:
-        for q in row:
-            for p in q.components:
-                dmax = max(dmax, _degree(p))
+    qs = [[convection_poly(va, vg) for vg in fields] for va in fields]
+    dmax = max(_degree(p) for row in qs for q in row for p in q.components)
 
     def compute(sp: GridSpec) -> np.ndarray:
         eta = sp.freqs()
         E = _y_moments(sp, dmax)
-        w = _exp_eta2m(sp.L, sp.n, params.m)
+        w, _ = lattice_weight(sp, params.m)
         # sum_eta FT[W_jc] prod_axes E, from one table of w per grid
         t = np.einsum("jcabd,axbydz->jcxyz", A, _axis_moments(w, eta, D, (E, E, E)))
         # minus the longitudinal part eta_c sigma_j w / |eta|^2 (the
@@ -734,14 +787,11 @@ def interaction_tensor(
             U = _axis_moments(w_inv, eta, D, [etaE if a == c else E for a in range(3)])
             t[:, c] -= np.einsum("jabd,axbydz->jxyz", sig, U)
         tables = (phase * t).real / sp.n**3
-        raw = np.zeros((len(fa), len(fg), dualsB.count))
-        for a in range(len(fa)):
-            for g in range(len(fg)):
-                acc = np.zeros(dualsB.count)
-                for c, p in enumerate(qs[a][g].components):
-                    for gamma, coef in p.terms.items():
-                        acc += float(coef) * tables[:, c, gamma[0], gamma[1], gamma[2]]
-                raw[a, g] = acc
+        raw = np.zeros((count, count, count))
+        for a, g in np.ndindex(count, count):
+            for c, p in enumerate(qs[a][g].components):
+                for gamma, coef in p.terms.items():
+                    raw[a, g] += float(coef) * tables[(slice(None), c) + gamma]
         return -np.einsum("agj,bj->agb", raw, ginv)
 
     coarse = compute(spec)
@@ -760,13 +810,6 @@ def interaction_tensor(
             f"n={spec.n} grid: the box is out of floating-point range"
         )
     return InteractionTensor(
-        m=params.m,
-        N=params.N,
-        spec=spec,
-        labels_a=basisA.labels,
-        labels_g=basisG.labels,
-        labels_b=dualsB.labels,
-        values=values,
-        errors=errors,
+        m=params.m, N=params.N, spec=spec, labels=basis.labels, values=values, errors=errors,
         refined=refined,
     )

@@ -82,9 +82,6 @@ class Polynomial:
             return NEG_INF
         return max(sum(b) for b in self.terms)
 
-    def coeff(self, beta: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(beta), Fraction(0))
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
 

@@ -117,8 +117,8 @@ def test_criterion_06_projection_and_rotation_coupling():
     assert divnorm / (math.sqrt(spec.h**3) * scale) <= 1e-8
 
     cb = composite_basis(1, 1)
-    T = interaction_tensor(cb, cb, cb, spec, refine=False)
-    rot = [i for i, (k, _) in enumerate(T.labels_a) if k == 1]
+    T = interaction_tensor(cb, spec, refine=False)
+    rot = [i for i, (k, _) in enumerate(T.labels) if k == 1]
     self_max = max(float(np.max(np.abs(T.values[a, a, :]))) for a in rot)
     assert self_max <= 1e-8
     assert time.perf_counter() - t0 < 120.0

@@ -293,6 +293,26 @@ def test_bad_data_descriptor_exits_2(tmp_path, capsys):
     assert line["error"] == "validation" and not line["ok"]
 
 
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["basis", "--max-level", "-1"], "max_level must be >= 0, got -1"),
+        (["eig-check", "--max-level", "-1"], "max_level must be >= 0, got -1"),
+        (["biortho", "--max-level", "-1"], "max_level must be >= 0, got -1"),
+        (["solenoidal", "--m", "0"], "m=0"),
+        (["solenoidal", "--m", "3"], "m=3"),
+        (["solenoidal", "--m", "-1"], "m=-1"),
+        (["solenoidal", "--m", "1", "--m", "5"], "m=5"),
+    ],
+)
+def test_checks_with_nothing_to_check_exit_2(tmp_path, capsys, argv, value):
+    # a negative max_level or an uncatalogued m used to pass on no data
+    code, line = _run(capsys, argv + ["--outdir", str(tmp_path)])
+    assert code == 2 and line["error"] == "validation"
+    assert value in line["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_kernel_unreachable_tol_exits_3(tmp_path, capsys):
     code, line = _run(
         capsys,
@@ -816,6 +836,18 @@ def test_tensor_file_must_hold_every_triple_once(tmp_path, capsys):
         f"{path}: repeated entry for alpha {first['alpha']}, gamma {first['gamma']}, "
         f"beta {first['beta']}"
     )
+
+
+@pytest.mark.parametrize("key", ["gamma", "beta"])
+def test_tensor_file_labels_come_from_the_alpha_axis(tmp_path, capsys, key):
+    # all three axes are indexed by the alpha labels, so a gamma or beta
+    # label that no entry has as alpha is refused by name
+    doc = _tensor_doc()
+    doc["entries"][0][key] = [5, 0]
+    code, line, path = _evolve_on(tmp_path, capsys, doc)
+    assert code == 2 and line["error"] == "validation"
+    assert line["message"] == f"{path}: {key} label [5, 0] is not an alpha label"
+    assert not list((tmp_path / "out").glob("*"))
 
 
 @pytest.mark.parametrize(

@@ -39,7 +39,7 @@ from hermflow.grid import (
     to_grid,
 )
 from hermflow.operators import OperatorParams, eigenfunction
-from hermflow.polynomial import Polynomial, VectorPolyField
+from hermflow.polynomial import Polynomial, VectorPolyField, evaluate_cube
 from hermflow.solenoidal import (
     CompositeBasis,
     composite_basis,
@@ -216,9 +216,7 @@ def _zero_tensor(basis, spec):
         m=basis.params.m,
         N=3,
         spec=spec,
-        labels_a=basis.labels,
-        labels_g=basis.labels,
-        labels_b=basis.labels,
+        labels=basis.labels,
         values=z,
         errors=np.zeros_like(z),
     )
@@ -250,7 +248,7 @@ def test_nse_with_zero_tensor_uses_the_basis_order_rates():
 
 def test_nse_quadratic_coupling_passes_duhamel_check():
     cb1 = composite_basis(1, 1)
-    T = interaction_tensor(cb1, cb1, cb1, GridSpec(8.0, 64), refine=False)
+    T = interaction_tensor(cb1, GridSpec(8.0, 64), refine=False)
     e0 = Expansion(
         cb1, {(0, 0): 0.05, (1, 0): 0.2, (1, 1): -0.1, (1, 2): 0.15}
     )
@@ -531,13 +529,20 @@ def test_semigroup_verify_caches_nothing_per_time():
     assert sizes[0] == sizes[1]
 
 
+def _lattice_parts(P, spec):
+    """Real and imaginary parts of sum_d i^|d| P[d] eta^d on the whole
+    frequency lattice (None for a part that vanishes)."""
+    eta = [spec.freqs()] * 3
+    return [None if A is None else evaluate_cube(A, eta) for A in grid.hermitian_parts(P)]
+
+
 def _full_lattice_closed_form(extract, X, b):
     """`_Extractor.closed_form` on full lattice arrays: the weight on every
     lattice point, and the residual from whole-lattice evaluations of each
     real and imaginary part, weighted, subtracted and squared one array
     at a time. Returns (c, residual, w)."""
     spec = extract.spec
-    w = np.multiply(extract.r2m, -b)
+    w = np.multiply(freq_sq(spec) ** extract.m, -b)
     np.exp(w, out=w)
     Dx, Dw = X.shape[-1] - 1, extract.duals.shape[-1] - 1
     table = grid.lattice_moments(w * extract.decay, spec, Dx + Dw)
@@ -546,7 +551,7 @@ def _full_lattice_closed_form(extract, X, b):
     Y = np.tensordot(c, extract.realz, axes=(0, 0))
     total = 0.0
     for comp in range(3):
-        parts = zip(grid.lattice_parts(X[comp], spec), grid.lattice_parts(Y[comp], spec))
+        parts = zip(_lattice_parts(X[comp], spec), _lattice_parts(Y[comp], spec))
         for x, y in parts:
             if x is not None:
                 x *= w
@@ -629,6 +634,64 @@ def test_expand_grid_field_working_set_and_refusal(monkeypatch):
         tracemalloc.stop()
     assert grid._CACHE == {}
     assert peak < 8 * spec.n**3
+
+
+def _off_span(m):
+    """A level-1 basis and data with a remainder outside its span: a span
+    field plus a field of another level."""
+    return level_basis(m, 1), fixture(m, 1)[0] + fixture(m, 0)[0]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_expand_polynomial_residual_is_the_parseval_norm(monkeypatch, m):
+    # the norm of the remainder's closed-form spectrum on the lattice is
+    # its grid norm: the same number as synthesizing the remainder on the
+    # grid, and no FFT runs for it
+    spec = GridSpec(10.0, 48)
+    basis, u = _off_span(m)
+    e = expand(u, basis)  # the default grid
+    ref = synth_weighted(u - e.field_poly(), GridSpec(10.0, 64), m).norm()
+    assert abs(e.residual - ref) <= 1e-14 * ref and ref > 1e-2
+    ref = synth_weighted(u - e.field_poly(), spec, m).norm()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("expand ran an FFT")
+
+    monkeypatch.setattr(np.fft, "fftn", refuse)
+    monkeypatch.setattr(np.fft, "ifftn", refuse)
+    got = expand(u, basis, spec)
+    assert got.coeffs == e.coeffs
+    assert abs(got.residual - ref) <= 1e-14 * ref
+
+
+def test_expand_polynomial_working_set_and_refusal(monkeypatch):
+    spec = GridSpec(10.0, 32)
+    basis, u = _off_span(1)
+    expand(u, basis, spec)
+    grid._CACHE.clear()
+    tracemalloc.start()
+    try:
+        e = expand(u, basis, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert e.residual > 0.0
+    assert peak <= dynamics._EXPAND_POLY_ARRAYS * 8 * spec.n**3
+
+    # a host with 1 MiB of memory: refused before any lattice array exists
+    monkeypatch.setattr(grid, "_physical_memory", lambda: 2**20)
+    grid._CACHE.clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="n=32"):
+            expand(u, basis, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid._CACHE == {}
+    assert peak < 8 * spec.n**3
+    # a field in the span has no remainder and needs no grid
+    assert expand(fixture(1, 1)[0], basis, spec).residual == 0.0
 
 
 def test_unique_continuation_diagnostic(cb3):

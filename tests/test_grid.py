@@ -194,7 +194,7 @@ def test_transform_polynomials_have_the_parity_of_their_monomial(m):
         assert all((sum(gamma) - sum(d)) % 2 == 0 for d in q.terms), gamma
 
 
-def test_lattice_parts_match_a_direct_complex_sum():
+def test_lattice_spectrum_matches_a_direct_complex_sum():
     # a cube without symmetry, so a transposed contraction fails
     spec = GridSpec(3.0, 16)
     P = np.random.default_rng(2).standard_normal((4, 4, 4))
@@ -205,13 +205,35 @@ def test_lattice_parts_match_a_direct_complex_sum():
         mono = e[:, None, None] ** d[0] * e[None, :, None] ** d[1] * e[None, None, :] ** d[2]
         want += 1j ** sum(d) * P[d] * mono
         scale += np.abs(P[d] * mono)
-    re, im = grid.lattice_parts(P, spec)
-    assert np.max(np.abs(re - want.real) / scale) <= 1e-15
-    assert np.max(np.abs(im - want.imag) / scale) <= 1e-15
+    ones = np.ones((spec.n,) * 3)
+    got = grid._lattice_spectrum(P, spec, ones)
+    assert np.max(np.abs(got.real - want.real) / scale) <= 1e-15
+    assert np.max(np.abs(got.imag - want.imag) / scale) <= 1e-15
     # a cube of even degrees only has no imaginary part
     even = P * (grid._degree_cube(3) % 2 == 0)
-    re, im = grid.lattice_parts(even, spec)
-    assert im is None and np.max(np.abs(re - want.real) / scale) <= 1e-15
+    got = grid._lattice_spectrum(even, spec, ones)
+    assert not got.imag.any() and np.max(np.abs(got.real - want.real) / scale) <= 1e-15
+    # and the weight multiplies both parts
+    w, _ = grid.lattice_weight(spec, 1)
+    assert grid._lattice_spectrum(P, spec, w).tobytes() == (grid._lattice_spectrum(P, spec, ones) * w).tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("b", [1.0, 39.0])
+def test_lattice_weight_is_the_full_lattice_exponential(m, b):
+    # b = 39 is the verifier's (2 - s)/s at s = 0.05, where most of the
+    # lattice underflows: the boxes of live indices give the same bits as
+    # the exponential of the whole lattice, and 0.0 elsewhere
+    spec = GridSpec(16.0, 48)
+    want = np.exp(-b * grid.freq_sq(spec) ** m)
+    w, live = grid.lattice_weight(spec, m, b)
+    assert w.tobytes() == want.tobytes()
+    assert live.all() == (b == 1.0) and live.any()
+    assert not want[~live].any() and not want[:, ~live].any() and not want[:, :, ~live].any()
+    # into a given array, whatever it held before
+    out = np.full_like(want, np.nan)
+    assert grid.lattice_weight(spec, m, b, out)[0] is out
+    assert out.tobytes() == want.tobytes()
 
 
 def test_synth_duals_pair_to_gram_rows():

@@ -18,7 +18,7 @@ from hermflow.grid import (
     synth_duals,
     synth_weighted,
 )
-from hermflow.solenoidal import composite_basis, fixture_basis, level_basis, weighted_dual
+from hermflow.solenoidal import composite_basis, level_basis, weighted_dual
 
 EPS = np.zeros((3, 3, 3))
 for (i, j, k), s in {
@@ -35,7 +35,7 @@ for (i, j, k), s in {
 @pytest.fixture(scope="module")
 def tensor_k1():
     cb = composite_basis(1, 1)
-    return interaction_tensor(cb, cb, cb, GridSpec(8.0, 64), refine=False)
+    return interaction_tensor(cb, GridSpec(8.0, 64), refine=False)
 
 
 def _closed_form():
@@ -47,8 +47,7 @@ def _closed_form():
 
 
 def test_k1_tensor_matches_epsilon_closed_form(tensor_k1):
-    assert tensor_k1.labels_a == [(0, 0), (1, 0), (1, 1), (1, 2)]
-    assert tensor_k1.labels_a == tensor_k1.labels_g == tensor_k1.labels_b
+    assert tensor_k1.labels == [(0, 0), (1, 0), (1, 1), (1, 2)]
     assert np.max(np.abs(tensor_k1.values - _closed_form())) <= 1e-5
     assert tensor_k1.entry(1, 2, 3) == pytest.approx(0.5, abs=1e-5)
     assert tensor_k1.entry(2, 1, 3) == pytest.approx(-0.5, abs=1e-5)
@@ -69,7 +68,7 @@ def test_unrefined_tensor_reports_no_error(tensor_k1):
 
 def test_refinement_doubles_box_and_flags_nothing_at_k1():
     cb = composite_basis(1, 1)
-    T = interaction_tensor(cb, cb, cb, GridSpec(6.0, 24), refine=True)
+    T = interaction_tensor(cb, GridSpec(6.0, 24), refine=True)
     assert T.refined == {"L": 12.0, "n": 48}
     assert T.flagged(1e-3) == []
     # the doubled box removes the periodization bias almost completely
@@ -93,7 +92,7 @@ def test_interaction_tensor_runs_no_fft(monkeypatch, K, spec, refine):
     monkeypatch.setattr(np.fft, "fftn", refuse)
     monkeypatch.setattr(np.fft, "ifftn", refuse)
     b = level_basis(2, 3) if K is None else composite_basis(1, K)
-    T = interaction_tensor(b, b, b, spec, refine=refine)
+    T = interaction_tensor(b, spec, refine=refine)
     assert T.values.shape == (b.count,) * 3 and np.all(np.isfinite(T.values))
 
 
@@ -110,18 +109,11 @@ def test_interaction_tensor_peak_memory(make, m, k):
     grid._CACHE.clear()
     tracemalloc.start()
     try:
-        interaction_tensor(b, b, b, spec, refine=False)
+        interaction_tensor(b, spec, refine=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 6 * 8 * spec.n**3
-
-
-def test_mismatched_operator_parameters_raise():
-    cb1 = composite_basis(1, 1)
-    b2 = fixture_basis(2, 1)
-    with pytest.raises(ValidationError):
-        interaction_tensor(cb1, cb1, b2, GridSpec(6.0, 24), refine=False)
 
 
 def test_k2_tensor_matches_weighted_gram_reference():
@@ -131,7 +123,7 @@ def test_k2_tensor_matches_weighted_gram_reference():
     # the grid directly
     cb = composite_basis(1, 2)
     spec = GridSpec(8.0, 32)
-    T = interaction_tensor(cb, cb, cb, spec, refine=False)
+    T = interaction_tensor(cb, spec, refine=False)
     n = cb.count
     ginv = np.zeros((n, n))
     for b, sl in cb.block_slices():
@@ -168,7 +160,7 @@ def test_m2_single_block_tensor_matches_grid_quadrature(k, bound):
     # synthesized duals on the grid and pairs them with sampled convections
     b = level_basis(2, k)
     spec = GridSpec(8.0, 32)
-    T = interaction_tensor(b, b, b, spec, refine=False)
+    T = interaction_tensor(b, spec, refine=False)
     duals = [project(w) for w in synth_duals(b, spec)]
     raw = np.array(
         [
@@ -185,11 +177,11 @@ def test_m2_single_block_tensor_matches_grid_quadrature(k, bound):
 def test_multi_level_tensor_needs_m1():
     cb = composite_basis(2, 1)
     with pytest.raises(ValidationError, match="m=1 only"):
-        interaction_tensor(cb, cb, cb, GridSpec(6.0, 24), refine=False)
+        interaction_tensor(cb, GridSpec(6.0, 24), refine=False)
     # a single m=2 block is fine: the constant field convects to nothing
     c0 = composite_basis(2, 0)
-    T = interaction_tensor(c0, c0, c0, GridSpec(6.0, 24), refine=False)
-    assert T.labels_b == [(0, 0)] and np.all(T.values == 0.0)
+    T = interaction_tensor(c0, GridSpec(6.0, 24), refine=False)
+    assert T.labels == [(0, 0)] and np.all(T.values == 0.0)
 
 
 def test_json_artifact_roundtrip(tmp_path, tensor_k1):
@@ -198,8 +190,7 @@ def test_json_artifact_roundtrip(tmp_path, tensor_k1):
     path = tmp_path / "tensor.json"
     path.write_text(json.dumps(tensor_k1.to_json_dict()))
     back = _load_tensor(str(path))
-    assert back.labels_a == tensor_k1.labels_a
-    assert back.labels_b == tensor_k1.labels_b
+    assert back.labels == tensor_k1.labels
     assert np.array_equal(back.values, tensor_k1.values)
     assert back.spec == tensor_k1.spec
     with pytest.raises(ValidationError):
