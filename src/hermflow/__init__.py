@@ -3,9 +3,10 @@
 The package splits into exact-arithmetic layers (multi-indices, rational
 polynomials, operator pairs, moments, divergence-free bases) and numeric
 layers (radial kernel tables with WKBJ envelopes, the periodized Fourier
-grid with a Leray projector, coefficient dynamics with nodal-set and
-zero-type diagnostics, and an independent semigroup verifier). The `cli`
-module exposes all of it as the `hermflow` command.
+grid with the Leray projector on its frequency lattice, coefficient
+dynamics with nodal-set and zero-type diagnostics, and an independent
+semigroup verifier). The `cli` module exposes all of it as the `hermflow`
+command.
 """
 from __future__ import annotations
 
@@ -15,16 +16,14 @@ from .polynomial import Polynomial, VectorPolyField
 from .operators import (
     EigenPair,
     OperatorParams,
-    apply_B,
     apply_B_star,
-    apply_B_weighted,
     eigen_coefficients,
     eigenfunction,
     level_enumerate,
     level_membership,
     pairing,
 )
-from .moments import kernel_moment, moment_of_poly, weighted_pairing
+from .moments import kernel_moment, moment_of_poly
 from .solenoidal import (
     CompositeBasis,
     SolenoidalBasis,
@@ -34,31 +33,21 @@ from .solenoidal import (
     fixture_basis,
     level_basis,
     validate_basis_field,
-    weighted_dual,
 )
 from .kernel import (
     KernelTable,
     WkbjConstants,
     envelope_fit,
-    gaussian_kernel,
     kernel_values,
-    ode_residual,
     wkbj_constants,
 )
 from .grid import (
     GridSpec,
     GridVectorField,
     InteractionTensor,
-    convection,
     convection_poly,
     interaction_tensor,
-    pair_fields,
-    project,
     sample,
-    spectral_divergence,
-    synth_duals,
-    synth_weighted,
-    to_grid,
     to_spectral,
     weighted_transform,
 )
@@ -101,12 +90,9 @@ __all__ = [
     "VectorPolyField",
     "WkbjConstants",
     "ZeroType",
-    "apply_B",
     "apply_B_star",
-    "apply_B_weighted",
     "classify_zero",
     "composite_basis",
-    "convection",
     "convection_poly",
     "detect_resonance",
     "diagonal_flow",
@@ -119,7 +105,6 @@ __all__ = [
     "expand",
     "fixture",
     "fixture_basis",
-    "gaussian_kernel",
     "interaction_tensor",
     "kernel_moment",
     "kernel_values",
@@ -130,22 +115,13 @@ __all__ = [
     "nodal_compare",
     "nodal_extract",
     "nse_galerkin",
-    "ode_residual",
-    "pair_fields",
     "pairing",
-    "project",
     "rate_check",
     "sample",
     "semigroup_verify",
-    "spectral_divergence",
-    "synth_duals",
-    "synth_weighted",
-    "to_grid",
     "to_spectral",
     "unique_continuation_diagnostic",
     "validate_basis_field",
-    "weighted_dual",
-    "weighted_pairing",
     "weighted_transform",
     "wkbj_constants",
 ]

@@ -53,9 +53,11 @@ from .grid import (
     InteractionTensor,
     check_fits,
     interaction_tensor,
-    project,
-    spectral_divergence,
-    synth_weighted,
+    lattice_divergence,
+    project_spectral,
+    residual_norm,
+    sampled_rows,
+    weighted_transform,
 )
 from .kernel import envelope_fit, kernel_values, wkbj_constants
 from .multiindex import enumerate_level
@@ -161,7 +163,6 @@ _COMMANDS: Dict[str, Tuple[str, Tuple[Param, ...]]] = {
             Param("L", float, 8.0),
             Param("n", int, 64),
             Param("refine", bool, True),
-            Param("check_projector", bool, True),
             Param("flag_tol", float, 1e-3),
         ),
     ),
@@ -619,22 +620,26 @@ def _random_poly_field(rng: np.random.Generator, deg: int = 3) -> VectorPolyFiel
 
 
 def _projector_diagnostics(spec: GridSpec, m: int, seed: int) -> dict:
+    """Idempotence and divergence of the Leray projector where the tensor
+    applies it, on the frequency lattice, for a seeded random field times
+    the kernel: ratios of lattice norms, which by Parseval are the ratios
+    of the grid norms. No FFT runs."""
     rng = np.random.default_rng(seed)
-    pu = project(synth_weighted(_random_poly_field(rng), spec, m))
-    scale = float(np.linalg.norm(pu.data))
-    idem = float(np.linalg.norm(project(pu).data - pu.data)) / scale
-    div = spectral_divergence(pu)
-    divnorm = float(np.sqrt(spec.h**3 * np.sum(div * div)))
-    rel_div = divnorm / (float(np.sqrt(spec.h**3)) * scale)
-    return {"idempotence_rel": idem, "divergence_rel": rel_div}
+    pu = project_spectral(weighted_transform(_random_poly_field(rng), spec, m), spec)
+    ppu = project_spectral([g.copy() for g in pu], spec)
+    scale = residual_norm(spec, sampled_rows(pu))
+    return {
+        "idempotence_rel": residual_norm(spec, sampled_rows(ppu), sampled_rows(pu)) / scale,
+        "divergence_rel": residual_norm(spec, sampled_rows([lattice_divergence(pu, spec)])) / scale,
+    }
 
 
 def _cmd_d_tensor(cfg: dict, outdir: str) -> dict:
     m, K = cfg["m"], cfg["K"]
     spec = GridSpec(L=cfg["L"], n=cfg["n"])
-    if cfg["check_projector"]:
-        # the FFT round trips of `_projector_diagnostics`: 23 lattice arrays
-        check_fits(spec.n, 23, "the projector diagnostic")
+    # `_projector_diagnostics`: two projected spectra (12 lattice arrays)
+    # and the projector's complex transients; tracemalloc 18.1-18.6 at n=32-96
+    check_fits(spec.n, 19, "the projector diagnostic")
     cb = composite_basis(m, K)
     tensor = interaction_tensor(cb, spec, refine=cfg["refine"])
     flagged = tensor.flagged(cfg["flag_tol"])
@@ -650,8 +655,7 @@ def _cmd_d_tensor(cfg: dict, outdir: str) -> dict:
         summary["rotation_self_max"] = float(
             max(np.max(np.abs(tensor.values[a, a, :])) for a in rot)
         )
-    if cfg["check_projector"]:
-        summary["projector"] = _projector_diagnostics(spec, m, cfg["seed"])
+    summary["projector"] = _projector_diagnostics(spec, m, cfg["seed"])
     name = _dump_artifact(outdir, "tensor.json", "interaction-tensor", _echo(cfg, "d-tensor"), payload)
     summary["artifacts"] = [name]
     return summary
@@ -687,6 +691,16 @@ def _cmd_evolve(cfg: dict, outdir: str) -> dict:
             tensor = _zero_tensor(cb, m, spec)
         elif cfg["tensor"]:
             tensor = _load_tensor(cfg["tensor"])
+            # a tensor of another order, dimension or grid is not this run's
+            for key, got, want in (
+                ("m", tensor.m, m),
+                ("N", tensor.N, 3),
+                ("grid", f"L={tensor.spec.L!r}, n={tensor.spec.n}", f"L={spec.L!r}, n={spec.n}"),
+            ):
+                if got != want:
+                    raise ValidationError(
+                        f"{cfg['tensor']}: {key} {got} does not match this run's {want}"
+                    )
         else:
             tensor = interaction_tensor(cb, spec)
         traj = nse_galerkin(e0, tensor, cfg["tau"], rtol=cfg["rtol"], n_out=cfg["steps"])

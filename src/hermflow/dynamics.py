@@ -96,11 +96,11 @@ class Expansion:
 
 
 # float64 arrays of n^3 at the peak of `expand` on a grid field, rounded up
-# (tracemalloc: 14.0 for n = 32, 64), in the forward transforms: while the
-# third runs, its complex transients (the scaled phase, the FFT and their
-# product) next to two complex component spectra, the cached complex grid
-# phase, |eta|^2 and the decay
-_EXPAND_ARRAYS = 16
+# (tracemalloc: 10.5 for n = 32, 10.1 for n = 64), in the forward
+# transforms: while the third runs, the FFT's complex copy of its input and
+# its complex output next to two complex component spectra, |eta|^2 and the
+# decay
+_EXPAND_ARRAYS = 11
 
 
 # the same on a polynomial field with a remainder (tracemalloc: 4.3 at n = 32,

@@ -1,14 +1,15 @@
-"""Periodic-grid Fourier machinery: sampling, Leray projection,
-pseudo-spectral convection (2/3 rule), and the quadratic interaction tensor
-of the coefficient dynamics.
+"""Periodic-grid Fourier machinery: sampling, the Leray projector on the
+frequency lattice, polynomial convection, and the quadratic interaction
+tensor of the coefficient dynamics.
 
 Grid convention: cell-centered nodes x_j = -L + (j + 1/2) h with h = 2L/n on
 [-L, L)^3, discrete frequencies eta_k = pi k / L for integer k in the usual
 FFT ordering. `to_spectral` approximates the continuous transform
-int f(y) exp(-i y.eta) dy by its Riemann sum (spectrally accurate for
-smooth decaying fields), and `to_grid` is its exact discrete inverse, so
-fields synthesized from closed-form transforms and fields sampled in
-physical space live on the same footing.
+int f(y) exp(-i y.eta) dy of sampled data by its Riemann sum (spectrally
+accurate for smooth decaying fields), so fields sampled in physical space
+and fields with closed-form transforms live on the same lattice. Closed-form
+fields never leave it: the tensor, the expansion residuals and the
+projector diagnostic work on lattice spectra, and no FFT runs for them.
 
 The interaction tensor follows the adjoint arrangement: the projector
 symbol is real and symmetric per mode, so the discrete Parseval identity
@@ -152,14 +153,6 @@ def _eta_diff(L: float, n: int) -> np.ndarray:
     return _cached(("eta_diff", L, n), build)
 
 
-def _phase3(L: float, n: int) -> np.ndarray:
-    def build():
-        p = np.exp(1j * math.pi * _kint(n) * (1.0 / n - 1.0))
-        return p[:, None, None] * p[None, :, None] * p[None, None, :]
-
-    return _cached(("phase3", L, n), build)
-
-
 def _eta_sq(L: float, n: int) -> np.ndarray:
     def build():
         e = _eta(L, n)
@@ -212,13 +205,17 @@ def lattice_weight(
 
 
 def to_spectral(spec: GridSpec, f: np.ndarray) -> np.ndarray:
-    """Riemann-sum approximation of int f(y) exp(-i y.eta) dy per mode."""
-    return spec.h**3 * np.conj(_phase3(spec.L, spec.n)) * np.fft.fftn(f)
+    """Riemann-sum approximation of int f(y) exp(-i y.eta) dy per mode.
 
-
-def to_grid(spec: GridSpec, g: np.ndarray) -> np.ndarray:
-    """Exact inverse of `to_spectral`; complex output, callers take .real."""
-    return np.fft.ifftn(g * _phase3(spec.L, spec.n)) / spec.h**3
+    The nodes start at -L + h/2, so the FFT carries the phase
+    exp(-i eta_k (h/2 - L)) per axis; it is applied one axis at a time, in
+    place, and no complex lattice array besides the result is made."""
+    out = np.fft.fftn(f)
+    phase = np.exp(-1j * math.pi * _kint(spec.n) * (1.0 / spec.n - 1.0))
+    out *= (spec.h**3 * phase)[:, None, None]
+    out *= phase[None, :, None]
+    out *= phase[None, None, :]
+    return out
 
 
 # -- grid fields ----------------------------------------------------------------
@@ -323,35 +320,11 @@ def _lattice_spectrum(H: np.ndarray, spec: GridSpec, w: np.ndarray) -> np.ndarra
     return out
 
 
-def _synth(spec: GridSpec, spectra: Sequence[np.ndarray]) -> GridVectorField:
-    """The grid field with the given component spectra."""
-    out = np.empty((3,) + (spec.n,) * 3)
-    for c, g in enumerate(spectra):
-        out[c] = to_grid(spec, g).real
-    return GridVectorField(spec, out)
-
-
 def weighted_transform(v: VectorPolyField, spec: GridSpec, m: int) -> List[np.ndarray]:
     """FT[v_c F] evaluated on the frequency lattice, one complex array per
     component."""
     w, _ = lattice_weight(spec, m)
     return [_lattice_spectrum(H, spec, w) for H in spectrum_cubes([v], m)[0]]
-
-
-def synth_weighted(v: VectorPolyField, spec: GridSpec, m: int) -> GridVectorField:
-    """Grid samples of v F via its closed-form transform (all m; exact up to
-    periodization and the lattice Riemann sum)."""
-    return _synth(spec, weighted_transform(v, spec, m))
-
-
-def synth_duals(basis: SolenoidalBasis, spec: GridSpec) -> List[GridVectorField]:
-    """Grid samples of the derivative-dual fields W_j of one basis level,
-    from their closed-form spectra on the frequency lattice."""
-    w, _ = lattice_weight(spec, basis.params.m)
-    return [
-        _synth(spec, [_lattice_spectrum(H, spec, w) for H in cubes])
-        for cubes in dual_cubes([basis])
-    ]
 
 
 # -- frequency-space pairings of closed-form spectra --------------------------------
@@ -549,31 +522,23 @@ def _inv_eta_sq(spec: GridSpec) -> np.ndarray:
     return _cached(("inv_eta_sq", spec.L, spec.n), build)
 
 
+def _eta_dot(gs: Sequence[np.ndarray], spec: GridSpec) -> np.ndarray:
+    e1, e2, e3 = _eta_axes(spec)
+    return e1 * gs[0] + e2 * gs[1] + e3 * gs[2]
+
+
 def project_spectral(gs: Sequence[np.ndarray], spec: GridSpec) -> Sequence[np.ndarray]:
     """Apply the solenoidal symbol I - eta eta^T/|eta|^2 per mode, in place."""
-    e1, e2, e3 = _eta_axes(spec)
-    common = (e1 * gs[0] + e2 * gs[1] + e3 * gs[2]) * _inv_eta_sq(spec)
-    for e, g in zip((e1, e2, e3), gs):
+    common = _eta_dot(gs, spec) * _inv_eta_sq(spec)
+    for e, g in zip(_eta_axes(spec), gs):
         g -= e * common
     return gs
 
 
-def project(u: GridVectorField) -> GridVectorField:
-    """Divergence-free part of u; the zero mode is left unchanged."""
-    spec = u.spec
-    gs = project_spectral([to_spectral(spec, u.data[c]) for c in range(3)], spec)
-    out = np.empty_like(u.data)
-    for c, g in enumerate(gs):
-        out[c] = to_grid(spec, g).real
-    return GridVectorField(spec, out)
-
-
-def spectral_divergence(u: GridVectorField) -> np.ndarray:
-    """div u evaluated through the frequency domain."""
-    spec = u.spec
-    e1, e2, e3 = _eta_axes(spec)
-    gs = [to_spectral(spec, u.data[c]) for c in range(3)]
-    return to_grid(spec, 1j * (e1 * gs[0] + e2 * gs[1] + e3 * gs[2])).real
+def lattice_divergence(gs: Sequence[np.ndarray], spec: GridSpec) -> np.ndarray:
+    """i eta . g per mode: the spectrum of the divergence of the field with
+    component spectra gs, with the frequencies the projector uses."""
+    return 1j * _eta_dot(gs, spec)
 
 
 def convection_poly(v: VectorPolyField, w: VectorPolyField | None = None) -> VectorPolyField:
@@ -589,42 +554,6 @@ def convection_poly(v: VectorPolyField, w: VectorPolyField | None = None) -> Vec
             acc = acc + v.components[j] * w.components[i].derive(gj)
         comps.append(acc)
     return VectorPolyField(comps)
-
-
-def _dealias_mask(spec: GridSpec) -> np.ndarray:
-    def build():
-        k = np.abs(_kint(spec.n))
-        keep = k < spec.n / 3.0
-        return (
-            keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
-        ).astype(float)
-
-    return _cached(("dealias", spec.L, spec.n), build)
-
-
-def convection(u: GridVectorField) -> GridVectorField:
-    """(u . grad) u, pseudo-spectral with the 2/3 rule. For polynomial
-    fields, whose periodized samples have no usable spectral derivative,
-    sample `convection_poly` instead."""
-    spec = u.spec
-    mask = _dealias_mask(spec)
-    e1, e2, e3 = _eta_axes(spec)
-    gs = [to_spectral(spec, u.data[c]) * mask for c in range(3)]
-    uf = [to_grid(spec, g).real for g in gs]
-    out = []
-    for i in range(3):
-        acc = np.zeros((spec.n,) * 3)
-        for j, ej in enumerate((e1, e2, e3)):
-            acc += uf[j] * to_grid(spec, 1j * ej * gs[i]).real
-        out.append(acc)
-    return GridVectorField(spec, np.stack(out))
-
-
-def pair_fields(a: GridVectorField, b: GridVectorField) -> float:
-    """Grid quadrature of the pointwise dot product."""
-    if a.spec != b.spec:
-        raise ValidationError("fields live on different grids")
-    return float(a.spec.h**3 * np.sum(a.data * b.data))
 
 
 # -- interaction tensor -----------------------------------------------------------

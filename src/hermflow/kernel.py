@@ -42,7 +42,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import NonConvergenceError, ValidationError
-from .rational_linalg import fd_weights
 
 
 @dataclass(frozen=True)
@@ -191,11 +190,6 @@ def _mass_error(r: np.ndarray, F: np.ndarray) -> float:
     return abs(float(4 * math.pi * simpson(r * r * F, x=r)) - 1.0)
 
 
-def gaussian_kernel(r: np.ndarray | float) -> np.ndarray | float:
-    """Closed form for m=1: (4 pi)^(-3/2) exp(-r^2/4)."""
-    return (4 * math.pi) ** (-1.5) * np.exp(-np.asarray(r, dtype=float) ** 2 / 4.0)
-
-
 # -- envelope fit --------------------------------------------------------------
 
 
@@ -311,46 +305,3 @@ def envelope_fit(table: KernelTable, constants: WkbjConstants) -> dict:
             abs(float(d0_constrained) - constants.d0) / constants.d0
         ),
     }
-
-
-# -- radial ODE residual --------------------------------------------------------
-
-
-def ode_residual(table: KernelTable, window: tuple = (0.5, 4.0)) -> float:
-    """Max | -(-Delta)^m F + (1/2m) r F' + (N/2m) F | on the window.
-
-    Radial forms for N=3: Delta f = f'' + (2/r) f' and
-    Delta^2 f = f'''' + (4/r) f'''. Ninth-point exact-degree stencils keep
-    truncation far below the quadrature noise they amplify.
-    """
-    m, N = table.m, table.N
-    if m not in (1, 2):
-        raise ValidationError("radial residual implemented for m in {1, 2}")
-    r, f = table.radii, table.values
-    h = np.diff(r)
-    if not np.allclose(h, h[0], rtol=1e-12, atol=1e-14):
-        raise ValidationError("uniform radial grid required")
-    h = float(h[0])
-    half = 4
-    offsets = tuple(range(-half, half + 1))
-
-    def deriv(order: int) -> np.ndarray:
-        w = np.array([float(x) for x in fd_weights(offsets, order)]) / h**order
-        out = np.full_like(f, np.nan)
-        core = sum(w[i] * f[i : len(f) - 2 * half + i] for i in range(2 * half + 1))
-        out[half:-half] = core
-        return out
-
-    d1 = deriv(1)
-    if m == 1:
-        lap = deriv(2) + 2.0 * d1 / np.where(r == 0, np.nan, r)
-        resid = lap + r * d1 / 2.0 + (N / 2.0) * f
-    else:
-        d3 = deriv(3)
-        bilap = deriv(4) + 4.0 * d3 / np.where(r == 0, np.nan, r)
-        resid = -bilap + r * d1 / 4.0 + (N / 4.0) * f
-    lo, hi = window
-    mask = (r >= lo) & (r <= hi) & ~np.isnan(resid)
-    if not mask.any():
-        raise ValidationError("window does not intersect the table interior")
-    return float(np.max(np.abs(resid[mask])))

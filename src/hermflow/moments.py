@@ -50,8 +50,3 @@ def moment_of_poly(p: Polynomial, m: int) -> Fraction:
         if mm:
             total += c * mm
     return total
-
-
-def weighted_pairing(p: Polynomial, q: Polynomial, m: int) -> Fraction:
-    """int p q F dy."""
-    return moment_of_poly(p * q, m)

@@ -42,11 +42,6 @@ def mi_sub(a: Sequence[int], b: Sequence[int]) -> MultiIndex:
     return out
 
 
-def mi_le(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Componentwise a <= b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
 def mi_factorial(beta: Sequence[int]) -> int:
     out = 1
     for x in beta:
@@ -88,11 +83,6 @@ def enumerate_level(k: int, dim: int) -> Iterator[MultiIndex]:
         out.append(tuple(beta))
     out = sorted(set(out), key=grlex_key)
     yield from out
-
-
-def enumerate_up_to(kmax: int, dim: int) -> Iterator[MultiIndex]:
-    for k in range(kmax + 1):
-        yield from enumerate_level(k, dim)
 
 
 def as_fraction(x) -> Fraction:

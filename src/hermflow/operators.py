@@ -30,7 +30,6 @@ from .multiindex import (
     level_count,
     mi_factorial,
     order,
-    unit,
     validate,
 )
 from .polynomial import Polynomial, laplacian, neg_laplacian_power
@@ -99,36 +98,6 @@ def apply_B_star(p: Polynomial, params: OperatorParams) -> Polynomial:
     for _ in range(m):
         lap_m = laplacian(lap_m)
     return lap_m.scale(sign) - euler_degree_op(p).scale(Fraction(1, 2 * m))
-
-
-def apply_B(p: Polynomial, params: OperatorParams) -> Polynomial:
-    m, N = params.m, params.N
-    sign = 1 if (m + 1) % 2 == 0 else -1
-    lap_m = p
-    for _ in range(m):
-        lap_m = laplacian(lap_m)
-    return (
-        lap_m.scale(sign)
-        + euler_degree_op(p).scale(Fraction(1, 2 * m))
-        + p.scale(Fraction(N, 2 * m))
-    )
-
-
-def apply_B_weighted(p: Polynomial, params: OperatorParams) -> Polynomial:
-    """Divergence form (1/rho) div(rho grad p) for the Gaussian rho, m=1 only.
-
-    Expanding by the product rule with grad(rho)/rho = -y/2 gives
-    Delta p - (1/2) y.grad p, which must coincide with apply_B_star.
-    """
-    if params.m != 1:
-        raise ValidationError("divergence form is specific to m=1")
-    dim = p.dim
-    out = laplacian(p)
-    for i in range(dim):
-        di = p.derive(unit(dim, i))
-        yi = Polynomial.variable(dim, i)
-        out = out - (yi * di).scale(Fraction(1, 2))
-    return out
 
 
 def eigenfunction(beta: Sequence[int], params: OperatorParams) -> EigenPair:

@@ -49,10 +49,6 @@ def rref(A: Sequence[Sequence]) -> Tuple[Matrix, List[int]]:
     return R, pivots
 
 
-def rank(A: Sequence[Sequence]) -> int:
-    return len(rref(A)[1])
-
-
 def nullspace(A: Sequence[Sequence], cols: int | None = None) -> List[List[Fraction]]:
     """Basis of the right nullspace, one vector per free column.
 

@@ -28,12 +28,12 @@ level. The polynomial pairings, the grid expansions, the semigroup
 verifier and the interaction tensor all read the duals from the basis
 blocks.
 
-`weighted_dual` (kernel-weighted Gram G_ij = <v*_i, v*_j F>, exact from
-kernel moments) stays as the reference the duals are tested against. For
+The kernel-weighted Gram G_ij = <v*_i, v*_j F> is the reference the
+duals are tested against (`weighted_dual` in the tests' oracles). For
 m=1 the two give identical coefficient functionals: the kernel derivative
 identity (-1)^|b| D^b F = 2^-|b| psi*_b F makes the Grams proportional.
 For m >= 2 the weighted Gram vanishes identically on odd levels (moments
-of degree not divisible by 2m are zero) and `weighted_dual` raises.
+of degree not divisible by 2m are zero).
 
 Duals of one level annihilate the fields of every other level, for every
 m (psi*_alpha and (-1)^|beta| D^beta F are biorthogonal), so the per-level
@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import ValidationError
-from .moments import moment_of_poly, weighted_pairing
+from .moments import moment_of_poly
 from .multiindex import (
     MultiIndex,
     enumerate_level,
@@ -55,7 +55,7 @@ from .multiindex import (
 )
 from .operators import OperatorParams, eigenfunction, level_membership
 from .polynomial import Polynomial, VectorPolyField, vector_from_rows
-from .rational_linalg import dependent_columns, inverse, nullspace, rank
+from .rational_linalg import dependent_columns, inverse, nullspace
 
 # -- catalog -----------------------------------------------------------------
 
@@ -158,13 +158,6 @@ def _gram(acoeffs: Sequence[List[Dict[MultiIndex, Fraction]]]) -> List[List[Frac
     return G
 
 
-def realization_gram(
-    fields: Sequence[VectorPolyField], k: int, params: OperatorParams
-) -> List[List[Fraction]]:
-    """Gram of the derivative-dual pairing: G~_ij = sum_c sum_b a^i a^j b!."""
-    return _gram([validate_basis_field(v, k, params) for v in fields])
-
-
 @dataclass
 class SolenoidalBasis:
     """One level of divergence-free fields and their derivative duals.
@@ -242,12 +235,6 @@ class SolenoidalBasis:
         N = self.params.N
         return [[Polynomial(N, dict(ac)) for ac in acomp] for acomp in self.acoeffs]
 
-    def dual_closed_form_m1(self) -> List[VectorPolyField]:
-        """m=1 only: W_j = 2^(-k) v*_j F, as polynomial factors of F."""
-        if self.params.m != 1:
-            raise ValidationError("closed-form duals are specific to m=1")
-        return [v.scale(Fraction(1, 2**self.level)) for v in self.fields]
-
     def to_json_dict(self) -> dict:
         return {
             "level": self.level,
@@ -313,34 +300,6 @@ def divfree_kernel(k: int, params: OperatorParams) -> SolenoidalBasis:
     return SolenoidalBasis(level=k, params=params, fields=fields, source="computed-kernel")
 
 
-def weighted_dual(basis: SolenoidalBasis) -> List[List[Fraction]]:
-    """Inverse of the kernel-weighted Gram G_ij = <v*_i, v*_j F>.
-
-    Exact for every m via kernel moments. Raises when G is singular and
-    names the offending fields; for m >= 2 this happens on every odd level
-    (all contributing moments vanish), where the basis's own derivative
-    duals are the usable alternative.
-    """
-    m = basis.params.m
-    n = basis.count
-    G = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            s = Fraction(0)
-            for c in range(basis.params.N):
-                s += weighted_pairing(
-                    basis.fields[i].components[c], basis.fields[j].components[c], m
-                )
-            G[i][j] = G[j][i] = s
-    if rank(G) < n:
-        dep = dependent_columns(G)
-        raise ValidationError(
-            f"kernel-weighted Gram is singular at level {basis.level} (m={m}); "
-            f"dependent fields: {dep}"
-        )
-    return inverse(G)
-
-
 @dataclass
 class CompositeBasis:
     """Stacked per-level bases for truncation level K.
@@ -367,13 +326,6 @@ class CompositeBasis:
     @property
     def max_level(self) -> int:
         return max(b.level for b in self.blocks)
-
-    def block_slices(self) -> List[Tuple[SolenoidalBasis, slice]]:
-        out, start = [], 0
-        for b in self.blocks:
-            out.append((b, slice(start, start + b.count)))
-            start += b.count
-        return out
 
     def to_json_dict(self) -> dict:
         return {

@@ -15,18 +15,13 @@ import numpy as np
 
 from hermflow import cli
 from hermflow.dynamics import classify_zero
-from hermflow.grid import (
-    GridSpec,
-    interaction_tensor,
-    project,
-    spectral_divergence,
-    synth_weighted,
-)
+from hermflow.grid import GridSpec, interaction_tensor
 from hermflow.kernel import envelope_fit, kernel_values, wkbj_constants
 from hermflow.multiindex import enumerate_level
 from hermflow.operators import OperatorParams, apply_B_star, level_enumerate, pairing
 from hermflow.polynomial import Polynomial, VectorPolyField
 from hermflow.solenoidal import composite_basis, fixture, validate_basis_field
+from oracles import project, spectral_divergence, synth_weighted
 
 
 def _run_cli(capsys, argv):

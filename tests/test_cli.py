@@ -6,6 +6,7 @@ import os
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -135,8 +136,8 @@ def test_verify_box_too_small_exits_2(tmp_path, capsys, m, L):
 
 @pytest.mark.parametrize(
     "argv",
-    [["d-tensor"], ["d-tensor", "--no-check-projector"], ["verify"], ["nodal", "--cell", "0.001"]],
-    ids=["d-tensor", "d-tensor-no-projector", "verify", "nodal"],
+    [["d-tensor"], ["verify"], ["nodal", "--cell", "0.001"]],
+    ids=["d-tensor", "verify", "nodal"],
 )
 def test_grid_larger_than_memory_exits_2(tmp_path, capsys, monkeypatch, argv):
     # a host with 1 MiB of memory: the default grids are refused before any
@@ -206,7 +207,7 @@ def test_each_basis_level_is_validated_once(tmp_path, capsys, monkeypatch, argv,
 
 
 def test_projector_diagnostic_working_set():
-    # 23 lattice arrays of n^3, plus the random polynomial field and the
+    # 19 lattice arrays of n^3, plus the random polynomial field and the
     # 1-D tables; the first call fills the exact transform-polynomial cache,
     # and the grid cache is cleared so that its lattice arrays count
     from hermflow import grid
@@ -221,7 +222,7 @@ def test_projector_diagnostic_working_set():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 23 * 8 * spec.n**3 + 2**16, m
+        assert peak <= 19 * 8 * spec.n**3 + 2**16, m
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -281,6 +282,10 @@ def test_usage_errors_exit_64(capsys):
     assert exc.value.code == 64
     with pytest.raises(SystemExit) as exc:
         cli.run([])
+    assert exc.value.code == 64
+    # the projector check always runs; there is no switch to turn it off
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["d-tensor", "--no-check-projector"])
     assert exc.value.code == 64
 
 
@@ -542,10 +547,37 @@ def test_d_tensor_small_grid(tmp_path, capsys):
     assert doc["kind"] == "interaction-tensor"
 
 
+def test_d_tensor_runs_no_fft(tmp_path, capsys, monkeypatch):
+    # the tensor and criterion 6's projector check both work on the
+    # frequency lattice, where the tensor applies the projector
+    def refuse(*args, **kwargs):
+        raise AssertionError("d-tensor ran an FFT")
+
+    monkeypatch.setattr(np.fft, "fftn", refuse)
+    monkeypatch.setattr(np.fft, "ifftn", refuse)
+    code, line = _run(capsys, ["d-tensor", "--L", "6", "--n", "24", "--outdir", str(tmp_path)])
+    assert code == 0
+    assert line["projector"]["idempotence_rel"] <= 1e-10
+    assert line["projector"]["divergence_rel"] <= 1e-8
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_projector_check_catches_a_wrong_symbol(monkeypatch, m):
+    # half of 1/|eta|^2 removes only half of the longitudinal part: both
+    # ratios then read far above their README bounds (1e-10 and 1e-8)
+    from hermflow import grid
+
+    inv_eta_sq = grid._inv_eta_sq
+    monkeypatch.setattr(grid, "_inv_eta_sq", lambda spec: 0.5 * inv_eta_sq(spec))
+    got = cli._projector_diagnostics(grid.GridSpec(8.0, 32), m, 0)
+    assert got["idempotence_rel"] > 1e-10
+    assert got["divergence_rel"] > 1e-8
+
+
 def test_evolve_reuses_saved_tensor(tmp_path, capsys):
     code, line = _run(
         capsys,
-        ["d-tensor", "--L", "6", "--n", "24", "--no-check-projector", "--outdir", str(tmp_path)],
+        ["d-tensor", "--L", "6", "--n", "24", "--outdir", str(tmp_path)],
     )
     assert code == 0
     tensor_path = tmp_path / "tensor.json"
@@ -566,6 +598,10 @@ def test_evolve_reuses_saved_tensor(tmp_path, capsys):
             "21",
             "--tensor",
             str(tensor_path),
+            "--L",
+            "6",
+            "--n",
+            "24",
             "--outdir",
             str(outdir),
         ],
@@ -632,7 +668,6 @@ _FLAGS = {
         ("--L", "L", "store", "float", None),
         ("--n", "n", "store", "int", None),
         ("--no-refine", "refine", "store_false", None, None),
-        ("--no-check-projector", "check_projector", "store_false", None, None),
         ("--flag-tol", "flag_tol", "store", "float", None),
     ],
     "evolve": [
@@ -731,6 +766,8 @@ def test_generated_flags_match_the_pinned_lists():
         ("classify", {"delta": 0.0, "terms": '[{"x":[1,0,0],"c":1}]'}),
         ("classify", {"delta": -0.125, "terms": '[{"x":[1,0,0],"c":1}]'}),
         ("evolve", {"rtol": 0.0, "model": "nse", "K": 1, "data": "l1:0=1"}),
+        # the projector check always runs; its old switch is an unknown key
+        ("d-tensor", {"check_projector": False}),
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg):
@@ -812,7 +849,7 @@ def _evolve_on(tmp_path, capsys, doc):
     path = tmp_path / "tensor.json"
     path.write_text(json.dumps(doc))
     argv = ["evolve", "--model", "nse", "--data", "l1:0=0.2", "--K", "1", "--tau", "1",
-            "--tensor", str(path), "--outdir", str(tmp_path / "out")]
+            "--L", "6", "--n", "24", "--tensor", str(path), "--outdir", str(tmp_path / "out")]
     code, line = _run(capsys, argv)
     return code, line, str(path)
 
@@ -836,6 +873,25 @@ def test_tensor_file_must_hold_every_triple_once(tmp_path, capsys):
         f"{path}: repeated entry for alpha {first['alpha']}, gamma {first['gamma']}, "
         f"beta {first['beta']}"
     )
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"m": 2}, "m 2 does not match this run's 1"),
+        ({"N": 7}, "N 7 does not match this run's 3"),
+        ({"grid": {"L": 8.0, "n": 24}}, "grid L=8.0, n=24 does not match this run's L=6.0, n=24"),
+        ({"grid": {"L": 6, "n": 32}}, "grid L=6.0, n=32 does not match this run's L=6.0, n=24"),
+    ],
+    ids=["m", "N", "L", "n"],
+)
+def test_reused_tensor_must_match_the_run(tmp_path, capsys, change, message):
+    # a tensor of another order, dimension or grid is not the computation
+    # the echoed config describes, so it is refused by name
+    code, line, path = _evolve_on(tmp_path, capsys, {**_tensor_doc(), **change})
+    assert code == 2 and line["error"] == "validation"
+    assert line["message"] == f"{path}: {message}"
+    assert not list((tmp_path / "out").glob("*"))
 
 
 @pytest.mark.parametrize("key", ["gamma", "beta"])

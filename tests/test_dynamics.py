@@ -32,11 +32,7 @@ from hermflow.grid import (
     freq_sq,
     hermitian_transform,
     interaction_tensor,
-    pair_fields,
     spectrum_cubes,
-    synth_duals,
-    synth_weighted,
-    to_grid,
 )
 from hermflow.operators import OperatorParams, eigenfunction
 from hermflow.polynomial import Polynomial, VectorPolyField, evaluate_cube
@@ -46,6 +42,7 @@ from hermflow.solenoidal import (
     fixture,
     level_basis,
 )
+from oracles import pair_fields, synth_duals, synth_weighted, to_grid
 
 
 @pytest.fixture(scope="module")

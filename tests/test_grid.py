@@ -12,23 +12,26 @@ from hermflow.errors import ValidationError
 from hermflow.grid import (
     GridSpec,
     GridVectorField,
-    convection,
     convection_poly,
-    pair_fields,
     parallel_map,
-    project,
     sample,
+    to_spectral,
+)
+from hermflow.kernel import kernel_values
+from hermflow.moments import moment_of_poly
+from hermflow.polynomial import Polynomial, VectorPolyField
+from hermflow.solenoidal import fixture_basis
+from oracles import (
+    convection,
+    enumerate_up_to,
+    gaussian_kernel,
+    pair_fields,
+    project,
     spectral_divergence,
     synth_duals,
     synth_weighted,
     to_grid,
-    to_spectral,
 )
-from hermflow.kernel import gaussian_kernel, kernel_values
-from hermflow.moments import moment_of_poly
-from hermflow.multiindex import enumerate_up_to
-from hermflow.polynomial import Polynomial, VectorPolyField
-from hermflow.solenoidal import fixture_basis
 
 SPEC = GridSpec(10.0, 48)
 

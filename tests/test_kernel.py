@@ -11,11 +11,10 @@ from hermflow.errors import NonConvergenceError, ValidationError
 from hermflow.kernel import (
     KernelTable,
     envelope_fit,
-    gaussian_kernel,
     kernel_values,
-    ode_residual,
     wkbj_constants,
 )
+from oracles import gaussian_kernel, ode_residual
 
 
 @pytest.fixture(scope="module")

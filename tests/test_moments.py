@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
 from hermflow.kernel import kernel_values
-from hermflow.moments import kernel_moment, moment_of_poly, weighted_pairing
+from hermflow.moments import kernel_moment, moment_of_poly
 from hermflow.polynomial import Polynomial
+from oracles import weighted_pairing
 
 betas = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
 

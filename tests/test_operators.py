@@ -9,9 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hermflow.errors import ValidationError
 from hermflow.operators import (
     OperatorParams,
-    apply_B,
     apply_B_star,
-    apply_B_weighted,
     eigen_coefficients,
     eigenfunction,
     euler_degree_op,
@@ -20,6 +18,7 @@ from hermflow.operators import (
     pairing,
 )
 from hermflow.polynomial import Polynomial
+from oracles import apply_B, apply_B_weighted
 
 betas = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)).filter(
     lambda b: sum(b) <= 6

@@ -8,17 +8,9 @@ import pytest
 
 from hermflow import grid
 from hermflow.errors import ValidationError
-from hermflow.grid import (
-    GridSpec,
-    convection_poly,
-    interaction_tensor,
-    pair_fields,
-    project,
-    sample,
-    synth_duals,
-    synth_weighted,
-)
-from hermflow.solenoidal import composite_basis, level_basis, weighted_dual
+from hermflow.grid import GridSpec, convection_poly, interaction_tensor, sample
+from hermflow.solenoidal import composite_basis, level_basis
+from oracles import block_slices, pair_fields, project, synth_duals, synth_weighted, weighted_dual
 
 EPS = np.zeros((3, 3, 3))
 for (i, j, k), s in {
@@ -126,7 +118,7 @@ def test_k2_tensor_matches_weighted_gram_reference():
     T = interaction_tensor(cb, spec, refine=False)
     n = cb.count
     ginv = np.zeros((n, n))
-    for b, sl in cb.block_slices():
+    for b, sl in block_slices(cb):
         ginv[sl, sl] = np.array(weighted_dual(b), dtype=float)
     duals = [project(synth_weighted(v, spec, 1)) for v in cb.fields]
     raw = np.array(
