@@ -262,10 +262,14 @@ def _workers(cfg: dict) -> int:
 
 
 def _cloud_csv(cloud: np.ndarray) -> str:
-    lines = ["x,y,z"]
-    for row in np.asarray(cloud, float):
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    """An (n, 3) point cloud as CSV, every coordinate in its `repr`. Most
+    coordinates are grid nodes, so each distinct value (by its bits, which
+    keeps -0.0 apart from 0.0) is formatted once and the rows are filled
+    in one pass."""
+    cloud = np.asarray(cloud, float)
+    bits, where = np.unique(cloud.ravel().view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return "x,y,z\n" + ("%s,%s,%s\n" * len(cloud)) % tuple(text[where].tolist())
 
 
 # -- initial-data descriptors ----------------------------------------------------
@@ -377,6 +381,13 @@ def _is_label(v) -> bool:
 
 def _triple(labels, idx) -> str:
     return ", ".join(f"{key} {list(labels[i])}" for key, i in zip(_TENSOR_AXES, idx))
+
+
+def _grid_text(v) -> str:
+    """A grid dict as `L=6.0, n=24` (`none` when empty); anything else as is."""
+    if isinstance(v, dict):
+        return ", ".join(f"{k}={x!r}" for k, x in v.items()) or "none"
+    return str(v)
 
 
 def _load_tensor(path: str) -> InteractionTensor:
@@ -691,15 +702,18 @@ def _cmd_evolve(cfg: dict, outdir: str) -> dict:
             tensor = _zero_tensor(cb, m, spec)
         elif cfg["tensor"]:
             tensor = _load_tensor(cfg["tensor"])
-            # a tensor of another order, dimension or grid is not this run's
+            # a tensor of another order, dimension, grid or refinement grid
+            # is not the one this run would compute
             for key, got, want in (
                 ("m", tensor.m, m),
                 ("N", tensor.N, 3),
-                ("grid", f"L={tensor.spec.L!r}, n={tensor.spec.n}", f"L={spec.L!r}, n={spec.n}"),
+                ("grid", tensor.spec.to_json_dict(), spec.to_json_dict()),
+                ("refined", tensor.refined, spec.refined().to_json_dict()),
             ):
                 if got != want:
                     raise ValidationError(
-                        f"{cfg['tensor']}: {key} {got} does not match this run's {want}"
+                        f"{cfg['tensor']}: {key} {_grid_text(got)} "
+                        f"does not match this run's {_grid_text(want)}"
                     )
         else:
             tensor = interaction_tensor(cb, spec)
@@ -814,6 +828,12 @@ def _cmd_nodal(cfg: dict, outdir: str) -> dict:
 
 
 def _terms_sampler(terms: List[dict]):
+    """The polynomial sum_k c_k x^a_k t^b_k, evaluated exactly and rounded
+    to a float once. Every coordinate is a dyadic float p / 2^e, so each
+    term is an integer over the common coefficient denominator times a
+    power of two; the terms are summed in integers and divided once, which
+    is the float of the exact `Fraction` sum. A sample beyond the float
+    range, or at a non-finite point, is refused."""
     parsed = []
     for t in terms:
         if not (isinstance(t, dict) and "x" in t and "c" in t):
@@ -823,21 +843,37 @@ def _terms_sampler(terms: List[dict]):
             raise ValidationError(f"bad spatial exponents {ex!r}")
         if type(et) is not int or et < 0:
             raise ValidationError("temporal exponent must be an integer >= 0")
-        parsed.append((tuple(ex), et, Fraction(str(t["c"]))))
+        parsed.append((tuple(ex) + (et,), Fraction(str(t["c"]))))
     if not parsed:
         raise ValidationError("empty term list")
+    den = math.lcm(*(co.denominator for _, co in parsed))
+    # the coordinates among (x, y, z, t) that some term raises to a power
+    used = [i for i in range(4) if any(ex[i] for ex, _ in parsed)]
+    # per term: its exponents of the used coordinates and c * den, an integer
+    scaled = [
+        (tuple(ex[i] for i in used), co.numerator * (den // co.denominator))
+        for ex, co in parsed
+    ]
 
     def sampler(x, t):
-        tot = Fraction(0)
-        for ex, et, co in parsed:
-            term = co
-            for xi, e in zip(x, ex):
-                if e:
-                    term *= Fraction(xi) ** e
-            if et:
-                term *= Fraction(t) ** et
-            tot += term
-        return float(tot)
+        point = (*x, t)
+        try:
+            # coordinate i is p_i / 2^s_i
+            ratios = [point[i].as_integer_ratio() for i in used]
+            terms = []
+            for ex, num in scaled:
+                s = 0
+                for (p, q), k in zip(ratios, ex):
+                    if k:
+                        num *= p**k
+                        s += (q.bit_length() - 1) * k
+                terms.append((num, s))
+            top = max(s for _, s in terms)
+            return sum(num << (top - s) for num, s in terms) / (den << top)
+        except (OverflowError, ValueError) as exc:
+            raise ValidationError(
+                f"the sample at x={tuple(x)!r}, t={t!r} is not a finite float: {exc}"
+            ) from exc
 
     return sampler
 

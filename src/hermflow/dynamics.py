@@ -9,6 +9,7 @@ error, periodization is the only approximation).
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -495,6 +496,12 @@ def detect_resonance(
 _NODAL_ARRAYS = 3
 
 
+def _nonzero_rows(mask: np.ndarray) -> np.ndarray:
+    """The indices of the true entries of `mask`, one row each in C order:
+    `np.argwhere`, from the flat indices."""
+    return np.stack(np.unravel_index(np.flatnonzero(mask), mask.shape), axis=1)
+
+
 def nodal_extract(e: Expansion, R: float = 2.0, cell: float = 0.05) -> List[np.ndarray]:
     """Zero-set point cloud of each component of the polynomial factor on
     the ball |y| <= R (the m=1 kernel factor is positive, so its zero set
@@ -524,7 +531,7 @@ def nodal_extract(e: Expansion, R: float = 2.0, cell: float = 0.05) -> List[np.n
             clouds.append(np.zeros((0, 3)))
             continue
         f = p.evaluate_grid([ax, ax, ax])
-        pts = [ax[np.argwhere((f == 0.0) & inside)]]
+        pts = [ax[_nonzero_rows((f == 0.0) & inside)]]
         for axis in range(3):
             lo = [slice(None)] * 3
             hi = [slice(None)] * 3
@@ -532,10 +539,11 @@ def nodal_extract(e: Expansion, R: float = 2.0, cell: float = 0.05) -> List[np.n
             hi[axis] = slice(1, n)
             lo, hi = tuple(lo), tuple(hi)
             cross = (f[lo] * f[hi] < 0.0) & (inside[lo] | inside[hi])
-            idx = np.argwhere(cross)
+            idx = _nonzero_rows(cross)
             if idx.size == 0:
                 continue
-            frac = f[lo][cross] / (f[lo][cross] - f[hi][cross])
+            f_lo, f_hi = f[lo][cross], f[hi][cross]
+            frac = f_lo / (f_lo - f_hi)
             coords = ax[idx].astype(float)
             coords[:, axis] += frac * cell
             pts.append(coords)
@@ -581,6 +589,48 @@ class ZeroType:
         }
 
 
+# a finite float is an integer multiple of 2^-1074, the smallest subnormal
+_DYADIC_SHIFT = 1074
+
+
+def _dyadic(x: float) -> int:
+    """x * 2^1074 as an exact integer, for a finite float x."""
+    n, d = x.as_integer_ratio()
+    return n << (_DYADIC_SHIFT + 1 - d.bit_length())
+
+
+def _int_stencil(nodes: Tuple[int, ...], order: int) -> Tuple[tuple, tuple, int]:
+    """The nonzero weights of `fd_weights(nodes, order)` as integer
+    numerators over one common denominator: (nodes, numerators, den).
+    Order 0 is the one-node identity stencil at offset 0."""
+    if not order:
+        return (0,), (1,), 1
+    w = fd_weights(nodes, order)
+    den = math.lcm(*(x.denominator for x in w))
+    kept = [(node, x.numerator * (den // x.denominator)) for node, x in zip(nodes, w) if x]
+    return tuple(node for node, _ in kept), tuple(x for _, x in kept), den
+
+
+def _contract(weights: Sequence[int], vectors: Sequence[Sequence[int]]) -> List[int]:
+    """sum_i weights[i] * vectors[i], componentwise, in integers."""
+    return [sum(map(operator.mul, weights, col)) for col in zip(*vectors)]
+
+
+def _exceeds(nums: Sequence[int], den: int, bound: float) -> bool:
+    """Whether some |num / (den * 2^1074)|, rounded to the nearest float,
+    exceeds `bound`. `int / int` rounds correctly, as `float(Fraction)`
+    does; a quotient beyond the float range rounds to infinity."""
+    full = den << _DYADIC_SHIFT
+    for num in nums:
+        try:
+            q = abs(num / full)
+        except OverflowError:
+            q = math.inf
+        if q > bound:
+            return True
+    return False
+
+
 def classify_zero(
     sampler: Callable,
     max_order: int = 6,
@@ -592,27 +642,38 @@ def classify_zero(
     M is the smallest total spatial order with a nonvanishing mixed
     difference of u(., 0) at 0; K the smallest temporal order from
     one-sided differences of u(0, .) into t <= 0. Stencils use exact
-    rational weights on 2*max_order+1 nodes and the accumulation is done
-    in exact rational arithmetic over the sampled values, so differences
-    of polynomial samplers that should vanish do so exactly; `threshold`
-    (relative to the largest sampled magnitude) only matters for
-    transcendental samplers. The spacing `delta` must be positive, so that
-    the temporal stencil stays in t <= 0; it defaults to an exact binary
-    fraction for the same reason.
+    rational weights on 2*max_order+1 nodes, and the accumulation is done
+    in exact integer arithmetic: every sample is a dyadic float, so it is
+    an integer once scaled by 2^1074, and each stencil's weights are
+    integer numerators over one common denominator. The spatial stencil is
+    contracted one axis at a time, innermost first. Differences of
+    polynomial samplers that should vanish therefore do so exactly;
+    `threshold` (relative to the largest sampled magnitude) only matters
+    for transcendental samplers. Each difference is rounded to the nearest
+    float once, before that comparison. A sample that is not a finite
+    float is refused, naming its point. The spacing `delta` must be
+    positive, so that the temporal stencil stays in t <= 0; it defaults to
+    an exact binary fraction for the same reason.
     """
     if max_order < 1:
         raise ValidationError("max_order must be >= 1")
     if not delta > 0.0:
         raise ValidationError(f"stencil spacing delta must be positive, got {delta!r}")
     r = max_order
-    cache: Dict[Tuple[float, float, float, float], np.ndarray] = {}
+    # lattice node (ix, iy, iz, jt) -> (its samples, the samples * 2^1074)
+    cache: Dict[Tuple[int, int, int, int], Tuple[np.ndarray, List[int]]] = {}
 
-    def val(ix: int, iy: int, iz: int, jt: int) -> np.ndarray:
-        key = (ix * delta, iy * delta, iz * delta, jt * delta)
-        got = cache.get(key)
+    def val(ix: int, iy: int, iz: int, jt: int) -> Tuple[np.ndarray, List[int]]:
+        node = (ix, iy, iz, jt)
+        got = cache.get(node)
         if got is None:
-            got = np.atleast_1d(np.asarray(sampler((key[0], key[1], key[2]), key[3]), float))
-            cache[key] = got
+            x, t = (ix * delta, iy * delta, iz * delta), jt * delta
+            u = np.atleast_1d(np.asarray(sampler(x, t), float))
+            if not np.isfinite(u).all():
+                raise ValidationError(
+                    f"the sample at x={x!r}, t={t!r} is not finite: {u.tolist()!r}"
+                )
+            got = cache[node] = (u, [_dyadic(v) for v in u.tolist()])
         return got
 
     # probe the full stencil lattice once for the normalization scale
@@ -620,41 +681,28 @@ def classify_zero(
         val(i, 0, 0, 0), val(0, i, 0, 0), val(0, 0, i, 0)
     for j in range(0, 2 * r + 1):
         val(0, 0, 0, -j)
-    umax = max(float(np.max(np.abs(v))) for v in cache.values())
+    umax = max(float(np.max(np.abs(u))) for u, _ in cache.values())
     if umax == 0.0:
         return ZeroType(None, None, None, "", "zero-field")
-    if float(np.max(np.abs(val(0, 0, 0, 0)))) > threshold * umax:
+    bound = threshold * umax
+    if float(np.max(np.abs(val(0, 0, 0, 0)[0]))) > bound:
         raise ValidationError("sampled field does not vanish at the base point")
 
-    ncomp = len(val(0, 0, 0, 0))
     axis_nodes = tuple(range(-r, r + 1))
 
-    def spatial_diff(sigma: Tuple[int, int, int]) -> List[Fraction]:
-        per_axis = [
-            list(zip(axis_nodes, fd_weights(axis_nodes, s))) if s else [(0, Fraction(1))]
-            for s in sigma
-        ]
-        acc = [Fraction(0)] * ncomp
-        for n1, w1 in per_axis[0]:
-            for n2, w2 in per_axis[1]:
-                for n3, w3 in per_axis[2]:
-                    w = w1 * w2 * w3
-                    if not w:
-                        continue
-                    u = val(n1, n2, n3, 0)
-                    for c in range(ncomp):
-                        acc[c] += w * Fraction(float(u[c]))
-        return acc
+    def spatial_diff(sigma: Tuple[int, int, int]) -> Tuple[List[int], int]:
+        (n1s, w1, d1), (n2s, w2, d2), (n3s, w3, d3) = (
+            _int_stencil(axis_nodes, s) for s in sigma
+        )
+        acc = _contract(w1, [
+            _contract(w2, [_contract(w3, [val(n1, n2, n3, 0)[1] for n3 in n3s]) for n2 in n2s])
+            for n1 in n1s
+        ])
+        return acc, d1 * d2 * d3
 
     M = None
     for s in range(1, max_order + 1):
-        hit = False
-        for sigma in enumerate_level(s, 3):
-            dif = spatial_diff(tuple(sigma))
-            if any(abs(float(x)) > threshold * umax for x in dif):
-                hit = True
-                break
-        if hit:
+        if any(_exceeds(*spatial_diff(tuple(sigma)), bound) for sigma in enumerate_level(s, 3)):
             M = s
             break
     if M is None:
@@ -663,15 +711,8 @@ def classify_zero(
     t_nodes = tuple(range(-2 * r, 1))  # t = j*delta, one-sided into t <= 0
     K = None
     for q in range(1, max_order + 1):
-        w = fd_weights(t_nodes, q)
-        acc = [Fraction(0)] * ncomp
-        for node, wj in zip(t_nodes, w):
-            if not wj:
-                continue
-            u = val(0, 0, 0, node)
-            for c in range(ncomp):
-                acc[c] += wj * Fraction(float(u[c]))
-        if any(abs(float(x)) > threshold * umax for x in acc):
+        nodes, w, den = _int_stencil(t_nodes, q)
+        if _exceeds(_contract(w, [val(0, 0, 0, node)[1] for node in nodes]), den, bound):
             K = q
             break
     if K is None:

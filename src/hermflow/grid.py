@@ -81,6 +81,10 @@ class GridSpec:
     def freqs(self) -> np.ndarray:
         return _eta(self.L, self.n)
 
+    def refined(self) -> "GridSpec":
+        """The refinement grid: box and point count doubled, spacing kept."""
+        return GridSpec(L=self.L * 2.0, n=self.n * 2)
+
     def to_json_dict(self) -> dict:
         return {"L": self.L, "n": self.n}
 
@@ -232,9 +236,6 @@ class GridVectorField:
         n = self.spec.n
         if self.data.shape != (3, n, n, n):
             raise ValidationError("grid data must have shape (3, n, n, n)")
-
-    def norm(self) -> float:
-        return float(math.sqrt(self.spec.h**3 * np.sum(self.data**2)))
 
 
 def sample(v: VectorPolyField, spec: GridSpec) -> GridVectorField:
@@ -572,9 +573,6 @@ class InteractionTensor:
     errors: np.ndarray
     refined: dict = field(default_factory=dict)
 
-    def entry(self, a: int, g: int, b: int) -> float:
-        return float(self.values[a, g, b])
-
     def max_error(self) -> float:
         return float(np.max(self.errors)) if self.errors.size else 0.0
 
@@ -683,7 +681,7 @@ def interaction_tensor(basis, spec: GridSpec, refine: bool = True) -> Interactio
         )
     # the refined grid is refused, like the given one, before any lattice
     # work; |eta|^2, w, 1/|eta|^2, w/|eta|^2 and transients at the finest grid
-    sp_fine = GridSpec(L=spec.L * 2.0, n=spec.n * 2) if refine else None
+    sp_fine = spec.refined() if refine else None
     check_fits(2 * spec.n if refine else spec.n, 6, "the interaction tensor")
     fields, count = basis.fields, basis.count
     ginv = np.zeros((count, count))
@@ -728,7 +726,7 @@ def interaction_tensor(basis, spec: GridSpec, refine: bool = True) -> Interactio
         fine = compute(sp_fine)
         values = fine
         errors = 2.0 * np.abs(fine - coarse)
-        refined = {"L": sp_fine.L, "n": sp_fine.n}
+        refined = sp_fine.to_json_dict()
     else:
         values = coarse
         errors = np.zeros_like(coarse)

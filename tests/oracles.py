@@ -5,18 +5,20 @@ route to a number the library computes another way: grid fields
 synthesized by inverse FFT and paired by grid quadrature, the Leray
 projector and the pseudo-spectral convection applied through FFT round
 trips, the kernel-weighted Gram inverse, the closed-form Gaussian kernel
-and its radial ODE residual, and the operator B in its expanded and
-divergence forms.
+and its radial ODE residual, the operator B in its expanded and
+divergence forms, the grid L2 norm, and zero-type classification with
+stencil sums accumulated in `Fraction`s.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from hermflow import grid
+from hermflow.dynamics import ZeroType
 from hermflow.errors import ValidationError
 from hermflow.grid import (
     GridSpec,
@@ -275,3 +277,111 @@ def pair_fields(a: GridVectorField, b: GridVectorField) -> float:
     if a.spec != b.spec:
         raise ValidationError("fields live on different grids")
     return float(a.spec.h**3 * np.sum(a.data * b.data))
+
+
+def norm(u: GridVectorField) -> float:
+    """Grid L2 norm: sqrt(h^3 sum |u|^2)."""
+    return float(math.sqrt(u.spec.h**3 * np.sum(u.data**2)))
+
+
+# -- zero-type classification -------------------------------------------------
+
+
+def fraction_classify_zero(
+    sampler: Callable,
+    max_order: int = 6,
+    delta: float = 0.125,
+    threshold: float = 1e-7,
+) -> ZeroType:
+    """Vanishing orders of a space-time zero at (x, t) = (0, 0^-).
+
+    M is the smallest total spatial order with a nonvanishing mixed
+    difference of u(., 0) at 0; K the smallest temporal order from
+    one-sided differences of u(0, .) into t <= 0. Stencils use exact
+    rational weights on 2*max_order+1 nodes and the accumulation is done
+    in exact rational arithmetic over the sampled values, so differences
+    of polynomial samplers that should vanish do so exactly; `threshold`
+    (relative to the largest sampled magnitude) only matters for
+    transcendental samplers. The spacing `delta` must be positive, so that
+    the temporal stencil stays in t <= 0; it defaults to an exact binary
+    fraction for the same reason.
+    """
+    if max_order < 1:
+        raise ValidationError("max_order must be >= 1")
+    if not delta > 0.0:
+        raise ValidationError(f"stencil spacing delta must be positive, got {delta!r}")
+    r = max_order
+    cache: Dict[Tuple[float, float, float, float], np.ndarray] = {}
+
+    def val(ix: int, iy: int, iz: int, jt: int) -> np.ndarray:
+        key = (ix * delta, iy * delta, iz * delta, jt * delta)
+        got = cache.get(key)
+        if got is None:
+            got = np.atleast_1d(np.asarray(sampler((key[0], key[1], key[2]), key[3]), float))
+            cache[key] = got
+        return got
+
+    # probe the full stencil lattice once for the normalization scale
+    for i in range(-r, r + 1):
+        val(i, 0, 0, 0), val(0, i, 0, 0), val(0, 0, i, 0)
+    for j in range(0, 2 * r + 1):
+        val(0, 0, 0, -j)
+    umax = max(float(np.max(np.abs(v))) for v in cache.values())
+    if umax == 0.0:
+        return ZeroType(None, None, None, "", "zero-field")
+    if float(np.max(np.abs(val(0, 0, 0, 0)))) > threshold * umax:
+        raise ValidationError("sampled field does not vanish at the base point")
+
+    ncomp = len(val(0, 0, 0, 0))
+    axis_nodes = tuple(range(-r, r + 1))
+
+    def spatial_diff(sigma: Tuple[int, int, int]) -> List[Fraction]:
+        per_axis = [
+            list(zip(axis_nodes, fd_weights(axis_nodes, s))) if s else [(0, Fraction(1))]
+            for s in sigma
+        ]
+        acc = [Fraction(0)] * ncomp
+        for n1, w1 in per_axis[0]:
+            for n2, w2 in per_axis[1]:
+                for n3, w3 in per_axis[2]:
+                    w = w1 * w2 * w3
+                    if not w:
+                        continue
+                    u = val(n1, n2, n3, 0)
+                    for c in range(ncomp):
+                        acc[c] += w * Fraction(float(u[c]))
+        return acc
+
+    M = None
+    for s in range(1, max_order + 1):
+        hit = False
+        for sigma in enumerate_level(s, 3):
+            dif = spatial_diff(tuple(sigma))
+            if any(abs(float(x)) > threshold * umax for x in dif):
+                hit = True
+                break
+        if hit:
+            M = s
+            break
+    if M is None:
+        return ZeroType(None, None, None, "", "order-exceeds-bound")
+
+    t_nodes = tuple(range(-2 * r, 1))  # t = j*delta, one-sided into t <= 0
+    K = None
+    for q in range(1, max_order + 1):
+        w = fd_weights(t_nodes, q)
+        acc = [Fraction(0)] * ncomp
+        for node, wj in zip(t_nodes, w):
+            if not wj:
+                continue
+            u = val(0, 0, 0, node)
+            for c in range(ncomp):
+                acc[c] += wj * Fraction(float(u[c]))
+        if any(abs(float(x)) > threshold * umax for x in acc):
+            K = q
+            break
+    if K is None:
+        return ZeroType(M, None, None, "", "temporal-degenerate")
+    gamma = Fraction(K, M)
+    rescale = f"z = x / (-t)^({gamma.numerator}/{gamma.denominator})"
+    return ZeroType(M, K, gamma, rescale, "classified")

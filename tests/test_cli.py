@@ -833,11 +833,13 @@ def test_malformed_tensor_file_exits_2(tmp_path, capsys, doc):
 
 
 def _tensor_doc() -> dict:
-    """A complete K=1 tensor document: the rotation couplings eps/2."""
+    """A complete K=1 tensor document on the L=6, n=24 grid, refined as
+    `d-tensor` refines it: the rotation couplings eps/2."""
     from hermflow.grid import GridSpec
     from hermflow.solenoidal import composite_basis
 
     doc = cli._zero_tensor(composite_basis(1, 1), 1, GridSpec(6.0, 24)).to_json_dict()
+    doc["refined"] = {"L": 12.0, "n": 48}
     for e in doc["entries"]:
         (ka, a), (kg, g), (kb, b) = e["alpha"], e["gamma"], e["beta"]
         if ka == kg == kb == 1:
@@ -882,12 +884,18 @@ def test_tensor_file_must_hold_every_triple_once(tmp_path, capsys):
         ({"N": 7}, "N 7 does not match this run's 3"),
         ({"grid": {"L": 8.0, "n": 24}}, "grid L=8.0, n=24 does not match this run's L=6.0, n=24"),
         ({"grid": {"L": 6, "n": 32}}, "grid L=6.0, n=32 does not match this run's L=6.0, n=24"),
+        ({"refined": {}}, "refined none does not match this run's L=12.0, n=48"),
+        (
+            {"refined": {"L": 12.0, "n": 96}},
+            "refined L=12.0, n=96 does not match this run's L=12.0, n=48",
+        ),
     ],
-    ids=["m", "N", "L", "n"],
+    ids=["m", "N", "L", "n", "unrefined", "refined-n"],
 )
 def test_reused_tensor_must_match_the_run(tmp_path, capsys, change, message):
-    # a tensor of another order, dimension or grid is not the computation
-    # the echoed config describes, so it is refused by name
+    # a tensor of another order, dimension, grid or refinement grid is not
+    # the computation the echoed config describes (a run without --tensor
+    # always refines), so it is refused by name
     code, line, path = _evolve_on(tmp_path, capsys, {**_tensor_doc(), **change})
     assert code == 2 and line["error"] == "validation"
     assert line["message"] == f"{path}: {message}"
@@ -973,6 +981,68 @@ def test_malformed_terms_exit_2(tmp_path, capsys, terms):
     argv = ["classify", "--terms", json.dumps(terms), "--outdir", str(tmp_path)]
     code, line = _run(capsys, argv)
     assert code == 2 and line["error"] == "validation"
+
+
+@pytest.mark.parametrize(
+    "terms, delta, point",
+    [
+        ([{"x": [1, 0, 0], "c": "1e400"}, {"x": [0, 0, 0], "t": 1, "c": 1}], "0.125",
+         "x=(-0.75, 0.0, 0.0), t=0.0"),
+        ([{"x": [400, 0, 0], "c": 1}, {"x": [0, 0, 0], "t": 1, "c": 1}], "8",
+         "x=(-48.0, 0.0, 0.0), t=0.0"),
+        ([{"x": [1, 0, 0], "c": 1}, {"x": [0, 0, 0], "t": 1, "c": 1}], "1e308",
+         "x=(-inf, 0.0, 0.0), t=0.0"),
+    ],
+    ids=["coefficient", "power", "point"],
+)
+def test_overflowing_sample_exits_2(tmp_path, capsys, terms, delta, point):
+    # a sample beyond the float range has no float to classify: it is
+    # refused by its point, before any artifact
+    argv = ["classify", "--terms", json.dumps(terms), "--delta", delta, "--outdir", str(tmp_path)]
+    code, line = _run(capsys, argv)
+    assert code == 2 and line["error"] == "validation"
+    assert line["message"].startswith(f"the sample at {point} is not a finite float")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_terms_sampler_is_the_float_of_the_exact_sum():
+    import random
+    from fractions import Fraction
+
+    rng = random.Random(7)
+    coeffs = ["0.1", "-3/7", "2.5e-3", "1/3", "-17", "1e-20", "22/7", "0.3"]
+    for _ in range(200):
+        terms = [
+            {"x": [rng.randrange(4) for _ in range(3)], "t": rng.randrange(4),
+             "c": rng.choice(coeffs)}
+            for _ in range(rng.randrange(1, 5))
+        ]
+        x = tuple(rng.choice([0.0, -0.0, 0.1, -2.75, 1e-3, 3.0, rng.uniform(-5, 5)])
+                  for _ in range(3))
+        t = -rng.choice([0.0, 0.125, 0.7, rng.uniform(0, 3)])
+        exact = Fraction(0)
+        for term in terms:
+            value = Fraction(term["c"])
+            for xi, e in zip(x, term["x"]):
+                value *= Fraction(xi) ** e
+            exact += value * Fraction(t) ** term["t"]
+        assert cli._terms_sampler(terms)(x, t) == float(exact), (terms, x, t)
+
+
+@pytest.mark.parametrize(
+    "cloud",
+    [
+        [[-0.0, 0.0, 5e-324], [1e16, 1e-5, 0.1 + 0.2], [0.0, -0.0, -0.0]],
+        [[1.0, 2.0, 3.0]] * 4,
+        np.zeros((0, 3)),
+    ],
+    ids=["values", "repeated", "empty"],
+)
+def test_cloud_csv_is_the_repr_of_every_coordinate(cloud):
+    # the one-pass formatting writes the bytes of a line-by-line repr join
+    cloud = np.asarray(cloud, float)
+    lines = ["x,y,z"] + [",".join(repr(float(v)) for v in row) for row in cloud]
+    assert cli._cloud_csv(cloud) == "\n".join(lines) + "\n"
 
 
 _JSON = st.recursive(

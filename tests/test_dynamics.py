@@ -42,7 +42,7 @@ from hermflow.solenoidal import (
     fixture,
     level_basis,
 )
-from oracles import pair_fields, synth_duals, synth_weighted, to_grid
+from oracles import fraction_classify_zero, norm, pair_fields, synth_duals, synth_weighted, to_grid
 
 
 @pytest.fixture(scope="module")
@@ -404,18 +404,90 @@ def test_classify_zero_solves_each_stencil_once(monkeypatch):
     assert (first.M, first.K) == (2, 3)
 
 
-def test_classify_zero_temporal_degenerate_heat_swirl():
+def _heat_swirl(x, t):
     # u = curl of a spreading Gaussian: vanishes identically on the t-axis
-    def sampler(x, t):
-        a = 2.0 + t
-        phi = (4.0 * math.pi * a) ** (-1.5) * math.exp(
-            -(x[0] ** 2 + x[1] ** 2 + x[2] ** 2) / (4.0 * a)
-        )
-        return [0.0, x[2] / a * phi, -x[1] / a * phi]
+    a = 2.0 + t
+    phi = (4.0 * math.pi * a) ** (-1.5) * math.exp(-(x[0] ** 2 + x[1] ** 2 + x[2] ** 2) / (4.0 * a))
+    return [0.0, x[2] / a * phi, -x[1] / a * phi]
 
-    zt = classify_zero(sampler)
+
+def test_classify_zero_temporal_degenerate_heat_swirl():
+    zt = classify_zero(_heat_swirl)
     assert zt.status == "temporal-degenerate"
     assert zt.M == 1 and zt.K is None and zt.gamma is None
+
+
+def _synthetic(M, K):
+    from hermflow.cli import _terms_sampler
+
+    return _terms_sampler([{"x": [M, 0, 0], "c": 1}, {"x": [0, 0, 0], "t": K, "c": -((-1) ** K)}])
+
+
+_ORACLE_CASES = {
+    **{f"synthetic-{M}-{K}": _synthetic(M, K) for M in range(1, 5) for K in range(1, 5)},
+    "mixed-xy2": lambda x, t: [x[0] * x[1] ** 2 - (-t) ** 2],
+    "mixed-xyz": lambda x, t: [x[0] * x[1] * x[2] + 0.3 * t, x[2] ** 2 - 0.1 * t**3],
+    "mixed-x2y": lambda x, t: [0.1 * x[0] ** 2 * x[1] + 3.0 * (-t) ** 4],
+    "heat-swirl": _heat_swirl,
+    # samples from 1e300 down to 1e-300 and subnormals, in one field
+    "wide-range": lambda x, t: [
+        1e300 * x[0] ** 3 - 1e300 * t**2, 1e-300 * x[1] + 5e-324 * x[2], 1e-300 * t
+    ],
+    # every sample a multiple of the smallest subnormal: 5e-324 (X^2 - T^3)
+    "subnormal": lambda x, t: [5e-324 * ((8 * x[0]) ** 2 - (-8 * t) ** 3)],
+    # the linear part is below the threshold, the cubic one above it
+    "below-scale": lambda x, t: [1e-12 * x[0] + 1e300 * x[1] ** 3 + 1e-200 * t],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
+def test_classify_zero_matches_the_fraction_oracle(name):
+    # the integer stencil sums take every decision the Fraction sums take
+    sampler = _ORACLE_CASES[name]
+    assert classify_zero(sampler) == fraction_classify_zero(sampler)
+
+
+def test_classify_zero_decides_at_the_threshold_like_the_oracle():
+    # u = 0.1 x + t: its first x-difference d is a rounded sum of rounded
+    # samples; thresholds one ulp apart put d just above and just below
+    # threshold * umax, and both routes must fall the same way
+    def sampler(x, t):
+        return [0.1 * x[0] + t]
+
+    nodes = tuple(range(-6, 7))
+    d = float(sum(w * Fraction(0.1 * (i * 0.125)) for i, w in zip(nodes, rational_linalg.fd_weights(nodes, 1))))
+    umax = 1.5  # |u(0, -12 * 0.125)|
+    thr = d / umax
+    while thr * umax >= d:
+        thr = math.nextafter(thr, 0.0)
+    above = classify_zero(sampler, threshold=thr)
+    below = classify_zero(sampler, threshold=math.nextafter(thr, 1.0))
+    assert (above.status, above.M, above.K) == ("classified", 1, 1)
+    assert (below.status, below.M) == ("order-exceeds-bound", None)
+    assert above == fraction_classify_zero(sampler, threshold=thr)
+    assert below == fraction_classify_zero(sampler, threshold=math.nextafter(thr, 1.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_classify_zero_refuses_a_non_finite_sample(bad):
+    def sampler(x, t):
+        return [x[0], bad if x[0] == 0.5 else 0.0]
+
+    with pytest.raises(ValidationError, match=r"the sample at x=\(0\.5, 0\.0, 0\.0\), t=0\.0 is not finite"):
+        classify_zero(sampler)
+
+
+def test_classify_zero_difference_beyond_the_float_range():
+    # samples of +-1e308 alternating along x are finite, but their second
+    # difference is not: it rounds to infinity, so it counts as
+    # nonvanishing (the Fraction route raised OverflowError in float())
+    def sampler(x, t):
+        return [0.0 if x[0] == 0.0 else 1e308 * (-1) ** round(x[0] / 0.125)]
+
+    zt = classify_zero(sampler)
+    assert (zt.status, zt.M, zt.K) == ("temporal-degenerate", 2, None)
+    with pytest.raises(OverflowError):
+        fraction_classify_zero(sampler)
 
 
 def test_classify_zero_edge_statuses():
@@ -647,9 +719,9 @@ def test_expand_polynomial_residual_is_the_parseval_norm(monkeypatch, m):
     spec = GridSpec(10.0, 48)
     basis, u = _off_span(m)
     e = expand(u, basis)  # the default grid
-    ref = synth_weighted(u - e.field_poly(), GridSpec(10.0, 64), m).norm()
+    ref = norm(synth_weighted(u - e.field_poly(), GridSpec(10.0, 64), m))
     assert abs(e.residual - ref) <= 1e-14 * ref and ref > 1e-2
-    ref = synth_weighted(u - e.field_poly(), spec, m).norm()
+    ref = norm(synth_weighted(u - e.field_poly(), spec, m))
 
     def refuse(*args, **kwargs):
         raise AssertionError("expand ran an FFT")

@@ -41,8 +41,8 @@ def _closed_form():
 def test_k1_tensor_matches_epsilon_closed_form(tensor_k1):
     assert tensor_k1.labels == [(0, 0), (1, 0), (1, 1), (1, 2)]
     assert np.max(np.abs(tensor_k1.values - _closed_form())) <= 1e-5
-    assert tensor_k1.entry(1, 2, 3) == pytest.approx(0.5, abs=1e-5)
-    assert tensor_k1.entry(2, 1, 3) == pytest.approx(-0.5, abs=1e-5)
+    assert tensor_k1.values[1, 2, 3] == pytest.approx(0.5, abs=1e-5)
+    assert tensor_k1.values[2, 1, 3] == pytest.approx(-0.5, abs=1e-5)
 
 
 def test_rotation_self_interaction_vanishes(tensor_k1):
