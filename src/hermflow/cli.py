@@ -719,7 +719,8 @@ def _cmd_evolve(cfg: dict, outdir: str) -> dict:
             tensor = interaction_tensor(cb, spec)
         traj = nse_galerkin(e0, tensor, cfg["tau"], rtol=cfg["rtol"], n_out=cfg["steps"])
         summary["duhamel_residual"] = traj.duhamel_residual
-        summary["truncated"] = bool(traj.diagnostic.get("truncated", False))
+        summary["truncated"] = traj.diagnostic["truncated"]
+        summary["integrator"] = traj.diagnostic["integrator"]
         if cfg["check_linear"] or cfg["zero_tensor"]:
             # a zero-tensor run already is the zero-coupling run
             lin = traj if cfg["zero_tensor"] else nse_galerkin(
@@ -737,7 +738,17 @@ def _cmd_evolve(cfg: dict, outdir: str) -> dict:
     # the diagonal flows are exact, so the fit may use the whole trajectory;
     # the Galerkin run keeps the default window that skips the transient
     window = None if model == "nse" else (float(taus[0]), float(taus[-1]))
-    rep = detect_resonance(traj, window=window)
+    try:
+        rep = detect_resonance(traj, window=window)
+    except ValidationError as exc:
+        if not summary.get("truncated"):
+            raise
+        # too few samples because the integrator gave up, not because of the input
+        raise NonConvergenceError(
+            f"the Galerkin integrator stopped at tau_reached="
+            f"{traj.diagnostic['tau_reached']!r} of {cfg['tau']!r}: "
+            f"{traj.diagnostic['reason']} ({exc})"
+        ) from exc
     summary["resonance_status"] = rep.status
     summary["envelope_ok"] = traj.envelope_check()["ok"]
     arts = [

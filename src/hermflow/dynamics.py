@@ -307,6 +307,184 @@ def diagonal_trajectory(e0: Expansion, taus: Sequence[float]) -> CoefficientTraj
     return CoefficientTrajectory(ts, [diagonal_flow(e0, float(t)) for t in ts])
 
 
+# -- Galerkin integration ---------------------------------------------------------
+
+# Dormand-Prince 5(4): nodes, stage weights, the fifth-order weights, the
+# error weights (fifth- minus fourth-order, over the 6 stages and the FSAL
+# derivative) and Shampine's quartic dense-output matrix, each entry rounded
+# from the same rational as in scipy's RK45
+_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_DP_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+# step-size control: safety factor, the bounds on one change of the step,
+# and the exponent -1/(q+1) of the fourth-order error estimate
+_DP_SAFETY, _DP_MIN_FACTOR, _DP_MAX_FACTOR = 0.9, 0.2, 10
+_DP_EXPONENT = -1 / 5
+# tolerances below 100 eps are below what the error estimate can resolve
+_RTOL_FLOOR = 100 * 2.0**-52
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+@dataclass
+class _RKSolution:
+    """A Dormand-Prince run: the accepted step ends `ts` (from 0), one
+    dense-output segment (t_old, h, y_old, Q) per accepted step, the count
+    of rejected steps, and `message`, None when the run reached its end."""
+
+    ts: np.ndarray
+    segments: List[Tuple[float, float, np.ndarray, np.ndarray]]
+    rejected: int
+    message: Optional[str]
+
+    @property
+    def nfev(self) -> int:
+        """Right-hand-side evaluations: the starting derivative and the
+        starting-step probe, then 6 per accepted or rejected step."""
+        return 2 + 6 * (len(self.segments) + self.rejected)
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        """The quartic interpolant at the ascending times `t`, one row per
+        time. A time on a step end takes the earlier step's segment, and
+        times outside the run take the nearest segment."""
+        seg = np.searchsorted(self.ts, t, side="left") - 1
+        np.clip(seg, 0, len(self.segments) - 1, out=seg)
+        cuts = [0, *(np.flatnonzero(np.diff(seg)) + 1), len(t)]
+        ys = []
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            t_old, h, y_old, Q = self.segments[seg[a]]
+            x = (t[a:b] - t_old) / h
+            p = np.cumprod(np.tile(x, (Q.shape[1], 1)), axis=0)
+            y = h * np.dot(Q, p)
+            y += y_old[:, None]
+            ys.append(y.T)
+        return np.concatenate(ys)
+
+
+def _initial_step(fun, y0, f0, t_end, rtol, atol) -> float:
+    """Hairer, Norsett and Wanner's starting step (Sec. II.4) for a
+    fourth-order error estimate; one evaluation of `fun`."""
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    f1 = fun(h0, y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, t_end)
+
+
+def _dopri45(fun, y0: np.ndarray, t_end: float, rtol: float, atol: float) -> _RKSolution:
+    """Integrate y' = fun(t, y) from t = 0 to `t_end` > 0 with the adaptive
+    Dormand-Prince 5(4) pair and keep its dense output.
+
+    Each step is scipy's RK45 step, operation for operation: the same
+    tableau, the RMS error norm over atol + rtol max(|y|, |y_new|), the same
+    step-size control and starting step, so the step ends, the interpolants
+    and `nfev` come out bit for bit the same. A run stops early, with
+    `message` set, when the step it needs falls under 10 ulps of tau.
+    """
+    f = fun(0.0, y0)
+    h_abs = _initial_step(fun, y0, f, t_end, rtol, atol)
+    K = np.empty((7, y0.size))
+    t, y = 0.0, y0
+    ts, segments = [t], []
+    rejected = 0
+    message = None
+    while message is None and t < t_end:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        step_rejected = False
+        while True:
+            # a NaN step (a starting derivative that overflowed to inf - inf)
+            # fails here too, where it would otherwise be retried forever
+            if not h_abs >= min_step:
+                message = "Required step size is less than spacing between numbers."
+                break
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s in range(1, 6):
+                dy = np.dot(K[:s].T, _DP_A[s, :s]) * h
+                K[s] = fun(t + _DP_C[s] * h, y + dy)
+            y_new = y + h * np.dot(K[:-1].T, _DP_B)
+            f_new = fun(t + h, y_new)
+            K[-1] = f_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K.T, _DP_E) * h / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _DP_MAX_FACTOR
+                else:
+                    factor = min(_DP_MAX_FACTOR, _DP_SAFETY * error_norm ** _DP_EXPONENT)
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                segments.append((t, h, y, K.T.dot(_DP_P)))
+                t, y, f = t_new, y_new, f_new
+                ts.append(t)
+                break
+            h_abs *= max(_DP_MIN_FACTOR, _DP_SAFETY * error_norm ** _DP_EXPONENT)
+            step_rejected = True
+            rejected += 1
+    return _RKSolution(np.array(ts), segments, rejected, message)
+
+
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative composite Simpson integral of `y` along axis 0 over the
+    strictly increasing sample points `x` (at least 3), from 0 at x[0].
+
+    Each interval's integral is the quadratic through its sample triple,
+    taken forward for the first interval of every triple and backward for
+    the second (Cartwright's unequal-interval rule), as scipy's
+    `cumulative_simpson(y, x=x, axis=0, initial=0.0)` does, bit for bit.
+    """
+
+    def first_intervals(y, dx):
+        x21, x32 = dx[:-1], dx[1:]
+        x31 = x21 + x32
+        x21_x31 = x21 / x31
+        x21x21_x31x32 = x21_x31 * (x21 / x32)
+        coeff1 = 3 - x21_x31
+        coeff2 = 3 + x21x21_x31x32 + x21_x31
+        coeff3 = -x21x21_x31x32
+        return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
+
+    dx = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    forward = first_intervals(y, dx)
+    backward = first_intervals(y[::-1], dx[::-1])[::-1]
+    parts = np.empty((len(x) - 1,) + y.shape[1:])
+    parts[:-1:2] = forward[::2]
+    parts[1::2] = backward[::2]
+    parts[-1] = backward[-1]
+    # adding the zero start also turns a -0.0 into 0.0, as scipy's does
+    return np.concatenate((np.zeros((1,) + y.shape[1:]), np.cumsum(parts, axis=0) + 0.0))
+
+
 def nse_galerkin(
     e0: Expansion,
     tensor: InteractionTensor,
@@ -315,18 +493,21 @@ def nse_galerkin(
     n_out: int = 121,
 ) -> CoefficientTrajectory:
     """Integrate dc_b/dtau = (lambda_b - 1/2) c_b + sum_{a,g} d_{agb} c_a c_g
-    with an adaptive embedded 4/5 pair, then re-derive the trajectory from
-    its integral (variation-of-constants) form by quadrature; the maximum
-    disagreement is reported as `duhamel_residual`, an independent check
-    that the integrator solved the system it was given. `rtol` must be
-    positive (it also sets the absolute tolerance, rtol * 1e-4); an
-    integrator that cannot complete a first step raises
-    `NonConvergenceError`.
+    with the adaptive Dormand-Prince 5(4) pair, then re-derive the
+    trajectory from its integral (variation-of-constants) form by
+    quadrature; the maximum disagreement is reported as `duhamel_residual`,
+    an independent check that the integrator solved the system it was
+    given. `rtol` must be at least 100 eps (it also sets the absolute
+    tolerance, rtol * 1e-4); an integrator that cannot complete a first
+    step raises `NonConvergenceError`. `diagnostic["integrator"]` holds the
+    run's right-hand-side evaluations, accepted and rejected steps.
     """
-    from scipy.integrate import cumulative_simpson, solve_ivp
-
-    if not rtol > 0.0:
-        raise ValidationError(f"rtol must be positive, got {rtol!r}")
+    if not rtol >= _RTOL_FLOOR:
+        raise ValidationError(
+            f"rtol must be at least 100 eps = {_RTOL_FLOOR!r}, got {rtol!r}"
+        )
+    if not tau_end > 0.0:
+        raise ValidationError(f"tau_end must be positive, got {tau_end!r}")
     labels = e0.labels
     if tensor.labels != labels:
         raise ValidationError("tensor index labels do not match the basis")
@@ -338,36 +519,38 @@ def nse_galerkin(
     def rhs(_t, c):
         return lam * c + np.einsum("agb,a,g->b", d, c, c)
 
-    sol = solve_ivp(
-        rhs, (0.0, tau_end), c0, method="RK45", rtol=rtol, atol=rtol * 1e-4,
-        dense_output=True,
-    )
-    if not sol.success and len(sol.t) < 2:
+    # data that blows up overflows inside the steps; the run's message says so
+    with np.errstate(all="ignore"):
+        sol = _dopri45(rhs, c0, float(tau_end), rtol, rtol * 1e-4)
+    if not sol.segments:
         raise NonConvergenceError(
             f"the Galerkin integrator stopped at tau=0 before completing a "
             f"step: {sol.message}"
         )
-    truncated = (not sol.success) or sol.t[-1] < tau_end - 1e-12
-    t_max = float(sol.t[-1])
+    truncated = sol.message is not None
+    t_max = float(sol.ts[-1])
     taus = np.linspace(0.0, tau_end, n_out)
     taus = taus[taus <= t_max + 1e-12]
-    C = sol.sol(taus).T
+    C = sol(taus)
     states = [
         Expansion(e0.basis, dict(zip(labels, map(float, row))), tau=e0.tau + float(t))
         for t, row in zip(taus, C)
     ]
-    diagnostic = {"truncated": bool(truncated)}
+    diagnostic = {
+        "truncated": truncated,
+        "integrator": {"nfev": sol.nfev, "steps": len(sol.segments), "rejected": sol.rejected},
+    }
     if truncated:
-        diagnostic["reason"] = str(sol.message)
+        diagnostic["reason"] = sol.message
         diagnostic["tau_reached"] = t_max
     residual = None
     if not truncated and len(taus) > 2:
         s = np.linspace(taus[0], taus[-1], 4 * (len(taus) - 1) + 1)
-        Cs = sol.sol(s).T
+        Cs = sol(s)
         Q = np.einsum("agb,ta,tg->tb", d, Cs, Cs)
         # c(t) = e^{L t} c0 + e^{L t} int_0^t e^{-L s} Q(s) ds, cumulated once
         W = np.exp(-np.outer(s, lam)) * Q
-        I = cumulative_simpson(W, x=s, axis=0, initial=0.0)
+        I = _cumulative_simpson(W, s)
         duh = np.exp(np.outer(taus, lam)) * (c0[None, :] + I[::4])
         residual = float(np.max(np.abs(C - duh)))
     return CoefficientTrajectory(taus, states, duhamel_residual=residual, diagnostic=diagnostic)

@@ -6,8 +6,10 @@ synthesized by inverse FFT and paired by grid quadrature, the Leray
 projector and the pseudo-spectral convection applied through FFT round
 trips, the kernel-weighted Gram inverse, the closed-form Gaussian kernel
 and its radial ODE residual, the operator B in its expanded and
-divergence forms, the grid L2 norm, and zero-type classification with
-stencil sums accumulated in `Fraction`s.
+divergence forms, the grid L2 norm, zero-type classification with
+stencil sums accumulated in `Fraction`s, and the Galerkin trajectory
+integrated by scipy's RK45 with its Duhamel residual by scipy's cumulative
+Simpson rule.
 """
 from __future__ import annotations
 
@@ -18,11 +20,12 @@ from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from hermflow import grid
-from hermflow.dynamics import ZeroType
+from hermflow.dynamics import Expansion, ZeroType, _decay_rate
 from hermflow.errors import ValidationError
 from hermflow.grid import (
     GridSpec,
     GridVectorField,
+    InteractionTensor,
     _eta_axes,
     _lattice_spectrum,
     dual_cubes,
@@ -385,3 +388,46 @@ def fraction_classify_zero(
     gamma = Fraction(K, M)
     rescale = f"z = x / (-t)^({gamma.numerator}/{gamma.denominator})"
     return ZeroType(M, K, gamma, rescale, "classified")
+
+
+# -- Galerkin integration -------------------------------------------------------
+
+
+def galerkin_rhs(e0: Expansion, tensor: InteractionTensor) -> Tuple[Callable, np.ndarray]:
+    """The right-hand side (t, c) -> lam c + d(c, c) of the Galerkin system
+    of `dynamics.nse_galerkin`, and its linear rates lam."""
+    lam = np.array([_decay_rate(e0.basis.params.m, k) for k, _ in e0.labels])
+    d = tensor.values
+    return (lambda _t, c: lam * c + np.einsum("agb,a,g->b", d, c, c)), lam
+
+
+def galerkin_scipy(e0: Expansion, tensor: InteractionTensor, tau_end: float, rtol: float,
+                   n_out: int) -> dict:
+    """The Galerkin system of `dynamics.nse_galerkin` integrated by scipy's
+    `solve_ivp(method="RK45", dense_output=True)`, sampled at the same output
+    times, with the Duhamel residual cumulated by scipy's `cumulative_simpson`.
+    Returns the scipy result `sol`, the output times, the coefficient rows
+    and the residual (None when the run stopped early)."""
+    from scipy.integrate import cumulative_simpson, solve_ivp
+
+    rhs, lam = galerkin_rhs(e0, tensor)
+    d = tensor.values
+    c0 = e0.vector()
+    with np.errstate(all="ignore"):
+        sol = solve_ivp(rhs, (0.0, tau_end), c0, method="RK45", rtol=rtol,
+                        atol=rtol * 1e-4, dense_output=True)
+    out = {"sol": sol, "taus": None, "C": None, "residual": None}
+    if len(sol.t) < 2:
+        return out
+    taus = np.linspace(0.0, tau_end, n_out)
+    taus = taus[taus <= float(sol.t[-1]) + 1e-12]
+    C = sol.sol(taus).T
+    out.update(taus=taus, C=C)
+    if sol.success and len(taus) > 2:
+        s = np.linspace(taus[0], taus[-1], 4 * (len(taus) - 1) + 1)
+        Cs = sol.sol(s).T
+        W = np.exp(-np.outer(s, lam)) * np.einsum("agb,ta,tg->tb", d, Cs, Cs)
+        I = cumulative_simpson(W, x=s, axis=0, initial=0.0)
+        duh = np.exp(np.outer(taus, lam)) * (c0[None, :] + I[::4])
+        out["residual"] = float(np.max(np.abs(C - duh)))
+    return out

@@ -3,6 +3,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -120,7 +122,11 @@ def test_tensor_commands_byte_identical_across_workers(tmp_path, capsys, argv):
         assert code == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
-    names = json.loads(outs[0].strip().splitlines()[-1])["artifacts"]
+    line = json.loads(outs[0].strip().splitlines()[-1])
+    if argv[0] == "evolve":
+        integ = line["integrator"]
+        assert integ["nfev"] == 2 + 6 * (integ["steps"] + integ["rejected"]) > 2
+    names = line["artifacts"]
     assert names
     for name in names:
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
@@ -153,29 +159,123 @@ def test_grid_larger_than_memory_exits_2(tmp_path, capsys, monkeypatch, argv):
 
 def test_evolve_zero_tensor_integrates_once(tmp_path, capsys, monkeypatch):
     # the zero-tensor run is its own zero-coupling reference
-    import scipy.integrate
+    from hermflow import dynamics
 
     calls = []
-    solve_ivp = scipy.integrate.solve_ivp
+    integrate = dynamics._dopri45
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return solve_ivp(*args, **kwargs)
+        return integrate(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", counted)
+    monkeypatch.setattr(dynamics, "_dopri45", counted)
     argv = ["evolve", "--model", "nse", "--K", "1", "--data", "l1:0=0.1", "--zero-tensor"]
     code, line = _run(capsys, argv + ["--outdir", str(tmp_path)])
     assert code == 0 and line["stokes_dev"] <= 1e-9
     assert len(calls) == 1
 
 
-def test_evolve_integrator_failing_first_step_exits_3(tmp_path, capsys):
-    # the quadratic term of 1e200 data overflows, so no step completes
+def test_evolve_integrator_failing_first_step_exits_3(tmp_path, capfd):
+    # the quadratic term of 1e200 data overflows, so no step completes; the
+    # overflow raises no warning, so stderr holds the one message line
     argv = ["evolve", "--model", "nse", "--K", "1", "--data", "l1:0=1e200"]
-    code, line = _run(capsys, argv + ["--outdir", str(tmp_path)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.run(argv + ["--outdir", str(tmp_path)])
+    out, err = capfd.readouterr()
+    line = json.loads(out.strip().splitlines()[-1])
     assert code == 3 and line["error"] == "non-convergence"
     assert "before completing a step" in line["message"]
+    assert err.splitlines() == [f"hermflow evolve: {line['message']}"]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_evolve_nan_starting_derivative_exits_3(tmp_path, capsys):
+    # couplings of opposite sign overflow to inf - inf: the starting step is
+    # NaN, which fails like a step below 10 ulps instead of looping forever
+    argv = ["evolve", "--model", "nse", "--K", "1", "--data",
+            "l0:0=1e200,l1:0=1e200,l1:1=1e200,l1:2=-1e200", "--outdir", str(tmp_path)]
+    code, line = _run(capsys, argv)
+    assert code == 3 and "before completing a step" in line["message"]
+
+
+def test_evolve_refuses_rtol_below_its_floor(tmp_path, capsys):
+    # below 100 eps the step control cannot resolve the tolerance; the floor
+    # itself is accepted and echoed as given
+    argv = ["evolve", "--model", "nse", "--K", "1", "--data", "l1:0=0.1", "--tau", "1"]
+    code, line = _run(capsys, argv + ["--rtol", "1e-20", "--outdir", str(tmp_path / "a")])
+    assert code == 2 and line["error"] == "validation"
+    assert "2.220446049250313e-14" in line["message"] and "1e-20" in line["message"]
+    assert not (tmp_path / "a" / "trajectory.csv").exists()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, line = _run(
+            capsys, argv + ["--rtol", "2.220446049250313e-14", "--outdir", str(tmp_path / "b")]
+        )
+    assert code == 0 and line["config"]["rtol"] == 2.220446049250313e-14
+
+
+def _blow_up_tensor(path) -> None:
+    # the K=1 system with one coupling, c0' = -c0/2 + 1e3 c0^2, on the
+    # default grid: from c0 = 0.1 it blows up near tau = 0.01
+    from hermflow.grid import GridSpec
+    from hermflow.solenoidal import composite_basis
+
+    spec = GridSpec(8.0, 64)
+    tensor = cli._zero_tensor(composite_basis(1, 1), 1, spec)
+    tensor.values[0, 0, 0] = 1e3
+    tensor.refined = spec.refined().to_json_dict()
+    path.write_text(json.dumps(tensor.to_json_dict()))
+
+
+def test_evolve_truncated_before_the_window_exits_3(tmp_path, capfd):
+    # the integrator stops at tau ~ 0.01, which leaves one of the 41 output
+    # times: the run did not converge, the resonance window is not at fault
+    tensor = tmp_path / "blow-up.json"
+    _blow_up_tensor(tensor)
+    outdir = tmp_path / "out"
+    argv = ["evolve", "--model", "nse", "--K", "1", "--data", "l0:0=0.1", "--tensor",
+            str(tensor), "--check-linear", "--outdir", str(outdir)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.run(argv)
+    out, err = capfd.readouterr()
+    line = json.loads(out.strip().splitlines()[-1])
+    assert code == 3 and line["error"] == "non-convergence"
+    assert "tau_reached=0.0" in line["message"] and "of 3.0" in line["message"]
+    assert "Required step size is less than spacing between numbers." in line["message"]
+    assert err.splitlines() == [f"hermflow evolve: {line['message']}"]
+    assert list(outdir.iterdir()) == []
+
+
+def test_commands_import_no_scipy(tmp_path):
+    # scipy's import costs more than these runs compute; only kernel, wkbj
+    # (least_squares, simpson) and nodal (cKDTree) need it
+    argvs = [
+        ["evolve", "--model", "nse", "--K", "1", "--data", "l1:0=0.1", "--tau", "1"],
+        ["evolve", "--model", "nse", "--K", "1", "--data", "l1:0=0.1", "--tau", "1",
+         "--check-linear"],
+        ["d-tensor", "--n", "32"],
+        ["verify", "--n", "32", "--L", "12", "--n-tau", "7"],
+        ["classify", "--terms", '[{"x": [2, 0, 0], "t": 0, "c": 1}]'],
+        ["basis", "--max-level", "3"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from hermflow import cli\n"
+        "codes = [cli.run(a + ['--outdir', sys.argv[1]]) for a in json.loads(sys.argv[2])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path), json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, modules = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert codes == [0] * len(argvs)
+    assert modules == []
 
 
 @pytest.mark.parametrize(
