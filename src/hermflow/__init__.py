@@ -43,12 +43,9 @@ from .kernel import (
 )
 from .grid import (
     GridSpec,
-    GridVectorField,
     InteractionTensor,
     convection_poly,
     interaction_tensor,
-    sample,
-    to_spectral,
     weighted_transform,
 )
 from .dynamics import (
@@ -78,7 +75,6 @@ __all__ = [
     "EmptyCloudError",
     "Expansion",
     "GridSpec",
-    "GridVectorField",
     "InteractionTensor",
     "KernelTable",
     "NonConvergenceError",
@@ -117,9 +113,7 @@ __all__ = [
     "nse_galerkin",
     "pairing",
     "rate_check",
-    "sample",
     "semigroup_verify",
-    "to_spectral",
     "unique_continuation_diagnostic",
     "validate_basis_field",
     "weighted_transform",

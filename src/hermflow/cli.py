@@ -35,6 +35,7 @@ import numpy as np
 
 from .dynamics import (
     Expansion,
+    check_output_times,
     classify_zero,
     detect_resonance,
     diagonal_flow,
@@ -562,11 +563,22 @@ def _cmd_solenoidal(cfg: dict, outdir: str) -> dict:
     return {"kind": kind, "counts": counts, "all_pass": True, "artifacts": [name]}
 
 
+# float64 values per radius of `kernel` and `wkbj --fit`, rounded up
+# (tracemalloc per radius: 17.1 for `kernel`, with its CSV text, and 10.8
+# for `wkbj --fit`): the radii, the two Gauss sums, the values and the
+# mass check's transients
+_RADIUS_VALUES = 18
+
+
 def _radii(cfg: dict) -> np.ndarray:
-    """The uniform radial grid 0, dr, 2 dr, ... up to r_max."""
-    if not cfg["dr"] > 0.0:
-        raise ValidationError(f"radial step dr must be positive, got {cfg['dr']!r}")
-    return np.arange(0.0, cfg["r_max"] + 1e-9, cfg["dr"])
+    """The uniform radial grid 0, dr, 2 dr, ... up to r_max, refused when
+    the table would not fit in physical memory."""
+    r_max, dr = cfg["r_max"], cfg["dr"]
+    if not dr > 0.0:
+        raise ValidationError(f"radial step dr must be positive, got {dr!r}")
+    what = f"a radial grid up to r_max={r_max!r} in steps dr={dr!r}"
+    check_fits((r_max + 1e-9) / dr, _RADIUS_VALUES, what, dims=1)
+    return np.arange(0.0, r_max + 1e-9, dr)
 
 
 _KERNEL_MASS_TOL = 1e-6  # README criterion 5: a table must carry the unit mass
@@ -672,11 +684,14 @@ def _cmd_d_tensor(cfg: dict, outdir: str) -> dict:
     return summary
 
 
-def _time_span(end: float, steps: int, name: str = "tau") -> np.ndarray:
+def _time_span(end: float, steps: int, labels: int, name: str = "tau") -> np.ndarray:
+    """`steps` output times from 0 to `end` of a trajectory over `labels`
+    basis labels."""
     if steps < 3:
         raise ValidationError(f"steps must be at least 3, got {steps}")
     if not end > 0.0:
         raise ValidationError(f"{name} must be positive, got {end!r}")
+    check_output_times(steps, labels, f"a trajectory of steps={steps} output times")
     return np.linspace(0.0, end, steps)
 
 
@@ -693,7 +708,7 @@ def _cmd_evolve(cfg: dict, outdir: str) -> dict:
     for lab in coeffs:
         if lab not in labels:
             raise ValidationError(f"coefficient label {lab} outside the level-{K} basis")
-    taus = _time_span(cfg["tau"], cfg["steps"])
+    taus = _time_span(cfg["tau"], cfg["steps"], cb.count)
     e0 = Expansion(cb, coeffs)
     summary: Dict[str, object] = {"model": model, "labels": cb.count, "tau_end": cfg["tau"]}
     if model == "nse":
@@ -779,7 +794,7 @@ def _cmd_nodal(cfg: dict, outdir: str) -> dict:
     if bad is not None:
         # tau = 0 is t = -1, where the data are prescribed; nothing precedes it
         raise ValidationError(f"taus must be finite and non-negative, got {bad!r}")
-    span = _time_span(max(tau_list), cfg["steps"], "the largest of taus")
+    span = _time_span(max(tau_list), cfg["steps"], cb.count, "the largest of taus")
     R, cell = cfg["R"], cfg["cell"]
 
     kmin = min(k for k, _ in coeffs)

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import EmptyCloudError, NonConvergenceError, ValidationError
 from .grid import (
     GridSpec,
-    GridVectorField,
     InteractionTensor,
     check_fits,
     closed_form_rows,
@@ -31,10 +30,7 @@ from .grid import (
     moment_pairings,
     parallel_map,
     residual_norm,
-    sampled_rows,
     spectrum_cubes,
-    spectrum_pairings,
-    to_spectral,
 )
 from .multiindex import enumerate_level
 from .polynomial import Polynomial, VectorPolyField, row_blocks
@@ -88,79 +84,56 @@ class Expansion:
                 total = total + v.scale(c if isinstance(c, Fraction) else Fraction(float(c)))
         return total
 
-    def to_json_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "residual": self.residual,
-            "coeffs": {f"l{k}:{i}": float(c) for (k, i), c in sorted(self.coeffs.items())},
-        }
-
-
-# float64 arrays of n^3 at the peak of `expand` on a grid field, rounded up
-# (tracemalloc: 10.5 for n = 32, 10.1 for n = 64), in the forward
-# transforms: while the third runs, the FFT's complex copy of its input and
-# its complex output next to two complex component spectra, |eta|^2 and the
-# decay
-_EXPAND_ARRAYS = 11
-
-
-# the same on a polynomial field with a remainder (tracemalloc: 4.3 at n = 32,
-# where a row block is the whole lattice, to 2.2 at n = 96): |eta|^2, the
-# weight, and two row blocks of the residual sweep with its plane tables
+# float64 arrays of n^3 at the peak of `expand` on a field with a remainder
+# (tracemalloc: 4.3 at n = 32, where a row block is the whole lattice, to 2.2
+# at n = 96): |eta|^2, the weight, and two row blocks of the residual sweep
+# with its plane tables
 _EXPAND_POLY_ARRAYS = 5
 
 
 def expand(u, basis, spec: GridSpec | None = None) -> Expansion:
-    """Extract basis coefficients of u by dual pairing.
+    """Extract basis coefficients of u = p F, given its polynomial factor p,
+    by the exact rational dual pairings.
 
-    Polynomial input (the polynomial factor of u = p F) goes through the
-    exact rational dual pairings; the reported residual is the grid norm of
-    the uncaptured remainder times the kernel, the Parseval norm of its
-    closed-form spectrum (no FFT), so input outside the span shows up there
-    instead of passing silently. Grid input goes through `_Extractor.grid`.
-    Either is refused, before any lattice array is built, when its working
-    set would not fit in physical memory.
+    The reported residual is the grid norm of the uncaptured remainder times
+    the kernel, the Parseval norm of its closed-form spectrum (no FFT), so
+    input outside the span shows up there instead of passing silently. A
+    remainder is refused, before any lattice array is built, when its
+    working set would not fit in physical memory.
     """
-    if isinstance(u, VectorPolyField):
-        coeffs: Dict[Tuple[int, int], object] = {}
-        recon = VectorPolyField([Polynomial.zero(3)] * 3)
-        for b in basis.blocks:
-            for i, c in enumerate(b.coefficients_poly(u)):
-                coeffs[(b.level, i)] = c
-                if c:
-                    recon = recon + b.fields[i].scale(c)
-        diff = u - recon
-        if all(p.is_zero() for p in diff.components):
-            residual = 0.0
-        else:
-            sp = spec or GridSpec(10.0, 64)
-            m = basis.params.m
-            check_fits(sp.n, _EXPAND_POLY_ARRAYS, "expand on a polynomial field")
-            w, live = lattice_weight(sp, m)
-            (P,) = spectrum_cubes([diff], m)
-            residual = residual_norm(sp, closed_form_rows(P, w, live, sp))
-        return Expansion(basis, coeffs, residual=residual)
-    if isinstance(u, GridVectorField):
-        check_fits(u.spec.n, _EXPAND_ARRAYS, "expand on a grid field")
-        c, residual = _Extractor(basis, u.spec).grid(u)
-        coeffs = dict(zip(basis.labels, (float(x) for x in c)))
-        return Expansion(basis, coeffs, residual=residual)
-    raise ValidationError("expand needs a VectorPolyField or GridVectorField")
+    if not isinstance(u, VectorPolyField):
+        raise ValidationError(f"expand needs a VectorPolyField, got {type(u).__name__}")
+    coeffs: Dict[Tuple[int, int], object] = {}
+    recon = VectorPolyField([Polynomial.zero(3)] * 3)
+    for b in basis.blocks:
+        for i, c in enumerate(b.coefficients_poly(u)):
+            coeffs[(b.level, i)] = c
+            if c:
+                recon = recon + b.fields[i].scale(c)
+    diff = u - recon
+    if all(p.is_zero() for p in diff.components):
+        residual = 0.0
+    else:
+        sp = spec or GridSpec(10.0, 64)
+        m = basis.params.m
+        check_fits(sp.n, _EXPAND_POLY_ARRAYS, "expand on a polynomial field")
+        w, live = lattice_weight(sp, m)
+        (P,) = spectrum_cubes([diff], m)
+        residual = residual_norm(sp, closed_form_rows(P, w, live, sp))
+    return Expansion(basis, coeffs, residual=residual)
 
 
 class _Extractor:
     """Coefficients and residual of fields over `basis`, in frequency space.
 
-    Fields are paired against the derivative-dual spectra, and the pairings
-    are solved with the empirical Gram M = <realizations, duals> of the same
-    lattice sums, so pure basis fields are recovered to roundoff. Pairings
-    of closed-form spectra are lattice-moment contractions of coefficient
-    arrays (`grid.moment_pairings`); the residual is the Parseval norm of
+    Closed-form spectra are paired against the derivative-dual spectra by
+    lattice-moment contractions of coefficient arrays
+    (`grid.moment_pairings`), and the pairings are solved with the empirical
+    Gram M = <realizations, duals> of the same lattice sums, so pure basis
+    fields are recovered to roundoff; the residual is the Parseval norm of
     the difference spectrum (`grid.residual_norm`), i.e. the grid norm of
-    the part of the field the basis did not capture.
-    Closed-form input runs no FFT, sampled input one forward FFT per
-    component, and no grid field is stored. Build once per (basis, spec),
-    call per field.
+    the part of the field the basis did not capture. No FFT runs and no
+    grid field is stored. Build once per (basis, spec), call per field.
     """
 
     def __init__(self, basis, spec: GridSpec):
@@ -182,19 +155,10 @@ class _Extractor:
         Dx, Dw = X.shape[-1] - 1, self.duals.shape[-1] - 1
         table = lattice_moments(wd, self.spec, Dx + Dw)
         raw = moment_pairings(X[None], self.duals, table, self.spec)[0]
-        return self._solve(raw, closed_form_rows(X, w, live, self.spec))
-
-    def grid(self, u: GridVectorField) -> Tuple[np.ndarray, float]:
-        """Field sampled on the grid (one forward transform per component)."""
-        U = [to_spectral(self.spec, u.data[c]) for c in range(3)]
-        raw = spectrum_pairings(U, self.decay, self.duals, self.spec)
-        return self._solve(raw, sampled_rows(U))
-
-    def _solve(self, raw: np.ndarray, data) -> Tuple[np.ndarray, float]:
-        """Coefficients c from the pairings `raw` of a field with the duals,
-        and the residual of its spectrum `data` (row parts) from sum c_i v*_i F."""
+        # the coefficients c, and the residual from sum c_i v*_i F
         c = np.linalg.solve(self.M.T, raw)
         Y = np.tensordot(c, self.realz, axes=(0, 0))
+        data = closed_form_rows(X, w, live, self.spec)
         model = closed_form_rows(Y, self.decay, self.live_decay, self.spec)
         return c, residual_norm(self.spec, data, model)
 
@@ -302,6 +266,22 @@ def rate_check(traj: CoefficientTrajectory) -> dict:
     return {"rates": rates, "max_rel_err": worst}
 
 
+# float64 values held per output time of a command's trajectory, fixed and
+# per basis label, rounded up (tracemalloc per output time: `evolve --model
+# nse` 193, 538 and 1467 at 4, 12 and 36 labels, `evolve --model stokes
+# --data demo:small` 877 at 36, `verify` 234 at level 1 and 229 at level 2,
+# `nodal` 156): the states, the integrator's dense output and Duhamel arrays
+# at four times as many points, and the CSV and JSON text
+_TIME_VALUES, _TIME_LABEL_VALUES = 200, 45
+
+
+def check_output_times(count: int, labels: int, what: str) -> None:
+    """Refuse up front a trajectory of `count` output times over `labels`
+    basis labels whose states would not fit in physical memory; `what`
+    names the count."""
+    check_fits(count, _TIME_VALUES + _TIME_LABEL_VALUES * labels, what, dims=1)
+
+
 def diagonal_trajectory(e0: Expansion, taus: Sequence[float]) -> CoefficientTrajectory:
     ts = np.asarray(taus, dtype=float)
     return CoefficientTrajectory(ts, [diagonal_flow(e0, float(t)) for t in ts])
@@ -339,6 +319,9 @@ _DP_SAFETY, _DP_MIN_FACTOR, _DP_MAX_FACTOR = 0.9, 0.2, 10
 _DP_EXPONENT = -1 / 5
 # tolerances below 100 eps are below what the error estimate can resolve
 _RTOL_FLOOR = 100 * 2.0**-52
+# the most steps, accepted or rejected, one run attempts: about 1 s of the
+# largest Galerkin system of the README (criterion 11 takes 73)
+_DP_MAX_STEPS = 10_000
 
 
 def _rms(x: np.ndarray) -> float:
@@ -405,7 +388,8 @@ def _dopri45(fun, y0: np.ndarray, t_end: float, rtol: float, atol: float) -> _RK
     tableau, the RMS error norm over atol + rtol max(|y|, |y_new|), the same
     step-size control and starting step, so the step ends, the interpolants
     and `nfev` come out bit for bit the same. A run stops early, with
-    `message` set, when the step it needs falls under 10 ulps of tau.
+    `message` set, when the step it needs falls under 10 ulps of tau, or
+    when it has attempted `_DP_MAX_STEPS` steps.
     """
     f = fun(0.0, y0)
     h_abs = _initial_step(fun, y0, f, t_end, rtol, atol)
@@ -419,6 +403,9 @@ def _dopri45(fun, y0: np.ndarray, t_end: float, rtol: float, atol: float) -> _RK
         h_abs = max(h_abs, min_step)
         step_rejected = False
         while True:
+            if len(segments) + rejected >= _DP_MAX_STEPS:
+                message = f"the step bound of {_DP_MAX_STEPS} attempted steps was reached"
+                break
             # a NaN step (a starting derivative that overflowed to inf - inf)
             # fails here too, where it would otherwise be retried forever
             if not h_abs >= min_step:
@@ -976,6 +963,8 @@ def semigroup_verify(
 
         d0 = wkbj_constants(m, 3).d0
     tau_end = -math.log(-t_end)
+    basis = level_basis(m, level)
+    check_output_times(n_tau, basis.count, f"a trajectory of n_tau={n_tau} output times")
     taus = np.linspace(0.0, tau_end, n_tau)
 
     # image-overlap estimate: rescaled tail ~ exp(-d0 |y|^alpha (s/(2-s))^(1/(2m-1)))
@@ -999,7 +988,6 @@ def semigroup_verify(
         diagnostic["tau_reached"] = kept[-1]
     taus = np.array(kept)
 
-    basis = level_basis(m, level)
     extract = _Extractor(basis, sp)
     (data_coeffs,) = spectrum_cubes([data], m)
 

@@ -1,15 +1,13 @@
-"""Periodic-grid Fourier machinery: sampling, the Leray projector on the
-frequency lattice, polynomial convection, and the quadratic interaction
-tensor of the coefficient dynamics.
+"""Periodic-grid Fourier machinery: closed-form spectra on the frequency
+lattice, the Leray projector there, polynomial convection, and the
+quadratic interaction tensor of the coefficient dynamics.
 
 Grid convention: cell-centered nodes x_j = -L + (j + 1/2) h with h = 2L/n on
 [-L, L)^3, discrete frequencies eta_k = pi k / L for integer k in the usual
-FFT ordering. `to_spectral` approximates the continuous transform
-int f(y) exp(-i y.eta) dy of sampled data by its Riemann sum (spectrally
-accurate for smooth decaying fields), so fields sampled in physical space
-and fields with closed-form transforms live on the same lattice. Closed-form
-fields never leave it: the tensor, the expansion residuals and the
-projector diagnostic work on lattice spectra, and no FFT runs for them.
+FFT ordering (0, 1, ..., n/2 - 1, -n/2, ..., -1). Fields enter in closed
+form and never leave the frequency lattice: the tensor, the expansion
+residuals and the projector diagnostic work on lattice spectra, and no FFT
+runs.
 
 The interaction tensor follows the adjoint arrangement: the projector
 symbol is real and symmetric per mode, so the discrete Parseval identity
@@ -118,14 +116,20 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def check_fits(n: int, arrays: float, what: str) -> None:
+def check_fits(n: float, arrays: float, what: str, dims: int = 3) -> None:
     """Refuse up front a computation whose working set, `arrays` float64
-    lattice arrays of n^3, exceeds physical memory."""
-    need = arrays * 8.0 * n**3
+    arrays of n^dims, exceeds physical memory: lattice arrays of an n-point
+    grid by default, or, with dims=1, values per point of a 1-D grid of n
+    points, which `what` names."""
+    try:
+        need = arrays * 8.0 * float(n) ** dims
+    except OverflowError:  # a count beyond the float range
+        need = math.inf
     have = _physical_memory()
     if need > have:
+        where = f" on an n={n} grid" if dims == 3 else ""
         raise ValidationError(
-            f"{what} on an n={n} grid needs about {need / 2**30:.3g} GiB, more "
+            f"{what}{where} needs about {need / 2**30:.3g} GiB, more "
             f"than the {have / 2**30:.3g} GiB of physical memory"
         )
 
@@ -136,7 +140,10 @@ def _axes(L: float, n: int) -> np.ndarray:
 
 
 def _kint(n: int) -> np.ndarray:
-    return _cached(("kint", n), lambda: np.fft.fftfreq(n, d=1.0 / n))
+    """The integer wavenumbers of an n-point axis in FFT ordering, as exact
+    floats."""
+    half = n // 2
+    return _cached(("kint", n), lambda: np.r_[0:half, -half:0].astype(float))
 
 
 def _eta(L: float, n: int) -> np.ndarray:
@@ -206,43 +213,6 @@ def lattice_weight(
             w *= -b
         np.exp(w, out=w)
     return out, live
-
-
-def to_spectral(spec: GridSpec, f: np.ndarray) -> np.ndarray:
-    """Riemann-sum approximation of int f(y) exp(-i y.eta) dy per mode.
-
-    The nodes start at -L + h/2, so the FFT carries the phase
-    exp(-i eta_k (h/2 - L)) per axis; it is applied one axis at a time, in
-    place, and no complex lattice array besides the result is made."""
-    out = np.fft.fftn(f)
-    phase = np.exp(-1j * math.pi * _kint(spec.n) * (1.0 / spec.n - 1.0))
-    out *= (spec.h**3 * phase)[:, None, None]
-    out *= phase[None, :, None]
-    out *= phase[None, None, :]
-    return out
-
-
-# -- grid fields ----------------------------------------------------------------
-
-
-@dataclass
-class GridVectorField:
-    """Samples of a 3-vector field."""
-
-    spec: GridSpec
-    data: np.ndarray  # shape (3, n, n, n)
-
-    def __post_init__(self):
-        n = self.spec.n
-        if self.data.shape != (3, n, n, n):
-            raise ValidationError("grid data must have shape (3, n, n, n)")
-
-
-def sample(v: VectorPolyField, spec: GridSpec) -> GridVectorField:
-    """Pointwise evaluation of a polynomial field on the grid."""
-    ax = spec.axes()
-    comps = [p.evaluate_grid([ax, ax, ax]) for p in v.components]
-    return GridVectorField(spec, np.stack(comps))
 
 
 # -- closed-form transforms of poly x kernel fields ------------------------------
@@ -418,19 +388,6 @@ def moment_pairings(
     return out / (2.0 * spec.L) ** 3
 
 
-def spectrum_pairings(
-    U: Sequence[np.ndarray], w: np.ndarray, Y: np.ndarray, spec: GridSpec
-) -> np.ndarray:
-    """(2L)^-3 Re sum_eta U_c conj(w S_y) for every y in Y: the pairings of
-    a sampled lattice spectrum (one array per component) with closed-form
-    spectra of weight w."""
-    D = Y.shape[-1] - 1
-    deg = _degree_cube(D)
-    phase = _i_power(deg, "re") - 1j * _i_power(deg, "im")  # conj(i^|e|)
-    mom = np.stack([(phase * lattice_moments(Uc * w, spec, D)).real for Uc in U])
-    return np.einsum("gcabd,cabd->g", Y, mom) / (2.0 * spec.L) ** 3
-
-
 def hermitian_parts(P: np.ndarray) -> Tuple[np.ndarray | None, np.ndarray | None]:
     """Coefficient cubes of the real and imaginary parts of
     sum_d i^|d| P[d] eta^d (None for a part that vanishes)."""
@@ -458,7 +415,8 @@ def closed_form_rows(P: np.ndarray, w: np.ndarray, live: np.ndarray, spec: GridS
 
 
 def sampled_rows(U: Sequence[np.ndarray]) -> list:
-    """The parts of sampled spectra, one complex lattice array per component."""
+    """The parts of spectra held as lattice arrays, one complex array per
+    component."""
     return [(lambda rows, a=a: a[rows].copy(), None, None) for Uc in U for a in (Uc.real, Uc.imag)]
 
 

@@ -71,16 +71,6 @@ class EigenPair:
             },
         }
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "EigenPair":
-        return EigenPair(
-            beta=tuple(d["beta"]),
-            lam=Fraction(d["lambda"]["num"], d["lambda"]["den"]),
-            psi_star=Polynomial.from_json_dict(d["psi_star"]),
-            norm_sq=Fraction(d["norm_sq"]["num"], d["norm_sq"]["den"]),
-        )
-
-
 def euler_degree_op(p: Polynomial) -> Polynomial:
     """y.grad p (the Euler operator; multiplies each monomial by its degree)."""
     out = {}

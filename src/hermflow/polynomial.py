@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
@@ -220,24 +220,8 @@ class Polynomial:
             ],
         }
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "Polynomial":
-        terms = {
-            tuple(t["beta"]): Fraction(int(t["num"]), int(t["den"]))
-            for t in d["terms"]
-        }
-        return Polynomial(int(d["dim"]), terms)
-
 
 # -- spec-facing functional API ---------------------------------------------
-
-
-def derive(p: Polynomial, gamma: Sequence[int]) -> Polynomial:
-    return p.derive(gamma)
-
-
-def gradient(p: Polynomial) -> Tuple[Polynomial, ...]:
-    return tuple(p.derive(unit(p.dim, i)) for i in range(p.dim))
 
 
 def laplacian(p: Polynomial) -> Polynomial:
@@ -267,10 +251,6 @@ def divergence(components: Sequence[Polynomial]) -> Polynomial:
     for i, p in enumerate(components):
         out = out + p.derive(unit(dim, i))
     return out
-
-
-def evaluate(p: Polynomial, y: Sequence):
-    return p.evaluate(y)
 
 
 # float64 values per row block (512 KiB): a block and the few temporaries
@@ -370,15 +350,6 @@ class VectorPolyField:
 
     def __repr__(self):
         return "VectorPolyField(" + ", ".join(map(repr, self.components)) + ")"
-
-    def to_json_dict(self) -> dict:
-        return {"components": [p.to_json_dict() for p in self.components]}
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "VectorPolyField":
-        return VectorPolyField(
-            [Polynomial.from_json_dict(c) for c in d["components"]]
-        )
 
 
 def vector_from_rows(rows: Sequence[Sequence], dim: int = 3) -> VectorPolyField:

@@ -24,8 +24,8 @@ W_j = sum_beta a_cbeta (-1)^|beta| D^beta F where a are the
 psi*-expansion coefficients of the j-th basis field. Their Gram
 G~_ij = sum_c sum_beta a^i a^j beta! is positive definite for any
 independent basis and any m, so extraction works uniformly within a
-level. The polynomial pairings, the grid expansions, the semigroup
-verifier and the interaction tensor all read the duals from the basis
+level. The polynomial pairings, the semigroup verifier's lattice
+expansions and the interaction tensor all read the duals from the basis
 blocks.
 
 The kernel-weighted Gram G_ij = <v*_i, v*_j F> is the reference the
@@ -60,56 +60,52 @@ from .rational_linalg import dependent_columns, inverse, nullspace
 # -- catalog -----------------------------------------------------------------
 
 
-def _v(rows) -> VectorPolyField:
-    return vector_from_rows(rows)
-
-
 def _build_catalog() -> Dict[Tuple[int, int], List[VectorPolyField]]:
     y1, y2, y3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     one = (0, 0, 0)
     cat: Dict[Tuple[int, int], List[VectorPolyField]] = {}
 
-    cat[(1, 0)] = [_v([[(1, one)], [(1, one)], [(1, one)]])]
+    cat[(1, 0)] = [vector_from_rows([[(1, one)], [(1, one)], [(1, one)]])]
     cat[(1, 1)] = [
-        _v([[], [(-1, y3)], [(1, y2)]]),
-        _v([[(1, y3)], [], [(-1, y1)]]),
-        _v([[(-1, y2)], [(1, y1)], []]),
+        vector_from_rows([[], [(-1, y3)], [(1, y2)]]),
+        vector_from_rows([[(1, y3)], [], [(-1, y1)]]),
+        vector_from_rows([[(-1, y2)], [(1, y1)], []]),
     ]
     # level-2 catalog; the sixth entry is divergence-corrected (second
     # component y1*y3), the only sign assignment keeping div = 0 with this
     # support.
     cat[(1, 2)] = [
-        _v([[(4, one), (-1, (0, 2, 0)), (-1, (0, 0, 2))], [(1, (1, 1, 0))], [(-1, (1, 0, 1))]]),
-        _v([[(1, (1, 1, 0))], [(4, one), (-1, (2, 0, 0)), (-1, (0, 0, 2))], [(-1, (0, 1, 1))]]),
-        _v([[(1, (1, 0, 1))], [(-1, (0, 1, 1))], [(4, one), (-1, (2, 0, 0)), (-1, (0, 2, 0))]]),
-        _v([[], [(1, (1, 0, 1))], [(-1, (1, 1, 0))]]),
-        _v([[(-1, (0, 1, 1))], [], [(1, (1, 1, 0))]]),
-        _v([[(-1, (0, 1, 1))], [(1, (1, 0, 1))], [(1, (2, 0, 0)), (-1, (0, 2, 0))]]),
-        _v([[(1, (1, 1, 0))], [(1, (0, 0, 2)), (-1, (2, 0, 0))], [(-1, (0, 1, 1))]]),
-        _v([[(1, (0, 2, 0)), (-1, (0, 0, 2))], [(-1, (1, 1, 0))], [(1, (1, 0, 1))]]),
+        vector_from_rows([[(4, one), (-1, (0, 2, 0)), (-1, (0, 0, 2))], [(1, (1, 1, 0))], [(-1, (1, 0, 1))]]),
+        vector_from_rows([[(1, (1, 1, 0))], [(4, one), (-1, (2, 0, 0)), (-1, (0, 0, 2))], [(-1, (0, 1, 1))]]),
+        vector_from_rows([[(1, (1, 0, 1))], [(-1, (0, 1, 1))], [(4, one), (-1, (2, 0, 0)), (-1, (0, 2, 0))]]),
+        vector_from_rows([[], [(1, (1, 0, 1))], [(-1, (1, 1, 0))]]),
+        vector_from_rows([[(-1, (0, 1, 1))], [], [(1, (1, 1, 0))]]),
+        vector_from_rows([[(-1, (0, 1, 1))], [(1, (1, 0, 1))], [(1, (2, 0, 0)), (-1, (0, 2, 0))]]),
+        vector_from_rows([[(1, (1, 1, 0))], [(1, (0, 0, 2)), (-1, (2, 0, 0))], [(-1, (0, 1, 1))]]),
+        vector_from_rows([[(1, (0, 2, 0)), (-1, (0, 0, 2))], [(-1, (1, 1, 0))], [(1, (1, 0, 1))]]),
     ]
 
-    cat[(2, 0)] = [_v([[(1, one)], [(1, one)], [(1, one)]])]
+    cat[(2, 0)] = [vector_from_rows([[(1, one)], [(1, one)], [(1, one)]])]
     cat[(2, 1)] = [
-        _v([[(1, y2)], [(-1, y3)], [(1, y2)]]),
-        _v([[(1, y3)], [(1, y3)], [(-1, y1)]]),
-        _v([[(-1, y2)], [(1, y1)], [(1, y1)]]),
+        vector_from_rows([[(1, y2)], [(-1, y3)], [(1, y2)]]),
+        vector_from_rows([[(1, y3)], [(1, y3)], [(-1, y1)]]),
+        vector_from_rows([[(-1, y2)], [(1, y1)], [(1, y1)]]),
     ]
     cat[(2, 2)] = [
-        _v([[(-1, (2, 0, 0)), (-1, (0, 0, 2))], [(1, (1, 1, 0))], [(1, (1, 0, 1))]]),
-        _v([[(1, (1, 1, 0))], [(-1, (0, 2, 0)), (-1, (0, 0, 2))], [(1, (0, 1, 1))]]),
+        vector_from_rows([[(-1, (2, 0, 0)), (-1, (0, 0, 2))], [(1, (1, 1, 0))], [(1, (1, 0, 1))]]),
+        vector_from_rows([[(1, (1, 1, 0))], [(-1, (0, 2, 0)), (-1, (0, 0, 2))], [(1, (0, 1, 1))]]),
     ]
     cat[(2, 3)] = [
-        _v([[(1, (0, 3, 0))], [(1, (0, 0, 3))], [(1, (3, 0, 0))]]),
-        _v([[(1, (1, 2, 0))], [(1, (2, 1, 0))], [(-1, (2, 0, 1)), (-1, (0, 2, 1))]]),
+        vector_from_rows([[(1, (0, 3, 0))], [(1, (0, 0, 3))], [(1, (3, 0, 0))]]),
+        vector_from_rows([[(1, (1, 2, 0))], [(1, (2, 1, 0))], [(-1, (2, 0, 1)), (-1, (0, 2, 1))]]),
     ]
     cat[(2, 4)] = [
-        _v([
+        vector_from_rows([
             [(1, (0, 4, 0)), (24, one)],
             [(1, (0, 0, 4)), (24, one)],
             [(1, (4, 0, 0)), (24, one)],
         ]),
-        _v([[(1, (1, 3, 0))], [(1, (3, 1, 0))], [(-1, (3, 0, 1)), (-1, (0, 3, 1))]]),
+        vector_from_rows([[(1, (1, 3, 0))], [(1, (3, 1, 0))], [(-1, (3, 0, 1)), (-1, (0, 3, 1))]]),
     ]
     return cat
 
@@ -169,20 +165,17 @@ class SolenoidalBasis:
     sum_c sum_beta a_jcbeta (-1)^|beta| D^beta F e_c: `coefficients_poly`
     extracts span coefficients of a polynomial field exactly, and
     `dual_transform_polys` gives the spectra from which the grid module
-    pairs and synthesizes the duals.
+    pairs the duals.
     """
 
     level: int
     params: OperatorParams
     fields: List[VectorPolyField]
-    source: str  # "fixture" | "computed-kernel"
     acoeffs: List[List[Dict[MultiIndex, Fraction]]] = field(init=False, repr=False, compare=False)
     gram: List[List[Fraction]] = field(init=False, repr=False, compare=False)
     gram_inv: List[List[Fraction]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.source not in ("fixture", "computed-kernel"):
-            raise ValidationError(f"unknown source {self.source!r}")
         self.acoeffs = [validate_basis_field(v, self.level, self.params) for v in self.fields]
         self.gram = _gram(self.acoeffs)
         try:
@@ -235,20 +228,6 @@ class SolenoidalBasis:
         N = self.params.N
         return [[Polynomial(N, dict(ac)) for ac in acomp] for acomp in self.acoeffs]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "m": self.params.m,
-            "N": self.params.N,
-            "source": self.source,
-            "fields": [f.to_json_dict() for f in self.fields],
-            "gram": [
-                [{"num": str(x.numerator), "den": str(x.denominator)} for x in row]
-                for row in self.gram
-            ],
-        }
-
-
 def catalog_levels(m: int) -> List[int]:
     """The levels the catalog holds for operator order m."""
     return sorted(k for mm, k in _CATALOG if mm == m)
@@ -256,7 +235,7 @@ def catalog_levels(m: int) -> List[int]:
 
 def fixture_basis(m: int, k: int, N: int = 3) -> SolenoidalBasis:
     return SolenoidalBasis(
-        level=k, params=OperatorParams(m=m, N=N), fields=fixture(m, k), source="fixture"
+        level=k, params=OperatorParams(m=m, N=N), fields=fixture(m, k)
     )
 
 
@@ -297,7 +276,7 @@ def divfree_kernel(k: int, params: OperatorParams) -> SolenoidalBasis:
                     p = p + eigenfunction(b, params).psi_star.scale(a)
             comps.append(p)
         fields.append(VectorPolyField(comps))
-    return SolenoidalBasis(level=k, params=params, fields=fields, source="computed-kernel")
+    return SolenoidalBasis(level=k, params=params, fields=fields)
 
 
 @dataclass
@@ -322,19 +301,6 @@ class CompositeBasis:
     @property
     def count(self) -> int:
         return sum(b.count for b in self.blocks)
-
-    @property
-    def max_level(self) -> int:
-        return max(b.level for b in self.blocks)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.params.m,
-            "N": self.params.N,
-            "levels": [b.level for b in self.blocks],
-            "blocks": [b.to_json_dict() for b in self.blocks],
-        }
-
 
 def level_basis(m: int, k: int, N: int = 3) -> SolenoidalBasis:
     """Level k: the catalog fixture where there is one, the computed

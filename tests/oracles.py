@@ -1,11 +1,11 @@
 """Reference implementations the tests compare the library against.
 
 None of these is used by the package or the CLI. Each is an independent
-route to a number the library computes another way: grid fields
-synthesized by inverse FFT and paired by grid quadrature, the Leray
-projector and the pseudo-spectral convection applied through FFT round
-trips, the kernel-weighted Gram inverse, the closed-form Gaussian kernel
-and its radial ODE residual, the operator B in its expanded and
+route to a number the library computes another way: grid fields sampled
+pointwise or synthesized by inverse FFT, transformed by FFT and paired by
+grid quadrature, the Leray projector and the pseudo-spectral convection
+applied through FFT round trips, the kernel-weighted Gram inverse, the
+closed-form Gaussian kernel and its radial ODE residual, the operator B in its expanded and
 divergence forms, the grid L2 norm, zero-type classification with
 stencil sums accumulated in `Fraction`s, and the Galerkin trajectory
 integrated by scipy's RK45 with its Duhamel residual by scipy's cumulative
@@ -14,6 +14,7 @@ Simpson rule.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
@@ -24,14 +25,12 @@ from hermflow.dynamics import Expansion, ZeroType, _decay_rate
 from hermflow.errors import ValidationError
 from hermflow.grid import (
     GridSpec,
-    GridVectorField,
     InteractionTensor,
     _eta_axes,
     _lattice_spectrum,
     dual_cubes,
     lattice_weight,
     project_spectral,
-    to_spectral,
     weighted_transform,
 )
 from hermflow.kernel import KernelTable
@@ -197,6 +196,40 @@ def block_slices(cb: CompositeBasis) -> List[Tuple[SolenoidalBasis, slice]]:
 
 
 # -- grid fields by FFT -------------------------------------------------------
+
+
+@dataclass
+class GridVectorField:
+    """Samples of a 3-vector field."""
+
+    spec: GridSpec
+    data: np.ndarray  # shape (3, n, n, n)
+
+    def __post_init__(self):
+        n = self.spec.n
+        if self.data.shape != (3, n, n, n):
+            raise ValidationError("grid data must have shape (3, n, n, n)")
+
+
+def sample(v: VectorPolyField, spec: GridSpec) -> GridVectorField:
+    """Pointwise evaluation of a polynomial field on the grid."""
+    ax = spec.axes()
+    comps = [p.evaluate_grid([ax, ax, ax]) for p in v.components]
+    return GridVectorField(spec, np.stack(comps))
+
+
+def to_spectral(spec: GridSpec, f: np.ndarray) -> np.ndarray:
+    """Riemann-sum approximation of int f(y) exp(-i y.eta) dy per mode.
+
+    The nodes start at -L + h/2, so the FFT carries the phase
+    exp(-i eta_k (h/2 - L)) per axis; it is applied one axis at a time, in
+    place, and no complex lattice array besides the result is made."""
+    out = np.fft.fftn(f)
+    phase = np.exp(-1j * math.pi * grid._kint(spec.n) * (1.0 / spec.n - 1.0))
+    out *= (spec.h**3 * phase)[:, None, None]
+    out *= phase[None, :, None]
+    out *= phase[None, None, :]
+    return out
 
 
 def _phase3(spec: GridSpec) -> np.ndarray:

@@ -132,6 +132,31 @@ def test_tensor_commands_byte_identical_across_workers(tmp_path, capsys, argv):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["kernel", "--r-max", "1e15", "--dr", "1e-3"], "r_max=1000000000000000.0 in steps dr=0.001"),
+        (["wkbj", "--fit", "--r-max", "1e15", "--dr", "1e-3"], "r_max=1000000000000000.0 in steps dr=0.001"),
+        (["evolve", "--steps", "100000000000000000"], "steps=100000000000000000"),
+        (["nodal", "--steps", "100000000000000000"], "steps=100000000000000000"),
+        (["verify", "--n-tau", "100000000000000000"], "n_tau=100000000000000000"),
+        # a count beyond the float range
+        (["evolve", "--steps", "1" + "0" * 400], "steps=1" + "0" * 400),
+    ],
+    ids=["kernel", "wkbj", "evolve", "nodal", "verify", "evolve-1e400"],
+)
+def test_one_dimensional_grid_larger_than_memory_exits_2(tmp_path, capfd, argv, value):
+    # radii and output times are sized like lattices, before any is built:
+    # these need exabytes, one message line names the value, nothing is written
+    code = cli.run(argv + ["--outdir", str(tmp_path)])
+    out, err = capfd.readouterr()
+    line = json.loads(out.strip().splitlines()[-1])
+    assert code == 2 and line["error"] == "validation"
+    assert value in line["message"] and "GiB" in line["message"]
+    assert err.splitlines() == [f"hermflow {argv[0]}: {line['message']}"]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("m, L", [(1, "0.5"), (2, "3")])
 def test_verify_box_too_small_exits_2(tmp_path, capsys, m, L):
     argv = ["verify", "--m", str(m), "--L", L, "--n", "16", "--outdir", str(tmp_path)]
@@ -226,6 +251,25 @@ def _blow_up_tensor(path) -> None:
     tensor.values[0, 0, 0] = 1e3
     tensor.refined = spec.refined().to_json_dict()
     path.write_text(json.dumps(tensor.to_json_dict()))
+
+
+def test_evolve_stopped_by_the_step_bound_exits_3(tmp_path, capsys, monkeypatch):
+    # the blow-up run takes 809 steps; bounded at 5 it stops with fewer
+    # than 3 output times: exit 3 names the bound and tau_reached, and
+    # nothing is written
+    from hermflow import dynamics
+
+    tensor = tmp_path / "blow-up.json"
+    _blow_up_tensor(tensor)
+    outdir = tmp_path / "out"
+    monkeypatch.setattr(dynamics, "_DP_MAX_STEPS", 5)
+    argv = ["evolve", "--model", "nse", "--K", "1", "--data", "l0:0=0.1", "--tensor",
+            str(tensor), "--outdir", str(outdir)]
+    code, line = _run(capsys, argv)
+    assert code == 3 and line["error"] == "non-convergence"
+    assert "tau_reached=" in line["message"]
+    assert "the step bound of 5 attempted steps was reached" in line["message"]
+    assert list(outdir.iterdir()) == []
 
 
 def test_evolve_truncated_before_the_window_exits_3(tmp_path, capfd):

@@ -42,7 +42,15 @@ from hermflow.solenoidal import (
     fixture,
     level_basis,
 )
-from oracles import fraction_classify_zero, norm, pair_fields, synth_duals, synth_weighted, to_grid
+from oracles import (
+    GridVectorField,
+    fraction_classify_zero,
+    norm,
+    pair_fields,
+    synth_duals,
+    synth_weighted,
+    to_grid,
+)
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +79,6 @@ def test_expansion_validation_and_vector(cb2):
     assert e.labels == cb2.labels
     vec = e.vector()
     assert vec[cb2.labels.index((1, 0))] == 2.0 and np.sum(vec != 0.0) == 1
-    d = e.to_json_dict()
-    assert d == {"tau": 0.0, "residual": None, "coeffs": {"l1:0": 2.0}}
 
 
 def test_expand_polynomial_path_is_exact(cb2):
@@ -104,18 +110,11 @@ def test_expand_demo_perturbation_exact_coefficients(cb3):
     assert nonzero == {(1, 0): Fraction(1), (3, 10): Fraction(1, 2)}
 
 
-def test_expand_grid_path_recovers_coefficients(cb2):
-    coeffs = {
-        lab: Fraction((3 * i - 7) % 11 - 5, 4) for i, lab in enumerate(cb2.labels)
-    }
-    spec = GridSpec(12.0, 64)
-    u = synth_weighted(_combo(cb2, coeffs), spec, 1)
-    e = expand(u, cb2)
-    assert e.residual <= 1e-12
-    for lab in cb2.labels:
-        assert abs(float(e.coeffs[lab]) - float(coeffs[lab])) <= 1e-12
-    with pytest.raises(ValidationError):
-        expand("not a field", cb2)
+def test_expand_refuses_anything_but_a_polynomial_field(cb2):
+    # the polynomial factor is the one input form; grid samples are not one
+    for u in ("not a field", synth_weighted(fixture(1, 1)[0], GridSpec(12.0, 32), 1)):
+        with pytest.raises(ValidationError, match="expand needs a VectorPolyField"):
+            expand(u, cb2)
 
 
 @pytest.mark.parametrize("m, k", [(1, 2), (1, 3), (2, 1)])
@@ -132,11 +131,6 @@ def test_single_level_and_one_block_composite_agree(m, k):
     u = _combo(single, coeffs)
     ep_s, ep_c = expand(u, single), expand(u, comp)
     assert ep_s.coeffs == ep_c.coeffs == coeffs
-    spec = GridSpec(10.0, 32)
-    grid = synth_weighted(u, spec, m)
-    eg_s, eg_c = expand(grid, single), expand(grid, comp)
-    assert eg_s.coeffs == eg_c.coeffs
-    assert eg_s.residual == eg_c.residual
 
 
 def test_diagonal_flows_decay_at_exact_rates(cb2):
@@ -553,12 +547,6 @@ def test_frequency_extractor_matches_grid_quadrature(m, k, other):
     data = data + fixture(m, other)[0]
     extract = _Extractor(basis, spec)
 
-    u = synth_weighted(data, spec, m)
-    c, resid = extract.grid(u)
-    c_ref, resid_ref = _quadrature_reference(basis, u, spec)
-    assert np.max(np.abs(c - c_ref)) <= 1e-13
-    assert abs(resid - resid_ref) <= 1e-10 * resid_ref and resid_ref > 1e-3
-
     # the verifier's rescaled spectrum exp(-b|eta|^2m) P(sigma eta), from
     # its coefficient arrays versus a grid synthesis of the same spectrum
     b, sigma = 3.0, 0.5 ** (-1.0 / (2 * m))
@@ -573,7 +561,7 @@ def test_frequency_extractor_matches_grid_quadrature(m, k, other):
             for g in range(4)
         )
         comps.append(to_grid(spec, acc * np.exp(-b * freq_sq(spec) ** m)).real)
-    u = grid.GridVectorField(spec, np.stack(comps))
+    u = GridVectorField(spec, np.stack(comps))
     c_ref, resid_ref = _quadrature_reference(basis, u, spec)
     assert np.max(np.abs(c - c_ref)) <= 1e-13
     assert abs(resid - resid_ref) <= 1e-10 * resid_ref and resid_ref > 1e-3
@@ -675,34 +663,6 @@ def test_semigroup_verify_working_set(m, n, workers):
         tracemalloc.stop()
     assert len(traj.states) >= 2
     assert peak <= dynamics._verifier_arrays(n, m, 1, workers) * 8 * n**3
-
-
-def test_expand_grid_field_working_set_and_refusal(monkeypatch):
-    spec = GridSpec(16.0, 32)
-    basis = level_basis(1, 1)
-    u = synth_weighted(fixture(1, 1)[0], spec, 1)
-    expand(u, basis)
-    grid._CACHE.clear()
-    tracemalloc.start()
-    try:
-        expand(u, basis)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= dynamics._EXPAND_ARRAYS * 8 * spec.n**3
-
-    # a host with 1 MiB of memory: refused before any lattice array exists
-    monkeypatch.setattr(grid, "_physical_memory", lambda: 2**20)
-    grid._CACHE.clear()
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValidationError, match="n=32"):
-            expand(u, basis)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert grid._CACHE == {}
-    assert peak < 8 * spec.n**3
 
 
 def _off_span(m):

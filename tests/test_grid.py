@@ -9,29 +9,25 @@ import pytest
 
 from hermflow import grid
 from hermflow.errors import ValidationError
-from hermflow.grid import (
-    GridSpec,
-    GridVectorField,
-    convection_poly,
-    parallel_map,
-    sample,
-    to_spectral,
-)
+from hermflow.grid import GridSpec, convection_poly, parallel_map
 from hermflow.kernel import kernel_values
 from hermflow.moments import moment_of_poly
 from hermflow.polynomial import Polynomial, VectorPolyField
 from hermflow.solenoidal import fixture_basis
 from oracles import (
+    GridVectorField,
     convection,
     enumerate_up_to,
     gaussian_kernel,
     norm,
     pair_fields,
     project,
+    sample,
     spectral_divergence,
     synth_duals,
     synth_weighted,
     to_grid,
+    to_spectral,
 )
 
 SPEC = GridSpec(10.0, 48)
@@ -59,6 +55,15 @@ def test_grid_spec_validation_and_geometry():
     assert np.allclose(np.diff(ax), spec.h)
     assert np.max(np.abs(ax + ax[::-1])) == 0.0
     assert spec.to_json_dict() == {"L": 8.0, "n": 32}
+
+
+def test_frequencies_are_exact_integer_multiples_of_pi_over_L():
+    # n = 98 is the smallest even n where fftfreq(n, d=1/n) scales the
+    # integer wavenumbers by 1/(n * (1/n)) = 1.0000000000000002
+    for n in (32, 98):
+        spec = GridSpec(6.0, n)
+        k = np.concatenate((np.arange(n // 2), np.arange(-(n // 2), 0)))
+        assert spec.freqs().tobytes() == (math.pi * k / 6.0).tobytes()
 
 
 def test_spectral_roundtrip_is_identity():

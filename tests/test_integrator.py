@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson, solve_ivp
 
+from hermflow import dynamics
 from hermflow.cli import _zero_tensor
 from hermflow.dynamics import Expansion, _cumulative_simpson, _dopri45, nse_galerkin
 from hermflow.errors import NonConvergenceError, ValidationError
@@ -110,6 +111,22 @@ def test_nse_galerkin_matches_the_scipy_oracle(name):
     if name == "blow-up":
         assert traj.diagnostic["tau_reached"] == ref["sol"].t[-1] < 0.02
         assert traj.duhamel_residual is None
+
+
+def test_step_bound_truncates_a_run_where_the_full_run_goes(monkeypatch):
+    # the full run takes 74 steps; bounded at 30 it stops early, and the
+    # output times it reached carry the full run's values, bit for bit
+    e0, tensor = _case("zero")
+    full = nse_galerkin(e0, tensor, 3.0, rtol=RTOL, n_out=41)
+    monkeypatch.setattr(dynamics, "_DP_MAX_STEPS", 30)
+    traj = nse_galerkin(e0, tensor, 3.0, rtol=RTOL, n_out=41)
+    d = traj.diagnostic
+    assert d["truncated"] and d["reason"] == "the step bound of 30 attempted steps was reached"
+    assert d["integrator"]["steps"] + d["integrator"]["rejected"] == 30
+    assert 0.0 < d["tau_reached"] < 3.0 and traj.duhamel_residual is None
+    n = len(traj.taus)
+    assert 3 <= n < 41
+    assert _same(traj.coeff_matrix(), full.coeff_matrix()[:n])
 
 
 @pytest.mark.parametrize(

@@ -45,3 +45,10 @@ def test_readme_quick_tour_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_no_module_runs_an_fft():
+    # every field enters in closed form and stays on the frequency lattice;
+    # the FFT routes are references in tests/oracles.py
+    named = [p.name for p in sorted(PACKAGE.glob("*.py")) if re.search(r"\bfft", p.read_text())]
+    assert named == []

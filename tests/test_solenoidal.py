@@ -66,7 +66,6 @@ def test_divfree_kernel_dimensions_m1():
     for k in range(4):
         basis = divfree_kernel(k, params)
         assert basis.count == (k + 1) * (k + 3)
-        assert basis.source == "computed-kernel"
         for v in basis.fields:
             assert v.divergence().is_zero()
             validate_basis_field(v, k, params)
@@ -198,23 +197,20 @@ def test_composite_basis_counts_and_labels_m1():
     for K, want in [(1, 4), (2, 12), (3, 36)]:
         comp = composite_basis(1, K)
         assert comp.count == want
-        assert comp.max_level == K
+        assert comp.blocks[-1].level == K
         assert comp.labels == [
             (b.level, i) for b in comp.blocks for i in range(b.count)
         ]
+    # `level_basis`: the catalog through level 2, the computed kernel beyond
     comp = composite_basis(1, 3)
-    assert [b.source for b in comp.blocks] == [
-        "fixture",
-        "fixture",
-        "fixture",
-        "computed-kernel",
-    ]
+    assert [b.fields for b in comp.blocks[:3]] == [fixture(1, k) for k in range(3)]
+    assert comp.blocks[3].fields == divfree_kernel(3, OperatorParams(m=1, N=3)).fields
 
 
 def test_composite_basis_m2_uses_catalog_through_level_4():
     comp = composite_basis(2, 4)
     assert comp.count == 1 + 3 + 2 + 2 + 2
-    assert all(b.source == "fixture" for b in comp.blocks)
+    assert [b.fields for b in comp.blocks] == [fixture(2, k) for k in range(5)]
 
 
 def test_composite_basis_block_slices_partition_fields():
@@ -229,11 +225,14 @@ def test_composite_basis_block_slices_partition_fields():
 
 def test_basis_container_validation_and_json():
     basis = fixture_basis(1, 1)
-    d = basis.to_json_dict()
-    assert d["level"] == 1 and d["m"] == 1 and d["source"] == "fixture"
-    assert len(d["fields"]) == 3 and len(d["gram"]) == 3
-    with pytest.raises(ValidationError):
-        SolenoidalBasis(level=0, params=basis.params, fields=[], source="madeup")
+    assert basis.labels == [(1, 0), (1, 1), (1, 2)]
+    assert len(basis.gram) == len(basis.gram_inv) == 3
+    # a field of another level is refused when the basis is built
+    with pytest.raises(ValidationError, match="outside level 0"):
+        SolenoidalBasis(level=0, params=basis.params, fields=basis.fields)
+    # `solenoidal.json` writes each field as its components' exact JSON
+    doc = [[c.to_json_dict() for c in v.components] for v in basis.fields]
+    assert doc[0][1] == {"dim": 3, "terms": [{"beta": [0, 0, 1], "num": "-1", "den": "1"}]}
 
 
 def test_basis_of_dependent_fields_raises():
@@ -241,9 +240,9 @@ def test_basis_of_dependent_fields_raises():
     v = fixture(1, 1)[0]
     params = OperatorParams(m=1, N=3)
     with pytest.raises(ValidationError, match=r"dependent basis fields at level 1: \[1\]"):
-        SolenoidalBasis(level=1, params=params, fields=[v, v], source="fixture")
+        SolenoidalBasis(level=1, params=params, fields=[v, v])
     with pytest.raises(ValidationError, match="outside level 2"):
-        SolenoidalBasis(level=2, params=params, fields=[v], source="fixture")
+        SolenoidalBasis(level=2, params=params, fields=[v])
 
 
 def test_validate_basis_field_rejects_nonsolenoidal():

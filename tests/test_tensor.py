@@ -8,9 +8,9 @@ import pytest
 
 from hermflow import grid
 from hermflow.errors import ValidationError
-from hermflow.grid import GridSpec, convection_poly, interaction_tensor, sample
+from hermflow.grid import GridSpec, convection_poly, interaction_tensor
 from hermflow.solenoidal import composite_basis, level_basis
-from oracles import block_slices, pair_fields, project, synth_duals, synth_weighted, weighted_dual
+from oracles import block_slices, pair_fields, project, sample, synth_duals, synth_weighted, weighted_dual
 
 EPS = np.zeros((3, 3, 3))
 for (i, j, k), s in {
