@@ -34,7 +34,6 @@ from .grid import (
 )
 from .multiindex import enumerate_level
 from .polynomial import Polynomial, VectorPolyField, row_blocks
-from .rational_linalg import fd_weights
 from .solenoidal import level_basis
 
 
@@ -769,16 +768,28 @@ def _dyadic(x: float) -> int:
     return n << (_DYADIC_SHIFT + 1 - d.bit_length())
 
 
-def _int_stencil(nodes: Tuple[int, ...], order: int) -> Tuple[tuple, tuple, int]:
-    """The nonzero weights of `fd_weights(nodes, order)` as integer
-    numerators over one common denominator: (nodes, numerators, den).
-    Order 0 is the one-node identity stencil at offset 0."""
-    if not order:
-        return (0,), (1,), 1
-    w = fd_weights(nodes, order)
-    den = math.lcm(*(x.denominator for x in w))
-    kept = [(node, x.numerator * (den // x.denominator)) for node, x in zip(nodes, w) if x]
-    return tuple(node for node, _ in kept), tuple(x for _, x in kept), den
+def _stencils(nodes: Tuple[int, ...], max_order: int) -> List[Tuple[tuple, tuple, int]]:
+    """Finite-difference stencils at 0 on the integer `nodes`, exact on
+    polynomials of degree < len(nodes), for the orders 0..max_order: each
+    is (the nodes with a nonzero weight, integer numerators, their common
+    denominator). Lagrange form, in integers: the weight of node x_j is
+    q! [t^q] prod_{i!=j} (t - x_i) / prod_{i!=j} (x_j - x_i)."""
+    polys, dens = [], []
+    for j, xj in enumerate(nodes):
+        p = [1]  # coefficients of prod_{i!=j} (t - x_i), constant first
+        for i, xi in enumerate(nodes):
+            if i != j:
+                p = [a - xi * b for a, b in zip([0] + p, p + [0])]
+        polys.append(p)
+        dens.append(math.prod(xj - xi for i, xi in enumerate(nodes) if i != j))
+    common = math.lcm(*dens)
+    out = []
+    for q in range(max_order + 1):
+        nums = [math.factorial(q) * p[q] * (common // d) for p, d in zip(polys, dens)]
+        g = math.gcd(common, *nums)
+        kept = [(x, n // g) for x, n in zip(nodes, nums) if n]
+        out.append((tuple(x for x, _ in kept), tuple(n for _, n in kept), common // g))
+    return out
 
 
 def _contract(weights: Sequence[int], vectors: Sequence[Sequence[int]]) -> List[int]:
@@ -811,11 +822,13 @@ def classify_zero(
 
     M is the smallest total spatial order with a nonvanishing mixed
     difference of u(., 0) at 0; K the smallest temporal order from
-    one-sided differences of u(0, .) into t <= 0. Stencils use exact
-    rational weights on 2*max_order+1 nodes, and the accumulation is done
-    in exact integer arithmetic: every sample is a dyadic float, so it is
-    an integer once scaled by 2^1074, and each stencil's weights are
-    integer numerators over one common denominator. The spatial stencil is
+    one-sided differences of u(0, .) into t <= 0. Stencils sit on
+    2*max_order+1 nodes, central in space and one-sided in time, and their
+    weights come in closed form (the Lagrange form of `_stencils`) as
+    integer numerators over one common denominator, built once per call
+    with no linear solve. The accumulation is done in exact integer
+    arithmetic too: every sample is a dyadic float, so it is an integer
+    once scaled by 2^1074. The spatial stencil is
     contracted one axis at a time, innermost first. Differences of
     polynomial samplers that should vanish therefore do so exactly;
     `threshold` (relative to the largest sampled magnitude) only matters
@@ -858,12 +871,10 @@ def classify_zero(
     if float(np.max(np.abs(val(0, 0, 0, 0)[0]))) > bound:
         raise ValidationError("sampled field does not vanish at the base point")
 
-    axis_nodes = tuple(range(-r, r + 1))
+    axis = _stencils(tuple(range(-r, r + 1)), r)
 
     def spatial_diff(sigma: Tuple[int, int, int]) -> Tuple[List[int], int]:
-        (n1s, w1, d1), (n2s, w2, d2), (n3s, w3, d3) = (
-            _int_stencil(axis_nodes, s) for s in sigma
-        )
+        (n1s, w1, d1), (n2s, w2, d2), (n3s, w3, d3) = (axis[s] for s in sigma)
         acc = _contract(w1, [
             _contract(w2, [_contract(w3, [val(n1, n2, n3, 0)[1] for n3 in n3s]) for n2 in n2s])
             for n1 in n1s
@@ -878,10 +889,11 @@ def classify_zero(
     if M is None:
         return ZeroType(None, None, None, "", "order-exceeds-bound")
 
-    t_nodes = tuple(range(-2 * r, 1))  # t = j*delta, one-sided into t <= 0
+    # t = j*delta, one-sided into t <= 0
+    temporal = _stencils(tuple(range(-2 * r, 1)), r)
     K = None
     for q in range(1, max_order + 1):
-        nodes, w, den = _int_stencil(t_nodes, q)
+        nodes, w, den = temporal[q]
         if _exceeds(_contract(w, [val(0, 0, 0, node)[1] for node in nodes]), den, bound):
             K = q
             break

@@ -124,6 +124,10 @@ class KernelTable:
 # radii x nodes entries per block of the sine sum, so that a long table never
 # builds its whole matrix
 _BLOCK = 2**16
+# sine evaluations a table may ask for, radii times Gauss nodes of both
+# orders: 15 to 35 s at the 3e7 to 7e7 per second measured on a 2-vCPU
+# Intel Xeon host (criterion 5 takes 2.2e6)
+_MAX_SINES = 2**30
 
 
 def kernel_values(
@@ -137,7 +141,9 @@ def kernel_values(
     One panel set serves all radii: uniform panels on [0, smax], each at
     most min(1/2, pi/max(radii)) wide. The Gauss sums of order 16 and 24
     run over blocks of radii; their worst disagreement is the achieved-
-    tolerance estimate and failing `tol` raises with it attached.
+    tolerance estimate and failing `tol` raises with it attached. A table
+    of more than `_MAX_SINES` sine evaluations (radii times the nodes of
+    both orders) is refused before any is made.
     """
     if m < 1:
         raise ValidationError("m must be >= 1")
@@ -153,7 +159,14 @@ def kernel_values(
 
     r = radii[radii > 0]
     smax = 46.0 ** (1.0 / (2 * m))
-    edges = np.linspace(0.0, smax, math.ceil(smax / min(0.5, math.pi / r[-1])) + 1)
+    panels = math.ceil(smax / min(0.5, math.pi / r[-1]))
+    nodes = panels * (16 + 24)
+    if len(r) * nodes > _MAX_SINES:
+        raise ValidationError(
+            f"a kernel table of {len(r)} radii over {nodes} Gauss nodes takes "
+            f"{len(r) * nodes} sine evaluations, more than the bound of {_MAX_SINES}"
+        )
+    edges = np.linspace(0.0, smax, panels + 1)
     half = np.diff(edges)[:, None] / 2.0
     mid = edges[:-1, None] + half
     sums = []

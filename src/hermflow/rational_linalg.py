@@ -1,4 +1,6 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, for the solenoidal bases: the
+reduced row echelon form, the nullspace a basis is drawn from, the inverse
+of its Gram matrix and the dependent columns a singular Gram names.
 
 Plain fraction-free-ish Gaussian elimination with deterministic pivoting
 (first nonzero in column order). Sizes here are tiny (tens of rows), so
@@ -6,9 +8,7 @@ clarity wins over asymptotics.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
@@ -71,16 +71,6 @@ def nullspace(A: Sequence[Sequence], cols: int | None = None) -> List[List[Fract
     return basis
 
 
-def solve(A: Sequence[Sequence], b: Sequence) -> List[Fraction]:
-    """Solve square A x = b exactly; raises on singular A."""
-    n = len(A)
-    aug = [[Fraction(x) for x in row] + [Fraction(bb)] for row, bb in zip(A, b)]
-    R, pivots = rref(aug)
-    if len(pivots) < n or any(p >= n for p in pivots):
-        raise ValueError("singular system")
-    return [R[i][n] for i in range(n)]
-
-
 def inverse(A: Sequence[Sequence]) -> Matrix:
     n = len(A)
     aug = [
@@ -91,24 +81,6 @@ def inverse(A: Sequence[Sequence]) -> Matrix:
     if pivots[:n] != list(range(n)):
         raise ValueError("singular matrix")
     return [row[n:] for row in R[:n]]
-
-
-@lru_cache(maxsize=128)
-def fd_weights(offsets: Tuple[int, ...], order: int) -> Tuple[Fraction, ...]:
-    """Exact finite-difference weights for the order-th derivative on
-    integer offsets, exact on polynomials of degree < len(offsets).
-
-    Solves the Vandermonde moment system once per (offsets, order): the
-    callers reuse a dozen or so stencils hundreds of times. The result is
-    an immutable tuple, so every caller may share it.
-    """
-    n = len(offsets)
-    if order >= n:
-        raise ValueError("stencil too short for derivative order")
-    A = [[Fraction(o) ** i for o in offsets] for i in range(n)]
-    b = [Fraction(0)] * n
-    b[order] = Fraction(math.factorial(order))
-    return tuple(solve(A, b))
 
 
 def dependent_columns(A: Sequence[Sequence]) -> List[int]:

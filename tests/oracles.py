@@ -6,8 +6,9 @@ pointwise or synthesized by inverse FFT, transformed by FFT and paired by
 grid quadrature, the Leray projector and the pseudo-spectral convection
 applied through FFT round trips, the kernel-weighted Gram inverse, the
 closed-form Gaussian kernel and its radial ODE residual, the operator B in its expanded and
-divergence forms, the grid L2 norm, zero-type classification with
-stencil sums accumulated in `Fraction`s, and the Galerkin trajectory
+divergence forms, the grid L2 norm, finite-difference weights from a
+Vandermonde solve, zero-type classification with stencil sums accumulated
+in `Fraction`s, and the Galerkin trajectory
 integrated by scipy's RK45 with its Duhamel residual by scipy's cumulative
 Simpson rule.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -38,7 +40,7 @@ from hermflow.moments import moment_of_poly
 from hermflow.multiindex import MultiIndex, enumerate_level, unit
 from hermflow.operators import OperatorParams, euler_degree_op
 from hermflow.polynomial import Polynomial, VectorPolyField, laplacian
-from hermflow.rational_linalg import dependent_columns, fd_weights, inverse, rref
+from hermflow.rational_linalg import dependent_columns, inverse, rref
 from hermflow.solenoidal import CompositeBasis, SolenoidalBasis, _gram, validate_basis_field
 
 
@@ -62,6 +64,25 @@ def weighted_pairing(p: Polynomial, q: Polynomial, m: int) -> Fraction:
 
 def rank(A: Sequence[Sequence]) -> int:
     return len(rref(A)[1])
+
+
+@lru_cache(maxsize=128)
+def fd_weights(offsets: Tuple[int, ...], order: int) -> Tuple[Fraction, ...]:
+    """Exact finite-difference weights for the order-th derivative at 0 on
+    integer offsets, exact on polynomials of degree < len(offsets): the
+    solution of the Vandermonde moment system sum_j w_j o_j^i = order! [i ==
+    order], by `rref`. Cached, since the oracles reuse a dozen or so
+    stencils hundreds of times; the tuple may be shared."""
+    n = len(offsets)
+    if order >= n:
+        raise ValueError("stencil too short for derivative order")
+    aug = [
+        [Fraction(o) ** i for o in offsets] + [Fraction(math.factorial(order) if i == order else 0)]
+        for i in range(n)
+    ]
+    R, pivots = rref(aug)
+    assert pivots == list(range(n))  # distinct offsets: the system is regular
+    return tuple(row[n] for row in R)
 
 
 # -- operators and the kernel -------------------------------------------------

@@ -157,6 +157,30 @@ def test_one_dimensional_grid_larger_than_memory_exits_2(tmp_path, capfd, argv, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["kernel", "--r-max", "1e5", "--dr", "1"], ["wkbj", "--fit", "--r-max", "1e5", "--dr", "1"]],
+    ids=["kernel", "wkbj"],
+)
+def test_kernel_table_beyond_the_work_bound_exits_2(tmp_path, capfd, monkeypatch, argv):
+    # 1e5 radii fit in memory, but over 3.3e6 Gauss nodes they ask for about
+    # 3.3e11 sine evaluations: refused before any Gauss rule is built
+    from hermflow import kernel
+
+    def unreachable(order):
+        raise AssertionError("the sine sum started")
+
+    monkeypatch.setattr(kernel, "leggauss", unreachable)
+    code = cli.run(argv + ["--outdir", str(tmp_path)])
+    out, err = capfd.readouterr()
+    line = json.loads(out.strip().splitlines()[-1])
+    assert code == 2 and line["error"] == "validation"
+    for part in ("100000 radii", "3315920 Gauss nodes", f"bound of {2**30}"):
+        assert part in line["message"]
+    assert err.splitlines() == [f"hermflow {argv[0]}: {line['message']}"]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("m, L", [(1, "0.5"), (2, "3")])
 def test_verify_box_too_small_exits_2(tmp_path, capsys, m, L):
     argv = ["verify", "--m", str(m), "--L", L, "--n", "16", "--outdir", str(tmp_path)]
@@ -270,6 +294,22 @@ def test_evolve_stopped_by_the_step_bound_exits_3(tmp_path, capsys, monkeypatch)
     assert "tau_reached=" in line["message"]
     assert "the step bound of 5 attempted steps was reached" in line["message"]
     assert list(outdir.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flags", [["--zero-tensor"], ["--zero-tensor", "--check-linear"]], ids=["zero-tensor", "check-linear"]
+)
+def test_truncated_zero_coupling_run_compares_the_times_reached(tmp_path, capsys, monkeypatch, flags):
+    # bounded at 5 steps the run stops early with enough output times for
+    # the resonance window: it keeps its artifacts, and stokes_dev compares
+    # it with the exact flow at the times it reached
+    from hermflow import dynamics
+
+    monkeypatch.setattr(dynamics, "_DP_MAX_STEPS", 5)
+    argv = ["evolve", "--model", "nse", "--K", "1", "--data", "l1:0=0.1", *flags]
+    code, line = _run(capsys, argv + ["--outdir", str(tmp_path)])
+    assert code == 0 and line["truncated"] is True
+    assert line["stokes_dev"] <= 1e-9
 
 
 def test_evolve_truncated_before_the_window_exits_3(tmp_path, capfd):
@@ -624,6 +664,26 @@ def test_evolve_rejects_data_above_truncation(tmp_path, capsys):
         ],
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--data", "demo:nodal", "--K", "1"],
+        ["nodal", "--K", "1", "--cell", "0.2", "--taus", "0,1", "--steps", "21"],
+    ],
+    ids=["evolve", "nodal"],
+)
+def test_K_below_the_data_level_exits_2(tmp_path, capfd, argv):
+    # both commands resolve their data on the level-K basis they echo: the
+    # level-3 demo data are refused at K=1, before any artifact
+    code = cli.run(argv + ["--outdir", str(tmp_path)])
+    out, err = capfd.readouterr()
+    line = json.loads(out.strip().splitlines()[-1])
+    assert code == 2 and line["error"] == "validation"
+    assert line["message"] == "data reaches level 3 but K=1"
+    assert err.splitlines() == [f"hermflow {argv[0]}: {line['message']}"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_nodal_coarse_run(tmp_path, capsys):

@@ -44,6 +44,7 @@ from hermflow.solenoidal import (
 )
 from oracles import (
     GridVectorField,
+    fd_weights,
     fraction_classify_zero,
     norm,
     pair_fields,
@@ -375,27 +376,32 @@ def test_classify_zero_monomial_cases():
     assert "(2/3)" in mixed.rescale
 
 
-def test_classify_zero_solves_each_stencil_once(monkeypatch):
-    # one exact Vandermonde solve per distinct (offsets, order), shared by
-    # every call (classify --suite synthetic makes sixteen of them)
-    calls = []
-    real = rational_linalg.rref
+def test_stencils_are_the_vandermonde_weights():
+    # the closed form gives the oracle's weights exactly, zeros dropped and
+    # the kept nodes in the same order, on central and one-sided nodes
+    for r in range(1, 9):
+        for nodes in (tuple(range(-r, r + 1)), tuple(range(-2 * r, 1))):
+            stencils = dynamics._stencils(nodes, 2 * r)
+            assert len(stencils) == 2 * r + 1
+            for q, (kept, nums, den) in enumerate(stencils):
+                want = [(x, w) for x, w in zip(nodes, fd_weights(nodes, q)) if w]
+                assert [(x, Fraction(n, den)) for x, n in zip(kept, nums)] == want
 
-    def counting(A):
-        calls.append(A)
-        return real(A)
 
-    monkeypatch.setattr(rational_linalg, "rref", counting)
-    rational_linalg.fd_weights.cache_clear()
+def test_classify_zero_solves_no_linear_system(monkeypatch):
+    # the stencils come in closed form: no rref runs, and a second call
+    # gives the same result
+    def refuse(A):
+        raise AssertionError("classify_zero called rref")
+
+    monkeypatch.setattr(rational_linalg, "rref", refuse)
+
     def sampler(x, t):
         return [x[0] * x[1] - (-t) ** 3]
 
     first = classify_zero(sampler)
-    n_first = len(calls)
-    assert n_first == rational_linalg.fd_weights.cache_info().currsize > 0
-    assert classify_zero(sampler) == first
-    assert len(calls) == n_first
     assert (first.M, first.K) == (2, 3)
+    assert classify_zero(sampler) == first
 
 
 def _heat_swirl(x, t):
@@ -449,7 +455,7 @@ def test_classify_zero_decides_at_the_threshold_like_the_oracle():
         return [0.1 * x[0] + t]
 
     nodes = tuple(range(-6, 7))
-    d = float(sum(w * Fraction(0.1 * (i * 0.125)) for i, w in zip(nodes, rational_linalg.fd_weights(nodes, 1))))
+    d = float(sum(w * Fraction(0.1 * (i * 0.125)) for i, w in zip(nodes, fd_weights(nodes, 1))))
     umax = 1.5  # |u(0, -12 * 0.125)|
     thr = d / umax
     while thr * umax >= d:
