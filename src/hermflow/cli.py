@@ -1,17 +1,21 @@
 """Batch command-line entry point.
 
-Every subcommand declares its parameters once, in `_COMMANDS`: the flags,
-the config-file checks and the echo all come from that table. A run
-resolves them in layers: built-in defaults, then a flat JSON config file
-(--config), then explicit flags, and checks every value against its
-declared type and choices. The resolved, typed configuration is echoed in
-the summary line and inside every JSON artifact, so a run is reproducible
-from its config alone; execution
-plumbing (worker count, output directory) is excluded from the echo so it
-cannot change artifact bytes. Floats are serialized with repr (shortest
+Every subcommand declares its help, its parameters and its handler once,
+in `_COMMANDS`: the flags, the config-file checks and the echo all come
+from that table. A run resolves the parameters in layers: built-in
+defaults, then a flat JSON config file (--config), then explicit flags,
+and checks every value against its declared type and choices. The
+resolved, typed configuration is echoed in the summary line and inside
+every JSON artifact, so a run is reproducible from its config alone;
+execution plumbing (worker count, output directory) is excluded from the
+echo so it cannot change artifact bytes. Floats are serialized with repr (shortest
 round-trip form), keys are sorted, and nothing time- or path-dependent is
 written, which makes artifacts byte-identical across runs and worker
 counts.
+
+A handler computes its summary and its artifacts and returns them; it
+writes nothing. `run` writes the artifacts only after the handler has
+returned, so a run that exits nonzero leaves no artifact.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical non-convergence,
 64 usage errors (unknown flags, bad values). The output directory is the
@@ -110,120 +114,6 @@ _COMMON = (
     Param("seed", int, 0, "seed for any randomized data"),
 )
 
-# command -> (help text, parameters after the common ones), in flag order
-_COMMANDS: Dict[str, Tuple[str, Tuple[Param, ...]]] = {
-    "basis": (
-        "enumerate eigenfunction levels with exact eigen data",
-        (Param("m", int, 1), Param("N", int, 3), Param("max_level", int, 10)),
-    ),
-    "eig-check": (
-        "verify the eigen-relation exactly up to a level",
-        (Param("m", int, [1, 2, 3]), Param("N", int, 3), Param("max_level", int, 5)),
-    ),
-    "biortho": (
-        "verify the dual pairing is beta! times identity",
-        (Param("m", int, [1, 2]), Param("N", int, 3), Param("max_level", int, 4)),
-    ),
-    "solenoidal": (
-        "catalog and check divergence-free vector bases",
-        (
-            Param("m", int, [1, 2]),
-            Param("N", int, 3),
-            Param("kind", str, "fixture", choices=("fixture", "kernel", "composite")),
-            Param("level", int, 3, "level for --kind kernel"),
-            Param("K", int, 3, "truncation for --kind composite"),
-        ),
-    ),
-    "kernel": (
-        "tabulate the radial kernel profile to CSV",
-        (
-            Param("m", int, 2),
-            Param("N", int, 3),
-            Param("r_max", float, 36.0),
-            Param("dr", float, 0.02),
-            Param("tol", float, 1e-12),
-        ),
-    ),
-    "wkbj": (
-        "closed-form decay constants, optionally fit to the kernel",
-        (
-            Param("m", int, 2),
-            Param("N", int, 3),
-            Param("fit", bool, False, "tabulate the kernel and fit its envelope"),
-            Param("r_max", float, 36.0),
-            Param("dr", float, 0.02),
-        ),
-    ),
-    "d-tensor": (
-        "projected convection couplings of the composite basis",
-        (
-            Param("m", int, 1),
-            # the grid is three-dimensional, so N is fixed; it stays in the echo
-            Param("N", int, 3, choices=(3,), flag=False),
-            Param("K", int, 1),
-            Param("L", float, 8.0),
-            Param("n", int, 64),
-            Param("refine", bool, True),
-            Param("flag_tol", float, 1e-3),
-        ),
-    ),
-    "evolve": (
-        "coefficient dynamics: exact diagonal flows or Galerkin",
-        (
-            Param("model", str, "stokes", choices=tuple(_MODEL_ORDER)),
-            Param("data", str, "fixture:1:0", "fixture:k:i | l1:0=c,... | demo:nodal | demo:small | file:PATH"),
-            Param("tau", float, 3.0),
-            Param("steps", int, 41),
-            Param("K", int, None),
-            Param("rtol", float, 1e-9),
-            Param("L", float, 8.0),
-            Param("n", int, 64),
-            Param("tensor", str, None, "interaction-tensor JSON to reuse"),
-            Param("zero_tensor", bool, False, "integrate with all couplings zeroed"),
-            Param("check_linear", bool, False, "also compare the zero-coupling run to the exact flow"),
-        ),
-    ),
-    "nodal": (
-        "evolve data, extract zero sets, track distance to the ambient plane",
-        (
-            Param("model", str, "stokes", choices=tuple(k for k in _MODEL_ORDER if k != "nse")),
-            Param("data", str, "demo:nodal"),
-            Param("taus", str, "0,1,2,3,4", "comma-separated evaluation times"),
-            Param("R", float, 2.0),
-            Param("cell", float, 0.05),
-            Param("component", int, None),
-            Param("K", int, 3),
-            Param("steps", int, 41),
-        ),
-    ),
-    "classify": (
-        "vanishing orders (M, K, gamma) of a space-time zero",
-        (
-            Param("terms", str, None, 'JSON list like [{"x":[2,0,0],"t":0,"c":1},...]'),
-            Param("terms_file", str, None),
-            Param("suite", str, None, "synthetic: sweep x^M - (-t)^K for M,K <= 4"),
-            Param("max_order", int, 6),
-            Param("delta", float, 0.125),
-            Param("threshold", float, 1e-7),
-        ),
-    ),
-    "verify": (
-        "independent semigroup cross-check of the diagonal rates",
-        (
-            Param("m", int, 1),
-            Param("level", int, [1]),
-            Param("field_index", int, 0),
-            Param("t_end", float, None),
-            Param("L", float, 24.0),
-            Param("n", int, 128),
-            Param("n_tau", int, 31),
-        ),
-    ),
-}
-_PARAMS: Dict[str, Dict[str, Param]] = {
-    cmd: {p.name: p for p in _COMMON + params} for cmd, (_, params) in _COMMANDS.items()
-}
-
 
 def _jsonable(x):
     if isinstance(x, Fraction):
@@ -241,21 +131,6 @@ def _jsonable(x):
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     return x
-
-
-def _dump_artifact(outdir: str, name: str, kind: str, echo: dict, body: dict) -> str:
-    """Write a JSON artifact stamped with the schema, its kind and the echo."""
-    payload = {"schema": SCHEMA, "kind": kind, "config": echo, **body}
-    text = json.dumps(_jsonable(payload), sort_keys=True, indent=1) + "\n"
-    with open(os.path.join(outdir, name), "w") as fh:
-        fh.write(text)
-    return name
-
-
-def _dump_text(outdir: str, name: str, text: str) -> str:
-    with open(os.path.join(outdir, name), "w") as fh:
-        fh.write(text)
-    return name
 
 
 def _workers(cfg: dict) -> int:
@@ -442,6 +317,10 @@ def _load_tensor(path: str) -> InteractionTensor:
 
 
 # -- subcommand handlers ----------------------------------------------------------
+#
+# A handler takes the resolved config and returns (summary, artifacts):
+# the summary fields of the stdout line and, in writing order, its files,
+# each (name, CSV text) or (name, JSON kind, JSON body).
 
 
 def _levels(cfg: dict) -> range:
@@ -451,7 +330,7 @@ def _levels(cfg: dict) -> range:
     return range(cfg["max_level"] + 1)
 
 
-def _cmd_basis(cfg: dict, outdir: str) -> dict:
+def _cmd_basis(cfg: dict):
     params = OperatorParams(m=cfg["m"], N=cfg["N"])
     levels = []
     formula_ok = True
@@ -469,18 +348,11 @@ def _cmd_basis(cfg: dict, outdir: str) -> dict:
                 "members": [ep.to_json_dict() for ep in pairs],
             }
         )
-    name = _dump_artifact(
-        outdir, "basis.json", "eigenfunction-basis", _echo(cfg, "basis"), {"levels": levels}
-    )
-    return {
-        "levels": cfg["max_level"] + 1,
-        "total": total,
-        "count_formula_ok": formula_ok,
-        "artifacts": [name],
-    }
+    summary = {"levels": cfg["max_level"] + 1, "total": total, "count_formula_ok": formula_ok}
+    return summary, [("basis.json", "eigenfunction-basis", {"levels": levels})]
 
 
-def _cmd_eig_check(cfg: dict, outdir: str) -> dict:
+def _cmd_eig_check(cfg: dict):
     ms = cfg["m"]
     results = []
     checked = 0
@@ -495,13 +367,11 @@ def _cmd_eig_check(cfg: dict, outdir: str) -> dict:
                     )
                 checked += 1
         results.append({"m": m, "max_level": cfg["max_level"], "pass": True})
-    name = _dump_artifact(
-        outdir, "eig_check.json", "eigen-check", _echo(cfg, "eig-check"), {"results": results}
-    )
-    return {"checked": checked, "all_pass": True, "m": ms, "artifacts": [name]}
+    summary = {"checked": checked, "all_pass": True, "m": ms}
+    return summary, [("eig_check.json", "eigen-check", {"results": results})]
 
 
-def _cmd_biortho(cfg: dict, outdir: str) -> dict:
+def _cmd_biortho(cfg: dict):
     ms = cfg["m"]
     results = []
     checked = 0
@@ -518,13 +388,11 @@ def _cmd_biortho(cfg: dict, outdir: str) -> dict:
                     )
                 checked += 1
         results.append({"m": m, "pairs": len(eps) ** 2, "pass": True})
-    name = _dump_artifact(
-        outdir, "biortho.json", "biorthogonality", _echo(cfg, "biortho"), {"results": results}
-    )
-    return {"checked": checked, "all_pass": True, "m": ms, "artifacts": [name]}
+    summary = {"checked": checked, "all_pass": True, "m": ms}
+    return summary, [("biortho.json", "biorthogonality", {"results": results})]
 
 
-def _cmd_solenoidal(cfg: dict, outdir: str) -> dict:
+def _cmd_solenoidal(cfg: dict):
     kind = cfg["kind"]
     blocks = []
     counts: Dict[str, int] = {}
@@ -557,10 +425,8 @@ def _cmd_solenoidal(cfg: dict, outdir: str) -> dict:
                     "fields": [[c.to_json_dict() for c in v.components] for v in b.fields],
                 }
             )
-    name = _dump_artifact(
-        outdir, "solenoidal.json", f"solenoidal-{kind}", _echo(cfg, "solenoidal"), {"blocks": blocks}
-    )
-    return {"kind": kind, "counts": counts, "all_pass": True, "artifacts": [name]}
+    summary = {"kind": kind, "counts": counts, "all_pass": True}
+    return summary, [("solenoidal.json", f"solenoidal-{kind}", {"blocks": blocks})]
 
 
 # float64 values per radius of `kernel` and `wkbj --fit`, rounded up
@@ -584,7 +450,7 @@ def _radii(cfg: dict) -> np.ndarray:
 _KERNEL_MASS_TOL = 1e-6  # README criterion 5: a table must carry the unit mass
 
 
-def _cmd_kernel(cfg: dict, outdir: str) -> dict:
+def _cmd_kernel(cfg: dict):
     m = cfg["m"]
     table = kernel_values(m, cfg["N"], radii=_radii(cfg), tol=cfg["tol"])
     if not table.mass_error <= _KERNEL_MASS_TOL:
@@ -592,18 +458,17 @@ def _cmd_kernel(cfg: dict, outdir: str) -> dict:
             f"kernel table up to r_max={cfg['r_max']!r} misses mass: mass error "
             f"{table.mass_error!r} exceeds {_KERNEL_MASS_TOL!r}; raise r_max"
         )
-    name = _dump_text(outdir, f"kernel_m{m}.csv", table.to_csv())
-    return {
+    summary = {
         "m": m,
         "n_radii": len(table.radii),
         "f0": float(table.values[0]),
         "mass_error": table.mass_error,
         "quad_error": table.quad_error,
-        "artifacts": [name],
     }
+    return summary, [(f"kernel_m{m}.csv", table.to_csv())]
 
 
-def _cmd_wkbj(cfg: dict, outdir: str) -> dict:
+def _cmd_wkbj(cfg: dict):
     consts = wkbj_constants(cfg["m"], cfg["N"])
     payload = consts.to_json_dict()
     summary = {
@@ -626,9 +491,7 @@ def _cmd_wkbj(cfg: dict, outdir: str) -> dict:
                 "kernel_mass_error": table.mass_error,
             }
         )
-    name = _dump_artifact(outdir, "wkbj.json", "wkbj-constants", _echo(cfg, "wkbj"), payload)
-    summary["artifacts"] = [name]
-    return summary
+    return summary, [("wkbj.json", "wkbj-constants", payload)]
 
 
 def _random_poly_field(rng: np.random.Generator, deg: int = 3) -> VectorPolyField:
@@ -657,7 +520,7 @@ def _projector_diagnostics(spec: GridSpec, m: int, seed: int) -> dict:
     }
 
 
-def _cmd_d_tensor(cfg: dict, outdir: str) -> dict:
+def _cmd_d_tensor(cfg: dict):
     m, K = cfg["m"], cfg["K"]
     spec = GridSpec(L=cfg["L"], n=cfg["n"])
     # `_projector_diagnostics`: two projected spectra (12 lattice arrays)
@@ -679,9 +542,7 @@ def _cmd_d_tensor(cfg: dict, outdir: str) -> dict:
             max(np.max(np.abs(tensor.values[a, a, :])) for a in rot)
         )
     summary["projector"] = _projector_diagnostics(spec, m, cfg["seed"])
-    name = _dump_artifact(outdir, "tensor.json", "interaction-tensor", _echo(cfg, "d-tensor"), payload)
-    summary["artifacts"] = [name]
-    return summary
+    return summary, [("tensor.json", "interaction-tensor", payload)]
 
 
 def _initial_data(cfg: dict, m: int) -> Expansion:
@@ -712,7 +573,7 @@ def _time_span(end: float, steps: int, labels: int, name: str = "tau") -> np.nda
     return np.linspace(0.0, end, steps)
 
 
-def _cmd_evolve(cfg: dict, outdir: str) -> dict:
+def _cmd_evolve(cfg: dict):
     model = cfg["model"]
     m = _MODEL_ORDER[model]
     e0 = _initial_data(cfg, m)
@@ -756,9 +617,7 @@ def _cmd_evolve(cfg: dict, outdir: str) -> dict:
             )
     else:
         traj = diagonal_trajectory(e0, taus)
-        summary["rates"] = _jsonable(
-            {f"l{k}:{i}": v for (k, i), v in rate_check(traj)["rates"].items()}
-        )
+        summary["rates"] = {f"l{k}:{i}": v for (k, i), v in rate_check(traj)["rates"].items()}
     # the diagonal flows are exact, so the fit may use the whole trajectory;
     # the Galerkin run keeps the default window that skips the transient
     window = None if model == "nse" else (float(taus[0]), float(taus[-1]))
@@ -775,17 +634,13 @@ def _cmd_evolve(cfg: dict, outdir: str) -> dict:
         ) from exc
     summary["resonance_status"] = rep.status
     summary["envelope_ok"] = traj.envelope_check()["ok"]
-    arts = [
-        _dump_text(outdir, "trajectory.csv", traj.to_csv()),
-        _dump_artifact(
-            outdir, "resonance.json", "resonance-report", _echo(cfg, "evolve"), rep.to_json_dict()
-        ),
+    return summary, [
+        ("trajectory.csv", traj.to_csv()),
+        ("resonance.json", "resonance-report", rep.to_json_dict()),
     ]
-    summary["artifacts"] = arts
-    return summary
 
 
-def _cmd_nodal(cfg: dict, outdir: str) -> dict:
+def _cmd_nodal(cfg: dict):
     e0 = _initial_data(cfg, _MODEL_ORDER[cfg["model"]])
     cb, coeffs = e0.basis, e0.coeffs
     tau_list = [float(t) for t in cfg["taus"].split(",") if t.strip()]
@@ -811,27 +666,23 @@ def _cmd_nodal(cfg: dict, outdir: str) -> dict:
         comp = cfg["component"]
         if not 0 <= comp < 3:
             raise ValidationError(f"component {comp} is not 0, 1 or 2")
-    arts = [_dump_text(outdir, f"nodal_ref_c{comp}.csv", _cloud_csv(ref_clouds[comp]))]
+    arts = [(f"nodal_ref_c{comp}.csv", _cloud_csv(ref_clouds[comp]))]
 
     distances = []
     for j, tau in enumerate(tau_list):
         state = diagonal_flow(e0, tau)
         clouds = nodal_extract(state, R=R, cell=cell)
         for c in range(3):
-            arts.append(
-                _dump_text(outdir, f"nodal_tau{j}_c{c}.csv", _cloud_csv(clouds[c]))
-            )
+            arts.append((f"nodal_tau{j}_c{c}.csv", _cloud_csv(clouds[c])))
         distances.append(nodal_compare(clouds[comp], ref_clouds[comp]))
 
     traj = diagonal_trajectory(e0, span)
     rep = detect_resonance(traj, window=(float(span[0]), float(span[-1])))
     verdict = unique_continuation_diagnostic(rep, distances, tol=cell)
     arts.append(
-        _dump_artifact(
-            outdir,
+        (
             "distances.json",
             "nodal-distances",
-            _echo(cfg, "nodal"),
             {
                 "component": comp,
                 "taus": tau_list,
@@ -841,17 +692,17 @@ def _cmd_nodal(cfg: dict, outdir: str) -> dict:
             },
         )
     )
-    return {
+    summary = {
         "component": comp,
-        "distances": _jsonable(distances),
+        "distances": distances,
         "decreasing": bool(
             all(b <= a + 2 * cell for a, b in zip(distances, distances[1:]))
         ),
         "final_distance": distances[-1],
         "resonance_status": rep.status,
         "verdict": verdict["verdict"],
-        "artifacts": arts,
     }
+    return summary, arts
 
 
 def _terms_sampler(terms: List[dict]):
@@ -870,7 +721,11 @@ def _terms_sampler(terms: List[dict]):
             raise ValidationError(f"bad spatial exponents {ex!r}")
         if type(et) is not int or et < 0:
             raise ValidationError("temporal exponent must be an integer >= 0")
-        parsed.append((tuple(ex) + (et,), Fraction(str(t["c"]))))
+        try:
+            co = Fraction(str(t["c"]))
+        except ZeroDivisionError:
+            raise ValidationError(f"term {t!r} has a coefficient with a zero denominator") from None
+        parsed.append((tuple(ex) + (et,), co))
     if not parsed:
         raise ValidationError("empty term list")
     den = math.lcm(*(co.denominator for _, co in parsed))
@@ -911,7 +766,7 @@ def _classify(cfg: dict, terms: list):
     )
 
 
-def _cmd_classify(cfg: dict, outdir: str) -> dict:
+def _cmd_classify(cfg: dict):
     if cfg["suite"]:
         if cfg["suite"] != "synthetic":
             raise ValidationError(f"unknown suite {cfg['suite']!r}")
@@ -932,12 +787,10 @@ def _cmd_classify(cfg: dict, outdir: str) -> dict:
                 )
                 all_exact = all_exact and exact
                 cases.append({"M": M, "K": Kt, "result": zt.to_json_dict(), "exact": exact})
-        name = _dump_artifact(
-            outdir, "classify_suite.json", "zero-type-suite", _echo(cfg, "classify"), {"cases": cases}
-        )
         if not all_exact:
             raise ValidationError("synthetic zero-type suite disagreed with closed forms")
-        return {"cases": len(cases), "all_exact": True, "artifacts": [name]}
+        summary = {"cases": len(cases), "all_exact": True}
+        return summary, [("classify_suite.json", "zero-type-suite", {"cases": cases})]
 
     if cfg["terms_file"]:
         with open(cfg["terms_file"]) as fh:
@@ -949,31 +802,29 @@ def _cmd_classify(cfg: dict, outdir: str) -> dict:
     if not isinstance(terms, list):
         raise ValidationError("terms must be a JSON list of monomials")
     zt = _classify(cfg, terms)
-    name = _dump_artifact(
-        outdir, "zerotype.json", "zero-type", _echo(cfg, "classify"), zt.to_json_dict()
-    )
-    out = {"status": zt.status, "artifacts": [name]}
-    out["M"] = zt.M
-    out["K"] = zt.K
-    out["gamma"] = _jsonable(zt.gamma)
-    return out
+    summary = {"status": zt.status, "M": zt.M, "K": zt.K, "gamma": zt.gamma}
+    return summary, [("zerotype.json", "zero-type", zt.to_json_dict())]
 
 
-def _cmd_verify(cfg: dict, outdir: str) -> dict:
+def _cmd_verify(cfg: dict):
     m = cfg["m"]
     spec = GridSpec(L=cfg["L"], n=cfg["n"])
     levels = cfg["level"]
+    idx = cfg["field_index"]
+    # every level is checked before any is computed
+    fields = []
+    for k in levels:
+        catalogued = fixture(m, k)
+        if not 0 <= idx < len(catalogued):
+            raise ValidationError(f"field index {idx} outside fixture level {k}")
+        fields.append(catalogued[idx])
     results = []
     arts = []
     worst = 0.0
     truncated_any = False
-    for k in levels:
-        fields = fixture(m, k)
-        idx = cfg["field_index"]
-        if not 0 <= idx < len(fields):
-            raise ValidationError(f"field index {idx} outside fixture level {k}")
+    for k, field in zip(levels, fields):
         traj = semigroup_verify(
-            fields[idx],
+            field,
             m,
             t_end=cfg["t_end"],
             spec=spec,
@@ -983,7 +834,7 @@ def _cmd_verify(cfg: dict, outdir: str) -> dict:
         rc = rate_check(traj)
         worst = max(worst, rc["max_rel_err"])
         truncated_any = truncated_any or bool(traj.diagnostic.get("truncated", False))
-        arts.append(_dump_text(outdir, f"verify_m{m}_l{k}.csv", traj.to_csv()))
+        arts.append((f"verify_m{m}_l{k}.csv", traj.to_csv()))
         results.append(
             {
                 "level": k,
@@ -997,32 +848,135 @@ def _cmd_verify(cfg: dict, outdir: str) -> dict:
                 "diagnostic": traj.diagnostic,
             }
         )
-    arts.append(
-        _dump_artifact(
-            outdir, f"verify_m{m}.json", "semigroup-verify", _echo(cfg, "verify"), {"results": results}
-        )
-    )
-    return {
-        "m": m,
-        "levels": levels,
-        "max_rel_rate_err": worst,
-        "truncated": truncated_any,
-        "artifacts": arts,
-    }
+    arts.append((f"verify_m{m}.json", "semigroup-verify", {"results": results}))
+    summary = {"m": m, "levels": levels, "max_rel_rate_err": worst, "truncated": truncated_any}
+    return summary, arts
 
 
-HANDLERS = {
-    "basis": _cmd_basis,
-    "eig-check": _cmd_eig_check,
-    "biortho": _cmd_biortho,
-    "solenoidal": _cmd_solenoidal,
-    "kernel": _cmd_kernel,
-    "wkbj": _cmd_wkbj,
-    "d-tensor": _cmd_d_tensor,
-    "evolve": _cmd_evolve,
-    "nodal": _cmd_nodal,
-    "classify": _cmd_classify,
-    "verify": _cmd_verify,
+# command -> (help text, parameters after the common ones in flag order,
+# handler), in the order the usage lists the commands
+_COMMANDS: Dict[str, Tuple[str, Tuple[Param, ...], Callable]] = {
+    "basis": (
+        "enumerate eigenfunction levels with exact eigen data",
+        (Param("m", int, 1), Param("N", int, 3), Param("max_level", int, 10)),
+        _cmd_basis,
+    ),
+    "eig-check": (
+        "verify the eigen-relation exactly up to a level",
+        (Param("m", int, [1, 2, 3]), Param("N", int, 3), Param("max_level", int, 5)),
+        _cmd_eig_check,
+    ),
+    "biortho": (
+        "verify the dual pairing is beta! times identity",
+        (Param("m", int, [1, 2]), Param("N", int, 3), Param("max_level", int, 4)),
+        _cmd_biortho,
+    ),
+    "solenoidal": (
+        "catalog and check divergence-free vector bases",
+        (
+            Param("m", int, [1, 2]),
+            Param("N", int, 3),
+            Param("kind", str, "fixture", choices=("fixture", "kernel", "composite")),
+            Param("level", int, 3, "level for --kind kernel"),
+            Param("K", int, 3, "truncation for --kind composite"),
+        ),
+        _cmd_solenoidal,
+    ),
+    "kernel": (
+        "tabulate the radial kernel profile to CSV",
+        (
+            Param("m", int, 2),
+            Param("N", int, 3),
+            Param("r_max", float, 36.0),
+            Param("dr", float, 0.02),
+            Param("tol", float, 1e-12),
+        ),
+        _cmd_kernel,
+    ),
+    "wkbj": (
+        "closed-form decay constants, optionally fit to the kernel",
+        (
+            Param("m", int, 2),
+            Param("N", int, 3),
+            Param("fit", bool, False, "tabulate the kernel and fit its envelope"),
+            Param("r_max", float, 36.0),
+            Param("dr", float, 0.02),
+        ),
+        _cmd_wkbj,
+    ),
+    "d-tensor": (
+        "projected convection couplings of the composite basis",
+        (
+            Param("m", int, 1),
+            # the grid is three-dimensional, so N is fixed; it stays in the echo
+            Param("N", int, 3, choices=(3,), flag=False),
+            Param("K", int, 1),
+            Param("L", float, 8.0),
+            Param("n", int, 64),
+            Param("refine", bool, True),
+            Param("flag_tol", float, 1e-3),
+        ),
+        _cmd_d_tensor,
+    ),
+    "evolve": (
+        "coefficient dynamics: exact diagonal flows or Galerkin",
+        (
+            Param("model", str, "stokes", choices=tuple(_MODEL_ORDER)),
+            Param("data", str, "fixture:1:0", "fixture:k:i | l1:0=c,... | demo:nodal | demo:small | file:PATH"),
+            Param("tau", float, 3.0),
+            Param("steps", int, 41),
+            Param("K", int, None),
+            Param("rtol", float, 1e-9),
+            Param("L", float, 8.0),
+            Param("n", int, 64),
+            Param("tensor", str, None, "interaction-tensor JSON to reuse"),
+            Param("zero_tensor", bool, False, "integrate with all couplings zeroed"),
+            Param("check_linear", bool, False, "also compare the zero-coupling run to the exact flow"),
+        ),
+        _cmd_evolve,
+    ),
+    "nodal": (
+        "evolve data, extract zero sets, track distance to the ambient plane",
+        (
+            Param("model", str, "stokes", choices=tuple(k for k in _MODEL_ORDER if k != "nse")),
+            Param("data", str, "demo:nodal"),
+            Param("taus", str, "0,1,2,3,4", "comma-separated evaluation times"),
+            Param("R", float, 2.0),
+            Param("cell", float, 0.05),
+            Param("component", int, None),
+            Param("K", int, 3),
+            Param("steps", int, 41),
+        ),
+        _cmd_nodal,
+    ),
+    "classify": (
+        "vanishing orders (M, K, gamma) of a space-time zero",
+        (
+            Param("terms", str, None, 'JSON list like [{"x":[2,0,0],"t":0,"c":1},...]'),
+            Param("terms_file", str, None),
+            Param("suite", str, None, "synthetic: sweep x^M - (-t)^K for M,K <= 4"),
+            Param("max_order", int, 6),
+            Param("delta", float, 0.125),
+            Param("threshold", float, 1e-7),
+        ),
+        _cmd_classify,
+    ),
+    "verify": (
+        "independent semigroup cross-check of the diagonal rates",
+        (
+            Param("m", int, 1),
+            Param("level", int, [1]),
+            Param("field_index", int, 0),
+            Param("t_end", float, None),
+            Param("L", float, 24.0),
+            Param("n", int, 128),
+            Param("n_tau", int, 31),
+        ),
+        _cmd_verify,
+    ),
+}
+_PARAMS: Dict[str, Dict[str, Param]] = {
+    cmd: {p.name: p for p in _COMMON + params} for cmd, (_, params, _) in _COMMANDS.items()
 }
 
 
@@ -1064,7 +1018,7 @@ def _add_flag(sp: argparse.ArgumentParser, p: Param) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hermflow", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", parser_class=_Parser)
-    for command, (help_text, params) in _COMMANDS.items():
+    for command, (help_text, params, _) in _COMMANDS.items():
         sp = subs.add_parser(command, help=help_text)
         for p in (_CONFIG, *_COMMON, *params):
             if p.flag:
@@ -1135,15 +1089,23 @@ def run(argv=None) -> int:
     try:
         cfg = _resolve(ns.command, ns)
         outdir = cfg["outdir"]
+        # an unusable output directory fails before any work
         os.makedirs(outdir, exist_ok=True)
-        summary = HANDLERS[ns.command](cfg, outdir)
-        line = {
-            "schema": SCHEMA,
-            "command": ns.command,
-            "ok": True,
-            "config": _echo(cfg, ns.command),
-            **summary,
-        }
+        summary, artifacts = _COMMANDS[ns.command][2](cfg)
+        echo = _echo(cfg, ns.command)
+        # the artifacts are written only once the handler has returned; a
+        # JSON body is stamped with the schema, its kind and the echo
+        for name, *content in artifacts:
+            if len(content) == 2:
+                kind, body = content
+                payload = {"schema": SCHEMA, "kind": kind, "config": echo, **body}
+                text = json.dumps(_jsonable(payload), sort_keys=True, indent=1) + "\n"
+            else:
+                (text,) = content
+            with open(os.path.join(outdir, name), "w") as fh:
+                fh.write(text)
+        summary["artifacts"] = [name for name, *_ in artifacts]
+        line = {"schema": SCHEMA, "command": ns.command, "ok": True, "config": echo, **summary}
         print(json.dumps(_jsonable(line), sort_keys=True))
         return 0
     except _FAILURE_TYPES as exc:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import argparse
+import ast
+import inspect
 import json
 import os
 import subprocess
@@ -546,14 +548,112 @@ def test_kernel_unreachable_tol_exits_3(tmp_path, capsys):
     ],
 )
 def test_failure_table_pins_summary_and_stderr(tmp_path, capsys, monkeypatch, exc, code, line):
-    def fail(cfg, outdir):
+    def fail(cfg):
         raise exc
 
-    monkeypatch.setitem(cli.HANDLERS, "basis", fail)
+    help_text, params, _ = cli._COMMANDS["basis"]
+    monkeypatch.setitem(cli._COMMANDS, "basis", (help_text, params, fail))
     assert cli.run(["basis", "--outdir", str(tmp_path)]) == code
     out, err = capsys.readouterr()
     assert out == line + "\n"
     assert err == f"hermflow basis: {exc}\n"
+
+
+def _failed(capfd, argv, outdir):
+    """Run argv into outdir; return its exit code and summary line, after
+    checking that stderr holds the one message line and outdir is empty."""
+    code = cli.run(argv + ["--outdir", str(outdir)])
+    out, err = capfd.readouterr()
+    line = json.loads(out.strip().splitlines()[-1])
+    assert err.splitlines() == [f"hermflow {argv[0]}: {line['message']}"]
+    assert list(outdir.iterdir()) == []
+    return code, line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--m", "1", "--level", "1", "--level", "5", "--n", "32", "--L", "16"],
+        ["classify", "--suite", "synthetic", "--max-order", "2"],
+        ["nodal", "--taus", "0,1,2000", "--cell", "0.2"],
+    ],
+    ids=["verify", "classify", "nodal"],
+)
+def test_failing_run_leaves_no_artifact(tmp_path, capfd, argv):
+    # each fails after work that produced files: a level beyond the
+    # catalogue, a suite that disagrees at max_order 2, and data that
+    # underflow to zero by tau 2000
+    code, line = _failed(capfd, argv, tmp_path / "out")
+    assert code == 2 and line["error"] == "validation"
+
+
+def test_verify_failing_on_a_later_level_leaves_no_artifact(tmp_path, capfd, monkeypatch):
+    calls = []
+    verify = cli.semigroup_verify
+
+    def second_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise NonConvergenceError("the second level stalled", achieved=0.5)
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "semigroup_verify", second_fails)
+    argv = ["verify", "--m", "1", "--level", "1", "--level", "2", "--n", "32", "--L", "16"]
+    code, line = _failed(capfd, argv, tmp_path)
+    assert code == 3 and line["achieved"] == 0.5
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--level", "1", "--level", "5"], "no catalog basis for m=1, k=5"),
+        (["--level", "2", "--level", "1", "--field-index", "5"], "field index 5 outside fixture level 1"),
+    ],
+    ids=["level", "field-index"],
+)
+def test_verify_checks_every_level_before_computing_any(tmp_path, capfd, monkeypatch, flags, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a level was computed")
+
+    monkeypatch.setattr(cli, "semigroup_verify", unreachable)
+    code, line = _failed(capfd, ["verify", "--m", "1"] + flags, tmp_path)
+    assert code == 2 and line["message"].startswith(message)
+
+
+def test_classify_zero_denominator_coefficient_exits_2(tmp_path, capfd):
+    terms = '[{"x":[1,0,0],"c":"1/0"},{"x":[0,0,0],"t":1,"c":1}]'
+    code, line = _failed(capfd, ["classify", "--terms", terms], tmp_path)
+    assert code == 2 and line["error"] == "validation"
+    assert "'c': '1/0'" in line["message"] and "zero denominator" in line["message"]
+
+
+@pytest.mark.parametrize("order", ["17", "1000000000"])
+def test_classify_max_order_beyond_the_bound_exits_2(tmp_path, capfd, monkeypatch, order):
+    def sampler(x, t):
+        raise AssertionError("a sample was taken")
+
+    monkeypatch.setattr(cli, "_terms_sampler", lambda terms: sampler)
+    argv = ["classify", "--terms", '[{"x":[1,0,0],"c":1}]', "--max-order", order]
+    code, line = _failed(capfd, argv, tmp_path)
+    assert code == 2 and line["message"] == f"max_order must be at most 16, got {order}"
+
+
+def test_handlers_compute_and_run_alone_writes():
+    # a handler takes the resolved config alone and returns its artifacts;
+    # cli.py opens a file for writing in one place, the writer in `run`
+    for command, (_, _, handler) in cli._COMMANDS.items():
+        assert len(inspect.signature(handler).parameters) == 1, command
+
+    def writes(call) -> bool:
+        modes = [*call.args[1:2], *(k.value for k in call.keywords if k.arg == "mode")]
+        return any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax+") for m in modes)
+
+    calls = [
+        node for node in ast.walk(ast.parse(inspect.getsource(cli)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"
+    ]
+    assert len([c for c in calls if writes(c)]) == 1
 
 
 def test_wkbj_reports_closed_form_constants(tmp_path, capsys):
