@@ -29,6 +29,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -671,6 +672,11 @@ def _cmd_nodal(cfg: dict):
     distances = []
     for j, tau in enumerate(tau_list):
         state = diagonal_flow(e0, tau)
+        if not any(state.coeffs.values()):
+            raise ValidationError(
+                f"at taus entry {tau!r} the diagonal flow has underflowed every "
+                "coefficient to 0.0, so there is no zero set to compare; use earlier times"
+            )
         clouds = nodal_extract(state, R=R, cell=cell)
         for c in range(3):
             arts.append((f"nodal_tau{j}_c{c}.csv", _cloud_csv(clouds[c])))
@@ -705,6 +711,34 @@ def _cmd_nodal(cfg: dict):
     return summary, arts
 
 
+# the most characters of a `--terms` coefficient, and the largest magnitude
+# of its decimal exponent: about three times the float range (1e308, 17
+# digits), which Fraction parses in microseconds; its cost grows faster than
+# the exponent (Fraction("1e10000000") takes seconds)
+_MAX_COEFF_DIGITS = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
+
+
+def _coefficient(t: dict) -> Fraction:
+    """The exact coefficient of a `--terms` entry, refused before any
+    `Fraction` is built when its text or decimal exponent is far past the
+    float range."""
+    text = str(t["c"])
+    if len(text) > _MAX_COEFF_DIGITS:
+        raise ValidationError(
+            f"a term's coefficient has {len(text)} characters, more than the bound of {_MAX_COEFF_DIGITS}"
+        )
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1].replace("_", ""))) > _MAX_COEFF_DIGITS:
+        raise ValidationError(
+            f"term {t!r} has a coefficient whose decimal exponent exceeds {_MAX_COEFF_DIGITS} in magnitude"
+        )
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValidationError(f"term {t!r} has a coefficient with a zero denominator") from None
+
+
 def _terms_sampler(terms: List[dict]):
     """The polynomial sum_k c_k x^a_k t^b_k, evaluated exactly and rounded
     to a float once. Every coordinate is a dyadic float p / 2^e, so each
@@ -721,11 +755,7 @@ def _terms_sampler(terms: List[dict]):
             raise ValidationError(f"bad spatial exponents {ex!r}")
         if type(et) is not int or et < 0:
             raise ValidationError("temporal exponent must be an integer >= 0")
-        try:
-            co = Fraction(str(t["c"]))
-        except ZeroDivisionError:
-            raise ValidationError(f"term {t!r} has a coefficient with a zero denominator") from None
-        parsed.append((tuple(ex) + (et,), co))
+        parsed.append((tuple(ex) + (et,), _coefficient(t)))
     if not parsed:
         raise ValidationError("empty term list")
     den = math.lcm(*(co.denominator for _, co in parsed))

@@ -198,9 +198,43 @@ def kernel_values(
 
 def _mass_error(r: np.ndarray, F: np.ndarray) -> float:
     """|4 pi int r^2 F dr - 1| over the tabulated range (Simpson)."""
-    from scipy.integrate import simpson
+    return abs(float(4 * math.pi * _simpson(r * r * F, r)) - 1.0)
 
-    return abs(float(4 * math.pi * simpson(r * r * F, x=r)) - 1.0)
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson integral of the 1-D samples `y` over the points `x`.
+
+    Each pair of intervals carries the quadratic through its three samples,
+    with unequal spacings allowed. An even count of points closes its last
+    interval with Cartwright's correction; two points make a trapezoid. The
+    order of operations is scipy's `simpson(y, x=x)` (scipy >= 1.11), so the
+    result agrees with it bit for bit.
+    """
+    n = len(y)
+    if n == 2:
+        # scipy adds this to a zero start, which also turns -0.0 into 0.0
+        return 0.0 + 0.5 * (x[-1] - x[-2]) * (y[-1] + y[-2])
+    stop = n - 3 if n % 2 == 0 else n - 2
+    h = np.diff(x)
+    h0, h1 = h[0:stop:2], h[1 : stop + 1 : 2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = np.divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
+    inv = np.divide(1.0, h0divh1, out=np.zeros_like(h0divh1), where=h0divh1 != 0)
+    hsum_hprod = np.divide(hsum, hprod, out=np.zeros_like(hsum), where=hprod != 0)
+    y0, y1, y2 = y[0:stop:2], y[1 : stop + 1 : 2], y[2 : stop + 2 : 2]
+    result = np.sum(hsum / 6.0 * (y0 * (2.0 - inv) + y1 * (hsum * hsum_hprod) + y2 * (2.0 - h0divh1)))
+    if n % 2 == 1:
+        return result
+    # the last interval, from the quadratic through the last three samples
+    a, b = h[-2], h[-1]
+    den = 6 * (b + a)
+    alpha = (2 * b**2 + 3 * a * b) / den if den != 0 else 0.0
+    den = 6 * a
+    beta = (b**2 + 3 * a * b) / den if den != 0 else 0.0
+    den = 6 * a * (a + b)
+    eta = b**3 / den if den != 0 else 0.0
+    return result + (alpha * y[-1] + beta * y[-2] - eta * y[-3]) + 0.0
 
 
 # -- envelope fit --------------------------------------------------------------
@@ -218,6 +252,59 @@ def _extrema(table: KernelTable, lo: float = 1e-12, hi: float = 1e-2):
     if len(changes):
         idx = idx[idx > changes[0]]
     return table.radii[idx], absF[idx]
+
+
+# Levenberg-Marquardt attempts (accepted or not) per pinned fit: 8 to 16 on
+# the default tables of m = 2..4
+_LM_MAX_ITER = 100
+# a fit has converged once its step is this small beside the parameters;
+# steps of roundoff size (up to 5e-10 relative at m = 4) raise the cost, and
+# the damping then grows until they fall below this bound
+_LM_XTOL = 1e-12
+
+
+def _pinned_fit(r: np.ndarray, logr: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Least-squares (c, d0, alpha) of c - d0 r^alpha against `target`.
+
+    Levenberg-Marquardt with the analytic Jacobian [1, -r^alpha,
+    -d0 r^alpha log r] and Marquardt's diagonal damping, from (0, 0.5, 1.5).
+    A step that lowers the sum of squares is taken and the damping falls
+    tenfold, otherwise it rises tenfold; the fit ends when a step is below
+    `_LM_XTOL` of the parameters. The normal equations are summed
+    elementwise rather than through BLAS, so thread counts cannot reach the
+    bits. Raises `NonConvergenceError` after `_LM_MAX_ITER` attempts or on a
+    singular system.
+    """
+    q = np.array([0.0, 0.5, 1.5])
+    resid = q[0] - q[1] * r ** q[2] - target
+    cost = float(np.sum(resid * resid))
+    damping = 1e-3
+    for _ in range(_LM_MAX_ITER):
+        ra = r ** q[2]
+        J = np.stack([np.ones_like(r), -ra, -q[1] * ra * logr], axis=1)
+        A = np.sum(J[:, :, None] * J[:, None, :], axis=0)
+        g = np.sum(J * resid[:, None], axis=0)
+        try:
+            step = np.linalg.solve(A + damping * np.diag(np.diag(A)), -g)
+        except np.linalg.LinAlgError:
+            raise NonConvergenceError(
+                "envelope least squares met a singular system",
+                achieved=float(np.max(np.abs(resid))),
+            ) from None
+        trial = q + step
+        trial_resid = trial[0] - trial[1] * r ** trial[2] - target
+        trial_cost = float(np.sum(trial_resid * trial_resid))
+        if trial_cost < cost:
+            q, resid, cost = trial, trial_resid, trial_cost
+            damping /= 10
+        else:
+            damping *= 10
+        if math.hypot(*step) <= _LM_XTOL * math.hypot(*q):
+            return q
+    raise NonConvergenceError(
+        f"envelope least squares did not converge in {_LM_MAX_ITER} steps",
+        achieved=float(np.max(np.abs(resid))),
+    )
 
 
 def envelope_fit(table: KernelTable, constants: WkbjConstants) -> dict:
@@ -241,8 +328,6 @@ def envelope_fit(table: KernelTable, constants: WkbjConstants) -> dict:
     delta0_hat. A final linear refit with alpha pinned at its closed form
     reports d0_constrained.
     """
-    from scipy.optimize import least_squares
-
     if table.m != constants.m or table.N != constants.N:
         raise ValidationError("kernel table and constants disagree on (m, N)")
     if table.m < 2:
@@ -259,20 +344,9 @@ def envelope_fit(table: KernelTable, constants: WkbjConstants) -> dict:
     power = N * (m - 1) / (2 * m - 1)
     b0 = constants.b0
 
-    def pinned_fit(corr: np.ndarray):
-        def resid(q):
-            c, d0, alpha = q
-            return c - power * logr - d0 * r**alpha - (logv + corr)
-
-        sol = least_squares(resid, x0=[0.0, 0.5, 1.5], method="lm")
-        if not sol.success:
-            raise NonConvergenceError("envelope least squares did not converge",
-                                      achieved=float(np.max(np.abs(sol.fun))))
-        return sol.x
-
     corr = np.zeros_like(r)
     for _ in range(25):
-        c_hat, d0_hat, alpha_hat = pinned_fit(corr)
+        c_hat, d0_hat, alpha_hat = _pinned_fit(r, logr, power * logr + logv + corr)
         growth = alpha_hat * r ** (alpha_hat - 1)
         tan = (power / r + d0_hat * growth) / (b0 * growth)
         step = float(np.max(np.abs(0.5 * np.log1p(tan * tan) - corr)))

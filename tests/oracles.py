@@ -5,7 +5,8 @@ route to a number the library computes another way: grid fields sampled
 pointwise or synthesized by inverse FFT, transformed by FFT and paired by
 grid quadrature, the Leray projector and the pseudo-spectral convection
 applied through FFT round trips, the kernel-weighted Gram inverse, the
-closed-form Gaussian kernel and its radial ODE residual, the operator B in its expanded and
+closed-form Gaussian kernel and its radial ODE residual, the pinned
+envelope fit by scipy's MINPACK Levenberg-Marquardt, the operator B in its expanded and
 divergence forms, the grid L2 norm, finite-difference weights from a
 Vandermonde solve, zero-type classification with stencil sums accumulated
 in `Fraction`s, and the Galerkin trajectory
@@ -161,6 +162,17 @@ def ode_residual(table: KernelTable, window: tuple = (0.5, 4.0)) -> float:
     if not mask.any():
         raise ValidationError("window does not intersect the table interior")
     return float(np.max(np.abs(resid[mask])))
+
+
+def pinned_fit_scipy(r: np.ndarray, logr: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The (c, d0, alpha) of `kernel._pinned_fit` by scipy's
+    `least_squares(method="lm")` from the same start: MINPACK, which stops
+    at its default xtol = 1e-8 rather than at roundoff."""
+    from scipy.optimize import least_squares
+
+    sol = least_squares(lambda q: q[0] - q[1] * r ** q[2] - target, x0=[0.0, 0.5, 1.5], method="lm")
+    assert sol.success
+    return sol.x
 
 
 # -- bases and duals ----------------------------------------------------------

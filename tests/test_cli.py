@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -335,9 +336,11 @@ def test_evolve_truncated_before_the_window_exits_3(tmp_path, capfd):
 
 
 def test_commands_import_no_scipy(tmp_path):
-    # scipy's import costs more than these runs compute; only kernel, wkbj
-    # (least_squares, simpson) and nodal (cKDTree) need it
+    # scipy's import costs more than these runs compute; only nodal
+    # (cKDTree) needs it
     argvs = [
+        ["kernel"],
+        ["wkbj", "--m", "2", "--N", "3", "--fit"],
         ["evolve", "--model", "nse", "--K", "1", "--data", "l1:0=0.1", "--tau", "1"],
         ["evolve", "--model", "nse", "--K", "1", "--data", "l1:0=0.1", "--tau", "1",
          "--check-linear"],
@@ -626,6 +629,43 @@ def test_classify_zero_denominator_coefficient_exits_2(tmp_path, capfd):
     code, line = _failed(capfd, ["classify", "--terms", terms], tmp_path)
     assert code == 2 and line["error"] == "validation"
     assert "'c': '1/0'" in line["message"] and "zero denominator" in line["message"]
+
+
+@pytest.mark.parametrize(
+    "coefficient, what",
+    [
+        ("1e100000000", "decimal exponent exceeds 1000"),
+        ("-2.5E-1_000_000", "decimal exponent exceeds 1000"),
+        ("1" * 100_000, "100000 characters"),
+    ],
+    ids=["exponent", "negative-exponent", "digits"],
+)
+def test_classify_coefficient_far_past_float_range_exits_2(tmp_path, capfd, coefficient, what):
+    # refused before any Fraction is built: parsing "1e100000000" as a
+    # Fraction would take minutes
+    terms = json.dumps([{"x": [1, 0, 0], "c": coefficient}, {"x": [0, 0, 0], "t": 1, "c": 1}])
+    start = time.perf_counter()
+    code, line = _failed(capfd, ["classify", "--terms", terms], tmp_path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and line["error"] == "validation"
+    assert what in line["message"]
+
+
+def test_nodal_names_the_time_its_coefficients_underflow_at(tmp_path, capfd):
+    code, line = _failed(capfd, ["nodal", "--taus", "0,1,2000", "--cell", "0.2"], tmp_path)
+    assert code == 2 and line["error"] == "validation"
+    assert line["message"].startswith("at taus entry 2000.0 the diagonal flow has underflowed")
+    assert "every coefficient to 0.0" in line["message"]
+
+
+def test_wkbj_fit_beyond_the_iteration_cap_exits_3(tmp_path, capfd, monkeypatch):
+    from hermflow import kernel
+
+    monkeypatch.setattr(kernel, "_LM_MAX_ITER", 3)
+    code, line = _failed(capfd, ["wkbj", "--m", "2", "--N", "3", "--fit"], tmp_path)
+    assert code == 3 and line["error"] == "non-convergence"
+    assert line["message"].startswith("envelope least squares did not converge in 3 steps")
+    assert line["achieved"] > 0.0
 
 
 @pytest.mark.parametrize("order", ["17", "1000000000"])
@@ -1245,11 +1285,16 @@ def test_non_positive_times_exit_2_before_any_artifact(tmp_path, capfd, argv, wh
 
 @pytest.mark.parametrize(
     "argv",
-    [["nodal", "--cell", "0.1"], ["verify", "--m", "1", "--level", "1", "--n", "32", "--L", "16"]],
-    ids=["nodal", "verify"],
+    [
+        ["nodal", "--cell", "0.1"],
+        ["verify", "--m", "1", "--level", "1", "--n", "32", "--L", "16"],
+        ["wkbj", "--m", "2", "--N", "3", "--fit"],
+    ],
+    ids=["nodal", "verify", "wkbj-fit"],
 )
 def test_blas_threads_do_not_change_bytes(tmp_path, argv):
-    # grid evaluation contracts coefficient cubes through BLAS; its thread
+    # grid evaluation contracts coefficient cubes through BLAS, and the
+    # envelope fit solves its normal equations through LAPACK; the thread
     # count must not reach the bytes of the summary or of any artifact
     import subprocess
     import sys

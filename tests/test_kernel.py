@@ -6,15 +6,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
+from hermflow import kernel
 from hermflow.errors import NonConvergenceError, ValidationError
 from hermflow.kernel import (
     KernelTable,
+    _simpson,
     envelope_fit,
     kernel_values,
     wkbj_constants,
 )
-from oracles import gaussian_kernel, ode_residual
+from oracles import gaussian_kernel, ode_residual, pinned_fit_scipy
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +98,47 @@ def test_envelope_fit_recovers_decay_constants(table_m2):
     assert fit["d0_constrained_rel_dev"] < 0.01
     for key in ("d0_hat", "alpha_hat", "delta0_hat", "d0_constrained", "fit_rms"):
         assert np.isfinite(fit[key])
+
+
+def _simpson_grid(kind: str) -> np.ndarray:
+    if kind.startswith("uniform-"):
+        return np.linspace(0.0, 3.0, int(kind.split("-")[1]))
+    if kind.startswith("radii-"):
+        # the kernel/wkbj grids: the default (1801 points), --dr 0.1 (361)
+        # and --r-max 8 (401)
+        r_max, dr = {"1801": (36.0, 0.02), "361": (36.0, 0.1), "401": (8.0, 0.02)}[kind[6:]]
+        return np.arange(0.0, r_max + 1e-9, dr)
+    return np.cumsum(np.random.default_rng(0).random(int(kind.split("-")[1])) + 0.01)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["uniform-2", "uniform-3", "uniform-4", "uniform-11", "uniform-50", "radii-1801",
+     "radii-361", "radii-401", "nonuniform-2", "nonuniform-3", "nonuniform-30", "nonuniform-31"],
+)
+def test_simpson_reproduces_scipy(kind):
+    # odd counts take the pairwise rule, even ones Cartwright's last-interval
+    # correction, two points the trapezoid: each must be scipy's bits
+    x = _simpson_grid(kind)
+    rng = np.random.default_rng(len(x))
+    for y in (rng.standard_normal(len(x)), x * x * np.exp(-x), -0.0 * x):
+        want = simpson(y, x=x)
+        got = _simpson(y, x)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_envelope_fit_matches_the_scipy_oracle(monkeypatch, m):
+    # MINPACK stops at xtol = 1e-8, the in-package fit at roundoff: the
+    # reported figures agree to 1e-7 relative (measured 2e-9 or less)
+    table = kernel_values(m)
+    c = wkbj_constants(m, 3)
+    fit = envelope_fit(table, c)
+    monkeypatch.setattr(kernel, "_pinned_fit", pinned_fit_scipy)
+    ref = envelope_fit(table, c)
+    assert fit["n_extrema"] == ref["n_extrema"] and fit["window"] == ref["window"]
+    for key in ("d0_hat", "alpha_hat", "delta0_hat", "d0_constrained"):
+        assert abs(fit[key] - ref[key]) <= 1e-7 * abs(ref[key]), key
 
 
 def test_csv_roundtrip(table_m1):

@@ -52,3 +52,22 @@ def test_no_module_runs_an_fft():
     # the FFT routes are references in tests/oracles.py
     named = [p.name for p in sorted(PACKAGE.glob("*.py")) if re.search(r"\bfft", p.read_text())]
     assert named == []
+
+
+def test_only_nodal_compare_imports_scipy():
+    # scipy's import costs more than most commands compute; the package's
+    # own Simpson rule, envelope fit and Dormand-Prince pair leave the
+    # k-d tree of the nodal distances as its one use
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+                found += [(path.stem, where, n) for n in names if n.split(".")[0] == "scipy"]
+    assert found == [("dynamics", "nodal_compare", "scipy.spatial")]
