@@ -667,9 +667,10 @@ def _cmd_nodal(cfg: dict):
         comp = cfg["component"]
         if not 0 <= comp < 3:
             raise ValidationError(f"component {comp} is not 0, 1 or 2")
+    ref_poly = ref_e.field_poly().components[comp]
     arts = [(f"nodal_ref_c{comp}.csv", _cloud_csv(ref_clouds[comp]))]
 
-    distances = []
+    compared = []
     for j, tau in enumerate(tau_list):
         state = diagonal_flow(e0, tau)
         if not any(state.coeffs.values()):
@@ -680,11 +681,14 @@ def _cmd_nodal(cfg: dict):
         clouds = nodal_extract(state, R=R, cell=cell)
         for c in range(3):
             arts.append((f"nodal_tau{j}_c{c}.csv", _cloud_csv(clouds[c])))
-        distances.append(nodal_compare(clouds[comp], ref_clouds[comp]))
+        poly = state.field_poly().components[comp]
+        compared.append(nodal_compare(clouds[comp], poly, ref_clouds[comp], ref_poly, R))
+    distances = [c["distance"] for c in compared]
 
     traj = diagonal_trajectory(e0, span)
     rep = detect_resonance(traj, window=(float(span[0]), float(span[-1])))
-    verdict = unique_continuation_diagnostic(rep, distances, tol=cell)
+    verdict = unique_continuation_diagnostic(rep, distances)
+    gap = rep.subdominant_gap
     arts.append(
         (
             "distances.json",
@@ -693,6 +697,13 @@ def _cmd_nodal(cfg: dict):
                 "component": comp,
                 "taus": tau_list,
                 "distances": distances,
+                "outside_ball": [c["outside_ball"] for c in compared],
+                "unresolved": [c["unresolved"] for c in compared],
+                "nodal_rate": {
+                    "taus": tau_list[-2:],
+                    "slope": _log_slope(tau_list[-2:], distances[-2:]),
+                    "expected": None if gap is None else -gap,
+                },
                 "resonance": rep.to_json_dict(),
                 "diagnostic": verdict,
             },
@@ -701,14 +712,20 @@ def _cmd_nodal(cfg: dict):
     summary = {
         "component": comp,
         "distances": distances,
-        "decreasing": bool(
-            all(b <= a + 2 * cell for a, b in zip(distances, distances[1:]))
-        ),
+        "decreasing": all(b < a for a, b in zip(distances, distances[1:])),
         "final_distance": distances[-1],
         "resonance_status": rep.status,
         "verdict": verdict["verdict"],
     }
     return summary, arts
+
+
+def _log_slope(taus: List[float], distances: List[float]) -> Optional[float]:
+    """Slope of log distance against tau through two (tau, distance) points;
+    None where it is undefined (one time, equal times or a zero distance)."""
+    if len(taus) < 2 or taus[0] == taus[1] or min(distances) <= 0.0:
+        return None
+    return (math.log(distances[1]) - math.log(distances[0])) / (taus[1] - taus[0])
 
 
 # the most characters of a `--terms` coefficient, and the largest magnitude

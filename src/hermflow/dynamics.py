@@ -32,7 +32,7 @@ from .grid import (
     residual_norm,
     spectrum_cubes,
 )
-from .multiindex import enumerate_level
+from .multiindex import enumerate_level, unit
 from .polynomial import Polynomial, VectorPolyField, row_blocks
 from .solenoidal import level_basis
 
@@ -720,16 +720,98 @@ def nodal_extract(e: Expansion, R: float = 2.0, cell: float = 0.05) -> List[np.n
     return clouds
 
 
-def nodal_compare(cloudA: np.ndarray, cloudB: np.ndarray) -> float:
-    """Symmetric Hausdorff distance between two point clouds."""
-    from scipy.spatial import cKDTree
+# `nodal_compare`: Newton steps of a projection onto a zero surface, and the
+# longest Newton step |f| / |grad f| left at a point that counts as on it
+_NEWTON_STEPS = 10
+_ON_SURFACE = 1e-9
 
-    a, b = np.asarray(cloudA, float), np.asarray(cloudB, float)
+
+class _ZeroSurface:
+    """The zero surface of a polynomial p: `self(x)` gives p (N,) and its
+    gradient (N, 3) at the rows of an (N, 3) array, from p and its exact
+    partial derivatives with each coefficient rounded once. The sums are
+    elementwise numpy in graded-lex term order, so no BLAS thread count
+    reaches them."""
+
+    def __init__(self, p: Polynomial):
+        polys = [p] + [p.derive(unit(3, i)) for i in range(3)]
+        self.terms = [[(b, float(c)) for b, c in q.sorted_terms()] for q in polys]
+        self.degree = max((max(b) for b in p.terms), default=0)
+
+    def __call__(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        powers = []
+        for axis in range(3):
+            row = [np.ones(len(x))]
+            for _ in range(self.degree):
+                row.append(row[-1] * x[:, axis])
+            powers.append(row)
+        values = []
+        for terms in self.terms:
+            v = np.zeros(len(x))
+            for b, c in terms:
+                v = v + c * (powers[0][b[0]] * powers[1][b[1]] * powers[2][b[2]])
+            values.append(v)
+        return values[0], np.stack(values[1:], axis=1)
+
+
+def _sq_norm(d: np.ndarray) -> np.ndarray:
+    """|d|^2 along the last axis, of length 3, summed elementwise."""
+    return d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2
+
+
+def _nearest(points: np.ndarray, cloud: np.ndarray) -> np.ndarray:
+    """Distance from each of `points` to the nearest point of `cloud`, brute
+    force, a block of `points` at a time."""
+    out = np.empty(len(points))
+    for rows in row_blocks((len(points), len(cloud))):
+        out[rows] = np.sqrt(_sq_norm(points[rows, None, :] - cloud[None, :, :]).min(axis=1))
+    return out
+
+
+def _to_surface(points: np.ndarray, surface: _ZeroSurface, other: np.ndarray, R: float):
+    """Directed distance from `points` to `surface`: its largest value, the
+    number of projections landing outside the ball and of unresolved points
+    (bounded by the nearest point of the `other` cloud instead)."""
+    x = points
+    with np.errstate(all="ignore"):  # an unresolved point may run off to inf
+        for _ in range(_NEWTON_STEPS):
+            f, g = surface(x)
+            g2 = _sq_norm(g)
+            step = np.divide(f, g2, out=np.zeros(len(x)), where=g2 > 0.0)
+            x = x - step[:, None] * g
+        f, g = surface(x)
+        g2 = _sq_norm(g)
+        resolved = (g2 > 0.0) & (np.abs(f) <= _ON_SURFACE * np.sqrt(g2))
+        dist = np.sqrt(_sq_norm(x - points))
+        outside = resolved & (_sq_norm(x) > R * R + 1e-12)
+    dist[~resolved] = _nearest(points[~resolved], other)
+    return float(dist.max()), int(outside.sum()), int((~resolved).sum())
+
+
+def nodal_compare(
+    cloud_a: np.ndarray, poly_a: Polynomial, cloud_b: np.ndarray, poly_b: Polynomial,
+    R: float = 2.0,
+) -> dict:
+    """Distance between two zero surfaces, from the points of each cloud in
+    the ball |y| <= R: each point is projected onto the other polynomial's
+    zero surface by `_NEWTON_STEPS` Newton steps x <- x - f grad f / |grad f|^2,
+    and `distance` is the larger of the two directed maxima of |x - x0|.
+    A point is unresolved when grad f vanishes at its last iterate or the
+    Newton step from there is longer than `_ON_SURFACE`; it is bounded by
+    its distance to the nearest point of the other cloud. Projections
+    landing outside the ball keep their distances. Returns the distance
+    and both counts, summed over the two directions."""
+    a, b = (np.asarray(c, float).reshape(-1, 3) for c in (cloud_a, cloud_b))
+    a, b = (c[_sq_norm(c) <= R * R + 1e-12] for c in (a, b))
     if len(a) == 0 or len(b) == 0:
-        raise EmptyCloudError("empty nodal cloud: Hausdorff distance undefined")
-    d_ab = float(np.max(cKDTree(b).query(a)[0]))
-    d_ba = float(np.max(cKDTree(a).query(b)[0]))
-    return max(d_ab, d_ba)
+        raise EmptyCloudError("empty nodal cloud in the ball: distance undefined")
+    d_ab, out_ab, un_ab = _to_surface(a, _ZeroSurface(poly_b), b, R)
+    d_ba, out_ba, un_ba = _to_surface(b, _ZeroSurface(poly_a), a, R)
+    return {
+        "distance": max(d_ab, d_ba),
+        "outside_ball": out_ab + out_ba,
+        "unresolved": un_ab + un_ba,
+    }
 
 
 # -- zero-type classification --------------------------------------------------------
@@ -1029,8 +1111,12 @@ def semigroup_verify(
 # -- unique continuation diagnostic ----------------------------------------------------
 
 
+# the README's bound on the final nodal distance (criterion 9)
+_NODAL_TOL = 0.05
+
+
 def unique_continuation_diagnostic(
-    report: ResonanceReport, distances: Sequence[float], tol: float = 0.05
+    report: ResonanceReport, distances: Sequence[float], tol: float = _NODAL_TOL
 ) -> dict:
     """Consistency flag between coefficient resonance and nodal geometry.
 

@@ -8,7 +8,8 @@ applied through FFT round trips, the kernel-weighted Gram inverse, the
 closed-form Gaussian kernel and its radial ODE residual, the pinned
 envelope fit by scipy's MINPACK Levenberg-Marquardt, the operator B in its expanded and
 divergence forms, the grid L2 norm, finite-difference weights from a
-Vandermonde solve, zero-type classification with stencil sums accumulated
+Vandermonde solve, the Hausdorff distance between nodal point clouds by
+scipy's k-d tree, zero-type classification with stencil sums accumulated
 in `Fraction`s, and the Galerkin trajectory
 integrated by scipy's RK45 with its Duhamel residual by scipy's cumulative
 Simpson rule.
@@ -25,7 +26,7 @@ import numpy as np
 
 from hermflow import grid
 from hermflow.dynamics import Expansion, ZeroType, _decay_rate
-from hermflow.errors import ValidationError
+from hermflow.errors import EmptyCloudError, ValidationError
 from hermflow.grid import (
     GridSpec,
     InteractionTensor,
@@ -351,6 +352,22 @@ def pair_fields(a: GridVectorField, b: GridVectorField) -> float:
 def norm(u: GridVectorField) -> float:
     """Grid L2 norm: sqrt(h^3 sum |u|^2)."""
     return float(math.sqrt(u.spec.h**3 * np.sum(u.data**2)))
+
+
+# -- nodal sets ----------------------------------------------------------------
+
+
+def hausdorff(cloud_a: np.ndarray, cloud_b: np.ndarray) -> float:
+    """Symmetric Hausdorff distance between two point clouds, by scipy's
+    k-d tree: the cloud-to-cloud figure `nodal_compare` replaced."""
+    from scipy.spatial import cKDTree
+
+    a, b = np.asarray(cloud_a, float), np.asarray(cloud_b, float)
+    if len(a) == 0 or len(b) == 0:
+        raise EmptyCloudError("empty nodal cloud: Hausdorff distance undefined")
+    d_ab = float(np.max(cKDTree(b).query(a)[0]))
+    d_ba = float(np.max(cKDTree(a).query(b)[0]))
+    return max(d_ab, d_ba)
 
 
 # -- zero-type classification -------------------------------------------------

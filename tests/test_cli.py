@@ -336,8 +336,8 @@ def test_evolve_truncated_before_the_window_exits_3(tmp_path, capfd):
 
 
 def test_commands_import_no_scipy(tmp_path):
-    # scipy's import costs more than these runs compute; only nodal
-    # (cKDTree) needs it
+    # scipy's import costs more than these runs compute, and no command
+    # needs it
     argvs = [
         ["kernel"],
         ["wkbj", "--m", "2", "--N", "3", "--fit"],
@@ -348,6 +348,8 @@ def test_commands_import_no_scipy(tmp_path):
         ["verify", "--n", "32", "--L", "12", "--n-tau", "7"],
         ["classify", "--terms", '[{"x": [2, 0, 0], "t": 0, "c": 1}]'],
         ["basis", "--max-level", "3"],
+        ["nodal"],
+        ["nodal", "--cell", "0.1"],
     ]
     script = (
         "import json, sys\n"
@@ -848,6 +850,18 @@ def test_nodal_coarse_run(tmp_path, capsys):
     assert (tmp_path / "distances.json").is_file()
     assert (tmp_path / "nodal_ref_c1.csv").is_file()
     assert (tmp_path / "nodal_tau1_c2.csv").is_file()
+
+
+def test_nodal_distances_do_not_depend_on_the_cell(tmp_path, capsys):
+    # the distances are to the exact zero surfaces, so the sampling cell
+    # moves neither them nor the verdict, whose bound is the README's 0.05
+    runs = []
+    for cell in ("0.1", "0.05", "0.025"):
+        code, line = _run(capsys, ["nodal", "--cell", cell, "--outdir", str(tmp_path / cell)])
+        assert code == 0
+        assert line["verdict"] == "PASS" and line["decreasing"]
+        runs.append(line["distances"])
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_classify_terms_inline(tmp_path, capsys):

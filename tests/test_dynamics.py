@@ -46,6 +46,7 @@ from oracles import (
     GridVectorField,
     fd_weights,
     fraction_classify_zero,
+    hausdorff,
     norm,
     pair_fields,
     synth_duals,
@@ -319,7 +320,7 @@ def test_nodal_extract_plane_zero_set():
     X, Y = np.meshgrid(ax, ax, indexing="ij")
     mask = X**2 + Y**2 <= 4.0 + 1e-12
     plane = np.stack([X[mask], Y[mask], np.zeros(int(mask.sum()))], axis=1)
-    assert nodal_compare(c1, plane) == 0.0
+    assert hausdorff(c1, plane) == 0.0
 
     with pytest.raises(ValidationError):
         nodal_extract(Expansion(composite_basis(1, 1), {}))
@@ -347,15 +348,82 @@ def test_nodal_extract_working_set(cb3, n):
     assert peak <= dynamics._NODAL_ARRAYS * 8 * n**3
 
 
-def test_nodal_compare_symmetry_and_filters():
+def test_hausdorff_oracle_symmetry_and_filters():
     ax = np.linspace(-2.0, 2.0, 41)
     X, Y = np.meshgrid(ax, ax, indexing="ij")
     plane = np.stack([X.ravel(), Y.ravel(), np.zeros(X.size)], axis=1)
     shifted = plane + np.array([0.0, 0.0, 0.3])
-    assert nodal_compare(plane, shifted) == pytest.approx(0.3, abs=1e-12)
-    assert nodal_compare(shifted, plane) == nodal_compare(plane, shifted)
+    assert hausdorff(plane, shifted) == pytest.approx(0.3, abs=1e-12)
+    assert hausdorff(shifted, plane) == hausdorff(plane, shifted)
     with pytest.raises(EmptyCloudError):
-        nodal_compare(np.zeros((0, 3)), plane)
+        hausdorff(np.zeros((0, 3)), plane)
+
+
+def _disc(z: float, R: float = 2.0, n: int = 41) -> np.ndarray:
+    """Grid points of the plane y3 = z inside the ball |y| <= R."""
+    ax = np.linspace(-R, R, n)
+    X, Y = np.meshgrid(ax, ax, indexing="ij")
+    mask = X**2 + Y**2 + z * z <= R * R
+    return np.stack([X[mask], Y[mask], np.full(int(mask.sum()), z)], axis=1)
+
+
+def test_nodal_compare_plane_against_shifted_plane():
+    z = Polynomial.variable(3, 2)
+    shifted = z - Polynomial.constant(3, Fraction(3, 10))
+    got = nodal_compare(_disc(0.0), z, _disc(0.3), shifted, R=2.0)
+    assert got["distance"] == pytest.approx(0.3, abs=1e-12)
+    assert got["unresolved"] == 0 and got["outside_ball"] > 0  # the rim of each disc
+    assert nodal_compare(_disc(0.3), shifted, _disc(0.0), z, R=2.0) == got
+    # the distance is to the surface, not to the cloud: one point of the
+    # shifted plane is as far from z = 0 as all of them
+    one = nodal_compare(_disc(0.0), z, [[1.0, 1.0, 0.3]], shifted, R=2.0)
+    assert one["distance"] == pytest.approx(0.3, abs=1e-12) and one["unresolved"] == 0
+
+
+def test_nodal_compare_empty_in_ball_cloud():
+    z = Polynomial.variable(3, 2)
+    with pytest.raises(EmptyCloudError):
+        nodal_compare(np.zeros((0, 3)), z, _disc(0.0), z)
+    # a cloud with every point past the sphere is empty in the ball
+    with pytest.raises(EmptyCloudError):
+        nodal_compare([[2.05, 0.0, 0.0]], z, _disc(0.0), z, R=2.0)
+
+
+@pytest.mark.parametrize("cell", [0.1, 0.05])
+def test_nodal_compare_within_a_cell_of_the_hausdorff_oracle(cb3, cell):
+    # on the demo states the surface figure is never worse than the
+    # cloud-to-cloud one by more than the sampling it no longer depends on
+    e0 = Expansion(cb3, {(1, 0): 1.0, (3, 10): 0.5})
+    ref = Expansion(cb3, {(1, 0): 1.0})
+    ref_cloud = nodal_extract(ref, cell=cell)[1]
+    ref_poly = ref.field_poly().components[1]
+    for tau in (0.0, 1.0, 2.0, 3.0, 4.0):
+        state = diagonal_flow(e0, tau)
+        cloud = nodal_extract(state, cell=cell)[1]
+        got = nodal_compare(cloud, state.field_poly().components[1], ref_cloud, ref_poly)
+        assert got["unresolved"] == 0
+        assert got["distance"] <= hausdorff(cloud, ref_cloud) + cell
+
+
+def test_nodal_compare_cone_vertex_is_unresolved():
+    # grad f vanishes at the vertex of x^2 + y^2 - z^2 = 0, a multiple zero:
+    # the vertex is unresolved and bounded by the nearest point of the cone's
+    # cloud; the point (1, 0, 0.5) converges onto the smooth sheet
+    cone = Polynomial(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -1})
+    t = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
+    h = np.repeat([0.25, 0.5, 1.0], len(t))
+    tt = np.tile(t, 3)
+    cone_cloud = np.stack([h * np.cos(tt), h * np.sin(tt), h], axis=1)
+    got = nodal_compare(
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.5]], Polynomial.variable(3, 2), cone_cloud, cone
+    )
+    assert got["unresolved"] == 1
+    # the cone's cloud lies at heights up to 1 above z = 0; the vertex's
+    # bound, 0.25 * sqrt(2), is below that
+    assert got["distance"] == pytest.approx(1.0)
+    # alone, the vertex is bounded by its nearest cloud point
+    got = nodal_compare([[0.0, 0.0, 0.0]], cone, cone_cloud, cone)
+    assert got["unresolved"] == 1 and got["distance"] == pytest.approx(0.25 * math.sqrt(2.0))
 
 
 def test_classify_zero_monomial_cases():

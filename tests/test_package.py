@@ -54,10 +54,10 @@ def test_no_module_runs_an_fft():
     assert named == []
 
 
-def test_only_nodal_compare_imports_scipy():
-    # scipy's import costs more than most commands compute; the package's
-    # own Simpson rule, envelope fit and Dormand-Prince pair leave the
-    # k-d tree of the nodal distances as its one use
+def test_no_module_imports_scipy():
+    # scipy's import costs more than most commands compute; the package has
+    # its own Simpson rule, envelope fit, Dormand-Prince pair and nodal
+    # distances, and scipy serves only as the tests' oracle
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -70,4 +70,4 @@ def test_only_nodal_compare_imports_scipy():
                     continue
                 where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
                 found += [(path.stem, where, n) for n in names if n.split(".")[0] == "scipy"]
-    assert found == [("dynamics", "nodal_compare", "scipy.spatial")]
+    assert found == []
