@@ -96,7 +96,7 @@ class Param:
     list in a config file). A bool flag switches away from the default:
     `--name` when it is False, `--no-name` when it is True. `echo=False`
     marks execution plumbing, which stays out of the echo so it cannot
-    change artifact bytes; `flag=False` makes a config-file key only.
+    change artifact bytes.
     """
 
     name: str
@@ -105,15 +105,16 @@ class Param:
     help: Optional[str] = None
     choices: Tuple[object, ...] = ()
     echo: bool = True
-    flag: bool = True
 
 
 _CONFIG = Param("config", str, None, "flat JSON config file; flags override it")
 _COMMON = (
     Param("outdir", str, ".", "artifact directory (HERMFLOW_OUTDIR overrides the default)", echo=False),
     Param("workers", int, None, "worker cap (default: available cores)", echo=False),
-    Param("seed", int, 0, "seed for any randomized data"),
 )
+# only d-tensor (its projector test field), evolve and nodal (demo:small) draw
+# random numbers, so only they take a seed
+_SEED = Param("seed", int, 0, "seed of demo:small and of the projector test field")
 
 
 def _jsonable(x):
@@ -179,8 +180,7 @@ def _bases(m: int) -> _Bases:
 def _parse_data(desc: str, m: int, K_flag: Optional[int], seed: int, bases: _Bases):
     """Decode an initial-data descriptor into (coeffs, minimal level K).
 
-    Forms: "fixture:k:i" / "kernel:k:i" (unit coefficient on composite label
-    (k, i)), "l1:0=1,l3:10=0.5" (explicit labels), "demo:nodal",
+    Forms: "l1:0=1,l3:10=0.5" (explicit labels), "demo:nodal",
     "demo:small" (seeded generic data over all labels up to K), or
     "file:path" pointing at a JSON object with a "coeffs" mapping. The demo
     data take their basis from `bases`.
@@ -209,12 +209,6 @@ def _parse_data_inner(desc: str, m: int, K_flag: Optional[int], seed: int, bases
             vals = 0.02 * rng.standard_normal(cb.count)
             return {lab: float(v) for lab, v in zip(cb.labels, vals)}, K
         raise ValidationError(f"unknown demo dataset {name!r}")
-    if desc.startswith(("fixture:", "kernel:")):
-        parts = desc.split(":")
-        if len(parts) != 3:
-            raise ValidationError(f"bad data descriptor {desc!r}")
-        k, i = int(parts[1]), int(parts[2])
-        return {(k, i): 1.0}, k
     if desc.startswith("file:"):
         path = desc[5:]
         with open(path) as fh:
@@ -244,8 +238,7 @@ def _parse_data_inner(desc: str, m: int, K_flag: Optional[int], seed: int, bases
 def _zero_tensor(cb, m: int, spec: GridSpec) -> InteractionTensor:
     zero = np.zeros((cb.count,) * 3)
     return InteractionTensor(
-        m=m, N=3, spec=spec, labels=list(cb.labels), values=zero, errors=zero.copy(),
-        refined={"mode": "zero"},
+        m=m, N=3, spec=spec, labels=list(cb.labels), values=zero, errors=zero.copy()
     )
 
 
@@ -528,8 +521,8 @@ def _cmd_d_tensor(cfg: dict):
     # and the projector's complex transients; tracemalloc 18.1-18.6 at n=32-96
     check_fits(spec.n, 19, "the projector diagnostic")
     cb = composite_basis(m, K)
-    tensor = interaction_tensor(cb, spec, refine=cfg["refine"])
-    flagged = tensor.flagged(cfg["flag_tol"])
+    tensor = interaction_tensor(cb, spec)
+    flagged = tensor.flagged()
     payload = {**tensor.to_json_dict(), "flagged": [list(t) for t in flagged]}
     summary = {
         "labels": len(tensor.labels),
@@ -583,9 +576,7 @@ def _cmd_evolve(cfg: dict):
     summary: Dict[str, object] = {"model": model, "labels": cb.count, "tau_end": cfg["tau"]}
     if model == "nse":
         spec = GridSpec(L=cfg["L"], n=cfg["n"])
-        if cfg["zero_tensor"]:
-            tensor = _zero_tensor(cb, m, spec)
-        elif cfg["tensor"]:
+        if cfg["tensor"]:
             tensor = _load_tensor(cfg["tensor"])
             # a tensor of another order, dimension, grid or refinement grid
             # is not the one this run would compute
@@ -606,9 +597,8 @@ def _cmd_evolve(cfg: dict):
         summary["duhamel_residual"] = traj.duhamel_residual
         summary["truncated"] = traj.diagnostic["truncated"]
         summary["integrator"] = traj.diagnostic["integrator"]
-        if cfg["check_linear"] or cfg["zero_tensor"]:
-            # a zero-tensor run already is the zero-coupling run
-            lin = traj if cfg["zero_tensor"] else nse_galerkin(
+        if cfg["check_linear"]:
+            lin = nse_galerkin(
                 e0, _zero_tensor(cb, m, spec), cfg["tau"], rtol=cfg["rtol"], n_out=cfg["steps"]
             )
             # against the exact flow at the times the run reached
@@ -688,6 +678,8 @@ def _cmd_nodal(cfg: dict):
     traj = diagonal_trajectory(e0, span)
     rep = detect_resonance(traj, window=(float(span[0]), float(span[-1])))
     verdict = unique_continuation_diagnostic(rep, distances)
+    # `decreasing` goes to the summary line only
+    decreasing = verdict.pop("decreasing")
     gap = rep.subdominant_gap
     arts.append(
         (
@@ -712,7 +704,7 @@ def _cmd_nodal(cfg: dict):
     summary = {
         "component": comp,
         "distances": distances,
-        "decreasing": all(b < a for a, b in zip(distances, distances[1:])),
+        "decreasing": decreasing,
         "final_distance": distances[-1],
         "resonance_status": rep.status,
         "verdict": verdict["verdict"],
@@ -955,13 +947,10 @@ _COMMANDS: Dict[str, Tuple[str, Tuple[Param, ...], Callable]] = {
         "projected convection couplings of the composite basis",
         (
             Param("m", int, 1),
-            # the grid is three-dimensional, so N is fixed; it stays in the echo
-            Param("N", int, 3, choices=(3,), flag=False),
             Param("K", int, 1),
             Param("L", float, 8.0),
             Param("n", int, 64),
-            Param("refine", bool, True),
-            Param("flag_tol", float, 1e-3),
+            _SEED,
         ),
         _cmd_d_tensor,
     ),
@@ -969,7 +958,7 @@ _COMMANDS: Dict[str, Tuple[str, Tuple[Param, ...], Callable]] = {
         "coefficient dynamics: exact diagonal flows or Galerkin",
         (
             Param("model", str, "stokes", choices=tuple(_MODEL_ORDER)),
-            Param("data", str, "fixture:1:0", "fixture:k:i | l1:0=c,... | demo:nodal | demo:small | file:PATH"),
+            Param("data", str, "l1:0=1", "l1:0=c,... | demo:nodal | demo:small | file:PATH"),
             Param("tau", float, 3.0),
             Param("steps", int, 41),
             Param("K", int, None),
@@ -977,8 +966,8 @@ _COMMANDS: Dict[str, Tuple[str, Tuple[Param, ...], Callable]] = {
             Param("L", float, 8.0),
             Param("n", int, 64),
             Param("tensor", str, None, "interaction-tensor JSON to reuse"),
-            Param("zero_tensor", bool, False, "integrate with all couplings zeroed"),
             Param("check_linear", bool, False, "also compare the zero-coupling run to the exact flow"),
+            _SEED,
         ),
         _cmd_evolve,
     ),
@@ -993,6 +982,7 @@ _COMMANDS: Dict[str, Tuple[str, Tuple[Param, ...], Callable]] = {
             Param("component", int, None),
             Param("K", int, 3),
             Param("steps", int, 41),
+            _SEED,
         ),
         _cmd_nodal,
     ),
@@ -1068,8 +1058,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (help_text, params, _) in _COMMANDS.items():
         sp = subs.add_parser(command, help=help_text)
         for p in (_CONFIG, *_COMMON, *params):
-            if p.flag:
-                _add_flag(sp, p)
+            _add_flag(sp, p)
     return parser
 
 

@@ -233,6 +233,19 @@ class CoefficientTrajectory:
 _RATE_FLOOR = 1e-6
 
 
+def _log_slopes(
+    taus: np.ndarray, A: np.ndarray, labels: Sequence[Tuple[int, int]], floor: float
+) -> Dict[Tuple[int, int], float]:
+    """Least-squares slope of log |coefficient| against tau, per label, for
+    the columns of the magnitudes `A` that are positive at every sample and
+    rise above `floor`; the other columns are not fit."""
+    return {
+        lab: float(np.polyfit(taus, np.log(col), 1)[0])
+        for lab, col in zip(labels, A.T)
+        if np.all(col > 0.0) and np.max(col) > floor
+    }
+
+
 def rate_check(traj: CoefficientTrajectory) -> dict:
     """Log-linear decay rates of the trajectory against the exact level rates
     of its basis order.
@@ -251,11 +264,7 @@ def rate_check(traj: CoefficientTrajectory) -> dict:
     m = traj.states[0].basis.params.m
     rates = {}
     worst = 0.0
-    for j, label in enumerate(traj.labels):
-        c = np.abs(C[:, j])
-        if float(np.max(c)) <= _RATE_FLOOR * top or np.any(c == 0.0):
-            continue
-        fitted = float(np.polyfit(traj.taus, np.log(c), 1)[0])
+    for label, fitted in _log_slopes(traj.taus, np.abs(C), traj.labels, _RATE_FLOOR * top).items():
         expected = _decay_rate(m, label[0])
         rel = abs(fitted - expected) / abs(expected) if expected else abs(fitted)
         rates[label] = {"fitted": fitted, "expected": expected, "rel_err": rel}
@@ -602,11 +611,7 @@ def detect_resonance(
     scale = float(np.max(Cw)) if Cw.size else 0.0
     m = traj.states[0].basis.params.m
 
-    slopes: Dict[Tuple[int, int], float] = {}
-    for j, lab in enumerate(labels):
-        col = Cw[:, j]
-        if np.all(col > 0.0) and np.max(col) > 1e-30 * max(scale, 1e-300):
-            slopes[lab] = float(np.polyfit(tw, np.log(col), 1)[0])
+    slopes = _log_slopes(tw, Cw, labels, 1e-30 * max(scale, 1e-300))
 
     def report(status, dominant=(), level=None, rate=None, gap=None):
         expected = None if level is None else _decay_rate(m, level)
@@ -1121,19 +1126,23 @@ def unique_continuation_diagnostic(
     """Consistency flag between coefficient resonance and nodal geometry.
 
     A resonant trajectory whose nodal set approaches the dominant
-    polynomial's zero set is PASS; resonant rates with a nodal set staying
-    away (final distance above tol, or growing) is INCONSISTENT; anything
-    unclassified or without nodal data is a vacuous verdict. A diagnostic
-    mirror of the expected contrapositive, never a proof.
+    polynomial's zero set is PASS: the README's rule of criterion 9, every
+    distance strictly below the one before (`decreasing`) and the final one
+    strictly below tol. Resonant rates with a nodal set that fails either
+    is INCONSISTENT; anything unclassified or without nodal data is a
+    vacuous verdict. A diagnostic mirror of the expected contrapositive,
+    never a proof.
     """
     ds = [float(x) for x in distances]
+    decreasing = all(b < a for a, b in zip(ds, ds[1:]))
     if report.status != "resonant" or not ds:
-        return {"verdict": "vacuous", "status": report.status, "distances": ds}
-    converged = ds[-1] <= tol and ds[-1] <= ds[0] + 1e-12
+        return {"verdict": "vacuous", "status": report.status, "distances": ds,
+                "decreasing": decreasing}
     return {
-        "verdict": "PASS" if converged else "INCONSISTENT",
+        "verdict": "PASS" if decreasing and ds[-1] < tol else "INCONSISTENT",
         "status": report.status,
         "final_distance": ds[-1],
         "tol": tol,
         "distances": ds,
+        "decreasing": decreasing,
     }

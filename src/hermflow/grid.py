@@ -518,6 +518,11 @@ def convection_poly(v: VectorPolyField, w: VectorPolyField | None = None) -> Vec
 # -- interaction tensor -----------------------------------------------------------
 
 
+# README criterion 6: a coupling is flagged when its refinement error estimate
+# exceeds this, absolutely or, for entries above 1, relative to the entry
+_FLAG_TOL = 1e-3
+
+
 @dataclass
 class InteractionTensor:
     """Couplings d_{alpha gamma beta} of one basis: all three axes are
@@ -534,12 +539,12 @@ class InteractionTensor:
     def max_error(self) -> float:
         return float(np.max(self.errors)) if self.errors.size else 0.0
 
-    def flagged(self, tol: float = 1e-3) -> List[Tuple[int, int, int]]:
-        """Index triples whose refinement disagreement exceeds tol (absolute,
-        or relative for entries above 1): these pairings are box-sensitive
-        and their values should not be trusted beyond the error bar."""
+    def flagged(self) -> List[Tuple[int, int, int]]:
+        """Index triples whose refinement disagreement exceeds `_FLAG_TOL`:
+        these pairings are box-sensitive and their values should not be
+        trusted beyond the error bar."""
         scale = np.maximum(1.0, np.abs(self.values))
-        bad = np.argwhere(self.errors > tol * scale)
+        bad = np.argwhere(self.errors > _FLAG_TOL * scale)
         return [tuple(map(int, t)) for t in bad]
 
     def to_json_dict(self) -> dict:

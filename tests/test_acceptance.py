@@ -1,4 +1,5 @@
-"""End-to-end acceptance checks, one per numbered criterion.
+"""End-to-end acceptance checks, one per numbered criterion, and one that
+every README check writes its artifacts with bare newlines.
 
 Each test carries its own wall-clock budget; the numeric tolerances are
 stated inline next to the asserts they guard.
@@ -28,6 +29,32 @@ def _run_cli(capsys, argv):
     code = cli.run(argv)
     lines = capsys.readouterr().out.strip().splitlines()
     return code, json.loads(lines[-1])
+
+
+def _no_carriage_return(outdir) -> bool:
+    """Every artifact ends its lines with a bare newline."""
+    files = list(outdir.iterdir())
+    return bool(files) and all(b"\r" not in f.read_bytes() for f in files)
+
+
+def test_readme_checks_write_no_carriage_return(tmp_path, capsys):
+    # the CLI checks of criteria 1-6 and 10, and `kernel`; the tests of
+    # criteria 7, 8, 9 and 11 check their own artifacts
+    for i, argv in enumerate(
+        [
+            ["basis"],
+            ["eig-check"],
+            ["biortho"],
+            ["solenoidal"],
+            ["wkbj", "--m", "2", "--N", "3", "--fit"],
+            ["d-tensor"],
+            ["classify", "--suite", "synthetic"],
+            ["kernel"],
+        ]
+    ):
+        outdir = tmp_path / str(i)
+        code, _ = _run_cli(capsys, argv + ["--outdir", str(outdir)])
+        assert code == 0 and _no_carriage_return(outdir), argv
 
 
 def test_criterion_01_scalar_level_counts():
@@ -125,7 +152,7 @@ def test_criterion_07_stokes_rates_levels_1_and_2(tmp_path, capsys):
         capsys,
         ["verify", "--m", "1", "--level", "1", "--level", "2", "--outdir", str(tmp_path)],
     )
-    assert code == 0
+    assert code == 0 and _no_carriage_return(tmp_path)
     assert not line["truncated"]
     assert line["max_rel_rate_err"] < 1e-3
     assert time.perf_counter() - t0 < 120.0
@@ -137,7 +164,7 @@ def test_criterion_08_burnett_rates_levels_0_and_1(tmp_path, capsys):
         capsys,
         ["verify", "--m", "2", "--level", "0", "--level", "1", "--outdir", str(tmp_path)],
     )
-    assert code == 0
+    assert code == 0 and _no_carriage_return(tmp_path)
     assert not line["truncated"]
     assert line["max_rel_rate_err"] < 1e-3
     assert time.perf_counter() - t0 < 120.0
@@ -146,7 +173,7 @@ def test_criterion_08_burnett_rates_levels_0_and_1(tmp_path, capsys):
 def test_criterion_09_nodal_set_converges_to_reference_plane(tmp_path, capsys):
     t0 = time.perf_counter()
     code, line = _run_cli(capsys, ["nodal", "--outdir", str(tmp_path)])
-    assert code == 0
+    assert code == 0 and _no_carriage_return(tmp_path)
     d = line["distances"]
     assert len(d) == 5
     assert all(b < a for a, b in zip(d, d[1:]))
@@ -187,7 +214,7 @@ def test_criterion_11_quadratic_model_consistency(tmp_path, capsys):
             str(tmp_path),
         ],
     )
-    assert code == 0
+    assert code == 0 and _no_carriage_return(tmp_path)
     assert line["stokes_dev"] <= 1e-9
     assert line["duhamel_residual"] <= 1e-6
     assert not line["truncated"]

@@ -5,11 +5,13 @@ import ast
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,24 +211,6 @@ def test_grid_larger_than_memory_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_evolve_zero_tensor_integrates_once(tmp_path, capsys, monkeypatch):
-    # the zero-tensor run is its own zero-coupling reference
-    from hermflow import dynamics
-
-    calls = []
-    integrate = dynamics._dopri45
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return integrate(*args, **kwargs)
-
-    monkeypatch.setattr(dynamics, "_dopri45", counted)
-    argv = ["evolve", "--model", "nse", "--K", "1", "--data", "l1:0=0.1", "--zero-tensor"]
-    code, line = _run(capsys, argv + ["--outdir", str(tmp_path)])
-    assert code == 0 and line["stokes_dev"] <= 1e-9
-    assert len(calls) == 1
-
-
 def test_evolve_integrator_failing_first_step_exits_3(tmp_path, capfd):
     # the quadratic term of 1e200 data overflows, so no step completes; the
     # overflow raises no warning, so stderr holds the one message line
@@ -299,17 +283,14 @@ def test_evolve_stopped_by_the_step_bound_exits_3(tmp_path, capsys, monkeypatch)
     assert list(outdir.iterdir()) == []
 
 
-@pytest.mark.parametrize(
-    "flags", [["--zero-tensor"], ["--zero-tensor", "--check-linear"]], ids=["zero-tensor", "check-linear"]
-)
-def test_truncated_zero_coupling_run_compares_the_times_reached(tmp_path, capsys, monkeypatch, flags):
+def test_truncated_zero_coupling_run_compares_the_times_reached(tmp_path, capsys, monkeypatch):
     # bounded at 5 steps the run stops early with enough output times for
     # the resonance window: it keeps its artifacts, and stokes_dev compares
     # it with the exact flow at the times it reached
     from hermflow import dynamics
 
     monkeypatch.setattr(dynamics, "_DP_MAX_STEPS", 5)
-    argv = ["evolve", "--model", "nse", "--K", "1", "--data", "l1:0=0.1", *flags]
+    argv = ["evolve", "--model", "nse", "--K", "1", "--data", "l1:0=0.1", "--check-linear"]
     code, line = _run(capsys, argv + ["--outdir", str(tmp_path)])
     assert code == 0 and line["truncated"] is True
     assert line["stokes_dev"] <= 1e-9
@@ -474,19 +455,29 @@ def test_usage_errors_exit_64(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.run([])
     assert exc.value.code == 64
-    # the projector check always runs; there is no switch to turn it off
-    with pytest.raises(SystemExit) as exc:
-        cli.run(["d-tensor", "--no-check-projector"])
-    assert exc.value.code == 64
+    # removed flags are unknown: the projector check always runs, d-tensor
+    # always refines, and only the commands with random data take a seed
+    for argv in (
+        ["d-tensor", "--no-check-projector"],
+        ["d-tensor", "--no-refine"],
+        ["d-tensor", "--flag-tol", "1e-3"],
+        ["evolve", "--zero-tensor"],
+        ["basis", "--seed", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(argv)
+        assert exc.value.code == 64, argv
 
 
 def test_bad_data_descriptor_exits_2(tmp_path, capsys):
-    code, line = _run(
-        capsys,
-        ["evolve", "--data", "garbage:oops", "--outdir", str(tmp_path)],
-    )
-    assert code == 2
-    assert line["error"] == "validation" and not line["ok"]
+    # `fixture:k:i` and `kernel:k:i` were spellings of `lk:i=1`
+    for desc in ("garbage:oops", "fixture:1:0", "kernel:1:0"):
+        code, line = _run(
+            capsys,
+            ["evolve", "--data", desc, "--outdir", str(tmp_path)],
+        )
+        assert code == 2
+        assert line["error"] == "validation" and not line["ok"]
 
 
 @pytest.mark.parametrize(
@@ -748,7 +739,7 @@ def test_evolve_stokes_rates(tmp_path, capsys):
             "--model",
             "stokes",
             "--data",
-            "fixture:1:0",
+            "l1:0=1",
             "--tau",
             "3",
             "--outdir",
@@ -779,7 +770,7 @@ def test_evolve_nse_zero_tensor_matches_stokes(tmp_path, capsys):
             "2",
             "--steps",
             "21",
-            "--zero-tensor",
+            "--check-linear",
             "--outdir",
             str(tmp_path),
         ],
@@ -875,6 +866,31 @@ def test_classify_terms_inline(tmp_path, capsys):
     assert line["status"] == "classified"
     assert line["M"] == 2 and line["K"] == 3
     assert line["gamma"] == {"num": 3, "den": 2}
+
+
+def test_classify_terms_file_matches_inline_terms(tmp_path, capsys):
+    # the same JSON from a file or inline gives the same result; only the
+    # echo names where the terms came from
+    terms = json.dumps([{"x": [2, 0, 0], "t": 0, "c": 1}, {"x": [0, 0, 0], "t": 3, "c": 1}])
+    path = tmp_path / "terms.json"
+    path.write_text(terms)
+    runs = []
+    for name, argv in (("inline", ["--terms", terms]), ("file", ["--terms-file", str(path)])):
+        code, line = _run(capsys, ["classify", *argv, "--outdir", str(tmp_path / name)])
+        assert code == 0 and line["status"] == "classified"
+        doc = json.loads((tmp_path / name / "zerotype.json").read_text())
+        runs.append([{k: v for k, v in d.items() if k != "config"} for d in (line, doc)])
+    assert runs[0] == runs[1]
+
+
+def test_classify_terms_file_holding_no_list_exits_2(tmp_path, capsys):
+    path = tmp_path / "terms.json"
+    path.write_text(json.dumps({"x": [2, 0, 0], "c": 1}))
+    outdir = tmp_path / "out"
+    code, line = _run(capsys, ["classify", "--terms-file", str(path), "--outdir", str(outdir)])
+    assert code == 2 and line["error"] == "validation"
+    assert line["message"] == "terms must be a JSON list of monomials"
+    assert list(outdir.iterdir()) == []
 
 
 def test_classify_requires_some_input(tmp_path, capsys):
@@ -976,13 +992,13 @@ def test_outdir_is_created(tmp_path, capsys):
 
 
 # every subcommand's flags as (option string, dest, action, type, choices);
-# the common four come first on every subcommand
+# the common three come first on every subcommand
 _COMMON_FLAGS = [
     ("--config", "config", "store", None, None),
     ("--outdir", "outdir", "store", None, None),
     ("--workers", "workers", "store", "int", None),
-    ("--seed", "seed", "store", "int", None),
 ]
+_SEED_FLAG = ("--seed", "seed", "store", "int", None)
 _FLAGS = {
     "basis": [
         ("--m", "m", "store", "int", None),
@@ -1025,8 +1041,7 @@ _FLAGS = {
         ("--K", "K", "store", "int", None),
         ("--L", "L", "store", "float", None),
         ("--n", "n", "store", "int", None),
-        ("--no-refine", "refine", "store_false", None, None),
-        ("--flag-tol", "flag_tol", "store", "float", None),
+        _SEED_FLAG,
     ],
     "evolve": [
         ("--model", "model", "store", None, ["stokes", "nse", "burnett"]),
@@ -1038,8 +1053,8 @@ _FLAGS = {
         ("--L", "L", "store", "float", None),
         ("--n", "n", "store", "int", None),
         ("--tensor", "tensor", "store", None, None),
-        ("--zero-tensor", "zero_tensor", "store_true", None, None),
         ("--check-linear", "check_linear", "store_true", None, None),
+        _SEED_FLAG,
     ],
     "nodal": [
         ("--model", "model", "store", None, ["stokes", "burnett"]),
@@ -1050,6 +1065,7 @@ _FLAGS = {
         ("--component", "component", "store", "int", None),
         ("--K", "K", "store", "int", None),
         ("--steps", "steps", "store", "int", None),
+        _SEED_FLAG,
     ],
     "classify": [
         ("--terms", "terms", "store", None, None),
@@ -1092,6 +1108,20 @@ def test_generated_flags_match_the_pinned_lists():
         assert rows == _COMMON_FLAGS + _FLAGS[command], command
 
 
+def test_readme_names_only_flags_the_cli_has():
+    # every `--flag` the README mentions is a flag of some command (pip's
+    # `--no-build-isolation` aside), and its list of switches is the bool
+    # settings of the command table
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {f for sp in sub.choices.values() for a in sp._actions for f in a.option_strings}
+    unknown = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", readme)) - flags
+    assert unknown == {"--no-build-isolation"}
+    (switches,) = re.findall(r"Switches \(([^)]*)\)", readme)
+    bools = {p.name for params in cli._PARAMS.values() for p in params.values() if p.type is bool}
+    assert set(re.findall(r"`(\w+)`", switches)) == bools
+
+
 @pytest.mark.parametrize(
     "command, cfg",
     [
@@ -1126,6 +1156,12 @@ def test_generated_flags_match_the_pinned_lists():
         ("evolve", {"rtol": 0.0, "model": "nse", "K": 1, "data": "l1:0=1"}),
         # the projector check always runs; its old switch is an unknown key
         ("d-tensor", {"check_projector": False}),
+        # so are the keys of other removed settings, found in older echoes
+        ("d-tensor", {"refine": True}),
+        ("d-tensor", {"flag_tol": 1e-3}),
+        ("d-tensor", {"N": 3}),
+        ("evolve", {"zero_tensor": False}),
+        ("basis", {"seed": 0}),
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg):
@@ -1278,9 +1314,9 @@ def test_tensor_file_labels_come_from_the_alpha_axis(tmp_path, capsys, key):
         (["evolve", "--tau", "0"], "tau"),
         (["evolve", "--tau", "-1"], "tau"),
         (["evolve", "--model", "nse", "--K", "1", "--data", "l1:0=1", "--tau", "0",
-          "--zero-tensor"], "tau"),
+          "--check-linear"], "tau"),
         (["evolve", "--model", "nse", "--K", "1", "--data", "l1:0=1", "--tau", "-1",
-          "--zero-tensor"], "tau"),
+          "--check-linear"], "tau"),
         (["nodal", "--taus", "0"], "the largest of taus"),
         (["nodal", "--taus=-1"], "taus"),
         (["nodal", "--taus=0,1,-1"], "taus"),

@@ -804,3 +804,18 @@ def test_unique_continuation_diagnostic(cb3):
     rep2 = detect_resonance(short, window=(0.0, 1.0))
     assert unique_continuation_diagnostic(rep2, [0.4, 0.2])["verdict"] == "vacuous"
     assert unique_continuation_diagnostic(rep, [])["verdict"] == "vacuous"
+
+
+def test_unique_continuation_diagnostic_applies_the_readme_rule(cb3):
+    # criterion 9: every distance strictly below the one before, and the
+    # final one strictly below 0.05; a rise on the way, or a final distance
+    # at the bound, is INCONSISTENT
+    taus = np.linspace(0.0, 4.0, 41)
+    e0 = Expansion(cb3, {(1, 0): 1.0, (3, 10): 0.5})
+    rep = detect_resonance(diagonal_trajectory(e0, taus), window=(0.0, 4.0))
+    assert rep.status == "resonant"
+    rises = unique_continuation_diagnostic(rep, [0.4, 0.5, 0.03])
+    assert rises["verdict"] == "INCONSISTENT" and rises["decreasing"] is False
+    at_bound = unique_continuation_diagnostic(rep, [0.4, 0.2, 0.05])
+    assert at_bound["verdict"] == "INCONSISTENT" and at_bound["decreasing"] is True
+    assert unique_continuation_diagnostic(rep, [0.4, 0.2, 0.049])["verdict"] == "PASS"

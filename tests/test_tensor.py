@@ -62,7 +62,7 @@ def test_refinement_doubles_box_and_flags_nothing_at_k1():
     cb = composite_basis(1, 1)
     T = interaction_tensor(cb, GridSpec(6.0, 24), refine=True)
     assert T.refined == {"L": 12.0, "n": 48}
-    assert T.flagged(1e-3) == []
+    assert T.flagged() == []
     # the doubled box removes the periodization bias almost completely
     assert np.max(np.abs(T.values - _closed_form())) <= 1e-12
     assert T.max_error() <= 2e-3
