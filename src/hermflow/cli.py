@@ -1016,6 +1016,18 @@ _PARAMS: Dict[str, Dict[str, Param]] = {
     cmd: {p.name: p for p in _COMMON + params} for cmd, (_, params, _) in _COMMANDS.items()
 }
 
+# settings a command reads only when another setting has one value: command
+# -> (the settings, the deciding setting, that value). Any value but its
+# default is refused otherwise, so the echo never shows a check that did
+# not run; the default echoes what a run without it computes.
+_READ_ONLY_WITH: Dict[str, Tuple[Tuple[Tuple[str, ...], str, str], ...]] = {
+    "evolve": (
+        (("tensor", "check_linear", "rtol", "L", "n"), "model", "nse"),
+        (("seed",), "data", "demo:small"),
+    ),
+    "nodal": ((("seed",), "data", "demo:small"),),
+}
+
 
 def _echo(cfg: dict, command: str) -> dict:
     """The resolved, typed parameters of a run, minus execution plumbing."""
@@ -1103,7 +1115,16 @@ def _resolve(command: str, ns: argparse.Namespace) -> dict:
     if env:
         raw["outdir"] = env
     raw.update(given)
-    return {name: _coerce(p, raw.get(name, p.default)) for name, p in params.items()}
+    cfg = {name: _coerce(p, raw.get(name, p.default)) for name, p in params.items()}
+    for names, key, value in _READ_ONLY_WITH.get(command, ()):
+        got = cfg[key].strip()
+        if got != value:
+            for name in names:
+                if cfg[name] != params[name].default:
+                    raise ValidationError(
+                        f"{name} is read only with {key} {value}, and this run has {key} {got}"
+                    )
+    return cfg
 
 
 # failure rows, first match wins: (exception types, exit code, error tag,

@@ -26,8 +26,9 @@ from .grid import (
     dilate_coeffs,
     dual_cubes,
     lattice_moments,
-    lattice_weight,
+    mirror,
     moment_pairings,
+    octant_weight,
     parallel_map,
     residual_norm,
     spectrum_cubes,
@@ -84,10 +85,11 @@ class Expansion:
         return total
 
 # float64 arrays of n^3 at the peak of `expand` on a field with a remainder
-# (tracemalloc: 4.3 at n = 32, where a row block is the whole lattice, to 2.2
-# at n = 96): |eta|^2, the weight, and two row blocks of the residual sweep
-# with its plane tables
-_EXPAND_POLY_ARRAYS = 5
+# (tracemalloc: 3.9 at n = 16 and 3.4 at n = 32, where a row block is the
+# whole lattice, to 0.5 at n = 96): the octants of |eta|^2 and of the
+# weight, and two row blocks of the residual sweep (the mirrored weight and
+# the values) with its plane tables
+_EXPAND_POLY_ARRAYS = 4
 
 
 def expand(u, basis, spec: GridSpec | None = None) -> Expansion:
@@ -116,7 +118,7 @@ def expand(u, basis, spec: GridSpec | None = None) -> Expansion:
         sp = spec or GridSpec(10.0, 64)
         m = basis.params.m
         check_fits(sp.n, _EXPAND_POLY_ARRAYS, "expand on a polynomial field")
-        w, live = lattice_weight(sp, m)
+        w, live = octant_weight(sp, m)
         (P,) = spectrum_cubes([diff], m)
         residual = residual_norm(sp, closed_form_rows(P, w, live, sp))
     return Expansion(basis, coeffs, residual=residual)
@@ -138,19 +140,18 @@ class _Extractor:
     def __init__(self, basis, spec: GridSpec):
         m = self.m = basis.params.m
         self.spec = spec
-        self.decay, self.live_decay = lattice_weight(spec, m)
+        self.decay, self.live_decay = octant_weight(spec, m)
         self._local = threading.local()
         self.duals = dual_cubes(basis.blocks)
         self.realz = spectrum_cubes(basis.fields, m)
         dmax = self.realz.shape[-1] + self.duals.shape[-1] - 2
-        gram_table = lattice_moments(self.decay * self.decay, spec, dmax)
+        gram_table = lattice_moments(mirror(self.decay * self.decay), spec, dmax)
         self.M = moment_pairings(self.realz, self.duals, gram_table, spec)
 
     def closed_form(self, X: np.ndarray, b: float) -> Tuple[np.ndarray, float]:
         """Field with spectrum exp(-b|eta|^2m) sum_d i^|d| X_c[d] eta^d."""
-        w, wd = self._scratch()
-        _, live = lattice_weight(self.spec, self.m, b, w)
-        np.multiply(w, self.decay, out=wd)
+        w, live = octant_weight(self.spec, self.m, b)
+        wd = mirror(w * self.decay, out=self._scratch())
         Dx, Dw = X.shape[-1] - 1, self.duals.shape[-1] - 1
         table = lattice_moments(wd, self.spec, Dx + Dw)
         raw = moment_pairings(X[None], self.duals, table, self.spec)[0]
@@ -161,14 +162,15 @@ class _Extractor:
         model = closed_form_rows(Y, self.decay, self.live_decay, self.spec)
         return c, residual_norm(self.spec, data, model)
 
-    def _scratch(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Two lattice arrays of the calling thread, made on its first
-        output time and reused by the next ones: a fresh pair per output
-        time costs a page fault per 4 KiB, and the threads contend for it."""
-        arrays = getattr(self._local, "arrays", None)
-        if arrays is None:
-            arrays = self._local.arrays = (np.empty_like(self.decay), np.empty_like(self.decay))
-        return arrays
+    def _scratch(self) -> np.ndarray:
+        """The lattice array of the calling thread that holds the weight
+        times the decay, made on its first output time and reused by the
+        next ones: a fresh one per output time costs a page fault per
+        4 KiB, and the threads contend for it."""
+        out = getattr(self._local, "wd", None)
+        if out is None:
+            out = self._local.wd = np.empty((self.spec.n,) * 3)
+        return out
 
 
 # -- diagonal flow ----------------------------------------------------------------
@@ -1004,17 +1006,20 @@ def classify_zero(
 
 def _verifier_arrays(n: int, m: int, level: int, workers: int) -> float:
     """Float64 arrays of n^3 at the peak of `semigroup_verify`, an upper
-    bound: |eta|^2 (cached), the decay and one array of headroom; then, per
-    output time in flight, the thread's weight and weight-times-decay
-    arrays, two row blocks of the residual sweep, the plane tables of its
-    (at most twelve) spectra and the first contraction of the moment
-    table. A level-k
-    spectrum cube holds powers up to (2m-1)k of each variable, a dual's up
-    to k."""
+    bound: the octants of |eta|^2 (cached) and of the decay, and one array
+    of headroom, which also holds the mirrored Gram weight made before the
+    first output time; then, per output time in flight, the thread's
+    lattice array of the weight times the decay, the octants of the weight
+    and of that product, four row blocks of the residual sweep (the two
+    mirrored weights, the values and their difference), the plane tables
+    of its (at most twelve) spectra and the first contraction of the
+    moment table. A level-k spectrum cube holds powers up to (2m-1)k of
+    each variable, a dual's up to k."""
     D = (2 * m - 1) * level
     rows = row_blocks((n, n, n))[0]
     block = (rows.stop - rows.start) / n
-    return 3 + workers * (2 + 2 * block + (12 * (D + 1) + D + level + 1) / n)
+    octant = (0.5 + 1.0 / n) ** 3
+    return 1 + 2 * octant + workers * (1 + 2 * octant + 4 * block + (12 * (D + 1) + D + level + 1) / n)
 
 
 def semigroup_verify(

@@ -164,55 +164,91 @@ def _eta_diff(L: float, n: int) -> np.ndarray:
     return _cached(("eta_diff", L, n), build)
 
 
-def _eta_sq(L: float, n: int) -> np.ndarray:
+def _octant_eta(L: float, n: int) -> np.ndarray:
+    """|eta_k| for k = 0..n/2. `_kint` holds exact integers and pi k / L
+    rounds the same way for k and -k, so |eta| at FFT index i is this at
+    |k_i|, bit for bit, the Nyquist slot -n/2 included, and so is every
+    even function of eta computed from it."""
+    return _cached(("octant_eta", L, n), lambda: np.abs(_eta(L, n)[: n // 2 + 1]))
+
+
+def _octant_eta_sq(L: float, n: int) -> np.ndarray:
+    """|eta|^2 on the nonnegative octant k_i = 0..n/2 of the frequency
+    lattice."""
+
     def build():
-        e = _eta(L, n)
-        return (
-            e[:, None, None] ** 2 + e[None, :, None] ** 2 + e[None, None, :] ** 2
-        )
+        e = _octant_eta(L, n)
+        return e[:, None, None] ** 2 + e[None, :, None] ** 2 + e[None, None, :] ** 2
 
-    return _cached(("eta_sq", L, n), build)
+    return _cached(("octant_eta_sq", L, n), build)
 
 
-def freq_sq(spec: GridSpec) -> np.ndarray:
-    """|eta|^2 on the full frequency lattice (read-only)."""
-    return _eta_sq(spec.L, spec.n)
+def _mirror_pieces(rows: slice, n: int) -> List[Tuple[slice, slice]]:
+    """(destination, octant) slice pairs that take the lattice indices
+    `rows` of an n-point axis, in FFT order, to their octant indices |k|:
+    0..n/2 ascending, then n/2-1..1 descending."""
+    h = n // 2
+    lo, hi, _ = rows.indices(n)
+    pieces = []
+    if lo <= h:
+        top = min(hi, h + 1)
+        pieces.append((slice(0, top - lo), slice(lo, top)))
+    if hi > h + 1:
+        start = max(lo, h + 1)
+        pieces.append((slice(start - lo, hi - lo), slice(n - start, n - hi, -1)))
+    return pieces
+
+
+def mirror(octant: np.ndarray, rows: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
+    """The lattice rows `rows` (default: the whole lattice), in FFT order,
+    of the even function of eta whose values on the nonnegative octant are
+    `octant`, in `out` (default: a fresh array). Every value is copied, so
+    its bits are the octant's."""
+    n = 2 * (octant.shape[0] - 1)
+    lo, hi, _ = rows.indices(n)
+    if out is None:
+        out = np.empty((hi - lo, n, n))
+    if (lo, hi) == (0, n):
+        # the lower half, then its planes reflected whole
+        h = n // 2
+        mirror(octant, slice(0, h + 1), out[: h + 1])
+        out[h + 1 :] = out[h - 1 : 0 : -1]
+        return out
+    first = _mirror_pieces(rows, n)
+    rest = _mirror_pieces(slice(None), n)
+    for (d0, s0), (d1, s1), (d2, s2) in itertools.product(first, rest, rest):
+        out[d0, d1, d2] = octant[s0, s1, s2]
+    return out
 
 
 # exp(-x) is exactly 0.0 in float64 for every x above 745.1332191019412
 _EXP_ZERO = 746.0
 
 
-def _runs(mask: np.ndarray) -> List[slice]:
-    """The maximal runs of True in a 1-D boolean mask, as slices."""
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], mask.astype(np.int8), [0]))))
-    return [slice(int(lo), int(hi)) for lo, hi in zip(edges[::2], edges[1::2])]
-
-
-def lattice_weight(
-    spec: GridSpec, m: int, b: float = 1.0, out: np.ndarray | None = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """exp(-b|eta|^2m) on the frequency lattice, in `out` (default: a fresh
-    array), and the live indices of a lattice axis, where it can be
-    nonzero. |eta|^2m >= eta_i^2m on every axis i, so the weight is exactly
-    0.0 wherever one coordinate alone has b eta_i^2m > _EXP_ZERO; the
-    exponential runs only on the boxes of live indices, with the same bits
-    as on the whole lattice, and makes no other lattice array."""
-    if out is None:
-        out = np.empty((spec.n,) * 3)
-    eta_sq = freq_sq(spec)
-    live = b * spec.freqs() ** (2 * m) <= _EXP_ZERO
-    runs = _runs(live)
-    out.fill(0.0)
-    for box in itertools.product(runs, runs, runs):
-        w = out[box]
-        if m == 1:
-            np.multiply(eta_sq[box], -b, out=w)
-        else:
-            np.power(eta_sq[box], m, out=w)
-            w *= -b
-        np.exp(w, out=w)
+def octant_weight(spec: GridSpec, m: int, b: float = 1.0) -> Tuple[np.ndarray, int]:
+    """exp(-b|eta|^2m) on the nonnegative octant of the frequency lattice
+    (see `_octant_eta`; `mirror` gives it in FFT order), and the count
+    of live octant indices per axis, where it can be nonzero. |eta|^2m >=
+    eta_i^2m on every axis i, so the weight is exactly 0.0 wherever one
+    coordinate alone has b eta_i^2m > _EXP_ZERO; those coordinates are a
+    suffix of the octant, and the exponential runs only on the live prefix
+    box, with the same bits as on the whole lattice."""
+    eta_sq = _octant_eta_sq(spec.L, spec.n)
+    live = int(np.count_nonzero(b * _octant_eta(spec.L, spec.n) ** (2 * m) <= _EXP_ZERO))
+    out = np.zeros(eta_sq.shape)
+    w = out[:live, :live, :live]
+    if m == 1:
+        np.multiply(eta_sq[:live, :live, :live], -b, out=w)
+    else:
+        np.power(eta_sq[:live, :live, :live], m, out=w)
+        w *= -b
+    np.exp(w, out=w)
     return out, live
+
+
+def lattice_weight(spec: GridSpec, m: int, b: float = 1.0) -> np.ndarray:
+    """exp(-b|eta|^2m) on the whole frequency lattice, in FFT order."""
+    return mirror(octant_weight(spec, m, b)[0])
 
 
 # -- closed-form transforms of poly x kernel fields ------------------------------
@@ -294,7 +330,7 @@ def _lattice_spectrum(H: np.ndarray, spec: GridSpec, w: np.ndarray) -> np.ndarra
 def weighted_transform(v: VectorPolyField, spec: GridSpec, m: int) -> List[np.ndarray]:
     """FT[v_c F] evaluated on the frequency lattice, one complex array per
     component."""
-    w, _ = lattice_weight(spec, m)
+    w = lattice_weight(spec, m)
     return [_lattice_spectrum(H, spec, w) for H in spectrum_cubes([v], m)[0]]
 
 
@@ -403,13 +439,14 @@ def hermitian_parts(P: np.ndarray) -> Tuple[np.ndarray | None, np.ndarray | None
 #
 # A spectrum is given by six parts, the real and imaginary parts of its
 # components, each None or a triple (rows_of, w, live): rows_of(rows) gives
-# fresh values on a block of lattice rows, the weight w (if any) multiplies
-# them, and a block whose rows are all dead in `live` (if any) is 0.0.
+# fresh values on a block of lattice rows, the octant weight w (if any,
+# from `octant_weight`) multiplies them, and a block whose rows all have
+# octant indices of at least `live` is 0.0.
 
 
-def closed_form_rows(P: np.ndarray, w: np.ndarray, live: np.ndarray, spec: GridSpec) -> list:
+def closed_form_rows(P: np.ndarray, w: np.ndarray, live: int, spec: GridSpec) -> list:
     """The parts of w sum_d i^|d| P_c[d] eta^d over the components c of P,
-    with w and live from `lattice_weight`."""
+    with the octant weight w and its live count from `octant_weight`."""
     eta = [spec.freqs()] * 3
     return [None if A is None else (CubeRows(A, eta), w, live) for Pc in P for A in hermitian_parts(Pc)]
 
@@ -424,17 +461,28 @@ def residual_norm(spec: GridSpec, data: list, model: list | None = None) -> floa
     """Grid norm of the field with spectrum `data` minus `model`: by
     Parseval, (2L)^-3 sum_eta |data - model|^2, in one sweep of row blocks.
     Each block of every part is evaluated, weighted, subtracted and squared
-    while it is in cache; no lattice array is made."""
+    while it is in cache, and each distinct weight is mirrored from its
+    octant once per block; no lattice array is made."""
     pairs = [[p for p in pair if p is not None] for pair in zip(data, model or [None] * len(data))]
+    n = spec.n
+    blocks = row_blocks((n,) * 3)
+    octant_k = np.abs(_kint(n)).astype(int)
+    # one block array per distinct weight, reused for every block: a fresh
+    # one per block costs its page faults
+    buffers = {id(w): np.empty((blocks[0].stop, n, n)) for parts in pairs for _, w, _ in parts if w is not None}
     total = 0.0
-    for rows in row_blocks((spec.n,) * 3):
+    for rows in blocks:
+        first = octant_k[rows].min()
+        mirrored: Dict[int, np.ndarray] = {}
         for parts in pairs:
             diff = None
             for rows_of, w, live in parts:
-                if live is None or live[rows].any():
+                if live is None or first < live:
                     v = rows_of(rows)
                     if w is not None:
-                        v *= w[rows]
+                        if id(w) not in mirrored:
+                            mirrored[id(w)] = mirror(w, rows, buffers[id(w)][: rows.stop - rows.start])
+                        v *= mirrored[id(w)]
                     if diff is None:
                         diff = v
                     else:
@@ -596,6 +644,12 @@ def _divergence_poly(A: Sequence[Polynomial]) -> Polynomial:
     return out
 
 
+# float64 arrays of n^3 at the peak of `interaction_tensor` on its finest
+# grid (tracemalloc: 3.3 to 4.0 at n = 128, up to 5.1 at n = 64): w,
+# 1/|eta|^2 (cached), w/|eta|^2, the octant of w and the moment contractions
+_TENSOR_ARRAYS = 5.25
+
+
 def interaction_tensor(basis, spec: GridSpec, refine: bool = True) -> InteractionTensor:
     """Quadratic coupling d_{alpha gamma beta} of the coefficient dynamics
     over `basis`.
@@ -643,9 +697,9 @@ def interaction_tensor(basis, spec: GridSpec, refine: bool = True) -> Interactio
             f"got m={params.m} with {len(basis.blocks)} dual blocks"
         )
     # the refined grid is refused, like the given one, before any lattice
-    # work; |eta|^2, w, 1/|eta|^2, w/|eta|^2 and transients at the finest grid
+    # work
     sp_fine = spec.refined() if refine else None
-    check_fits(2 * spec.n if refine else spec.n, 6, "the interaction tensor")
+    check_fits(2 * spec.n if refine else spec.n, _TENSOR_ARRAYS, "the interaction tensor")
     fields, count = basis.fields, basis.count
     ginv = np.zeros((count, count))
     start = 0
@@ -666,7 +720,7 @@ def interaction_tensor(basis, spec: GridSpec, refine: bool = True) -> Interactio
     def compute(sp: GridSpec) -> np.ndarray:
         eta = sp.freqs()
         E = _y_moments(sp, dmax)
-        w, _ = lattice_weight(sp, params.m)
+        w = lattice_weight(sp, params.m)
         # sum_eta FT[W_jc] prod_axes E, from one table of w per grid
         t = np.einsum("jcabd,axbydz->jcxyz", A, _axis_moments(w, eta, D, (E, E, E)))
         # minus the longitudinal part eta_c sigma_j w / |eta|^2 (the

@@ -3,7 +3,7 @@
 None of these is used by the package or the CLI. Each is an independent
 route to a number the library computes another way: grid fields sampled
 pointwise or synthesized by inverse FFT, transformed by FFT and paired by
-grid quadrature, the Leray projector and the pseudo-spectral convection
+grid quadrature, |eta|^2 on the whole frequency lattice, the Leray projector and the pseudo-spectral convection
 applied through FFT round trips, the kernel-weighted Gram inverse, the
 closed-form Gaussian kernel and its radial ODE residual, the pinned
 envelope fit by scipy's MINPACK Levenberg-Marquardt, the operator B in its expanded and
@@ -271,6 +271,13 @@ def _phase3(spec: GridSpec) -> np.ndarray:
     return p[:, None, None] * p[None, :, None] * p[None, None, :]
 
 
+def freq_sq(spec: GridSpec) -> np.ndarray:
+    """|eta|^2 on the whole frequency lattice, in FFT order: the reference
+    for every lattice weight exp(-b|eta|^2m)."""
+    e = spec.freqs()
+    return e[:, None, None] ** 2 + e[None, :, None] ** 2 + e[None, None, :] ** 2
+
+
 def to_grid(spec: GridSpec, g: np.ndarray) -> np.ndarray:
     """Exact inverse of `to_spectral`; complex output, callers take .real."""
     return np.fft.ifftn(g * _phase3(spec)) / spec.h**3
@@ -293,7 +300,7 @@ def synth_weighted(v: VectorPolyField, spec: GridSpec, m: int) -> GridVectorFiel
 def synth_duals(basis: SolenoidalBasis, spec: GridSpec) -> List[GridVectorField]:
     """Grid samples of the derivative-dual fields W_j of one basis level,
     from their closed-form spectra on the frequency lattice."""
-    w, _ = lattice_weight(spec, basis.params.m)
+    w = lattice_weight(spec, basis.params.m)
     return [
         _synth(spec, [_lattice_spectrum(H, spec, w) for H in cubes])
         for cubes in dual_cubes([basis])

@@ -583,6 +583,48 @@ def test_failing_run_leaves_no_artifact(tmp_path, capfd, argv):
     assert code == 2 and line["error"] == "validation"
 
 
+@pytest.mark.parametrize(
+    "argv, cfg, setting",
+    [
+        (["evolve", "--check-linear"], {}, "check_linear is read only with model nse"),
+        (["evolve", "--tensor", "/nonexistent.json"], {}, "tensor is read only with model nse"),
+        (["evolve", "--model", "burnett", "--rtol", "0"], {}, "rtol is read only with model nse"),
+        (["evolve"], {"L": 4.0}, "L is read only with model nse"),
+        (["evolve"], {"model": "burnett", "n": 32}, "n is read only with model nse"),
+        (["evolve", "--seed", "1"], {}, "seed is read only with data demo:small"),
+        (["evolve", "--model", "nse", "--K", "1", "--data", "l1:0=1"], {"seed": 2},
+         "seed is read only with data demo:small"),
+        (["nodal", "--seed", "1"], {}, "seed is read only with data demo:small"),
+    ],
+)
+def test_settings_a_run_would_not_read_exit_2(tmp_path, capfd, argv, cfg, setting):
+    # a check or grid that never ran is not echoed as run: the setting is
+    # refused, by flag or config key, before any work
+    if cfg:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = argv + ["--config", str(path)]
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    code, line = _failed(capfd, argv, outdir)
+    assert code == 2 and line["error"] == "validation"
+    assert line["message"].startswith(setting)
+
+
+def test_settings_at_their_defaults_keep_the_default_echo(tmp_path, capsys):
+    # given at its default, a setting the run does not read changes nothing
+    code, plain = _run(capsys, ["evolve", "--outdir", str(tmp_path / "a")])
+    assert code == 0
+    argv = ["evolve", "--L", "8", "--n", "64", "--rtol", "1e-9", "--seed", "0"]
+    code, given = _run(capsys, argv + ["--outdir", str(tmp_path / "b")])
+    assert code == 0 and given == plain
+    for name in plain["artifacts"]:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    code, line = _run(capsys, ["evolve", "--data", "demo:small", "--K", "1", "--seed", "3",
+                               "--outdir", str(tmp_path / "c")])
+    assert code == 0 and line["config"]["seed"] == 3
+
+
 def test_verify_failing_on_a_later_level_leaves_no_artifact(tmp_path, capfd, monkeypatch):
     calls = []
     verify = cli.semigroup_verify

@@ -29,7 +29,6 @@ from hermflow.grid import (
     GridSpec,
     InteractionTensor,
     dilate_coeffs,
-    freq_sq,
     hermitian_transform,
     interaction_tensor,
     spectrum_cubes,
@@ -46,6 +45,7 @@ from oracles import (
     GridVectorField,
     fd_weights,
     fraction_classify_zero,
+    freq_sq,
     hausdorff,
     norm,
     pair_fields,
@@ -666,12 +666,11 @@ def _full_lattice_closed_form(extract, X, b):
     """`_Extractor.closed_form` on full lattice arrays: the weight on every
     lattice point, and the residual from whole-lattice evaluations of each
     real and imaginary part, weighted, subtracted and squared one array
-    at a time. Returns (c, residual, w)."""
+    at a time. Returns (c, residual, w, decay)."""
     spec = extract.spec
-    w = np.multiply(freq_sq(spec) ** extract.m, -b)
-    np.exp(w, out=w)
+    w, decay = (np.exp(np.multiply(freq_sq(spec) ** extract.m, -c)) for c in (b, 1.0))
     Dx, Dw = X.shape[-1] - 1, extract.duals.shape[-1] - 1
-    table = grid.lattice_moments(w * extract.decay, spec, Dx + Dw)
+    table = grid.lattice_moments(w * decay, spec, Dx + Dw)
     raw = grid.moment_pairings(X[None], extract.duals, table, spec)[0]
     c = np.linalg.solve(extract.M.T, raw)
     Y = np.tensordot(c, extract.realz, axes=(0, 0))
@@ -682,13 +681,13 @@ def _full_lattice_closed_form(extract, X, b):
             if x is not None:
                 x *= w
             if y is not None:
-                y *= extract.decay
+                y *= decay
                 if x is not None:
                     x -= y
             diff = y if x is None else x
             if diff is not None:
                 total += float(np.sum(np.square(diff, out=diff)))
-    return c, math.sqrt(total / (2.0 * spec.L) ** 3), w
+    return c, math.sqrt(total / (2.0 * spec.L) ** 3), w, decay
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -708,11 +707,14 @@ def test_blocked_residual_matches_full_lattice_route(m):
         b, sigma = (2.0 - s) / s, s ** (-1.0 / (2 * m))
         for X in (P, P + np.pad(other, [(0, 0)] + [(0, P.shape[-1] - other.shape[-1])] * 3)):
             X = dilate_coeffs(X, sigma)
-            c_ref, resid_ref, w_ref = _full_lattice_closed_form(extract, X, b)
+            c_ref, resid_ref, w_ref, decay_ref = _full_lattice_closed_form(extract, X, b)
             c, resid = extract.closed_form(X, b)
             assert c.tobytes() == c_ref.tobytes()
-            # the weight is exact where computed and exactly 0.0 elsewhere
-            assert extract._scratch()[0].tobytes() == w_ref.tobytes()
+            # the weight is exact where computed and exactly 0.0 elsewhere,
+            # and so is the weight times the decay the moment table reads
+            w, _ = grid.octant_weight(spec, m, b)
+            assert grid.mirror(w).tobytes() == w_ref.tobytes()
+            assert extract._scratch().tobytes() == (w_ref * decay_ref).tobytes()
             assert abs(resid - resid_ref) <= 1e-13 * resid_ref + 1e-20
 
 
@@ -776,8 +778,9 @@ def test_expand_polynomial_working_set_and_refusal(monkeypatch):
     assert e.residual > 0.0
     assert peak <= dynamics._EXPAND_POLY_ARRAYS * 8 * spec.n**3
 
-    # a host with 1 MiB of memory: refused before any lattice array exists
-    monkeypatch.setattr(grid, "_physical_memory", lambda: 2**20)
+    # a host with 512 KiB of memory, less than the 1 MiB the model counts:
+    # refused before any lattice array exists
+    monkeypatch.setattr(grid, "_physical_memory", lambda: 2**19)
     grid._CACHE.clear()
     tracemalloc.start()
     try:

@@ -12,12 +12,13 @@ from hermflow.errors import ValidationError
 from hermflow.grid import GridSpec, convection_poly, parallel_map
 from hermflow.kernel import kernel_values
 from hermflow.moments import moment_of_poly
-from hermflow.polynomial import Polynomial, VectorPolyField
+from hermflow.polynomial import Polynomial, VectorPolyField, row_blocks
 from hermflow.solenoidal import fixture_basis
 from oracles import (
     GridVectorField,
     convection,
     enumerate_up_to,
+    freq_sq,
     gaussian_kernel,
     norm,
     pair_fields,
@@ -223,26 +224,45 @@ def test_lattice_spectrum_matches_a_direct_complex_sum():
     got = grid._lattice_spectrum(even, spec, ones)
     assert not got.imag.any() and np.max(np.abs(got.real - want.real) / scale) <= 1e-15
     # and the weight multiplies both parts
-    w, _ = grid.lattice_weight(spec, 1)
+    w = grid.lattice_weight(spec, 1)
     assert grid._lattice_spectrum(P, spec, w).tobytes() == (grid._lattice_spectrum(P, spec, ones) * w).tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("b", [1.0, 39.0])
+@pytest.mark.parametrize("b", [1.0, 39.0, 1e3])
 def test_lattice_weight_is_the_full_lattice_exponential(m, b):
     # b = 39 is the verifier's (2 - s)/s at s = 0.05, where most of the
-    # lattice underflows: the boxes of live indices give the same bits as
-    # the exponential of the whole lattice, and 0.0 elsewhere
-    spec = GridSpec(16.0, 48)
-    want = np.exp(-b * grid.freq_sq(spec) ** m)
-    w, live = grid.lattice_weight(spec, m, b)
-    assert w.tobytes() == want.tobytes()
-    assert live.all() == (b == 1.0) and live.any()
-    assert not want[~live].any() and not want[:, ~live].any() and not want[:, :, ~live].any()
+    # lattice underflows, and at b = 1e3 almost all of it does: the octant's
+    # live prefix box, mirrored, gives the same bits as the exponential of
+    # the whole lattice, and 0.0 elsewhere; n = 98 is not a power of two
+    for n in (16, 48, 98):
+        spec = GridSpec(16.0, n)
+        want = np.exp(-b * freq_sq(spec) ** m)
+        assert grid.lattice_weight(spec, m, b).tobytes() == want.tobytes(), n
+        octant, live = grid.octant_weight(spec, m, b)
+        assert octant.shape == (n // 2 + 1,) * 3
+        # the live prefix is no longer than where the weight is nonzero, and
+        # the indices past it are dead on every axis
+        assert octant[live - 1].any()
+        dead = np.abs(grid._kint(n)) >= live
+        assert not want[dead].any() and not want[:, dead].any() and not want[:, :, dead].any()
+
+
+@pytest.mark.parametrize("n", [16, 48, 98, 128])
+def test_lattice_weight_rows_are_rows_of_the_whole_lattice(n):
+    # every row block of the row form, and blocks that straddle the Nyquist
+    # index, are the same rows of the whole-lattice form, byte for byte
+    spec = GridSpec(16.0, n)
+    octant, _ = grid.octant_weight(spec, 2, 3.0)
+    whole = grid.mirror(octant)
+    h = n // 2
+    blocks = row_blocks((n,) * 3) + [slice(h - 1, h + 2), slice(h + 1, n), slice(0, h + 1), slice(n - 1, n)]
+    for rows in blocks:
+        assert grid.mirror(octant, rows).tobytes() == whole[rows].tobytes(), rows
     # into a given array, whatever it held before
-    out = np.full_like(want, np.nan)
-    assert grid.lattice_weight(spec, m, b, out)[0] is out
-    assert out.tobytes() == want.tobytes()
+    out = np.full((3, n, n), np.nan)
+    assert grid.mirror(octant, slice(h - 1, h + 2), out) is out
+    assert out.tobytes() == whole[h - 1 : h + 2].tobytes()
 
 
 def test_synth_duals_pair_to_gram_rows():

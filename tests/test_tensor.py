@@ -105,7 +105,7 @@ def test_interaction_tensor_peak_memory(make, m, k):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * 8 * spec.n**3
+    assert peak <= grid._TENSOR_ARRAYS * 8 * spec.n**3
 
 
 def test_k2_tensor_matches_weighted_gram_reference():
