@@ -46,7 +46,6 @@ from .grid import (
     InteractionTensor,
     convection_poly,
     interaction_tensor,
-    weighted_transform,
 )
 from .dynamics import (
     CoefficientTrajectory,
@@ -116,6 +115,5 @@ __all__ = [
     "semigroup_verify",
     "unique_continuation_diagnostic",
     "validate_basis_field",
-    "weighted_transform",
     "wkbj_constants",
 ]

@@ -59,11 +59,7 @@ from .grid import (
     InteractionTensor,
     check_fits,
     interaction_tensor,
-    lattice_divergence,
-    project_spectral,
-    residual_norm,
-    sampled_rows,
-    weighted_transform,
+    projector_norms,
 )
 from .kernel import envelope_fit, kernel_values, wkbj_constants
 from .multiindex import enumerate_level
@@ -392,7 +388,7 @@ def _cmd_solenoidal(cfg: dict):
     counts: Dict[str, int] = {}
     if kind == "composite":
         for m in cfg["m"]:
-            cb = composite_basis(m, cfg["K"])
+            cb = composite_basis(m, cfg["K"], cfg["N"])
             for blk in cb.blocks:
                 counts[f"m{m}:k{blk.level}"] = blk.count
             blocks.append({"m": m, "K": cfg["K"], "counts": [b.count for b in cb.blocks]})
@@ -504,22 +500,15 @@ def _projector_diagnostics(spec: GridSpec, m: int, seed: int) -> dict:
     applies it, on the frequency lattice, for a seeded random field times
     the kernel: ratios of lattice norms, which by Parseval are the ratios
     of the grid norms. No FFT runs."""
-    rng = np.random.default_rng(seed)
-    pu = project_spectral(weighted_transform(_random_poly_field(rng), spec, m), spec)
-    ppu = project_spectral([g.copy() for g in pu], spec)
-    scale = residual_norm(spec, sampled_rows(pu))
-    return {
-        "idempotence_rel": residual_norm(spec, sampled_rows(ppu), sampled_rows(pu)) / scale,
-        "divergence_rel": residual_norm(spec, sampled_rows([lattice_divergence(pu, spec)])) / scale,
-    }
+    scale, idempotence, divergence = projector_norms(
+        _random_poly_field(np.random.default_rng(seed)), spec, m
+    )
+    return {"idempotence_rel": idempotence / scale, "divergence_rel": divergence / scale}
 
 
 def _cmd_d_tensor(cfg: dict):
     m, K = cfg["m"], cfg["K"]
     spec = GridSpec(L=cfg["L"], n=cfg["n"])
-    # `_projector_diagnostics`: two projected spectra (12 lattice arrays)
-    # and the projector's complex transients; tracemalloc 18.1-18.6 at n=32-96
-    check_fits(spec.n, 19, "the projector diagnostic")
     cb = composite_basis(m, K)
     tensor = interaction_tensor(cb, spec)
     flagged = tensor.flagged()
@@ -1026,6 +1015,7 @@ _READ_ONLY_WITH: Dict[str, Tuple[Tuple[Tuple[str, ...], str, str], ...]] = {
         (("seed",), "data", "demo:small"),
     ),
     "nodal": ((("seed",), "data", "demo:small"),),
+    "solenoidal": ((("level",), "kind", "kernel"), (("K",), "kind", "composite")),
 }
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -26,7 +25,6 @@ from .grid import (
     dilate_coeffs,
     dual_cubes,
     lattice_moments,
-    mirror,
     moment_pairings,
     octant_weight,
     parallel_map,
@@ -141,19 +139,17 @@ class _Extractor:
         m = self.m = basis.params.m
         self.spec = spec
         self.decay, self.live_decay = octant_weight(spec, m)
-        self._local = threading.local()
         self.duals = dual_cubes(basis.blocks)
         self.realz = spectrum_cubes(basis.fields, m)
         dmax = self.realz.shape[-1] + self.duals.shape[-1] - 2
-        gram_table = lattice_moments(mirror(self.decay * self.decay), spec, dmax)
+        gram_table = lattice_moments(self.decay * self.decay, spec, dmax)
         self.M = moment_pairings(self.realz, self.duals, gram_table, spec)
 
     def closed_form(self, X: np.ndarray, b: float) -> Tuple[np.ndarray, float]:
         """Field with spectrum exp(-b|eta|^2m) sum_d i^|d| X_c[d] eta^d."""
         w, live = octant_weight(self.spec, self.m, b)
-        wd = mirror(w * self.decay, out=self._scratch())
         Dx, Dw = X.shape[-1] - 1, self.duals.shape[-1] - 1
-        table = lattice_moments(wd, self.spec, Dx + Dw)
+        table = lattice_moments(w * self.decay, self.spec, Dx + Dw)
         raw = moment_pairings(X[None], self.duals, table, self.spec)[0]
         # the coefficients c, and the residual from sum c_i v*_i F
         c = np.linalg.solve(self.M.T, raw)
@@ -161,16 +157,6 @@ class _Extractor:
         data = closed_form_rows(X, w, live, self.spec)
         model = closed_form_rows(Y, self.decay, self.live_decay, self.spec)
         return c, residual_norm(self.spec, data, model)
-
-    def _scratch(self) -> np.ndarray:
-        """The lattice array of the calling thread that holds the weight
-        times the decay, made on its first output time and reused by the
-        next ones: a fresh one per output time costs a page fault per
-        4 KiB, and the threads contend for it."""
-        out = getattr(self._local, "wd", None)
-        if out is None:
-            out = self._local.wd = np.empty((self.spec.n,) * 3)
-        return out
 
 
 # -- diagonal flow ----------------------------------------------------------------
@@ -1006,20 +992,22 @@ def classify_zero(
 
 def _verifier_arrays(n: int, m: int, level: int, workers: int) -> float:
     """Float64 arrays of n^3 at the peak of `semigroup_verify`, an upper
-    bound: the octants of |eta|^2 (cached) and of the decay, and one array
-    of headroom, which also holds the mirrored Gram weight made before the
-    first output time; then, per output time in flight, the thread's
-    lattice array of the weight times the decay, the octants of the weight
-    and of that product, four row blocks of the residual sweep (the two
-    mirrored weights, the values and their difference), the plane tables
-    of its (at most twelve) spectra and the first contraction of the
-    moment table. A level-k spectrum cube holds powers up to (2m-1)k of
-    each variable, a dual's up to k."""
+    bound: the octants of |eta|^2 (cached) and of the decay, and 2^15
+    values for the exact arithmetic and the small tables; then, per output
+    time in flight, the octants of the weight and of the weight times the
+    decay, four row blocks of the residual sweep (the two mirrored
+    weights, the values and their difference), the plane tables of its
+    (at most twelve) spectra, the first contraction of the moment table,
+    and the pairing table of `grid.moment_pairings` with its index, two
+    values per pair of a data and a dual coefficient. A level-k spectrum
+    cube holds powers up to (2m-1)k of each variable, a dual's up to k."""
     D = (2 * m - 1) * level
     rows = row_blocks((n, n, n))[0]
     block = (rows.stop - rows.start) / n
     octant = (0.5 + 1.0 / n) ** 3
-    return 1 + 2 * octant + workers * (1 + 2 * octant + 4 * block + (12 * (D + 1) + D + level + 1) / n)
+    pairs = ((D + 1) * (level + 1)) ** 3
+    per_time = 2 * octant + 4 * block + (12 * (D + 1) + D + level + 1) / n + 2 * pairs / n**3
+    return 2 * octant + 2**15 / n**3 + workers * per_time
 
 
 def semigroup_verify(

@@ -9,6 +9,12 @@ form and never leave the frequency lattice: the tensor, the expansion
 residuals and the projector diagnostic work on lattice spectra, and no FFT
 runs.
 
+Every lattice array is even in each coordinate (the weights
+exp(-b|eta|^2m), their products, 1/|eta|^2) and is held on the octant
+|k_i| = 0..n/2: lattice sums contract it with per-axis tables folded over
+k and -k (`_fold`), and sweeps copy it into FFT order one block of rows
+at a time (`mirror`).
+
 The interaction tensor follows the adjoint arrangement: the projector
 symbol is real and symmetric per mode, so the discrete Parseval identity
 gives <P q, w> = <q, P w> exactly in grid arithmetic, and the projector
@@ -18,7 +24,7 @@ moments h^3 sum_y y^d (P W)_c(y), and those follow from its lattice
 spectrum through per-axis tables sum_j y_j^d exp(i eta_k y_j): no FFT runs
 for the tensor. Every dual spectrum is a polynomial times the weight
 w = exp(-|eta|^2m), and its longitudinal (pressure) part a polynomial times
-w/|eta|^2, so one lattice table per weight and grid serves every dual of
+w/|eta|^2, so one octant table per weight and grid serves every dual of
 every operator order, and each dual is a small contraction of its exact
 coefficients against those tables. Those coefficients and the Gram
 inverses are read from the blocks of the basis (`SolenoidalBasis`), which
@@ -36,7 +42,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .polynomial import CubeRows, Polynomial, VectorPolyField, evaluate_cube, row_blocks
+from .polynomial import CubeRows, Polynomial, VectorPolyField, row_blocks
 from .solenoidal import SolenoidalBasis
 
 # -- grid spec and transforms --------------------------------------------------
@@ -199,21 +205,15 @@ def _mirror_pieces(rows: slice, n: int) -> List[Tuple[slice, slice]]:
     return pieces
 
 
-def mirror(octant: np.ndarray, rows: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
-    """The lattice rows `rows` (default: the whole lattice), in FFT order,
-    of the even function of eta whose values on the nonnegative octant are
-    `octant`, in `out` (default: a fresh array). Every value is copied, so
-    its bits are the octant's."""
+def mirror(octant: np.ndarray, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
+    """The lattice rows `rows`, in FFT order, of the even function of eta
+    whose values on the nonnegative octant are `octant`, in `out`
+    (default: a fresh array). Every value is copied, so its bits are the
+    octant's."""
     n = 2 * (octant.shape[0] - 1)
     lo, hi, _ = rows.indices(n)
     if out is None:
         out = np.empty((hi - lo, n, n))
-    if (lo, hi) == (0, n):
-        # the lower half, then its planes reflected whole
-        h = n // 2
-        mirror(octant, slice(0, h + 1), out[: h + 1])
-        out[h + 1 :] = out[h - 1 : 0 : -1]
-        return out
     first = _mirror_pieces(rows, n)
     rest = _mirror_pieces(slice(None), n)
     for (d0, s0), (d1, s1), (d2, s2) in itertools.product(first, rest, rest):
@@ -227,7 +227,7 @@ _EXP_ZERO = 746.0
 
 def octant_weight(spec: GridSpec, m: int, b: float = 1.0) -> Tuple[np.ndarray, int]:
     """exp(-b|eta|^2m) on the nonnegative octant of the frequency lattice
-    (see `_octant_eta`; `mirror` gives it in FFT order), and the count
+    (see `_octant_eta`; `mirror` gives its rows in FFT order), and the count
     of live octant indices per axis, where it can be nonzero. |eta|^2m >=
     eta_i^2m on every axis i, so the weight is exactly 0.0 wherever one
     coordinate alone has b eta_i^2m > _EXP_ZERO; those coordinates are a
@@ -244,11 +244,6 @@ def octant_weight(spec: GridSpec, m: int, b: float = 1.0) -> Tuple[np.ndarray, i
         w *= -b
     np.exp(w, out=w)
     return out, live
-
-
-def lattice_weight(spec: GridSpec, m: int, b: float = 1.0) -> np.ndarray:
-    """exp(-b|eta|^2m) on the whole frequency lattice, in FFT order."""
-    return mirror(octant_weight(spec, m, b)[0])
 
 
 # -- closed-form transforms of poly x kernel fields ------------------------------
@@ -317,23 +312,6 @@ def _cubes(polys: Sequence[Sequence[Polynomial]]) -> np.ndarray:
     return np.array([[p.coeff_cube(D) for p in comps] for comps in polys])
 
 
-def _lattice_spectrum(H: np.ndarray, spec: GridSpec, w: np.ndarray) -> np.ndarray:
-    """w sum_d i^|d| H[d] eta^d on the frequency lattice, for a weight w."""
-    out = np.zeros((spec.n,) * 3, dtype=complex)
-    for part, A in zip((out.real, out.imag), hermitian_parts(H)):
-        if A is not None:
-            part[...] = evaluate_cube(A, [spec.freqs()] * 3)
-    out *= w
-    return out
-
-
-def weighted_transform(v: VectorPolyField, spec: GridSpec, m: int) -> List[np.ndarray]:
-    """FT[v_c F] evaluated on the frequency lattice, one complex array per
-    component."""
-    w = lattice_weight(spec, m)
-    return [_lattice_spectrum(H, spec, w) for H in spectrum_cubes([v], m)[0]]
-
-
 # -- frequency-space pairings of closed-form spectra --------------------------------
 #
 # Every closed-form spectrum above has the shape
@@ -354,32 +332,48 @@ def _contract_axes(arr: np.ndarray, t1: np.ndarray, t2: np.ndarray, t3: np.ndarr
     large first step never makes a complex copy of it."""
     if np.iscomplexobj(t3) and not np.iscomplexobj(arr):
         t = np.tensordot(arr, t3.real, axes=([2], [0]))
-        t = t + 1j * np.tensordot(arr, t3.imag, axes=([2], [0]))  # (n, n, D3)
+        t = t + 1j * np.tensordot(arr, t3.imag, axes=([2], [0]))  # (N1, N2, D3)
     else:
         t = np.tensordot(arr, t3, axes=([2], [0]))
-    t = np.tensordot(t, t2, axes=([1], [0]))  # (n, D3, D2)
+    t = np.tensordot(t, t2, axes=([1], [0]))  # (N1, D3, D2)
     t = np.tensordot(t, t1, axes=([0], [0]))  # (D3, D2, D1)
     return t.transpose(2, 1, 0)
 
 
+def _fold(t: np.ndarray) -> np.ndarray:
+    """A per-axis table t, rows k in FFT order, folded over k and -k onto
+    the octant indices |k| = 0..n/2: rows 1..n/2-1 each add their mirror
+    row n-k, and rows 0 and n/2 (the Nyquist row) are taken once. The sum
+    over an axis of an even array times t is the sum over its octant
+    times the fold."""
+    h = t.shape[0] // 2
+    out = t[: h + 1].copy()
+    out[1:h] += t[:h:-1]
+    return out
+
+
 def _axis_moments(
-    arr: np.ndarray, x: np.ndarray, dmax: int, tables: Sequence[np.ndarray] | None = None
+    octant: np.ndarray, x: np.ndarray, dmax: int, tables: Sequence[np.ndarray] | None = None
 ) -> np.ndarray:
-    """T[d1, d2, d3] = sum_(i,j,k) arr[i,j,k] x_i^d1 x_j^d2 x_k^d3 for powers
-    <= dmax, by separable per-axis contractions. With one (n, X) table per
-    axis, each power carries that axis's table along:
-    T[d1, x1, d2, x2, d3, x3] = sum arr prod_a x^d_a tables[a][., x_a]."""
+    """T[d1, d2, d3] = sum_(i,j,k) a[i,j,k] x_i^d1 x_j^d2 x_k^d3 over the
+    lattice for powers <= dmax, for an array a even in each coordinate
+    given by its nonnegative octant, and x in FFT order: separable
+    contractions of the octant with the folded per-axis tables. With one
+    (n, X) table per axis, each power carries that axis's table along:
+    T[d1, x1, d2, x2, d3, x3] = sum a prod_a x^d_a tables[a][., x_a]."""
     P = np.stack([x**d for d in range(dmax + 1)], axis=1)  # (n, D)
     if tables is None:
-        return _contract_axes(arr, P, P, P)
+        F = _fold(P)
+        return _contract_axes(octant, F, F, F)
     n, D = P.shape
     X = tables[0].shape[1]
-    axes = [(P[:, :, None] * E[:, None, :]).reshape(n, D * X) for E in tables]
-    return _contract_axes(arr, *axes).reshape(D, X, D, X, D, X)
+    axes = [_fold((P[:, :, None] * E[:, None, :]).reshape(n, D * X)) for E in tables]
+    return _contract_axes(octant, *axes).reshape(D, X, D, X, D, X)
 
 
 def lattice_moments(w: np.ndarray, spec: GridSpec, dmax: int) -> np.ndarray:
-    """T[n] = sum over the frequency lattice of eta^n w(eta), |n_i| <= dmax."""
+    """T[n] = sum over the frequency lattice of eta^n w(eta), |n_i| <= dmax,
+    for an even w given by its octant."""
     return _axis_moments(w, spec.freqs(), dmax)
 
 
@@ -411,9 +405,9 @@ def moment_pairings(
     """
     D1, D2 = X.shape[-1] - 1, Y.shape[-1] - 1
     Tr = table * _i_power(_degree_cube(table.shape[-1] - 1), "re")
-    i1 = np.indices((D1 + 1,) * 3).reshape(3, -1)
-    i2 = np.indices((D2 + 1,) * 3).reshape(3, -1)
-    H = Tr[tuple(a[:, None] + b[None, :] for a, b in zip(i1, i2))]
+    # the flat index of n = d + e in Tr is the sum of those of d and e
+    i1, i2 = (np.ravel_multi_index(np.indices((D + 1,) * 3), Tr.shape).ravel() for D in (D1, D2))
+    H = Tr.ravel()[i1[:, None] + i2[None, :]]
     Ys = Y * (-1.0) ** _degree_cube(D2)
     out = np.einsum(
         "fck,kl,gcl->fg",
@@ -439,9 +433,9 @@ def hermitian_parts(P: np.ndarray) -> Tuple[np.ndarray | None, np.ndarray | None
 #
 # A spectrum is given by six parts, the real and imaginary parts of its
 # components, each None or a triple (rows_of, w, live): rows_of(rows) gives
-# fresh values on a block of lattice rows, the octant weight w (if any,
-# from `octant_weight`) multiplies them, and a block whose rows all have
-# octant indices of at least `live` is 0.0.
+# fresh values on a block of lattice rows, the octant weight w (from
+# `octant_weight`) multiplies them, and a block whose rows all have octant
+# indices of at least `live` is 0.0.
 
 
 def closed_form_rows(P: np.ndarray, w: np.ndarray, live: int, spec: GridSpec) -> list:
@@ -449,12 +443,6 @@ def closed_form_rows(P: np.ndarray, w: np.ndarray, live: int, spec: GridSpec) ->
     with the octant weight w and its live count from `octant_weight`."""
     eta = [spec.freqs()] * 3
     return [None if A is None else (CubeRows(A, eta), w, live) for Pc in P for A in hermitian_parts(Pc)]
-
-
-def sampled_rows(U: Sequence[np.ndarray]) -> list:
-    """The parts of spectra held as lattice arrays, one complex array per
-    component."""
-    return [(lambda rows, a=a: a[rows].copy(), None, None) for Uc in U for a in (Uc.real, Uc.imag)]
 
 
 def residual_norm(spec: GridSpec, data: list, model: list | None = None) -> float:
@@ -469,7 +457,7 @@ def residual_norm(spec: GridSpec, data: list, model: list | None = None) -> floa
     octant_k = np.abs(_kint(n)).astype(int)
     # one block array per distinct weight, reused for every block: a fresh
     # one per block costs its page faults
-    buffers = {id(w): np.empty((blocks[0].stop, n, n)) for parts in pairs for _, w, _ in parts if w is not None}
+    buffers = {id(w): np.empty((blocks[0].stop, n, n)) for parts in pairs for _, w, _ in parts}
     total = 0.0
     for rows in blocks:
         first = octant_k[rows].min()
@@ -477,12 +465,11 @@ def residual_norm(spec: GridSpec, data: list, model: list | None = None) -> floa
         for parts in pairs:
             diff = None
             for rows_of, w, live in parts:
-                if live is None or first < live:
+                if first < live:
                     v = rows_of(rows)
-                    if w is not None:
-                        if id(w) not in mirrored:
-                            mirrored[id(w)] = mirror(w, rows, buffers[id(w)][: rows.stop - rows.start])
-                        v *= mirrored[id(w)]
+                    if id(w) not in mirrored:
+                        mirrored[id(w)] = mirror(w, rows, buffers[id(w)][: rows.stop - rows.start])
+                    v *= mirrored[id(w)]
                     if diff is None:
                         diff = v
                     else:
@@ -508,18 +495,14 @@ def parallel_map(fn: Callable, items: Sequence, workers: int | None) -> list:
 # -- Leray projection and convection ---------------------------------------------
 
 
-def _eta_axes(spec: GridSpec):
-    e = _eta_diff(spec.L, spec.n)
-    return e[:, None, None], e[None, :, None], e[None, None, :]
-
-
 def _inv_eta_sq(spec: GridSpec) -> np.ndarray:
-    """1/|eta|^2 with zeros wherever the differentiation frequencies vanish
-    (the zero mode and pure-Nyquist modes pass through the projector)."""
+    """1/|eta|^2 on the octant, with zeros wherever the differentiation
+    frequencies vanish (the zero mode and pure-Nyquist modes pass through
+    the projector); `_eta_diff` is even up to sign, 0 at the Nyquist index."""
 
     def build():
-        e1, e2, e3 = _eta_axes(spec)
-        r2 = e1**2 + e2**2 + e3**2
+        e = _eta_diff(spec.L, spec.n)[: spec.n // 2 + 1]
+        r2 = e[:, None, None] ** 2 + e[None, :, None] ** 2 + e[None, None, :] ** 2
         sing = r2 == 0.0
         r2[sing] = 1.0
         inv = 1.0 / r2
@@ -529,23 +512,51 @@ def _inv_eta_sq(spec: GridSpec) -> np.ndarray:
     return _cached(("inv_eta_sq", spec.L, spec.n), build)
 
 
-def _eta_dot(gs: Sequence[np.ndarray], spec: GridSpec) -> np.ndarray:
-    e1, e2, e3 = _eta_axes(spec)
-    return e1 * gs[0] + e2 * gs[1] + e3 * gs[2]
+def _projector_sums(u: Sequence, e: Sequence[np.ndarray], inv: np.ndarray) -> np.ndarray:
+    """|P u|^2, |P P u - P u|^2 and |eta . P u|^2 summed by numpy (not
+    BLAS) over a block of one part u of a spectrum, with the symbol
+    P = I - eta eta^T/|eta|^2 of frequencies e and 1/|eta|^2 = inv: it is
+    real, so it acts on the real and the imaginary part alone."""
+
+    def project(u):
+        common = (e[0] * u[0] + e[1] * u[1] + e[2] * u[2]) * inv
+        return [uc - ec * common for ec, uc in zip(e, u)]
+
+    pu = project(u)
+    ppu = project(pu)
+    div = e[0] * pu[0] + e[1] * pu[1] + e[2] * pu[2]
+    return np.array([
+        sum(np.sum(np.square(a)) for a in pu),
+        sum(np.sum(np.square(b - a)) for a, b in zip(pu, ppu)),
+        np.sum(np.square(div)),
+    ])
 
 
-def project_spectral(gs: Sequence[np.ndarray], spec: GridSpec) -> Sequence[np.ndarray]:
-    """Apply the solenoidal symbol I - eta eta^T/|eta|^2 per mode, in place."""
-    common = _eta_dot(gs, spec) * _inv_eta_sq(spec)
-    for e, g in zip(_eta_axes(spec), gs):
-        g -= e * common
-    return gs
-
-
-def lattice_divergence(gs: Sequence[np.ndarray], spec: GridSpec) -> np.ndarray:
-    """i eta . g per mode: the spectrum of the divergence of the field with
-    component spectra gs, with the frequencies the projector uses."""
-    return 1j * _eta_dot(gs, spec)
+def projector_norms(v: VectorPolyField, spec: GridSpec, m: int) -> Tuple[float, float, float]:
+    """Grid norms of P u, P P u - P u and div P u for u = v F, with P the
+    Leray projector where the tensor applies it (`_eta_diff`, the octant
+    `_inv_eta_sq`): by Parseval, ((2L)^-3 sum_eta |.|^2)^(1/2), in one
+    sweep of row blocks that evaluates each part of the closed-form
+    spectrum of u (`CubeRows`) times the mirrored weight rows and projects
+    it with the mirrored rows of 1/|eta|^2. No lattice array is made."""
+    n = spec.n
+    w, live = octant_weight(spec, m)
+    inv, e, eta = _inv_eta_sq(spec), _eta_diff(spec.L, n), [spec.freqs()] * 3
+    # the real and the imaginary parts of the three components
+    parts = [
+        [None if A is None else CubeRows(A, eta) for A in comps]
+        for comps in zip(*[hermitian_parts(H) for H in spectrum_cubes([v], m)[0]])
+    ]
+    octant_k = np.abs(_kint(n)).astype(int)
+    sums = np.zeros(3)
+    for rows in row_blocks((n,) * 3):
+        if octant_k[rows].min() >= live:
+            continue  # the weight is 0.0 on the whole block
+        wr, ir = mirror(w, rows), mirror(inv, rows)
+        er = (e[rows, None, None], e[None, :, None], e[None, None, :])
+        for comps in parts:
+            sums += _projector_sums([0.0 if A is None else A(rows) * wr for A in comps], er, ir)
+    return tuple(math.sqrt(t / (2.0 * spec.L) ** 3) for t in sums)
 
 
 def convection_poly(v: VectorPolyField, w: VectorPolyField | None = None) -> VectorPolyField:
@@ -644,10 +655,19 @@ def _divergence_poly(A: Sequence[Polynomial]) -> Polynomial:
     return out
 
 
-# float64 arrays of n^3 at the peak of `interaction_tensor` on its finest
-# grid (tracemalloc: 3.3 to 4.0 at n = 128, up to 5.1 at n = 64): w,
-# 1/|eta|^2 (cached), w/|eta|^2, the octant of w and the moment contractions
-_TENSOR_ARRAYS = 5.25
+def _tensor_arrays(basis, n: int) -> float:
+    """Float64 arrays of n^3 at the peak of `interaction_tensor` over
+    `basis` on an n-point grid, an upper bound: five octants (|eta|^2 and
+    1/|eta|^2, the weight, the weight over |eta|^2, the transients of
+    1/|eta|^2), the first two contractions of `_axis_moments`, the moment
+    and per-dual tables, and 256 values per pair of labels for the exact
+    convections. A top level K bounds the powers: D <= K+1 and dmax <= 2K-1,
+    so C = (D+1)(dmax+1) columns per folded axis table."""
+    K = max(b.level for b in basis.blocks)
+    X = max(1, 2 * K)
+    C, h = (K + 2) * X, n // 2 + 1
+    values = 5 * h**3 + 5 * h**2 * C + 4 * h * C**2 + 4 * C**3 + 15 * basis.count * X**3 + 256 * basis.count**2
+    return values / n**3
 
 
 def interaction_tensor(basis, spec: GridSpec, refine: bool = True) -> InteractionTensor:
@@ -699,7 +719,8 @@ def interaction_tensor(basis, spec: GridSpec, refine: bool = True) -> Interactio
     # the refined grid is refused, like the given one, before any lattice
     # work
     sp_fine = spec.refined() if refine else None
-    check_fits(2 * spec.n if refine else spec.n, _TENSOR_ARRAYS, "the interaction tensor")
+    n_max = 2 * spec.n if refine else spec.n
+    check_fits(n_max, _tensor_arrays(basis, n_max), "the interaction tensor")
     fields, count = basis.fields, basis.count
     ginv = np.zeros((count, count))
     start = 0
@@ -720,7 +741,7 @@ def interaction_tensor(basis, spec: GridSpec, refine: bool = True) -> Interactio
     def compute(sp: GridSpec) -> np.ndarray:
         eta = sp.freqs()
         E = _y_moments(sp, dmax)
-        w = lattice_weight(sp, params.m)
+        w = octant_weight(sp, params.m)[0]
         # sum_eta FT[W_jc] prod_axes E, from one table of w per grid
         t = np.einsum("jcabd,axbydz->jcxyz", A, _axis_moments(w, eta, D, (E, E, E)))
         # minus the longitudinal part eta_c sigma_j w / |eta|^2 (the

@@ -3,16 +3,20 @@
 None of these is used by the package or the CLI. Each is an independent
 route to a number the library computes another way: grid fields sampled
 pointwise or synthesized by inverse FFT, transformed by FFT and paired by
-grid quadrature, |eta|^2 on the whole frequency lattice, the Leray projector and the pseudo-spectral convection
-applied through FFT round trips, the kernel-weighted Gram inverse, the
-closed-form Gaussian kernel and its radial ODE residual, the pinned
-envelope fit by scipy's MINPACK Levenberg-Marquardt, the operator B in its expanded and
-divergence forms, the grid L2 norm, finite-difference weights from a
-Vandermonde solve, the Hausdorff distance between nodal point clouds by
-scipy's k-d tree, zero-type classification with stencil sums accumulated
-in `Fraction`s, and the Galerkin trajectory
-integrated by scipy's RK45 with its Duhamel residual by scipy's cumulative
-Simpson rule.
+grid quadrature; the full-lattice route the package no longer takes,
+with |eta|^2, the weights exp(-b|eta|^2m), the closed-form spectra
+(`weighted_transform`), the Leray projector and the lattice moment sums
+on the whole n^3 lattice in FFT order, where the package holds each even
+array on its nonnegative octant and folds the per-axis tables; the
+pseudo-spectral convection applied through FFT round trips, the
+kernel-weighted Gram inverse, the closed-form Gaussian kernel and its
+radial ODE residual, the pinned envelope fit by scipy's MINPACK
+Levenberg-Marquardt, the operator B in its expanded and divergence forms,
+the grid L2 norm, finite-difference weights from a Vandermonde solve, the
+Hausdorff distance between nodal point clouds by scipy's k-d tree,
+zero-type classification with stencil sums accumulated in `Fraction`s,
+and the Galerkin trajectory integrated by scipy's RK45 with its Duhamel
+residual by scipy's cumulative Simpson rule.
 """
 from __future__ import annotations
 
@@ -30,18 +34,16 @@ from hermflow.errors import EmptyCloudError, ValidationError
 from hermflow.grid import (
     GridSpec,
     InteractionTensor,
-    _eta_axes,
-    _lattice_spectrum,
+    _contract_axes,
     dual_cubes,
-    lattice_weight,
-    project_spectral,
-    weighted_transform,
+    hermitian_parts,
+    spectrum_cubes,
 )
 from hermflow.kernel import KernelTable
 from hermflow.moments import moment_of_poly
 from hermflow.multiindex import MultiIndex, enumerate_level, unit
 from hermflow.operators import OperatorParams, euler_degree_op
-from hermflow.polynomial import Polynomial, VectorPolyField, laplacian
+from hermflow.polynomial import Polynomial, VectorPolyField, evaluate_cube, laplacian
 from hermflow.rational_linalg import dependent_columns, inverse, rref
 from hermflow.solenoidal import CompositeBasis, SolenoidalBasis, _gram, validate_basis_field
 
@@ -278,6 +280,80 @@ def freq_sq(spec: GridSpec) -> np.ndarray:
     return e[:, None, None] ** 2 + e[None, :, None] ** 2 + e[None, None, :] ** 2
 
 
+# -- the full-lattice route ----------------------------------------------------
+#
+# The package holds every lattice array, all even in each coordinate, on
+# the nonnegative octant only, and sums over the lattice on the octant
+# against folded per-axis tables. These are the same arrays and sums on the
+# whole n^3 lattice in FFT order.
+
+
+def mirror_octant(octant: np.ndarray) -> np.ndarray:
+    """The whole lattice, in FFT order, of the even array whose nonnegative
+    octant is `octant`: the value at |k| for every wavenumber k."""
+    n = 2 * (octant.shape[0] - 1)
+    k = np.abs(grid._kint(n)).astype(int)
+    return octant[np.ix_(k, k, k)]
+
+
+def lattice_weight(spec: GridSpec, m: int, b: float = 1.0) -> np.ndarray:
+    """exp(-b|eta|^2m) on the whole frequency lattice: the package's
+    octant weight, mirrored."""
+    return mirror_octant(grid.octant_weight(spec, m, b)[0])
+
+
+def lattice_spectrum(H: np.ndarray, spec: GridSpec, w: np.ndarray) -> np.ndarray:
+    """w sum_d i^|d| H[d] eta^d on the whole frequency lattice, for a
+    weight w."""
+    out = np.zeros((spec.n,) * 3, dtype=complex)
+    for part, A in zip((out.real, out.imag), hermitian_parts(H)):
+        if A is not None:
+            part[...] = evaluate_cube(A, [spec.freqs()] * 3)
+    out *= w
+    return out
+
+
+def weighted_transform(v: VectorPolyField, spec: GridSpec, m: int) -> List[np.ndarray]:
+    """FT[v_c F] on the whole frequency lattice, one complex array per
+    component."""
+    w = lattice_weight(spec, m)
+    return [lattice_spectrum(H, spec, w) for H in spectrum_cubes([v], m)[0]]
+
+
+def axis_moments(
+    arr: np.ndarray, x: np.ndarray, dmax: int, tables: Sequence[np.ndarray] | None = None
+) -> np.ndarray:
+    """`grid._axis_moments` over every lattice point: T[d1, d2, d3] =
+    sum_(i,j,k) arr[i,j,k] x_i^d1 x_j^d2 x_k^d3 for any array arr, with the
+    per-axis tables unfolded."""
+    P = np.stack([x**d for d in range(dmax + 1)], axis=1)  # (n, D)
+    if tables is None:
+        return _contract_axes(arr, P, P, P)
+    n, D = P.shape
+    X = tables[0].shape[1]
+    axes = [(P[:, :, None] * E[:, None, :]).reshape(n, D * X) for E in tables]
+    return _contract_axes(arr, *axes).reshape(D, X, D, X, D, X)
+
+
+def eta_axes(spec: GridSpec):
+    """The differentiation frequencies `grid._eta_diff` broadcast along
+    each axis of the lattice."""
+    e = grid._eta_diff(spec.L, spec.n)
+    return e[:, None, None], e[None, :, None], e[None, None, :]
+
+
+def project_spectral(gs: Sequence[np.ndarray], spec: GridSpec) -> Sequence[np.ndarray]:
+    """The solenoidal symbol I - eta eta^T/|eta|^2 applied per mode, in
+    place, on the whole lattice; 1/|eta|^2 is 0 where |eta| is."""
+    e1, e2, e3 = eta_axes(spec)
+    r2 = e1**2 + e2**2 + e3**2
+    inv = np.divide(1.0, r2, out=np.zeros_like(r2), where=r2 != 0.0)
+    common = (e1 * gs[0] + e2 * gs[1] + e3 * gs[2]) * inv
+    for e, g in zip((e1, e2, e3), gs):
+        g -= e * common
+    return gs
+
+
 def to_grid(spec: GridSpec, g: np.ndarray) -> np.ndarray:
     """Exact inverse of `to_spectral`; complex output, callers take .real."""
     return np.fft.ifftn(g * _phase3(spec)) / spec.h**3
@@ -302,7 +378,7 @@ def synth_duals(basis: SolenoidalBasis, spec: GridSpec) -> List[GridVectorField]
     from their closed-form spectra on the frequency lattice."""
     w = lattice_weight(spec, basis.params.m)
     return [
-        _synth(spec, [_lattice_spectrum(H, spec, w) for H in cubes])
+        _synth(spec, [lattice_spectrum(H, spec, w) for H in cubes])
         for cubes in dual_cubes([basis])
     ]
 
@@ -320,7 +396,7 @@ def project(u: GridVectorField) -> GridVectorField:
 def spectral_divergence(u: GridVectorField) -> np.ndarray:
     """div u evaluated through the frequency domain."""
     spec = u.spec
-    e1, e2, e3 = _eta_axes(spec)
+    e1, e2, e3 = eta_axes(spec)
     gs = [to_spectral(spec, u.data[c]) for c in range(3)]
     return to_grid(spec, 1j * (e1 * gs[0] + e2 * gs[1] + e3 * gs[2])).real
 
@@ -337,7 +413,7 @@ def convection(u: GridVectorField) -> GridVectorField:
     sample `convection_poly` instead."""
     spec = u.spec
     mask = _dealias_mask(spec)
-    e1, e2, e3 = _eta_axes(spec)
+    e1, e2, e3 = eta_axes(spec)
     gs = [to_spectral(spec, u.data[c]) * mask for c in range(3)]
     uf = [to_grid(spec, g).real for g in gs]
     out = []

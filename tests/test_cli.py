@@ -379,9 +379,11 @@ def test_each_basis_level_is_validated_once(tmp_path, capsys, monkeypatch, argv,
 
 
 def test_projector_diagnostic_working_set():
-    # 19 lattice arrays of n^3, plus the random polynomial field and the
-    # 1-D tables; the first call fills the exact transform-polynomial cache,
-    # and the grid cache is cleared so that its lattice arrays count
+    # one sweep of row blocks: the octants of the weight and of 1/|eta|^2,
+    # the plane tables and about ten row blocks, a quarter of the lattice
+    # each at n=64 (measured 4.1 to 4.7 arrays of n^3); the first call
+    # fills the exact transform-polynomial cache, and the grid cache is
+    # cleared so that its lattice arrays count
     from hermflow import grid
 
     spec = grid.GridSpec(8.0, 64)
@@ -394,7 +396,7 @@ def test_projector_diagnostic_working_set():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 19 * 8 * spec.n**3 + 2**16, m
+        assert peak <= 6 * 8 * spec.n**3, m
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -595,6 +597,9 @@ def test_failing_run_leaves_no_artifact(tmp_path, capfd, argv):
         (["evolve", "--model", "nse", "--K", "1", "--data", "l1:0=1"], {"seed": 2},
          "seed is read only with data demo:small"),
         (["nodal", "--seed", "1"], {}, "seed is read only with data demo:small"),
+        (["solenoidal", "--kind", "kernel", "--K", "7"], {}, "K is read only with kind composite"),
+        (["solenoidal", "--level", "5"], {}, "level is read only with kind kernel"),
+        (["solenoidal", "--kind", "composite"], {"level": 2}, "level is read only with kind kernel"),
     ],
 )
 def test_settings_a_run_would_not_read_exit_2(tmp_path, capfd, argv, cfg, setting):
@@ -754,6 +759,22 @@ def test_solenoidal_fixture_counts(tmp_path, capsys):
     code, line = _run(capsys, ["solenoidal", "--outdir", str(tmp_path)])
     assert code == 0
     assert line["ok"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solenoidal", "--N", "2"], ["solenoidal", "--kind", "composite", "--K", "1", "--N", "2"]],
+    ids=["fixture", "composite"],
+)
+def test_solenoidal_builds_bases_in_the_echoed_dimension(tmp_path, capfd, argv):
+    # N reaches the bases of every kind: the catalogued fields are 3-D, so
+    # N=2 is refused, where a composite listing used to echo N=2 over 3-D
+    # bases
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    code, line = _failed(capfd, argv, outdir)
+    assert code == 2 and line["error"] == "validation"
+    assert line["message"] == "beta arity 3 != N 2"
 
 
 def test_solenoidal_lists_every_catalogued_level(tmp_path, capsys, monkeypatch):
@@ -1381,13 +1402,15 @@ def test_non_positive_times_exit_2_before_any_artifact(tmp_path, capfd, argv, wh
         ["nodal", "--cell", "0.1"],
         ["verify", "--m", "1", "--level", "1", "--n", "32", "--L", "16"],
         ["wkbj", "--m", "2", "--N", "3", "--fit"],
+        ["d-tensor", "--K", "2", "--n", "32", "--L", "6"],
     ],
-    ids=["nodal", "verify", "wkbj-fit"],
+    ids=["nodal", "verify", "wkbj-fit", "d-tensor"],
 )
 def test_blas_threads_do_not_change_bytes(tmp_path, argv):
-    # grid evaluation contracts coefficient cubes through BLAS, and the
-    # envelope fit solves its normal equations through LAPACK; the thread
-    # count must not reach the bytes of the summary or of any artifact
+    # grid evaluation and the tensor's contractions of folded octant tables
+    # run through BLAS, and the envelope fit solves its normal equations
+    # through LAPACK; the thread count must not reach the bytes of the
+    # summary or of any artifact
     import subprocess
     import sys
 

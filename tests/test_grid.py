@@ -16,10 +16,14 @@ from hermflow.polynomial import Polynomial, VectorPolyField, row_blocks
 from hermflow.solenoidal import fixture_basis
 from oracles import (
     GridVectorField,
+    axis_moments,
     convection,
     enumerate_up_to,
     freq_sq,
     gaussian_kernel,
+    lattice_spectrum,
+    lattice_weight,
+    mirror_octant,
     norm,
     pair_fields,
     project,
@@ -189,9 +193,31 @@ def test_axis_tables_take_a_spectrum_to_its_grid_moments(spec):
     F = to_spectral(spec, f)
     E = grid._y_moments(spec, dmax)
     got = grid._contract_axes(F, E, E, E).real / spec.n**3
-    want = spec.h**3 * grid._axis_moments(to_grid(spec, F).real, spec.axes(), dmax)
-    scale = spec.h**3 * grid._axis_moments(np.abs(f), np.abs(spec.axes()), dmax)
+    want = spec.h**3 * axis_moments(to_grid(spec, F).real, spec.axes(), dmax)
+    scale = spec.h**3 * axis_moments(np.abs(f), np.abs(spec.axes()), dmax)
     assert np.max(np.abs(got - want) / scale) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [16, 18, 48])
+def test_octant_moments_match_the_full_lattice_sums(n):
+    # an array even in each coordinate, held on its octant, against the
+    # folded per-axis tables: the tensor's (E, E, E) and (etaE, E, E)
+    # tables, whose rows differ at k and -k, and the plain power sums of
+    # `lattice_moments`; n = 18 has an odd Nyquist index. Only the order of
+    # summation differs from the sums over every lattice point.
+    spec = GridSpec(6.0, n)
+    rng = np.random.default_rng(n)
+    octant = rng.random((n // 2 + 1,) * 3) * grid.octant_weight(spec, 1, 0.1)[0]
+    whole = mirror_octant(octant)
+    eta, dmax = spec.freqs(), 4
+    E = grid._y_moments(spec, dmax)
+    etaE = grid._eta_diff(spec.L, n)[:, None] * E
+    for tables in (None, (E, E, E), (etaE, E, E), (E, E, etaE)):
+        got = grid._axis_moments(octant, eta, 3, tables)
+        want = axis_moments(whole, eta, 3, tables)
+        # a few ulp of the largest value (at most 2.6 seen here)
+        assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * np.max(np.abs(want)), tables
+    assert grid.lattice_moments(octant, spec, 3).tobytes() == grid._axis_moments(octant, eta, 3).tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -216,16 +242,16 @@ def test_lattice_spectrum_matches_a_direct_complex_sum():
         want += 1j ** sum(d) * P[d] * mono
         scale += np.abs(P[d] * mono)
     ones = np.ones((spec.n,) * 3)
-    got = grid._lattice_spectrum(P, spec, ones)
+    got = lattice_spectrum(P, spec, ones)
     assert np.max(np.abs(got.real - want.real) / scale) <= 1e-15
     assert np.max(np.abs(got.imag - want.imag) / scale) <= 1e-15
     # a cube of even degrees only has no imaginary part
     even = P * (grid._degree_cube(3) % 2 == 0)
-    got = grid._lattice_spectrum(even, spec, ones)
+    got = lattice_spectrum(even, spec, ones)
     assert not got.imag.any() and np.max(np.abs(got.real - want.real) / scale) <= 1e-15
     # and the weight multiplies both parts
-    w = grid.lattice_weight(spec, 1)
-    assert grid._lattice_spectrum(P, spec, w).tobytes() == (grid._lattice_spectrum(P, spec, ones) * w).tobytes()
+    w = lattice_weight(spec, 1)
+    assert lattice_spectrum(P, spec, w).tobytes() == (lattice_spectrum(P, spec, ones) * w).tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -238,7 +264,7 @@ def test_lattice_weight_is_the_full_lattice_exponential(m, b):
     for n in (16, 48, 98):
         spec = GridSpec(16.0, n)
         want = np.exp(-b * freq_sq(spec) ** m)
-        assert grid.lattice_weight(spec, m, b).tobytes() == want.tobytes(), n
+        assert lattice_weight(spec, m, b).tobytes() == want.tobytes(), n
         octant, live = grid.octant_weight(spec, m, b)
         assert octant.shape == (n // 2 + 1,) * 3
         # the live prefix is no longer than where the weight is nonzero, and
@@ -254,7 +280,7 @@ def test_lattice_weight_rows_are_rows_of_the_whole_lattice(n):
     # index, are the same rows of the whole-lattice form, byte for byte
     spec = GridSpec(16.0, n)
     octant, _ = grid.octant_weight(spec, 2, 3.0)
-    whole = grid.mirror(octant)
+    whole = mirror_octant(octant)
     h = n // 2
     blocks = row_blocks((n,) * 3) + [slice(h - 1, h + 2), slice(h + 1, n), slice(0, h + 1), slice(n - 1, n)]
     for rows in blocks:
