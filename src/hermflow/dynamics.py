@@ -21,7 +21,6 @@ from .grid import (
     GridSpec,
     InteractionTensor,
     check_fits,
-    closed_form_rows,
     dilate_coeffs,
     dual_cubes,
     lattice_moments,
@@ -83,10 +82,10 @@ class Expansion:
         return total
 
 # float64 arrays of n^3 at the peak of `expand` on a field with a remainder
-# (tracemalloc: 3.9 at n = 16 and 3.4 at n = 32, where a row block is the
-# whole lattice, to 0.5 at n = 96): the octants of |eta|^2 and of the
+# (tracemalloc: 2.9 at n = 16 and 2.4 at n = 32, where a row block is the
+# whole lattice, to 0.45 at n = 96): the octants of |eta|^2 and of the
 # weight, and two row blocks of the residual sweep (the mirrored weight and
-# the values) with its plane tables
+# the value buffer) with its plane tables
 _EXPAND_POLY_ARRAYS = 4
 
 
@@ -118,7 +117,7 @@ def expand(u, basis, spec: GridSpec | None = None) -> Expansion:
         check_fits(sp.n, _EXPAND_POLY_ARRAYS, "expand on a polynomial field")
         w, live = octant_weight(sp, m)
         (P,) = spectrum_cubes([diff], m)
-        residual = residual_norm(sp, closed_form_rows(P, w, live, sp))
+        residual = residual_norm(sp, (P, w, live))
     return Expansion(basis, coeffs, residual=residual)
 
 
@@ -154,9 +153,7 @@ class _Extractor:
         # the coefficients c, and the residual from sum c_i v*_i F
         c = np.linalg.solve(self.M.T, raw)
         Y = np.tensordot(c, self.realz, axes=(0, 0))
-        data = closed_form_rows(X, w, live, self.spec)
-        model = closed_form_rows(Y, self.decay, self.live_decay, self.spec)
-        return c, residual_norm(self.spec, data, model)
+        return c, residual_norm(self.spec, (X, w, live), (Y, self.decay, self.live_decay))
 
 
 # -- diagonal flow ----------------------------------------------------------------
@@ -995,9 +992,9 @@ def _verifier_arrays(n: int, m: int, level: int, workers: int) -> float:
     bound: the octants of |eta|^2 (cached) and of the decay, and 2^15
     values for the exact arithmetic and the small tables; then, per output
     time in flight, the octants of the weight and of the weight times the
-    decay, four row blocks of the residual sweep (the two mirrored
-    weights, the values and their difference), the plane tables of its
-    (at most twelve) spectra, the first contraction of the moment table,
+    decay, four row blocks of the residual sweep (the two mirrored weights
+    and two value buffers), the plane tables of its (at most twelve)
+    spectra, the first contraction of the moment table,
     and the pairing table of `grid.moment_pairings` with its index, two
     values per pair of a data and a dual coefficient. A level-k spectrum
     cube holds powers up to (2m-1)k of each variable, a dual's up to k."""

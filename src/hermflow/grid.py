@@ -430,55 +430,70 @@ def hermitian_parts(P: np.ndarray) -> Tuple[np.ndarray | None, np.ndarray | None
 
 
 # -- the expansion residual ------------------------------------------------------
-#
-# A spectrum is given by six parts, the real and imaginary parts of its
-# components, each None or a triple (rows_of, w, live): rows_of(rows) gives
-# fresh values on a block of lattice rows, the octant weight w (from
-# `octant_weight`) multiplies them, and a block whose rows all have octant
-# indices of at least `live` is 0.0.
 
 
-def closed_form_rows(P: np.ndarray, w: np.ndarray, live: int, spec: GridSpec) -> list:
-    """The parts of w sum_d i^|d| P_c[d] eta^d over the components c of P,
-    with the octant weight w and its live count from `octant_weight`."""
+def residual_norm(spec: GridSpec, data: tuple, model: tuple | None = None) -> float:
+    """Grid norm of the field with spectrum `data` minus `model`, each a
+    triple (P, w, live) for w sum_d i^|d| P_c[d] eta^d: Hermitian
+    coefficient cubes P (3, D+1, D+1, D+1), and the octant weight w and its
+    live count from `octant_weight`. By Parseval it is
+    ((2L)^-3 sum_eta |data - model|^2)^(1/2), in one sweep of row blocks:
+    each block of every part is evaluated (`CubeRows`), weighted,
+    subtracted and squared while it is in cache, in one value buffer per
+    side kept for the whole sweep, each distinct weight is mirrored from
+    its octant once per block into a buffer of its own, and a block
+    whose octant indices are all at least a part's live count skips it; no
+    lattice array is made.
+
+    Each pair of parts (data minus model, for one component's real or
+    imaginary part) is swept in units of 2^e, e the binary exponent of its
+    largest coefficient (`np.frexp`), and its block sums are added, in
+    sweep order, in units of 2^2E, E the largest e. Scaling by a power of
+    two is exact, so the norm is the unscaled sweep's wherever that sweep
+    neither underflows nor overflows; coefficients that vanish by symmetry
+    but come out near 1e-130 are not squared into subnormal numbers, and a
+    field times 2^600 or 2^-600 has its norm times the same power."""
+    # the six parts of each side, the real and the imaginary part of each
+    # component, with that side's weight
+    sides = [
+        [(A, w, live) for Pc in P for A in hermitian_parts(Pc)] for P, w, live in filter(None, (data, model))
+    ]
     eta = [spec.freqs()] * 3
-    return [None if A is None else (CubeRows(A, eta), w, live) for Pc in P for A in hermitian_parts(Pc)]
-
-
-def residual_norm(spec: GridSpec, data: list, model: list | None = None) -> float:
-    """Grid norm of the field with spectrum `data` minus `model`: by
-    Parseval, (2L)^-3 sum_eta |data - model|^2, in one sweep of row blocks.
-    Each block of every part is evaluated, weighted, subtracted and squared
-    while it is in cache, and each distinct weight is mirrored from its
-    octant once per block; no lattice array is made."""
-    pairs = [[p for p in pair if p is not None] for pair in zip(data, model or [None] * len(data))]
+    pairs = []
+    for pair in zip(*sides):
+        parts = [p for p in pair if p[0] is not None]
+        if parts:
+            e = int(np.frexp(max(np.max(np.abs(A)) for A, _, _ in parts))[1])
+            pairs.append((e, [(CubeRows(np.ldexp(A, -e), eta), w, live) for A, w, live in parts]))
+    E = max((e for e, _ in pairs), default=0)
     n = spec.n
     blocks = row_blocks((n,) * 3)
     octant_k = np.abs(_kint(n)).astype(int)
-    # one block array per distinct weight, reused for every block: a fresh
-    # one per block costs its page faults
-    buffers = {id(w): np.empty((blocks[0].stop, n, n)) for parts in pairs for _, w, _ in parts}
+    # block arrays reused for every block, one per distinct weight and one
+    # per side for the values: fresh ones per block cost their page faults
+    shape = (blocks[0].stop, n, n)
+    weights = {id(w): np.empty(shape) for _, parts in pairs for _, w, _ in parts}
+    values = [np.empty(shape) for _ in range(max((len(parts) for _, parts in pairs), default=0))]
     total = 0.0
     for rows in blocks:
-        first = octant_k[rows].min()
+        size, first = rows.stop - rows.start, octant_k[rows].min()
         mirrored: Dict[int, np.ndarray] = {}
-        for parts in pairs:
-            diff = None
-            for rows_of, w, live in parts:
-                if first < live:
-                    v = rows_of(rows)
-                    if id(w) not in mirrored:
-                        mirrored[id(w)] = mirror(w, rows, buffers[id(w)][: rows.stop - rows.start])
-                    v *= mirrored[id(w)]
-                    if diff is None:
-                        diff = v
-                    else:
-                        diff -= v  # the sign drops out of the norm
-            if diff is not None:
-                # numpy's own summation, not BLAS: its order does not
-                # depend on the thread count, so the bytes do not either
-                total += float(np.sum(np.square(diff, out=diff)))
-    return math.sqrt(total / (2.0 * spec.L) ** 3)
+        for e, parts in pairs:
+            live_parts = [(rows_of, w) for rows_of, w, live in parts if first < live]
+            if not live_parts:
+                continue
+            for (rows_of, w), buf in zip(live_parts, values):
+                if id(w) not in mirrored:
+                    mirrored[id(w)] = mirror(w, rows, weights[id(w)][:size])
+                rows_of(rows, buf[:size])
+                buf[:size] *= mirrored[id(w)]
+            diff = values[0][:size]
+            if len(live_parts) == 2:
+                diff -= values[1][:size]  # the sign drops out of the norm
+            # numpy's own summation, not BLAS: its order does not depend on
+            # the thread count, so the bytes do not either
+            total += math.ldexp(float(np.sum(np.square(diff, out=diff))), 2 * (e - E))
+    return math.ldexp(math.sqrt(total / (2.0 * spec.L) ** 3), E)
 
 
 def parallel_map(fn: Callable, items: Sequence, workers: int | None) -> list:
@@ -548,14 +563,23 @@ def projector_norms(v: VectorPolyField, spec: GridSpec, m: int) -> Tuple[float, 
         for comps in zip(*[hermitian_parts(H) for H in spectrum_cubes([v], m)[0]])
     ]
     octant_k = np.abs(_kint(n)).astype(int)
+    blocks = row_blocks((n,) * 3)
+    # block arrays reused for every block: the mirrored weight and
+    # 1/|eta|^2, and the values of the three components
+    wbuf, ibuf, *vbufs = (np.empty((blocks[0].stop, n, n)) for _ in range(5))
     sums = np.zeros(3)
-    for rows in row_blocks((n,) * 3):
+    for rows in blocks:
         if octant_k[rows].min() >= live:
             continue  # the weight is 0.0 on the whole block
-        wr, ir = mirror(w, rows), mirror(inv, rows)
+        size = rows.stop - rows.start
+        wr, ir = mirror(w, rows, wbuf[:size]), mirror(inv, rows, ibuf[:size])
         er = (e[rows, None, None], e[None, :, None], e[None, None, :])
         for comps in parts:
-            sums += _projector_sums([0.0 if A is None else A(rows) * wr for A in comps], er, ir)
+            u = [
+                0.0 if A is None else np.multiply(A(rows, buf[:size]), wr, out=buf[:size])
+                for A, buf in zip(comps, vbufs)
+            ]
+            sums += _projector_sums(u, er, ir)
     return tuple(math.sqrt(t / (2.0 * spec.L) ** 3) for t in sums)
 
 

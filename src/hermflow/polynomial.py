@@ -269,9 +269,12 @@ class CubeRows:
     """`evaluate_cube(C, axes)` by rows of the first grid axis.
 
     Every cube axis but the last is contracted with its power table x^d
-    once, at construction, one axis at a time, which leaves a table of
-    shape (D+1, len(axes[0]), ..., len(axes[-2])). `self(rows)` contracts
-    those rows of it with the last axis's power table, so a value is the
+    once, at construction, one axis at a time. The planes that leaves are
+    held as (rows, cols, powers), shape (len(axes[0]), ..., len(axes[-2]),
+    D+1), so a block of rows of them is a view. `self(rows, out)` is one
+    `np.dot` of those planes with the last axis's power table, written
+    into `out` (C-contiguous, of the block's shape): the same BLAS call,
+    on the same operands, as a `tensordot` of the two, and a value is the
     same sum, in the same order, whichever rows it is evaluated with.
     """
 
@@ -285,23 +288,26 @@ class CubeRows:
         t = C
         for table in tables[:-1]:
             t = np.tensordot(t, table, axes=([0], [1]))
-        self.planes, self.last = t, tables[-1]
+        self.planes, self.last = np.ascontiguousarray(np.moveaxis(t, 0, -1)), tables[-1]
         self.shape = tuple(len(ax) for ax in axes)
 
-    def __call__(self, rows: slice) -> np.ndarray:
+    def __call__(self, rows: slice, out: np.ndarray) -> np.ndarray:
         if self.planes.ndim == 1:  # a cube in one variable
-            return np.tensordot(self.planes, self.last[rows], axes=([0], [1]))
-        return np.tensordot(self.planes[:, rows], self.last, axes=([0], [1]))
+            np.dot(self.planes[None], self.last[rows].T, out=out[None])
+        else:
+            planes = self.planes[rows]
+            np.dot(planes.reshape(-1, planes.shape[-1]), self.last.T, out=out.reshape(-1, self.shape[-1]))
+        return out
 
 
 def evaluate_cube(C: np.ndarray, axes: Sequence[np.ndarray]) -> np.ndarray:
     """sum_d C[d] prod_i axes[i]^d_i on the tensor-product grid of `axes`,
-    of shape (len(axes[0]), ..., len(axes[-1])), filled a row block at a
-    time by `CubeRows`, so the only full grid array is the result."""
+    of shape (len(axes[0]), ..., len(axes[-1])), written a row block at a
+    time by `CubeRows`, so the only grid array is the result."""
     rows_of = CubeRows(C, axes)
     out = np.empty(rows_of.shape)
     for rows in row_blocks(out.shape):
-        out[rows] = rows_of(rows)
+        rows_of(rows, out[rows])
     return out
 
 

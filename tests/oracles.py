@@ -8,6 +8,8 @@ with |eta|^2, the weights exp(-b|eta|^2m), the closed-form spectra
 (`weighted_transform`), the Leray projector and the lattice moment sums
 on the whole n^3 lattice in FFT order, where the package holds each even
 array on its nonnegative octant and folds the per-axis tables; the
+expansion residual swept in plain units, where the package sweeps each
+pair of parts in units of a power of two; the
 pseudo-spectral convection applied through FFT round trips, the
 kernel-weighted Gram inverse, the closed-form Gaussian kernel and its
 radial ODE residual, the pinned envelope fit by scipy's MINPACK
@@ -43,7 +45,7 @@ from hermflow.kernel import KernelTable
 from hermflow.moments import moment_of_poly
 from hermflow.multiindex import MultiIndex, enumerate_level, unit
 from hermflow.operators import OperatorParams, euler_degree_op
-from hermflow.polynomial import Polynomial, VectorPolyField, evaluate_cube, laplacian
+from hermflow.polynomial import CubeRows, Polynomial, VectorPolyField, evaluate_cube, laplacian, row_blocks
 from hermflow.rational_linalg import dependent_columns, inverse, rref
 from hermflow.solenoidal import CompositeBasis, SolenoidalBasis, _gram, validate_basis_field
 
@@ -333,6 +335,56 @@ def axis_moments(
     X = tables[0].shape[1]
     axes = [(P[:, :, None] * E[:, None, :]).reshape(n, D * X) for E in tables]
     return _contract_axes(arr, *axes).reshape(D, X, D, X, D, X)
+
+
+def closed_form_rows(P: np.ndarray, w: np.ndarray, live: int, spec: GridSpec) -> list:
+    """The six parts of w sum_d i^|d| P_c[d] eta^d, the real and imaginary
+    parts of its components c, each None or a triple (rows_of, w, live):
+    rows_of(rows) gives fresh values on a block of lattice rows, the octant
+    weight w (from `octant_weight`) multiplies them, and a block whose rows
+    all have octant indices of at least `live` is 0.0."""
+    eta = [spec.freqs()] * 3
+
+    def rows_of(A):
+        cube = CubeRows(A, eta)
+        return lambda rows: cube(rows, np.empty((rows.stop - rows.start,) + cube.shape[1:]))
+
+    return [None if A is None else (rows_of(A), w, live) for Pc in P for A in hermitian_parts(Pc)]
+
+
+def plain_residual_norm(spec: GridSpec, data: list, model: list | None = None) -> float:
+    """`grid.residual_norm` in plain units, on the parts of
+    `closed_form_rows`: every block sum is added as it comes, so a pair of
+    parts whose values are near 1e-130 is squared into subnormal numbers,
+    and a field beyond about 2^500 or below 2^-500 reads inf or 0.0."""
+    pairs = [[p for p in pair if p is not None] for pair in zip(data, model or [None] * len(data))]
+    n = spec.n
+    blocks = row_blocks((n,) * 3)
+    octant_k = np.abs(grid._kint(n)).astype(int)
+    # one block array per distinct weight, reused for every block: a fresh
+    # one per block costs its page faults
+    buffers = {id(w): np.empty((blocks[0].stop, n, n)) for parts in pairs for _, w, _ in parts}
+    total = 0.0
+    for rows in blocks:
+        first = octant_k[rows].min()
+        mirrored: Dict[int, np.ndarray] = {}
+        for parts in pairs:
+            diff = None
+            for rows_of, w, live in parts:
+                if first < live:
+                    v = rows_of(rows)
+                    if id(w) not in mirrored:
+                        mirrored[id(w)] = grid.mirror(w, rows, buffers[id(w)][: rows.stop - rows.start])
+                    v *= mirrored[id(w)]
+                    if diff is None:
+                        diff = v
+                    else:
+                        diff -= v  # the sign drops out of the norm
+            if diff is not None:
+                # numpy's own summation, not BLAS: its order does not
+                # depend on the thread count, so the bytes do not either
+                total += float(np.sum(np.square(diff, out=diff)))
+    return math.sqrt(total / (2.0 * spec.L) ** 3)
 
 
 def eta_axes(spec: GridSpec):

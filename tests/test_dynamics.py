@@ -44,6 +44,7 @@ from hermflow.solenoidal import (
 from oracles import (
     GridVectorField,
     axis_moments,
+    closed_form_rows,
     fd_weights,
     fraction_classify_zero,
     freq_sq,
@@ -51,6 +52,7 @@ from oracles import (
     mirror_octant,
     norm,
     pair_fields,
+    plain_residual_norm,
     synth_duals,
     synth_weighted,
     to_grid,
@@ -727,6 +729,43 @@ def test_blocked_residual_matches_full_lattice_route(m):
             assert mirror_octant(w).tobytes() == w_ref.tobytes()
             assert mirror_octant(w * extract.decay).tobytes() == (w_ref * decay_ref).tobytes()
             assert abs(resid - resid_ref) <= 1e-13 * resid_ref + 1e-20
+
+
+def _verifier_state(m, tau):
+    """The extractor of `semigroup_verify` on its default grid for the
+    level-1 fixture data, and the data's rescaled spectrum (X, b) at tau."""
+    extract = _Extractor(level_basis(m, 1), GridSpec(24.0, 128))
+    (P,) = spectrum_cubes([fixture(m, 1)[0]], m)
+    s = math.exp(-tau)
+    X = s ** ((2 * m - 1) / (2 * m) - 3 / (2 * m)) * dilate_coeffs(P, s ** (-1.0 / (2 * m)))
+    return extract, X, (2.0 - s) / s
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_residual_equals_the_plain_sweep(m):
+    # the power-of-two units change no bits: at tau 0 the m=1 residual is
+    # the pair of parts whose coefficients vanish by symmetry (about 1e-138)
+    for tau in (0.0, 1.0, 3.0):
+        extract, X, b = _verifier_state(m, tau)
+        c, resid = extract.closed_form(X, b)
+        Y = np.tensordot(c, extract.realz, axes=(0, 0))
+        w, live = grid.octant_weight(extract.spec, m, b)
+        data = closed_form_rows(X, w, live, extract.spec)
+        model = closed_form_rows(Y, extract.decay, extract.live_decay, extract.spec)
+        assert resid == plain_residual_norm(extract.spec, data, model), tau
+
+
+@pytest.mark.parametrize("m", [1, 2], ids=["m=1", "m=2"])
+def test_residual_scales_exactly_by_powers_of_two(m):
+    # in plain units the residual of the field times 2^600 reads inf and
+    # times 2^-600 or 2^-900 reads 0.0
+    extract, X, b = _verifier_state(m, 1.0)
+    c, resid = extract.closed_form(X, b)
+    assert resid > 0.01
+    for k in (600, -600, -900):
+        ck, rk = extract.closed_form(np.ldexp(X, k), b)
+        assert rk == math.ldexp(resid, k), k
+        assert np.array_equal(ck, np.ldexp(c, k)), k
 
 
 @pytest.mark.parametrize("m, n, workers", [(1, 64, 1), (2, 48, 2), (2, 16, 1), (1, 32, 2)])
