@@ -113,22 +113,18 @@ _COMMON = (
 _SEED = Param("seed", int, 0, "seed of demo:small and of the projector test field")
 
 
-def _jsonable(x):
+def _json_default(x):
+    """The JSON form of what `json.dumps` cannot write itself: a Fraction as
+    {"num", "den"}, numpy scalars and arrays as Python numbers and lists."""
     if isinstance(x, Fraction):
         return {"num": x.numerator, "den": x.denominator}
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.integer,)):
+    if isinstance(x, np.integer):
         return int(x)
-    if isinstance(x, (np.bool_,)):
+    if isinstance(x, np.bool_):
         return bool(x)
     if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
+        return x.tolist()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _workers(cfg: dict) -> int:
@@ -737,14 +733,10 @@ def _coefficient(t: dict) -> Fraction:
         raise ValidationError(f"term {t!r} has a coefficient with a zero denominator") from None
 
 
-def _terms_sampler(terms: List[dict]):
-    """The polynomial sum_k c_k x^a_k t^b_k, evaluated exactly and rounded
-    to a float once. Every coordinate is a dyadic float p / 2^e, so each
-    term is an integer over the common coefficient denominator times a
-    power of two; the terms are summed in integers and divided once, which
-    is the float of the exact `Fraction` sum. A sample beyond the float
-    range, or at a non-finite point, is refused."""
-    parsed = []
+def _terms_polynomial(terms: List[dict]) -> Polynomial:
+    """The exact polynomial sum_k c_k x^a_k t^b_k in (x1, x2, x3, t) of a
+    `--terms` list, like terms summed."""
+    summed: Dict[tuple, Fraction] = {}
     for t in terms:
         if not (isinstance(t, dict) and "x" in t and "c" in t):
             raise ValidationError(f"term {t!r} is not an object with keys 'x' and 'c'")
@@ -753,45 +745,15 @@ def _terms_sampler(terms: List[dict]):
             raise ValidationError(f"bad spatial exponents {ex!r}")
         if type(et) is not int or et < 0:
             raise ValidationError("temporal exponent must be an integer >= 0")
-        parsed.append((tuple(ex) + (et,), _coefficient(t)))
-    if not parsed:
+        key = (*ex, et)
+        summed[key] = summed.get(key, 0) + _coefficient(t)
+    if not summed:
         raise ValidationError("empty term list")
-    den = math.lcm(*(co.denominator for _, co in parsed))
-    # the coordinates among (x, y, z, t) that some term raises to a power
-    used = [i for i in range(4) if any(ex[i] for ex, _ in parsed)]
-    # per term: its exponents of the used coordinates and c * den, an integer
-    scaled = [
-        (tuple(ex[i] for i in used), co.numerator * (den // co.denominator))
-        for ex, co in parsed
-    ]
-
-    def sampler(x, t):
-        point = (*x, t)
-        try:
-            # coordinate i is p_i / 2^s_i
-            ratios = [point[i].as_integer_ratio() for i in used]
-            terms = []
-            for ex, num in scaled:
-                s = 0
-                for (p, q), k in zip(ratios, ex):
-                    if k:
-                        num *= p**k
-                        s += (q.bit_length() - 1) * k
-                terms.append((num, s))
-            top = max(s for _, s in terms)
-            return sum(num << (top - s) for num, s in terms) / (den << top)
-        except (OverflowError, ValueError) as exc:
-            raise ValidationError(
-                f"the sample at x={tuple(x)!r}, t={t!r} is not a finite float: {exc}"
-            ) from exc
-
-    return sampler
+    return Polynomial(4, summed)
 
 
 def _classify(cfg: dict, terms: list):
-    return classify_zero(
-        _terms_sampler(terms), max_order=cfg["max_order"], delta=cfg["delta"], threshold=cfg["threshold"]
-    )
+    return classify_zero(_terms_polynomial(terms), max_order=cfg["max_order"])
 
 
 def _cmd_classify(cfg: dict):
@@ -982,8 +944,6 @@ _COMMANDS: Dict[str, Tuple[str, Tuple[Param, ...], Callable]] = {
             Param("terms_file", str, None),
             Param("suite", str, None, "synthetic: sweep x^M - (-t)^K for M,K <= 4"),
             Param("max_order", int, 6),
-            Param("delta", float, 0.125),
-            Param("threshold", float, 1e-7),
         ),
         _cmd_classify,
     ),
@@ -1146,14 +1106,14 @@ def run(argv=None) -> int:
             if len(content) == 2:
                 kind, body = content
                 payload = {"schema": SCHEMA, "kind": kind, "config": echo, **body}
-                text = json.dumps(_jsonable(payload), sort_keys=True, indent=1) + "\n"
+                text = json.dumps(payload, sort_keys=True, indent=1, default=_json_default) + "\n"
             else:
                 (text,) = content
             with open(os.path.join(outdir, name), "w") as fh:
                 fh.write(text)
         summary["artifacts"] = [name for name, *_ in artifacts]
         line = {"schema": SCHEMA, "command": ns.command, "ok": True, "config": echo, **summary}
-        print(json.dumps(_jsonable(line), sort_keys=True))
+        print(json.dumps(line, sort_keys=True, default=_json_default))
         return 0
     except _FAILURE_TYPES as exc:
         _, code, tag, extra = next(row for row in _FAILURES if isinstance(exc, row[0]))

@@ -9,10 +9,9 @@ error, periodization is the only approximation).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .grid import (
     residual_norm,
     spectrum_cubes,
 )
-from .multiindex import enumerate_level, unit
+from .multiindex import unit
 from .polynomial import Polynomial, VectorPolyField, row_blocks
 from .solenoidal import level_basis
 
@@ -827,157 +826,33 @@ class ZeroType:
         }
 
 
-# a finite float is an integer multiple of 2^-1074, the smallest subnormal
-_DYADIC_SHIFT = 1074
+def classify_zero(u: Polynomial, max_order: int = 6) -> ZeroType:
+    """Vanishing orders of a space-time zero of the scalar polynomial
+    u(x1, x2, x3, t) at (x, t) = (0, 0^-), read off its exact terms.
 
-
-def _dyadic(x: float) -> int:
-    """x * 2^1074 as an exact integer, for a finite float x."""
-    n, d = x.as_integer_ratio()
-    return n << (_DYADIC_SHIFT + 1 - d.bit_length())
-
-
-def _stencils(nodes: Tuple[int, ...], max_order: int) -> List[Tuple[tuple, tuple, int]]:
-    """Finite-difference stencils at 0 on the integer `nodes`, exact on
-    polynomials of degree < len(nodes), for the orders 0..max_order: each
-    is (the nodes with a nonzero weight, integer numerators, their common
-    denominator). Lagrange form, in integers: the weight of node x_j is
-    q! [t^q] prod_{i!=j} (t - x_i) / prod_{i!=j} (x_j - x_i)."""
-    polys, dens = [], []
-    for j, xj in enumerate(nodes):
-        p = [1]  # coefficients of prod_{i!=j} (t - x_i), constant first
-        for i, xi in enumerate(nodes):
-            if i != j:
-                p = [a - xi * b for a, b in zip([0] + p, p + [0])]
-        polys.append(p)
-        dens.append(math.prod(xj - xi for i, xi in enumerate(nodes) if i != j))
-    common = math.lcm(*dens)
-    out = []
-    for q in range(max_order + 1):
-        nums = [math.factorial(q) * p[q] * (common // d) for p, d in zip(polys, dens)]
-        g = math.gcd(common, *nums)
-        kept = [(x, n // g) for x, n in zip(nodes, nums) if n]
-        out.append((tuple(x for x, _ in kept), tuple(n for _, n in kept), common // g))
-    return out
-
-
-def _contract(weights: Sequence[int], vectors: Sequence[Sequence[int]]) -> List[int]:
-    """sum_i weights[i] * vectors[i], componentwise, in integers."""
-    return [sum(map(operator.mul, weights, col)) for col in zip(*vectors)]
-
-
-def _exceeds(nums: Sequence[int], den: int, bound: float) -> bool:
-    """Whether some |num / (den * 2^1074)|, rounded to the nearest float,
-    exceeds `bound`. `int / int` rounds correctly, as `float(Fraction)`
-    does; a quotient beyond the float range rounds to infinity."""
-    full = den << _DYADIC_SHIFT
-    for num in nums:
-        try:
-            q = abs(num / full)
-        except OverflowError:
-            q = math.inf
-        if q > bound:
-            return True
-    return False
-
-
-# the largest stencil half-width `classify_zero` accepts: its work grows
-# about 2.2x per +2 of max_order; the sampler u = t, constant in space so
-# that every spatial level is searched, takes 2.0, 5.3, 13.4 and 28.1 s at
-# max_order 12, 14, 16 and 18 on a 2-vCPU Intel Xeon host (criterion 10
-# runs max_order 6)
-_MAX_ORDER = 16
-
-
-def classify_zero(
-    sampler: Callable,
-    max_order: int = 6,
-    delta: float = 0.125,
-    threshold: float = 1e-7,
-) -> ZeroType:
-    """Vanishing orders of a space-time zero at (x, t) = (0, 0^-).
-
-    M is the smallest total spatial order with a nonvanishing mixed
-    difference of u(., 0) at 0; K the smallest temporal order from
-    one-sided differences of u(0, .) into t <= 0. Stencils sit on
-    2*max_order+1 nodes, central in space and one-sided in time, and their
-    weights come in closed form (the Lagrange form of `_stencils`) as
-    integer numerators over one common denominator, built once per call
-    with no linear solve. The accumulation is done in exact integer
-    arithmetic too: every sample is a dyadic float, so it is an integer
-    once scaled by 2^1074. The spatial stencil is
-    contracted one axis at a time, innermost first. Differences of
-    polynomial samplers that should vanish therefore do so exactly;
-    `threshold` (relative to the largest sampled magnitude) only matters
-    for transcendental samplers. Each difference is rounded to the nearest
-    float once, before that comparison. A sample that is not a finite
-    float is refused, naming its point. The spacing `delta` must be
-    positive, so that the temporal stencil stays in t <= 0; it defaults to
-    an exact binary fraction for the same reason. A `max_order` above
-    `_MAX_ORDER` is refused before any sample is taken.
+    M is the smallest total spatial degree |a| among the terms with no t,
+    the lowest-order nonvanishing derivative of u(., 0) at 0; K the
+    smallest t-degree among the terms with no x, that of u(0, .). Beyond
+    `max_order` an order counts as not found: no t-free term, or M above
+    it, gives `order-exceeds-bound`, and no x-free term, or K above it,
+    `temporal-degenerate`. The zero polynomial is a `zero-field`, and a
+    nonzero constant term is refused.
     """
+    if u.dim != 4:
+        raise ValidationError(f"u must be a polynomial in (x1, x2, x3, t), got dim {u.dim}")
     if max_order < 1:
         raise ValidationError("max_order must be >= 1")
-    if max_order > _MAX_ORDER:
-        raise ValidationError(f"max_order must be at most {_MAX_ORDER}, got {max_order}")
-    if not delta > 0.0:
-        raise ValidationError(f"stencil spacing delta must be positive, got {delta!r}")
-    r = max_order
-    # lattice node (ix, iy, iz, jt) -> (its samples, the samples * 2^1074)
-    cache: Dict[Tuple[int, int, int, int], Tuple[np.ndarray, List[int]]] = {}
-
-    def val(ix: int, iy: int, iz: int, jt: int) -> Tuple[np.ndarray, List[int]]:
-        node = (ix, iy, iz, jt)
-        got = cache.get(node)
-        if got is None:
-            x, t = (ix * delta, iy * delta, iz * delta), jt * delta
-            u = np.atleast_1d(np.asarray(sampler(x, t), float))
-            if not np.isfinite(u).all():
-                raise ValidationError(
-                    f"the sample at x={x!r}, t={t!r} is not finite: {u.tolist()!r}"
-                )
-            got = cache[node] = (u, [_dyadic(v) for v in u.tolist()])
-        return got
-
-    # probe the full stencil lattice once for the normalization scale
-    for i in range(-r, r + 1):
-        val(i, 0, 0, 0), val(0, i, 0, 0), val(0, 0, i, 0)
-    for j in range(0, 2 * r + 1):
-        val(0, 0, 0, -j)
-    umax = max(float(np.max(np.abs(u))) for u, _ in cache.values())
-    if umax == 0.0:
+    if u.is_zero():
         return ZeroType(None, None, None, "", "zero-field")
-    bound = threshold * umax
-    if float(np.max(np.abs(val(0, 0, 0, 0)[0]))) > bound:
-        raise ValidationError("sampled field does not vanish at the base point")
-
-    axis = _stencils(tuple(range(-r, r + 1)), r)
-
-    def spatial_diff(sigma: Tuple[int, int, int]) -> Tuple[List[int], int]:
-        (n1s, w1, d1), (n2s, w2, d2), (n3s, w3, d3) = (axis[s] for s in sigma)
-        acc = _contract(w1, [
-            _contract(w2, [_contract(w3, [val(n1, n2, n3, 0)[1] for n3 in n3s]) for n2 in n2s])
-            for n1 in n1s
-        ])
-        return acc, d1 * d2 * d3
-
-    M = None
-    for s in range(1, max_order + 1):
-        if any(_exceeds(*spatial_diff(tuple(sigma)), bound) for sigma in enumerate_level(s, 3)):
-            M = s
-            break
-    if M is None:
+    if (0, 0, 0, 0) in u.terms:
+        raise ValidationError(
+            f"the field does not vanish at the base point: its constant term is {u.terms[0, 0, 0, 0]}"
+        )
+    M = min((sum(b[:3]) for b in u.terms if b[3] == 0), default=None)
+    if M is None or M > max_order:
         return ZeroType(None, None, None, "", "order-exceeds-bound")
-
-    # t = j*delta, one-sided into t <= 0
-    temporal = _stencils(tuple(range(-2 * r, 1)), r)
-    K = None
-    for q in range(1, max_order + 1):
-        nodes, w, den = temporal[q]
-        if _exceeds(_contract(w, [val(0, 0, 0, node)[1] for node in nodes]), den, bound):
-            K = q
-            break
-    if K is None:
+    K = min((b[3] for b in u.terms if not any(b[:3])), default=None)
+    if K is None or K > max_order:
         return ZeroType(M, None, None, "", "temporal-degenerate")
     gamma = Fraction(K, M)
     rescale = f"z = x / (-t)^({gamma.numerator}/{gamma.denominator})"

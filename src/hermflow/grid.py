@@ -651,11 +651,6 @@ class InteractionTensor:
         }
 
 
-def _degree(p: Polynomial) -> int:
-    d = p.degree()
-    return int(d) if d != -math.inf else 0
-
-
 def _y_moments(spec: GridSpec, dmax: int) -> np.ndarray:
     """E[k, d] = sum_j y_j^d exp(i eta_k y_j), shape (n, dmax + 1): the
     per-axis table that takes a lattice spectrum F of a field f to its
@@ -684,9 +679,9 @@ def _tensor_arrays(basis, n: int) -> float:
     `basis` on an n-point grid, an upper bound: five octants (|eta|^2 and
     1/|eta|^2, the weight, the weight over |eta|^2, the transients of
     1/|eta|^2), the first two contractions of `_axis_moments`, the moment
-    and per-dual tables, and 256 values per pair of labels for the exact
-    convections. A top level K bounds the powers: D <= K+1 and dmax <= 2K-1,
-    so C = (D+1)(dmax+1) columns per folded axis table."""
+    and per-dual tables, and 256 values per pair of labels for the float
+    terms of the convections. A top level K bounds the powers: D <= K+1
+    and dmax <= 2K-1, so C = (D+1)(dmax+1) columns per folded axis table."""
     K = max(b.level for b in basis.blocks)
     X = max(1, 2 * K)
     C, h = (K + 2) * X, n // 2 + 1
@@ -759,8 +754,15 @@ def interaction_tensor(basis, spec: GridSpec, refine: bool = True) -> Interactio
     phase = np.array([(-1j) ** k for k, _ in duals])[:, None, None, None, None]
     cubes = _cubes([A + [_divergence_poly(A)] for _, A in duals])
     A, sig, D = cubes[:, :3], cubes[:, 3], cubes.shape[-1] - 1
-    qs = [[convection_poly(va, vg) for vg in fields] for va in fields]
-    dmax = max(_degree(p) for row in qs for q in row for p in q.components)
+    # per pair (alpha, gamma), row-major: the float terms (component,
+    # exponent, coefficient) of q = (v*_alpha . grad) v*_gamma, in the order
+    # of its exact terms; the exact convections are not kept
+    qterms = [
+        [(c, beta, float(coef)) for c, p in enumerate(convection_poly(va, vg).components)
+         for beta, coef in p.terms.items()]
+        for va in fields for vg in fields
+    ]
+    dmax = max((sum(beta) for terms in qterms for _, beta, _ in terms), default=0)
 
     def compute(sp: GridSpec) -> np.ndarray:
         eta = sp.freqs()
@@ -777,10 +779,9 @@ def interaction_tensor(basis, spec: GridSpec, refine: bool = True) -> Interactio
             t[:, c] -= np.einsum("jabd,axbydz->jxyz", sig, U)
         tables = (phase * t).real / sp.n**3
         raw = np.zeros((count, count, count))
-        for a, g in np.ndindex(count, count):
-            for c, p in enumerate(qs[a][g].components):
-                for gamma, coef in p.terms.items():
-                    raw[a, g] += float(coef) * tables[(slice(None), c) + gamma]
+        for (a, g), terms in zip(np.ndindex(count, count), qterms):
+            for c, beta, coef in terms:
+                raw[a, g] += coef * tables[(slice(None), c) + beta]
         return -np.einsum("agj,bj->agb", raw, ginv)
 
     coarse = compute(spec)

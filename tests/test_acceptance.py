@@ -186,9 +186,8 @@ def test_criterion_10_zero_type_classification_sweep():
     t0 = time.perf_counter()
     for M in range(1, 5):
         for K in range(1, 5):
-            zt = classify_zero(
-                lambda x, t, M=M, K=K: [x[0] ** M - (-t) ** K]
-            )
+            # x1^M - (-t)^K in (x1, x2, x3, t)
+            zt = classify_zero(Polynomial(4, {(M, 0, 0, 0): 1, (0, 0, 0, K): -((-1) ** K)}))
             assert zt.status == "classified"
             assert zt.M == M and zt.K == K
             assert zt.gamma == Fraction(K, M)

@@ -458,13 +458,16 @@ def test_usage_errors_exit_64(capsys):
         cli.run([])
     assert exc.value.code == 64
     # removed flags are unknown: the projector check always runs, d-tensor
-    # always refines, and only the commands with random data take a seed
+    # always refines, only the commands with random data take a seed, and
+    # classify samples nothing
     for argv in (
         ["d-tensor", "--no-check-projector"],
         ["d-tensor", "--no-refine"],
         ["d-tensor", "--flag-tol", "1e-3"],
         ["evolve", "--zero-tensor"],
         ["basis", "--seed", "1"],
+        ["classify", "--delta", "0.125"],
+        ["classify", "--threshold", "1e-7"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.run(argv)
@@ -708,15 +711,38 @@ def test_wkbj_fit_beyond_the_iteration_cap_exits_3(tmp_path, capfd, monkeypatch)
     assert line["achieved"] > 0.0
 
 
-@pytest.mark.parametrize("order", ["17", "1000000000"])
-def test_classify_max_order_beyond_the_bound_exits_2(tmp_path, capfd, monkeypatch, order):
-    def sampler(x, t):
-        raise AssertionError("a sample was taken")
+def _term(x, t, c=1):
+    return {"x": x, "t": t, "c": c}
 
-    monkeypatch.setattr(cli, "_terms_sampler", lambda terms: sampler)
-    argv = ["classify", "--terms", '[{"x":[1,0,0],"c":1}]', "--max-order", order]
-    code, line = _failed(capfd, argv, tmp_path)
-    assert code == 2 and line["message"] == f"max_order must be at most 16, got {order}"
+
+@pytest.mark.parametrize(
+    "terms, flags, want",
+    [
+        # every order above max_order counts, at any degree
+        ([_term([13, 0, 0], 0), _term([0, 0, 0], 1)], [], ("order-exceeds-bound", None, None, None)),
+        ([_term([2, 0, 0], 0), _term([0, 0, 0], 13)], [], ("temporal-degenerate", 2, None, None)),
+        # the lowest order decides, however small its coefficient
+        ([_term([2, 0, 0], 0), _term([0, 0, 0], 20), _term([0, 0, 0], 3, "1e-12")], [],
+         ("classified", 2, 3, {"num": 3, "den": 2})),
+        # a mixed term off the axes is an order too
+        ([_term([1, 1, 0], 0)], [], ("temporal-degenerate", 2, None, None)),
+        # a coefficient beyond the float range is exact
+        ([_term([1, 0, 0], 0, "1e400"), _term([0, 0, 0], 1)], [], ("classified", 1, 1, {"num": 1, "den": 1})),
+        ([_term([1000000, 0, 0], 0), _term([0, 0, 0], 1)], [], ("order-exceeds-bound", None, None, None)),
+        # max_order has no cap: it bounds nothing but the two statuses
+        ([_term([20, 0, 0], 0), _term([0, 0, 0], 1)], ["--max-order", "1000000000"],
+         ("classified", 20, 1, {"num": 1, "den": 20})),
+    ],
+    ids=["x13", "t13", "small-t3", "xy", "c-1e400", "x1000000", "max-order-1e9"],
+)
+def test_classify_reads_the_orders_off_the_terms(tmp_path, capsys, terms, flags, want):
+    start = time.perf_counter()
+    argv = ["classify", "--terms", json.dumps(terms), *flags, "--outdir", str(tmp_path)]
+    code, line = _run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and (line["status"], line["M"], line["K"], line["gamma"]) == want
+    doc = json.loads((tmp_path / "zerotype.json").read_text())
+    assert (doc["status"], doc["M"], doc["K"], doc["gamma"]) == want
 
 
 def test_handlers_compute_and_run_alone_writes():
@@ -1135,8 +1161,6 @@ _FLAGS = {
         ("--terms-file", "terms_file", "store", None, None),
         ("--suite", "suite", "store", None, None),
         ("--max-order", "max_order", "store", "int", None),
-        ("--delta", "delta", "store", "float", None),
-        ("--threshold", "threshold", "store", "float", None),
     ],
     "verify": [
         ("--m", "m", "store", "int", None),
@@ -1225,6 +1249,7 @@ def test_readme_names_only_flags_the_cli_has():
         ("d-tensor", {"N": 3}),
         ("evolve", {"zero_tensor": False}),
         ("basis", {"seed": 0}),
+        ("classify", {"threshold": 1e-7, "terms": '[{"x":[1,0,0],"c":1}]'}),
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg):
@@ -1439,58 +1464,31 @@ def test_blas_threads_do_not_change_bytes(tmp_path, argv):
         [{"x": [2, 0], "c": 1}],
         [{"x": [2.0, 0, 0], "c": 1}],
         [{"x": [2, 0, 0], "t": None, "c": 1}],
+        # u(0, 0) = 1e-12 is not a zero, however small
+        [_term([0, 0, 0], 0, "1e-12"), _term([1, 0, 0], 0), _term([0, 0, 0], 1)],
     ],
 )
 def test_malformed_terms_exit_2(tmp_path, capsys, terms):
     argv = ["classify", "--terms", json.dumps(terms), "--outdir", str(tmp_path)]
     code, line = _run(capsys, argv)
     assert code == 2 and line["error"] == "validation"
-
-
-@pytest.mark.parametrize(
-    "terms, delta, point",
-    [
-        ([{"x": [1, 0, 0], "c": "1e400"}, {"x": [0, 0, 0], "t": 1, "c": 1}], "0.125",
-         "x=(-0.75, 0.0, 0.0), t=0.0"),
-        ([{"x": [400, 0, 0], "c": 1}, {"x": [0, 0, 0], "t": 1, "c": 1}], "8",
-         "x=(-48.0, 0.0, 0.0), t=0.0"),
-        ([{"x": [1, 0, 0], "c": 1}, {"x": [0, 0, 0], "t": 1, "c": 1}], "1e308",
-         "x=(-inf, 0.0, 0.0), t=0.0"),
-    ],
-    ids=["coefficient", "power", "point"],
-)
-def test_overflowing_sample_exits_2(tmp_path, capsys, terms, delta, point):
-    # a sample beyond the float range has no float to classify: it is
-    # refused by its point, before any artifact
-    argv = ["classify", "--terms", json.dumps(terms), "--delta", delta, "--outdir", str(tmp_path)]
-    code, line = _run(capsys, argv)
-    assert code == 2 and line["error"] == "validation"
-    assert line["message"].startswith(f"the sample at {point} is not a finite float")
     assert list(tmp_path.iterdir()) == []
 
 
-def test_terms_sampler_is_the_float_of_the_exact_sum():
-    import random
+def test_terms_polynomial_sums_like_terms():
     from fractions import Fraction
 
-    rng = random.Random(7)
-    coeffs = ["0.1", "-3/7", "2.5e-3", "1/3", "-17", "1e-20", "22/7", "0.3"]
-    for _ in range(200):
-        terms = [
-            {"x": [rng.randrange(4) for _ in range(3)], "t": rng.randrange(4),
-             "c": rng.choice(coeffs)}
-            for _ in range(rng.randrange(1, 5))
-        ]
-        x = tuple(rng.choice([0.0, -0.0, 0.1, -2.75, 1e-3, 3.0, rng.uniform(-5, 5)])
-                  for _ in range(3))
-        t = -rng.choice([0.0, 0.125, 0.7, rng.uniform(0, 3)])
-        exact = Fraction(0)
-        for term in terms:
-            value = Fraction(term["c"])
-            for xi, e in zip(x, term["x"]):
-                value *= Fraction(xi) ** e
-            exact += value * Fraction(t) ** term["t"]
-        assert cli._terms_sampler(terms)(x, t) == float(exact), (terms, x, t)
+    from hermflow.polynomial import Polynomial
+
+    terms = [
+        {"x": [1, 0, 0], "c": "0.1"},
+        {"x": [1, 0, 0], "t": 0, "c": "-1/10"},
+        {"x": [0, 2, 0], "t": 1, "c": "1e400"},
+        {"x": [0, 2, 0], "t": 1, "c": 3},
+        {"x": [0, 0, 0], "t": 2, "c": "-22/7"},
+    ]
+    want = {(0, 2, 0, 1): Fraction(10**400 + 3), (0, 0, 0, 2): Fraction(-22, 7)}
+    assert cli._terms_polynomial(terms) == Polynomial(4, want)
 
 
 @pytest.mark.parametrize(

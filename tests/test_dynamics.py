@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hermflow import dynamics, grid, rational_linalg
+from hermflow import dynamics, grid
 from hermflow.dynamics import (
     CoefficientTrajectory,
     Expansion,
@@ -45,7 +46,6 @@ from oracles import (
     GridVectorField,
     axis_moments,
     closed_form_rows,
-    fd_weights,
     fraction_classify_zero,
     freq_sq,
     hausdorff,
@@ -430,143 +430,115 @@ def test_nodal_compare_cone_vertex_is_unresolved():
     assert got["unresolved"] == 1 and got["distance"] == pytest.approx(0.25 * math.sqrt(2.0))
 
 
+def _poly(*terms) -> Polynomial:
+    """The polynomial in (x1, x2, x3, t) of (a1, a2, a3, b, c) terms c x^a t^b."""
+    return Polynomial(4, {tuple(term[:4]): term[4] for term in terms})
+
+
+def _x_minus_t(M: int, K: int) -> Polynomial:
+    """x1^M - (-t)^K, the model zero of criterion 10."""
+    return _poly((M, 0, 0, 0, 1), (0, 0, 0, K, -((-1) ** K)))
+
+
 def test_classify_zero_monomial_cases():
     for M, K in [(1, 1), (2, 3), (4, 4)]:
-        zt = classify_zero(
-            lambda x, t, M=M, K=K: [x[0] ** M - (-t) ** K]
-        )
+        zt = classify_zero(_x_minus_t(M, K))
         assert zt.status == "classified"
         assert (zt.M, zt.K, zt.gamma) == (M, K, Fraction(K, M))
-    mixed = classify_zero(lambda x, t: [x[0] * x[1] ** 2 - (-t) ** 2])
+    mixed = classify_zero(_poly((1, 2, 0, 0, 1), (0, 0, 0, 2, -1)))
     assert (mixed.M, mixed.K) == (3, 2)
     assert mixed.gamma == Fraction(2, 3)
     assert "(2/3)" in mixed.rescale
 
 
-def test_stencils_are_the_vandermonde_weights():
-    # the closed form gives the oracle's weights exactly, zeros dropped and
-    # the kept nodes in the same order, on central and one-sided nodes
-    for r in range(1, 9):
-        for nodes in (tuple(range(-r, r + 1)), tuple(range(-2 * r, 1))):
-            stencils = dynamics._stencils(nodes, 2 * r)
-            assert len(stencils) == 2 * r + 1
-            for q, (kept, nums, den) in enumerate(stencils):
-                want = [(x, w) for x, w in zip(nodes, fd_weights(nodes, q)) if w]
-                assert [(x, Fraction(n, den)) for x, n in zip(kept, nums)] == want
-
-
-def test_classify_zero_solves_no_linear_system(monkeypatch):
-    # the stencils come in closed form: no rref runs, and a second call
-    # gives the same result
-    def refuse(A):
-        raise AssertionError("classify_zero called rref")
-
-    monkeypatch.setattr(rational_linalg, "rref", refuse)
-
-    def sampler(x, t):
-        return [x[0] * x[1] - (-t) ** 3]
-
-    first = classify_zero(sampler)
-    assert (first.M, first.K) == (2, 3)
-    assert classify_zero(sampler) == first
-
-
-def _heat_swirl(x, t):
-    # u = curl of a spreading Gaussian: vanishes identically on the t-axis
-    a = 2.0 + t
-    phi = (4.0 * math.pi * a) ** (-1.5) * math.exp(-(x[0] ** 2 + x[1] ** 2 + x[2] ** 2) / (4.0 * a))
-    return [0.0, x[2] / a * phi, -x[1] / a * phi]
-
-
-def test_classify_zero_temporal_degenerate_heat_swirl():
-    zt = classify_zero(_heat_swirl)
+def test_classify_zero_temporal_degenerate():
+    # u = x3 (1 + t) vanishes identically on the t-axis: no x-free term
+    zt = classify_zero(_poly((0, 0, 1, 0, 1), (0, 0, 1, 1, 1)))
     assert zt.status == "temporal-degenerate"
     assert zt.M == 1 and zt.K is None and zt.gamma is None
+    # an x-free term beyond max_order counts as none
+    deep = classify_zero(_poly((0, 1, 0, 0, 1), (0, 0, 0, 7, 1)), max_order=6)
+    assert (deep.status, deep.M, deep.K) == ("temporal-degenerate", 1, None)
 
 
-def _synthetic(M, K):
-    from hermflow.cli import _terms_sampler
-
-    return _terms_sampler([{"x": [M, 0, 0], "c": 1}, {"x": [0, 0, 0], "t": K, "c": -((-1) ** K)}])
+def _sampler(u: Polynomial):
+    """u as a sampler of the finite-difference reference: the float of its
+    exact value at each lattice point."""
+    return lambda x, t: [float(u.evaluate([Fraction(v) for v in (*x, t)]))]
 
 
 _ORACLE_CASES = {
-    **{f"synthetic-{M}-{K}": _synthetic(M, K) for M in range(1, 5) for K in range(1, 5)},
-    "mixed-xy2": lambda x, t: [x[0] * x[1] ** 2 - (-t) ** 2],
-    "mixed-xyz": lambda x, t: [x[0] * x[1] * x[2] + 0.3 * t, x[2] ** 2 - 0.1 * t**3],
-    "mixed-x2y": lambda x, t: [0.1 * x[0] ** 2 * x[1] + 3.0 * (-t) ** 4],
-    "heat-swirl": _heat_swirl,
-    # samples from 1e300 down to 1e-300 and subnormals, in one field
-    "wide-range": lambda x, t: [
-        1e300 * x[0] ** 3 - 1e300 * t**2, 1e-300 * x[1] + 5e-324 * x[2], 1e-300 * t
+    **{f"synthetic-{M}-{K}": [_x_minus_t(M, K)] for M in range(1, 5) for K in range(1, 5)},
+    "mixed-xy2": [_poly((1, 2, 0, 0, 1), (0, 0, 0, 2, -1))],
+    "mixed-xyz": [
+        _poly((1, 1, 1, 0, 1), (0, 0, 0, 1, Fraction("0.3"))),
+        _poly((0, 0, 2, 0, 1), (0, 0, 0, 3, Fraction("-0.1"))),
+    ],
+    "mixed-x2y": [_poly((2, 1, 0, 0, Fraction("0.1")), (0, 0, 0, 4, 3))],
+    # samples from 1e300 down to 1e-300 and subnormals
+    "wide-range": [
+        _poly((3, 0, 0, 0, Fraction(1e300)), (0, 0, 0, 2, -Fraction(1e300))),
+        _poly((0, 1, 0, 0, Fraction(1e-300)), (0, 0, 1, 0, Fraction(5e-324))),
+        _poly((0, 0, 0, 1, Fraction(1e-300))),
     ],
     # every sample a multiple of the smallest subnormal: 5e-324 (X^2 - T^3)
-    "subnormal": lambda x, t: [5e-324 * ((8 * x[0]) ** 2 - (-8 * t) ** 3)],
-    # the linear part is below the threshold, the cubic one above it
-    "below-scale": lambda x, t: [1e-12 * x[0] + 1e300 * x[1] ** 3 + 1e-200 * t],
+    # with X = 8 x and T = -8 t
+    "subnormal": [_poly((2, 0, 0, 0, 64 * Fraction(5e-324)), (0, 0, 0, 3, 512 * Fraction(5e-324)))],
 }
+
+
+# the random polynomials checked against the reference
+_RANDOM_CASES = 100
 
 
 @pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
 def test_classify_zero_matches_the_fraction_oracle(name):
-    # the integer stencil sums take every decision the Fraction sums take
-    sampler = _ORACLE_CASES[name]
-    assert classify_zero(sampler) == fraction_classify_zero(sampler)
+    # the orders read off the terms are the decisions of the
+    # finite-difference reference, component by component
+    for u in _ORACLE_CASES[name]:
+        assert classify_zero(u) == fraction_classify_zero(_sampler(u)), u
 
 
-def test_classify_zero_decides_at_the_threshold_like_the_oracle():
-    # u = 0.1 x + t: its first x-difference d is a rounded sum of rounded
-    # samples; thresholds one ulp apart put d just above and just below
-    # threshold * umax, and both routes must fall the same way
-    def sampler(x, t):
-        return [0.1 * x[0] + t]
-
-    nodes = tuple(range(-6, 7))
-    d = float(sum(w * Fraction(0.1 * (i * 0.125)) for i, w in zip(nodes, fd_weights(nodes, 1))))
-    umax = 1.5  # |u(0, -12 * 0.125)|
-    thr = d / umax
-    while thr * umax >= d:
-        thr = math.nextafter(thr, 0.0)
-    above = classify_zero(sampler, threshold=thr)
-    below = classify_zero(sampler, threshold=math.nextafter(thr, 1.0))
-    assert (above.status, above.M, above.K) == ("classified", 1, 1)
-    assert (below.status, below.M) == ("order-exceeds-bound", None)
-    assert above == fraction_classify_zero(sampler, threshold=thr)
-    assert below == fraction_classify_zero(sampler, threshold=math.nextafter(thr, 1.0))
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_classify_zero_refuses_a_non_finite_sample(bad):
-    def sampler(x, t):
-        return [x[0], bad if x[0] == 0.5 else 0.0]
-
-    with pytest.raises(ValidationError, match=r"the sample at x=\(0\.5, 0\.0, 0\.0\), t=0\.0 is not finite"):
-        classify_zero(sampler)
-
-
-def test_classify_zero_difference_beyond_the_float_range():
-    # samples of +-1e308 alternating along x are finite, but their second
-    # difference is not: it rounds to infinity, so it counts as
-    # nonvanishing (the Fraction route raised OverflowError in float())
-    def sampler(x, t):
-        return [0.0 if x[0] == 0.0 else 1e308 * (-1) ** round(x[0] / 0.125)]
-
-    zt = classify_zero(sampler)
-    assert (zt.status, zt.M, zt.K) == ("temporal-degenerate", 2, None)
-    with pytest.raises(OverflowError):
-        fraction_classify_zero(sampler)
+def test_classify_zero_matches_the_fraction_oracle_on_random_terms():
+    # random polynomials on which the reference is exact: degree <= 3 per
+    # spatial variable and <= 4 in t (its stencils on 2 max_order + 1 nodes
+    # are exact up to degree 2 max_order >= 4), small integer coefficients
+    # (every sample is an exact float), no constant term, and a pure power
+    # of one of x1, x2, x3, t (the axes its scale probe samples); the small
+    # bounds put orders on both sides of max_order
+    rng = random.Random(27)
+    statuses = set()
+    for _ in range(_RANDOM_CASES):
+        max_order = rng.choice([2, 3, 4])
+        axis = rng.randrange(4)
+        pure = [0, 0, 0, 0]
+        pure[axis] = rng.randint(1, 4 if axis == 3 else 3)
+        terms = {tuple(pure): rng.choice([-3, -2, -1, 1, 2, 3])}
+        for _ in range(rng.randint(0, 4)):
+            ex = tuple(rng.randint(0, 3) for _ in range(3)) + (rng.randint(0, 4),)
+            if any(ex):
+                terms[ex] = terms.get(ex, 0) + rng.choice([-3, -2, -1, 1, 2, 3])
+        u = Polynomial(4, terms)
+        zt = classify_zero(u, max_order)
+        statuses.add(zt.status)
+        assert zt == fraction_classify_zero(_sampler(u), max_order), (u, max_order)
+    assert statuses == {"classified", "temporal-degenerate", "order-exceeds-bound"}
 
 
 def test_classify_zero_edge_statuses():
-    deep = classify_zero(lambda x, t: [x[0] ** 7], max_order=6)
+    deep = classify_zero(_poly((7, 0, 0, 0, 1), (0, 0, 0, 1, 1)), max_order=6)
     assert deep.status == "order-exceeds-bound"
     assert deep.M is None
-    zero = classify_zero(lambda x, t: [0.0, 0.0, 0.0])
+    # a t-free term is needed for M
+    assert classify_zero(_poly((1, 0, 0, 1, 1))).status == "order-exceeds-bound"
+    zero = classify_zero(Polynomial.zero(4))
     assert zero.status == "zero-field"
-    with pytest.raises(ValidationError):
-        classify_zero(lambda x, t: [1.0 + x[0]])
-    with pytest.raises(ValidationError):
-        classify_zero(lambda x, t: [x[0]], max_order=0)
+    with pytest.raises(ValidationError, match="does not vanish at the base point"):
+        classify_zero(_poly((0, 0, 0, 0, 1), (1, 0, 0, 0, 1)))
+    with pytest.raises(ValidationError, match="max_order must be >= 1"):
+        classify_zero(_poly((1, 0, 0, 0, 1)), max_order=0)
+    with pytest.raises(ValidationError, match="got dim 3"):
+        classify_zero(Polynomial(3, {(1, 0, 0): 1}))
 
 
 def test_semigroup_verify_small_box():
