@@ -461,6 +461,39 @@ def test_classify_zero_temporal_degenerate():
     assert (deep.status, deep.M, deep.K) == ("temporal-degenerate", 1, None)
 
 
+def _heat_swirl() -> list:
+    """The nonzero components of u = curl of a spreading Gaussian, which
+    vanishes identically on the t-axis, as its Taylor polynomials: up to r^2
+    and t^3, constant factors dropped, scaled to integer coefficients.
+
+    With a = 2 + t and s = t / 2, x3 / a phi is up to a constant
+    x3 (1 + s)^(-5/2) exp(-r^2 / (8 (1 + s))) = x3 sum_k (-r^2/8)^k / k!
+    (1 + s)^(-5/2-k); the second component is the same with -x2 for x3."""
+    out = []
+    for axis, sign in ((2, 1), (1, -1)):
+        terms = {}
+        for k in range(2):
+            for j in range(4):
+                # binomial(-(5/2 + k), j) (1/2)^j (-1/8)^k / k!
+                c = Fraction((-1) ** k, 8**k * math.factorial(k) * 2**j)
+                for i in range(j):
+                    c *= Fraction(-(5 + 2 * k) - 2 * i, 2 * (i + 1))
+                for r2 in ((2, 0, 0), (0, 2, 0), (0, 0, 2)) if k else ((0, 0, 0),):
+                    ex = [r2[0], r2[1], r2[2], j]
+                    ex[axis] += 1
+                    terms[tuple(ex)] = terms.get(tuple(ex), 0) + sign * c * 2**10
+        out.append(Polynomial(4, terms))
+    return out
+
+
+def test_classify_zero_temporal_degenerate_heat_swirl():
+    for u in _heat_swirl():
+        assert all(c.denominator == 1 for c in u.terms.values())
+        zt = classify_zero(u)
+        assert zt.status == "temporal-degenerate"
+        assert zt.M == 1 and zt.K is None and zt.gamma is None
+
+
 def _sampler(u: Polynomial):
     """u as a sampler of the finite-difference reference: the float of its
     exact value at each lattice point."""
@@ -475,6 +508,7 @@ _ORACLE_CASES = {
         _poly((0, 0, 2, 0, 1), (0, 0, 0, 3, Fraction("-0.1"))),
     ],
     "mixed-x2y": [_poly((2, 1, 0, 0, Fraction("0.1")), (0, 0, 0, 4, 3))],
+    "heat-swirl": _heat_swirl(),
     # samples from 1e300 down to 1e-300 and subnormals
     "wide-range": [
         _poly((3, 0, 0, 0, Fraction(1e300)), (0, 0, 0, 2, -Fraction(1e300))),
