@@ -9,8 +9,8 @@ where j = |beta|/(2m) and alpha = beta/2. The moment vanishes unless every
 beta_i is even and |beta| is a multiple of 2m. For m=1 this reduces to the
 Gaussian double-factorial product prod_i (beta_i-1)!! 2^(beta_i/2).
 
-Moments grow without changing sign pattern inside one order class, and all
-pairings in the exact path reduce to finite sums of these numbers.
+Moments grow without changing sign pattern inside one order class, and the
+kernel pairings of `operators.pairing` reduce to finite sums of them.
 """
 from __future__ import annotations
 

@@ -7,18 +7,26 @@ On polynomials in N variables,
 
 B* has eigenvalue -k/(2m) on each level k with an explicit eigenbasis
 
-    psi*_beta = sum_{j=0}^{floor(|beta|/2m)} (1/j!) (-Delta)^(mj) y^beta
+    psi*_beta = exp((-Delta)^m) y^beta
+              = sum_{j=0}^{floor(|beta|/2m)} (1/j!) (-Delta)^(mj) y^beta
 
-(leading coefficient 1, lower-order even corrections). The dual family is
-realized by kernel derivatives, psi_beta = (-1)^|beta| D^beta F, and the
-two families pair to <psi*_a, psi_b> = a! delta_ab. Integration by parts
-turns every such pairing into a kernel moment of a polynomial, so the
-whole bi-orthogonality layer stays in exact rational arithmetic.
+(leading coefficient 1, lower-order even corrections; the series ends, as
+Delta lowers the degree). Its inverse exp(-(-Delta)^m) maps p to its psi*
+coefficients as monomial coefficients. Both directions are one exact
+change of basis, term by term through the closed form
+Delta^q y^beta = sum_{|a|=q} q!/a! beta!/(beta-2a)! y^(beta-2a).
+
+The dual family is realized by kernel derivatives, psi_beta = (-1)^|beta|
+D^beta F, and the two families pair to <psi*_a, psi_b> = a! delta_ab.
+`pairing` checks that independently: integration by parts turns each
+pairing into an exact kernel moment of a polynomial.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import factorial
 from typing import Dict, List, Sequence
 
 from .errors import ValidationError
@@ -26,13 +34,12 @@ from .moments import moment_of_poly
 from .multiindex import (
     MultiIndex,
     enumerate_level,
-    grlex_key,
     level_count,
     mi_factorial,
     order,
     validate,
 )
-from .polynomial import Polynomial, laplacian, neg_laplacian_power
+from .polynomial import Polynomial, laplacian
 
 
 @dataclass(frozen=True)
@@ -90,24 +97,37 @@ def apply_B_star(p: Polynomial, params: OperatorParams) -> Polynomial:
     return lap_m.scale(sign) - euler_degree_op(p).scale(Fraction(1, 2 * m))
 
 
+def _exp_laplacian(p: Polynomial, m: int, s: int) -> Polynomial:
+    """exp(s (-Delta)^m) p for s = +1 or -1, exact and term by term.
+
+    The term y^(beta-2a) of exp(s (-Delta)^m) y^beta comes from the power
+    j = |a|/m alone, so it is nonzero only when m divides |a|, and then its
+    coefficient is the integer
+    s^j (-1)^|a| |a|!/j! prod_i beta_i!/((beta_i-2a_i)! a_i!).
+    """
+    out: Dict[MultiIndex, Fraction] = {}
+    step = s * (-1) ** m  # s^j (-1)^(mj) = step^j
+    for beta, c in p.terms.items():
+        for a in product(*(range(b // 2 + 1) for b in beta)):
+            q = sum(a)
+            if q % m:
+                continue
+            w = step ** (q // m) * (factorial(q) // factorial(q // m))
+            for b, x in zip(beta, a):
+                w *= factorial(b) // (factorial(b - 2 * x) * factorial(x))
+            g = tuple(b - 2 * x for b, x in zip(beta, a))
+            out[g] = out.get(g, 0) + c * w
+    return Polynomial(p.dim, out)
+
+
 def eigenfunction(beta: Sequence[int], params: OperatorParams) -> EigenPair:
     b = validate(beta)
     if len(b) != params.N:
         raise ValidationError(f"beta arity {len(b)} != N {params.N}")
-    m = params.m
-    k = order(b)
-    psi = Polynomial.zero(params.N)
-    mono = Polynomial.monomial(b)
-    jmax = k // (2 * m)
-    fact = 1
-    for j in range(jmax + 1):
-        if j:
-            fact *= j
-        psi = psi + neg_laplacian_power(mono, m * j).scale(Fraction(1, fact))
     return EigenPair(
         beta=b,
-        lam=Fraction(-k, 2 * m),
-        psi_star=psi,
+        lam=Fraction(-order(b), 2 * params.m),
+        psi_star=_exp_laplacian(Polynomial.monomial(b), params.m, 1),
         norm_sq=Fraction(mi_factorial(b)),
     )
 
@@ -132,21 +152,11 @@ def pairing(psiA_star: Polynomial, betaB: Sequence[int], params: OperatorParams)
 
 
 def eigen_coefficients(p: Polynomial, params: OperatorParams) -> Dict[MultiIndex, Fraction]:
-    """Expand p exactly in the psi* basis by degree back-substitution.
-
-    psi*_beta = y^beta + lower order, so the top-degree monomial
-    coefficients of the remainder are the expansion coefficients at that
-    degree; subtract and recurse downward.
-    """
-    coeffs: Dict[MultiIndex, Fraction] = {}
-    rem = p
-    while not rem.is_zero():
-        d = rem.degree()
-        tops = [(b, c) for b, c in rem.terms.items() if sum(b) == d]
-        for b, c in sorted(tops, key=lambda kv: grlex_key(kv[0])):
-            coeffs[b] = c
-            rem = rem - eigenfunction(b, params).psi_star.scale(c)
-    return coeffs
+    """Expand p exactly in the psi* basis: p = exp((-Delta)^m) sum_b c_b y^b,
+    so c is the monomial coefficients of exp(-(-Delta)^m) p."""
+    if p.dim != params.N:
+        raise ValidationError(f"polynomial dimension {p.dim} != N {params.N}")
+    return _exp_laplacian(p, params.m, -1).terms
 
 
 def level_membership(p: Polynomial, k: int, params: OperatorParams) -> Dict[MultiIndex, Fraction]:

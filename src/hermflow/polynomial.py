@@ -233,16 +233,6 @@ def laplacian(p: Polynomial) -> Polynomial:
     return out
 
 
-def neg_laplacian_power(p: Polynomial, j: int) -> Polynomial:
-    """(-Laplacian)^j applied j times; j >= 0."""
-    if j < 0:
-        raise ValueError("power must be >= 0")
-    out = p
-    for _ in range(j):
-        out = -laplacian(out)
-    return out
-
-
 def divergence(components: Sequence[Polynomial]) -> Polynomial:
     dim = components[0].dim
     if len(components) != dim:

@@ -21,7 +21,11 @@ composite share one interface: `blocks`, `labels`, `fields`, `params`,
 A `SolenoidalBasis` is the one exact record of a level: constructing it
 validates its fields and derives their derivative duals once,
 W_j = sum_beta a_cbeta (-1)^|beta| D^beta F where a are the
-psi*-expansion coefficients of the j-th basis field. Their Gram
+psi*-expansion coefficients of the j-th basis field: the monomial
+coefficients of exp(-(-Delta)^m) applied to each component, as
+psi*_beta = exp((-Delta)^m) y^beta. By <psi*_a, (-1)^|b| D^b F> =
+a! delta_ab every pairing with a dual is a beta!-weighted sum of such
+coefficients. Their Gram
 G~_ij = sum_c sum_beta a^i a^j beta! is positive definite for any
 independent basis and any m, so extraction works uniformly within a
 level. The polynomial pairings, the semigroup verifier's lattice
@@ -46,14 +50,13 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import ValidationError
-from .moments import moment_of_poly
 from .multiindex import (
     MultiIndex,
     enumerate_level,
     grlex_key,
     mi_factorial,
 )
-from .operators import OperatorParams, eigenfunction, level_membership
+from .operators import OperatorParams, _exp_laplacian, eigen_coefficients, level_membership
 from .polynomial import Polynomial, VectorPolyField, vector_from_rows
 from .rational_linalg import dependent_columns, inverse, nullspace
 
@@ -133,25 +136,28 @@ def validate_basis_field(
     """psi*-expansion coefficients of each component of a level-k basis
     field; raises unless v is divergence-free with every component in
     level k."""
+    if v.dim != params.N:
+        raise ValidationError(f"field dimension {v.dim} != N {params.N}")
     if not v.divergence().is_zero():
         raise ValidationError("field is not divergence-free")
     return [level_membership(p, k, params) if not p.is_zero() else {} for p in v.components]
 
 
+def _dual_pairing(a: List[Dict[MultiIndex, Fraction]], b: List[Dict[MultiIndex, Fraction]]) -> Fraction:
+    """sum_c sum_beta a_cbeta b_cbeta beta!: the pairing of the field with
+    psi* coefficients b against the derivative dual of coefficients a."""
+    s = Fraction(0)
+    for ac, bc in zip(a, b):
+        for beta, x in ac.items():
+            y = bc.get(beta)
+            if y is not None:
+                s += x * y * mi_factorial(beta)
+    return s
+
+
 def _gram(acoeffs: Sequence[List[Dict[MultiIndex, Fraction]]]) -> List[List[Fraction]]:
     """G~_ij = sum_c sum_b a^i a^j b! from per-field psi* coefficients."""
-    n = len(acoeffs)
-    G = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            s = Fraction(0)
-            for ai, aj in zip(acoeffs[i], acoeffs[j]):
-                for b, x in ai.items():
-                    y = aj.get(b)
-                    if y is not None:
-                        s += x * y * mi_factorial(b)
-            G[i][j] = G[j][i] = s
-    return G
+    return [[_dual_pairing(ai, aj) for aj in acoeffs] for ai in acoeffs]
 
 
 @dataclass
@@ -201,19 +207,13 @@ class SolenoidalBasis:
     def raw_pairings_poly(self, q: VectorPolyField) -> List[Fraction]:
         """<q, W_j> for each dual; exact.
 
-        Integration by parts moves each D^beta onto q, the sign factors
-        cancel, and only kernel moments of D^beta q_c remain.
+        Each component q_c has the psi* coefficients b_c, the monomial
+        coefficients of exp(-(-Delta)^m) q_c, and
+        <psi*_a, (-1)^|beta| D^beta F> = a! delta_a,beta leaves
+        sum_c sum_beta a_jcbeta b_cbeta beta!, the Gram's form.
         """
-        out = []
-        for acomp in self.acoeffs:
-            s = Fraction(0)
-            for qc, ac in zip(q.components, acomp):
-                if qc.is_zero():
-                    continue
-                for b, a in ac.items():
-                    s += a * moment_of_poly(qc.derive(b), self.params.m)
-            out.append(s)
-        return out
+        qcoeffs = [eigen_coefficients(qc, self.params) for qc in q.components]
+        return [_dual_pairing(acomp, qcoeffs) for acomp in self.acoeffs]
 
     def coefficients_poly(self, q: VectorPolyField) -> List[Fraction]:
         raw = self.raw_pairings_poly(q)
@@ -243,7 +243,8 @@ def divfree_kernel(k: int, params: OperatorParams) -> SolenoidalBasis:
     """Exact nullspace of the divergence map on level-k componentwise fields.
 
     Unknowns are the psi* coefficients a_{c,beta} (component-major,
-    graded-lex within a component). The derivative shift identity
+    graded-lex within a component); component c of a nullspace vector is
+    exp((-Delta)^m) sum_beta a_{c,beta} y^beta. The derivative shift identity
     d_c psi*_beta = beta_c psi*_{beta - e_c} turns div = 0 into one exact
     linear constraint per level-(k-1) index delta:
 
@@ -265,17 +266,13 @@ def divfree_kernel(k: int, params: OperatorParams) -> SolenoidalBasis:
             row[col_index[(c, b)]] = Fraction(delta[c] + 1)
         rows.append(row)
     null = nullspace(rows, cols=ncols)
-    fields = []
-    for vec in null:
-        comps = []
-        for c in range(N):
-            p = Polynomial.zero(N)
-            for i, b in enumerate(level):
-                a = vec[c * len(level) + i]
-                if a:
-                    p = p + eigenfunction(b, params).psi_star.scale(a)
-            comps.append(p)
-        fields.append(VectorPolyField(comps))
+    fields = [
+        VectorPolyField(
+            _exp_laplacian(Polynomial(N, {b: vec[col_index[c, b]] for b in level}), params.m, 1)
+            for c in range(N)
+        )
+        for vec in null
+    ]
     return SolenoidalBasis(level=k, params=params, fields=fields)
 
 

@@ -3,11 +3,16 @@
 None of these is used by the package or the CLI. Each is an independent
 route to a number the library computes another way: grid fields sampled
 pointwise or synthesized by inverse FFT, transformed by FFT and paired by
-grid quadrature; the full-lattice route the package no longer takes,
-with |eta|^2, the weights exp(-b|eta|^2m), the closed-form spectra
-(`weighted_transform`), the Leray projector and the lattice moment sums
-on the whole n^3 lattice in FFT order, where the package holds each even
-array on its nonnegative octant and folds the per-axis tables; the
+grid quadrature; the psi* change of basis by the routes the package no
+longer takes (eigenfunctions by repeated exact Laplacians, expansion
+coefficients by degree back-substitution, dual pairings by integration
+by parts into kernel moments), where the package applies
+exp(+-(-Delta)^m) in closed form; the full-lattice route the package no
+longer takes, with |eta|^2, the weights exp(-b|eta|^2m), the
+closed-form spectra (`weighted_transform`), the Leray projector and the
+lattice moment sums on the whole n^3 lattice in FFT order, where the
+package holds each even array on its nonnegative octant and folds the
+per-axis tables; the
 expansion residual swept in plain units, where the package sweeps each
 pair of parts in units of a power of two; the
 pseudo-spectral convection applied through FFT round trips, the
@@ -23,6 +28,7 @@ residual by scipy's cumulative Simpson rule.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -43,7 +49,7 @@ from hermflow.grid import (
 )
 from hermflow.kernel import KernelTable
 from hermflow.moments import moment_of_poly
-from hermflow.multiindex import MultiIndex, enumerate_level, unit
+from hermflow.multiindex import MultiIndex, enumerate_level, grlex_key, unit
 from hermflow.operators import OperatorParams, euler_degree_op
 from hermflow.polynomial import CubeRows, Polynomial, VectorPolyField, evaluate_cube, laplacian, row_blocks
 from hermflow.rational_linalg import dependent_columns, inverse, rref
@@ -178,6 +184,62 @@ def pinned_fit_scipy(r: np.ndarray, logr: np.ndarray, target: np.ndarray) -> np.
     sol = least_squares(lambda q: q[0] - q[1] * r ** q[2] - target, x0=[0.0, 0.5, 1.5], method="lm")
     assert sol.success
     return sol.x
+
+
+# -- the psi* change of basis, without the closed form ------------------------
+
+
+def psi_star_by_laplacians(beta: Sequence[int], m: int) -> Polynomial:
+    """sum_j (1/j!) (-Delta)^(mj) y^beta, each power by repeated exact
+    Laplacians, until the power vanishes."""
+    out = Polynomial.zero(len(beta))
+    power, j = Polynomial.monomial(beta), 0  # (-Delta)^(mj) y^beta
+    while not power.is_zero():
+        out = out + power.scale(Fraction(1, math.factorial(j)))
+        for _ in range(m):
+            power = -laplacian(power)
+        j += 1
+    return out
+
+
+def coefficients_by_back_substitution(p: Polynomial, m: int) -> Dict[MultiIndex, Fraction]:
+    """psi* coefficients of p: psi*_beta = y^beta + lower order, so the
+    top-degree monomial coefficients of the remainder are the coefficients
+    at that degree; subtract and recurse downward."""
+    coeffs: Dict[MultiIndex, Fraction] = {}
+    rem = p
+    while not rem.is_zero():
+        d = rem.degree()
+        tops = [(b, c) for b, c in rem.terms.items() if sum(b) == d]
+        for b, c in sorted(tops, key=lambda kv: grlex_key(kv[0])):
+            coeffs[b] = c
+            rem = rem - psi_star_by_laplacians(b, m).scale(c)
+    return coeffs
+
+
+def random_polynomial(rng: random.Random, max_degree: int, terms: int, dim: int = 3) -> Polynomial:
+    """`terms` random monomials of degree <= max_degree with small rational
+    coefficients (like terms summed)."""
+    p = Polynomial.zero(dim)
+    for _ in range(terms):
+        beta = rng.choice([b for k in range(max_degree + 1) for b in enumerate_level(k, dim)])
+        p = p + Polynomial.monomial(beta, Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+    return p
+
+
+def raw_pairings_by_moments(basis: SolenoidalBasis, q: VectorPolyField) -> List[Fraction]:
+    """<q, W_j> for each dual of `basis`: the field coefficients by
+    back-substitution, then integration by parts moves each D^beta onto q,
+    the sign factors cancel, and kernel moments of D^beta q_c remain."""
+    m = basis.params.m
+    out = []
+    for v in basis.fields:
+        s = Fraction(0)
+        for qc, vc in zip(q.components, v.components):
+            for b, a in coefficients_by_back_substitution(vc, m).items():
+                s += a * moment_of_poly(qc.derive(b), m)
+        out.append(s)
+    return out
 
 
 # -- bases and duals ----------------------------------------------------------

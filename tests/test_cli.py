@@ -794,13 +794,13 @@ def test_solenoidal_fixture_counts(tmp_path, capsys):
 )
 def test_solenoidal_builds_bases_in_the_echoed_dimension(tmp_path, capfd, argv):
     # N reaches the bases of every kind: the catalogued fields are 3-D, so
-    # N=2 is refused, where a composite listing used to echo N=2 over 3-D
-    # bases
+    # N=2 is refused up front, where a composite listing used to echo N=2
+    # over 3-D bases
     outdir = tmp_path / "out"
     outdir.mkdir()
     code, line = _failed(capfd, argv, outdir)
     assert code == 2 and line["error"] == "validation"
-    assert line["message"] == "beta arity 3 != N 2"
+    assert line["message"] == "field dimension 3 != N 2"
 
 
 def test_solenoidal_lists_every_catalogued_level(tmp_path, capsys, monkeypatch):

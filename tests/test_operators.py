@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermflow.errors import ValidationError
+from hermflow.multiindex import enumerate_level
 from hermflow.operators import (
     OperatorParams,
     apply_B_star,
@@ -18,7 +20,13 @@ from hermflow.operators import (
     pairing,
 )
 from hermflow.polynomial import Polynomial
-from oracles import apply_B, apply_B_weighted
+from oracles import (
+    apply_B,
+    apply_B_weighted,
+    coefficients_by_back_substitution,
+    psi_star_by_laplacians,
+    random_polynomial,
+)
 
 betas = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)).filter(
     lambda b: sum(b) <= 6
@@ -118,3 +126,25 @@ def test_m2_eigenfunction_mixes_biharmonic_powers():
     ep = eigenfunction((4, 0, 0), params)
     assert ep.psi_star.terms[(0, 0, 0)] == Fraction(24)  # (-Lap)^2 y^4 / 1!
     assert apply_B_star(ep.psi_star, params) == ep.psi_star.scale(Fraction(-1, 1))
+
+
+@pytest.mark.parametrize("m, max_level", [(1, 8), (2, 8), (3, 6)])
+def test_closed_form_eigenfunctions_equal_repeated_laplacians(m, max_level):
+    params = OperatorParams(m=m, N=3)
+    for k in range(max_level + 1):
+        for beta in enumerate_level(k, 3):
+            assert eigenfunction(beta, params).psi_star == psi_star_by_laplacians(beta, m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_eigen_coefficients_equal_back_substitution(m):
+    rng = random.Random(m)
+    params = OperatorParams(m=m, N=3)
+    for _ in range(25):
+        p = random_polynomial(rng, 8, rng.randint(0, 8))
+        assert eigen_coefficients(p, params) == coefficients_by_back_substitution(p, m)
+
+
+def test_eigen_coefficients_refuse_another_dimension():
+    with pytest.raises(ValidationError, match="polynomial dimension 2 != N 3"):
+        eigen_coefficients(Polynomial.monomial((1, 1)), OperatorParams(m=1, N=3))

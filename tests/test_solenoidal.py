@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,11 +16,14 @@ from hermflow.solenoidal import (
     divfree_kernel,
     fixture,
     fixture_basis,
+    level_basis,
     validate_basis_field,
 )
 from oracles import (
     block_slices,
     dual_closed_form_m1,
+    random_polynomial,
+    raw_pairings_by_moments,
     realization_gram,
     weighted_dual,
     weighted_pairing,
@@ -252,3 +256,21 @@ def test_validate_basis_field_rejects_nonsolenoidal():
     )
     with pytest.raises(ValidationError):
         validate_basis_field(bad, 1, params)
+    # a field of another dimension is refused before any expansion
+    with pytest.raises(ValidationError, match="field dimension 3 != N 2"):
+        validate_basis_field(fixture(1, 1)[0], 1, OperatorParams(m=1, N=2))
+
+
+@pytest.mark.parametrize("m, k", [(1, k) for k in range(4)] + [(2, k) for k in range(5)])
+def test_raw_pairings_equal_the_moment_route(m, k):
+    # every block of composite_basis(1, 3) and every m=2 fixture; q mixes
+    # the block's own span with terms of every level up to 5, in and off
+    # the span
+    basis = level_basis(m, k)
+    rng = random.Random(k + 10 * m)
+    for _ in range(4):
+        q = VectorPolyField(random_polynomial(rng, 5, 6) for _ in range(3))
+        for v in basis.fields:
+            q = q + v.scale(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        assert basis.raw_pairings_poly(q) == raw_pairings_by_moments(basis, q)
+
