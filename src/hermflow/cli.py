@@ -106,8 +106,9 @@ class Param:
 _CONFIG = Param("config", str, None, "flat JSON config file; flags override it")
 _COMMON = (
     Param("outdir", str, ".", "artifact directory (HERMFLOW_OUTDIR overrides the default)", echo=False),
-    Param("workers", int, None, "worker cap (default: available cores)", echo=False),
 )
+# only verify reads it; d-tensor and evolve accept it unread
+_WORKERS = Param("workers", int, None, "worker cap (default: available cores)", echo=False)
 # only d-tensor (its projector test field), evolve and nodal (demo:small) draw
 # random numbers, so only they take a seed
 _SEED = Param("seed", int, 0, "seed of demo:small and of the projector test field")
@@ -438,7 +439,7 @@ _KERNEL_MASS_TOL = 1e-6  # README criterion 5: a table must carry the unit mass
 
 def _cmd_kernel(cfg: dict):
     m = cfg["m"]
-    table = kernel_values(m, cfg["N"], radii=_radii(cfg), tol=cfg["tol"])
+    table = kernel_values(m, radii=_radii(cfg), tol=cfg["tol"])
     if not table.mass_error <= _KERNEL_MASS_TOL:
         raise ValidationError(
             f"kernel table up to r_max={cfg['r_max']!r} misses mass: mass error "
@@ -588,9 +589,7 @@ def _cmd_evolve(cfg: dict):
             )
             # against the exact flow at the times the run reached
             ref = diagonal_trajectory(e0, lin.taus)
-            summary["stokes_dev"] = float(
-                np.max(np.abs(lin.coeff_matrix() - ref.coeff_matrix()))
-            )
+            summary["stokes_dev"] = float(np.max(np.abs(lin.C - ref.C)))
     else:
         traj = diagonal_trajectory(e0, taus)
         summary["rates"] = {f"l{k}:{i}": v for (k, i), v in rate_check(traj)["rates"].items()}
@@ -757,6 +756,9 @@ def _classify(cfg: dict, terms: list):
 
 
 def _cmd_classify(cfg: dict):
+    given = [name for name in ("suite", "terms", "terms_file") if cfg[name]]
+    if len(given) > 1:
+        raise ValidationError(f"give one of suite, terms and terms_file, not {' and '.join(given)}")
     if cfg["suite"]:
         if cfg["suite"] != "synthetic":
             raise ValidationError(f"unknown suite {cfg['suite']!r}")
@@ -831,8 +833,8 @@ def _cmd_verify(cfg: dict):
                 "field_index": idx,
                 "n_tau": len(traj.taus),
                 "max_rel_err": rc["max_rel_err"],
-                "max_residual": max(st.residual for st in traj.states),
-                "residuals": [st.residual for st in traj.states],
+                "max_residual": max(traj.residuals),
+                "residuals": traj.residuals,
                 "overlap": traj.overlap,
                 "rates": {f"l{a}:{b}": v for (a, b), v in rc["rates"].items()},
                 "diagnostic": traj.diagnostic,
@@ -876,7 +878,6 @@ _COMMANDS: Dict[str, Tuple[str, Tuple[Param, ...], Callable]] = {
         "tabulate the radial kernel profile to CSV",
         (
             Param("m", int, 2),
-            Param("N", int, 3),
             Param("r_max", float, 36.0),
             Param("dr", float, 0.02),
             Param("tol", float, 1e-12),
@@ -902,6 +903,7 @@ _COMMANDS: Dict[str, Tuple[str, Tuple[Param, ...], Callable]] = {
             Param("L", float, 8.0),
             Param("n", int, 64),
             _SEED,
+            _WORKERS,
         ),
         _cmd_d_tensor,
     ),
@@ -919,6 +921,7 @@ _COMMANDS: Dict[str, Tuple[str, Tuple[Param, ...], Callable]] = {
             Param("tensor", str, None, "interaction-tensor JSON to reuse"),
             Param("check_linear", bool, False, "also compare the zero-coupling run to the exact flow"),
             _SEED,
+            _WORKERS,
         ),
         _cmd_evolve,
     ),
@@ -957,6 +960,7 @@ _COMMANDS: Dict[str, Tuple[str, Tuple[Param, ...], Callable]] = {
             Param("L", float, 24.0),
             Param("n", int, 128),
             Param("n_tau", int, 31),
+            _WORKERS,
         ),
         _cmd_verify,
     ),
@@ -969,13 +973,14 @@ _PARAMS: Dict[str, Dict[str, Param]] = {
 # -> (the settings, the deciding setting, that value). Any value but its
 # default is refused otherwise, so the echo never shows a check that did
 # not run; the default echoes what a run without it computes.
-_READ_ONLY_WITH: Dict[str, Tuple[Tuple[Tuple[str, ...], str, str], ...]] = {
+_READ_ONLY_WITH: Dict[str, Tuple[Tuple[Tuple[str, ...], str, object], ...]] = {
     "evolve": (
         (("tensor", "check_linear", "rtol", "L", "n"), "model", "nse"),
         (("seed",), "data", "demo:small"),
     ),
     "nodal": ((("seed",), "data", "demo:small"),),
     "solenoidal": ((("level",), "kind", "kernel"), (("K",), "kind", "composite")),
+    "wkbj": ((("r_max", "dr"), "fit", True),),
 }
 
 
@@ -1067,7 +1072,7 @@ def _resolve(command: str, ns: argparse.Namespace) -> dict:
     raw.update(given)
     cfg = {name: _coerce(p, raw.get(name, p.default)) for name, p in params.items()}
     for names, key, value in _READ_ONLY_WITH.get(command, ()):
-        got = cfg[key].strip()
+        got = cfg[key].strip() if isinstance(cfg[key], str) else cfg[key]
         if got != value:
             for name in names:
                 if cfg[name] != params[name].default:

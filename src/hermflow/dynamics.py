@@ -47,7 +47,7 @@ def _decay_rate(m: int, k: int) -> float:
 
 @dataclass
 class Expansion:
-    """Coefficients of a field over a solenoidal basis at one time tau.
+    """Coefficients of one field over a solenoidal basis.
 
     `residual` is the grid norm (equivalently, by Parseval, the lattice
     norm of the spectrum) of the part of the input the basis did not
@@ -55,7 +55,6 @@ class Expansion:
 
     basis: object
     coeffs: Dict[Tuple[int, int], object]
-    tau: float = 0.0
     residual: Optional[float] = None
 
     def __post_init__(self):
@@ -167,7 +166,7 @@ def diagonal_flow(e0: Expansion, tau: float) -> Expansion:
         (k, i): float(c) * math.exp(_decay_rate(m, k) * tau)
         for (k, i), c in e0.coeffs.items()
     }
-    return Expansion(e0.basis, out, tau=e0.tau + tau)
+    return Expansion(e0.basis, out)
 
 
 # -- trajectories -----------------------------------------------------------------
@@ -179,36 +178,35 @@ _ENVELOPE_TOL = 1e-9
 
 @dataclass
 class CoefficientTrajectory:
-    """Coefficient states at the output times `taus`. `overlap` holds the
-    semigroup verifier's image-overlap estimate at each output time (empty
-    for other trajectories)."""
+    """Coefficients over `basis` at the output times `taus`, one row of `C`
+    per time in `basis.labels` order. `residuals` and `overlap` hold the
+    semigroup verifier's expansion residual and image-overlap estimate at
+    each output time (empty for other trajectories)."""
 
+    basis: object
     taus: np.ndarray
-    states: List[Expansion]
+    C: np.ndarray
     duhamel_residual: Optional[float] = None
     diagnostic: dict = dc_field(default_factory=dict)
+    residuals: List[float] = dc_field(default_factory=list)
     overlap: List[float] = dc_field(default_factory=list)
 
     @property
     def labels(self) -> List[Tuple[int, int]]:
-        return self.states[0].labels
-
-    def coeff_matrix(self) -> np.ndarray:
-        return np.array([s.vector() for s in self.states])
+        return self.basis.labels
 
     def envelope_check(self) -> dict:
         """A-posteriori check that every coefficient stays under the slowest
-        admissible envelope C e^{-tau/2} with C set by the initial data, up
-        to `_ENVELOPE_TOL`."""
-        C = self.coeff_matrix()
-        c0 = float(np.max(np.abs(C[0]))) if C.size else 0.0
+        admissible envelope c0 e^{-tau/2} with c0 set by the initial data,
+        up to `_ENVELOPE_TOL`."""
+        c0 = float(np.max(np.abs(self.C[0]))) if self.C.size else 0.0
         env = (c0 + _ENVELOPE_TOL) * np.exp(-(self.taus - self.taus[0]) / 2.0)
-        ok = bool(np.all(np.abs(C) <= env[:, None] + _ENVELOPE_TOL))
+        ok = bool(np.all(np.abs(self.C) <= env[:, None] + _ENVELOPE_TOL))
         return {"constant": c0, "ok": ok}
 
     def to_csv(self) -> str:
         lines = ["tau," + ",".join(f"l{k}:{i}" for k, i in self.labels)]
-        for t, row in zip(self.taus, self.coeff_matrix()):
+        for t, row in zip(self.taus, self.C):
             lines.append(",".join([repr(float(t))] + [repr(float(x)) for x in row]))
         return "\n".join(lines) + "\n"
 
@@ -239,13 +237,13 @@ def rate_check(traj: CoefficientTrajectory) -> dict:
     to noise.
     Returns per-label {fitted, expected, rel_err} plus the worst rel_err.
     """
-    C = traj.coeff_matrix()
+    C = traj.C
     if C.size == 0 or len(traj.taus) < 3:
         raise ValidationError("need at least 3 samples of a nonempty trajectory")
     top = float(np.max(np.abs(C)))
     if top == 0.0:
         raise ValidationError("trajectory is identically zero")
-    m = traj.states[0].basis.params.m
+    m = traj.basis.params.m
     rates = {}
     worst = 0.0
     for label, fitted in _log_slopes(traj.taus, np.abs(C), traj.labels, _RATE_FLOOR * top).items():
@@ -259,24 +257,25 @@ def rate_check(traj: CoefficientTrajectory) -> dict:
 
 
 # float64 values held per output time of a command's trajectory, fixed and
-# per basis label, rounded up (tracemalloc per output time: `evolve --model
-# nse` 193, 538 and 1467 at 4, 12 and 36 labels, `evolve --model stokes
-# --data demo:small` 877 at 36, `verify` 234 at level 1 and 229 at level 2,
-# `nodal` 156): the states, the integrator's dense output and Duhamel arrays
-# at four times as many points, and the CSV and JSON text
+# per basis label, an upper bound (tracemalloc per output time: `evolve
+# --model nse` 136, 405 and 1193 at 4, 12 and 36 labels, `--model stokes
+# --data demo:small` 355 at 36, `verify --n 16` 36 and 82 at levels 1 and
+# 2, `nodal` 110): the rows of C, the integrator's dense output and Duhamel
+# arrays at four times as many points, and the CSV and JSON text
 _TIME_VALUES, _TIME_LABEL_VALUES = 200, 45
 
 
 def check_output_times(count: int, labels: int, what: str) -> None:
     """Refuse up front a trajectory of `count` output times over `labels`
-    basis labels whose states would not fit in physical memory; `what`
-    names the count."""
+    basis labels that would not fit in physical memory; `what` names the
+    count."""
     check_fits(count, _TIME_VALUES + _TIME_LABEL_VALUES * labels, what, dims=1)
 
 
 def diagonal_trajectory(e0: Expansion, taus: Sequence[float]) -> CoefficientTrajectory:
     ts = np.asarray(taus, dtype=float)
-    return CoefficientTrajectory(ts, [diagonal_flow(e0, float(t)) for t in ts])
+    C = np.array([diagonal_flow(e0, float(t)).vector() for t in ts])
+    return CoefficientTrajectory(e0.basis, ts, C)
 
 
 # -- Galerkin integration ---------------------------------------------------------
@@ -511,10 +510,6 @@ def nse_galerkin(
     taus = np.linspace(0.0, tau_end, n_out)
     taus = taus[taus <= t_max + 1e-12]
     C = sol(taus)
-    states = [
-        Expansion(e0.basis, dict(zip(labels, map(float, row))), tau=e0.tau + float(t))
-        for t, row in zip(taus, C)
-    ]
     diagnostic = {
         "truncated": truncated,
         "integrator": {"nfev": sol.nfev, "steps": len(sol.segments), "rejected": sol.rejected},
@@ -532,7 +527,7 @@ def nse_galerkin(
         I = _cumulative_simpson(W, s)
         duh = np.exp(np.outer(taus, lam)) * (c0[None, :] + I[::4])
         residual = float(np.max(np.abs(C - duh)))
-    return CoefficientTrajectory(taus, states, duhamel_residual=residual, diagnostic=diagnostic)
+    return CoefficientTrajectory(e0.basis, taus, C, duhamel_residual=residual, diagnostic=diagnostic)
 
 
 # -- resonance detection ------------------------------------------------------------
@@ -590,10 +585,10 @@ def detect_resonance(
     if int(sel.sum()) < 3:
         raise ValidationError("window covers fewer than 3 trajectory samples")
     tw = taus[sel]
-    Cw = np.abs(traj.coeff_matrix()[sel])
+    Cw = np.abs(traj.C[sel])
     labels = traj.labels
     scale = float(np.max(Cw)) if Cw.size else 0.0
-    m = traj.states[0].basis.params.m
+    m = traj.basis.params.m
 
     slopes = _log_slopes(tw, Cw, labels, 1e-30 * max(scale, 1e-300))
 
@@ -963,18 +958,17 @@ def semigroup_verify(
     extract = _Extractor(basis, sp)
     (data_coeffs,) = spectrum_cubes([data], m)
 
-    def state(tau: float) -> Expansion:
+    def state(tau: float) -> Tuple[np.ndarray, float]:
         # spectrum amp exp(-|eta|^2m (2-s)/s) sum_d i^|d| H[d] (eta s^(-1/2m))^d
         s = math.exp(-tau)
         amp = s ** (rho - 3.0 / (2.0 * m))
         X = amp * dilate_coeffs(data_coeffs, s ** (-1.0 / (2.0 * m)))
-        c, resid = extract.closed_form(X, (2.0 - s) / s)
-        coeffs = dict(zip(basis.labels, (float(x) for x in c)))
-        return Expansion(basis, coeffs, tau=float(tau), residual=resid)
+        return extract.closed_form(X, (2.0 - s) / s)
 
-    states = parallel_map(state, [float(t) for t in taus], workers)
+    cs, residuals = zip(*parallel_map(state, [float(t) for t in taus], workers))
     return CoefficientTrajectory(
-        taus, states, diagnostic=diagnostic, overlap=[overlap(float(t)) for t in taus]
+        basis, taus, np.array(cs), diagnostic=diagnostic, residuals=list(residuals),
+        overlap=[overlap(float(t)) for t in taus],
     )
 
 

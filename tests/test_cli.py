@@ -42,15 +42,12 @@ def test_basis_default_run(tmp_path, capsys):
     assert [lvl["count"] for lvl in doc["levels"]][:4] == [1, 3, 6, 10]
 
 
-def test_artifacts_byte_identical_across_reruns_and_workers(tmp_path, capsys):
+def test_artifacts_byte_identical_across_reruns(tmp_path, capsys):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     c1, l1 = _run(capsys, ["eig-check", "--max-level", "3", "--outdir", str(d1)])
-    c2, l2 = _run(
-        capsys,
-        ["eig-check", "--max-level", "3", "--outdir", str(d2), "--workers", "4"],
-    )
+    c2, l2 = _run(capsys, ["eig-check", "--max-level", "3", "--outdir", str(d2)])
     assert c1 == c2 == 0
-    assert l1 == l2  # outdir/workers are plumbing, not config
+    assert l1 == l2  # outdir is plumbing, not config
     assert (d1 / "eig_check.json").read_bytes() == (d2 / "eig_check.json").read_bytes()
 
 
@@ -603,6 +600,12 @@ def test_failing_run_leaves_no_artifact(tmp_path, capfd, argv):
         (["solenoidal", "--kind", "kernel", "--K", "7"], {}, "K is read only with kind composite"),
         (["solenoidal", "--level", "5"], {}, "level is read only with kind kernel"),
         (["solenoidal", "--kind", "composite"], {"level": 2}, "level is read only with kind kernel"),
+        (["wkbj", "--r-max", "99"], {}, "r_max is read only with fit True"),
+        (["wkbj"], {"dr": 0.5}, "dr is read only with fit True"),
+        (["classify", "--suite", "synthetic", "--terms", '[{"x":[1,0,0],"c":1}]'], {},
+         "give one of suite, terms and terms_file, not suite and terms"),
+        (["classify", "--terms", "[]"], {"terms_file": "terms.json"},
+         "give one of suite, terms and terms_file, not terms and terms_file"),
     ],
 )
 def test_settings_a_run_would_not_read_exit_2(tmp_path, capfd, argv, cfg, setting):
@@ -1081,13 +1084,13 @@ def test_outdir_is_created(tmp_path, capsys):
 
 
 # every subcommand's flags as (option string, dest, action, type, choices);
-# the common three come first on every subcommand
+# the common two come first on every subcommand
 _COMMON_FLAGS = [
     ("--config", "config", "store", None, None),
     ("--outdir", "outdir", "store", None, None),
-    ("--workers", "workers", "store", "int", None),
 ]
 _SEED_FLAG = ("--seed", "seed", "store", "int", None)
+_WORKERS_FLAG = ("--workers", "workers", "store", "int", None)
 _FLAGS = {
     "basis": [
         ("--m", "m", "store", "int", None),
@@ -1113,7 +1116,6 @@ _FLAGS = {
     ],
     "kernel": [
         ("--m", "m", "store", "int", None),
-        ("--N", "N", "store", "int", None),
         ("--r-max", "r_max", "store", "float", None),
         ("--dr", "dr", "store", "float", None),
         ("--tol", "tol", "store", "float", None),
@@ -1131,6 +1133,7 @@ _FLAGS = {
         ("--L", "L", "store", "float", None),
         ("--n", "n", "store", "int", None),
         _SEED_FLAG,
+        _WORKERS_FLAG,
     ],
     "evolve": [
         ("--model", "model", "store", None, ["stokes", "nse", "burnett"]),
@@ -1144,6 +1147,7 @@ _FLAGS = {
         ("--tensor", "tensor", "store", None, None),
         ("--check-linear", "check_linear", "store_true", None, None),
         _SEED_FLAG,
+        _WORKERS_FLAG,
     ],
     "nodal": [
         ("--model", "model", "store", None, ["stokes", "burnett"]),
@@ -1170,6 +1174,7 @@ _FLAGS = {
         ("--L", "L", "store", "float", None),
         ("--n", "n", "store", "int", None),
         ("--n-tau", "n_tau", "store", "int", None),
+        _WORKERS_FLAG,
     ],
 }
 _ACTIONS = {
@@ -1266,6 +1271,7 @@ def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg):
     [
         (["evolve"], {"L": 8}, '"L": 8.0'),
         (["verify", "--n", "32"], {"level": 2, "L": 16}, '"level": [2]'),
+        (["wkbj", "--fit"], {"r_max": 40}, '"r_max": 40.0'),
     ],
 )
 def test_echo_shows_the_typed_values(tmp_path, capsys, argv, cfg, echoed):

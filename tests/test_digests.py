@@ -1,8 +1,11 @@
-"""The exact commands' bytes, pinned by digest.
+"""Command bytes, pinned by digest.
 
 `basis`, `eig-check`, `biortho` and `solenoidal` compute in `Fraction`s
 and write JSON, so their stdout and artifacts do not depend on the numpy
 or BLAS build: the sha256 of each is recorded here and must not move.
+The trajectory commands (`evolve`, `verify`, `nodal`, at reduced sizes)
+compute in floats, so their digests hold for the numpy build they were
+recorded with, `NUMPY_VERSION`; a mismatch names both versions.
 A change that moves them on purpose records the new digests and says in
 CHANGES which bytes moved and why.
 """
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from hermflow import cli
@@ -42,15 +46,71 @@ DIGESTS = {
     },
 }
 
+# the numpy build FLOAT_DIGESTS were recorded with
+NUMPY_VERSION = "2.4.6"
+FLOAT_DIGESTS = {
+    ("evolve",): {
+        "stdout": "4f5135fb31aeb8b97a84b61ca8a30ac2c857cd2252fdb4ea69baf09981befde6",
+        "resonance.json": "7bd39c4296d4227e4efbbed058dd1cd167167e5ea97b896521aff2ae8c4e6306",
+        "trajectory.csv": "5205cf164284fa01a209ffc1532a5fd253d7c93d46023d65a0ed98c7b67e6925",
+    },
+    ("evolve", "--model", "burnett", "--data", "demo:small", "--K", "2"): {
+        "stdout": "51bad71c2083ea106143cbe597db3de84bf9a42c1a27f6ea16259a9f9c92bddf",
+        "resonance.json": "6af27877313d37807adb1d8680c5d834ddbb38d70f827c089c5a858d627016b5",
+        "trajectory.csv": "c06db4a06b546e17267f1f97f52ccdfbd07ac4c75e291f0e2a6a5ab1d2a01978",
+    },
+    ("evolve", "--model", "nse", "--K", "1", "--data", "demo:small", "--tau", "1",
+     "--check-linear", "--n", "16", "--L", "4"): {
+        "stdout": "4eef1721c5e30340f885f26f2eb5a8a06ca53e8dc25bc3e8f3b0d7aa6dfe1220",
+        "resonance.json": "aa7e6be02c29f4d9e826da132c0cdffa1c1eb839f66020b49f23e830a0881bd5",
+        "trajectory.csv": "f427c86e4f914f8bf2661492ee13c52cdd98806d3eff16348fdf94230089d8a3",
+    },
+    ("verify", "--m", "1", "--level", "1", "--n", "32", "--L", "16", "--n-tau", "7"): {
+        "stdout": "11bfb621fa21109a540ebb3bfa0fcadf07f175190635eb098e239188caa888bf",
+        "verify_m1.json": "e5333a39a0fe465b9af380b968099c33b65fd6b878977aad6657d8f470d2e80e",
+        "verify_m1_l1.csv": "70a965f48ca194120eb01bee7598fc1bc71c9a3f6ce6571abbe3af76278ec9a6",
+    },
+    ("verify", "--m", "2", "--level", "1", "--n", "32", "--L", "16", "--n-tau", "7"): {
+        "stdout": "a72033a7ed570e2373eb95b3bc56c75b9bf0f8da6a24fd01a855ec967b1d4eaa",
+        "verify_m2.json": "d9993a460e761790909b0c25e7bd710fe07572ac50af7633441b62a6aab20e43",
+        "verify_m2_l1.csv": "63ec375e2a9dcdf4430c000212a7b9a18d3f5851fdcf727fee2d621468ae3639",
+    },
+    ("nodal", "--taus", "0,1,2", "--cell", "0.1"): {
+        "stdout": "1d2fe7f52a5215d186e8a687cd54ea895d58be730d8a4518529cd3cfa3067c61",
+        "distances.json": "5f73c855c2ca0f6be4bb07f0131e126314f9b159a25328ada3a91e2d855862b4",
+        "nodal_ref_c1.csv": "b3f347fc7e41274773039f386f8f484604ca64a559b669a85a894deffd899658",
+        "nodal_tau0_c0.csv": "954ae8643ba8ff4185261aadeb7469c846f477230db259f2f8c728525adb588a",
+        "nodal_tau0_c1.csv": "f411db9f625de792254c1bfe588969379fd13d25a5c427a8f98c9e12acbfc28c",
+        "nodal_tau0_c2.csv": "4a8b859bf534bd8924211642c8fcace2713129258ced009cd1307ca778566bb9",
+        "nodal_tau1_c0.csv": "954ae8643ba8ff4185261aadeb7469c846f477230db259f2f8c728525adb588a",
+        "nodal_tau1_c1.csv": "8ea7643a8fbcfdb2ecf2abbfc652ad6cfe6739a750ba7f53b9d74746b15e9b7f",
+        "nodal_tau1_c2.csv": "4a8b859bf534bd8924211642c8fcace2713129258ced009cd1307ca778566bb9",
+        "nodal_tau2_c0.csv": "954ae8643ba8ff4185261aadeb7469c846f477230db259f2f8c728525adb588a",
+        "nodal_tau2_c1.csv": "c7fa7a05904f158b141a7d4b66121df5df945c11457b0f684b3ccf72d228200a",
+        "nodal_tau2_c2.csv": "4a8b859bf534bd8924211642c8fcace2713129258ced009cd1307ca778566bb9",
+    },
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("argv", list(DIGESTS), ids=" ".join)
-def test_exact_commands_keep_their_bytes(tmp_path, capsys, argv):
+def _digests(tmp_path, capsys, argv) -> dict:
     code = cli.run(list(argv) + ["--outdir", str(tmp_path)])
     got = {"stdout": _sha256(capsys.readouterr().out.encode())}
     got.update((f.name, _sha256(f.read_bytes())) for f in sorted(tmp_path.iterdir()))
     assert code == 0
-    assert got == DIGESTS[argv]
+    return got
+
+
+@pytest.mark.parametrize("argv", list(DIGESTS), ids=" ".join)
+def test_exact_commands_keep_their_bytes(tmp_path, capsys, argv):
+    assert _digests(tmp_path, capsys, argv) == DIGESTS[argv]
+
+
+@pytest.mark.parametrize("argv", list(FLOAT_DIGESTS), ids=" ".join)
+def test_trajectory_commands_keep_their_bytes(tmp_path, capsys, argv):
+    assert _digests(tmp_path, capsys, argv) == FLOAT_DIGESTS[argv], (
+        f"digests recorded with numpy {NUMPY_VERSION}, this is numpy {np.__version__}"
+    )

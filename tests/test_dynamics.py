@@ -142,7 +142,6 @@ def test_single_level_and_one_block_composite_agree(m, k):
 def test_diagonal_flows_decay_at_exact_rates(cb2):
     e0 = Expansion(cb2, {(0, 0): 1.0, (2, 3): -0.5})
     e1 = diagonal_flow(e0, 2.0)
-    assert e1.tau == 2.0
     assert e1.coeffs[(0, 0)] == pytest.approx(math.exp(-1.0), rel=1e-15)
     assert e1.coeffs[(2, 3)] == pytest.approx(-0.5 * math.exp(-3.0), rel=1e-15)
     assert diagonal_flow(Expansion(cb2, {}), 1.0).coeffs == {}
@@ -197,10 +196,9 @@ def test_rate_check_reads_the_order_from_the_basis():
     }
     assert rc["max_rel_err"] <= 1e-12
     # coefficients decaying at the m=1 rates over the m=2 basis are rejected
-    wrong = CoefficientTrajectory(
-        taus,
-        [Expansion(b2, {(0, 0): math.exp(-0.5 * t)}, tau=float(t)) for t in taus],
-    )
+    C = np.zeros((len(taus), b2.count))
+    C[:, 0] = np.exp(-0.5 * taus)
+    wrong = CoefficientTrajectory(b2, taus, C)
     bad = rate_check(wrong)
     assert bad["rates"][(0, 0)]["expected"] == -0.75
     assert bad["max_rel_err"] == pytest.approx(1.0 / 3.0, rel=1e-9)
@@ -229,7 +227,7 @@ def test_nse_with_zero_tensor_reproduces_diagonal_flow(cb2):
     assert not traj.diagnostic["truncated"]
     assert traj.duhamel_residual <= 1e-8
     exact = diagonal_trajectory(Expansion(cb2, dict(e0.coeffs)), traj.taus)
-    dev = np.max(np.abs(traj.coeff_matrix() - exact.coeff_matrix()))
+    dev = np.max(np.abs(traj.C - exact.C))
     assert dev <= 1e-9
 
 
@@ -239,7 +237,7 @@ def test_nse_with_zero_tensor_uses_the_basis_order_rates():
     e0 = Expansion(b2, {(0, 0): 0.2, (1, 0): -0.1, (1, 2): 0.05})
     traj = nse_galerkin(e0, _zero_tensor(b2, GridSpec(8.0, 32)), 3.0, n_out=31)
     exact = diagonal_trajectory(e0, traj.taus)
-    assert np.max(np.abs(traj.coeff_matrix() - exact.coeff_matrix())) <= 1e-9
+    assert np.max(np.abs(traj.C - exact.C)) <= 1e-9
     assert rate_check(traj)["rates"][(0, 0)]["expected"] == -0.75
 
 
@@ -262,13 +260,9 @@ def test_envelope_check(cb2):
     traj = diagonal_trajectory(e0, np.linspace(0.0, 3.0, 31))
     env = traj.envelope_check()
     assert env["ok"] and env["constant"] == 1.0
-    bad = CoefficientTrajectory(
-        np.array([0.0, 1.0]),
-        [
-            Expansion(cb2, {(1, 0): 1.0}),
-            Expansion(cb2, {(1, 0): 2.0}),
-        ],
-    )
+    C = np.zeros((2, cb2.count))
+    C[:, cb2.labels.index((1, 0))] = [1.0, 2.0]
+    bad = CoefficientTrajectory(cb2, np.array([0.0, 1.0]), C)
     assert not bad.envelope_check()["ok"]
 
 
@@ -280,6 +274,28 @@ def test_trajectory_csv_layout(cb2):
     assert len(lines) == 4
     row = lines[1].split(",")
     assert float(row[0]) == 0.0 and len(row) == cb2.count + 1
+
+
+def test_trajectories_are_one_coefficient_array(cb2, monkeypatch):
+    # the Galerkin run and the verifier write the times x labels array
+    # directly, with no single-state Expansion per output time
+    made = []
+    single = dynamics.Expansion
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return single(*args, **kwargs)
+
+    e0 = Expansion(cb2, {(1, 0): 0.2, (2, 1): -0.1})
+    monkeypatch.setattr(dynamics, "Expansion", counted)
+    run = nse_galerkin(e0, _zero_tensor(cb2, GridSpec(8.0, 32)), 1.0, n_out=11)
+    ver = semigroup_verify(fixture(1, 1)[0], 1, spec=GridSpec(16.0, 32), n_tau=5)
+    assert made == []
+    for traj in (run, ver):
+        assert traj.C.dtype == np.float64
+        assert traj.C.shape == (len(traj.taus), traj.basis.count)
+    assert run.labels == cb2.labels and (run.residuals, run.overlap) == ([], [])
+    assert len(ver.residuals) == len(ver.overlap) == len(ver.taus) >= 2
 
 
 def test_detect_resonance_statuses(cb3):
@@ -653,7 +669,7 @@ def test_semigroup_verify_runs_no_fft(monkeypatch):
     monkeypatch.setattr(np.fft, "fftn", refuse)
     monkeypatch.setattr(np.fft, "ifftn", refuse)
     traj = semigroup_verify(fixture(2, 1)[0], 2, spec=GridSpec(16.0, 48), n_tau=5)
-    assert len(traj.states) == len(traj.taus) >= 2
+    assert traj.C.shape == (len(traj.taus), traj.basis.count) and len(traj.taus) >= 2
 
 
 def test_semigroup_verify_caches_nothing_per_time():
@@ -792,7 +808,7 @@ def test_semigroup_verify_working_set(m, n, workers):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(traj.states) >= 2
+        assert len(traj.C) >= 2
         assert peak <= dynamics._verifier_arrays(n, m, level, workers) * 8 * n**3, level
 
 

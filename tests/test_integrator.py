@@ -102,7 +102,7 @@ def test_nse_galerkin_matches_the_scipy_oracle(name):
         return
     traj = nse_galerkin(e0, tensor, 3.0, rtol=RTOL, n_out=41)
     assert _same(traj.taus, ref["taus"])
-    assert _same(traj.coeff_matrix(), ref["C"])
+    assert _same(traj.C, ref["C"])
     assert traj.duhamel_residual == ref["residual"]
     integ = traj.diagnostic["integrator"]
     assert integ["nfev"] == ref["sol"].nfev
@@ -126,7 +126,7 @@ def test_step_bound_truncates_a_run_where_the_full_run_goes(monkeypatch):
     assert 0.0 < d["tau_reached"] < 3.0 and traj.duhamel_residual is None
     n = len(traj.taus)
     assert 3 <= n < 41
-    assert _same(traj.coeff_matrix(), full.coeff_matrix()[:n])
+    assert _same(traj.C, full.C[:n])
 
 
 @pytest.mark.parametrize(
