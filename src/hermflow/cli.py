@@ -213,8 +213,7 @@ def _parse_data_inner(desc: str, m: int, K_flag: Optional[int], seed: int, bases
         for key, val in raw.items():
             if type(val) not in (int, float):
                 raise ValidationError(f"data file {path}: coefficient {key!r} is not a number")
-            lev, idx = key.lstrip("l").split(":")
-            coeffs[(int(lev), int(idx))] = float(val)
+            _put_coeff(coeffs, key, val, f"data file {path}")
         if not coeffs:
             raise ValidationError(f"data file {path} holds no coefficients")
         return coeffs, max(k for k, _ in coeffs)
@@ -222,10 +221,22 @@ def _parse_data_inner(desc: str, m: int, K_flag: Optional[int], seed: int, bases
         coeffs = {}
         for item in desc.split(","):
             key, val = item.split("=")
-            lev, idx = key.strip().lstrip("l").split(":")
-            coeffs[(int(lev), int(idx))] = float(val)
+            _put_coeff(coeffs, key, val, f"data descriptor {desc!r}")
         return coeffs, max(k for k, _ in coeffs)
     raise ValidationError(f"unrecognized data descriptor {desc!r}")
+
+
+def _put_coeff(coeffs: dict, key: str, val, where: str) -> None:
+    """coeffs[(k, i)] = float(val) for the label `key` (`lk:i` or `k:i`),
+    refusing a label given twice and an integer beyond the float range."""
+    lev, idx = key.strip().lstrip("l").split(":")
+    label = (int(lev), int(idx))
+    if label in coeffs:
+        raise ValidationError(f"{where}: label l{label[0]}:{label[1]} is given twice")
+    try:
+        coeffs[label] = float(val)
+    except OverflowError:
+        raise ValidationError(f"{where}: coefficient {key!r} is beyond the float range") from None
 
 
 def _zero_tensor(cb, m: int, spec: GridSpec) -> InteractionTensor:

@@ -26,7 +26,6 @@ from .grid import (
     moment_pairings,
     octant_weight,
     parallel_map,
-    residual_norm,
     spectrum_cubes,
 )
 from .multiindex import unit
@@ -79,12 +78,39 @@ class Expansion:
                 total = total + v.scale(c if isinstance(c, Fraction) else Fraction(float(c)))
         return total
 
-# float64 arrays of n^3 at the peak of `expand` on a field with a remainder
-# (tracemalloc: 2.9 at n = 16 and 2.4 at n = 32, where a row block is the
-# whole lattice, to 0.45 at n = 96): the octants of |eta|^2 and of the
-# weight, and two row blocks of the residual sweep (the mirrored weight and
-# the value buffer) with its plane tables
-_EXPAND_POLY_ARRAYS = 4
+
+def _scale_exponent(*cubes: np.ndarray) -> int:
+    """The binary exponent e of the largest coefficient among `cubes`.
+    Scaling by 2^-e is exact, so a norm formed from the scaled cubes and
+    scaled back is the same bits for a field times 2^600 or 2^-600, times
+    that power, where plain units read inf and 0.0."""
+    return int(np.frexp(max(float(np.max(np.abs(A))) for A in cubes))[1])
+
+
+def _norm(square: float, e: int) -> float:
+    """The norm 2^e sqrt(square) of a squared norm formed in units of
+    2^-2e. The form r^2 = <X, X> - 2 <X, Y> + <Y, Y> has an absolute error
+    of about eps (<X, X> + 2 |<X, Y>| + <Y, Y>) <= eps (|X| + |Y|)^2, so a
+    residual below about sqrt(eps) (|X| + |Y|) can come out as a small
+    negative square: it reads 0.0."""
+    return math.ldexp(math.sqrt(max(square, 0.0)), e)
+
+
+def _form_values(D: int) -> int:
+    """Values at the peak of a form <X, X> (`grid.moment_pairings`) of a
+    spectrum cube with powers up to D: the pairing table and its index, two
+    values per pair of coefficients, the lattice moments of degree 2D with
+    their phase and index tables, and 2^15 for the iteration buffers of
+    `np.einsum` (up to 0.2 MB seen)."""
+    return 2 * (D + 1) ** 6 + 6 * (2 * D + 1) ** 3 + 2**15
+
+
+# float64 arrays of n^3 at the peak of `expand` on a field with a remainder,
+# besides its form (`_form_values`), an upper bound: the octants of |eta|^2
+# and of the squared weight, the first contraction of the moment table, and
+# the exact arithmetic (tracemalloc, form included: 0.74 at n = 16, 0.48 at
+# n = 32, 0.28 at n = 64 and 0.27 at n = 128)
+_EXPAND_POLY_ARRAYS = 2
 
 
 def expand(u, basis, spec: GridSpec | None = None) -> Expansion:
@@ -92,10 +118,12 @@ def expand(u, basis, spec: GridSpec | None = None) -> Expansion:
     by the exact rational dual pairings.
 
     The reported residual is the grid norm of the uncaptured remainder times
-    the kernel, the Parseval norm of its closed-form spectrum (no FFT), so
-    input outside the span shows up there instead of passing silently. A
-    remainder is refused, before any lattice array is built, when its
-    working set would not fit in physical memory.
+    the kernel: by Parseval, the lattice norm of its closed-form spectrum,
+    the pairing of that spectrum with itself, one contraction of its
+    coefficients against the lattice moments of the squared weight (no FFT
+    and no lattice evaluation). Input outside the span shows up there
+    instead of passing silently. A remainder is refused, before any lattice
+    array is built, when its working set would not fit in physical memory.
     """
     if not isinstance(u, VectorPolyField):
         raise ValidationError(f"expand needs a VectorPolyField, got {type(u).__name__}")
@@ -112,10 +140,14 @@ def expand(u, basis, spec: GridSpec | None = None) -> Expansion:
     else:
         sp = spec or GridSpec(10.0, 64)
         m = basis.params.m
-        check_fits(sp.n, _EXPAND_POLY_ARRAYS, "expand on a polynomial field")
-        w, live = octant_weight(sp, m)
-        (P,) = spectrum_cubes([diff], m)
-        residual = residual_norm(sp, (P, w, live))
+        P = spectrum_cubes([diff], m)
+        arrays = _EXPAND_POLY_ARRAYS + _form_values(P.shape[-1] - 1) / sp.n**3
+        check_fits(sp.n, arrays, "expand on a polynomial field")
+        w, _ = octant_weight(sp, m)
+        e = _scale_exponent(P)
+        P = np.ldexp(P, -e)
+        table = lattice_moments(np.square(w, out=w), sp, 2 * (P.shape[-1] - 1))
+        residual = _norm(moment_pairings(P, P, table, sp)[0, 0], e)
     return Expansion(basis, coeffs, residual=residual)
 
 
@@ -126,32 +158,48 @@ class _Extractor:
     lattice-moment contractions of coefficient arrays
     (`grid.moment_pairings`), and the pairings are solved with the empirical
     Gram M = <realizations, duals> of the same lattice sums, so pure basis
-    fields are recovered to roundoff; the residual is the Parseval norm of
-    the difference spectrum (`grid.residual_norm`), i.e. the grid norm of
-    the part of the field the basis did not capture. No FFT runs and no
-    grid field is stored. Build once per (basis, spec), call per field.
+    fields are recovered to roundoff. The residual r, the grid norm of the
+    part of a field X the basis did not capture, comes from the same
+    contractions: with Y = sum c_i v*_i F the model,
+    r^2 = <X, X> - 2 <X, Y> + <Y, Y>, each term one pairing on the lattice
+    moments of the product of its two weights (the table of <Y, Y> does not
+    depend on the field and is built here). No FFT runs and no grid field
+    is stored. Build once per (basis, spec), call per field.
     """
 
     def __init__(self, basis, spec: GridSpec):
         m = self.m = basis.params.m
         self.spec = spec
-        self.decay, self.live_decay = octant_weight(spec, m)
+        self.decay, _ = octant_weight(spec, m)
         self.duals = dual_cubes(basis.blocks)
         self.realz = spectrum_cubes(basis.fields, m)
-        dmax = self.realz.shape[-1] + self.duals.shape[-1] - 2
-        gram_table = lattice_moments(self.decay * self.decay, spec, dmax)
+        Dy, Dw = self.realz.shape[-1] - 1, self.duals.shape[-1] - 1
+        square = self.decay * self.decay
+        gram_table = lattice_moments(square, spec, Dy + Dw)
         self.M = moment_pairings(self.realz, self.duals, gram_table, spec)
+        self.model_table = gram_table if Dw >= Dy else lattice_moments(square, spec, 2 * Dy)
 
     def closed_form(self, X: np.ndarray, b: float) -> Tuple[np.ndarray, float]:
         """Field with spectrum exp(-b|eta|^2m) sum_d i^|d| X_c[d] eta^d."""
-        w, live = octant_weight(self.spec, self.m, b)
+        spec = self.spec
+        w, _ = octant_weight(spec, self.m, b)
         Dx, Dw = X.shape[-1] - 1, self.duals.shape[-1] - 1
-        table = lattice_moments(w * self.decay, self.spec, Dx + Dw)
-        raw = moment_pairings(X[None], self.duals, table, self.spec)[0]
-        # the coefficients c, and the residual from sum c_i v*_i F
+        cross = w * self.decay
+        table = lattice_moments(cross, spec, Dx + Dw)
+        raw = moment_pairings(X[None], self.duals, table, spec)[0]
+        # the coefficients c, and the residual from the model sum c_i v*_i F
         c = np.linalg.solve(self.M.T, raw)
-        Y = np.tensordot(c, self.realz, axes=(0, 0))
-        return c, residual_norm(self.spec, (X, w, live), (Y, self.decay, self.live_decay))
+        Y = np.tensordot(c, self.realz, axes=(0, 0))[None]
+        Dy = Y.shape[-1] - 1
+        if Dy > Dw:  # the model's powers exceed the duals' (m = 2)
+            table = lattice_moments(cross, spec, Dx + Dy)
+        del cross  # from here on, w is the one octant of this time
+        e = _scale_exponent(X, Y)
+        X, Y = np.ldexp(X[None], -e), np.ldexp(Y, -e)
+        xx = moment_pairings(X, X, lattice_moments(np.square(w, out=w), spec, 2 * Dx), spec)
+        xy = moment_pairings(X, Y, table, spec)
+        yy = moment_pairings(Y, Y, self.model_table, spec)
+        return c, _norm((xx - 2.0 * xy + yy)[0, 0], e)
 
 
 # -- diagonal flow ----------------------------------------------------------------
@@ -861,19 +909,16 @@ def _verifier_arrays(n: int, m: int, level: int, workers: int) -> float:
     """Float64 arrays of n^3 at the peak of `semigroup_verify`, an upper
     bound: the octants of |eta|^2 (cached) and of the decay, and 2^15
     values for the exact arithmetic and the small tables; then, per output
-    time in flight, the octants of the weight and of the weight times the
-    decay, four row blocks of the residual sweep (the two mirrored weights
-    and two value buffers), the plane tables of its (at most twelve)
-    spectra, the first contraction of the moment table,
-    and the pairing table of `grid.moment_pairings` with its index, two
-    values per pair of a data and a dual coefficient. A level-k spectrum
-    cube holds powers up to (2m-1)k of each variable, a dual's up to k."""
+    time in flight, the octants of the weight (squared in place for the
+    data's form) and of the weight times the decay, the first contraction
+    of a moment table, and the largest form, <X, X> of the data
+    (`_form_values`). A level-k spectrum cube holds powers up to (2m-1)k of
+    each variable. The measured peak (tracemalloc) is at most 0.97 of this
+    from n = 16 to 128 at levels 0 to 3; at n = 128, level 1, two workers,
+    it is 0.81 (m = 1) and 0.83 (m = 2) against 0.88 and 0.95."""
     D = (2 * m - 1) * level
-    rows = row_blocks((n, n, n))[0]
-    block = (rows.stop - rows.start) / n
     octant = (0.5 + 1.0 / n) ** 3
-    pairs = ((D + 1) * (level + 1)) ** 3
-    per_time = 2 * octant + 4 * block + (12 * (D + 1) + D + level + 1) / n + 2 * pairs / n**3
+    per_time = 2 * octant + (2 * D + 1) / n + _form_values(D) / n**3
     return 2 * octant + 2**15 / n**3 + workers * per_time
 
 
@@ -902,6 +947,9 @@ def semigroup_verify(
     """
     if m not in (1, 2):
         raise ValidationError("semigroup verifier covers m in {1, 2}")
+    # the rate fit needs three samples
+    if n_tau < 3:
+        raise ValidationError(f"n_tau must be at least 3, got {n_tau}")
     if not data.divergence().is_zero():
         raise ValidationError("semigroup data must be divergence-free")
     if t_end is None:

@@ -5,15 +5,16 @@ quadratic interaction tensor of the coefficient dynamics.
 Grid convention: cell-centered nodes x_j = -L + (j + 1/2) h with h = 2L/n on
 [-L, L)^3, discrete frequencies eta_k = pi k / L for integer k in the usual
 FFT ordering (0, 1, ..., n/2 - 1, -n/2, ..., -1). Fields enter in closed
-form and never leave the frequency lattice: the tensor, the expansion
-residuals and the projector diagnostic work on lattice spectra, and no FFT
-runs.
+form and never leave the frequency lattice: the tensor and the expansion
+pairings and residuals are contractions of exact coefficients against
+lattice moment tables, the projector diagnostic sweeps lattice spectra,
+and no FFT runs.
 
 Every lattice array is even in each coordinate (the weights
 exp(-b|eta|^2m), their products, 1/|eta|^2) and is held on the octant
 |k_i| = 0..n/2: lattice sums contract it with per-axis tables folded over
-k and -k (`_fold`), and sweeps copy it into FFT order one block of rows
-at a time (`mirror`).
+k and -k (`_fold`), and the projector diagnostic copies it into FFT order
+one block of rows at a time (`mirror`).
 
 The interaction tensor follows the adjoint arrangement: the projector
 symbol is real and symmetric per mode, so the discrete Parseval identity
@@ -322,8 +323,9 @@ def _cubes(polys: Sequence[Sequence[Polynomial]]) -> np.ndarray:
 # h^3 sum_x f g of two lattice spectra is
 # (2L)^-3 Re sum_eta F conj(G), so the pairing of two such fields is a
 # finite contraction of their coefficients against the lattice moments
-# sum_eta eta^n w1(eta) w2(eta), and a field is evaluated on the lattice by
-# separable per-axis power sums. Neither step runs an FFT.
+# sum_eta eta^n w1(eta) w2(eta), a squared norm is the pairing of a field
+# with itself, and a field is evaluated on the lattice by separable per-axis
+# power sums. Neither step runs an FFT.
 
 
 def _contract_axes(arr: np.ndarray, t1: np.ndarray, t2: np.ndarray, t3: np.ndarray) -> np.ndarray:
@@ -427,73 +429,6 @@ def hermitian_parts(P: np.ndarray) -> Tuple[np.ndarray | None, np.ndarray | None
         A = P * _i_power(deg, part)
         out.append(A if A.any() else None)
     return out[0], out[1]
-
-
-# -- the expansion residual ------------------------------------------------------
-
-
-def residual_norm(spec: GridSpec, data: tuple, model: tuple | None = None) -> float:
-    """Grid norm of the field with spectrum `data` minus `model`, each a
-    triple (P, w, live) for w sum_d i^|d| P_c[d] eta^d: Hermitian
-    coefficient cubes P (3, D+1, D+1, D+1), and the octant weight w and its
-    live count from `octant_weight`. By Parseval it is
-    ((2L)^-3 sum_eta |data - model|^2)^(1/2), in one sweep of row blocks:
-    each block of every part is evaluated (`CubeRows`), weighted,
-    subtracted and squared while it is in cache, in one value buffer per
-    side kept for the whole sweep, each distinct weight is mirrored from
-    its octant once per block into a buffer of its own, and a block
-    whose octant indices are all at least a part's live count skips it; no
-    lattice array is made.
-
-    Each pair of parts (data minus model, for one component's real or
-    imaginary part) is swept in units of 2^e, e the binary exponent of its
-    largest coefficient (`np.frexp`), and its block sums are added, in
-    sweep order, in units of 2^2E, E the largest e. Scaling by a power of
-    two is exact, so the norm is the unscaled sweep's wherever that sweep
-    neither underflows nor overflows; coefficients that vanish by symmetry
-    but come out near 1e-130 are not squared into subnormal numbers, and a
-    field times 2^600 or 2^-600 has its norm times the same power."""
-    # the six parts of each side, the real and the imaginary part of each
-    # component, with that side's weight
-    sides = [
-        [(A, w, live) for Pc in P for A in hermitian_parts(Pc)] for P, w, live in filter(None, (data, model))
-    ]
-    eta = [spec.freqs()] * 3
-    pairs = []
-    for pair in zip(*sides):
-        parts = [p for p in pair if p[0] is not None]
-        if parts:
-            e = int(np.frexp(max(np.max(np.abs(A)) for A, _, _ in parts))[1])
-            pairs.append((e, [(CubeRows(np.ldexp(A, -e), eta), w, live) for A, w, live in parts]))
-    E = max((e for e, _ in pairs), default=0)
-    n = spec.n
-    blocks = row_blocks((n,) * 3)
-    octant_k = np.abs(_kint(n)).astype(int)
-    # block arrays reused for every block, one per distinct weight and one
-    # per side for the values: fresh ones per block cost their page faults
-    shape = (blocks[0].stop, n, n)
-    weights = {id(w): np.empty(shape) for _, parts in pairs for _, w, _ in parts}
-    values = [np.empty(shape) for _ in range(max((len(parts) for _, parts in pairs), default=0))]
-    total = 0.0
-    for rows in blocks:
-        size, first = rows.stop - rows.start, octant_k[rows].min()
-        mirrored: Dict[int, np.ndarray] = {}
-        for e, parts in pairs:
-            live_parts = [(rows_of, w) for rows_of, w, live in parts if first < live]
-            if not live_parts:
-                continue
-            for (rows_of, w), buf in zip(live_parts, values):
-                if id(w) not in mirrored:
-                    mirrored[id(w)] = mirror(w, rows, weights[id(w)][:size])
-                rows_of(rows, buf[:size])
-                buf[:size] *= mirrored[id(w)]
-            diff = values[0][:size]
-            if len(live_parts) == 2:
-                diff -= values[1][:size]  # the sign drops out of the norm
-            # numpy's own summation, not BLAS: its order does not depend on
-            # the thread count, so the bytes do not either
-            total += math.ldexp(float(np.sum(np.square(diff, out=diff))), 2 * (e - E))
-    return math.ldexp(math.sqrt(total / (2.0 * spec.L) ** 3), E)
 
 
 def parallel_map(fn: Callable, items: Sequence, workers: int | None) -> list:

@@ -13,8 +13,10 @@ closed-form spectra (`weighted_transform`), the Leray projector and the
 lattice moment sums on the whole n^3 lattice in FFT order, where the
 package holds each even array on its nonnegative octant and folds the
 per-axis tables; the
-expansion residual swept in plain units, where the package sweeps each
-pair of parts in units of a power of two; the
+expansion residual as a sweep of the lattice that evaluates, weights,
+subtracts and squares the data and the model pointwise, in plain units,
+where the package forms r^2 = <X, X> - 2 <X, Y> + <Y, Y> from lattice
+moment tables in units of a power of two; the
 pseudo-spectral convection applied through FFT round trips, the
 kernel-weighted Gram inverse, the closed-form Gaussian kernel and its
 radial ODE residual, the pinned envelope fit by scipy's MINPACK
@@ -415,10 +417,13 @@ def closed_form_rows(P: np.ndarray, w: np.ndarray, live: int, spec: GridSpec) ->
 
 
 def plain_residual_norm(spec: GridSpec, data: list, model: list | None = None) -> float:
-    """`grid.residual_norm` in plain units, on the parts of
-    `closed_form_rows`: every block sum is added as it comes, so a pair of
-    parts whose values are near 1e-130 is squared into subnormal numbers,
-    and a field beyond about 2^500 or below 2^-500 reads inf or 0.0."""
+    """The grid norm of the field with the parts `data` minus `model`
+    (`closed_form_rows`; `model` None for the norm of `data` alone), by
+    Parseval ((2L)^-3 sum_eta |data - model|^2)^(1/2), swept over blocks
+    of lattice rows in plain units: every block sum is added as it comes,
+    so a pair of parts whose values are near 1e-130 is squared into
+    subnormal numbers, and a field beyond about 2^500 or below 2^-500
+    reads inf or 0.0."""
     pairs = [[p for p in pair if p is not None] for pair in zip(data, model or [None] * len(data))]
     n = spec.n
     blocks = row_blocks((n,) * 3)

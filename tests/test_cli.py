@@ -84,6 +84,21 @@ def test_verify_keeps_per_time_diagnostics(tmp_path, capsys):
     assert all(0.0 <= x <= 2e-4 for x in res["overlap"])
 
 
+@pytest.mark.parametrize("n_tau", [0, 1, 2])
+def test_verify_too_few_output_times_exits_2(tmp_path, capsys, n_tau):
+    # the rate fit needs three samples: refused up front, naming n_tau,
+    # before any lattice array is built (0 was refused as a box too small,
+    # 1 and 2 ran the whole verifier first)
+    from hermflow import grid
+
+    grid._CACHE.clear()
+    code, line = _run(capsys, ["verify", "--n-tau", str(n_tau), "--outdir", str(tmp_path)])
+    assert code == 2 and line["error"] == "validation"
+    assert line["message"] == f"n_tau must be at least 3, got {n_tau}"
+    assert grid._CACHE == {}
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1285,7 +1300,9 @@ def test_echo_shows_the_typed_values(tmp_path, capsys, argv, cfg, echoed):
 
 
 @pytest.mark.parametrize("command", ["evolve", "nodal"])
-@pytest.mark.parametrize("doc", [[1], {"coeffs": [1]}, {"coeffs": {"l1:0": None}}])
+@pytest.mark.parametrize(
+    "doc", [[1], {"coeffs": [1]}, {"coeffs": {"l1:0": None}}, {"coeffs": {"l1:0": 10**400}}]
+)
 def test_malformed_data_file_exits_2(tmp_path, capsys, command, doc):
     path = tmp_path / "data.json"
     path.write_text(json.dumps(doc))
@@ -1293,6 +1310,21 @@ def test_malformed_data_file_exits_2(tmp_path, capsys, command, doc):
     code, line = _run(capsys, argv)
     assert code == 2 and line["error"] == "validation"
     assert str(path) in line["message"]
+
+
+@pytest.mark.parametrize("form", ["inline", "file"])
+def test_data_label_given_twice_exits_2(tmp_path, capsys, form):
+    # `l1:0` and `1:0` are one label; the last value won without a word
+    desc = "l1:0=1,l1:0=2"
+    if form == "file":
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps({"coeffs": {"l1:0": 1, "1:0": 2}}))
+        desc = f"file:{path}"
+    outdir = tmp_path / "out"
+    code, line = _run(capsys, ["evolve", "--data", desc, "--outdir", str(outdir)])
+    assert code == 2 and line["error"] == "validation"
+    assert line["message"].endswith("label l1:0 is given twice")
+    assert not outdir.exists() or list(outdir.iterdir()) == []
 
 
 _ENTRY = {"alpha": [1, 0], "gamma": [1, 1], "beta": [1, 2], "value": 0.5, "error": 0.0}

@@ -1,11 +1,12 @@
 """Command bytes, pinned by digest.
 
-`basis`, `eig-check`, `biortho` and `solenoidal` compute in `Fraction`s
-and write JSON, so their stdout and artifacts do not depend on the numpy
-or BLAS build: the sha256 of each is recorded here and must not move.
-The trajectory commands (`evolve`, `verify`, `nodal`, at reduced sizes)
-compute in floats, so their digests hold for the numpy build they were
-recorded with, `NUMPY_VERSION`; a mismatch names both versions.
+`basis`, `eig-check`, `biortho`, `solenoidal` and `classify` compute in
+`Fraction`s and write JSON, so their stdout and artifacts do not depend
+on the numpy or BLAS build: the sha256 of each is recorded here and must
+not move. The trajectory commands (`evolve`, `verify`, `nodal`), `kernel`,
+`wkbj --fit` and `d-tensor` (at reduced sizes) compute in floats, so
+their digests hold for the numpy build they were recorded with,
+`NUMPY_VERSION`; a mismatch names both versions.
 A change that moves them on purpose records the new digests and says in
 CHANGES which bytes moved and why.
 """
@@ -44,6 +45,10 @@ DIGESTS = {
         "stdout": "7965c15be73c5a6498cc84778a0883880f56d323437c9162ea2f4463cd5c9234",
         "solenoidal.json": "22fa0e4c1a83fce0858bb88406eb55bc9d9474e07afad11cb84b5c501997efc4",
     },
+    ("classify", "--suite", "synthetic"): {
+        "stdout": "4f84674b486cd9132448032fb8c7569b3ad076f15be7b3547cc18d718840cbf5",
+        "classify_suite.json": "a09603a6f6841c289c7718273a75bedadab6663e2711e5322a8c70b26933a6ec",
+    },
 }
 
 # the numpy build FLOAT_DIGESTS were recorded with
@@ -67,12 +72,12 @@ FLOAT_DIGESTS = {
     },
     ("verify", "--m", "1", "--level", "1", "--n", "32", "--L", "16", "--n-tau", "7"): {
         "stdout": "11bfb621fa21109a540ebb3bfa0fcadf07f175190635eb098e239188caa888bf",
-        "verify_m1.json": "e5333a39a0fe465b9af380b968099c33b65fd6b878977aad6657d8f470d2e80e",
+        "verify_m1.json": "ad85b715891b5cb364cd9e0e176106de00c260467579fcdc7d8215c3ca9244d2",
         "verify_m1_l1.csv": "70a965f48ca194120eb01bee7598fc1bc71c9a3f6ce6571abbe3af76278ec9a6",
     },
     ("verify", "--m", "2", "--level", "1", "--n", "32", "--L", "16", "--n-tau", "7"): {
         "stdout": "a72033a7ed570e2373eb95b3bc56c75b9bf0f8da6a24fd01a855ec967b1d4eaa",
-        "verify_m2.json": "d9993a460e761790909b0c25e7bd710fe07572ac50af7633441b62a6aab20e43",
+        "verify_m2.json": "d6964e63eb6ae7b4b3afa09ff922f5b2234c14e227be65ef6b49120e2507cdc3",
         "verify_m2_l1.csv": "63ec375e2a9dcdf4430c000212a7b9a18d3f5851fdcf727fee2d621468ae3639",
     },
     ("nodal", "--taus", "0,1,2", "--cell", "0.1"): {
@@ -88,6 +93,22 @@ FLOAT_DIGESTS = {
         "nodal_tau2_c0.csv": "954ae8643ba8ff4185261aadeb7469c846f477230db259f2f8c728525adb588a",
         "nodal_tau2_c1.csv": "c7fa7a05904f158b141a7d4b66121df5df945c11457b0f684b3ccf72d228200a",
         "nodal_tau2_c2.csv": "4a8b859bf534bd8924211642c8fcace2713129258ced009cd1307ca778566bb9",
+    },
+    ("kernel",): {
+        "stdout": "0eb7332c292442bf857013e6e6492b054459bcf400148f0ac52310aee48b4904",
+        "kernel_m2.csv": "65266ee0dfe1ac548eba843b36a0cd61da3df5358afe573b28c2278165169de2",
+    },
+    ("wkbj", "--fit"): {
+        "stdout": "3c90e32a39d8eaa77bfc57ebda8ec4320bbd6d1cd357c9f2b79b8ee06e9527a3",
+        "wkbj.json": "cb49eedf2576e9d9e3f7e8d018b5ed34035af6ca4fa074c56c1c270912a97af3",
+    },
+    ("d-tensor", "--n", "16", "--L", "4"): {
+        "stdout": "97fdd0f527c69f18c92ad13e74a2d89e295bb29697a9b9059415bc4dabe56a31",
+        "tensor.json": "430b56201986efa0a8750327bec3f36386c409d94541b7cf637195a12e881895",
+    },
+    ("d-tensor", "--K", "2", "--n", "16", "--L", "4"): {
+        "stdout": "81574a872c7455c2c8f19a108988838e8b31e6b29eec4fd198fbcc38f2d915ee",
+        "tensor.json": "895f7f2fc96c1434d60c88adf825bbe9f92041e4fd3567e50f7d626aaf92d976",
     },
 }
 
