@@ -13,8 +13,8 @@ and no FFT runs.
 Every lattice array is even in each coordinate (the weights
 exp(-b|eta|^2m), their products, 1/|eta|^2) and is held on the octant
 |k_i| = 0..n/2: lattice sums contract it with per-axis tables folded over
-k and -k (`_fold`), and the projector diagnostic copies it into FFT order
-one block of rows at a time (`mirror`).
+k and -k (`_fold`), and the projector diagnostic copies a block of its
+rows into FFT order by index, the value at |k| for every wavenumber k.
 
 The interaction tensor follows the adjoint arrangement: the projector
 symbol is real and symmetric per mode, so the discrete Parseval identity
@@ -33,7 +33,6 @@ derives them once, when it is built.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -43,7 +42,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .polynomial import CubeRows, Polynomial, VectorPolyField, row_blocks
+from .polynomial import Polynomial, VectorPolyField, evaluate_cube, row_blocks
 from .solenoidal import SolenoidalBasis
 
 # -- grid spec and transforms --------------------------------------------------
@@ -160,7 +159,7 @@ def _eta(L: float, n: int) -> np.ndarray:
 def _eta_diff(L: float, n: int) -> np.ndarray:
     """Frequencies for differentiation-type symbols. The Nyquist slot holds
     both +n/2 and -n/2, so an odd symbol evaluated there is not even under
-    the index mirror and would break Hermitian symmetry of real fields; the
+    k -> -k and would break Hermitian symmetry of real fields; the
     usual remedy is to zero it."""
 
     def build():
@@ -190,45 +189,13 @@ def _octant_eta_sq(L: float, n: int) -> np.ndarray:
     return _cached(("octant_eta_sq", L, n), build)
 
 
-def _mirror_pieces(rows: slice, n: int) -> List[Tuple[slice, slice]]:
-    """(destination, octant) slice pairs that take the lattice indices
-    `rows` of an n-point axis, in FFT order, to their octant indices |k|:
-    0..n/2 ascending, then n/2-1..1 descending."""
-    h = n // 2
-    lo, hi, _ = rows.indices(n)
-    pieces = []
-    if lo <= h:
-        top = min(hi, h + 1)
-        pieces.append((slice(0, top - lo), slice(lo, top)))
-    if hi > h + 1:
-        start = max(lo, h + 1)
-        pieces.append((slice(start - lo, hi - lo), slice(n - start, n - hi, -1)))
-    return pieces
-
-
-def mirror(octant: np.ndarray, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
-    """The lattice rows `rows`, in FFT order, of the even function of eta
-    whose values on the nonnegative octant are `octant`, in `out`
-    (default: a fresh array). Every value is copied, so its bits are the
-    octant's."""
-    n = 2 * (octant.shape[0] - 1)
-    lo, hi, _ = rows.indices(n)
-    if out is None:
-        out = np.empty((hi - lo, n, n))
-    first = _mirror_pieces(rows, n)
-    rest = _mirror_pieces(slice(None), n)
-    for (d0, s0), (d1, s1), (d2, s2) in itertools.product(first, rest, rest):
-        out[d0, d1, d2] = octant[s0, s1, s2]
-    return out
-
-
 # exp(-x) is exactly 0.0 in float64 for every x above 745.1332191019412
 _EXP_ZERO = 746.0
 
 
 def octant_weight(spec: GridSpec, m: int, b: float = 1.0) -> Tuple[np.ndarray, int]:
     """exp(-b|eta|^2m) on the nonnegative octant of the frequency lattice
-    (see `_octant_eta`; `mirror` gives its rows in FFT order), and the count
+    (see `_octant_eta`; the value at FFT index i is the one at |k_i|), and the count
     of live octant indices per axis, where it can be nonzero. |eta|^2m >=
     eta_i^2m on every axis i, so the weight is exactly 0.0 wherever one
     coordinate alone has b eta_i^2m > _EXP_ZERO; those coordinates are a
@@ -310,7 +277,7 @@ def _cubes(polys: Sequence[Sequence[Polynomial]]) -> np.ndarray:
     """Coefficient cubes of `polys` (per field, per component), all with
     the largest power D of any variable among them."""
     D = max((max(d) for comps in polys for p in comps for d in p.terms), default=0)
-    return np.array([[p.coeff_cube(D) for p in comps] for comps in polys])
+    return np.array([[p.coeff_cube((D + 1,) * 3) for p in comps] for comps in polys])
 
 
 # -- frequency-space pairings of closed-form spectra --------------------------------
@@ -344,7 +311,7 @@ def _contract_axes(arr: np.ndarray, t1: np.ndarray, t2: np.ndarray, t3: np.ndarr
 
 def _fold(t: np.ndarray) -> np.ndarray:
     """A per-axis table t, rows k in FFT order, folded over k and -k onto
-    the octant indices |k| = 0..n/2: rows 1..n/2-1 each add their mirror
+    the octant indices |k| = 0..n/2: rows 1..n/2-1 each add their partner
     row n-k, and rows 0 and n/2 (the Nyquist row) are taken once. The sum
     over an axis of an even array times t is the sum over its octant
     times the fold."""
@@ -486,34 +453,26 @@ def projector_norms(v: VectorPolyField, spec: GridSpec, m: int) -> Tuple[float, 
     """Grid norms of P u, P P u - P u and div P u for u = v F, with P the
     Leray projector where the tensor applies it (`_eta_diff`, the octant
     `_inv_eta_sq`): by Parseval, ((2L)^-3 sum_eta |.|^2)^(1/2), in one
-    sweep of row blocks that evaluates each part of the closed-form
-    spectrum of u (`CubeRows`) times the mirrored weight rows and projects
-    it with the mirrored rows of 1/|eta|^2. No lattice array is made."""
+    sweep of row blocks. Each block evaluates every part of the
+    closed-form spectrum of u afresh (`evaluate_cube`), times the block's
+    rows of the weight, and projects it with the block's rows of
+    1/|eta|^2; both are index copies of their octants at |k|, so they
+    carry the bits of the whole-lattice arrays. No lattice array is
+    made."""
     n = spec.n
     w, live = octant_weight(spec, m)
-    inv, e, eta = _inv_eta_sq(spec), _eta_diff(spec.L, n), [spec.freqs()] * 3
+    inv, e, eta = _inv_eta_sq(spec), _eta_diff(spec.L, n), spec.freqs()
     # the real and the imaginary parts of the three components
-    parts = [
-        [None if A is None else CubeRows(A, eta) for A in comps]
-        for comps in zip(*[hermitian_parts(H) for H in spectrum_cubes([v], m)[0]])
-    ]
-    octant_k = np.abs(_kint(n)).astype(int)
-    blocks = row_blocks((n,) * 3)
-    # block arrays reused for every block: the mirrored weight and
-    # 1/|eta|^2, and the values of the three components
-    wbuf, ibuf, *vbufs = (np.empty((blocks[0].stop, n, n)) for _ in range(5))
+    parts = list(zip(*[hermitian_parts(H) for H in spectrum_cubes([v], m)[0]]))
+    k = np.abs(_kint(n)).astype(int)
     sums = np.zeros(3)
-    for rows in blocks:
-        if octant_k[rows].min() >= live:
+    for rows in row_blocks((n,) * 3):
+        if k[rows].min() >= live:
             continue  # the weight is 0.0 on the whole block
-        size = rows.stop - rows.start
-        wr, ir = mirror(w, rows, wbuf[:size]), mirror(inv, rows, ibuf[:size])
+        wr, ir = (octant[k[rows]][:, k][:, :, k] for octant in (w, inv))
         er = (e[rows, None, None], e[None, :, None], e[None, None, :])
         for comps in parts:
-            u = [
-                0.0 if A is None else np.multiply(A(rows, buf[:size]), wr, out=buf[:size])
-                for A, buf in zip(comps, vbufs)
-            ]
+            u = [0.0 if A is None else evaluate_cube(A, [eta[rows], eta, eta]) * wr for A in comps]
             sums += _projector_sums(u, er, ir)
     return tuple(math.sqrt(t / (2.0 * spec.L) ** 3) for t in sums)
 

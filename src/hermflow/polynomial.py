@@ -195,12 +195,13 @@ class Polynomial:
         """
         return evaluate_cube(self.coeff_cube(), axes)
 
-    def coeff_cube(self, D: int | None = None) -> np.ndarray:
-        """C with p(y) = sum_d C[d] y^d, |d_i| <= D (by default the largest
-        exponent of any variable), each coefficient rounded once."""
-        if D is None:
-            D = max((max(b) for b in self.terms), default=0)
-        C = np.zeros((D + 1,) * self.dim)
+    def coeff_cube(self, shape: Sequence[int] | None = None) -> np.ndarray:
+        """C of `shape` with p(y) = sum_d C[d] y^d, each coefficient rounded
+        once; by default axis i runs up to the largest exponent of y_i, so
+        `horner` takes no Horner step on a power that no term has."""
+        if shape is None:
+            shape = [max((b[i] for b in self.terms), default=0) + 1 for i in range(self.dim)]
+        C = np.zeros(shape)
         for d, c in self.terms.items():
             C[d] = float(c)
         return C
@@ -255,50 +256,47 @@ def row_blocks(shape: Sequence[int]) -> List[slice]:
     return [slice(i, min(i + step, shape[0])) for i in range(0, shape[0], step)]
 
 
-class CubeRows:
-    """`evaluate_cube(C, axes)` by rows of the first grid axis.
+def horner(C: np.ndarray, xs: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_d C[..., d] prod_i xs[i]^d_i for arrays `xs` that broadcast
+    together, of shape C.shape[:-len(xs)] + their broadcast shape: the last
+    len(xs) axes of the coefficient cube C hold the powers of xs[0], ...,
+    xs[-1], and any leading axes are a batch (p and its partials, say).
 
-    Every cube axis but the last is contracted with its power table x^d
-    once, at construction, one axis at a time. The planes that leaves are
-    held as (rows, cols, powers), shape (len(axes[0]), ..., len(axes[-2]),
-    D+1), so a block of rows of them is a view. `self(rows, out)` is one
-    `np.dot` of those planes with the last axis's power table, written
-    into `out` (C-contiguous, of the block's shape): the same BLAS call,
-    on the same operands, as a `tensordot` of the two, and a value is the
-    same sum, in the same order, whichever rows it is evaluated with.
-    """
-
-    def __init__(self, C: np.ndarray, axes: Sequence[np.ndarray]):
-        if C.ndim != len(axes):
-            raise ValueError("axes arity mismatch")
-        tables = [
-            np.stack([np.asarray(ax, dtype=float) ** d for d in range(p)], axis=1)
-            for p, ax in zip(C.shape, axes)
-        ]  # (len(ax), powers) per axis
-        t = C
-        for table in tables[:-1]:
-            t = np.tensordot(t, table, axes=([0], [1]))
-        self.planes, self.last = np.ascontiguousarray(np.moveaxis(t, 0, -1)), tables[-1]
-        self.shape = tuple(len(ax) for ax in axes)
-
-    def __call__(self, rows: slice, out: np.ndarray) -> np.ndarray:
-        if self.planes.ndim == 1:  # a cube in one variable
-            np.dot(self.planes[None], self.last[rows].T, out=out[None])
-        else:
-            planes = self.planes[rows]
-            np.dot(planes.reshape(-1, planes.shape[-1]), self.last.T, out=out.reshape(-1, self.shape[-1]))
-        return out
+    Horner steps run one axis at a time, last axis first, each at the
+    broadcast of the axes done so far, so on a tensor grid (each x along
+    its own grid axis) only the first axis's steps run on the whole grid,
+    and on a point set (the columns of an (N, k) array) every step runs on
+    N values. Every step is an elementwise numpy product and sum in a
+    fixed order, so no BLAS thread count reaches the bits."""
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    if C.ndim < len(xs):
+        raise ValueError("axes arity mismatch")
+    grid = np.broadcast_shapes(*(x.shape for x in xs))
+    g = len(grid)
+    t = C.reshape(C.shape + (1,) * g)
+    for x in reversed(xs):
+        coeffs = np.moveaxis(t, -g - 1, 0)
+        t = coeffs[-1]
+        for j, c in enumerate(coeffs[-2::-1]):
+            # the first product is a fresh array of the broadcast shape,
+            # and every later step runs in place in it
+            t = t * x if j == 0 else np.multiply(t, x, out=t)
+            t += c
+    shape = C.shape[: C.ndim - len(xs)] + grid
+    # axes of degree 0 leave their grid axes unbroadcast, and a cube of
+    # degree 0 everywhere leaves a view of C
+    return t if t.shape == shape and t.base is None else np.array(np.broadcast_to(t, shape))
 
 
 def evaluate_cube(C: np.ndarray, axes: Sequence[np.ndarray]) -> np.ndarray:
-    """sum_d C[d] prod_i axes[i]^d_i on the tensor-product grid of `axes`,
-    of shape (len(axes[0]), ..., len(axes[-1])), written a row block at a
-    time by `CubeRows`, so the only grid array is the result."""
-    rows_of = CubeRows(C, axes)
-    out = np.empty(rows_of.shape)
-    for rows in row_blocks(out.shape):
-        rows_of(rows, out[rows])
-    return out
+    """sum_d C[d] prod_i axes[i]^d_i on the tensor-product grid of the 1-D
+    `axes`, of shape (len(axes[0]), ..., len(axes[-1])), by `horner` with
+    each axis along its own grid axis, so the only grid array is the
+    result."""
+    if C.ndim != len(axes):
+        raise ValueError("axes arity mismatch")
+    k = len(axes)
+    return horner(C, [np.reshape(ax, (-1,) + (1,) * (k - 1 - i)) for i, ax in enumerate(axes)])
 
 
 class VectorPolyField:

@@ -53,7 +53,7 @@ from hermflow.kernel import KernelTable
 from hermflow.moments import moment_of_poly
 from hermflow.multiindex import MultiIndex, enumerate_level, grlex_key, unit
 from hermflow.operators import OperatorParams, euler_degree_op
-from hermflow.polynomial import CubeRows, Polynomial, VectorPolyField, evaluate_cube, laplacian, row_blocks
+from hermflow.polynomial import Polynomial, VectorPolyField, evaluate_cube, laplacian, row_blocks
 from hermflow.rational_linalg import dependent_columns, inverse, rref
 from hermflow.solenoidal import CompositeBasis, SolenoidalBasis, _gram, validate_basis_field
 
@@ -407,11 +407,10 @@ def closed_form_rows(P: np.ndarray, w: np.ndarray, live: int, spec: GridSpec) ->
     rows_of(rows) gives fresh values on a block of lattice rows, the octant
     weight w (from `octant_weight`) multiplies them, and a block whose rows
     all have octant indices of at least `live` is 0.0."""
-    eta = [spec.freqs()] * 3
+    eta = spec.freqs()
 
     def rows_of(A):
-        cube = CubeRows(A, eta)
-        return lambda rows: cube(rows, np.empty((rows.stop - rows.start,) + cube.shape[1:]))
+        return lambda rows: evaluate_cube(A, [eta[rows], eta, eta])
 
     return [None if A is None else (rows_of(A), w, live) for Pc in P for A in hermitian_parts(Pc)]
 
@@ -426,14 +425,10 @@ def plain_residual_norm(spec: GridSpec, data: list, model: list | None = None) -
     reads inf or 0.0."""
     pairs = [[p for p in pair if p is not None] for pair in zip(data, model or [None] * len(data))]
     n = spec.n
-    blocks = row_blocks((n,) * 3)
-    octant_k = np.abs(grid._kint(n)).astype(int)
-    # one block array per distinct weight, reused for every block: a fresh
-    # one per block costs its page faults
-    buffers = {id(w): np.empty((blocks[0].stop, n, n)) for parts in pairs for _, w, _ in parts}
+    k = np.abs(grid._kint(n)).astype(int)
     total = 0.0
-    for rows in blocks:
-        first = octant_k[rows].min()
+    for rows in row_blocks((n,) * 3):
+        first = k[rows].min()
         mirrored: Dict[int, np.ndarray] = {}
         for parts in pairs:
             diff = None
@@ -441,7 +436,7 @@ def plain_residual_norm(spec: GridSpec, data: list, model: list | None = None) -
                 if first < live:
                     v = rows_of(rows)
                     if id(w) not in mirrored:
-                        mirrored[id(w)] = grid.mirror(w, rows, buffers[id(w)][: rows.stop - rows.start])
+                        mirrored[id(w)] = w[k[rows]][:, k][:, :, k]
                     v *= mirrored[id(w)]
                     if diff is None:
                         diff = v

@@ -198,6 +198,27 @@ def test_kernel_table_beyond_the_work_bound_exits_2(tmp_path, capfd, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+def test_verify_truncated_below_three_times_exits_2(tmp_path, capsys):
+    # at L=16 periodic images reach the pairing region after the second of
+    # three output times: refused before any lattice array is built, naming
+    # L, the times kept and n_tau, where the rate fit used to refuse a
+    # two-sample trajectory after the whole run; four times keep three
+    from hermflow import grid
+
+    grid._CACHE.clear()
+    argv = ["verify", "--n", "32", "--L", "16", "--outdir", str(tmp_path)]
+    code, line = _run(capsys, argv + ["--n-tau", "3"])
+    assert code == 2 and line["error"] == "validation"
+    assert line["message"] == (
+        "box half-width L=16 is too small: periodic images keep clear of the "
+        "pairing region at only 2 of n_tau=3 output times, and the rate fit needs 3"
+    )
+    assert grid._CACHE == {}
+    assert list(tmp_path.iterdir()) == []
+    code, line = _run(capsys, argv + ["--n-tau", "4"])
+    assert code == 0 and line["ok"] and line["truncated"]
+
+
 @pytest.mark.parametrize("m, L", [(1, "0.5"), (2, "3")])
 def test_verify_box_too_small_exits_2(tmp_path, capsys, m, L):
     argv = ["verify", "--m", str(m), "--L", L, "--n", "16", "--outdir", str(tmp_path)]
@@ -391,11 +412,11 @@ def test_each_basis_level_is_validated_once(tmp_path, capsys, monkeypatch, argv,
 
 
 def test_projector_diagnostic_working_set():
-    # one sweep of row blocks: the octants of the weight and of 1/|eta|^2,
-    # the plane tables and about ten row blocks, a quarter of the lattice
-    # each at n=64 (measured 4.1 to 4.7 arrays of n^3); the first call
-    # fills the exact transform-polynomial cache, and the grid cache is
-    # cleared so that its lattice arrays count
+    # one sweep of row blocks: the octants of the weight and of 1/|eta|^2
+    # and about ten row blocks, a quarter of the lattice each at n=64, each
+    # evaluated and indexed afresh (measured 3.93 and 3.95 arrays of n^3
+    # for m = 1 and 2); the first call fills the exact transform-polynomial
+    # cache, and the grid cache is cleared so that its lattice arrays count
     from hermflow import grid
 
     spec = grid.GridSpec(8.0, 64)
@@ -1470,10 +1491,11 @@ def test_non_positive_times_exit_2_before_any_artifact(tmp_path, capfd, argv, wh
     ids=["nodal", "verify", "wkbj-fit", "d-tensor"],
 )
 def test_blas_threads_do_not_change_bytes(tmp_path, argv):
-    # grid evaluation and the tensor's contractions of folded octant tables
-    # run through BLAS, and the envelope fit solves its normal equations
-    # through LAPACK; the thread count must not reach the bytes of the
-    # summary or of any artifact
+    # grid and point evaluation runs elementwise (`polynomial.horner`), not
+    # through BLAS; the tensor's contractions of folded octant tables still
+    # do, and the envelope fit solves its normal equations through LAPACK;
+    # the thread count must not reach the bytes of the summary or of any
+    # artifact
     import subprocess
     import sys
 

@@ -84,14 +84,14 @@ FLOAT_DIGESTS = {
         "stdout": "1d2fe7f52a5215d186e8a687cd54ea895d58be730d8a4518529cd3cfa3067c61",
         "distances.json": "5f73c855c2ca0f6be4bb07f0131e126314f9b159a25328ada3a91e2d855862b4",
         "nodal_ref_c1.csv": "b3f347fc7e41274773039f386f8f484604ca64a559b669a85a894deffd899658",
-        "nodal_tau0_c0.csv": "954ae8643ba8ff4185261aadeb7469c846f477230db259f2f8c728525adb588a",
-        "nodal_tau0_c1.csv": "f411db9f625de792254c1bfe588969379fd13d25a5c427a8f98c9e12acbfc28c",
+        "nodal_tau0_c0.csv": "6d36d1ff954d7a165aaff0f701c466b9d8db047de296d0dea6636d4a1dd76b13",
+        "nodal_tau0_c1.csv": "a6018c1e1966e87f06a10a7efa2d782f96680c143b1320d0f008542a876b813d",
         "nodal_tau0_c2.csv": "4a8b859bf534bd8924211642c8fcace2713129258ced009cd1307ca778566bb9",
-        "nodal_tau1_c0.csv": "954ae8643ba8ff4185261aadeb7469c846f477230db259f2f8c728525adb588a",
-        "nodal_tau1_c1.csv": "8ea7643a8fbcfdb2ecf2abbfc652ad6cfe6739a750ba7f53b9d74746b15e9b7f",
+        "nodal_tau1_c0.csv": "3092382d030926200395663a9c2fe0d3c8257ac1463f0580a34b558fcd19917f",
+        "nodal_tau1_c1.csv": "890e40307a4012c4d9bbd1f0ff025f864e3dbbf2f9655466798f6f60f0333bf0",
         "nodal_tau1_c2.csv": "4a8b859bf534bd8924211642c8fcace2713129258ced009cd1307ca778566bb9",
-        "nodal_tau2_c0.csv": "954ae8643ba8ff4185261aadeb7469c846f477230db259f2f8c728525adb588a",
-        "nodal_tau2_c1.csv": "c7fa7a05904f158b141a7d4b66121df5df945c11457b0f684b3ccf72d228200a",
+        "nodal_tau2_c0.csv": "1e6173dfec9145757d3fabbe2f44b79f19d95e8e0663d337db7f40d77982a002",
+        "nodal_tau2_c1.csv": "8c89b2792761643dec245fa34584a6c999d685120b765f91fa899e877db9a93e",
         "nodal_tau2_c2.csv": "4a8b859bf534bd8924211642c8fcace2713129258ced009cd1307ca778566bb9",
     },
     ("kernel",): {
@@ -103,11 +103,11 @@ FLOAT_DIGESTS = {
         "wkbj.json": "cb49eedf2576e9d9e3f7e8d018b5ed34035af6ca4fa074c56c1c270912a97af3",
     },
     ("d-tensor", "--n", "16", "--L", "4"): {
-        "stdout": "97fdd0f527c69f18c92ad13e74a2d89e295bb29697a9b9059415bc4dabe56a31",
+        "stdout": "b28e6e4e460a814be0f61d3aa2ef965caaa8d59256230e5fcc91aecd920df1ed",
         "tensor.json": "430b56201986efa0a8750327bec3f36386c409d94541b7cf637195a12e881895",
     },
     ("d-tensor", "--K", "2", "--n", "16", "--L", "4"): {
-        "stdout": "81574a872c7455c2c8f19a108988838e8b31e6b29eec4fd198fbcc38f2d915ee",
+        "stdout": "21e4a91c114dd27c8e3e7d754b153f93ce9067c11582a040d58c585b25f40e07",
         "tensor.json": "895f7f2fc96c1434d60c88adf825bbe9f92041e4fd3567e50f7d626aaf92d976",
     },
 }

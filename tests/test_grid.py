@@ -12,13 +12,14 @@ from hermflow.errors import ValidationError
 from hermflow.grid import GridSpec, convection_poly, parallel_map
 from hermflow.kernel import kernel_values
 from hermflow.moments import moment_of_poly
-from hermflow.polynomial import Polynomial, VectorPolyField, row_blocks
+from hermflow.polynomial import Polynomial, VectorPolyField
 from hermflow.solenoidal import fixture_basis
 from oracles import (
     GridVectorField,
     axis_moments,
     convection,
     enumerate_up_to,
+    eta_axes,
     freq_sq,
     gaussian_kernel,
     lattice_spectrum,
@@ -27,12 +28,14 @@ from oracles import (
     norm,
     pair_fields,
     project,
+    project_spectral,
     sample,
     spectral_divergence,
     synth_duals,
     synth_weighted,
     to_grid,
     to_spectral,
+    weighted_transform,
 )
 
 SPEC = GridSpec(10.0, 48)
@@ -274,21 +277,28 @@ def test_lattice_weight_is_the_full_lattice_exponential(m, b):
         assert not want[dead].any() and not want[:, dead].any() and not want[:, :, dead].any()
 
 
-@pytest.mark.parametrize("n", [16, 48, 98, 128])
-def test_lattice_weight_rows_are_rows_of_the_whole_lattice(n):
-    # every row block of the row form, and blocks that straddle the Nyquist
-    # index, are the same rows of the whole-lattice form, byte for byte
-    spec = GridSpec(16.0, n)
-    octant, _ = grid.octant_weight(spec, 2, 3.0)
-    whole = mirror_octant(octant)
-    h = n // 2
-    blocks = row_blocks((n,) * 3) + [slice(h - 1, h + 2), slice(h + 1, n), slice(0, h + 1), slice(n - 1, n)]
-    for rows in blocks:
-        assert grid.mirror(octant, rows).tobytes() == whole[rows].tobytes(), rows
-    # into a given array, whatever it held before
-    out = np.full((3, n, n), np.nan)
-    assert grid.mirror(octant, slice(h - 1, h + 2), out) is out
-    assert out.tobytes() == whole[h - 1 : h + 2].tobytes()
+@pytest.mark.parametrize("n", [16, 48])
+@pytest.mark.parametrize("m", [1, 2])
+def test_projector_norms_match_the_whole_lattice(n, m):
+    # the row sweep copies its rows of the weight and of 1/|eta|^2 from
+    # their octants by index: against the spectrum on the whole lattice in
+    # FFT order, projected there, a row taken from the wrong octant index
+    # moves the scale, and a wrong 1/|eta|^2 leaves a longitudinal part far
+    # above roundoff
+    from hermflow.cli import _random_poly_field
+
+    spec = GridSpec(8.0, n)
+    v = _random_poly_field(np.random.default_rng(10 * n + m))
+    pu = project_spectral(weighted_transform(v, spec, m), spec)
+    ppu = project_spectral([g.copy() for g in pu], spec)
+    e1, e2, e3 = eta_axes(spec)
+    div = e1 * pu[0] + e2 * pu[1] + e3 * pu[2]
+    sq = [sum(np.sum(np.abs(g) ** 2) for g in gs) for gs in (pu, [b - a for a, b in zip(pu, ppu)], [div])]
+    want = [math.sqrt(t / (2.0 * spec.L) ** 3) for t in sq]
+    scale, idempotence, divergence = grid.projector_norms(v, spec, m)
+    assert abs(scale - want[0]) <= 1e-14 * want[0]
+    for got in (idempotence, divergence, want[1], want[2]):
+        assert got <= 1e-14 * scale
 
 
 def test_synth_duals_pair_to_gram_rows():

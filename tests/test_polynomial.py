@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermflow.multiindex import unit
-from hermflow.polynomial import Polynomial, VectorPolyField, divergence, laplacian
+from hermflow.polynomial import Polynomial, VectorPolyField, divergence, horner, laplacian
 
 coeffs = st.fractions(
     min_value=-4, max_value=4, max_denominator=8
@@ -79,22 +82,52 @@ def test_evaluate_grid_matches_pointwise():
     assert got == pytest.approx(want, rel=1e-14)
 
 
+def _assert_exact_within_roundoff(p: Polynomial, y, value: float):
+    # within 1e-14 of sum |c| |y|^d: the at most 18 rounded products and
+    # sums of a value's Horner steps lose far less
+    scale = Polynomial(p.dim, {b: abs(c) for b, c in p.terms.items()})
+    bound = 1e-14 * float(scale.evaluate([abs(v) for v in y]))
+    assert abs(value - float(p.evaluate(y))) <= bound
+
+
+fracs = st.fractions(-2, 2, max_denominator=4)
+polys1 = st.dictionaries(st.tuples(st.integers(0, 6)), coeffs, max_size=5).map(lambda d: Polynomial(1, d))
+
+
 @given(
     p=polys,
-    axes=st.tuples(*[st.lists(st.fractions(-2, 2, max_denominator=4), min_size=1, max_size=6)] * 3),
+    q=polys,
+    p1=polys1,
+    axes=st.tuples(*[st.lists(fracs, min_size=1, max_size=6)] * 3),
+    points=st.lists(st.tuples(fracs, fracs, fracs), min_size=1, max_size=6),
 )
 @settings(max_examples=60, deadline=None)
-def test_evaluate_grid_matches_exact_evaluation(p, axes):
+def test_evaluate_grid_matches_exact_evaluation(p, q, p1, axes, points):
     # axes of unequal lengths and a coefficient cube without symmetry: a
     # transposed or misordered contraction lands values on the wrong nodes
     grid = p.evaluate_grid([np.array([float(x) for x in ax]) for ax in axes])
     assert grid.shape == tuple(len(ax) for ax in axes)
-    scale = Polynomial(3, {b: abs(c) for b, c in p.terms.items()})
     for idx in np.ndindex(grid.shape):
-        y = [ax[i] for ax, i in zip(axes, idx)]
-        want = p.evaluate(y)
-        bound = 1e-14 * float(scale.evaluate([abs(v) for v in y]))
-        assert abs(grid[idx] - float(want)) <= bound
+        _assert_exact_within_roundoff(p, [ax[i] for ax, i in zip(axes, idx)], grid[idx])
+    # scattered points, with p and q on a batch axis as `nodal_compare`
+    # stacks p and its partials, and a cube of degree 0 on its own
+    x = np.array(points, dtype=float)
+    shape = np.maximum(p.coeff_cube().shape, q.coeff_cube().shape)
+    values = horner(np.stack([p.coeff_cube(shape), q.coeff_cube(shape)]), x.T)
+    assert values.shape == (2, len(points))
+    for r, row in zip((p, q), values):
+        for y, value in zip(points, row):
+            _assert_exact_within_roundoff(r, y, value)
+    c = Polynomial.constant(3, Fraction(-3, 4))
+    assert c.coeff_cube().shape == (1, 1, 1)
+    assert horner(c.coeff_cube(), x.T).tolist() == [-0.75] * len(points)
+    got = c.evaluate_grid([np.array([float(v) for v in ax]) for ax in axes])
+    assert got.shape == grid.shape and (got == -0.75).all()
+    # one variable: the grid is an axis, and the points are its values
+    ax = x[:, 0]
+    for value, y in zip(p1.evaluate_grid([ax]), points):
+        _assert_exact_within_roundoff(p1, [y[0]], value)
+    assert horner(p1.coeff_cube(), [ax]).tobytes() == p1.evaluate_grid([ax]).tobytes()
 
 
 @given(p=polys)
@@ -124,3 +157,40 @@ def test_vector_field_divergence_and_json():
     ]
     w = v + v.scale(Fraction(-1))
     assert all(c.is_zero() for c in w.components)
+
+
+# sha256 of `evaluate_cube` on seeded random cubes of D = 4..8 on 201-point
+# axes, where a GEMM contraction changes its bits with the BLAS thread
+# count (D = 4, 7 and 8 did), and of p and its gradient at scattered points
+_BLAS_SCRIPT = """
+import hashlib
+import numpy as np
+from hermflow.dynamics import _ZeroSurface
+from hermflow.polynomial import Polynomial, evaluate_cube
+
+h = hashlib.sha256()
+rng = np.random.default_rng(7)
+ax = np.linspace(-2.0, 2.0, 201)
+for D in range(4, 9):
+    h.update(evaluate_cube(rng.standard_normal((D + 1,) * 3), [ax, ax, ax]).tobytes())
+terms = {tuple(int(d) for d in rng.integers(0, 6, 3)): int(rng.integers(-9, 10)) for _ in range(30)}
+f, g = _ZeroSurface(Polynomial(3, terms))(rng.uniform(-2.0, 2.0, (1000, 3)))
+h.update(f.tobytes())
+h.update(g.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_evaluation_bytes_do_not_depend_on_blas_threads():
+    import hermflow
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(hermflow.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _BLAS_SCRIPT], env=env, capture_output=True, check=True, text=True
+        )
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
