@@ -22,12 +22,12 @@ from .grid import (
     check_fits,
     dilate_coeffs,
     dual_cubes,
-    lattice_moments,
     moment_pairings,
-    octant_weight,
     parallel_map,
     spectrum_cubes,
+    weight_moments,
 )
+from .kernel import _cumulative_simpson
 from .multiindex import unit
 from .polynomial import Polynomial, VectorPolyField, horner, row_blocks
 from .solenoidal import level_basis
@@ -98,18 +98,19 @@ def _norm(square: float, e: int) -> float:
 
 def _form_values(D: int) -> int:
     """Values at the peak of a form <X, X> (`grid.moment_pairings`) of a
-    spectrum cube with powers up to D: the pairing table and its index, two
-    values per pair of coefficients, the lattice moments of degree 2D with
-    their phase and index tables, and 2^15 for the iteration buffers of
+    spectrum cube with powers up to D: the pairing table, one value per
+    pair of coefficients, the lattice moments of degree 2D with their
+    phase and degree tables, and 2^15 for the iteration buffers of
     `np.einsum` (up to 0.2 MB seen)."""
-    return 2 * (D + 1) ** 6 + 6 * (2 * D + 1) ** 3 + 2**15
+    return (D + 1) ** 6 + 6 * (2 * D + 1) ** 3 + 2**15
 
 
 # float64 arrays of n^3 at the peak of `expand` on a field with a remainder,
-# besides its form (`_form_values`), an upper bound: the octants of |eta|^2
-# and of the squared weight, the first contraction of the moment table, and
-# the exact arithmetic (tracemalloc, form included: 0.74 at n = 16, 0.48 at
-# n = 32, 0.28 at n = 64 and 0.27 at n = 128)
+# besides its form (`_form_values`), an upper bound: the octant of |eta|^2,
+# the weight at b = 2 on its live box, the first contraction of the moment
+# table, and the exact arithmetic (tracemalloc, form included, at L = 10:
+# 0.74 at n = 16, 0.48 at n = 32, 0.28 at n = 64 and 0.25 at n = 128 for
+# m = 1; 0.21 at n = 64 and 0.14 at n = 128 for m = 2, whose box is shorter)
 _EXPAND_POLY_ARRAYS = 2
 
 
@@ -143,10 +144,9 @@ def expand(u, basis, spec: GridSpec | None = None) -> Expansion:
         P = spectrum_cubes([diff], m)
         arrays = _EXPAND_POLY_ARRAYS + _form_values(P.shape[-1] - 1) / sp.n**3
         check_fits(sp.n, arrays, "expand on a polynomial field")
-        w, _ = octant_weight(sp, m)
         e = _scale_exponent(P)
         P = np.ldexp(P, -e)
-        table = lattice_moments(np.square(w, out=w), sp, 2 * (P.shape[-1] - 1))
+        table = weight_moments(sp, m, 2.0, 2 * (P.shape[-1] - 1))
         residual = _norm(moment_pairings(P, P, table, sp)[0, 0], e)
     return Expansion(basis, coeffs, residual=residual)
 
@@ -161,44 +161,39 @@ class _Extractor:
     fields are recovered to roundoff. The residual r, the grid norm of the
     part of a field X the basis did not capture, comes from the same
     contractions: with Y = sum c_i v*_i F the model,
-    r^2 = <X, X> - 2 <X, Y> + <Y, Y>, each term one pairing on the lattice
-    moments of the product of its two weights (the table of <Y, Y> does not
-    depend on the field and is built here). No FFT runs and no grid field
-    is stored. Build once per (basis, spec), call per field.
+    r^2 = <X, X> - 2 <X, Y> + <Y, Y>, each term one pairing on the moment
+    table of the summed exponents of its two weights (`grid.weight_moments`).
+    The table at b = 2 serves the Gram and <Y, Y>, does not depend on the
+    field and is built here. No FFT runs and no grid field is stored. Build
+    once per (basis, spec), call per field.
     """
 
     def __init__(self, basis, spec: GridSpec):
         m = self.m = basis.params.m
         self.spec = spec
-        self.decay, _ = octant_weight(spec, m)
         self.duals = dual_cubes(basis.blocks)
         self.realz = spectrum_cubes(basis.fields, m)
         Dy, Dw = self.realz.shape[-1] - 1, self.duals.shape[-1] - 1
-        square = self.decay * self.decay
-        gram_table = lattice_moments(square, spec, Dy + Dw)
-        self.M = moment_pairings(self.realz, self.duals, gram_table, spec)
-        self.model_table = gram_table if Dw >= Dy else lattice_moments(square, spec, 2 * Dy)
+        # the largest power of the partners of every pairing, the model and
+        # the duals: the shared tables are built to that degree
+        self.D = max(Dy, Dw)
+        self.table = weight_moments(spec, m, 2.0, Dy + self.D)
+        self.M = moment_pairings(self.realz, self.duals, self.table, spec)
 
     def closed_form(self, X: np.ndarray, b: float) -> Tuple[np.ndarray, float]:
         """Field with spectrum exp(-b|eta|^2m) sum_d i^|d| X_c[d] eta^d."""
-        spec = self.spec
-        w, _ = octant_weight(spec, self.m, b)
-        Dx, Dw = X.shape[-1] - 1, self.duals.shape[-1] - 1
-        cross = w * self.decay
-        table = lattice_moments(cross, spec, Dx + Dw)
+        spec, m, Dx = self.spec, self.m, X.shape[-1] - 1
+        # the data against the duals and against the model: exponent b + 1
+        table = weight_moments(spec, m, b + 1.0, Dx + self.D)
         raw = moment_pairings(X[None], self.duals, table, spec)[0]
         # the coefficients c, and the residual from the model sum c_i v*_i F
         c = np.linalg.solve(self.M.T, raw)
         Y = np.tensordot(c, self.realz, axes=(0, 0))[None]
-        Dy = Y.shape[-1] - 1
-        if Dy > Dw:  # the model's powers exceed the duals' (m = 2)
-            table = lattice_moments(cross, spec, Dx + Dy)
-        del cross  # from here on, w is the one octant of this time
         e = _scale_exponent(X, Y)
         X, Y = np.ldexp(X[None], -e), np.ldexp(Y, -e)
-        xx = moment_pairings(X, X, lattice_moments(np.square(w, out=w), spec, 2 * Dx), spec)
+        xx = moment_pairings(X, X, weight_moments(spec, m, 2.0 * b, 2 * Dx), spec)
         xy = moment_pairings(X, Y, table, spec)
-        yy = moment_pairings(Y, Y, self.model_table, spec)
+        yy = moment_pairings(Y, Y, self.table, spec)
         return c, _norm((xx - 2.0 * xy + yy)[0, 0], e)
 
 
@@ -478,37 +473,6 @@ def _dopri45(fun, y0: np.ndarray, t_end: float, rtol: float, atol: float) -> _RK
             step_rejected = True
             rejected += 1
     return _RKSolution(np.array(ts), segments, rejected, message)
-
-
-def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cumulative composite Simpson integral of `y` along axis 0 over the
-    strictly increasing sample points `x` (at least 3), from 0 at x[0].
-
-    Each interval's integral is the quadratic through its sample triple,
-    taken forward for the first interval of every triple and backward for
-    the second (Cartwright's unequal-interval rule), as scipy's
-    `cumulative_simpson(y, x=x, axis=0, initial=0.0)` does, bit for bit.
-    """
-
-    def first_intervals(y, dx):
-        x21, x32 = dx[:-1], dx[1:]
-        x31 = x21 + x32
-        x21_x31 = x21 / x31
-        x21x21_x31x32 = x21_x31 * (x21 / x32)
-        coeff1 = 3 - x21_x31
-        coeff2 = 3 + x21x21_x31x32 + x21_x31
-        coeff3 = -x21x21_x31x32
-        return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
-
-    dx = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
-    forward = first_intervals(y, dx)
-    backward = first_intervals(y[::-1], dx[::-1])[::-1]
-    parts = np.empty((len(x) - 1,) + y.shape[1:])
-    parts[:-1:2] = forward[::2]
-    parts[1::2] = backward[::2]
-    parts[-1] = backward[-1]
-    # adding the zero start also turns a -0.0 into 0.0, as scipy's does
-    return np.concatenate((np.zeros((1,) + y.shape[1:]), np.cumsum(parts, axis=0) + 0.0))
 
 
 def nse_galerkin(
@@ -896,19 +860,21 @@ def classify_zero(u: Polynomial, max_order: int = 6) -> ZeroType:
 
 def _verifier_arrays(n: int, m: int, level: int, workers: int) -> float:
     """Float64 arrays of n^3 at the peak of `semigroup_verify`, an upper
-    bound: the octants of |eta|^2 (cached) and of the decay, and 2^15
-    values for the exact arithmetic and the small tables; then, per output
-    time in flight, the octants of the weight (squared in place for the
-    data's form) and of the weight times the decay, the first contraction
-    of a moment table, and the largest form, <X, X> of the data
-    (`_form_values`). A level-k spectrum cube holds powers up to (2m-1)k of
-    each variable. The measured peak (tracemalloc) is at most 0.97 of this
-    from n = 16 to 128 at levels 0 to 3; at n = 128, level 1, two workers,
-    it is 0.81 (m = 1) and 0.83 (m = 2) against 0.88 and 0.95."""
+    bound: the octant of |eta|^2 (cached) and 2^15 values for the exact
+    arithmetic and the small tables; then, per output time in flight, one
+    octant for the weight of the moment table being summed (its live box,
+    at most the octant), the first contraction of that table, and the
+    largest form, <X, X> of the data (`_form_values`). A level-k spectrum
+    cube holds powers up to (2m-1)k of each variable. The measured peak
+    (tracemalloc) is at most 0.97 of this from n = 16 to 128, at levels 0
+    to 2 for m = 1 and 0 to 3 for m = 2, with one or two workers, and 0.99
+    at m = 2, level 4, where the pairing table is almost all of it; at the
+    default L = 24, n = 128, level 1, two workers, it is 0.42 (m = 1) and
+    0.19 (m = 2) against 0.49 and 0.56."""
     D = (2 * m - 1) * level
     octant = (0.5 + 1.0 / n) ** 3
-    per_time = 2 * octant + (2 * D + 1) / n + _form_values(D) / n**3
-    return 2 * octant + 2**15 / n**3 + workers * per_time
+    per_time = octant + (2 * D + 1) / n + _form_values(D) / n**3
+    return octant + 2**15 / n**3 + workers * per_time
 
 
 def semigroup_verify(

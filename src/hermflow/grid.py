@@ -11,10 +11,11 @@ lattice moment tables, the projector diagnostic sweeps lattice spectra,
 and no FFT runs.
 
 Every lattice array is even in each coordinate (the weights
-exp(-b|eta|^2m), their products, 1/|eta|^2) and is held on the octant
-|k_i| = 0..n/2: lattice sums contract it with per-axis tables folded over
-k and -k (`_fold`), and the projector diagnostic copies a block of its
-rows into FFT order by index, the value at |k| for every wavenumber k.
+exp(-b|eta|^2m), 1/|eta|^2) and is held on the octant |k_i| = 0..n/2, a
+weight on the prefix box where it does not underflow: lattice sums
+contract it with per-axis tables folded over k and -k (`_fold`), and the
+projector diagnostic copies a block of its rows into FFT order by index,
+the value at |k| for every wavenumber k.
 
 The interaction tensor follows the adjoint arrangement: the projector
 symbol is real and symmetric per mode, so the discrete Parseval identity
@@ -40,6 +41,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 from .polynomial import Polynomial, VectorPolyField, evaluate_cube, row_blocks
@@ -193,25 +195,22 @@ def _octant_eta_sq(L: float, n: int) -> np.ndarray:
 _EXP_ZERO = 746.0
 
 
-def octant_weight(spec: GridSpec, m: int, b: float = 1.0) -> Tuple[np.ndarray, int]:
-    """exp(-b|eta|^2m) on the nonnegative octant of the frequency lattice
-    (see `_octant_eta`; the value at FFT index i is the one at |k_i|), and the count
-    of live octant indices per axis, where it can be nonzero. |eta|^2m >=
-    eta_i^2m on every axis i, so the weight is exactly 0.0 wherever one
-    coordinate alone has b eta_i^2m > _EXP_ZERO; those coordinates are a
-    suffix of the octant, and the exponential runs only on the live prefix
-    box, with the same bits as on the whole lattice."""
-    eta_sq = _octant_eta_sq(spec.L, spec.n)
+def octant_weight(spec: GridSpec, m: int, b: float = 1.0) -> np.ndarray:
+    """exp(-b|eta|^2m) on the live box of the nonnegative octant of the
+    frequency lattice (see `_octant_eta`; the value at FFT index i is the
+    one at |k_i|): the prefix indices 0..live-1 of every axis, the array's
+    shape (live,)*3. |eta|^2m >= eta_i^2m on every axis i, so the weight is
+    exactly 0.0 wherever one coordinate alone has b eta_i^2m > _EXP_ZERO;
+    those coordinates are a suffix of the octant, and the box holds the
+    same bits as the exponential of the whole lattice there."""
     live = int(np.count_nonzero(b * _octant_eta(spec.L, spec.n) ** (2 * m) <= _EXP_ZERO))
-    out = np.zeros(eta_sq.shape)
-    w = out[:live, :live, :live]
+    box = _octant_eta_sq(spec.L, spec.n)[:live, :live, :live]
     if m == 1:
-        np.multiply(eta_sq[:live, :live, :live], -b, out=w)
+        w = np.multiply(box, -b)
     else:
-        np.power(eta_sq[:live, :live, :live], m, out=w)
+        w = np.power(box, m)
         w *= -b
-    np.exp(w, out=w)
-    return out, live
+    return np.exp(w, out=w)
 
 
 # -- closed-form transforms of poly x kernel fields ------------------------------
@@ -290,9 +289,10 @@ def _cubes(polys: Sequence[Sequence[Polynomial]]) -> np.ndarray:
 # h^3 sum_x f g of two lattice spectra is
 # (2L)^-3 Re sum_eta F conj(G), so the pairing of two such fields is a
 # finite contraction of their coefficients against the lattice moments
-# sum_eta eta^n w1(eta) w2(eta), a squared norm is the pairing of a field
-# with itself, and a field is evaluated on the lattice by separable per-axis
-# power sums. Neither step runs an FFT.
+# sum_eta eta^n w1(eta) w2(eta), where w1 w2 = exp(-(b1 + b2) |eta|^2m) is
+# one weight again (`weight_moments`), a squared norm is the pairing of a
+# field with itself, and a field is evaluated on the lattice by separable
+# per-axis power sums. Neither step runs an FFT.
 
 
 def _contract_axes(arr: np.ndarray, t1: np.ndarray, t2: np.ndarray, t3: np.ndarray) -> np.ndarray:
@@ -326,24 +326,28 @@ def _axis_moments(
 ) -> np.ndarray:
     """T[d1, d2, d3] = sum_(i,j,k) a[i,j,k] x_i^d1 x_j^d2 x_k^d3 over the
     lattice for powers <= dmax, for an array a even in each coordinate
-    given by its nonnegative octant, and x in FFT order: separable
-    contractions of the octant with the folded per-axis tables. With one
-    (n, X) table per axis, each power carries that axis's table along:
+    given by a prefix box of its nonnegative octant (0.0 past it), and x in
+    FFT order: separable contractions of the box with the first rows of
+    the folded per-axis tables. With one (n, X) table per axis, each power
+    carries that axis's table along:
     T[d1, x1, d2, x2, d3, x3] = sum a prod_a x^d_a tables[a][., x_a]."""
+    live = octant.shape[0]
     P = np.stack([x**d for d in range(dmax + 1)], axis=1)  # (n, D)
     if tables is None:
-        F = _fold(P)
+        F = _fold(P)[:live]
         return _contract_axes(octant, F, F, F)
     n, D = P.shape
     X = tables[0].shape[1]
-    axes = [_fold((P[:, :, None] * E[:, None, :]).reshape(n, D * X)) for E in tables]
+    axes = [_fold((P[:, :, None] * E[:, None, :]).reshape(n, D * X))[:live] for E in tables]
     return _contract_axes(octant, *axes).reshape(D, X, D, X, D, X)
 
 
-def lattice_moments(w: np.ndarray, spec: GridSpec, dmax: int) -> np.ndarray:
-    """T[n] = sum over the frequency lattice of eta^n w(eta), |n_i| <= dmax,
-    for an even w given by its octant."""
-    return _axis_moments(w, spec.freqs(), dmax)
+def weight_moments(spec: GridSpec, m: int, b: float, dmax: int) -> np.ndarray:
+    """T_b[n] = sum over the frequency lattice of eta^n exp(-b|eta|^2m),
+    |n_i| <= dmax, summed on the live box of the weight (`octant_weight`).
+    The product of two weights is the weight of the summed exponents, so
+    the pairing of spectra with weights b1 and b2 reads T_(b1+b2)."""
+    return _axis_moments(octant_weight(spec, m, b), spec.freqs(), dmax)
 
 
 def _degree_cube(dmax: int) -> np.ndarray:
@@ -369,15 +373,15 @@ def moment_pairings(
 
     X (F, 3, D1+1, ...) and Y (G, 3, D2+1, ...) are Hermitian coefficient
     arrays, `table` the lattice moments of the product of their two weights
-    up to degree D1 + D2. With n = d + e, Re(i^|d| conj(i^|e|)) =
-    Re(i^|n|) (-1)^|e|, so both phases fold into the table and Y.
+    (`weight_moments`) up to degree D1 + D2 or beyond. With n = d + e,
+    Re(i^|d| conj(i^|e|)) = Re(i^|n|) (-1)^|e|, so both phases fold into
+    the table and Y, and the pairing table H[d, e] = Tr[d + e] is a window
+    view of the phased table.
     """
-    D1, D2 = X.shape[-1] - 1, Y.shape[-1] - 1
+    K, L = X.shape[-1], Y.shape[-1]
     Tr = table * _i_power(_degree_cube(table.shape[-1] - 1), "re")
-    # the flat index of n = d + e in Tr is the sum of those of d and e
-    i1, i2 = (np.ravel_multi_index(np.indices((D + 1,) * 3), Tr.shape).ravel() for D in (D1, D2))
-    H = Tr.ravel()[i1[:, None] + i2[None, :]]
-    Ys = Y * (-1.0) ** _degree_cube(D2)
+    H = sliding_window_view(Tr, (L,) * 3)[:K, :K, :K].reshape(K**3, L**3)
+    Ys = Y * (-1.0) ** _degree_cube(L - 1)
     out = np.einsum(
         "fck,kl,gcl->fg",
         X.reshape(X.shape[0], 3, -1),
@@ -453,22 +457,23 @@ def projector_norms(v: VectorPolyField, spec: GridSpec, m: int) -> Tuple[float, 
     """Grid norms of P u, P P u - P u and div P u for u = v F, with P the
     Leray projector where the tensor applies it (`_eta_diff`, the octant
     `_inv_eta_sq`): by Parseval, ((2L)^-3 sum_eta |.|^2)^(1/2), in one
-    sweep of row blocks. Each block evaluates every part of the
-    closed-form spectrum of u afresh (`evaluate_cube`), times the block's
-    rows of the weight, and projects it with the block's rows of
-    1/|eta|^2; both are index copies of their octants at |k|, so they
-    carry the bits of the whole-lattice arrays. No lattice array is
-    made."""
-    n = spec.n
-    w, live = octant_weight(spec, m)
-    inv, e, eta = _inv_eta_sq(spec), _eta_diff(spec.L, n), spec.freqs()
+    sweep of row blocks over the lattice points where the weight is live,
+    every |k_i| below the side of its box (`octant_weight`); it is 0.0
+    elsewhere. Each block evaluates every part of the closed-form spectrum
+    of u afresh (`evaluate_cube`), times the block's rows of the weight,
+    and projects it with the block's rows of 1/|eta|^2; both are index
+    copies of their octants at |k|, so they carry the bits of the
+    whole-lattice arrays. No lattice array is made."""
+    w = octant_weight(spec, m)
+    n, live = spec.n, w.shape[0]
+    # the FFT indices of the live wavenumbers, in FFT order, and their |k|
+    idx = np.flatnonzero(np.abs(_kint(n)) < live)
+    k = np.abs(_kint(n)[idx]).astype(int)
+    inv, e, eta = _inv_eta_sq(spec), _eta_diff(spec.L, n)[idx], spec.freqs()[idx]
     # the real and the imaginary parts of the three components
     parts = list(zip(*[hermitian_parts(H) for H in spectrum_cubes([v], m)[0]]))
-    k = np.abs(_kint(n)).astype(int)
     sums = np.zeros(3)
-    for rows in row_blocks((n,) * 3):
-        if k[rows].min() >= live:
-            continue  # the weight is 0.0 on the whole block
+    for rows in row_blocks((len(idx),) * 3):
         wr, ir = (octant[k[rows]][:, k][:, :, k] for octant in (w, inv))
         er = (e[rows, None, None], e[None, :, None], e[None, None, :])
         for comps in parts:
@@ -661,13 +666,14 @@ def interaction_tensor(basis, spec: GridSpec, refine: bool = True) -> Interactio
     def compute(sp: GridSpec) -> np.ndarray:
         eta = sp.freqs()
         E = _y_moments(sp, dmax)
-        w = octant_weight(sp, params.m)[0]
+        w = octant_weight(sp, params.m)
+        live = w.shape[0]
         # sum_eta FT[W_jc] prod_axes E, from one table of w per grid
         t = np.einsum("jcabd,axbydz->jcxyz", A, _axis_moments(w, eta, D, (E, E, E)))
         # minus the longitudinal part eta_c sigma_j w / |eta|^2 (the
         # pressure), from one table of w / |eta|^2 per component c
         etaE = _eta_diff(sp.L, sp.n)[:, None] * E
-        w_inv = w * _inv_eta_sq(sp)
+        w_inv = w * _inv_eta_sq(sp)[:live, :live, :live]
         for c in range(3):
             U = _axis_moments(w_inv, eta, D, [etaE if a == c else E for a in range(3)])
             t[:, c] -= np.einsum("jabd,axbydz->jxyz", sig, U)

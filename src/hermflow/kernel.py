@@ -110,9 +110,24 @@ class KernelTable:
     def from_csv(text: str, m: int, N: int = 3) -> "KernelTable":
         rows = [line.split(",") for line in text.splitlines()]
         r, F = np.array([[float(a), float(b)] for a, b in rows[1:]]).T
+        r = _radial_grid(r)
         return KernelTable(
             m=m, N=N, radii=r, values=F, mass_error=_mass_error(r, F), quad_error=float("nan")
         )
+
+
+def _radial_grid(radii) -> np.ndarray:
+    """`radii` as floats, refused unless a strictly increasing 1-D grid of
+    at least 3 radii, the fewest the Simpson mass check takes."""
+    radii = np.asarray(radii, dtype=float)
+    if radii.ndim != 1 or np.any(np.diff(radii) <= 0):
+        raise ValidationError("radii must be a strictly increasing 1-D grid")
+    if len(radii) < 3:
+        raise ValidationError(
+            f"a kernel table needs at least 3 radii for its Simpson mass "
+            f"check, got {len(radii)}"
+        )
+    return radii
 
 
 # radii x nodes entries per block of the sine sum, so that a long table never
@@ -145,9 +160,7 @@ def kernel_values(
         raise ValidationError("radial reduction implemented for N=3 only")
     if radii is None:
         radii = np.arange(0.0, 36.0 + 1e-9, 0.02)
-    radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or len(radii) < 2 or np.any(np.diff(radii) <= 0):
-        raise ValidationError("radii must be a strictly increasing 1-D grid")
+    radii = _radial_grid(radii)
     if radii[0] < 0:
         raise ValidationError("radii must be >= 0")
 
@@ -191,44 +204,40 @@ def kernel_values(
 
 
 def _mass_error(r: np.ndarray, F: np.ndarray) -> float:
-    """|4 pi int r^2 F dr - 1| over the tabulated range (Simpson)."""
-    return abs(float(4 * math.pi * _simpson(r * r * F, r)) - 1.0)
+    """|4 pi int r^2 F dr - 1| over the tabulated range: the last value of
+    the cumulative Simpson rule."""
+    return abs(float(4 * math.pi * _cumulative_simpson(r * r * F, r)[-1]) - 1.0)
 
 
-def _simpson(y: np.ndarray, x: np.ndarray) -> float:
-    """Composite Simpson integral of the 1-D samples `y` over the points `x`.
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative composite Simpson integral of `y` along axis 0 over the
+    strictly increasing sample points `x` (at least 3), from 0 at x[0].
 
-    Each pair of intervals carries the quadratic through its three samples,
-    with unequal spacings allowed. An even count of points closes its last
-    interval with Cartwright's correction; two points make a trapezoid. The
-    order of operations is scipy's `simpson(y, x=x)` (scipy >= 1.11), so the
-    result agrees with it bit for bit.
+    Each interval's integral is the quadratic through its sample triple,
+    taken forward for the first interval of every triple and backward for
+    the second (Cartwright's unequal-interval rule), as scipy's
+    `cumulative_simpson(y, x=x, axis=0, initial=0.0)` does, bit for bit.
     """
-    n = len(y)
-    if n == 2:
-        # scipy adds this to a zero start, which also turns -0.0 into 0.0
-        return 0.0 + 0.5 * (x[-1] - x[-2]) * (y[-1] + y[-2])
-    stop = n - 3 if n % 2 == 0 else n - 2
-    h = np.diff(x)
-    h0, h1 = h[0:stop:2], h[1 : stop + 1 : 2]
-    hsum = h0 + h1
-    hprod = h0 * h1
-    h0divh1 = np.divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
-    inv = np.divide(1.0, h0divh1, out=np.zeros_like(h0divh1), where=h0divh1 != 0)
-    hsum_hprod = np.divide(hsum, hprod, out=np.zeros_like(hsum), where=hprod != 0)
-    y0, y1, y2 = y[0:stop:2], y[1 : stop + 1 : 2], y[2 : stop + 2 : 2]
-    result = np.sum(hsum / 6.0 * (y0 * (2.0 - inv) + y1 * (hsum * hsum_hprod) + y2 * (2.0 - h0divh1)))
-    if n % 2 == 1:
-        return result
-    # the last interval, from the quadratic through the last three samples
-    a, b = h[-2], h[-1]
-    den = 6 * (b + a)
-    alpha = (2 * b**2 + 3 * a * b) / den if den != 0 else 0.0
-    den = 6 * a
-    beta = (b**2 + 3 * a * b) / den if den != 0 else 0.0
-    den = 6 * a * (a + b)
-    eta = b**3 / den if den != 0 else 0.0
-    return result + (alpha * y[-1] + beta * y[-2] - eta * y[-3]) + 0.0
+
+    def first_intervals(y, dx):
+        x21, x32 = dx[:-1], dx[1:]
+        x31 = x21 + x32
+        x21_x31 = x21 / x31
+        x21x21_x31x32 = x21_x31 * (x21 / x32)
+        coeff1 = 3 - x21_x31
+        coeff2 = 3 + x21x21_x31x32 + x21_x31
+        coeff3 = -x21x21_x31x32
+        return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
+
+    dx = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    forward = first_intervals(y, dx)
+    backward = first_intervals(y[::-1], dx[::-1])[::-1]
+    parts = np.empty((len(x) - 1,) + y.shape[1:])
+    parts[:-1:2] = forward[::2]
+    parts[1::2] = backward[::2]
+    parts[-1] = backward[-1]
+    # adding the zero start also turns a -0.0 into 0.0, as scipy's does
+    return np.concatenate((np.zeros((1,) + y.shape[1:]), np.cumsum(parts, axis=0) + 0.0))
 
 
 # -- envelope fit --------------------------------------------------------------

@@ -362,10 +362,20 @@ def mirror_octant(octant: np.ndarray) -> np.ndarray:
     return octant[np.ix_(k, k, k)]
 
 
+def padded_octant(box: np.ndarray, n: int) -> np.ndarray:
+    """The nonnegative octant |k_i| = 0..n/2 of an n-point lattice that
+    holds `box` (a weight's live box, `octant_weight`) on its prefix and
+    0.0 elsewhere."""
+    out = np.zeros((n // 2 + 1,) * 3)
+    live = box.shape[0]
+    out[:live, :live, :live] = box
+    return out
+
+
 def lattice_weight(spec: GridSpec, m: int, b: float = 1.0) -> np.ndarray:
     """exp(-b|eta|^2m) on the whole frequency lattice: the package's
-    octant weight, mirrored."""
-    return mirror_octant(grid.octant_weight(spec, m, b)[0])
+    octant weight, zero-padded and mirrored."""
+    return mirror_octant(padded_octant(grid.octant_weight(spec, m, b), spec.n))
 
 
 def lattice_spectrum(H: np.ndarray, spec: GridSpec, w: np.ndarray) -> np.ndarray:
@@ -401,13 +411,16 @@ def axis_moments(
     return _contract_axes(arr, *axes).reshape(D, X, D, X, D, X)
 
 
-def closed_form_rows(P: np.ndarray, w: np.ndarray, live: int, spec: GridSpec) -> list:
+def closed_form_rows(P: np.ndarray, w: np.ndarray, spec: GridSpec) -> list:
     """The six parts of w sum_d i^|d| P_c[d] eta^d, the real and imaginary
     parts of its components c, each None or a triple (rows_of, w, live):
-    rows_of(rows) gives fresh values on a block of lattice rows, the octant
-    weight w (from `octant_weight`) multiplies them, and a block whose rows
-    all have octant indices of at least `live` is 0.0."""
+    rows_of(rows) gives fresh values on a block of lattice rows, the
+    weight's live box (from `octant_weight`), zero-padded to its octant,
+    multiplies them, and a block whose rows all have octant indices of at
+    least `live`, the side of the box, is 0.0."""
     eta = spec.freqs()
+    live = w.shape[0]
+    w = padded_octant(w, spec.n)
 
     def rows_of(A):
         return lambda rows: evaluate_cube(A, [eta[rows], eta, eta])

@@ -72,13 +72,13 @@ FLOAT_DIGESTS = {
     },
     ("verify", "--m", "1", "--level", "1", "--n", "32", "--L", "16", "--n-tau", "7"): {
         "stdout": "11bfb621fa21109a540ebb3bfa0fcadf07f175190635eb098e239188caa888bf",
-        "verify_m1.json": "ad85b715891b5cb364cd9e0e176106de00c260467579fcdc7d8215c3ca9244d2",
-        "verify_m1_l1.csv": "70a965f48ca194120eb01bee7598fc1bc71c9a3f6ce6571abbe3af76278ec9a6",
+        "verify_m1.json": "e0400847ada38b85db1ee0ca3ab3d1405a76f3932ef27d7b3b98ec3b97980a9a",
+        "verify_m1_l1.csv": "b5f8b5bca258259a3663c20ab258bc7083d4c13331166e9a94dcf7c586c7fbb3",
     },
     ("verify", "--m", "2", "--level", "1", "--n", "32", "--L", "16", "--n-tau", "7"): {
         "stdout": "a72033a7ed570e2373eb95b3bc56c75b9bf0f8da6a24fd01a855ec967b1d4eaa",
-        "verify_m2.json": "d6964e63eb6ae7b4b3afa09ff922f5b2234c14e227be65ef6b49120e2507cdc3",
-        "verify_m2_l1.csv": "63ec375e2a9dcdf4430c000212a7b9a18d3f5851fdcf727fee2d621468ae3639",
+        "verify_m2.json": "3eb77403aa332368244823968a8fea429bd67c0186d5ecad1a90d9622971a8ea",
+        "verify_m2_l1.csv": "f0f1b236650426c3a776d4796f9f18ea2ba3cae9479964abacfdfc8212dcf250",
     },
     ("nodal", "--taus", "0,1,2", "--cell", "0.1"): {
         "stdout": "1d2fe7f52a5215d186e8a687cd54ea895d58be730d8a4518529cd3cfa3067c61",
@@ -95,12 +95,12 @@ FLOAT_DIGESTS = {
         "nodal_tau2_c2.csv": "4a8b859bf534bd8924211642c8fcace2713129258ced009cd1307ca778566bb9",
     },
     ("kernel",): {
-        "stdout": "0eb7332c292442bf857013e6e6492b054459bcf400148f0ac52310aee48b4904",
+        "stdout": "1a26110eb702868873de6c3a6ecd7ab9df3364a2e0d28254786f8de78f45bf4a",
         "kernel_m2.csv": "65266ee0dfe1ac548eba843b36a0cd61da3df5358afe573b28c2278165169de2",
     },
     ("wkbj", "--fit"): {
-        "stdout": "3c90e32a39d8eaa77bfc57ebda8ec4320bbd6d1cd357c9f2b79b8ee06e9527a3",
-        "wkbj.json": "cb49eedf2576e9d9e3f7e8d018b5ed34035af6ca4fa074c56c1c270912a97af3",
+        "stdout": "30613e54be282661bb572911819cb461366e50c292898a69a03ddd74c2940c36",
+        "wkbj.json": "a599327bce148125e0672afb09a2ac22cf39de7d1c1ee9271901c59ae5c58f04",
     },
     ("d-tensor", "--n", "16", "--L", "4"): {
         "stdout": "b28e6e4e460a814be0f61d3aa2ef965caaa8d59256230e5fcc91aecd920df1ed",

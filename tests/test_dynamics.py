@@ -51,6 +51,7 @@ from oracles import (
     hausdorff,
     mirror_octant,
     norm,
+    padded_octant,
     pair_fields,
     plain_residual_norm,
     synth_duals,
@@ -690,8 +691,8 @@ def _lattice_parts(P, spec):
 
 def _full_lattice_closed_form(extract, X, b):
     """The coefficients of `_Extractor.closed_form` on full lattice arrays:
-    the weight on every lattice point and the moment table summed over
-    every lattice point. Returns (c, w, decay)."""
+    the weights on every lattice point, and the moment table of their
+    product summed over every lattice point. Returns (c, w, decay)."""
     spec = extract.spec
     w, decay = (np.exp(np.multiply(freq_sq(spec) ** extract.m, -c)) for c in (b, 1.0))
     Dx, Dw = X.shape[-1] - 1, extract.duals.shape[-1] - 1
@@ -752,10 +753,11 @@ def test_blocked_residual_matches_full_lattice_route(m):
             assert np.max(np.abs(c - c_ref)) <= 16 * np.finfo(float).eps * np.max(np.abs(c_ref))
             resid_ref, nx, ny = _full_lattice_residual(extract, X, c, w_ref, decay_ref)
             # the weight is exact where computed and exactly 0.0 elsewhere,
-            # and so is the weight times the decay the moment table reads
-            w, _ = grid.octant_weight(spec, m, b)
-            assert mirror_octant(w).tobytes() == w_ref.tobytes()
-            assert mirror_octant(w * extract.decay).tobytes() == (w_ref * decay_ref).tobytes()
+            # and so is the weight at b + 1 the moment table reads
+            for exponent, ref in ((b, w_ref), (b + 1.0, w_ref * decay_ref)):
+                w = mirror_octant(padded_octant(grid.octant_weight(spec, m, exponent), spec.n))
+                assert w.tobytes() == np.exp(np.multiply(freq_sq(spec) ** m, -exponent)).tobytes()
+                assert np.max(np.abs(w - ref)) <= 4 * np.finfo(float).eps * np.max(ref)
             assert _within_form_bound(resid, resid_ref, nx, ny), s
 
 
@@ -775,8 +777,8 @@ def _plain_sweep(extract, X, b, c):
     the sweep oracle, and the norms of the data and of the model."""
     spec, m = extract.spec, extract.m
     Y = np.tensordot(c, extract.realz, axes=(0, 0))
-    data = closed_form_rows(X, *grid.octant_weight(spec, m, b), spec)
-    model = closed_form_rows(Y, *grid.octant_weight(spec, m), spec)
+    data = closed_form_rows(X, grid.octant_weight(spec, m, b), spec)
+    model = closed_form_rows(Y, grid.octant_weight(spec, m), spec)
     return [plain_residual_norm(spec, *sides) for sides in ((data, model), (data,), (model,))]
 
 
@@ -834,10 +836,12 @@ def test_semigroup_verify_working_set(m, n, workers):
     # the refusal in `semigroup_verify` sizes the verifier at
     # _verifier_arrays float64 arrays of n^3; the measured peak, with the
     # lattice cache cleared so that its arrays count, must stay within it,
-    # also on small grids, where the moment and pairing tables weigh most;
-    # at L=16 and m=2, 7 output times keep the 3 the rate fit needs
+    # also on small grids, where the moment and pairing tables weigh most
+    # (at n=16, m=2 also runs level 3, whose pairing table, D = 9, is most
+    # of the peak); at L=16 and m=2, 7 output times keep the 3 the rate fit
+    # needs
     spec = GridSpec(16.0, n)
-    for level in (1, 2):
+    for level in (1, 2, 3) if (m, n) == (2, 16) else (1, 2):
         data = fixture(m, level)[0]
         semigroup_verify(data, m, spec=spec, n_tau=7, workers=workers)
         grid._CACHE.clear()

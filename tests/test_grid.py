@@ -26,6 +26,7 @@ from oracles import (
     lattice_weight,
     mirror_octant,
     norm,
+    padded_octant,
     pair_fields,
     project,
     project_spectral,
@@ -206,11 +207,11 @@ def test_octant_moments_match_the_full_lattice_sums(n):
     # an array even in each coordinate, held on its octant, against the
     # folded per-axis tables: the tensor's (E, E, E) and (etaE, E, E)
     # tables, whose rows differ at k and -k, and the plain power sums of
-    # `lattice_moments`; n = 18 has an odd Nyquist index. Only the order of
+    # `weight_moments`; n = 18 has an odd Nyquist index. Only the order of
     # summation differs from the sums over every lattice point.
     spec = GridSpec(6.0, n)
     rng = np.random.default_rng(n)
-    octant = rng.random((n // 2 + 1,) * 3) * grid.octant_weight(spec, 1, 0.1)[0]
+    octant = rng.random((n // 2 + 1,) * 3) * padded_octant(grid.octant_weight(spec, 1, 0.1), n)
     whole = mirror_octant(octant)
     eta, dmax = spec.freqs(), 4
     E = grid._y_moments(spec, dmax)
@@ -220,7 +221,34 @@ def test_octant_moments_match_the_full_lattice_sums(n):
         want = axis_moments(whole, eta, 3, tables)
         # a few ulp of the largest value (at most 2.6 seen here)
         assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * np.max(np.abs(want)), tables
-    assert grid.lattice_moments(octant, spec, 3).tobytes() == grid._axis_moments(octant, eta, 3).tobytes()
+
+
+@pytest.mark.parametrize("m, b", [(2, 1.0), (2, 39.0), (1, 1e3)])
+def test_weight_moments_match_the_whole_lattice_sum(m, b):
+    # the table is summed on the weight's live box only, shorter than the
+    # octant here (14, 6 and 3 of its 25 indices per axis): against the sum
+    # of the exponential over every lattice point, only the order of
+    # summation and the underflowed zeros differ
+    spec = GridSpec(8.0, 48)
+    assert grid.octant_weight(spec, m, b).shape[0] < spec.n // 2 + 1
+    got = grid.weight_moments(spec, m, b, 6)
+    want = axis_moments(np.exp(-b * freq_sq(spec) ** m), spec.freqs(), 6)
+    # a few ulp of the largest value
+    assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * np.max(np.abs(want))
+
+
+def test_moment_pairings_read_the_leading_block_of_a_larger_table():
+    # the shared tables of the verifier are built to the larger of the
+    # degrees their pairings need: a pairing reads only the leading block
+    # of degree D1 + D2, so it has the bytes of the table cut to that block
+    spec = GridSpec(8.0, 32)
+    rng = np.random.default_rng(3)
+    X, Y = rng.standard_normal((2, 3, 3, 3, 3)), rng.standard_normal((3, 3, 4, 4, 4))
+    table = grid.weight_moments(spec, 2, 2.0, 9)
+    exact = table[:6, :6, :6].copy()
+    got = grid.moment_pairings(X, Y, table, spec)
+    assert got.shape == (2, 3)
+    assert got.tobytes() == grid.moment_pairings(X, Y, exact, spec).tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -268,11 +296,18 @@ def test_lattice_weight_is_the_full_lattice_exponential(m, b):
         spec = GridSpec(16.0, n)
         want = np.exp(-b * freq_sq(spec) ** m)
         assert lattice_weight(spec, m, b).tobytes() == want.tobytes(), n
-        octant, live = grid.octant_weight(spec, m, b)
-        assert octant.shape == (n // 2 + 1,) * 3
-        # the live prefix is no longer than where the weight is nonzero, and
-        # the indices past it are dead on every axis
-        assert octant[live - 1].any()
+        box = grid.octant_weight(spec, m, b)
+        live = box.shape[0]
+        assert box.shape == (live,) * 3 and 1 <= live <= n // 2 + 1
+        # the box is no longer than where the weight is nonzero, the first
+        # index past it underflows on every axis alone, and so do all the
+        # indices past it
+        assert box[live - 1].any()
+        if live <= n // 2:
+            for axis in range(3):
+                first_dead = [0, 0, 0]
+                first_dead[axis] = live
+                assert want[tuple(first_dead)] == 0.0
         dead = np.abs(grid._kint(n)) >= live
         assert not want[dead].any() and not want[:, dead].any() and not want[:, :, dead].any()
 

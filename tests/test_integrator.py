@@ -1,8 +1,8 @@
 """The Galerkin integrator against scipy, bit for bit.
 
 `dynamics._dopri45` and its dense output must reproduce
-`solve_ivp(method="RK45", dense_output=True)`, and `_cumulative_simpson`
-must reproduce `cumulative_simpson(..., axis=0, initial=0.0)`: equal bytes,
+`solve_ivp(method="RK45", dense_output=True)`, and
+`kernel._cumulative_simpson` must reproduce `cumulative_simpson(..., axis=0, initial=0.0)`: equal bytes,
 not a tolerance, so that `evolve` artifacts do not move. scipy is the oracle
 here only; the package does not import it for integration.
 """
@@ -14,9 +14,10 @@ from scipy.integrate import cumulative_simpson, solve_ivp
 
 from hermflow import dynamics
 from hermflow.cli import _zero_tensor
-from hermflow.dynamics import Expansion, _cumulative_simpson, _dopri45, nse_galerkin
+from hermflow.dynamics import Expansion, _dopri45, nse_galerkin
 from hermflow.errors import NonConvergenceError, ValidationError
 from hermflow.grid import GridSpec, interaction_tensor
+from hermflow.kernel import _cumulative_simpson
 from hermflow.solenoidal import composite_basis
 
 from oracles import galerkin_rhs, galerkin_scipy

@@ -12,7 +12,7 @@ from hermflow import kernel
 from hermflow.errors import NonConvergenceError, ValidationError
 from hermflow.kernel import (
     KernelTable,
-    _simpson,
+    _cumulative_simpson,
     envelope_fit,
     kernel_values,
     wkbj_constants,
@@ -113,18 +113,31 @@ def _simpson_grid(kind: str) -> np.ndarray:
 
 @pytest.mark.parametrize(
     "kind",
-    ["uniform-2", "uniform-3", "uniform-4", "uniform-11", "uniform-50", "radii-1801",
-     "radii-361", "radii-401", "nonuniform-2", "nonuniform-3", "nonuniform-30", "nonuniform-31"],
+    ["uniform-3", "uniform-4", "uniform-11", "uniform-50", "radii-1801", "radii-361",
+     "radii-401", "nonuniform-3", "nonuniform-30", "nonuniform-31"],
 )
 def test_simpson_reproduces_scipy(kind):
-    # odd counts take the pairwise rule, even ones Cartwright's last-interval
-    # correction, two points the trapezoid: each must be scipy's bits
+    # the mass error reads the last value of the cumulative rule: odd counts
+    # take the pairwise rule, even ones Cartwright's last interval, as
+    # scipy's `simpson` does, with its own order of operations, so the two
+    # agree to a few ulp of (x[-1] - x[0]) max|y| (at most 0.62 seen here)
     x = _simpson_grid(kind)
     rng = np.random.default_rng(len(x))
     for y in (rng.standard_normal(len(x)), x * x * np.exp(-x), -0.0 * x):
         want = simpson(y, x=x)
-        got = _simpson(y, x)
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        got = _cumulative_simpson(y, x)[-1]
+        scale = (x[-1] - x[0]) * np.max(np.abs(y))
+        assert abs(got - want) <= 4 * np.finfo(float).eps * scale
+
+
+def test_kernel_table_needs_three_radii():
+    # the Simpson mass check takes 3 points at least, in a computed table
+    # and in one read back from its CSV
+    with pytest.raises(ValidationError, match="at least 3 radii .* got 2"):
+        kernel_values(2, radii=[0.0, 0.02])
+    with pytest.raises(ValidationError, match="at least 3 radii .* got 2"):
+        KernelTable.from_csv("r,F\n0.0,0.1\n0.02,0.1\n", 2)
+    assert len(kernel_values(1, radii=[0.0, 0.02, 0.04]).values) == 3
 
 
 @pytest.mark.parametrize("m", [2, 3])
