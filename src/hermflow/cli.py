@@ -15,7 +15,8 @@ counts.
 
 A handler computes its summary and its artifacts and returns them; it
 writes nothing. `run` writes the artifacts only after the handler has
-returned, so a run that exits nonzero leaves no artifact.
+returned, so a run that exits nonzero leaves no artifact, except when
+stdout is closed under the summary line, which follows the artifacts.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical non-convergence,
 64 usage errors (unknown flags, bad values). The output directory is the
@@ -1097,11 +1098,11 @@ def _resolve(command: str, ns: argparse.Namespace) -> dict:
 # exception attributes echoed in the summary line). ValueError and OSError
 # are malformed user input: bad JSON, missing files, unparsable numbers.
 _FAILURES = (
-    (ValidationError, 2, "validation", ()),
-    (NonConvergenceError, 3, "non-convergence", ("achieved",)),
+    ((ValidationError,), 2, "validation", ()),
+    ((NonConvergenceError,), 3, "non-convergence", ("achieved",)),
     ((ValueError, OSError), 2, "validation", ()),
 )
-_FAILURE_TYPES = (ValidationError, NonConvergenceError, ValueError, OSError)
+_FAILURE_TYPES = tuple(t for types, *_ in _FAILURES for t in types)
 
 
 def run(argv=None) -> int:
@@ -1129,19 +1130,25 @@ def run(argv=None) -> int:
                 fh.write(text)
         summary["artifacts"] = [name for name, *_ in artifacts]
         line = {"schema": SCHEMA, "command": ns.command, "ok": True, "config": echo, **summary}
-        print(json.dumps(line, sort_keys=True, default=_json_default))
+        # flushed here, so that a closed stdout raises inside this try
+        print(json.dumps(line, sort_keys=True, default=_json_default), flush=True)
         return 0
     except _FAILURE_TYPES as exc:
         _, code, tag, extra = next(row for row in _FAILURES if isinstance(exc, row[0]))
-        line = {
-            "schema": SCHEMA,
-            "command": ns.command,
-            "ok": False,
-            "error": tag,
-            "message": str(exc),
-            **{key: getattr(exc, key) for key in extra},
-        }
-        print(json.dumps(line, sort_keys=True))
+        if isinstance(exc, BrokenPipeError):
+            # stdout is gone: nothing more is written there, and its
+            # buffered bytes go to devnull at exit instead of raising again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        else:
+            line = {
+                "schema": SCHEMA,
+                "command": ns.command,
+                "ok": False,
+                "error": tag,
+                "message": str(exc),
+                **{key: getattr(exc, key) for key in extra},
+            }
+            print(json.dumps(line, sort_keys=True))
         print(f"hermflow {ns.command}: {exc}", file=sys.stderr)
         return code
 

@@ -1,10 +1,12 @@
 """Coefficient dynamics over solenoidal bases.
 
-Expansions in the weighted eigenbasis, exact diagonal flows, the truncated
-quadratic Galerkin system with a Duhamel self-check, resonance detection,
-nodal-set pipelines, zero-type classification, and an independent semigroup
-verifier that evolves data by exact Fourier multipliers (no time-stepping
-error, periodization is the only approximation).
+Exact expansions in the weighted eigenbasis (a field outside the span
+raises), exact diagonal flows, the truncated quadratic Galerkin system with
+a Duhamel self-check, resonance detection, nodal-set pipelines, zero-type
+classification, and an independent semigroup verifier that evolves data by
+exact Fourier multipliers (no time-stepping error, periodization is the
+only approximation). The verifier alone pairs spectra on the frequency
+lattice.
 """
 from __future__ import annotations
 
@@ -46,15 +48,10 @@ def _decay_rate(m: int, k: int) -> float:
 
 @dataclass
 class Expansion:
-    """Coefficients of one field over a solenoidal basis.
-
-    `residual` is the grid norm (equivalently, by Parseval, the lattice
-    norm of the spectrum) of the part of the input the basis did not
-    capture (None for states produced by exact flows)."""
+    """Coefficients of one field over a solenoidal basis."""
 
     basis: object
     coeffs: Dict[Tuple[int, int], object]
-    residual: Optional[float] = None
 
     def __post_init__(self):
         for key, c in self.coeffs.items():
@@ -105,26 +102,13 @@ def _form_values(D: int) -> int:
     return (D + 1) ** 6 + 6 * (2 * D + 1) ** 3 + 2**15
 
 
-# float64 arrays of n^3 at the peak of `expand` on a field with a remainder,
-# besides its form (`_form_values`), an upper bound: the octant of |eta|^2,
-# the weight at b = 2 on its live box, the first contraction of the moment
-# table, and the exact arithmetic (tracemalloc, form included, at L = 10:
-# 0.74 at n = 16, 0.48 at n = 32, 0.28 at n = 64 and 0.25 at n = 128 for
-# m = 1; 0.21 at n = 64 and 0.14 at n = 128 for m = 2, whose box is shorter)
-_EXPAND_POLY_ARRAYS = 2
-
-
-def expand(u, basis, spec: GridSpec | None = None) -> Expansion:
-    """Extract basis coefficients of u = p F, given its polynomial factor p,
+def expand(u, basis) -> Expansion:
+    """Exact basis coefficients of u = p F, given its polynomial factor p,
     by the exact rational dual pairings.
 
-    The reported residual is the grid norm of the uncaptured remainder times
-    the kernel: by Parseval, the lattice norm of its closed-form spectrum,
-    the pairing of that spectrum with itself, one contraction of its
-    coefficients against the lattice moments of the squared weight (no FFT
-    and no lattice evaluation). Input outside the span shows up there
-    instead of passing silently. A remainder is refused, before any lattice
-    array is built, when its working set would not fit in physical memory.
+    The remainder u - sum_i c_i v*_i is an exact polynomial; a field
+    outside the span of the basis leaves a nonzero one and raises
+    `ValidationError` naming the degrees of its components.
     """
     if not isinstance(u, VectorPolyField):
         raise ValidationError(f"expand needs a VectorPolyField, got {type(u).__name__}")
@@ -136,19 +120,13 @@ def expand(u, basis, spec: GridSpec | None = None) -> Expansion:
             if c:
                 recon = recon + b.fields[i].scale(c)
     diff = u - recon
-    if all(p.is_zero() for p in diff.components):
-        residual = 0.0
-    else:
-        sp = spec or GridSpec(10.0, 64)
-        m = basis.params.m
-        P = spectrum_cubes([diff], m)
-        arrays = _EXPAND_POLY_ARRAYS + _form_values(P.shape[-1] - 1) / sp.n**3
-        check_fits(sp.n, arrays, "expand on a polynomial field")
-        e = _scale_exponent(P)
-        P = np.ldexp(P, -e)
-        table = weight_moments(sp, m, 2.0, 2 * (P.shape[-1] - 1))
-        residual = _norm(moment_pairings(P, P, table, sp)[0, 0], e)
-    return Expansion(basis, coeffs, residual=residual)
+    if not all(p.is_zero() for p in diff.components):
+        degrees = ", ".join("zero" if p.is_zero() else str(p.degree()) for p in diff.components)
+        raise ValidationError(
+            f"the field lies outside the span of the basis: the exact remainder "
+            f"u - sum c_i v*_i has component degrees ({degrees})"
+        )
+    return Expansion(basis, coeffs)
 
 
 class _Extractor:

@@ -5,10 +5,10 @@ quadratic interaction tensor of the coefficient dynamics.
 Grid convention: cell-centered nodes x_j = -L + (j + 1/2) h with h = 2L/n on
 [-L, L)^3, discrete frequencies eta_k = pi k / L for integer k in the usual
 FFT ordering (0, 1, ..., n/2 - 1, -n/2, ..., -1). Fields enter in closed
-form and never leave the frequency lattice: the tensor and the expansion
-pairings and residuals are contractions of exact coefficients against
-lattice moment tables, the projector diagnostic sweeps lattice spectra,
-and no FFT runs.
+form and never leave the frequency lattice: the tensor and the semigroup
+verifier's pairings and residuals are contractions of exact coefficients
+against lattice moment tables, the projector diagnostic sweeps lattice
+spectra, and no FFT runs.
 
 Every lattice array is even in each coordinate (the weights
 exp(-b|eta|^2m), 1/|eta|^2) and is held on the octant |k_i| = 0..n/2, a
@@ -376,18 +376,16 @@ def moment_pairings(
     (`weight_moments`) up to degree D1 + D2 or beyond. With n = d + e,
     Re(i^|d| conj(i^|e|)) = Re(i^|n|) (-1)^|e|, so both phases fold into
     the table and Y, and the pairing table H[d, e] = Tr[d + e] is a window
-    view of the phased table.
+    view of the phased table. X meets H first and the product meets Y,
+    two elementwise `np.einsum` passes (no BLAS, so no thread count
+    reaches the bytes) of F 3 K^3 L^3 and F 3 L^3 G multiply-adds.
     """
     K, L = X.shape[-1], Y.shape[-1]
     Tr = table * _i_power(_degree_cube(table.shape[-1] - 1), "re")
     H = sliding_window_view(Tr, (L,) * 3)[:K, :K, :K].reshape(K**3, L**3)
     Ys = Y * (-1.0) ** _degree_cube(L - 1)
-    out = np.einsum(
-        "fck,kl,gcl->fg",
-        X.reshape(X.shape[0], 3, -1),
-        H,
-        Ys.reshape(Y.shape[0], 3, -1),
-    )
+    XH = np.einsum("fck,kl->fcl", X.reshape(X.shape[0], 3, -1), H)
+    out = np.einsum("fcl,gcl->fg", XH, Ys.reshape(Y.shape[0], 3, -1))
     return out / (2.0 * spec.L) ** 3
 
 

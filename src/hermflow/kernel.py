@@ -106,29 +106,6 @@ class KernelTable:
         rows = "".join(f"{float(r)!r},{float(v)!r}\n" for r, v in zip(self.radii, self.values))
         return "r,F\n" + rows
 
-    @staticmethod
-    def from_csv(text: str, m: int, N: int = 3) -> "KernelTable":
-        rows = [line.split(",") for line in text.splitlines()]
-        r, F = np.array([[float(a), float(b)] for a, b in rows[1:]]).T
-        r = _radial_grid(r)
-        return KernelTable(
-            m=m, N=N, radii=r, values=F, mass_error=_mass_error(r, F), quad_error=float("nan")
-        )
-
-
-def _radial_grid(radii) -> np.ndarray:
-    """`radii` as floats, refused unless a strictly increasing 1-D grid of
-    at least 3 radii, the fewest the Simpson mass check takes."""
-    radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or np.any(np.diff(radii) <= 0):
-        raise ValidationError("radii must be a strictly increasing 1-D grid")
-    if len(radii) < 3:
-        raise ValidationError(
-            f"a kernel table needs at least 3 radii for its Simpson mass "
-            f"check, got {len(radii)}"
-        )
-    return radii
-
 
 # radii x nodes entries per block of the sine sum, so that a long table never
 # builds its whole matrix
@@ -160,7 +137,14 @@ def kernel_values(
         raise ValidationError("radial reduction implemented for N=3 only")
     if radii is None:
         radii = np.arange(0.0, 36.0 + 1e-9, 0.02)
-    radii = _radial_grid(radii)
+    radii = np.asarray(radii, dtype=float)
+    if radii.ndim != 1 or np.any(np.diff(radii) <= 0):
+        raise ValidationError("radii must be a strictly increasing 1-D grid")
+    if len(radii) < 3:
+        raise ValidationError(
+            f"a kernel table needs at least 3 radii for its Simpson mass "
+            f"check, got {len(radii)}"
+        )
     if radii[0] < 0:
         raise ValidationError("radii must be >= 0")
 

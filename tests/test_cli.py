@@ -593,6 +593,25 @@ def test_failure_table_pins_summary_and_stderr(tmp_path, capsys, monkeypatch, ex
     assert err == f"hermflow basis: {exc}\n"
 
 
+def test_closed_stdout_exits_2_with_one_line(tmp_path):
+    # a reader that went away before the summary line: exit 2, one stderr
+    # line and no traceback; the artifact written before the line stays
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hermflow.cli", "eig-check", "--outdir", str(tmp_path)],
+            stdout=w, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+    assert [f.name for f in tmp_path.iterdir()] == ["eig_check.json"]
+
+
 def _failed(capfd, argv, outdir):
     """Run argv into outdir; return its exit code and summary line, after
     checking that stderr holds the one message line and outdir is empty."""

@@ -8,11 +8,23 @@ not move. The trajectory commands (`evolve`, `verify`, `nodal`), `kernel`,
 their digests hold for the numpy build they were recorded with,
 `NUMPY_VERSION`; a mismatch names both versions.
 A change that moves them on purpose records the new digests and says in
-CHANGES which bytes moved and why.
+CHANGES which bytes moved and why:
+
+    PYTHONPATH=src python tests/test_digests.py --record
+
+re-runs every pinned command and prints, in this file's layout, the new
+entry of each one whose digests moved, to paste over the old one.
 """
 from __future__ import annotations
 
+import ast
+import contextlib
 import hashlib
+import io
+import pathlib
+import sys
+import tempfile
+import textwrap
 
 import numpy as np
 import pytest
@@ -77,7 +89,7 @@ FLOAT_DIGESTS = {
     },
     ("verify", "--m", "2", "--level", "1", "--n", "32", "--L", "16", "--n-tau", "7"): {
         "stdout": "a72033a7ed570e2373eb95b3bc56c75b9bf0f8da6a24fd01a855ec967b1d4eaa",
-        "verify_m2.json": "3eb77403aa332368244823968a8fea429bd67c0186d5ecad1a90d9622971a8ea",
+        "verify_m2.json": "f9e208a139e24aa864ffa67d602a876470295bbb0e72a8a88025367a64bac0e2",
         "verify_m2_l1.csv": "f0f1b236650426c3a776d4796f9f18ea2ba3cae9479964abacfdfc8212dcf250",
     },
     ("nodal", "--taus", "0,1,2", "--cell", "0.1"): {
@@ -117,21 +129,63 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _digests(tmp_path, capsys, argv) -> dict:
-    code = cli.run(list(argv) + ["--outdir", str(tmp_path)])
-    got = {"stdout": _sha256(capsys.readouterr().out.encode())}
-    got.update((f.name, _sha256(f.read_bytes())) for f in sorted(tmp_path.iterdir()))
-    assert code == 0
+def _digests(outdir, argv) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(list(argv) + ["--outdir", str(outdir)])
+    got = {"stdout": _sha256(out.getvalue().encode())}
+    got.update((f.name, _sha256(f.read_bytes())) for f in sorted(outdir.iterdir()))
+    assert code == 0, argv
     return got
 
 
 @pytest.mark.parametrize("argv", list(DIGESTS), ids=" ".join)
-def test_exact_commands_keep_their_bytes(tmp_path, capsys, argv):
-    assert _digests(tmp_path, capsys, argv) == DIGESTS[argv]
+def test_exact_commands_keep_their_bytes(tmp_path, argv):
+    assert _digests(tmp_path, argv) == DIGESTS[argv]
 
 
 @pytest.mark.parametrize("argv", list(FLOAT_DIGESTS), ids=" ".join)
-def test_trajectory_commands_keep_their_bytes(tmp_path, capsys, argv):
-    assert _digests(tmp_path, capsys, argv) == FLOAT_DIGESTS[argv], (
+def test_trajectory_commands_keep_their_bytes(tmp_path, argv):
+    assert _digests(tmp_path, argv) == FLOAT_DIGESTS[argv], (
         f"digests recorded with numpy {NUMPY_VERSION}, this is numpy {np.__version__}"
     )
+
+
+def _entry(argv, digests: dict) -> str:
+    """One entry of a digest table, laid out as in this file."""
+    key = ", ".join(f'"{a}"' for a in argv) + ("," if len(argv) == 1 else "")
+    head = textwrap.fill(
+        f"({key}): {{", width=100, initial_indent="    ", subsequent_indent="     ",
+        break_long_words=False, break_on_hyphens=False,
+    )
+    rows = "".join(f'        "{name}": "{digest}",\n' for name, digest in digests.items())
+    return f"{head}\n{rows}    }},\n"
+
+
+def record() -> None:
+    """Re-run every pinned command; print the new entry of each that moved."""
+    for title, table in (("DIGESTS", DIGESTS), ("FLOAT_DIGESTS", FLOAT_DIGESTS)):
+        for argv, want in table.items():
+            with tempfile.TemporaryDirectory() as tmp:
+                got = _digests(pathlib.Path(tmp), argv)
+            if got != want:
+                print(f"# {title}, numpy {np.__version__}\n{_entry(argv, got)}", end="")
+
+
+def test_record_prints_each_moved_entry_in_the_file_layout(monkeypatch, capsys):
+    # a stale entry is printed with its new digests, a current one is not
+    argv, want = ("basis",), DIGESTS[("basis",)]
+    module = sys.modules[__name__]
+    stale = {**want, "stdout": "0" * 64}
+    monkeypatch.setattr(module, "DIGESTS", {argv: stale, ("eig-check",): DIGESTS[("eig-check",)]})
+    monkeypatch.setattr(module, "FLOAT_DIGESTS", {})
+    record()
+    text = capsys.readouterr().out
+    assert text == f"# DIGESTS, numpy {np.__version__}\n" + _entry(argv, want)
+    assert ast.literal_eval("{" + text + "}") == {argv: want}
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_digests.py --record")
+    record()

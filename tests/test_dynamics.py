@@ -50,7 +50,6 @@ from oracles import (
     freq_sq,
     hausdorff,
     mirror_octant,
-    norm,
     padded_octant,
     pair_fields,
     plain_residual_norm,
@@ -93,7 +92,6 @@ def test_expand_polynomial_path_is_exact(cb2):
         lab: Fraction((3 * i - 7) % 11 - 5, 4) for i, lab in enumerate(cb2.labels)
     }
     e = expand(_combo(cb2, coeffs), cb2)
-    assert e.residual == 0.0
     for lab in cb2.labels:
         assert e.coeffs[lab] == coeffs[lab]
 
@@ -112,7 +110,6 @@ def test_expand_demo_perturbation_exact_coefficients(cb3):
     assert w.divergence().is_zero()
     u0 = fixture(1, 1)[0] + w.scale(Fraction(1, 2))
     e0 = expand(u0, cb3)
-    assert e0.residual == 0.0
     nonzero = {lab: c for lab, c in e0.coeffs.items() if c}
     assert nonzero == {(1, 0): Fraction(1), (3, 10): Fraction(1, 2)}
 
@@ -862,56 +859,13 @@ def _off_span(m):
 
 
 @pytest.mark.parametrize("m", [1, 2])
-def test_expand_polynomial_residual_is_the_parseval_norm(monkeypatch, m):
-    # the norm of the remainder's closed-form spectrum on the lattice is
-    # its grid norm: the same number as synthesizing the remainder on the
-    # grid, and no FFT runs for it
-    spec = GridSpec(10.0, 48)
+def test_expand_refuses_a_field_outside_the_span(m):
+    # the remainder is exact, so an off-span field cannot pass silently:
+    # the message names its degrees, here those of the level-0 field
     basis, u = _off_span(m)
-    e = expand(u, basis)  # the default grid
-    ref = norm(synth_weighted(u - e.field_poly(), GridSpec(10.0, 64), m))
-    assert abs(e.residual - ref) <= 1e-14 * ref and ref > 1e-2
-    ref = norm(synth_weighted(u - e.field_poly(), spec, m))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("expand ran an FFT")
-
-    monkeypatch.setattr(np.fft, "fftn", refuse)
-    monkeypatch.setattr(np.fft, "ifftn", refuse)
-    got = expand(u, basis, spec)
-    assert got.coeffs == e.coeffs
-    assert abs(got.residual - ref) <= 1e-14 * ref
-
-
-def test_expand_polynomial_working_set_and_refusal(monkeypatch):
-    spec = GridSpec(10.0, 32)
-    basis, u = _off_span(1)
-    expand(u, basis, spec)
-    grid._CACHE.clear()
-    tracemalloc.start()
-    try:
-        e = expand(u, basis, spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert e.residual > 0.0
-    assert peak <= dynamics._EXPAND_POLY_ARRAYS * 8 * spec.n**3
-
-    # a host with 512 KiB of memory, less than the 770 KiB the model counts:
-    # refused before any lattice array exists
-    monkeypatch.setattr(grid, "_physical_memory", lambda: 2**19)
-    grid._CACHE.clear()
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValidationError, match="n=32"):
-            expand(u, basis, spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert grid._CACHE == {}
-    assert peak < 8 * spec.n**3
-    # a field in the span has no remainder and needs no grid
-    assert expand(fixture(1, 1)[0], basis, spec).residual == 0.0
+    with pytest.raises(ValidationError, match=r"outside the span .* degrees \(0, 0, 0\)"):
+        expand(u, basis)
+    assert expand(fixture(m, 1)[0], basis).coeffs == {(1, 0): 1, (1, 1): 0, (1, 2): 0}
 
 
 def test_unique_continuation_diagnostic(cb3):

@@ -161,11 +161,13 @@ def test_vector_field_divergence_and_json():
 
 # sha256 of `evaluate_cube` on seeded random cubes of D = 4..8 on 201-point
 # axes, where a GEMM contraction changes its bits with the BLAS thread
-# count (D = 4, 7 and 8 did), and of p and its gradient at scattered points
+# count (D = 4, 7 and 8 did), of p and its gradient at scattered points,
+# and of the verifier's moment pairings at D = 9 (`verify --m 2 --level 3`)
 _BLAS_SCRIPT = """
 import hashlib
 import numpy as np
 from hermflow.dynamics import _ZeroSurface
+from hermflow.grid import GridSpec, moment_pairings, weight_moments
 from hermflow.polynomial import Polynomial, evaluate_cube
 
 h = hashlib.sha256()
@@ -177,6 +179,9 @@ terms = {tuple(int(d) for d in rng.integers(0, 6, 3)): int(rng.integers(-9, 10))
 f, g = _ZeroSurface(Polynomial(3, terms))(rng.uniform(-2.0, 2.0, (1000, 3)))
 h.update(f.tobytes())
 h.update(g.tobytes())
+spec = GridSpec(16.0, 32)
+X, Y = rng.standard_normal((2, 3, 10, 10, 10)), rng.standard_normal((3, 3, 10, 10, 10))
+h.update(moment_pairings(X, Y, weight_moments(spec, 2, 2.0, 18), spec).tobytes())
 print(h.hexdigest())
 """
 
