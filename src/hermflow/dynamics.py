@@ -838,21 +838,28 @@ def classify_zero(u: Polynomial, max_order: int = 6) -> ZeroType:
 
 def _verifier_arrays(n: int, m: int, level: int, workers: int) -> float:
     """Float64 arrays of n^3 at the peak of `semigroup_verify`, an upper
-    bound: the octant of |eta|^2 (cached) and 2^15 values for the exact
-    arithmetic and the small tables; then, per output time in flight, one
-    octant for the weight of the moment table being summed (its live box,
-    at most the octant), the first contraction of that table, and the
-    largest form, <X, X> of the data (`_form_values`). A level-k spectrum
-    cube holds powers up to (2m-1)k of each variable. The measured peak
-    (tracemalloc) is at most 0.97 of this from n = 16 to 128, at levels 0
-    to 2 for m = 1 and 0 to 3 for m = 2, with one or two workers, and 0.99
-    at m = 2, level 4, where the pairing table is almost all of it; at the
-    default L = 24, n = 128, level 1, two workers, it is 0.42 (m = 1) and
-    0.19 (m = 2) against 0.49 and 0.56."""
+    bound: 2^15 values for the exact arithmetic and the small tables, and
+    3n for the cached per-axis frequencies; then, per output time in
+    flight, the moment table being summed and the largest form, <X, X> of
+    the data (`_form_values`). A level-k spectrum cube holds powers up to
+    D = (2m-1)k of each variable, so a moment table has degree up to 2D.
+    At m=1 the table is the product of one per-axis sum
+    (`grid.weight_moments`), whose folded power table and the powers it is
+    stacked from take at most 4n(2D+1) values: nothing grows like n^3. At
+    m=2 it is summed on the live box of the weight, at most one octant,
+    with the first contraction of that box. The measured peak
+    (tracemalloc, L = 16 and 24, one or two workers) is at most 0.22 of
+    this at m = 1 from n = 16 to 1024 at levels 0 to 2, and at m = 2 at
+    most 0.96 from n = 16 to 128 at levels 0 to 3 and 0.99 at level 4,
+    where the pairing table is almost all of it; at the default L = 24,
+    n = 128, level 1, two workers, it is 0.005 (m = 1) and 0.06 (m = 2)
+    against 0.049 and 0.42."""
     D = (2 * m - 1) * level
-    octant = (0.5 + 1.0 / n) ** 3
-    per_time = octant + (2 * D + 1) / n + _form_values(D) / n**3
-    return octant + 2**15 / n**3 + workers * per_time
+    if m == 1:
+        table = 4 * n * (2 * D + 1)
+    else:
+        table = (n / 2 + 1) ** 3 + (2 * D + 1) * n**2
+    return (2**15 + 3 * n + workers * (table + _form_values(D))) / n**3
 
 
 def semigroup_verify(

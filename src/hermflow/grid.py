@@ -15,7 +15,9 @@ exp(-b|eta|^2m), 1/|eta|^2) and is held on the octant |k_i| = 0..n/2, a
 weight on the prefix box where it does not underflow: lattice sums
 contract it with per-axis tables folded over k and -k (`_fold`), and the
 projector diagnostic copies a block of its rows into FFT order by index,
-the value at |k| for every wavenumber k.
+the value at |k| for every wavenumber k. At m=1 the weight factors over
+the axes, so its lattice moments are products of one folded 1-D sum and
+need no 3-D array at all.
 
 The interaction tensor follows the adjoint arrangement: the projector
 symbol is real and symmetric per mode, so the discrete Parseval identity
@@ -180,36 +182,32 @@ def _octant_eta(L: float, n: int) -> np.ndarray:
     return _cached(("octant_eta", L, n), lambda: np.abs(_eta(L, n)[: n // 2 + 1]))
 
 
-def _octant_eta_sq(L: float, n: int) -> np.ndarray:
-    """|eta|^2 on the nonnegative octant k_i = 0..n/2 of the frequency
-    lattice."""
-
-    def build():
-        e = _octant_eta(L, n)
-        return e[:, None, None] ** 2 + e[None, :, None] ** 2 + e[None, None, :] ** 2
-
-    return _cached(("octant_eta_sq", L, n), build)
-
-
 # exp(-x) is exactly 0.0 in float64 for every x above 745.1332191019412
 _EXP_ZERO = 746.0
+
+
+def _live_eta(spec: GridSpec, m: int, b: float) -> np.ndarray:
+    """The prefix of `_octant_eta` where b eta^2m <= `_EXP_ZERO`: past it
+    exp(-b eta^2m) underflows to 0.0 on one axis alone, and so does every
+    weight exp(-b|eta|^2m) with a coordinate there."""
+    e = _octant_eta(spec.L, spec.n)
+    return e[: int(np.count_nonzero(b * e ** (2 * m) <= _EXP_ZERO))]
 
 
 def octant_weight(spec: GridSpec, m: int, b: float = 1.0) -> np.ndarray:
     """exp(-b|eta|^2m) on the live box of the nonnegative octant of the
     frequency lattice (see `_octant_eta`; the value at FFT index i is the
-    one at |k_i|): the prefix indices 0..live-1 of every axis, the array's
-    shape (live,)*3. |eta|^2m >= eta_i^2m on every axis i, so the weight is
-    exactly 0.0 wherever one coordinate alone has b eta_i^2m > _EXP_ZERO;
-    those coordinates are a suffix of the octant, and the box holds the
-    same bits as the exponential of the whole lattice there."""
-    live = int(np.count_nonzero(b * _octant_eta(spec.L, spec.n) ** (2 * m) <= _EXP_ZERO))
-    box = _octant_eta_sq(spec.L, spec.n)[:live, :live, :live]
-    if m == 1:
-        w = np.multiply(box, -b)
-    else:
-        w = np.power(box, m)
-        w *= -b
+    one at |k_i|): the prefix indices 0..live-1 of every axis
+    (`_live_eta`), the array's shape (live,)*3. |eta|^2m >= eta_i^2m on
+    every axis i, so the weight is exactly 0.0 past the box, and the box
+    holds the same bits as the exponential of the whole lattice there.
+    |eta|^2 is summed on the box from the per-axis prefix, and every later
+    step runs in place: the box is the only 3-D array made."""
+    e = _live_eta(spec, m, b)
+    w = e[:, None, None] ** 2 + e[None, :, None] ** 2 + e[None, None, :] ** 2
+    if m > 1:
+        np.power(w, m, out=w)
+    w *= -b
     return np.exp(w, out=w)
 
 
@@ -342,12 +340,29 @@ def _axis_moments(
     return _contract_axes(octant, *axes).reshape(D, X, D, X, D, X)
 
 
+def _axis_weight_sums(spec: GridSpec, b: float, dmax: int) -> np.ndarray:
+    """t_b[d] = sum over one lattice axis of eta^d exp(-b eta^2), d <= dmax:
+    the folded power table (`_fold`) against the 1-D weight on its live
+    prefix (`_live_eta`), one elementwise `np.einsum` (no BLAS). The fold
+    cancels odd powers exactly on rows 1..n/2-1, so an odd entry is the
+    Nyquist term (-eta_N)^d exp(-b eta_N^2) alone, exactly."""
+    e = _live_eta(spec, 1, b)
+    P = np.stack([spec.freqs() ** d for d in range(dmax + 1)], axis=1)
+    return np.einsum("kd,k->d", _fold(P)[: e.size], np.exp(e**2 * -b))
+
+
 def weight_moments(spec: GridSpec, m: int, b: float, dmax: int) -> np.ndarray:
     """T_b[n] = sum over the frequency lattice of eta^n exp(-b|eta|^2m),
-    |n_i| <= dmax, summed on the live box of the weight (`octant_weight`).
-    The product of two weights is the weight of the summed exponents, so
-    the pairing of spectra with weights b1 and b2 reads T_(b1+b2)."""
-    return _axis_moments(octant_weight(spec, m, b), spec.freqs(), dmax)
+    |n_i| <= dmax. The product of two weights is the weight of the summed
+    exponents, so the pairing of spectra with weights b1 and b2 reads
+    T_(b1+b2). At m=1 the weight factors over the axes,
+    exp(-b|eta|^2) = prod_i exp(-b eta_i^2), and T_b is the outer product
+    of one per-axis sum (`_axis_weight_sums`): no 3-D array is made. At
+    m >= 2 it is summed on the live box of the weight (`octant_weight`)."""
+    if m > 1:
+        return _axis_moments(octant_weight(spec, m, b), spec.freqs(), dmax)
+    t = _axis_weight_sums(spec, b, dmax)
+    return t[:, None, None] * t[None, :, None] * t[None, None, :]
 
 
 def _degree_cube(dmax: int) -> np.ndarray:
@@ -573,16 +588,16 @@ def _divergence_poly(A: Sequence[Polynomial]) -> Polynomial:
 
 def _tensor_arrays(basis, n: int) -> float:
     """Float64 arrays of n^3 at the peak of `interaction_tensor` over
-    `basis` on an n-point grid, an upper bound: five octants (|eta|^2 and
-    1/|eta|^2, the weight, the weight over |eta|^2, the transients of
-    1/|eta|^2), the first two contractions of `_axis_moments`, the moment
-    and per-dual tables, and 256 values per pair of labels for the float
-    terms of the convections. A top level K bounds the powers: D <= K+1
+    `basis` on an n-point grid, an upper bound: four octants (the weight,
+    1/|eta|^2 with |eta|^2 and the mask of its zeros, the transients of its
+    build, and the weight over |eta|^2), the first two contractions of
+    `_axis_moments`, the moment and per-dual tables, and 256 values per
+    pair of labels for the float terms of the convections. A top level K bounds the powers: D <= K+1
     and dmax <= 2K-1, so C = (D+1)(dmax+1) columns per folded axis table."""
     K = max(b.level for b in basis.blocks)
     X = max(1, 2 * K)
     C, h = (K + 2) * X, n // 2 + 1
-    values = 5 * h**3 + 5 * h**2 * C + 4 * h * C**2 + 4 * C**3 + 15 * basis.count * X**3 + 256 * basis.count**2
+    values = 4 * h**3 + 5 * h**2 * C + 4 * h * C**2 + 4 * C**3 + 15 * basis.count * X**3 + 256 * basis.count**2
     return values / n**3
 
 

@@ -229,12 +229,19 @@ def test_verify_box_too_small_exits_2(tmp_path, capsys, m, L):
 
 @pytest.mark.parametrize(
     "argv",
-    [["d-tensor"], ["verify"], ["nodal", "--cell", "0.001"]],
-    ids=["d-tensor", "verify", "nodal"],
+    [
+        ["d-tensor"],
+        ["verify", "--m", "2"],
+        ["verify", "--m", "1", "--n", "8192"],
+        ["nodal", "--cell", "0.001"],
+    ],
+    ids=["d-tensor", "verify", "verify-m1", "nodal"],
 )
 def test_grid_larger_than_memory_exits_2(tmp_path, capsys, monkeypatch, argv):
     # a host with 1 MiB of memory: the default grids are refused before any
-    # lattice array exists, and nothing is written
+    # lattice array exists, and nothing is written; the m=1 verifier holds
+    # no array that grows like n^3 and fits its default grid in 1 MiB, so
+    # its refusal is checked on an n=8192 grid (its per-axis tables)
     from hermflow import grid
 
     monkeypatch.setattr(grid, "_physical_memory", lambda: 2**20)

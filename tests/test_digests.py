@@ -83,9 +83,9 @@ FLOAT_DIGESTS = {
         "trajectory.csv": "f427c86e4f914f8bf2661492ee13c52cdd98806d3eff16348fdf94230089d8a3",
     },
     ("verify", "--m", "1", "--level", "1", "--n", "32", "--L", "16", "--n-tau", "7"): {
-        "stdout": "11bfb621fa21109a540ebb3bfa0fcadf07f175190635eb098e239188caa888bf",
-        "verify_m1.json": "e0400847ada38b85db1ee0ca3ab3d1405a76f3932ef27d7b3b98ec3b97980a9a",
-        "verify_m1_l1.csv": "b5f8b5bca258259a3663c20ab258bc7083d4c13331166e9a94dcf7c586c7fbb3",
+        "stdout": "de20834deecc9bcac141bc50bedfd8e69782ad701f376359a93acaab7d418dd2",
+        "verify_m1.json": "e33113753ed053d022275aa152f39d2cbbad7d844e50d8874321ea011d447227",
+        "verify_m1_l1.csv": "e1723abcd22dc8322bfacfb569908437cda32432b9618ccd5eef4db9ff78c21b",
     },
     ("verify", "--m", "2", "--level", "1", "--n", "32", "--L", "16", "--n-tau", "7"): {
         "stdout": "a72033a7ed570e2373eb95b3bc56c75b9bf0f8da6a24fd01a855ec967b1d4eaa",

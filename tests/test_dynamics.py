@@ -671,12 +671,19 @@ def test_semigroup_verify_runs_no_fft(monkeypatch):
 
 
 def test_semigroup_verify_caches_nothing_per_time():
+    # nor any lattice array: the weights and moment tables are made per
+    # output time and dropped, so the cache holds per-axis tables only, at
+    # m=1 (whose tables are products of 1-D sums) and at m=2
+    grid._CACHE.clear()
     spec = GridSpec(14.0, 32)
     sizes = []
     for n_tau in (5, 9):
         semigroup_verify(fixture(1, 1)[0], 1, spec=spec, n_tau=n_tau)
         sizes.append(len(grid._CACHE))
+        assert all(a.ndim == 1 for a in grid._CACHE.values())
     assert sizes[0] == sizes[1]
+    semigroup_verify(fixture(2, 1)[0], 2, spec=GridSpec(16.0, 32), n_tau=7)
+    assert all(a.ndim == 1 for a in grid._CACHE.values())
 
 
 def _lattice_parts(P, spec):
@@ -828,15 +835,18 @@ def test_residual_scales_exactly_by_powers_of_two(m):
         assert np.array_equal(ck, np.ldexp(c, k)), k
 
 
-@pytest.mark.parametrize("m, n, workers", [(1, 64, 1), (2, 48, 2), (2, 16, 1), (1, 32, 2)])
+@pytest.mark.parametrize(
+    "m, n, workers", [(1, 64, 1), (2, 48, 2), (2, 16, 1), (1, 32, 2), (1, 1024, 2)]
+)
 def test_semigroup_verify_working_set(m, n, workers):
     # the refusal in `semigroup_verify` sizes the verifier at
     # _verifier_arrays float64 arrays of n^3; the measured peak, with the
     # lattice cache cleared so that its arrays count, must stay within it,
     # also on small grids, where the moment and pairing tables weigh most
     # (at n=16, m=2 also runs level 3, whose pairing table, D = 9, is most
-    # of the peak); at L=16 and m=2, 7 output times keep the 3 the rate fit
-    # needs
+    # of the peak), and on a large m=1 grid, where no array grows like
+    # n^3 (one octant alone would be 1 GiB at n=1024); at L=16 and m=2,
+    # 7 output times keep the 3 the rate fit needs
     spec = GridSpec(16.0, n)
     for level in (1, 2, 3) if (m, n) == (2, 16) else (1, 2):
         data = fixture(m, level)[0]

@@ -237,6 +237,33 @@ def test_weight_moments_match_the_whole_lattice_sum(m, b):
     assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("n", [18, 48])
+@pytest.mark.parametrize("b", [1.0, 2.0, 39.0])
+def test_m1_weight_moments_are_a_product_of_one_folded_axis_sum(n, b):
+    # at m=1 the weight factors over the axes: the table is the outer
+    # product of one folded 1-D sum, and against the sum of the
+    # exponential over every lattice point it differs by roundoff only,
+    # entry by entry against the sum of the absolute terms; n = 18 has an
+    # odd Nyquist index, and at b = 39 (the verifier's (2 - s)/s at
+    # s = 0.05) the Nyquist term is about 1e-212 on the n = 18 grid and
+    # underflows on the n = 48 one
+    spec = GridSpec(8.0, n)
+    t = grid._axis_weight_sums(spec, b, 6)
+    got = grid.weight_moments(spec, 1, b, 6)
+    assert got.tobytes() == (t[:, None, None] * t[None, :, None] * t[None, None, :]).tobytes()
+    w = np.exp(-b * freq_sq(spec))
+    want = axis_moments(w, spec.freqs(), 6)
+    scale = axis_moments(w, np.abs(spec.freqs()), 6)
+    assert np.max(np.abs(got - want) / scale) <= 1e-14
+    # the fold cancels the odd powers of rows 1..n/2-1 exactly: an odd
+    # entry is the term of the Nyquist slot -n/2 alone,
+    # (-eta_N)^d exp(-b eta_N^2), taken once
+    eta = spec.freqs()
+    for d in (1, 3, 5):
+        assert t[d] == (eta**d * np.exp(-b * eta**2))[n // 2], d
+    assert eta[n // 2] == -math.pi * (n // 2) / spec.L
+
+
 def test_moment_pairings_read_the_leading_block_of_a_larger_table():
     # the shared tables of the verifier are built to the larger of the
     # degrees their pairings need: a pairing reads only the leading block

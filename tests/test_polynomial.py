@@ -162,7 +162,8 @@ def test_vector_field_divergence_and_json():
 # sha256 of `evaluate_cube` on seeded random cubes of D = 4..8 on 201-point
 # axes, where a GEMM contraction changes its bits with the BLAS thread
 # count (D = 4, 7 and 8 did), of p and its gradient at scattered points,
-# and of the verifier's moment pairings at D = 9 (`verify --m 2 --level 3`)
+# of the verifier's moment pairings at D = 9 (`verify --m 2 --level 3`),
+# and of an m=1 moment table, a product of 1-D sums
 _BLAS_SCRIPT = """
 import hashlib
 import numpy as np
@@ -182,6 +183,7 @@ h.update(g.tobytes())
 spec = GridSpec(16.0, 32)
 X, Y = rng.standard_normal((2, 3, 10, 10, 10)), rng.standard_normal((3, 3, 10, 10, 10))
 h.update(moment_pairings(X, Y, weight_moments(spec, 2, 2.0, 18), spec).tobytes())
+h.update(weight_moments(spec, 1, 2.0, 18).tobytes())
 print(h.hexdigest())
 """
 
