@@ -37,8 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
+from ._numpy import np
 from .dynamics import (
     Expansion,
     check_output_times,
@@ -117,15 +116,18 @@ _SEED = Param("seed", int, 0, "seed of demo:small and of the projector test fiel
 
 def _json_default(x):
     """The JSON form of what `json.dumps` cannot write itself: a Fraction as
-    {"num", "den"}, numpy scalars and arrays as Python numbers and lists."""
+    {"num", "den"}, numpy scalars and arrays as Python numbers and lists.
+    Only an object of a numpy type reaches `np`, so writing Fractions never
+    loads numpy."""
     if isinstance(x, Fraction):
         return {"num": x.numerator, "den": x.denominator}
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, np.ndarray):
-        return x.tolist()
+    if type(x).__module__.split(".")[0] == "numpy":
+        if isinstance(x, np.integer):
+            return int(x)
+        if isinstance(x, np.bool_):
+            return bool(x)
+        if isinstance(x, np.ndarray):
+            return x.tolist()
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ._numpy import np
 from .errors import EmptyCloudError, NonConvergenceError, ValidationError
 from .grid import (
     GridSpec,
@@ -304,27 +303,28 @@ def diagonal_trajectory(e0: Expansion, taus: Sequence[float]) -> CoefficientTraj
 # Dormand-Prince 5(4): nodes, stage weights, the fifth-order weights, the
 # error weights (fifth- minus fourth-order, over the 6 stages and the FSAL
 # derivative) and Shampine's quartic dense-output matrix, each entry rounded
-# from the same rational as in scipy's RK45
-_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
-_DP_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1/5, 0, 0, 0, 0],
-    [3/40, 9/40, 0, 0, 0],
-    [44/45, -56/15, 32/9, 0, 0],
-    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
-])
-_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
-_DP_P = np.array([
-    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
-    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
-    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
-    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
-])
+# from the same rational as in scipy's RK45; plain floats until `_dopri45`
+# runs, so importing this module builds no array
+_DP_C = (0, 1/5, 3/10, 4/5, 8/9, 1)
+_DP_A = (
+    (0, 0, 0, 0, 0),
+    (1/5, 0, 0, 0, 0),
+    (3/40, 9/40, 0, 0, 0),
+    (44/45, -56/15, 32/9, 0, 0),
+    (19372/6561, -25360/2187, 64448/6561, -212/729, 0),
+    (9017/3168, -355/33, 46732/5247, 49/176, -5103/18656),
+)
+_DP_B = (35/384, 0, 500/1113, 125/192, -2187/6784, 11/84)
+_DP_E = (-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40)
+_DP_P = (
+    (1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432),
+    (0, 0, 0, 0),
+    (0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799),
+    (0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072),
+    (0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632),
+    (0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844),
+    (0, 40617522/29380423, -110615467/29380423, 69997945/29380423),
+)
 # step-size control: safety factor, the bounds on one change of the step,
 # and the exponent -1/(q+1) of the fourth-order error estimate
 _DP_SAFETY, _DP_MIN_FACTOR, _DP_MAX_FACTOR = 0.9, 0.2, 10
@@ -403,6 +403,7 @@ def _dopri45(fun, y0: np.ndarray, t_end: float, rtol: float, atol: float) -> _RK
     `message` set, when the step it needs falls under 10 ulps of tau, or
     when it has attempted `_DP_MAX_STEPS` steps.
     """
+    C, A, B, E, P = (np.array(t, dtype=float) for t in (_DP_C, _DP_A, _DP_B, _DP_E, _DP_P))
     f = fun(0.0, y0)
     h_abs = _initial_step(fun, y0, f, t_end, rtol, atol)
     K = np.empty((7, y0.size))
@@ -428,13 +429,13 @@ def _dopri45(fun, y0: np.ndarray, t_end: float, rtol: float, atol: float) -> _RK
             h_abs = np.abs(h)
             K[0] = f
             for s in range(1, 6):
-                dy = np.dot(K[:s].T, _DP_A[s, :s]) * h
-                K[s] = fun(t + _DP_C[s] * h, y + dy)
-            y_new = y + h * np.dot(K[:-1].T, _DP_B)
+                dy = np.dot(K[:s].T, A[s, :s]) * h
+                K[s] = fun(t + C[s] * h, y + dy)
+            y_new = y + h * np.dot(K[:-1].T, B)
             f_new = fun(t + h, y_new)
             K[-1] = f_new
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _rms(np.dot(K.T, _DP_E) * h / scale)
+            error_norm = _rms(np.dot(K.T, E) * h / scale)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = _DP_MAX_FACTOR
@@ -443,7 +444,7 @@ def _dopri45(fun, y0: np.ndarray, t_end: float, rtol: float, atol: float) -> _RK
                 if step_rejected:
                     factor = min(1, factor)
                 h_abs *= factor
-                segments.append((t, h, y, K.T.dot(_DP_P)))
+                segments.append((t, h, y, K.T.dot(P)))
                 t, y, f = t_new, y_new, f_new
                 ts.append(t)
                 break

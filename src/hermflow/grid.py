@@ -42,9 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
 
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
+from ._numpy import np
 from .errors import ValidationError
 from .polynomial import Polynomial, VectorPolyField, evaluate_cube, row_blocks
 from .solenoidal import SolenoidalBasis
@@ -397,7 +395,7 @@ def moment_pairings(
     """
     K, L = X.shape[-1], Y.shape[-1]
     Tr = table * _i_power(_degree_cube(table.shape[-1] - 1), "re")
-    H = sliding_window_view(Tr, (L,) * 3)[:K, :K, :K].reshape(K**3, L**3)
+    H = np.lib.stride_tricks.sliding_window_view(Tr, (L,) * 3)[:K, :K, :K].reshape(K**3, L**3)
     Ys = Y * (-1.0) ** _degree_cube(L - 1)
     XH = np.einsum("fck,kl->fcl", X.reshape(X.shape[0], 3, -1), H)
     out = np.einsum("fcl,gcl->fg", XH, Ys.reshape(Y.shape[0], 3, -1))
@@ -417,6 +415,9 @@ def hermitian_parts(P: np.ndarray) -> Tuple[np.ndarray | None, np.ndarray | None
 
 def parallel_map(fn: Callable, items: Sequence, workers: int | None) -> list:
     """[fn(x) for x in items] on up to `workers` threads, in input order."""
+    # numpy loads at its first use (`._numpy`), and that first load is not
+    # safe on two threads at once: the caller must have used numpy before
+    # the pool starts, as `semigroup_verify` does with its output times
     nw = max(1, workers or 1)
     if nw > 1 and len(items) > 1:
         from concurrent.futures import ThreadPoolExecutor

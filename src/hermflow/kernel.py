@@ -36,9 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-from numpy.polynomial.legendre import leggauss
-
+from ._numpy import np
 from .errors import NonConvergenceError, ValidationError
 
 
@@ -162,7 +160,7 @@ def kernel_values(
     mid = edges[:-1, None] + half
     sums = []
     for order in (16, 24):
-        x, w = leggauss(order)
+        x, w = np.polynomial.legendre.leggauss(order)
         s = (mid + half * x).ravel()
         g = np.exp(-(s ** (2 * m))) * s * (half * w).ravel()
         total = np.empty_like(r)

@@ -16,8 +16,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .multiindex import (
     MultiIndex,
     as_fraction,

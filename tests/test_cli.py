@@ -181,13 +181,14 @@ def test_one_dimensional_grid_larger_than_memory_exits_2(tmp_path, capfd, argv, 
 )
 def test_kernel_table_beyond_the_work_bound_exits_2(tmp_path, capfd, monkeypatch, argv):
     # 1e5 radii fit in memory, but over 3.3e6 Gauss nodes they ask for about
-    # 3.3e11 sine evaluations: refused before any Gauss rule is built
-    from hermflow import kernel
+    # 3.3e11 sine evaluations: refused before any Gauss rule is built (the
+    # kernel resolves the rule at call time)
+    import numpy.polynomial.legendre
 
     def unreachable(order):
         raise AssertionError("the sine sum started")
 
-    monkeypatch.setattr(kernel, "leggauss", unreachable)
+    monkeypatch.setattr(numpy.polynomial.legendre, "leggauss", unreachable)
     code = cli.run(argv + ["--outdir", str(tmp_path)])
     out, err = capfd.readouterr()
     line = json.loads(out.strip().splitlines()[-1])
@@ -356,6 +357,25 @@ def test_evolve_truncated_before_the_window_exits_3(tmp_path, capfd):
     assert list(outdir.iterdir()) == []
 
 
+def _fresh_run(tmp_path, argvs):
+    """Run each argv through `cli.run` in one fresh interpreter; return the
+    exit codes and the names in `sys.modules` afterwards."""
+    script = (
+        "import json, sys\n"
+        "from hermflow import cli\n"
+        "codes = [cli.run(a + ['--outdir', sys.argv[1]]) for a in json.loads(sys.argv[2])]\n"
+        "print(json.dumps([codes, sorted(sys.modules)]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path), json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def test_commands_import_no_scipy(tmp_path):
     # scipy's import costs more than these runs compute, and no command
     # needs it
@@ -372,22 +392,54 @@ def test_commands_import_no_scipy(tmp_path):
         ["nodal"],
         ["nodal", "--cell", "0.1"],
     ]
-    script = (
-        "import json, sys\n"
-        "from hermflow import cli\n"
-        "codes = [cli.run(a + ['--outdir', sys.argv[1]]) for a in json.loads(sys.argv[2])]\n"
-        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
-    )
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path), json.dumps(argvs)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    codes, modules = json.loads(proc.stdout.strip().splitlines()[-1])
+    codes, modules = _fresh_run(tmp_path, argvs)
     assert codes == [0] * len(argvs)
-    assert modules == []
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+
+
+def test_exact_commands_never_run_numpy(tmp_path):
+    # these commands compute with Fractions only; numpy is bound lazily, so
+    # it sits in sys.modules but its code (numpy._core, numpy.core in 1.x)
+    # never runs
+    argvs = [
+        ["basis", "--max-level", "3"],
+        ["eig-check"],
+        ["biortho"],
+        ["solenoidal"],
+        ["classify", "--suite", "synthetic"],
+    ]
+    codes, modules = _fresh_run(tmp_path, argvs)
+    assert codes == [0] * len(argvs)
+    assert "numpy._core" not in modules and "numpy.core" not in modules
+
+
+@pytest.mark.skipif(
+    int(np.__version__.split(".")[0]) < 2, reason="numpy 1.x imports numpy.polynomial eagerly"
+)
+def test_numeric_commands_load_no_numpy_polynomial(tmp_path):
+    # only the kernel table's Gauss rule reads numpy.polynomial, at call time
+    argvs = [
+        ["nodal"],
+        ["verify", "--n", "32", "--L", "12", "--n-tau", "7"],
+        ["d-tensor", "--n", "32"],
+        ["evolve", "--model", "nse", "--K", "1", "--data", "l1:0=0.1", "--tau", "1"],
+    ]
+    codes, modules = _fresh_run(tmp_path, argvs)
+    assert codes == [0] * len(argvs)
+    assert "numpy._core" in modules
+    assert [m for m in modules if m.startswith("numpy.polynomial")] == []
+
+
+def test_json_default_converts_numpy_types_only():
+    from fractions import Fraction
+
+    assert cli._json_default(Fraction(-3, 4)) == {"num": -3, "den": 4}
+    for x, want in [(np.int64(7), 7), (np.bool_(True), True), (np.arange(3), [0, 1, 2])]:
+        out = cli._json_default(x)
+        assert out == want and type(out) is type(want)
+    for x in (object(), {1, 2}, 1j, np.complex128(1j), np.float16(0.5)):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            cli._json_default(x)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import hermflow
@@ -71,3 +75,35 @@ def test_no_module_imports_scipy():
                 where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
                 found += [(path.stem, where, n) for n in names if n.split(".")[0] == "scipy"]
     assert found == []
+
+
+def test_cli_import_keeps_what_the_benchmark_tracer_reads():
+    # pins what bench/tracer.py reads right after `import hermflow.cli`:
+    # every module of its LAYERS in sys.modules and grid._CACHE a dict; and
+    # that import stays cheap, numpy bound but not run, with the 48 exports
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    (layers,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]
+    ]
+    script = (
+        "import json, sys\n"
+        "import hermflow, hermflow.cli\n"
+        "print(json.dumps({\n"
+        "    'missing': [l for l in sys.argv[1:] if 'hermflow.' + l not in sys.modules],\n"
+        "    'cache': type(sys.modules['hermflow.grid']._CACHE).__name__,\n"
+        "    'numpy_ran': 'numpy._core' in sys.modules or 'numpy.core' in sys.modules,\n"
+        "    'exports': len(hermflow.__all__),\n"
+        "    'unresolved': [n for n in hermflow.__all__ if not hasattr(hermflow, n)],\n"
+        "}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *layers], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(layers) == 9
+    assert json.loads(proc.stdout) == {
+        "missing": [], "cache": "dict", "numpy_ran": False, "exports": 48, "unresolved": [],
+    }
