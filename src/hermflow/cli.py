@@ -37,42 +37,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ._numpy import np
-from .dynamics import (
-    Expansion,
-    check_output_times,
-    classify_zero,
-    detect_resonance,
-    diagonal_flow,
-    diagonal_trajectory,
-    expand,
-    nodal_compare,
-    nodal_extract,
-    nse_galerkin,
-    rate_check,
-    semigroup_verify,
-    unique_continuation_diagnostic,
-)
-from .errors import NonConvergenceError, ValidationError
-from .grid import (
-    GridSpec,
-    InteractionTensor,
-    check_fits,
-    interaction_tensor,
-    projector_norms,
-)
-from .kernel import envelope_fit, kernel_values, wkbj_constants
-from .multiindex import enumerate_level
-from .operators import OperatorParams, apply_B_star, level_enumerate, pairing
-from .polynomial import Polynomial, VectorPolyField
-from .solenoidal import (
-    CompositeBasis,
-    catalog_levels,
-    composite_basis,
-    divfree_kernel,
-    fixture,
-    fixture_basis,
-)
+# the layers by module: each loads at its first use (`._lazy`), so a
+# command runs only the layers it uses
+from . import dynamics, grid, kernel, multiindex, operators, polynomial, solenoidal
+from ._lazy import np
+from .errors import NonConvergenceError, ValidationError, check_fits
 
 SCHEMA = "hermflow/1"
 
@@ -149,28 +118,28 @@ def _cloud_csv(cloud: np.ndarray) -> str:
 # -- initial-data descriptors ----------------------------------------------------
 
 
-def _nodal_demo_coeffs(cb: CompositeBasis) -> Dict[Tuple[int, int], Fraction]:
+def _nodal_demo_coeffs(cb: solenoidal.CompositeBasis) -> Dict[Tuple[int, int], Fraction]:
     """Level-1 rotation plus half of a divergence-free level-3 field whose
     second component bends the ambient zero plane, over the m=1 levels 0..3."""
-    w = VectorPolyField(
+    w = polynomial.VectorPolyField(
         [
-            Polynomial(3, {(0, 1, 0): Fraction(2), (2, 1, 0): Fraction(-1)}),
-            Polynomial(3, {(1, 2, 0): Fraction(1), (1, 0, 0): Fraction(-2)}),
-            Polynomial.zero(3),
+            polynomial.Polynomial(3, {(0, 1, 0): Fraction(2), (2, 1, 0): Fraction(-1)}),
+            polynomial.Polynomial(3, {(1, 2, 0): Fraction(1), (1, 0, 0): Fraction(-2)}),
+            polynomial.Polynomial.zero(3),
         ]
     )
     u0 = cb.blocks[1].fields[0] + w.scale(Fraction(1, 2))
-    e = expand(u0, cb)
+    e = dynamics.expand(u0, cb)
     return {k: v for k, v in e.coeffs.items() if v != 0}
 
 
-_Bases = Callable[[int], CompositeBasis]
+_Bases = Callable[[int], "solenoidal.CompositeBasis"]
 
 
 def _bases(m: int) -> _Bases:
     """K -> composite_basis(m, K), each built once within a run, so the
     demo data and the command share their basis."""
-    return lru_cache(maxsize=None)(lambda K: composite_basis(m, K))
+    return lru_cache(maxsize=None)(lambda K: solenoidal.composite_basis(m, K))
 
 
 def _parse_data(desc: str, m: int, K_flag: Optional[int], seed: int, bases: _Bases):
@@ -242,9 +211,9 @@ def _put_coeff(coeffs: dict, key: str, val, where: str) -> None:
         raise ValidationError(f"{where}: coefficient {key!r} is beyond the float range") from None
 
 
-def _zero_tensor(cb, m: int, spec: GridSpec) -> InteractionTensor:
+def _zero_tensor(cb, m: int, spec: grid.GridSpec) -> grid.InteractionTensor:
     zero = np.zeros((cb.count,) * 3)
-    return InteractionTensor(
+    return grid.InteractionTensor(
         m=m, N=3, spec=spec, labels=list(cb.labels), values=zero, errors=zero.copy()
     )
 
@@ -267,7 +236,7 @@ def _grid_text(v) -> str:
     return str(v)
 
 
-def _load_tensor(path: str) -> InteractionTensor:
+def _load_tensor(path: str) -> grid.InteractionTensor:
     with open(path) as fh:
         doc = json.load(fh)
     if not (
@@ -308,10 +277,10 @@ def _load_tensor(path: str) -> InteractionTensor:
     if len(seen) < values.size:
         missing = next(idx for idx in np.ndindex(values.shape) if idx not in seen)
         raise ValidationError(f"{path}: no entry for {_triple(labels, missing)}")
-    grid = doc["grid"]
+    box = doc["grid"]
     # other grid keys, such as the "dealias" flag of older files, are ignored
-    spec = GridSpec(L=float(grid["L"]), n=grid["n"])
-    return InteractionTensor(
+    spec = grid.GridSpec(L=float(box["L"]), n=box["n"])
+    return grid.InteractionTensor(
         m=doc["m"], N=doc["N"], spec=spec, labels=labels, values=values, errors=errors,
         refined=doc.get("refined", {}),
     )
@@ -332,12 +301,12 @@ def _levels(cfg: dict) -> range:
 
 
 def _cmd_basis(cfg: dict):
-    params = OperatorParams(m=cfg["m"], N=cfg["N"])
+    params = operators.OperatorParams(m=cfg["m"], N=cfg["N"])
     levels = []
     formula_ok = True
     total = 0
     for k in _levels(cfg):
-        pairs = level_enumerate(k, params)
+        pairs = operators.level_enumerate(k, params)
         expected = math.comb(k + params.N - 1, params.N - 1)
         formula_ok = formula_ok and len(pairs) == expected
         total += len(pairs)
@@ -358,10 +327,10 @@ def _cmd_eig_check(cfg: dict):
     results = []
     checked = 0
     for m in ms:
-        params = OperatorParams(m=m, N=cfg["N"])
+        params = operators.OperatorParams(m=m, N=cfg["N"])
         for k in _levels(cfg):
-            for ep in level_enumerate(k, params):
-                lhs = apply_B_star(ep.psi_star, params)
+            for ep in operators.level_enumerate(k, params):
+                lhs = operators.apply_B_star(ep.psi_star, params)
                 if lhs != ep.psi_star.scale(ep.lam):
                     raise ValidationError(
                         f"eigen-relation failed at m={m}, beta={ep.beta}"
@@ -377,13 +346,13 @@ def _cmd_biortho(cfg: dict):
     results = []
     checked = 0
     for m in ms:
-        params = OperatorParams(m=m, N=cfg["N"])
-        eps = [ep for k in _levels(cfg) for ep in level_enumerate(k, params)]
+        params = operators.OperatorParams(m=m, N=cfg["N"])
+        eps = [ep for k in _levels(cfg) for ep in operators.level_enumerate(k, params)]
         for ea in eps:
             fact = math.prod(math.factorial(b) for b in ea.beta)
             for eb in eps:
                 want = Fraction(fact) if ea.beta == eb.beta else Fraction(0)
-                if pairing(ea.psi_star, eb.beta, params) != want:
+                if operators.pairing(ea.psi_star, eb.beta, params) != want:
                     raise ValidationError(
                         f"pairing failed at m={m}, beta={ea.beta}, gamma={eb.beta}"
                     )
@@ -399,7 +368,7 @@ def _cmd_solenoidal(cfg: dict):
     counts: Dict[str, int] = {}
     if kind == "composite":
         for m in cfg["m"]:
-            cb = composite_basis(m, cfg["K"], cfg["N"])
+            cb = solenoidal.composite_basis(m, cfg["K"], cfg["N"])
             for blk in cb.blocks:
                 counts[f"m{m}:k{blk.level}"] = blk.count
             blocks.append({"m": m, "K": cfg["K"], "counts": [b.count for b in cb.blocks]})
@@ -408,11 +377,18 @@ def _cmd_solenoidal(cfg: dict):
         # is listed, so a failing one raises instead of ending the listing
         if kind == "fixture":
             for m in cfg["m"]:
-                if not catalog_levels(m):
+                if not solenoidal.catalog_levels(m):
                     raise ValidationError(f"the fixture catalogue holds no levels for m={m}")
-            bases = [fixture_basis(m, k, N=cfg["N"]) for m in cfg["m"] for k in catalog_levels(m)]
+            bases = [
+                solenoidal.fixture_basis(m, k, N=cfg["N"])
+                for m in cfg["m"]
+                for k in solenoidal.catalog_levels(m)
+            ]
         else:
-            bases = [divfree_kernel(cfg["level"], OperatorParams(m=m, N=cfg["N"])) for m in cfg["m"]]
+            bases = [
+                solenoidal.divfree_kernel(cfg["level"], operators.OperatorParams(m=m, N=cfg["N"]))
+                for m in cfg["m"]
+            ]
         for b in bases:
             m, k = b.params.m, b.level
             if kind == "fixture" and m == 1 and k in (1, 2) and b.count != k * (k + 2):
@@ -453,7 +429,7 @@ _KERNEL_MASS_TOL = 1e-6  # README criterion 5: a table must carry the unit mass
 
 def _cmd_kernel(cfg: dict):
     m = cfg["m"]
-    table = kernel_values(m, radii=_radii(cfg), tol=cfg["tol"])
+    table = kernel.kernel_values(m, radii=_radii(cfg), tol=cfg["tol"])
     if not table.mass_error <= _KERNEL_MASS_TOL:
         raise ValidationError(
             f"kernel table up to r_max={cfg['r_max']!r} misses mass: mass error "
@@ -470,7 +446,7 @@ def _cmd_kernel(cfg: dict):
 
 
 def _cmd_wkbj(cfg: dict):
-    consts = wkbj_constants(cfg["m"], cfg["N"])
+    consts = kernel.wkbj_constants(cfg["m"], cfg["N"])
     payload = consts.to_json_dict()
     summary = {
         "m": consts.m,
@@ -481,8 +457,8 @@ def _cmd_wkbj(cfg: dict):
         "root_residual": consts.root_residual,
     }
     if cfg["fit"]:
-        table = kernel_values(consts.m, consts.N, radii=_radii(cfg))
-        fit = envelope_fit(table, consts)
+        table = kernel.kernel_values(consts.m, consts.N, radii=_radii(cfg))
+        fit = kernel.envelope_fit(table, consts)
         payload["fit"] = fit
         payload["kernel_mass_error"] = table.mass_error
         summary.update(
@@ -495,23 +471,23 @@ def _cmd_wkbj(cfg: dict):
     return summary, [("wkbj.json", "wkbj-constants", payload)]
 
 
-def _random_poly_field(rng: np.random.Generator, deg: int = 3) -> VectorPolyField:
+def _random_poly_field(rng: np.random.Generator, deg: int = 3) -> polynomial.VectorPolyField:
     comps = []
     for _ in range(3):
         terms = {}
         for k in range(deg + 1):
-            for beta in enumerate_level(k, 3):
+            for beta in multiindex.enumerate_level(k, 3):
                 terms[beta] = Fraction(int(rng.integers(-8, 9)), 8)
-        comps.append(Polynomial(3, terms))
-    return VectorPolyField(comps)
+        comps.append(polynomial.Polynomial(3, terms))
+    return polynomial.VectorPolyField(comps)
 
 
-def _projector_diagnostics(spec: GridSpec, m: int, seed: int) -> dict:
+def _projector_diagnostics(spec: grid.GridSpec, m: int, seed: int) -> dict:
     """Idempotence and divergence of the Leray projector where the tensor
     applies it, on the frequency lattice, for a seeded random field times
     the kernel: ratios of lattice norms, which by Parseval are the ratios
     of the grid norms. No FFT runs."""
-    scale, idempotence, divergence = projector_norms(
+    scale, idempotence, divergence = grid.projector_norms(
         _random_poly_field(np.random.default_rng(seed)), spec, m
     )
     return {"idempotence_rel": idempotence / scale, "divergence_rel": divergence / scale}
@@ -519,9 +495,9 @@ def _projector_diagnostics(spec: GridSpec, m: int, seed: int) -> dict:
 
 def _cmd_d_tensor(cfg: dict):
     m, K = cfg["m"], cfg["K"]
-    spec = GridSpec(L=cfg["L"], n=cfg["n"])
-    cb = composite_basis(m, K)
-    tensor = interaction_tensor(cb, spec)
+    spec = grid.GridSpec(L=cfg["L"], n=cfg["n"])
+    cb = solenoidal.composite_basis(m, K)
+    tensor = grid.interaction_tensor(cb, spec)
     flagged = tensor.flagged()
     payload = {**tensor.to_json_dict(), "flagged": [list(t) for t in flagged]}
     summary = {
@@ -539,7 +515,7 @@ def _cmd_d_tensor(cfg: dict):
     return summary, [("tensor.json", "interaction-tensor", payload)]
 
 
-def _initial_data(cfg: dict, m: int) -> Expansion:
+def _initial_data(cfg: dict, m: int) -> dynamics.Expansion:
     """The `--data` of `evolve` and `nodal` over the composite basis of
     level `--K` (the data's own level when unset), refused when the data
     reach above that level or name a label outside its basis."""
@@ -553,7 +529,7 @@ def _initial_data(cfg: dict, m: int) -> Expansion:
     for lab in coeffs:
         if lab not in labels:
             raise ValidationError(f"coefficient label {lab} outside the level-{K} basis")
-    return Expansion(cb, coeffs)
+    return dynamics.Expansion(cb, coeffs)
 
 
 def _time_span(end: float, steps: int, labels: int, name: str = "tau") -> np.ndarray:
@@ -563,7 +539,7 @@ def _time_span(end: float, steps: int, labels: int, name: str = "tau") -> np.nda
         raise ValidationError(f"steps must be at least 3, got {steps}")
     if not end > 0.0:
         raise ValidationError(f"{name} must be positive, got {end!r}")
-    check_output_times(steps, labels, f"a trajectory of steps={steps} output times")
+    dynamics.check_output_times(steps, labels, f"a trajectory of steps={steps} output times")
     return np.linspace(0.0, end, steps)
 
 
@@ -575,7 +551,7 @@ def _cmd_evolve(cfg: dict):
     taus = _time_span(cfg["tau"], cfg["steps"], cb.count)
     summary: Dict[str, object] = {"model": model, "labels": cb.count, "tau_end": cfg["tau"]}
     if model == "nse":
-        spec = GridSpec(L=cfg["L"], n=cfg["n"])
+        spec = grid.GridSpec(L=cfg["L"], n=cfg["n"])
         if cfg["tensor"]:
             tensor = _load_tensor(cfg["tensor"])
             # a tensor of another order, dimension, grid or refinement grid
@@ -592,26 +568,26 @@ def _cmd_evolve(cfg: dict):
                         f"does not match this run's {_grid_text(want)}"
                     )
         else:
-            tensor = interaction_tensor(cb, spec)
-        traj = nse_galerkin(e0, tensor, cfg["tau"], rtol=cfg["rtol"], n_out=cfg["steps"])
+            tensor = grid.interaction_tensor(cb, spec)
+        traj = dynamics.nse_galerkin(e0, tensor, cfg["tau"], rtol=cfg["rtol"], n_out=cfg["steps"])
         summary["duhamel_residual"] = traj.duhamel_residual
         summary["truncated"] = traj.diagnostic["truncated"]
         summary["integrator"] = traj.diagnostic["integrator"]
         if cfg["check_linear"]:
-            lin = nse_galerkin(
+            lin = dynamics.nse_galerkin(
                 e0, _zero_tensor(cb, m, spec), cfg["tau"], rtol=cfg["rtol"], n_out=cfg["steps"]
             )
             # against the exact flow at the times the run reached
-            ref = diagonal_trajectory(e0, lin.taus)
+            ref = dynamics.diagonal_trajectory(e0, lin.taus)
             summary["stokes_dev"] = float(np.max(np.abs(lin.C - ref.C)))
     else:
-        traj = diagonal_trajectory(e0, taus)
-        summary["rates"] = {f"l{k}:{i}": v for (k, i), v in rate_check(traj)["rates"].items()}
+        traj = dynamics.diagonal_trajectory(e0, taus)
+        summary["rates"] = {f"l{k}:{i}": v for (k, i), v in dynamics.rate_check(traj)["rates"].items()}
     # the diagonal flows are exact, so the fit may use the whole trajectory;
     # the Galerkin run keeps the default window that skips the transient
     window = None if model == "nse" else (float(taus[0]), float(taus[-1]))
     try:
-        rep = detect_resonance(traj, window=window)
+        rep = dynamics.detect_resonance(traj, window=window)
     except ValidationError as exc:
         if not summary.get("truncated"):
             raise
@@ -643,8 +619,8 @@ def _cmd_nodal(cfg: dict):
     R, cell = cfg["R"], cfg["cell"]
 
     kmin = min(k for k, _ in coeffs)
-    ref_e = Expansion(cb, {lab: c for lab, c in coeffs.items() if lab[0] == kmin})
-    ref_clouds = nodal_extract(ref_e, R=R, cell=cell)
+    ref_e = dynamics.Expansion(cb, {lab: c for lab, c in coeffs.items() if lab[0] == kmin})
+    ref_clouds = dynamics.nodal_extract(ref_e, R=R, cell=cell)
     if cfg["component"] is None:
         comp = next(
             (i for i, c in enumerate(ref_clouds) if len(c)), None
@@ -660,22 +636,22 @@ def _cmd_nodal(cfg: dict):
 
     compared = []
     for j, tau in enumerate(tau_list):
-        state = diagonal_flow(e0, tau)
+        state = dynamics.diagonal_flow(e0, tau)
         if not any(state.coeffs.values()):
             raise ValidationError(
                 f"at taus entry {tau!r} the diagonal flow has underflowed every "
                 "coefficient to 0.0, so there is no zero set to compare; use earlier times"
             )
-        clouds = nodal_extract(state, R=R, cell=cell)
+        clouds = dynamics.nodal_extract(state, R=R, cell=cell)
         for c in range(3):
             arts.append((f"nodal_tau{j}_c{c}.csv", _cloud_csv(clouds[c])))
         poly = state.field_poly().components[comp]
-        compared.append(nodal_compare(clouds[comp], poly, ref_clouds[comp], ref_poly, R))
+        compared.append(dynamics.nodal_compare(clouds[comp], poly, ref_clouds[comp], ref_poly, R))
     distances = [c["distance"] for c in compared]
 
-    traj = diagonal_trajectory(e0, span)
-    rep = detect_resonance(traj, window=(float(span[0]), float(span[-1])))
-    verdict = unique_continuation_diagnostic(rep, distances)
+    traj = dynamics.diagonal_trajectory(e0, span)
+    rep = dynamics.detect_resonance(traj, window=(float(span[0]), float(span[-1])))
+    verdict = dynamics.unique_continuation_diagnostic(rep, distances)
     # `decreasing` goes to the summary line only
     decreasing = verdict.pop("decreasing")
     gap = rep.subdominant_gap
@@ -746,7 +722,7 @@ def _coefficient(t: dict) -> Fraction:
         raise ValidationError(f"term {t!r} has a coefficient with a zero denominator") from None
 
 
-def _terms_polynomial(terms: List[dict]) -> Polynomial:
+def _terms_polynomial(terms: List[dict]) -> polynomial.Polynomial:
     """The exact polynomial sum_k c_k x^a_k t^b_k in (x1, x2, x3, t) of a
     `--terms` list, like terms summed."""
     summed: Dict[tuple, Fraction] = {}
@@ -762,11 +738,11 @@ def _terms_polynomial(terms: List[dict]) -> Polynomial:
         summed[key] = summed.get(key, 0) + _coefficient(t)
     if not summed:
         raise ValidationError("empty term list")
-    return Polynomial(4, summed)
+    return polynomial.Polynomial(4, summed)
 
 
 def _classify(cfg: dict, terms: list):
-    return classify_zero(_terms_polynomial(terms), max_order=cfg["max_order"])
+    return dynamics.classify_zero(_terms_polynomial(terms), max_order=cfg["max_order"])
 
 
 def _cmd_classify(cfg: dict):
@@ -814,13 +790,13 @@ def _cmd_classify(cfg: dict):
 
 def _cmd_verify(cfg: dict):
     m = cfg["m"]
-    spec = GridSpec(L=cfg["L"], n=cfg["n"])
+    spec = grid.GridSpec(L=cfg["L"], n=cfg["n"])
     levels = cfg["level"]
     idx = cfg["field_index"]
     # every level is checked before any is computed
     fields = []
     for k in levels:
-        catalogued = fixture(m, k)
+        catalogued = solenoidal.fixture(m, k)
         if not 0 <= idx < len(catalogued):
             raise ValidationError(f"field index {idx} outside fixture level {k}")
         fields.append(catalogued[idx])
@@ -829,7 +805,7 @@ def _cmd_verify(cfg: dict):
     worst = 0.0
     truncated_any = False
     for k, field in zip(levels, fields):
-        traj = semigroup_verify(
+        traj = dynamics.semigroup_verify(
             field,
             m,
             t_end=cfg["t_end"],
@@ -837,7 +813,7 @@ def _cmd_verify(cfg: dict):
             n_tau=cfg["n_tau"],
             workers=_workers(cfg),
         )
-        rc = rate_check(traj)
+        rc = dynamics.rate_check(traj)
         worst = max(worst, rc["max_rel_err"])
         truncated_any = truncated_any or bool(traj.diagnostic.get("truncated", False))
         arts.append((f"verify_m{m}_l{k}.csv", traj.to_csv()))

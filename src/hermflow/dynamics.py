@@ -15,23 +15,13 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ._numpy import np
-from .errors import EmptyCloudError, NonConvergenceError, ValidationError
-from .grid import (
-    GridSpec,
-    InteractionTensor,
-    check_fits,
-    dilate_coeffs,
-    dual_cubes,
-    moment_pairings,
-    parallel_map,
-    spectrum_cubes,
-    weight_moments,
-)
-from .kernel import _cumulative_simpson
+# by module: `classify` and `nodal` run this layer without these three,
+# which load at their first use (`._lazy`)
+from . import grid, kernel, solenoidal
+from ._lazy import np
+from .errors import EmptyCloudError, NonConvergenceError, ValidationError, check_fits
 from .multiindex import unit
 from .polynomial import Polynomial, VectorPolyField, horner, row_blocks
-from .solenoidal import level_basis
 
 
 def _decay_rate(m: int, k: int) -> float:
@@ -145,32 +135,32 @@ class _Extractor:
     once per (basis, spec), call per field.
     """
 
-    def __init__(self, basis, spec: GridSpec):
+    def __init__(self, basis, spec: grid.GridSpec):
         m = self.m = basis.params.m
         self.spec = spec
-        self.duals = dual_cubes(basis.blocks)
-        self.realz = spectrum_cubes(basis.fields, m)
+        self.duals = grid.dual_cubes(basis.blocks)
+        self.realz = grid.spectrum_cubes(basis.fields, m)
         Dy, Dw = self.realz.shape[-1] - 1, self.duals.shape[-1] - 1
         # the largest power of the partners of every pairing, the model and
         # the duals: the shared tables are built to that degree
         self.D = max(Dy, Dw)
-        self.table = weight_moments(spec, m, 2.0, Dy + self.D)
-        self.M = moment_pairings(self.realz, self.duals, self.table, spec)
+        self.table = grid.weight_moments(spec, m, 2.0, Dy + self.D)
+        self.M = grid.moment_pairings(self.realz, self.duals, self.table, spec)
 
     def closed_form(self, X: np.ndarray, b: float) -> Tuple[np.ndarray, float]:
         """Field with spectrum exp(-b|eta|^2m) sum_d i^|d| X_c[d] eta^d."""
         spec, m, Dx = self.spec, self.m, X.shape[-1] - 1
         # the data against the duals and against the model: exponent b + 1
-        table = weight_moments(spec, m, b + 1.0, Dx + self.D)
-        raw = moment_pairings(X[None], self.duals, table, spec)[0]
+        table = grid.weight_moments(spec, m, b + 1.0, Dx + self.D)
+        raw = grid.moment_pairings(X[None], self.duals, table, spec)[0]
         # the coefficients c, and the residual from the model sum c_i v*_i F
         c = np.linalg.solve(self.M.T, raw)
         Y = np.tensordot(c, self.realz, axes=(0, 0))[None]
         e = _scale_exponent(X, Y)
         X, Y = np.ldexp(X[None], -e), np.ldexp(Y, -e)
-        xx = moment_pairings(X, X, weight_moments(spec, m, 2.0 * b, 2 * Dx), spec)
-        xy = moment_pairings(X, Y, table, spec)
-        yy = moment_pairings(Y, Y, self.table, spec)
+        xx = grid.moment_pairings(X, X, grid.weight_moments(spec, m, 2.0 * b, 2 * Dx), spec)
+        xy = grid.moment_pairings(X, Y, table, spec)
+        yy = grid.moment_pairings(Y, Y, self.table, spec)
         return c, _norm((xx - 2.0 * xy + yy)[0, 0], e)
 
 
@@ -456,7 +446,7 @@ def _dopri45(fun, y0: np.ndarray, t_end: float, rtol: float, atol: float) -> _RK
 
 def nse_galerkin(
     e0: Expansion,
-    tensor: InteractionTensor,
+    tensor: grid.InteractionTensor,
     tau_end: float,
     rtol: float = 1e-9,
     n_out: int = 121,
@@ -515,7 +505,7 @@ def nse_galerkin(
         Q = np.einsum("agb,ta,tg->tb", d, Cs, Cs)
         # c(t) = e^{L t} c0 + e^{L t} int_0^t e^{-L s} Q(s) ds, cumulated once
         W = np.exp(-np.outer(s, lam)) * Q
-        I = _cumulative_simpson(W, s)
+        I = kernel._cumulative_simpson(W, s)
         duh = np.exp(np.outer(taus, lam)) * (c0[None, :] + I[::4])
         residual = float(np.max(np.abs(C - duh)))
     return CoefficientTrajectory(e0.basis, taus, C, duhamel_residual=residual, diagnostic=diagnostic)
@@ -867,7 +857,7 @@ def semigroup_verify(
     data: VectorPolyField,
     m: int,
     t_end: float | None = None,
-    spec: GridSpec | None = None,
+    spec: grid.GridSpec | None = None,
     n_tau: int = 31,
     workers: int | None = None,
 ) -> CoefficientTrajectory:
@@ -898,7 +888,7 @@ def semigroup_verify(
         t_end = -math.exp(-3.0)
     if not (-1.0 < t_end < 0.0):
         raise ValidationError("t_end must lie in (-1, 0)")
-    sp = spec or GridSpec(24.0, 128)
+    sp = spec or grid.GridSpec(24.0, 128)
     degrees = [int(p.degree()) for p in data.components if not p.is_zero()]
     if not degrees:
         raise ValidationError(
@@ -916,11 +906,9 @@ def semigroup_verify(
     if m == 1:
         d0 = 0.25
     else:
-        from .kernel import wkbj_constants
-
-        d0 = wkbj_constants(m, 3).d0
+        d0 = kernel.wkbj_constants(m, 3).d0
     tau_end = -math.log(-t_end)
-    basis = level_basis(m, level)
+    basis = solenoidal.level_basis(m, level)
     check_output_times(n_tau, basis.count, f"a trajectory of n_tau={n_tau} output times")
     taus = np.linspace(0.0, tau_end, n_tau)
 
@@ -946,17 +934,19 @@ def semigroup_verify(
         diagnostic["tau_reached"] = kept[-1]
     taus = np.array(kept)
 
+    # built before the pool starts: its tables load grid and numpy on this
+    # thread, as `grid.parallel_map` needs
     extract = _Extractor(basis, sp)
-    (data_coeffs,) = spectrum_cubes([data], m)
+    (data_coeffs,) = grid.spectrum_cubes([data], m)
 
     def state(tau: float) -> Tuple[np.ndarray, float]:
         # spectrum amp exp(-|eta|^2m (2-s)/s) sum_d i^|d| H[d] (eta s^(-1/2m))^d
         s = math.exp(-tau)
         amp = s ** (rho - 3.0 / (2.0 * m))
-        X = amp * dilate_coeffs(data_coeffs, s ** (-1.0 / (2.0 * m)))
+        X = amp * grid.dilate_coeffs(data_coeffs, s ** (-1.0 / (2.0 * m)))
         return extract.closed_form(X, (2.0 - s) / s)
 
-    cs, residuals = zip(*parallel_map(state, [float(t) for t in taus], workers))
+    cs, residuals = zip(*grid.parallel_map(state, [float(t) for t in taus], workers))
     return CoefficientTrajectory(
         basis, taus, np.array(cs), diagnostic=diagnostic, residuals=list(residuals),
         overlap=[overlap(float(t)) for t in taus],

@@ -37,15 +37,16 @@ derives them once, when it is built.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
-from ._numpy import np
-from .errors import ValidationError
+from ._lazy import np
+from .errors import ValidationError, check_fits
 from .polynomial import Polynomial, VectorPolyField, evaluate_cube, row_blocks
-from .solenoidal import SolenoidalBasis
+
+if TYPE_CHECKING:
+    from .solenoidal import SolenoidalBasis
 
 # -- grid spec and transforms --------------------------------------------------
 
@@ -117,29 +118,6 @@ def _cached(key, build):
                     del _CACHE[k]
         _CACHE[key] = out
     return out
-
-
-def _physical_memory() -> int:
-    """Bytes of physical memory on this host."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def check_fits(n: float, arrays: float, what: str, dims: int = 3) -> None:
-    """Refuse up front a computation whose working set, `arrays` float64
-    arrays of n^dims, exceeds physical memory: lattice arrays of an n-point
-    grid by default, or, with dims=1, values per point of a 1-D grid of n
-    points, which `what` names."""
-    try:
-        need = arrays * 8.0 * float(n) ** dims
-    except OverflowError:  # a count beyond the float range
-        need = math.inf
-    have = _physical_memory()
-    if need > have:
-        where = f" on an n={n} grid" if dims == 3 else ""
-        raise ValidationError(
-            f"{what}{where} needs about {need / 2**30:.3g} GiB, more "
-            f"than the {have / 2**30:.3g} GiB of physical memory"
-        )
 
 
 def _axes(L: float, n: int) -> np.ndarray:
@@ -415,9 +393,10 @@ def hermitian_parts(P: np.ndarray) -> Tuple[np.ndarray | None, np.ndarray | None
 
 def parallel_map(fn: Callable, items: Sequence, workers: int | None) -> list:
     """[fn(x) for x in items] on up to `workers` threads, in input order."""
-    # numpy loads at its first use (`._numpy`), and that first load is not
-    # safe on two threads at once: the caller must have used numpy before
-    # the pool starts, as `semigroup_verify` does with its output times
+    # numpy and the package's layers load at their first use (`._lazy`),
+    # and that first load is not safe on two threads at once: the caller
+    # must have used every module `fn` touches before the pool starts, as
+    # `semigroup_verify` does by building its extractor first
     nw = max(1, workers or 1)
     if nw > 1 and len(items) > 1:
         from concurrent.futures import ThreadPoolExecutor

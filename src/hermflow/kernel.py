@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._numpy import np
+from ._lazy import np
 from .errors import NonConvergenceError, ValidationError
 
 

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence
 
-from ._numpy import np
+from ._lazy import np
 from .multiindex import (
     MultiIndex,
     as_fraction,

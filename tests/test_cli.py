@@ -84,6 +84,27 @@ def test_verify_keeps_per_time_diagnostics(tmp_path, capsys):
     assert all(0.0 <= x <= 2e-4 for x in res["overlap"])
 
 
+def test_fresh_two_worker_verify_loads_its_modules_on_one_thread(tmp_path):
+    # numpy and the package's layers load at their first use, which is not
+    # safe on two threads at once: a fresh process loads every module its
+    # workers touch before the pool starts, and gives the bytes of one
+    # worker; stderr stays empty, so the package does not bind `cli` (runpy
+    # would warn that it was imported before `-m` ran it)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    outs = []
+    for w in ("1", "2"):
+        outdir = tmp_path / w
+        proc = subprocess.run(
+            [sys.executable, "-m", "hermflow.cli", "verify", "--m", "2", "--level", "1",
+             "--workers", w, "--outdir", str(outdir)],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == b""
+        outs.append((proc.stdout, {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}))
+    assert outs[0][1] and outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("n_tau", [0, 1, 2])
 def test_verify_too_few_output_times_exits_2(tmp_path, capsys, n_tau):
     # the rate fit needs three samples: refused up front, naming n_tau,
@@ -243,9 +264,9 @@ def test_grid_larger_than_memory_exits_2(tmp_path, capsys, monkeypatch, argv):
     # lattice array exists, and nothing is written; the m=1 verifier holds
     # no array that grows like n^3 and fits its default grid in 1 MiB, so
     # its refusal is checked on an n=8192 grid (its per-axis tables)
-    from hermflow import grid
+    from hermflow import errors
 
-    monkeypatch.setattr(grid, "_physical_memory", lambda: 2**20)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 2**20)
     code, line = _run(capsys, argv + ["--outdir", str(tmp_path)])
     assert code == 2 and line["error"] == "validation"
     assert "n=" in line["message"] and "GiB" in line["message"]
@@ -751,8 +772,10 @@ def test_settings_at_their_defaults_keep_the_default_echo(tmp_path, capsys):
 
 
 def test_verify_failing_on_a_later_level_leaves_no_artifact(tmp_path, capfd, monkeypatch):
+    from hermflow import dynamics
+
     calls = []
-    verify = cli.semigroup_verify
+    verify = dynamics.semigroup_verify
 
     def second_fails(*args, **kwargs):
         calls.append(1)
@@ -760,7 +783,7 @@ def test_verify_failing_on_a_later_level_leaves_no_artifact(tmp_path, capfd, mon
             raise NonConvergenceError("the second level stalled", achieved=0.5)
         return verify(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "semigroup_verify", second_fails)
+    monkeypatch.setattr(dynamics, "semigroup_verify", second_fails)
     argv = ["verify", "--m", "1", "--level", "1", "--level", "2", "--n", "32", "--L", "16"]
     code, line = _failed(capfd, argv, tmp_path)
     assert code == 3 and line["achieved"] == 0.5
@@ -776,10 +799,12 @@ def test_verify_failing_on_a_later_level_leaves_no_artifact(tmp_path, capfd, mon
     ids=["level", "field-index"],
 )
 def test_verify_checks_every_level_before_computing_any(tmp_path, capfd, monkeypatch, flags, message):
+    from hermflow import dynamics
+
     def unreachable(*args, **kwargs):
         raise AssertionError("a level was computed")
 
-    monkeypatch.setattr(cli, "semigroup_verify", unreachable)
+    monkeypatch.setattr(dynamics, "semigroup_verify", unreachable)
     code, line = _failed(capfd, ["verify", "--m", "1"] + flags, tmp_path)
     assert code == 2 and line["message"].startswith(message)
 
