@@ -420,7 +420,7 @@ def _radii(cfg: dict) -> np.ndarray:
     if not dr > 0.0:
         raise ValidationError(f"radial step dr must be positive, got {dr!r}")
     what = f"a radial grid up to r_max={r_max!r} in steps dr={dr!r}"
-    check_fits((r_max + 1e-9) / dr, _RADIUS_VALUES, what, dims=1)
+    check_fits(_RADIUS_VALUES * (r_max + 1e-9) / dr, what)
     return np.arange(0.0, r_max + 1e-9, dr)
 
 
@@ -790,7 +790,6 @@ def _cmd_classify(cfg: dict):
 
 def _cmd_verify(cfg: dict):
     m = cfg["m"]
-    spec = grid.GridSpec(L=cfg["L"], n=cfg["n"])
     levels = cfg["level"]
     idx = cfg["field_index"]
     # every level is checked before any is computed
@@ -809,7 +808,7 @@ def _cmd_verify(cfg: dict):
             field,
             m,
             t_end=cfg["t_end"],
-            spec=spec,
+            L=cfg["L"],
             n_tau=cfg["n_tau"],
             workers=_workers(cfg),
         )
@@ -948,7 +947,6 @@ _COMMANDS: Dict[str, Tuple[str, Tuple[Param, ...], Callable]] = {
             Param("field_index", int, 0),
             Param("t_end", float, None),
             Param("L", float, 24.0),
-            Param("n", int, 128),
             Param("n_tau", int, 31),
             _WORKERS,
         ),
@@ -1013,7 +1011,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hermflow", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", parser_class=_Parser)
     for command, (help_text, params, _) in _COMMANDS.items():
-        sp = subs.add_parser(command, help=help_text)
+        # no prefix matching: `verify --n` must not pass as `--n-tau`
+        sp = subs.add_parser(command, help=help_text, allow_abbrev=False)
         for p in (_CONFIG, *_COMMON, *params):
             _add_flag(sp, p)
     return parser

@@ -6,7 +6,7 @@ a Duhamel self-check, resonance detection, nodal-set pipelines, zero-type
 classification, and an independent semigroup verifier that evolves data by
 exact Fourier multipliers (no time-stepping error, periodization is the
 only approximation). The verifier alone pairs spectra on the frequency
-lattice.
+lattice pi Z^3 / L.
 """
 from __future__ import annotations
 
@@ -123,44 +123,45 @@ class _Extractor:
 
     Closed-form spectra are paired against the derivative-dual spectra by
     lattice-moment contractions of coefficient arrays
-    (`grid.moment_pairings`), and the pairings are solved with the empirical
-    Gram M = <realizations, duals> of the same lattice sums, so pure basis
-    fields are recovered to roundoff. The residual r, the grid norm of the
-    part of a field X the basis did not capture, comes from the same
+    (`grid.moment_pairings`) over the whole lattice pi Z^3 / L of the box
+    half-width L, and the pairings are solved with the empirical Gram
+    M = <realizations, duals> of the same lattice sums, so pure basis
+    fields are recovered to roundoff. The residual r, the norm of the part
+    of a field X the basis did not capture, comes from the same
     contractions: with Y = sum c_i v*_i F the model,
     r^2 = <X, X> - 2 <X, Y> + <Y, Y>, each term one pairing on the moment
     table of the summed exponents of its two weights (`grid.weight_moments`).
     The table at b = 2 serves the Gram and <Y, Y>, does not depend on the
     field and is built here. No FFT runs and no grid field is stored. Build
-    once per (basis, spec), call per field.
+    once per (basis, L), call per field.
     """
 
-    def __init__(self, basis, spec: grid.GridSpec):
+    def __init__(self, basis, L: float):
         m = self.m = basis.params.m
-        self.spec = spec
+        self.L = L
         self.duals = grid.dual_cubes(basis.blocks)
         self.realz = grid.spectrum_cubes(basis.fields, m)
         Dy, Dw = self.realz.shape[-1] - 1, self.duals.shape[-1] - 1
         # the largest power of the partners of every pairing, the model and
         # the duals: the shared tables are built to that degree
         self.D = max(Dy, Dw)
-        self.table = grid.weight_moments(spec, m, 2.0, Dy + self.D)
-        self.M = grid.moment_pairings(self.realz, self.duals, self.table, spec)
+        self.table = grid.weight_moments(L, m, 2.0, Dy + self.D)
+        self.M = grid.moment_pairings(self.realz, self.duals, self.table, L)
 
     def closed_form(self, X: np.ndarray, b: float) -> Tuple[np.ndarray, float]:
         """Field with spectrum exp(-b|eta|^2m) sum_d i^|d| X_c[d] eta^d."""
-        spec, m, Dx = self.spec, self.m, X.shape[-1] - 1
+        L, m, Dx = self.L, self.m, X.shape[-1] - 1
         # the data against the duals and against the model: exponent b + 1
-        table = grid.weight_moments(spec, m, b + 1.0, Dx + self.D)
-        raw = grid.moment_pairings(X[None], self.duals, table, spec)[0]
+        table = grid.weight_moments(L, m, b + 1.0, Dx + self.D)
+        raw = grid.moment_pairings(X[None], self.duals, table, L)[0]
         # the coefficients c, and the residual from the model sum c_i v*_i F
         c = np.linalg.solve(self.M.T, raw)
         Y = np.tensordot(c, self.realz, axes=(0, 0))[None]
         e = _scale_exponent(X, Y)
         X, Y = np.ldexp(X[None], -e), np.ldexp(Y, -e)
-        xx = grid.moment_pairings(X, X, grid.weight_moments(spec, m, 2.0 * b, 2 * Dx), spec)
-        xy = grid.moment_pairings(X, Y, table, spec)
-        yy = grid.moment_pairings(Y, Y, self.table, spec)
+        xx = grid.moment_pairings(X, X, grid.weight_moments(L, m, 2.0 * b, 2 * Dx), L)
+        xy = grid.moment_pairings(X, Y, table, L)
+        yy = grid.moment_pairings(Y, Y, self.table, L)
         return c, _norm((xx - 2.0 * xy + yy)[0, 0], e)
 
 
@@ -269,8 +270,8 @@ def rate_check(traj: CoefficientTrajectory) -> dict:
 # float64 values held per output time of a command's trajectory, fixed and
 # per basis label, an upper bound (tracemalloc per output time: `evolve
 # --model nse` 136, 405 and 1193 at 4, 12 and 36 labels, `--model stokes
-# --data demo:small` 355 at 36, `verify --n 16` 36 and 82 at levels 1 and
-# 2, `nodal` 110): the rows of C, the integrator's dense output and Duhamel
+# --data demo:small` 355 at 36, `verify` 45 and 39 at levels 1 and 2,
+# `nodal` 110): the rows of C, the integrator's dense output and Duhamel
 # arrays at four times as many points, and the CSV and JSON text
 _TIME_VALUES, _TIME_LABEL_VALUES = 200, 45
 
@@ -279,7 +280,7 @@ def check_output_times(count: int, labels: int, what: str) -> None:
     """Refuse up front a trajectory of `count` output times over `labels`
     basis labels that would not fit in physical memory; `what` names the
     count."""
-    check_fits(count, _TIME_VALUES + _TIME_LABEL_VALUES * labels, what, dims=1)
+    check_fits(count * (_TIME_VALUES + _TIME_LABEL_VALUES * labels), what)
 
 
 def diagonal_trajectory(e0: Expansion, taus: Sequence[float]) -> CoefficientTrajectory:
@@ -656,7 +657,7 @@ def nodal_extract(e: Expansion, R: float = 2.0, cell: float = 0.05) -> List[np.n
     if all(p.is_zero() for p in v.components):
         raise ValidationError("expansion has no nonzero coefficients")
     n = int(round(2.0 * R / cell)) + 1
-    check_fits(n, _NODAL_ARRAYS, "nodal sampling")
+    check_fits(_NODAL_ARRAYS * n**3, f"nodal sampling on an n={n} grid")
     ax = np.linspace(-R, R, n)
     ax2 = ax**2
     inside = ax2[:, None, None] + ax2[None, :, None] + ax2[None, None, :] <= R * R + 1e-12
@@ -827,37 +828,34 @@ def classify_zero(u: Polynomial, max_order: int = 6) -> ZeroType:
 # -- semigroup verifier ---------------------------------------------------------------
 
 
-def _verifier_arrays(n: int, m: int, level: int, workers: int) -> float:
-    """Float64 arrays of n^3 at the peak of `semigroup_verify`, an upper
-    bound: 2^15 values for the exact arithmetic and the small tables, and
-    3n for the cached per-axis frequencies; then, per output time in
-    flight, the moment table being summed and the largest form, <X, X> of
-    the data (`_form_values`). A level-k spectrum cube holds powers up to
-    D = (2m-1)k of each variable, so a moment table has degree up to 2D.
-    At m=1 the table is the product of one per-axis sum
-    (`grid.weight_moments`), whose folded power table and the powers it is
-    stacked from take at most 4n(2D+1) values: nothing grows like n^3. At
-    m=2 it is summed on the live box of the weight, at most one octant,
-    with the first contraction of that box. The measured peak
-    (tracemalloc, L = 16 and 24, one or two workers) is at most 0.22 of
-    this at m = 1 from n = 16 to 1024 at levels 0 to 2, and at m = 2 at
-    most 0.96 from n = 16 to 128 at levels 0 to 3 and 0.99 at level 4,
-    where the pairing table is almost all of it; at the default L = 24,
-    n = 128, level 1, two workers, it is 0.005 (m = 1) and 0.06 (m = 2)
-    against 0.049 and 0.42."""
+def _verifier_arrays(L: float, m: int, level: int, workers: int) -> int:
+    """Float64 values at the peak of `semigroup_verify` at box half-width
+    L, an upper bound: 2^15 for the exact arithmetic and the small tables;
+    then, per output time in flight, the moment table being summed and the
+    largest form, <X, X> of the data (`_form_values`). A level-k spectrum
+    cube holds powers up to D = (2m-1)k of each variable, so a moment table
+    has degree up to 2D, and every table has an exponent b >= 2, whose live
+    prefix (`grid._live_eta`) has at most `grid._live_bound(L, m, 2)`
+    indices K. A table holds its per-axis prefix, weight and power table,
+    at most 4K(2D+1) values; at m=2 also the live box of the weight, K^3,
+    and its first contraction with a transposed copy, 2 (2D+1) K^2. No term
+    depends on a grid. The measured peak (tracemalloc, one or two workers)
+    is at most 0.21 of this at m = 1 from L = 12 to 480 at levels 1 and 2,
+    and at m = 2 at most 0.96 from L = 16 to 96 at levels 0 to 3 and 0.99
+    at level 4, where the pairing table is almost all of it."""
     D = (2 * m - 1) * level
-    if m == 1:
-        table = 4 * n * (2 * D + 1)
-    else:
-        table = (n / 2 + 1) ** 3 + (2 * D + 1) * n**2
-    return (2**15 + 3 * n + workers * (table + _form_values(D))) / n**3
+    K = grid._live_bound(L, m, 2.0)
+    table = 4 * K * (2 * D + 1)
+    if m > 1:
+        table += K**3 + 2 * (2 * D + 1) * K**2
+    return 2**15 + workers * (table + _form_values(D))
 
 
 def semigroup_verify(
     data: VectorPolyField,
     m: int,
     t_end: float | None = None,
-    spec: grid.GridSpec | None = None,
+    L: float = 24.0,
     n_tau: int = 31,
     workers: int | None = None,
 ) -> CoefficientTrajectory:
@@ -869,13 +867,15 @@ def semigroup_verify(
     blow-up-rescaled field in closed form from the transform of (data)F
     (amplitude (-t)^{-(2m-1)/2m}, coordinates x/(-t)^{1/2m},
     tau = -ln(-t)), re-expands it against the single level of the data (its
-    polynomial degree) on the periodic grid's frequency lattice (Parseval
-    pairings, no FFT), and returns the coefficient trajectory with the
-    per-time expansion residual. No time-stepping is involved; periodization is the only error
-    source, and times where the rescaled field's periodic images would
-    overlap the pairing region truncate the trajectory. A box that keeps
-    fewer than the rate fit's three output times raises `ValidationError`,
-    before any lattice array is built.
+    polynomial degree) on the frequency lattice pi Z^3 / L of the periodic
+    box [-L, L)^3 (Parseval pairings, no FFT, cut only where the weight
+    underflows), and returns the coefficient trajectory with the per-time
+    expansion residual. No time-stepping is involved; periodization is the
+    only error source, and times where the rescaled field's periodic
+    images would overlap the pairing region truncate the trajectory. An L
+    outside (0, 2^64], a box whose tables would not fit in physical memory
+    or that keeps fewer than the rate fit's three output times raise
+    `ValidationError`, before any lattice array is built.
     """
     if m not in (1, 2):
         raise ValidationError("semigroup verifier covers m in {1, 2}")
@@ -888,7 +888,8 @@ def semigroup_verify(
         t_end = -math.exp(-3.0)
     if not (-1.0 < t_end < 0.0):
         raise ValidationError("t_end must lie in (-1, 0)")
-    sp = spec or grid.GridSpec(24.0, 128)
+    if not 0.0 < L <= grid._SCALE_MAX:
+        raise ValidationError(f"box half-width L={L!r} must be positive and at most 2^64")
     degrees = [int(p.degree()) for p in data.components if not p.is_zero()]
     if not degrees:
         raise ValidationError(
@@ -897,9 +898,8 @@ def semigroup_verify(
         )
     level = max(degrees)
     check_fits(
-        sp.n,
-        _verifier_arrays(sp.n, m, level, min(max(1, workers or 1), n_tau)),
-        "the semigroup verifier",
+        _verifier_arrays(L, m, level, min(max(1, workers or 1), n_tau)),
+        f"the semigroup verifier at L={L!r}",
     )
     rho = (2.0 * m - 1.0) / (2.0 * m)
     alpha = 2.0 * m / (2.0 * m - 1.0)
@@ -914,7 +914,7 @@ def semigroup_verify(
 
     # image-overlap estimate: rescaled tail ~ exp(-d0 |y|^alpha (s/(2-s))^(1/(2m-1)))
     # at the separation 2L - 8 of a periodic image from the pairing region
-    sep = max(0.0, 2.0 * sp.L - 8.0)
+    sep = max(0.0, 2.0 * L - 8.0)
 
     def overlap(tau: float) -> float:
         s = math.exp(-tau)
@@ -924,7 +924,7 @@ def semigroup_verify(
     kept = [t for t in taus if overlap(float(t)) <= 2e-4]
     if len(kept) < 3:
         raise ValidationError(
-            f"box half-width L={sp.L:g} is too small: periodic images keep clear "
+            f"box half-width L={L:g} is too small: periodic images keep clear "
             f"of the pairing region at only {len(kept)} of n_tau={n_tau} output "
             f"times, and the rate fit needs 3"
         )
@@ -936,7 +936,7 @@ def semigroup_verify(
 
     # built before the pool starts: its tables load grid and numpy on this
     # thread, as `grid.parallel_map` needs
-    extract = _Extractor(basis, sp)
+    extract = _Extractor(basis, L)
     (data_coeffs,) = grid.spectrum_cubes([data], m)
 
     def state(tau: float) -> Tuple[np.ndarray, float]:

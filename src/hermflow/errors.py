@@ -30,19 +30,17 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def check_fits(n: float, arrays: float, what: str, dims: int = 3) -> None:
-    """Refuse up front a computation whose working set, `arrays` float64
-    arrays of n^dims, exceeds physical memory: lattice arrays of an n-point
-    grid by default, or, with dims=1, values per point of a 1-D grid of n
-    points, which `what` names."""
+def check_fits(values: float, what: str) -> None:
+    """Refuse up front a computation whose working set, `values` float64
+    values, exceeds physical memory; `what` names the computation and the
+    setting that sizes it."""
     try:
-        need = arrays * 8.0 * float(n) ** dims
+        need = 8.0 * values
     except OverflowError:  # a count beyond the float range
         need = math.inf
     have = _physical_memory()
     if need > have:
-        where = f" on an n={n} grid" if dims == 3 else ""
         raise ValidationError(
-            f"{what}{where} needs about {need / 2**30:.3g} GiB, more "
+            f"{what} needs about {need / 2**30:.3g} GiB, more "
             f"than the {have / 2**30:.3g} GiB of physical memory"
         )

@@ -1,23 +1,21 @@
-"""Periodic-grid Fourier machinery: closed-form spectra on the frequency
-lattice, the Leray projector there, polynomial convection, and the
-quadratic interaction tensor of the coefficient dynamics.
+"""Fourier machinery on the frequency lattice eta_k = pi k / L of the box
+[-L, L)^3: closed-form spectra, the Leray projector there, polynomial
+convection, and the quadratic interaction tensor of the coefficient
+dynamics. Fields enter in closed form and never leave the lattice: the
+tensor and the semigroup verifier's pairings and residuals are contractions
+of exact coefficients against lattice moment tables, the projector
+diagnostic sweeps lattice spectra, and no FFT runs. Every sum stops where
+the weight exp(-b|eta|^2m) underflows, at the live prefix of each axis
+(`_live_eta`), which depends on L, m and b alone; the verifier sums over
+the whole lattice pi Z^3 / L up to it.
 
-Grid convention: cell-centered nodes x_j = -L + (j + 1/2) h with h = 2L/n on
-[-L, L)^3, discrete frequencies eta_k = pi k / L for integer k in the usual
-FFT ordering (0, 1, ..., n/2 - 1, -n/2, ..., -1). Fields enter in closed
-form and never leave the frequency lattice: the tensor and the semigroup
-verifier's pairings and residuals are contractions of exact coefficients
-against lattice moment tables, the projector diagnostic sweeps lattice
-spectra, and no FFT runs.
-
-Every lattice array is even in each coordinate (the weights
-exp(-b|eta|^2m), 1/|eta|^2) and is held on the octant |k_i| = 0..n/2, a
-weight on the prefix box where it does not underflow: lattice sums
-contract it with per-axis tables folded over k and -k (`_fold`), and the
-projector diagnostic copies a block of its rows into FFT order by index,
-the value at |k| for every wavenumber k. At m=1 the weight factors over
-the axes, so its lattice moments are products of one folded 1-D sum and
-need no 3-D array at all.
+The tensor and the projector diagnostic work on a periodic grid
+(`GridSpec`): nodes x_j = -L + (j + 1/2) h, h = 2L/n, and the n
+frequencies of its lattice in FFT order (0, 1, ..., n/2 - 1, -n/2, ..., -1).
+Their lattice arrays are even in each coordinate and held on the octant
+|k_i| = 0..n/2, a weight on its live box: their sums contract it with
+per-axis tables folded over k and -k (`_fold`), and the projector
+diagnostic copies a block of its rows into FFT order by index.
 
 The interaction tensor follows the adjoint arrangement: the projector
 symbol is real and symmetric per mode, so the discrete Parseval identity
@@ -150,36 +148,40 @@ def _eta_diff(L: float, n: int) -> np.ndarray:
     return _cached(("eta_diff", L, n), build)
 
 
-def _octant_eta(L: float, n: int) -> np.ndarray:
-    """|eta_k| for k = 0..n/2. `_kint` holds exact integers and pi k / L
-    rounds the same way for k and -k, so |eta| at FFT index i is this at
-    |k_i|, bit for bit, the Nyquist slot -n/2 included, and so is every
-    even function of eta computed from it."""
-    return _cached(("octant_eta", L, n), lambda: np.abs(_eta(L, n)[: n // 2 + 1]))
-
-
 # exp(-x) is exactly 0.0 in float64 for every x above 745.1332191019412
 _EXP_ZERO = 746.0
 
 
-def _live_eta(spec: GridSpec, m: int, b: float) -> np.ndarray:
-    """The prefix of `_octant_eta` where b eta^2m <= `_EXP_ZERO`: past it
-    exp(-b eta^2m) underflows to 0.0 on one axis alone, and so does every
-    weight exp(-b|eta|^2m) with a coordinate there."""
-    e = _octant_eta(spec.L, spec.n)
+def _live_bound(L: float, m: int, b: float) -> int:
+    """More lattice indices k = 0, 1, ... than have b (pi k / L)^2m <=
+    `_EXP_ZERO`: the closed-form edge plus a margin for rounding."""
+    return int(L / math.pi * (_EXP_ZERO / b) ** (0.5 / m)) + 2
+
+
+def _live_eta(L: float, m: int, b: float, n: int | None = None) -> np.ndarray:
+    """eta_k = pi k / L for k = 0, 1, ... while b eta_k^2m <= `_EXP_ZERO`:
+    past it exp(-b eta^2m) underflows to 0.0 on one axis alone, and so does
+    every weight exp(-b|eta|^2m) with a coordinate there. An n-point grid
+    keeps its octant, the first n/2 + 1 at most: pi k / L rounds the same
+    way for k and -k, so |eta| at FFT index i is this at |k_i|, bit for
+    bit, and so is every even function of eta computed from it."""
+    size = _live_bound(L, m, b)
+    if n is not None:
+        size = min(size, n // 2 + 1)
+    e = math.pi * np.arange(size) / L
     return e[: int(np.count_nonzero(b * e ** (2 * m) <= _EXP_ZERO))]
 
 
-def octant_weight(spec: GridSpec, m: int, b: float = 1.0) -> np.ndarray:
+def octant_weight(L: float, m: int, b: float = 1.0, n: int | None = None) -> np.ndarray:
     """exp(-b|eta|^2m) on the live box of the nonnegative octant of the
-    frequency lattice (see `_octant_eta`; the value at FFT index i is the
-    one at |k_i|): the prefix indices 0..live-1 of every axis
-    (`_live_eta`), the array's shape (live,)*3. |eta|^2m >= eta_i^2m on
-    every axis i, so the weight is exactly 0.0 past the box, and the box
-    holds the same bits as the exponential of the whole lattice there.
-    |eta|^2 is summed on the box from the per-axis prefix, and every later
-    step runs in place: the box is the only 3-D array made."""
-    e = _live_eta(spec, m, b)
+    frequency lattice: the prefix indices 0..live-1 of every axis
+    (`_live_eta`, cut to the octant of an n-point grid when n is given),
+    the array's shape (live,)*3. |eta|^2m >= eta_i^2m on every axis i, so
+    the weight is exactly 0.0 past the box, and the box holds the same
+    bits as the exponential of the whole lattice there. |eta|^2 is summed
+    on the box from the per-axis prefix, and every later step runs in
+    place: the box is the only 3-D array made."""
+    e = _live_eta(L, m, b, n)
     w = e[:, None, None] ** 2 + e[None, :, None] ** 2 + e[None, None, :] ** 2
     if m > 1:
         np.power(w, m, out=w)
@@ -284,11 +286,11 @@ def _contract_axes(arr: np.ndarray, t1: np.ndarray, t2: np.ndarray, t3: np.ndarr
 
 
 def _fold(t: np.ndarray) -> np.ndarray:
-    """A per-axis table t, rows k in FFT order, folded over k and -k onto
-    the octant indices |k| = 0..n/2: rows 1..n/2-1 each add their partner
-    row n-k, and rows 0 and n/2 (the Nyquist row) are taken once. The sum
-    over an axis of an even array times t is the sum over its octant
-    times the fold."""
+    """A per-axis table t of an n-point grid, rows k in FFT order, folded
+    over k and -k onto the octant indices |k| = 0..n/2: rows 1..n/2-1 each
+    add their partner row n-k, and rows 0 and n/2 (the Nyquist row) are
+    taken once. The sum over an axis of an even array times t is the sum
+    over its octant times the fold."""
     h = t.shape[0] // 2
     out = t[: h + 1].copy()
     out[1:h] += t[:h:-1]
@@ -296,48 +298,48 @@ def _fold(t: np.ndarray) -> np.ndarray:
 
 
 def _axis_moments(
-    octant: np.ndarray, x: np.ndarray, dmax: int, tables: Sequence[np.ndarray] | None = None
+    octant: np.ndarray, x: np.ndarray, dmax: int, tables: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """T[d1, d2, d3] = sum_(i,j,k) a[i,j,k] x_i^d1 x_j^d2 x_k^d3 over the
-    lattice for powers <= dmax, for an array a even in each coordinate
-    given by a prefix box of its nonnegative octant (0.0 past it), and x in
-    FFT order: separable contractions of the box with the first rows of
-    the folded per-axis tables. With one (n, X) table per axis, each power
-    carries that axis's table along:
-    T[d1, x1, d2, x2, d3, x3] = sum a prod_a x^d_a tables[a][., x_a]."""
+    """T[d1, x1, d2, x2, d3, x3] = sum a prod_a x^d_a tables[a][., x_a]
+    over the lattice of a grid, powers <= dmax, x and the (n, X) tables in
+    FFT order, for an array a even in each coordinate given by a prefix box
+    of its octant: the box against the first rows of the folded tables."""
     live = octant.shape[0]
     P = np.stack([x**d for d in range(dmax + 1)], axis=1)  # (n, D)
-    if tables is None:
-        F = _fold(P)[:live]
-        return _contract_axes(octant, F, F, F)
     n, D = P.shape
     X = tables[0].shape[1]
     axes = [_fold((P[:, :, None] * E[:, None, :]).reshape(n, D * X))[:live] for E in tables]
     return _contract_axes(octant, *axes).reshape(D, X, D, X, D, X)
 
 
-def _axis_weight_sums(spec: GridSpec, b: float, dmax: int) -> np.ndarray:
-    """t_b[d] = sum over one lattice axis of eta^d exp(-b eta^2), d <= dmax:
-    the folded power table (`_fold`) against the 1-D weight on its live
-    prefix (`_live_eta`), one elementwise `np.einsum` (no BLAS). The fold
-    cancels odd powers exactly on rows 1..n/2-1, so an odd entry is the
-    Nyquist term (-eta_N)^d exp(-b eta_N^2) alone, exactly."""
-    e = _live_eta(spec, 1, b)
-    P = np.stack([spec.freqs() ** d for d in range(dmax + 1)], axis=1)
-    return np.einsum("kd,k->d", _fold(P)[: e.size], np.exp(e**2 * -b))
+def _axis_powers(e: np.ndarray, dmax: int) -> np.ndarray:
+    """F[k, d] = eta^d summed over the lattice wavenumbers +k and -k of
+    one axis, for the live prefix e = eta_0, eta_1, ... and d <= dmax: row
+    0 is taken once, and a row k >= 1 is e^d + (-e)^d, exactly 2 e^d for
+    an even d and exactly 0.0 for an odd one. The sum over an axis of an
+    even array times eta^d is the sum over its prefix times F."""
+    F = np.stack([e**d for d in range(dmax + 1)], axis=1)
+    F[1:, 1::2] = 0.0
+    F[1:, ::2] *= 2.0
+    return F
 
 
-def weight_moments(spec: GridSpec, m: int, b: float, dmax: int) -> np.ndarray:
-    """T_b[n] = sum over the frequency lattice of eta^n exp(-b|eta|^2m),
-    |n_i| <= dmax. The product of two weights is the weight of the summed
-    exponents, so the pairing of spectra with weights b1 and b2 reads
-    T_(b1+b2). At m=1 the weight factors over the axes,
-    exp(-b|eta|^2) = prod_i exp(-b eta_i^2), and T_b is the outer product
-    of one per-axis sum (`_axis_weight_sums`): no 3-D array is made. At
-    m >= 2 it is summed on the live box of the weight (`octant_weight`)."""
+def weight_moments(L: float, m: int, b: float, dmax: int) -> np.ndarray:
+    """T_b[n] = sum over the frequency lattice pi Z^3 / L of
+    eta^n exp(-b|eta|^2m), |n_i| <= dmax, cut only where the weight
+    underflows: the per-axis power table of the live prefix
+    (`_axis_powers`) meets the weight, so the odd moments are exactly 0.0.
+    The product of two weights is the weight of the summed exponents, so
+    the pairing of spectra with weights b1 and b2 reads T_(b1+b2). At m=1
+    the weight factors over the axes, exp(-b|eta|^2) = prod_i exp(-b eta_i^2),
+    and T_b is the outer product of one per-axis sum, one elementwise
+    `np.einsum` (no BLAS): no 3-D array is made. At m >= 2 the live box of
+    the weight (`octant_weight`) meets the power table on each axis."""
+    e = _live_eta(L, m, b)
+    F = _axis_powers(e, dmax)
     if m > 1:
-        return _axis_moments(octant_weight(spec, m, b), spec.freqs(), dmax)
-    t = _axis_weight_sums(spec, b, dmax)
+        return _contract_axes(octant_weight(L, m, b), F, F, F)
+    t = np.einsum("kd,k->d", F, np.exp(e**2 * -b))
     return t[:, None, None] * t[None, :, None] * t[None, None, :]
 
 
@@ -357,10 +359,9 @@ def dilate_coeffs(P: np.ndarray, sigma: float) -> np.ndarray:
     return sigma ** _degree_cube(P.shape[-1] - 1) * P
 
 
-def moment_pairings(
-    X: np.ndarray, Y: np.ndarray, table: np.ndarray, spec: GridSpec
-) -> np.ndarray:
-    """(2L)^-3 Re sum_eta S_x conj(S_y) for every x in X and y in Y.
+def moment_pairings(X: np.ndarray, Y: np.ndarray, table: np.ndarray, L: float) -> np.ndarray:
+    """(2L)^-3 Re sum_eta S_x conj(S_y) for every x in X and y in Y, on the
+    lattice of the box [-L, L)^3.
 
     X (F, 3, D1+1, ...) and Y (G, 3, D2+1, ...) are Hermitian coefficient
     arrays, `table` the lattice moments of the product of their two weights
@@ -369,15 +370,16 @@ def moment_pairings(
     the table and Y, and the pairing table H[d, e] = Tr[d + e] is a window
     view of the phased table. X meets H first and the product meets Y,
     two elementwise `np.einsum` passes (no BLAS, so no thread count
-    reaches the bytes) of F 3 K^3 L^3 and F 3 L^3 G multiply-adds.
+    reaches the bytes) of F 3 K^3 J^3 and F 3 J^3 G multiply-adds, with
+    K = D1 + 1 and J = D2 + 1.
     """
-    K, L = X.shape[-1], Y.shape[-1]
+    K, J = X.shape[-1], Y.shape[-1]
     Tr = table * _i_power(_degree_cube(table.shape[-1] - 1), "re")
-    H = np.lib.stride_tricks.sliding_window_view(Tr, (L,) * 3)[:K, :K, :K].reshape(K**3, L**3)
-    Ys = Y * (-1.0) ** _degree_cube(L - 1)
+    H = np.lib.stride_tricks.sliding_window_view(Tr, (J,) * 3)[:K, :K, :K].reshape(K**3, J**3)
+    Ys = Y * (-1.0) ** _degree_cube(J - 1)
     XH = np.einsum("fck,kl->fcl", X.reshape(X.shape[0], 3, -1), H)
     out = np.einsum("fcl,gcl->fg", XH, Ys.reshape(Y.shape[0], 3, -1))
-    return out / (2.0 * spec.L) ** 3
+    return out / (2.0 * L) ** 3
 
 
 def hermitian_parts(P: np.ndarray) -> Tuple[np.ndarray | None, np.ndarray | None]:
@@ -457,7 +459,7 @@ def projector_norms(v: VectorPolyField, spec: GridSpec, m: int) -> Tuple[float, 
     and projects it with the block's rows of 1/|eta|^2; both are index
     copies of their octants at |k|, so they carry the bits of the
     whole-lattice arrays. No lattice array is made."""
-    w = octant_weight(spec, m)
+    w = octant_weight(spec.L, m, n=spec.n)
     n, live = spec.n, w.shape[0]
     # the FFT indices of the live wavenumbers, in FFT order, and their |k|
     idx = np.flatnonzero(np.abs(_kint(n)) < live)
@@ -566,19 +568,20 @@ def _divergence_poly(A: Sequence[Polynomial]) -> Polynomial:
     return out
 
 
-def _tensor_arrays(basis, n: int) -> float:
-    """Float64 arrays of n^3 at the peak of `interaction_tensor` over
+def _tensor_arrays(basis, n: int) -> int:
+    """Float64 values at the peak of `interaction_tensor` over
     `basis` on an n-point grid, an upper bound: four octants (the weight,
     1/|eta|^2 with |eta|^2 and the mask of its zeros, the transients of its
     build, and the weight over |eta|^2), the first two contractions of
     `_axis_moments`, the moment and per-dual tables, and 256 values per
-    pair of labels for the float terms of the convections. A top level K bounds the powers: D <= K+1
-    and dmax <= 2K-1, so C = (D+1)(dmax+1) columns per folded axis table."""
+    pair of labels for the float terms of the convections. A top level K
+    bounds the powers: D <= K+1 and dmax <= 2K-1, so C = (D+1)(dmax+1)
+    columns per folded axis table."""
     K = max(b.level for b in basis.blocks)
     X = max(1, 2 * K)
     C, h = (K + 2) * X, n // 2 + 1
-    values = 4 * h**3 + 5 * h**2 * C + 4 * h * C**2 + 4 * C**3 + 15 * basis.count * X**3 + 256 * basis.count**2
-    return values / n**3
+    return (4 * h**3 + 5 * h**2 * C + 4 * h * C**2 + 4 * C**3 + 15 * basis.count * X**3
+            + 256 * basis.count**2)
 
 
 def interaction_tensor(basis, spec: GridSpec, refine: bool = True) -> InteractionTensor:
@@ -631,7 +634,7 @@ def interaction_tensor(basis, spec: GridSpec, refine: bool = True) -> Interactio
     # work
     sp_fine = spec.refined() if refine else None
     n_max = 2 * spec.n if refine else spec.n
-    check_fits(n_max, _tensor_arrays(basis, n_max), "the interaction tensor")
+    check_fits(_tensor_arrays(basis, n_max), f"the interaction tensor on an n={n_max} grid")
     fields, count = basis.fields, basis.count
     ginv = np.zeros((count, count))
     start = 0
@@ -659,7 +662,7 @@ def interaction_tensor(basis, spec: GridSpec, refine: bool = True) -> Interactio
     def compute(sp: GridSpec) -> np.ndarray:
         eta = sp.freqs()
         E = _y_moments(sp, dmax)
-        w = octant_weight(sp, params.m)
+        w = octant_weight(sp.L, params.m, n=sp.n)
         live = w.shape[0]
         # sum_eta FT[W_jc] prod_axes E, from one table of w per grid
         t = np.einsum("jcabd,axbydz->jcxyz", A, _axis_moments(w, eta, D, (E, E, E)))

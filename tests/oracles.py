@@ -375,7 +375,7 @@ def padded_octant(box: np.ndarray, n: int) -> np.ndarray:
 def lattice_weight(spec: GridSpec, m: int, b: float = 1.0) -> np.ndarray:
     """exp(-b|eta|^2m) on the whole frequency lattice: the package's
     octant weight, zero-padded and mirrored."""
-    return mirror_octant(padded_octant(grid.octant_weight(spec, m, b), spec.n))
+    return mirror_octant(padded_octant(grid.octant_weight(spec.L, m, b, spec.n), spec.n))
 
 
 def lattice_spectrum(H: np.ndarray, spec: GridSpec, w: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import csv
 import inspect
 import json
 import os
@@ -52,7 +53,7 @@ def test_artifacts_byte_identical_across_reruns(tmp_path, capsys):
 
 
 def test_verify_byte_identical_across_workers(tmp_path, capsys):
-    argv = ["verify", "--m", "1", "--level", "1", "--n", "32", "--L", "16"]
+    argv = ["verify", "--m", "1", "--level", "1", "--L", "16"]
     outs = []
     for w in ("1", "2"):
         code = cli.run(argv + ["--workers", w, "--outdir", str(tmp_path / w)])
@@ -70,7 +71,7 @@ def test_verify_byte_identical_across_workers(tmp_path, capsys):
 def test_verify_keeps_per_time_diagnostics(tmp_path, capsys):
     # each level's expansion residual and image-overlap estimate at every
     # kept output time, with the same bytes for one worker and two
-    argv = ["verify", "--m", "2", "--level", "1", "--n", "32", "--L", "16", "--n-tau", "7"]
+    argv = ["verify", "--m", "2", "--level", "1", "--L", "16", "--n-tau", "7"]
     docs = []
     for w in ("1", "2"):
         code = cli.run(argv + ["--workers", w, "--outdir", str(tmp_path / w)])
@@ -121,18 +122,18 @@ def test_verify_too_few_output_times_exits_2(tmp_path, capsys, n_tau):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, names",
     [
-        ["verify", "--L", "1e300", "--n", "16"],
-        ["d-tensor", "--L", "1e300", "--n", "16"],
-        ["d-tensor", "--L", "1e-300"],
+        (["verify", "--L", "1e300"], ("L=",)),
+        (["d-tensor", "--L", "1e300", "--n", "16"], ("L=", "n=")),
+        (["d-tensor", "--L", "1e-300"], ("L=", "n=")),
     ],
     ids=["verify-huge", "d-tensor-huge", "d-tensor-tiny"],
 )
-def test_out_of_range_box_exits_2(tmp_path, capfd, argv):
+def test_out_of_range_box_exits_2(tmp_path, capfd, argv, names):
     # refused before any lattice work: no numpy overflow warning is raised,
     # and stderr (captured at the file descriptor) holds one message line
-    # naming L and n
+    # naming the box (and the grid of d-tensor)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = cli.run(argv + ["--outdir", str(tmp_path)])
@@ -140,7 +141,7 @@ def test_out_of_range_box_exits_2(tmp_path, capfd, argv):
     out, err = capfd.readouterr()
     line = json.loads(out.strip().splitlines()[-1])
     assert code == 2 and line["error"] == "validation"
-    assert "L=" in line["message"] and "n=" in line["message"]
+    assert all(name in line["message"] for name in names)
     assert err.splitlines() == [f"hermflow {argv[0]}: {line['message']}"]
     assert list(tmp_path.iterdir()) == []
 
@@ -228,7 +229,7 @@ def test_verify_truncated_below_three_times_exits_2(tmp_path, capsys):
     from hermflow import grid
 
     grid._CACHE.clear()
-    argv = ["verify", "--n", "32", "--L", "16", "--outdir", str(tmp_path)]
+    argv = ["verify", "--L", "16", "--outdir", str(tmp_path)]
     code, line = _run(capsys, argv + ["--n-tau", "3"])
     assert code == 2 and line["error"] == "validation"
     assert line["message"] == (
@@ -243,33 +244,83 @@ def test_verify_truncated_below_three_times_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("m, L", [(1, "0.5"), (2, "3")])
 def test_verify_box_too_small_exits_2(tmp_path, capsys, m, L):
-    argv = ["verify", "--m", str(m), "--L", L, "--n", "16", "--outdir", str(tmp_path)]
+    argv = ["verify", "--m", str(m), "--L", L, "--outdir", str(tmp_path)]
     code, line = _run(capsys, argv)
     assert code == 2 and line["error"] == "validation"
     assert "too small" in line["message"]
 
 
+def test_verify_takes_no_grid_size(tmp_path, capsys):
+    # the verifier sums over the whole lattice pi Z^3 / L, so it has no n:
+    # the flag is unknown (exit 64), and so is the key in a config file
+    # (exit 2, naming it)
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["verify", "--n", "64", "--outdir", str(tmp_path)])
+    assert exc.value.code == 64
+    capsys.readouterr()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 64}))
+    code, line = _run(capsys, ["verify", "--config", str(path), "--outdir", str(tmp_path)])
+    assert code == 2 and line["error"] == "validation" and "n" in line["message"]
+    assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_the_cli_has_72_settings():
+    assert sum(len(cli._PARAMS[c]) for c in cli._COMMANDS) == 72
+
+
+def _parities(cube: np.ndarray) -> set:
+    """The parities (d mod 2 per variable) of the nonzero entries of a
+    coefficient cube."""
+    return {tuple(int(x) % 2 for x in d) for d in np.argwhere(cube != 0.0)}
+
+
+def test_verify_symmetry_zero_coefficients_are_exactly_zero(tmp_path, capsys):
+    # a dual whose components share no parity with the data's pairs with
+    # them through odd lattice moments only, which cancel exactly between
+    # k and -k: its coefficient reads 0.0 at every output time
+    from hermflow import grid, solenoidal
+
+    code, line = _run(capsys, ["verify", "--m", "1", "--level", "1", "--level", "2", "--L", "16",
+                               "--outdir", str(tmp_path)])
+    assert code == 0
+    for k, want in ((1, 2), (2, 6)):
+        basis = solenoidal.level_basis(1, k)
+        (data,) = grid.spectrum_cubes([solenoidal.fixture(1, k)[0]], 1)
+        duals = grid.dual_cubes(basis.blocks)
+        zero = [
+            f"l{lab[0]}:{lab[1]}" for lab, W in zip(basis.labels, duals)
+            if all(not _parities(X) & _parities(Wc) for X, Wc in zip(data, W))
+        ]
+        assert len(zero) == want, zero
+        with open(tmp_path / f"verify_m1_l{k}.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) >= 3
+        assert all(float(row[lab]) == 0.0 for row in rows for lab in zero)
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, subject",
     [
-        ["d-tensor"],
-        ["verify", "--m", "2"],
-        ["verify", "--m", "1", "--n", "8192"],
-        ["nodal", "--cell", "0.001"],
+        (["d-tensor"], "n=128"),
+        (["verify", "--m", "2", "--L", "1e4"], "L=10000.0"),
+        (["verify", "--m", "1", "--L", "1e4"], "L=10000.0"),
+        (["nodal", "--cell", "0.001"], "n=4001"),
     ],
     ids=["d-tensor", "verify", "verify-m1", "nodal"],
 )
-def test_grid_larger_than_memory_exits_2(tmp_path, capsys, monkeypatch, argv):
-    # a host with 1 MiB of memory: the default grids are refused before any
-    # lattice array exists, and nothing is written; the m=1 verifier holds
-    # no array that grows like n^3 and fits its default grid in 1 MiB, so
-    # its refusal is checked on an n=8192 grid (its per-axis tables)
+def test_grid_larger_than_memory_exits_2(tmp_path, capsys, monkeypatch, argv, subject):
+    # a host with 1 MiB of memory: the default tensor grid and a fine nodal
+    # grid are refused before any lattice array exists, and nothing is
+    # written. The verifier's tables grow with the box, not with a grid:
+    # at L=1e4 its live prefix is about 61000 indices per axis at m=1 and
+    # its live box about 14000 per axis at m=2, and the message names L
     from hermflow import errors
 
     monkeypatch.setattr(errors, "_physical_memory", lambda: 2**20)
     code, line = _run(capsys, argv + ["--outdir", str(tmp_path)])
     assert code == 2 and line["error"] == "validation"
-    assert "n=" in line["message"] and "GiB" in line["message"]
+    assert subject in line["message"] and "GiB" in line["message"]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -407,7 +458,7 @@ def test_commands_import_no_scipy(tmp_path):
         ["evolve", "--model", "nse", "--K", "1", "--data", "l1:0=0.1", "--tau", "1",
          "--check-linear"],
         ["d-tensor", "--n", "32"],
-        ["verify", "--n", "32", "--L", "12", "--n-tau", "7"],
+        ["verify", "--L", "12", "--n-tau", "7"],
         ["classify", "--terms", '[{"x": [2, 0, 0], "t": 0, "c": 1}]'],
         ["basis", "--max-level", "3"],
         ["nodal"],
@@ -441,7 +492,7 @@ def test_numeric_commands_load_no_numpy_polynomial(tmp_path):
     # only the kernel table's Gauss rule reads numpy.polynomial, at call time
     argvs = [
         ["nodal"],
-        ["verify", "--n", "32", "--L", "12", "--n-tau", "7"],
+        ["verify", "--L", "12", "--n-tau", "7"],
         ["d-tensor", "--n", "32"],
         ["evolve", "--model", "nse", "--K", "1", "--data", "l1:0=0.1", "--tau", "1"],
     ]
@@ -706,7 +757,7 @@ def _failed(capfd, argv, outdir):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "--m", "1", "--level", "1", "--level", "5", "--n", "32", "--L", "16"],
+        ["verify", "--m", "1", "--level", "1", "--level", "5", "--L", "16"],
         ["classify", "--suite", "synthetic", "--max-order", "2"],
         ["nodal", "--taus", "0,1,2000", "--cell", "0.2"],
     ],
@@ -784,7 +835,7 @@ def test_verify_failing_on_a_later_level_leaves_no_artifact(tmp_path, capfd, mon
         return verify(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "semigroup_verify", second_fails)
-    argv = ["verify", "--m", "1", "--level", "1", "--level", "2", "--n", "32", "--L", "16"]
+    argv = ["verify", "--m", "1", "--level", "1", "--level", "2", "--L", "16"]
     code, line = _failed(capfd, argv, tmp_path)
     assert code == 3 and line["achieved"] == 0.5
     assert len(calls) == 2
@@ -1311,7 +1362,6 @@ _FLAGS = {
         ("--field-index", "field_index", "store", "int", None),
         ("--t-end", "t_end", "store", "float", None),
         ("--L", "L", "store", "float", None),
-        ("--n", "n", "store", "int", None),
         ("--n-tau", "n_tau", "store", "int", None),
         _WORKERS_FLAG,
     ],
@@ -1409,7 +1459,7 @@ def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg):
     "argv, cfg, echoed",
     [
         (["evolve"], {"L": 8}, '"L": 8.0'),
-        (["verify", "--n", "32"], {"level": 2, "L": 16}, '"level": [2]'),
+        (["verify"], {"level": 2, "L": 16}, '"level": [2]'),
         (["wkbj", "--fit"], {"r_max": 40}, '"r_max": 40.0'),
     ],
 )
@@ -1587,7 +1637,7 @@ def test_non_positive_times_exit_2_before_any_artifact(tmp_path, capfd, argv, wh
     "argv",
     [
         ["nodal", "--cell", "0.1"],
-        ["verify", "--m", "1", "--level", "1", "--n", "32", "--L", "16"],
+        ["verify", "--m", "1", "--level", "1", "--L", "16"],
         ["wkbj", "--m", "2", "--N", "3", "--fit"],
         ["d-tensor", "--K", "2", "--n", "32", "--L", "6"],
     ],

@@ -82,14 +82,14 @@ FLOAT_DIGESTS = {
         "resonance.json": "aa7e6be02c29f4d9e826da132c0cdffa1c1eb839f66020b49f23e830a0881bd5",
         "trajectory.csv": "f427c86e4f914f8bf2661492ee13c52cdd98806d3eff16348fdf94230089d8a3",
     },
-    ("verify", "--m", "1", "--level", "1", "--n", "32", "--L", "16", "--n-tau", "7"): {
-        "stdout": "de20834deecc9bcac141bc50bedfd8e69782ad701f376359a93acaab7d418dd2",
-        "verify_m1.json": "e33113753ed053d022275aa152f39d2cbbad7d844e50d8874321ea011d447227",
-        "verify_m1_l1.csv": "e1723abcd22dc8322bfacfb569908437cda32432b9618ccd5eef4db9ff78c21b",
+    ("verify", "--m", "1", "--level", "1", "--n-tau", "7", "--L", "16"): {
+        "stdout": "a63db77f0b87439186c1effb65598cc72f239db9787ed26ae376b6dba89bc213",
+        "verify_m1.json": "7dd7dfcd351d9b09f7985c2b02cf6a5c7a5c81acfcba6932a0fd408c64ab54d4",
+        "verify_m1_l1.csv": "8b2f01ce5fc04738e92be1509d048f05c2f1db3da1a4e719a0eb199409eb0f63",
     },
-    ("verify", "--m", "2", "--level", "1", "--n", "32", "--L", "16", "--n-tau", "7"): {
-        "stdout": "a72033a7ed570e2373eb95b3bc56c75b9bf0f8da6a24fd01a855ec967b1d4eaa",
-        "verify_m2.json": "f9e208a139e24aa864ffa67d602a876470295bbb0e72a8a88025367a64bac0e2",
+    ("verify", "--m", "2", "--level", "1", "--n-tau", "7", "--L", "16"): {
+        "stdout": "266c5f4902e040d2bdcd88bbcbbbb7299ae87763224d14867f1febef11559d88",
+        "verify_m2.json": "fd53db32a0547f08ab2af2ef1c2bb5e09f2e4d10c758a562fd0d425b9591f260",
         "verify_m2_l1.csv": "f0f1b236650426c3a776d4796f9f18ea2ba3cae9479964abacfdfc8212dcf250",
     },
     ("nodal", "--taus", "0,1,2", "--cell", "0.1"): {

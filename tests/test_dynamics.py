@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -287,7 +289,7 @@ def test_trajectories_are_one_coefficient_array(cb2, monkeypatch):
     e0 = Expansion(cb2, {(1, 0): 0.2, (2, 1): -0.1})
     monkeypatch.setattr(dynamics, "Expansion", counted)
     run = nse_galerkin(e0, _zero_tensor(cb2, GridSpec(8.0, 32)), 1.0, n_out=11)
-    ver = semigroup_verify(fixture(1, 1)[0], 1, spec=GridSpec(16.0, 32), n_tau=5)
+    ver = semigroup_verify(fixture(1, 1)[0], 1, L=16.0, n_tau=5)
     assert made == []
     for traj in (run, ver):
         assert traj.C.dtype == np.float64
@@ -590,7 +592,7 @@ def test_classify_zero_edge_statuses():
 
 
 def test_semigroup_verify_small_box():
-    traj = semigroup_verify(fixture(1, 1)[0], 1, spec=GridSpec(16.0, 64), n_tau=9)
+    traj = semigroup_verify(fixture(1, 1)[0], 1, L=16.0, n_tau=9)
     # the small box truncates late times where periodic images overlap
     assert traj.diagnostic["truncated"]
     rc = rate_check(traj)
@@ -607,7 +609,7 @@ def test_semigroup_verify_small_box():
         semigroup_verify(bad, 1)
     zero = VectorPolyField([Polynomial.zero(3)] * 3)
     with pytest.raises(ValidationError, match="identically zero"):
-        semigroup_verify(zero, 1, spec=GridSpec(16.0, 64))
+        semigroup_verify(zero, 1, L=16.0)
 
 
 @pytest.mark.parametrize("m, L", [(1, 0.5), (2, 3.0)])
@@ -615,7 +617,7 @@ def test_semigroup_verify_refuses_box_too_small_for_any_time(m, L):
     # 2L - 8 < 0: no output time keeps the periodic images apart (m=2 used
     # to raise a complex power, m=1 to keep early times with a bogus fit)
     with pytest.raises(ValidationError, match="too small"):
-        semigroup_verify(fixture(m, 1)[0], m, spec=GridSpec(L, 16))
+        semigroup_verify(fixture(m, 1)[0], m, L=L)
 
 
 def _quadrature_reference(basis, u, spec):
@@ -638,7 +640,7 @@ def test_frequency_extractor_matches_grid_quadrature(m, k, other):
     basis = level_basis(m, k)
     data = _combo(basis, {lab: Fraction(i + 2, 5) for i, lab in enumerate(basis.labels)})
     data = data + fixture(m, other)[0]
-    extract = _Extractor(basis, spec)
+    extract = _Extractor(basis, spec.L)
 
     # the verifier's rescaled spectrum exp(-b|eta|^2m) P(sigma eta), from
     # its coefficient arrays versus a grid synthesis of the same spectrum
@@ -666,24 +668,46 @@ def test_semigroup_verify_runs_no_fft(monkeypatch):
 
     monkeypatch.setattr(np.fft, "fftn", refuse)
     monkeypatch.setattr(np.fft, "ifftn", refuse)
-    traj = semigroup_verify(fixture(2, 1)[0], 2, spec=GridSpec(16.0, 48), n_tau=7)
+    traj = semigroup_verify(fixture(2, 1)[0], 2, L=16.0, n_tau=7)
     assert traj.C.shape == (len(traj.taus), traj.basis.count) and len(traj.taus) >= 3
 
 
 def test_semigroup_verify_caches_nothing_per_time():
     # nor any lattice array: the weights and moment tables are made per
-    # output time and dropped, so the cache holds per-axis tables only, at
-    # m=1 (whose tables are products of 1-D sums) and at m=2
+    # output time and dropped, at m=1 (whose tables are products of 1-D
+    # sums) and at m=2
     grid._CACHE.clear()
-    spec = GridSpec(14.0, 32)
-    sizes = []
     for n_tau in (5, 9):
-        semigroup_verify(fixture(1, 1)[0], 1, spec=spec, n_tau=n_tau)
-        sizes.append(len(grid._CACHE))
-        assert all(a.ndim == 1 for a in grid._CACHE.values())
-    assert sizes[0] == sizes[1]
-    semigroup_verify(fixture(2, 1)[0], 2, spec=GridSpec(16.0, 32), n_tau=7)
-    assert all(a.ndim == 1 for a in grid._CACHE.values())
+        semigroup_verify(fixture(1, 1)[0], 1, L=14.0, n_tau=n_tau)
+        assert grid._CACHE == {}
+    semigroup_verify(fixture(2, 1)[0], 2, L=16.0, n_tau=7)
+    assert grid._CACHE == {}
+
+
+def test_semigroup_verify_builds_no_grid(monkeypatch):
+    # the verifier sums over the lattice pi Z^3 / L: it makes no periodic
+    # grid, and reads neither the FFT-ordered wavenumbers nor their fold
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verifier used a grid")
+
+    for name in ("GridSpec", "_kint", "_fold"):
+        monkeypatch.setattr(grid, name, refuse)
+    for m in (1, 2):
+        traj = semigroup_verify(fixture(m, 1)[0], m, L=16.0, n_tau=7)
+        assert traj.C.shape == (len(traj.taus), traj.basis.count) and len(traj.taus) >= 3
+
+
+@pytest.mark.parametrize("L", [math.nan, math.inf, -math.inf, -1.0, 0.0, 2.0**64 * 1.01, 1e300])
+def test_semigroup_verify_refuses_an_out_of_range_box(monkeypatch, L):
+    # before any lattice array exists, and without a numpy warning
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the extractor was built")
+
+    monkeypatch.setattr(dynamics, "_Extractor", unreachable)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=re.escape(f"L={L!r}")):
+            semigroup_verify(fixture(1, 1)[0], 1, L=L)
 
 
 def _lattice_parts(P, spec):
@@ -693,24 +717,22 @@ def _lattice_parts(P, spec):
     return [None if A is None else evaluate_cube(A, eta) for A in grid.hermitian_parts(P)]
 
 
-def _full_lattice_closed_form(extract, X, b):
+def _full_lattice_closed_form(extract, X, b, spec):
     """The coefficients of `_Extractor.closed_form` on full lattice arrays:
     the weights on every lattice point, and the moment table of their
     product summed over every lattice point. Returns (c, w, decay)."""
-    spec = extract.spec
     w, decay = (np.exp(np.multiply(freq_sq(spec) ** extract.m, -c)) for c in (b, 1.0))
     Dx, Dw = X.shape[-1] - 1, extract.duals.shape[-1] - 1
     table = axis_moments(w * decay, spec.freqs(), Dx + Dw)
-    raw = grid.moment_pairings(X[None], extract.duals, table, spec)[0]
+    raw = grid.moment_pairings(X[None], extract.duals, table, spec.L)[0]
     return np.linalg.solve(extract.M.T, raw), w, decay
 
 
-def _full_lattice_residual(extract, X, c, w, decay):
+def _full_lattice_residual(extract, X, c, w, decay, spec):
     """The residual of `_Extractor.closed_form` for the coefficients c, and
     the norms of the data and of the model, from whole-lattice evaluations
     of each real and imaginary part, weighted, subtracted and squared one
     array at a time."""
-    spec = extract.spec
     Y = np.tensordot(c, extract.realz, axes=(0, 0))
     totals = np.zeros(3)  # data minus model, data, model
     for comp in range(3):
@@ -745,44 +767,46 @@ def test_blocked_residual_matches_full_lattice_route(m):
     (P,) = spectrum_cubes([data], m)
     assert P.shape[-1] - 1 >= 3
     (other,) = spectrum_cubes([fixture(m, 0)[0]], m)
-    extract = _Extractor(basis, spec)
+    extract = _Extractor(basis, spec.L)
     for s in (1.0, 0.5, 0.2, 0.05):
         b, sigma = (2.0 - s) / s, s ** (-1.0 / (2 * m))
         for X in (P, P + np.pad(other, [(0, 0)] + [(0, P.shape[-1] - other.shape[-1])] * 3)):
             X = dilate_coeffs(X, sigma)
-            c_ref, w_ref, decay_ref = _full_lattice_closed_form(extract, X, b)
+            c_ref, w_ref, decay_ref = _full_lattice_closed_form(extract, X, b, spec)
             c, resid = extract.closed_form(X, b)
             # the octant sum folds k and -k before it adds up, so the
             # moment table, and c, move by roundoff only (5.2 ulp seen)
             assert np.max(np.abs(c - c_ref)) <= 16 * np.finfo(float).eps * np.max(np.abs(c_ref))
-            resid_ref, nx, ny = _full_lattice_residual(extract, X, c, w_ref, decay_ref)
+            resid_ref, nx, ny = _full_lattice_residual(extract, X, c, w_ref, decay_ref, spec)
             # the weight is exact where computed and exactly 0.0 elsewhere,
             # and so is the weight at b + 1 the moment table reads
             for exponent, ref in ((b, w_ref), (b + 1.0, w_ref * decay_ref)):
-                w = mirror_octant(padded_octant(grid.octant_weight(spec, m, exponent), spec.n))
+                box = grid.octant_weight(spec.L, m, exponent, spec.n)
+                w = mirror_octant(padded_octant(box, spec.n))
                 assert w.tobytes() == np.exp(np.multiply(freq_sq(spec) ** m, -exponent)).tobytes()
                 assert np.max(np.abs(w - ref)) <= 4 * np.finfo(float).eps * np.max(ref)
             assert _within_form_bound(resid, resid_ref, nx, ny), s
 
 
 def _verifier_state(m, tau, level=1):
-    """The extractor of `semigroup_verify` on its default grid for the
-    fixture data of `level`, and the data's rescaled spectrum (X, b) at
+    """The extractor of `semigroup_verify` at its default box L = 24 for
+    the fixture data of `level`, and the data's rescaled spectrum (X, b) at
     tau."""
-    extract = _Extractor(level_basis(m, level), GridSpec(24.0, 128))
+    extract = _Extractor(level_basis(m, level), 24.0)
     (P,) = spectrum_cubes([fixture(m, level)[0]], m)
     s = math.exp(-tau)
     X = s ** ((2 * m - 1) / (2 * m) - 3 / (2 * m)) * dilate_coeffs(P, s ** (-1.0 / (2 * m)))
     return extract, X, (2.0 - s) / s
 
 
-def _plain_sweep(extract, X, b, c):
+def _plain_sweep(extract, X, b, c, spec):
     """The residual of `_Extractor.closed_form` for the coefficients c by
-    the sweep oracle, and the norms of the data and of the model."""
-    spec, m = extract.spec, extract.m
+    the sweep oracle over the lattice of the grid `spec`, and the norms of
+    the data and of the model."""
+    m = extract.m
     Y = np.tensordot(c, extract.realz, axes=(0, 0))
-    data = closed_form_rows(X, grid.octant_weight(spec, m, b), spec)
-    model = closed_form_rows(Y, grid.octant_weight(spec, m), spec)
+    data = closed_form_rows(X, grid.octant_weight(spec.L, m, b, spec.n), spec)
+    model = closed_form_rows(Y, grid.octant_weight(spec.L, m, n=spec.n), spec)
     return [plain_residual_norm(spec, *sides) for sides in ((data, model), (data,), (model,))]
 
 
@@ -797,7 +821,7 @@ def test_residual_agrees_with_the_plain_sweep(m, level):
     for tau in (0.0, 1e-6, 1e-3, 0.1, 3.0):
         extract, X, b = _verifier_state(m, tau, level)
         c, resid = extract.closed_form(X, b)
-        ref, nx, ny = _plain_sweep(extract, X, b, c)
+        ref, nx, ny = _plain_sweep(extract, X, b, c, GridSpec(24.0, 128))
         assert _within_form_bound(resid, ref, nx, ny), tau
         if tau == 0.0:
             assert resid <= 1e-12 * nx
@@ -813,13 +837,13 @@ def test_residual_of_data_in_the_span_is_roundoff(m, level):
     # the bound
     spec = GridSpec(16.0, 48)
     basis = level_basis(m, level)
-    extract = _Extractor(basis, spec)
+    extract = _Extractor(basis, spec.L)
     for seed in range(3):
         rng = random.Random(seed)
         data = _combo(basis, {lab: Fraction(rng.randint(1, 49), rng.randint(1, 49)) for lab in basis.labels})
         (X,) = spectrum_cubes([data], m)
         c, resid = extract.closed_form(X, 1.0)
-        assert _within_form_bound(resid, *_plain_sweep(extract, X, 1.0, c)), seed
+        assert _within_form_bound(resid, *_plain_sweep(extract, X, 1.0, c, spec)), seed
 
 
 @pytest.mark.parametrize("m", [1, 2], ids=["m=1", "m=2"])
@@ -836,30 +860,28 @@ def test_residual_scales_exactly_by_powers_of_two(m):
 
 
 @pytest.mark.parametrize(
-    "m, n, workers", [(1, 64, 1), (2, 48, 2), (2, 16, 1), (1, 32, 2), (1, 1024, 2)]
+    "m, L, workers", [(1, 12.0, 1), (2, 48.0, 2), (2, 16.0, 1), (1, 24.0, 2), (1, 48.0, 2)]
 )
-def test_semigroup_verify_working_set(m, n, workers):
+def test_semigroup_verify_working_set(m, L, workers):
     # the refusal in `semigroup_verify` sizes the verifier at
-    # _verifier_arrays float64 arrays of n^3; the measured peak, with the
-    # lattice cache cleared so that its arrays count, must stay within it,
-    # also on small grids, where the moment and pairing tables weigh most
-    # (at n=16, m=2 also runs level 3, whose pairing table, D = 9, is most
-    # of the peak), and on a large m=1 grid, where no array grows like
-    # n^3 (one octant alone would be 1 GiB at n=1024); at L=16 and m=2,
-    # 7 output times keep the 3 the rate fit needs
-    spec = GridSpec(16.0, n)
-    for level in (1, 2, 3) if (m, n) == (2, 16) else (1, 2):
+    # _verifier_arrays float64 values; the measured peak, with the lattice
+    # cache cleared, must stay within it, on small boxes, where the moment
+    # and pairing tables weigh most (at L=16, m=2 also runs level 3, whose
+    # pairing table, D = 9, is most of the peak), and on large ones, where
+    # the m=2 live box grows like L^3; at L=16 and m=2, 7 output times keep
+    # the 3 the rate fit needs
+    for level in (1, 2, 3) if (m, L) == (2, 16.0) else (1, 2):
         data = fixture(m, level)[0]
-        semigroup_verify(data, m, spec=spec, n_tau=7, workers=workers)
+        semigroup_verify(data, m, L=L, n_tau=7, workers=workers)
         grid._CACHE.clear()
         tracemalloc.start()
         try:
-            traj = semigroup_verify(data, m, spec=spec, n_tau=7, workers=workers)
+            traj = semigroup_verify(data, m, L=L, n_tau=7, workers=workers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(traj.C) >= 3
-        assert peak <= dynamics._verifier_arrays(n, m, level, workers) * 8 * n**3, level
+        assert peak <= dynamics._verifier_arrays(L, m, level, workers) * 8, level
 
 
 def _off_span(m):

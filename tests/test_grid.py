@@ -205,18 +205,17 @@ def test_axis_tables_take_a_spectrum_to_its_grid_moments(spec):
 @pytest.mark.parametrize("n", [16, 18, 48])
 def test_octant_moments_match_the_full_lattice_sums(n):
     # an array even in each coordinate, held on its octant, against the
-    # folded per-axis tables: the tensor's (E, E, E) and (etaE, E, E)
-    # tables, whose rows differ at k and -k, and the plain power sums of
-    # `weight_moments`; n = 18 has an odd Nyquist index. Only the order of
-    # summation differs from the sums over every lattice point.
+    # folded per-axis tables of the tensor, (E, E, E) and (etaE, E, E),
+    # whose rows differ at k and -k; n = 18 has an odd Nyquist index. Only
+    # the order of summation differs from the sums over every lattice point.
     spec = GridSpec(6.0, n)
     rng = np.random.default_rng(n)
-    octant = rng.random((n // 2 + 1,) * 3) * padded_octant(grid.octant_weight(spec, 1, 0.1), n)
+    octant = rng.random((n // 2 + 1,) * 3) * padded_octant(grid.octant_weight(6.0, 1, 0.1, n), n)
     whole = mirror_octant(octant)
     eta, dmax = spec.freqs(), 4
     E = grid._y_moments(spec, dmax)
     etaE = grid._eta_diff(spec.L, n)[:, None] * E
-    for tables in (None, (E, E, E), (etaE, E, E), (E, E, etaE)):
+    for tables in ((E, E, E), (etaE, E, E), (E, E, etaE)):
         got = grid._axis_moments(octant, eta, 3, tables)
         want = axis_moments(whole, eta, 3, tables)
         # a few ulp of the largest value (at most 2.6 seen here)
@@ -225,13 +224,13 @@ def test_octant_moments_match_the_full_lattice_sums(n):
 
 @pytest.mark.parametrize("m, b", [(2, 1.0), (2, 39.0), (1, 1e3)])
 def test_weight_moments_match_the_whole_lattice_sum(m, b):
-    # the table is summed on the weight's live box only, shorter than the
-    # octant here (14, 6 and 3 of its 25 indices per axis): against the sum
-    # of the exponential over every lattice point, only the order of
-    # summation and the underflowed zeros differ
+    # the table is summed on the weight's live prefix only (14, 6 and 3
+    # indices per axis here), which an n=48 grid holds short of its Nyquist
+    # row: against the sum of the exponential over every point of its
+    # lattice, only the order of summation and the underflowed zeros differ
     spec = GridSpec(8.0, 48)
-    assert grid.octant_weight(spec, m, b).shape[0] < spec.n // 2 + 1
-    got = grid.weight_moments(spec, m, b, 6)
+    assert grid._live_eta(spec.L, m, b).size < spec.n // 2
+    got = grid.weight_moments(spec.L, m, b, 6)
     want = axis_moments(np.exp(-b * freq_sq(spec) ** m), spec.freqs(), 6)
     # a few ulp of the largest value
     assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * np.max(np.abs(want))
@@ -241,41 +240,43 @@ def test_weight_moments_match_the_whole_lattice_sum(m, b):
 @pytest.mark.parametrize("b", [1.0, 2.0, 39.0])
 def test_m1_weight_moments_are_a_product_of_one_folded_axis_sum(n, b):
     # at m=1 the weight factors over the axes: the table is the outer
-    # product of one folded 1-D sum, and against the sum of the
-    # exponential over every lattice point it differs by roundoff only,
-    # entry by entry against the sum of the absolute terms; n = 18 has an
-    # odd Nyquist index, and at b = 39 (the verifier's (2 - s)/s at
-    # s = 0.05) the Nyquist term is about 1e-212 on the n = 18 grid and
-    # underflows on the n = 48 one
-    spec = GridSpec(8.0, n)
-    t = grid._axis_weight_sums(spec, b, 6)
-    got = grid.weight_moments(spec, 1, b, 6)
-    assert got.tobytes() == (t[:, None, None] * t[None, :, None] * t[None, None, :]).tobytes()
-    w = np.exp(-b * freq_sq(spec))
-    want = axis_moments(w, spec.freqs(), 6)
-    scale = axis_moments(w, np.abs(spec.freqs()), 6)
-    assert np.max(np.abs(got - want) / scale) <= 1e-14
-    # the fold cancels the odd powers of rows 1..n/2-1 exactly: an odd
-    # entry is the term of the Nyquist slot -n/2 alone,
-    # (-eta_N)^d exp(-b eta_N^2), taken once
+    # product of one 1-D sum, and it differs by roundoff only, entry by
+    # entry against the sum of the absolute terms, from that product and
+    # from the sum of the exponential over every point of an n-point
+    # lattice whose octant holds the whole live prefix (the box is sized so
+    # that the underflow edge falls halfway between the last index before
+    # the Nyquist row and that row); b = 39 is the verifier's (2 - s)/s at
+    # s = 0.05
+    L = math.pi * (n // 2 - 0.5) / math.sqrt(grid._EXP_ZERO / b)
+    spec = GridSpec(L, n)
+    assert grid._live_eta(L, 1, b).size == n // 2
+    got = grid.weight_moments(L, 1, b, 6)
     eta = spec.freqs()
-    for d in (1, 3, 5):
-        assert t[d] == (eta**d * np.exp(-b * eta**2))[n // 2], d
-    assert eta[n // 2] == -math.pi * (n // 2) / spec.L
+    t = (eta[:, None] ** np.arange(7) * np.exp(-b * eta**2)[:, None]).sum(axis=0)
+    product = t[:, None, None] * t[None, :, None] * t[None, None, :]
+    w = np.exp(-b * freq_sq(spec))
+    want = axis_moments(w, eta, 6)
+    scale = axis_moments(w, np.abs(eta), 6)
+    for ref in (want, product):
+        assert np.max(np.abs(got - ref) / scale) <= 1e-14
+    # the odd powers cancel exactly between k and -k: every entry with an
+    # odd power is 0.0
+    r = np.arange(7) % 2 == 1
+    odd = r[:, None, None] | r[None, :, None] | r[None, None, :]
+    assert not got[odd].any() and got[~odd].all()
 
 
 def test_moment_pairings_read_the_leading_block_of_a_larger_table():
     # the shared tables of the verifier are built to the larger of the
     # degrees their pairings need: a pairing reads only the leading block
     # of degree D1 + D2, so it has the bytes of the table cut to that block
-    spec = GridSpec(8.0, 32)
     rng = np.random.default_rng(3)
     X, Y = rng.standard_normal((2, 3, 3, 3, 3)), rng.standard_normal((3, 3, 4, 4, 4))
-    table = grid.weight_moments(spec, 2, 2.0, 9)
+    table = grid.weight_moments(8.0, 2, 2.0, 9)
     exact = table[:6, :6, :6].copy()
-    got = grid.moment_pairings(X, Y, table, spec)
+    got = grid.moment_pairings(X, Y, table, 8.0)
     assert got.shape == (2, 3)
-    assert got.tobytes() == grid.moment_pairings(X, Y, exact, spec).tobytes()
+    assert got.tobytes() == grid.moment_pairings(X, Y, exact, 8.0).tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -323,7 +324,7 @@ def test_lattice_weight_is_the_full_lattice_exponential(m, b):
         spec = GridSpec(16.0, n)
         want = np.exp(-b * freq_sq(spec) ** m)
         assert lattice_weight(spec, m, b).tobytes() == want.tobytes(), n
-        box = grid.octant_weight(spec, m, b)
+        box = grid.octant_weight(spec.L, m, b, n)
         live = box.shape[0]
         assert box.shape == (live,) * 3 and 1 <= live <= n // 2 + 1
         # the box is no longer than where the weight is nonzero, the first

@@ -168,7 +168,7 @@ _BLAS_SCRIPT = """
 import hashlib
 import numpy as np
 from hermflow.dynamics import _ZeroSurface
-from hermflow.grid import GridSpec, moment_pairings, weight_moments
+from hermflow.grid import moment_pairings, weight_moments
 from hermflow.polynomial import Polynomial, evaluate_cube
 
 h = hashlib.sha256()
@@ -180,10 +180,9 @@ terms = {tuple(int(d) for d in rng.integers(0, 6, 3)): int(rng.integers(-9, 10))
 f, g = _ZeroSurface(Polynomial(3, terms))(rng.uniform(-2.0, 2.0, (1000, 3)))
 h.update(f.tobytes())
 h.update(g.tobytes())
-spec = GridSpec(16.0, 32)
 X, Y = rng.standard_normal((2, 3, 10, 10, 10)), rng.standard_normal((3, 3, 10, 10, 10))
-h.update(moment_pairings(X, Y, weight_moments(spec, 2, 2.0, 18), spec).tobytes())
-h.update(weight_moments(spec, 1, 2.0, 18).tobytes())
+h.update(moment_pairings(X, Y, weight_moments(16.0, 2, 2.0, 18), 16.0).tobytes())
+h.update(weight_moments(16.0, 1, 2.0, 18).tobytes())
 print(h.hexdigest())
 """
 
