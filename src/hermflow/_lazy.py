@@ -5,11 +5,8 @@ package as an import does, without running it; the module's code runs at
 the first attribute access. numpy is bound this way (`np`), and so is each
 layer of the package (`hermflow/__init__.py`): `import hermflow` runs no
 compute layer, and a command compiles and runs only the layers it uses.
-
-Python 3.11's lazy loader does not guard that first access against two
-threads at once: it must happen on one thread. Code that hands work to a
-thread pool (`grid.parallel_map`) must have used every module the workers
-touch before the pool starts.
+The package runs on one thread, so that first access has no race to
+guard against.
 """
 from __future__ import annotations
 

@@ -7,11 +7,12 @@ defaults, then a flat JSON config file (--config), then explicit flags,
 and checks every value against its declared type and choices. The
 resolved, typed configuration is echoed in the summary line and inside
 every JSON artifact, so a run is reproducible from its config alone;
-execution plumbing (worker count, output directory) is excluded from the
-echo so it cannot change artifact bytes. Floats are serialized with repr (shortest
-round-trip form), keys are sorted, and nothing time- or path-dependent is
-written, which makes artifacts byte-identical across runs and worker
-counts.
+execution plumbing (the output directory, and the worker count that
+`d-tensor`, `evolve` and `verify` accept but never read: every command runs
+on one thread) is excluded from the echo so it cannot change artifact
+bytes. Floats are serialized with repr (shortest round-trip form), keys are
+sorted, and nothing time- or path-dependent is written, which makes
+artifacts byte-identical across runs.
 
 A handler computes its summary and its artifacts and returns them; it
 writes nothing. `run` writes the artifacts only after the handler has
@@ -76,8 +77,9 @@ _CONFIG = Param("config", str, None, "flat JSON config file; flags override it")
 _COMMON = (
     Param("outdir", str, ".", "artifact directory (HERMFLOW_OUTDIR overrides the default)", echo=False),
 )
-# only verify reads it; d-tensor and evolve accept it unread
-_WORKERS = Param("workers", int, None, "worker cap (default: available cores)", echo=False)
+# accepted by d-tensor, evolve and verify and read by none: the benchmark's
+# workloads (bench/workloads.py) still pass it
+_WORKERS = Param("workers", int, None, "accepted and unread: every command runs on one thread", echo=False)
 # only d-tensor (its projector test field), evolve and nodal (demo:small) draw
 # random numbers, so only they take a seed
 _SEED = Param("seed", int, 0, "seed of demo:small and of the projector test field")
@@ -98,10 +100,6 @@ def _json_default(x):
         if isinstance(x, np.ndarray):
             return x.tolist()
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
-
-
-def _workers(cfg: dict) -> int:
-    return cfg["workers"] or os.cpu_count() or 1
 
 
 def _cloud_csv(cloud: np.ndarray) -> str:
@@ -810,7 +808,6 @@ def _cmd_verify(cfg: dict):
             t_end=cfg["t_end"],
             L=cfg["L"],
             n_tau=cfg["n_tau"],
-            workers=_workers(cfg),
         )
         rc = dynamics.rate_check(traj)
         worst = max(worst, rc["max_rel_err"])

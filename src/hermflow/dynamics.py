@@ -656,7 +656,10 @@ def nodal_extract(e: Expansion, R: float = 2.0, cell: float = 0.05) -> List[np.n
     v = e.field_poly()
     if all(p.is_zero() for p in v.components):
         raise ValidationError("expansion has no nonzero coefficients")
-    n = int(round(2.0 * R / cell)) + 1
+    # 2R/cell overflows to inf for a tiny cell in a huge ball: refused here,
+    # as n=inf, before `int` would raise
+    ratio = 2.0 * R / cell
+    n = int(round(ratio)) + 1 if math.isfinite(ratio) else math.inf
     check_fits(_NODAL_ARRAYS * n**3, f"nodal sampling on an n={n} grid")
     ax = np.linspace(-R, R, n)
     ax2 = ax**2
@@ -828,27 +831,28 @@ def classify_zero(u: Polynomial, max_order: int = 6) -> ZeroType:
 # -- semigroup verifier ---------------------------------------------------------------
 
 
-def _verifier_arrays(L: float, m: int, level: int, workers: int) -> int:
+def _verifier_arrays(L: float, m: int, level: int) -> int:
     """Float64 values at the peak of `semigroup_verify` at box half-width
     L, an upper bound: 2^15 for the exact arithmetic and the small tables;
-    then, per output time in flight, the moment table being summed and the
-    largest form, <X, X> of the data (`_form_values`). A level-k spectrum
-    cube holds powers up to D = (2m-1)k of each variable, so a moment table
-    has degree up to 2D, and every table has an exponent b >= 2, whose live
-    prefix (`grid._live_eta`) has at most `grid._live_bound(L, m, 2)`
-    indices K. A table holds its per-axis prefix, weight and power table,
-    at most 4K(2D+1) values; at m=2 also the live box of the weight, K^3,
-    and its first contraction with a transposed copy, 2 (2D+1) K^2. No term
-    depends on a grid. The measured peak (tracemalloc, one or two workers)
-    is at most 0.21 of this at m = 1 from L = 12 to 480 at levels 1 and 2,
-    and at m = 2 at most 0.96 from L = 16 to 96 at levels 0 to 3 and 0.99
-    at level 4, where the pairing table is almost all of it."""
+    then, for the one output time in flight, the moment table being summed
+    and the largest form, <X, X> of the data (`_form_values`). A level-k
+    spectrum cube holds powers up to D = (2m-1)k of each variable, so a
+    moment table has degree up to 2D, and every table has an exponent
+    b >= 2, whose live prefix (`grid._live_eta`) has at most
+    `grid._live_bound(L, m, 2)` indices K. A table holds its per-axis
+    prefix, weight and power table, at most 4K(2D+1) values; at m=2 also
+    the live box of the weight, K^3, and its first contraction with a
+    transposed copy, 2 (2D+1) K^2. No term depends on a grid. The measured
+    peak (tracemalloc) is at most 0.31 of this at m = 1 from L = 12 to 480
+    at levels 1 and 2, and at m = 2 at most 0.96 from L = 16 to 96 at
+    levels 0 to 3 and 0.98 at level 4, where the pairing table is almost
+    all of it."""
     D = (2 * m - 1) * level
     K = grid._live_bound(L, m, 2.0)
     table = 4 * K * (2 * D + 1)
     if m > 1:
         table += K**3 + 2 * (2 * D + 1) * K**2
-    return 2**15 + workers * (table + _form_values(D))
+    return 2**15 + table + _form_values(D)
 
 
 def semigroup_verify(
@@ -857,7 +861,6 @@ def semigroup_verify(
     t_end: float | None = None,
     L: float = 24.0,
     n_tau: int = 31,
-    workers: int | None = None,
 ) -> CoefficientTrajectory:
     """Independent cross-check of the diagonal coefficient flows.
 
@@ -897,10 +900,7 @@ def semigroup_verify(
             "inferred"
         )
     level = max(degrees)
-    check_fits(
-        _verifier_arrays(L, m, level, min(max(1, workers or 1), n_tau)),
-        f"the semigroup verifier at L={L!r}",
-    )
+    check_fits(_verifier_arrays(L, m, level), f"the semigroup verifier at L={L!r}")
     rho = (2.0 * m - 1.0) / (2.0 * m)
     alpha = 2.0 * m / (2.0 * m - 1.0)
     if m == 1:
@@ -934,8 +934,6 @@ def semigroup_verify(
         diagnostic["tau_reached"] = kept[-1]
     taus = np.array(kept)
 
-    # built before the pool starts: its tables load grid and numpy on this
-    # thread, as `grid.parallel_map` needs
     extract = _Extractor(basis, L)
     (data_coeffs,) = grid.spectrum_cubes([data], m)
 
@@ -946,7 +944,7 @@ def semigroup_verify(
         X = amp * grid.dilate_coeffs(data_coeffs, s ** (-1.0 / (2.0 * m)))
         return extract.closed_form(X, (2.0 - s) / s)
 
-    cs, residuals = zip(*grid.parallel_map(state, [float(t) for t in taus], workers))
+    cs, residuals = zip(*[state(float(t)) for t in taus])
     return CoefficientTrajectory(
         basis, taus, np.array(cs), diagnostic=diagnostic, residuals=list(residuals),
         overlap=[overlap(float(t)) for t in taus],

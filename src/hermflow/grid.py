@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from ._lazy import np
 from .errors import ValidationError, check_fits
@@ -103,18 +103,11 @@ _CACHE: Dict[tuple, np.ndarray] = {}
 
 
 def _cached(key, build):
-    """The read-only array under key = (name, L, n, ...), built once. 3-D
-    lattice arrays stay cached for one grid at a time: building one for
-    another grid drops them, so a refined grid does not stay resident after
-    its last use."""
+    """The read-only per-axis array under key = (name, L, n, ...), built
+    once."""
     out = _CACHE.get(key)
     if out is None:
-        out = _frozen(build())
-        if out.ndim == 3:
-            for k, a in list(_CACHE.items()):
-                if a.ndim == 3 and k[1:3] != key[1:3]:
-                    del _CACHE[k]
-        _CACHE[key] = out
+        out = _CACHE[key] = _frozen(build())
     return out
 
 
@@ -393,39 +386,22 @@ def hermitian_parts(P: np.ndarray) -> Tuple[np.ndarray | None, np.ndarray | None
     return out[0], out[1]
 
 
-def parallel_map(fn: Callable, items: Sequence, workers: int | None) -> list:
-    """[fn(x) for x in items] on up to `workers` threads, in input order."""
-    # numpy and the package's layers load at their first use (`._lazy`),
-    # and that first load is not safe on two threads at once: the caller
-    # must have used every module `fn` touches before the pool starts, as
-    # `semigroup_verify` does by building its extractor first
-    nw = max(1, workers or 1)
-    if nw > 1 and len(items) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=nw) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 # -- Leray projection and convection ---------------------------------------------
 
 
-def _inv_eta_sq(spec: GridSpec) -> np.ndarray:
-    """1/|eta|^2 on the octant, with zeros wherever the differentiation
-    frequencies vanish (the zero mode and pure-Nyquist modes pass through
-    the projector); `_eta_diff` is even up to sign, 0 at the Nyquist index."""
-
-    def build():
-        e = _eta_diff(spec.L, spec.n)[: spec.n // 2 + 1]
-        r2 = e[:, None, None] ** 2 + e[None, :, None] ** 2 + e[None, None, :] ** 2
-        sing = r2 == 0.0
-        r2[sing] = 1.0
-        inv = 1.0 / r2
-        inv[sing] = 0.0
-        return inv
-
-    return _cached(("inv_eta_sq", spec.L, spec.n), build)
+def _inv_eta_sq(spec: GridSpec, live: int) -> np.ndarray:
+    """1/|eta|^2 on the live box (live,)*3 of the octant (`octant_weight`),
+    with zeros wherever the differentiation frequencies vanish (the zero
+    mode and pure-Nyquist modes pass through the projector); `_eta_diff` is
+    even up to sign, 0 at the Nyquist index. Built afresh: each element is
+    the one the whole octant holds there."""
+    e = _eta_diff(spec.L, spec.n)[:live]
+    r2 = e[:, None, None] ** 2 + e[None, :, None] ** 2 + e[None, None, :] ** 2
+    sing = r2 == 0.0
+    r2[sing] = 1.0
+    inv = 1.0 / r2
+    inv[sing] = 0.0
+    return inv
 
 
 def _projector_sums(u: Sequence, e: Sequence[np.ndarray], inv: np.ndarray) -> np.ndarray:
@@ -450,21 +426,21 @@ def _projector_sums(u: Sequence, e: Sequence[np.ndarray], inv: np.ndarray) -> np
 
 def projector_norms(v: VectorPolyField, spec: GridSpec, m: int) -> Tuple[float, float, float]:
     """Grid norms of P u, P P u - P u and div P u for u = v F, with P the
-    Leray projector where the tensor applies it (`_eta_diff`, the octant
-    `_inv_eta_sq`): by Parseval, ((2L)^-3 sum_eta |.|^2)^(1/2), in one
-    sweep of row blocks over the lattice points where the weight is live,
-    every |k_i| below the side of its box (`octant_weight`); it is 0.0
-    elsewhere. Each block evaluates every part of the closed-form spectrum
+    Leray projector where the tensor applies it (`_eta_diff`, and
+    `_inv_eta_sq` on the live box): by Parseval,
+    ((2L)^-3 sum_eta |.|^2)^(1/2), in one sweep of row blocks over the
+    lattice points where the weight is live, every |k_i| below the side of
+    its box (`octant_weight`); it is 0.0 elsewhere. Each block evaluates every part of the closed-form spectrum
     of u afresh (`evaluate_cube`), times the block's rows of the weight,
     and projects it with the block's rows of 1/|eta|^2; both are index
-    copies of their octants at |k|, so they carry the bits of the
+    copies of their live boxes at |k|, so they carry the bits of the
     whole-lattice arrays. No lattice array is made."""
     w = octant_weight(spec.L, m, n=spec.n)
     n, live = spec.n, w.shape[0]
     # the FFT indices of the live wavenumbers, in FFT order, and their |k|
     idx = np.flatnonzero(np.abs(_kint(n)) < live)
     k = np.abs(_kint(n)[idx]).astype(int)
-    inv, e, eta = _inv_eta_sq(spec), _eta_diff(spec.L, n)[idx], spec.freqs()[idx]
+    inv, e, eta = _inv_eta_sq(spec, live), _eta_diff(spec.L, n)[idx], spec.freqs()[idx]
     # the real and the imaginary parts of the three components
     parts = list(zip(*[hermitian_parts(H) for H in spectrum_cubes([v], m)[0]]))
     sums = np.zeros(3)
@@ -669,7 +645,7 @@ def interaction_tensor(basis, spec: GridSpec, refine: bool = True) -> Interactio
         # minus the longitudinal part eta_c sigma_j w / |eta|^2 (the
         # pressure), from one table of w / |eta|^2 per component c
         etaE = _eta_diff(sp.L, sp.n)[:, None] * E
-        w_inv = w * _inv_eta_sq(sp)[:live, :live, :live]
+        w_inv = w * _inv_eta_sq(sp, live)
         for c in range(3):
             U = _axis_moments(w_inv, eta, D, [etaE if a == c else E for a in range(3)])
             t[:, c] -= np.einsum("jabd,axbydz->jxyz", sig, U)

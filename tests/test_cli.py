@@ -52,32 +52,32 @@ def test_artifacts_byte_identical_across_reruns(tmp_path, capsys):
     assert (d1 / "eig_check.json").read_bytes() == (d2 / "eig_check.json").read_bytes()
 
 
-def test_verify_byte_identical_across_workers(tmp_path, capsys):
+def test_verify_byte_identical_across_reruns(tmp_path, capsys):
     argv = ["verify", "--m", "1", "--level", "1", "--L", "16"]
     outs = []
-    for w in ("1", "2"):
-        code = cli.run(argv + ["--workers", w, "--outdir", str(tmp_path / w)])
+    for run in ("a", "b"):
+        code = cli.run(argv + ["--outdir", str(tmp_path / run)])
         assert code == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     names = json.loads(outs[0].strip().splitlines()[-1])["artifacts"]
     assert names == ["verify_m1_l1.csv", "verify_m1.json"]
     for name in names:
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
-    (res,) = json.loads((tmp_path / "1" / "verify_m1.json").read_text())["results"]
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    (res,) = json.loads((tmp_path / "a" / "verify_m1.json").read_text())["results"]
     assert isinstance(res["max_residual"], float) and 0.0 < res["max_residual"] < 1.0
 
 
 def test_verify_keeps_per_time_diagnostics(tmp_path, capsys):
     # each level's expansion residual and image-overlap estimate at every
-    # kept output time, with the same bytes for one worker and two
+    # kept output time, with the same bytes on a rerun
     argv = ["verify", "--m", "2", "--level", "1", "--L", "16", "--n-tau", "7"]
     docs = []
-    for w in ("1", "2"):
-        code = cli.run(argv + ["--workers", w, "--outdir", str(tmp_path / w)])
+    for run in ("a", "b"):
+        code = cli.run(argv + ["--outdir", str(tmp_path / run)])
         assert code == 0
         capsys.readouterr()
-        docs.append((tmp_path / w / "verify_m2.json").read_bytes())
+        docs.append((tmp_path / run / "verify_m2.json").read_bytes())
     assert docs[0] == docs[1]
     (res,) = json.loads(docs[0])["results"]
     assert len(res["residuals"]) == len(res["overlap"]) == res["n_tau"] >= 2
@@ -86,24 +86,31 @@ def test_verify_keeps_per_time_diagnostics(tmp_path, capsys):
 
 
 def test_fresh_two_worker_verify_loads_its_modules_on_one_thread(tmp_path):
-    # numpy and the package's layers load at their first use, which is not
-    # safe on two threads at once: a fresh process loads every module its
-    # workers touch before the pool starts, and gives the bytes of one
-    # worker; stderr stays empty, so the package does not bind `cli` (runpy
-    # would warn that it was imported before `-m` ran it)
+    # `--workers` is accepted and unread: a fresh process runs the verifier
+    # on its main thread alone and never imports a thread pool. The CLI runs
+    # as `-m` runs it, and stderr stays empty, so the package does not bind
+    # `cli` (runpy would warn that it was imported before it ran)
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    outs = []
-    for w in ("1", "2"):
-        outdir = tmp_path / w
-        proc = subprocess.run(
-            [sys.executable, "-m", "hermflow.cli", "verify", "--m", "2", "--level", "1",
-             "--workers", w, "--outdir", str(outdir)],
-            capture_output=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0 and proc.stderr == b""
-        outs.append((proc.stdout, {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}))
-    assert outs[0][1] and outs[0] == outs[1]
+    script = (
+        "import runpy, sys, threading\n"
+        "try:\n"
+        "    runpy.run_module('hermflow.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(code, 'concurrent.futures' in sys.modules, threading.active_count())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "verify", "--m", "2", "--level", "1", "--workers", "2",
+         "--outdir", str(tmp_path)],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == b""
+    summary, probe = proc.stdout.decode().strip().splitlines()[-2:]
+    assert probe == "0 False 1"
+    names = json.loads(summary)["artifacts"]
+    assert names == ["verify_m2_l1.csv", "verify_m2.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
 
 
 @pytest.mark.parametrize("n_tau", [0, 1, 2])
@@ -154,10 +161,10 @@ def test_out_of_range_box_exits_2(tmp_path, capfd, argv, names):
     ],
     ids=["d-tensor-K2", "evolve-criterion-11"],
 )
-def test_tensor_commands_byte_identical_across_workers(tmp_path, capsys, argv):
+def test_tensor_commands_byte_identical_across_reruns(tmp_path, capsys, argv):
     outs = []
-    for w in ("1", "2"):
-        code = cli.run(argv + ["--workers", w, "--outdir", str(tmp_path / w)])
+    for run in ("a", "b"):
+        code = cli.run(argv + ["--outdir", str(tmp_path / run)])
         assert code == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
@@ -168,7 +175,7 @@ def test_tensor_commands_byte_identical_across_workers(tmp_path, capsys, argv):
     names = line["artifacts"]
     assert names
     for name in names:
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -894,6 +901,14 @@ def test_nodal_names_the_time_its_coefficients_underflow_at(tmp_path, capfd):
     assert "every coefficient to 0.0" in line["message"]
 
 
+def test_nodal_grid_whose_side_overflows_exits_2(tmp_path, capfd):
+    # 2R/cell overflows to inf: refused by the memory check, not by an
+    # OverflowError from sizing the grid (exit 1 with a traceback)
+    code, line = _failed(capfd, ["nodal", "--R", "1e308", "--cell", "1e-300"], tmp_path)
+    assert code == 2 and line["error"] == "validation"
+    assert "n=inf" in line["message"] and "GiB" in line["message"]
+
+
 def test_wkbj_fit_beyond_the_iteration_cap_exits_3(tmp_path, capfd, monkeypatch):
     from hermflow import kernel
 
@@ -1224,7 +1239,7 @@ def test_projector_check_catches_a_wrong_symbol(monkeypatch, m):
     from hermflow import grid
 
     inv_eta_sq = grid._inv_eta_sq
-    monkeypatch.setattr(grid, "_inv_eta_sq", lambda spec: 0.5 * inv_eta_sq(spec))
+    monkeypatch.setattr(grid, "_inv_eta_sq", lambda spec, live: 0.5 * inv_eta_sq(spec, live))
     got = cli._projector_diagnostics(grid.GridSpec(8.0, 32), m, 0)
     assert got["idempotence_rel"] > 1e-10
     assert got["divergence_rel"] > 1e-8

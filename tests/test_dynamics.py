@@ -859,10 +859,8 @@ def test_residual_scales_exactly_by_powers_of_two(m):
         assert np.array_equal(ck, np.ldexp(c, k)), k
 
 
-@pytest.mark.parametrize(
-    "m, L, workers", [(1, 12.0, 1), (2, 48.0, 2), (2, 16.0, 1), (1, 24.0, 2), (1, 48.0, 2)]
-)
-def test_semigroup_verify_working_set(m, L, workers):
+@pytest.mark.parametrize("m, L", [(1, 12.0), (2, 48.0), (2, 16.0), (1, 24.0), (1, 48.0)])
+def test_semigroup_verify_working_set(m, L):
     # the refusal in `semigroup_verify` sizes the verifier at
     # _verifier_arrays float64 values; the measured peak, with the lattice
     # cache cleared, must stay within it, on small boxes, where the moment
@@ -872,16 +870,16 @@ def test_semigroup_verify_working_set(m, L, workers):
     # the 3 the rate fit needs
     for level in (1, 2, 3) if (m, L) == (2, 16.0) else (1, 2):
         data = fixture(m, level)[0]
-        semigroup_verify(data, m, L=L, n_tau=7, workers=workers)
+        semigroup_verify(data, m, L=L, n_tau=7)
         grid._CACHE.clear()
         tracemalloc.start()
         try:
-            traj = semigroup_verify(data, m, L=L, n_tau=7, workers=workers)
+            traj = semigroup_verify(data, m, L=L, n_tau=7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(traj.C) >= 3
-        assert peak <= dynamics._verifier_arrays(L, m, level, workers) * 8, level
+        assert peak <= dynamics._verifier_arrays(L, m, level) * 8, level
 
 
 def _off_span(m):

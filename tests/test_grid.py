@@ -9,7 +9,7 @@ import pytest
 
 from hermflow import grid
 from hermflow.errors import ValidationError
-from hermflow.grid import GridSpec, convection_poly, parallel_map
+from hermflow.grid import GridSpec, convection_poly
 from hermflow.kernel import kernel_values
 from hermflow.moments import moment_of_poly
 from hermflow.polynomial import Polynomial, VectorPolyField
@@ -376,13 +376,6 @@ def test_synth_duals_pair_to_gram_rows():
 def test_grid_field_shape_validation():
     with pytest.raises(ValidationError):
         GridVectorField(SPEC, np.zeros((3, 4, 4, 4)))
-
-
-def test_parallel_map_keeps_input_order():
-    items = list(range(7))
-    for workers in (None, 1, 3):
-        assert parallel_map(lambda x: x * x, items, workers) == [x * x for x in items]
-    assert parallel_map(lambda x: x, [], 3) == []
 
 
 def test_grid_spec_refuses_boxes_out_of_floating_point_range():
